@@ -68,6 +68,43 @@ func (s *Set) Count() int {
 	return c
 }
 
+// CountFrom returns the number of set bits at indexes in [i, Len): a
+// popcount rank over whole words with the first word masked. i below zero
+// counts the whole set.
+func (s *Set) CountFrom(i int) int {
+	if i < 0 {
+		i = 0
+	}
+	if i >= s.n {
+		return 0
+	}
+	w := i >> 6
+	c := bits.OnesCount64(s.words[w] >> uint(i&63))
+	for _, word := range s.words[w+1:] {
+		c += bits.OnesCount64(word)
+	}
+	return c
+}
+
+// Word64 returns bits [i, i+64) as one word, bit k of the result being
+// bit i+k of the set. i need not be word-aligned and may lie partly or
+// wholly outside [0, Len): positions outside read as zero.
+func (s *Set) Word64(i int) uint64 {
+	if i <= -64 || i >= s.n {
+		return 0
+	}
+	if i < 0 {
+		return s.words[0] << uint(-i)
+	}
+	// Bits at or past Len are never set, so the last word needs no mask.
+	w, sh := i>>6, uint(i&63)
+	v := s.words[w] >> sh
+	if sh != 0 && w+1 < len(s.words) {
+		v |= s.words[w+1] << (64 - sh)
+	}
+	return v
+}
+
 // Reset clears every bit.
 func (s *Set) Reset() {
 	for i := range s.words {

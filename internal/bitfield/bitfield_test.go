@@ -189,3 +189,54 @@ func TestQuickCountMatchesSetBits(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// randomSet returns a set of n bits, each set with the given density.
+func randomSet(rng *rand.Rand, n int, density float64) *Set {
+	s := New(n)
+	for i := 0; i < n; i++ {
+		if rng.Float64() < density {
+			s.Set(i)
+		}
+	}
+	return s
+}
+
+// TestCountFromMatchesScan pins the popcount rank against the NextSet walk
+// it replaced, at every index of random sets — both edges, word
+// boundaries and out-of-range starts included.
+func TestCountFromMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{1, 63, 64, 65, 600, 640} {
+		for _, density := range []float64{0, 0.03, 0.5, 1} {
+			s := randomSet(rng, n, density)
+			for i := -2; i <= n+2; i++ {
+				want := 0
+				for j := s.NextSet(i); j >= 0; j = s.NextSet(j + 1) {
+					want++
+				}
+				if got := s.CountFrom(i); got != want {
+					t.Fatalf("n=%d density=%v: CountFrom(%d) = %d, scan counts %d", n, density, i, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestWord64MatchesGet reads every 64-bit window that overlaps the set,
+// aligned or not, and a few that miss it entirely: each bit must equal Get
+// inside [0, Len) and read zero outside.
+func TestWord64MatchesGet(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for _, n := range []int{1, 63, 64, 65, 600, 640} {
+		s := randomSet(rng, n, 0.4)
+		for i := -130; i <= n+70; i++ {
+			got := s.Word64(i)
+			for k := 0; k < 64; k++ {
+				want := i+k >= 0 && i+k < n && s.Get(i+k)
+				if got&(1<<uint(k)) != 0 != want {
+					t.Fatalf("n=%d: Word64(%d) bit %d = %v, Get(%d) = %v", n, i, k, !want, i+k, want)
+				}
+			}
+		}
+	}
+}

@@ -37,6 +37,12 @@ type Buffer struct {
 	base  segment.ID
 	slots []int32
 
+	// avail mirrors slots as one bit per id, aligned on absolute id words
+	// so that every holder's words line up: bit id&63 of avail[id>>6 -
+	// base>>6] is set exactly when slots holds the id. It follows base
+	// down on a rebase and grows upward by doubling.
+	avail []uint64
+
 	maxSeen segment.ID // high-water mark of inserted ids (never decreases)
 }
 
@@ -51,7 +57,9 @@ func New(capacity int) *Buffer {
 		// Pre-size the dense index to one capacity's worth of ids: the
 		// warm-up stream fits without a single setSlot growth, and longer
 		// streams fall back to amortized doubling.
-		slots:   make([]int32, 0, capacity),
+		slots: make([]int32, 0, capacity),
+		// One capacity's worth of ids straddles at most capacity/64+2 words.
+		avail:   make([]uint64, 0, capacity/64+2),
 		base:    -1,
 		maxSeen: segment.None,
 	}
@@ -88,6 +96,11 @@ func (b *Buffer) setSlot(id segment.ID, v int32) {
 		grown := make([]int32, shift+len(b.slots))
 		copy(grown[shift:], b.slots)
 		b.slots = grown
+		if wshift := int(b.base>>6 - id>>6); wshift > 0 {
+			words := make([]uint64, wshift+len(b.avail))
+			copy(words[wshift:], b.avail)
+			b.avail = words
+		}
 		b.base = id
 	}
 	off := int(id - b.base)
@@ -99,6 +112,40 @@ func (b *Buffer) setSlot(id segment.ID, v int32) {
 		}
 	}
 	b.slots[off] = v
+
+	w := int(id>>6 - b.base>>6)
+	if w >= len(b.avail) {
+		if w >= cap(b.avail) {
+			words := make([]uint64, len(b.avail), max(2*cap(b.avail), w+1))
+			copy(words, b.avail)
+			b.avail = words
+		}
+		// Words past len were never written (or were allocated zeroed).
+		b.avail = b.avail[:w+1]
+	}
+	if v != 0 {
+		b.avail[w] |= 1 << uint(id&63)
+	} else {
+		b.avail[w] &^= 1 << uint(id&63)
+	}
+}
+
+// AvailWords fills dst with the Has bits of the absolute ids
+// [w0*64, (w0+len(dst))*64): bit k of dst[i] is Has((w0+i)*64 + k). Words
+// outside the held range read as zero. It is the bulk form of Has the
+// planner scans availability with (core.View).
+func (b *Buffer) AvailWords(w0 int, dst []uint64) {
+	clear(dst)
+	src, at := b.avail, int(b.base>>6)-w0 // avail[0] lands at dst[at]
+	if at < 0 {
+		if -at >= len(src) {
+			return
+		}
+		src, at = src[-at:], 0
+	}
+	if at < len(dst) {
+		copy(dst[at:], src)
+	}
 }
 
 // Has reports whether the segment is in the buffer.
@@ -287,6 +334,16 @@ func (m *Map) Has(id segment.ID) bool {
 	return m.Bits.Get(off)
 }
 
+// AvailWords is the bulk form of Has (core.View): it shifts the
+// anchor-relative bitmap into the absolute word alignment Buffer.AvailWords
+// uses, so bit k of dst[i] is Has((w0+i)*64 + k) for any anchor.
+func (m *Map) AvailWords(w0 int, dst []uint64) {
+	off := w0*64 - int(m.Anchor)
+	for i := range dst {
+		dst[i] = m.Bits.Word64(off + i*64)
+	}
+}
+
 // Count returns the number of advertised segments.
 func (m *Map) Count() int { return m.Bits.Count() }
 
@@ -304,11 +361,7 @@ func (m *Map) PositionFromTail(id segment.ID) int {
 	if !m.Has(id) {
 		return 0
 	}
-	pos := 1
-	for i := m.Bits.NextSet(int(id-m.Anchor) + 1); i >= 0; i = m.Bits.NextSet(i + 1) {
-		pos++
-	}
-	return pos
+	return 1 + m.Bits.CountFrom(int(id-m.Anchor)+1)
 }
 
 // WireBits returns the control-traffic cost of shipping this map once:

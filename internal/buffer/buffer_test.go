@@ -301,3 +301,113 @@ func BenchmarkPositionFromTail(b *testing.B) {
 		buf.PositionFromTail(segment.ID(i % 600))
 	}
 }
+
+// availHolder is what AvailWords must agree with Has on.
+type availHolder interface {
+	Has(id segment.ID) bool
+	AvailWords(w0 int, dst []uint64)
+}
+
+// checkAvailWords compares every bit of the window [w0, w0+nw) with Has.
+func checkAvailWords(t *testing.T, label string, h availHolder, w0, nw int) {
+	t.Helper()
+	dst := make([]uint64, nw)
+	for i := range dst {
+		dst[i] = 0xdeadbeefdeadbeef // AvailWords must overwrite, not OR into, dst
+	}
+	h.AvailWords(w0, dst)
+	for i, w := range dst {
+		for k := 0; k < 64; k++ {
+			id := segment.ID((w0+i)*64 + k)
+			if got, want := w&(1<<uint(k)) != 0, h.Has(id); got != want {
+				t.Fatalf("%s: AvailWords(%d, %d words) says %v for id %d, Has says %v", label, w0, nw, got, id, want)
+			}
+		}
+	}
+}
+
+// TestBufferAvailWordsMatchesHas drives random insert/evict histories —
+// ids out of order, far jumps upward (bitmap growth) and inserts below the
+// base (downward rebase) — and after every few steps reads windows lying
+// before, after, inside and across the held range.
+func TestBufferAvailWordsMatchesHas(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		capacity := []int{1, 7, 64, 100, 600}[rng.Intn(5)]
+		b := New(capacity)
+		next := segment.ID(rng.Intn(5000))
+		for step := 0; step < 1500; step++ {
+			switch r := rng.Intn(100); {
+			case r < 70: // the stream advances, with holes filled out of order
+				next += segment.ID(rng.Intn(4))
+				b.Insert(next - segment.ID(rng.Intn(capacity+1)))
+			case r < 90: // a far jump upward: the bitmap must grow
+				next += segment.ID(rng.Intn(700))
+				b.Insert(next)
+			default: // below everything held so far: the rebase path
+				if lo := b.MinID(); lo > 0 {
+					b.Insert(segment.ID(rng.Intn(int(lo))))
+				}
+			}
+			if step%10 != 0 {
+				continue
+			}
+			lo, hi := int(b.MinID())>>6, int(b.MaxSeen())>>6
+			for _, w0 := range []int{-3, 0, lo - 5, lo - 1, lo, (lo + hi) / 2, hi, hi + 1, hi + 9} {
+				checkAvailWords(t, "buffer", b, w0, 1+rng.Intn(12))
+			}
+			checkAvailWords(t, "buffer", b, lo-2, hi-lo+5) // the whole range and both sides
+		}
+	}
+}
+
+// TestMapAvailWordsMatchesHas snapshots random buffers at anchors that are
+// not word-aligned and reads windows partly and wholly outside the map.
+func TestMapAvailWordsMatchesHas(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		capacity := []int{1, 63, 64, 65, 600}[rng.Intn(5)]
+		b := New(capacity)
+		base := segment.ID(rng.Intn(3000))
+		for i := 0; i < capacity; i++ {
+			b.Insert(base + segment.ID(rng.Intn(capacity+20)))
+		}
+		anchor := base + segment.ID(rng.Intn(30)) - 10
+		m := b.SnapshotFrom(anchor)
+		lo, hi := int(m.Anchor)>>6, (int(m.Anchor)+capacity)>>6
+		for _, w0 := range []int{-2, lo - 3, lo - 1, lo, (lo + hi) / 2, hi, hi + 1, hi + 4} {
+			checkAvailWords(t, "map", m, w0, 1+rng.Intn(12))
+		}
+		checkAvailWords(t, "map", m, lo-2, hi-lo+5)
+	}
+}
+
+// TestMapPositionFromTailMatchesScan pins the popcount rank behind
+// Map.PositionFromTail against the NextSet walk it replaced, for every id
+// of the window (both edges included) and the ids just outside it.
+func TestMapPositionFromTailMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for trial := 0; trial < 100; trial++ {
+		capacity := []int{1, 64, 65, 600}[rng.Intn(4)]
+		b := New(capacity)
+		base := segment.ID(rng.Intn(3000))
+		for i := 0; i < capacity; i++ {
+			b.Insert(base + segment.ID(rng.Intn(capacity)))
+		}
+		b.Insert(base)                            // the low edge of the window
+		b.Insert(base + segment.ID(capacity) - 1) // and the high one
+		m := b.SnapshotFrom(base)
+		for id := base - 2; id <= base+segment.ID(capacity)+2; id++ {
+			want := 0
+			if m.Has(id) {
+				want = 1
+				for i := m.Bits.NextSet(int(id-m.Anchor) + 1); i >= 0; i = m.Bits.NextSet(i + 1) {
+					want++
+				}
+			}
+			if got := m.PositionFromTail(id); got != want {
+				t.Fatalf("capacity %d anchor %d: PositionFromTail(%d) = %d, scan gives %d", capacity, m.Anchor, id, got, want)
+			}
+		}
+	}
+}

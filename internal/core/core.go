@@ -60,6 +60,12 @@ type SupplierID int
 type View interface {
 	// Has reports whether the neighbor advertises the segment.
 	Has(id segment.ID) bool
+	// AvailWords is Has in bulk: it fills dst with the availability of the
+	// absolute ids [w0*64, (w0+len(dst))*64), bit k of dst[i] being
+	// Has((w0+i)*64 + k). Every view answers in this one alignment, so
+	// words of different neighbors combine with plain bitwise operators.
+	// It must not retain dst.
+	AvailWords(w0 int, dst []uint64)
 	// PositionFromTail is the segment's FIFO position p_ij in the
 	// neighbor's buffer: 1 = newest, Cap() = next to be evicted; 0 if
 	// absent.
@@ -103,6 +109,14 @@ type Env struct {
 	NeedNew []segment.ID
 
 	Suppliers []Supplier
+
+	// words is BuildCandidates' availability scratch: the union row, then
+	// one row of bitmap words per supplier. It lives here, reused across
+	// calls, because a buffer handed to the View interface escapes — a
+	// per-call array would be a heap allocation per plan. Callers that
+	// refill an Env each period must assign its fields rather than
+	// overwrite the struct, or the scratch is reallocated every time.
+	words []uint64
 }
 
 // Candidate is a scored, supplier-annotated segment the scheduler may
@@ -167,16 +181,54 @@ func BuildCandidates(env *Env, opt ScoreOptions, dst []Candidate) []Candidate {
 	return dst
 }
 
+// appendScored scores one stream's needed ids. Availability is read in
+// bulk: each usable supplier's bitmap words over the span of need are
+// fetched once (one interface call per supplier, not one per id and
+// supplier) and ORed into a union row, so an id nobody holds — the common
+// case by far — costs one bit test. Suppliers are visited in index order
+// on a hit, which keeps eq. (8)'s float product order, and so the plans,
+// identical to probing Has id by id.
 func appendScored(env *Env, opt ScoreOptions, dst []Candidate, need []segment.ID, stream Stream) []Candidate {
+	if len(need) == 0 {
+		return dst
+	}
+	// need is ascending (Env), so its ends bound the id span; an id
+	// outside them would index past the union row and panic.
+	w0 := int(need[0] >> 6)
+	nw := int(need[len(need)-1]>>6) - w0 + 1
+	nsup := len(env.Suppliers)
+	if total := (nsup + 1) * nw; cap(env.words) < total {
+		env.words = make([]uint64, total)
+	} else {
+		env.words = env.words[:total]
+	}
+	union, rows := env.words[:nw], env.words[nw:]
+	clear(union)
+	for i := range env.Suppliers {
+		sup, row := &env.Suppliers[i], rows[i*nw:(i+1)*nw]
+		if sup.Rate <= 0 || sup.View == nil {
+			clear(row)
+			continue
+		}
+		sup.View.AvailWords(w0, row)
+		for k, w := range row {
+			union[k] |= w
+		}
+	}
 	for _, id := range need {
+		off := int(id) - w0<<6
+		wi, bit := off>>6, uint64(1)<<uint(off&63)
+		if union[wi]&bit == 0 {
+			continue
+		}
 		c := Candidate{ID: id, Stream: stream}
 		n := 0
 		rarity := 1.0
 		for i := range env.Suppliers {
-			sup := &env.Suppliers[i]
-			if sup.Rate <= 0 || sup.View == nil || !sup.View.Has(id) {
+			if rows[i*nw+wi]&bit == 0 {
 				continue
 			}
+			sup := &env.Suppliers[i]
 			c.owners |= 1 << uint(i)
 			n++
 			if sup.Rate > c.MaxRate {
@@ -189,9 +241,6 @@ func appendScored(env *Env, opt ScoreOptions, dst []Candidate, need []segment.ID
 					rarity *= float64(pos) / float64(b)
 				}
 			}
-		}
-		if n == 0 {
-			continue
 		}
 		if opt.Rarity == RarityTraditional {
 			rarity = 1 / float64(n)

@@ -26,6 +26,15 @@ func (v *mapView) Has(id segment.ID) bool             { _, ok := v.pos[id]; retu
 func (v *mapView) PositionFromTail(id segment.ID) int { return v.pos[id] }
 func (v *mapView) Cap() int                           { return v.capacity }
 
+func (v *mapView) AvailWords(w0 int, dst []uint64) {
+	clear(dst)
+	for id := range v.pos {
+		if off := int(id) - w0*64; off >= 0 && off < len(dst)*64 {
+			dst[off>>6] |= 1 << uint(off&63)
+		}
+	}
+}
+
 func basicEnv() *Env {
 	return &Env{
 		Tau:      1.0,
@@ -157,6 +166,12 @@ type fullView struct{ capacity, position int }
 func (v fullView) Has(segment.ID) bool             { return true }
 func (v fullView) PositionFromTail(segment.ID) int { return v.position }
 func (v fullView) Cap() int                        { return v.capacity }
+
+func (v fullView) AvailWords(_ int, dst []uint64) {
+	for i := range dst {
+		dst[i] = ^uint64(0)
+	}
+}
 
 func TestGreedyAssignmentSpreadsOverSuppliers(t *testing.T) {
 	// Algorithm 1: per-supplier queueing time must spread requests across

@@ -167,6 +167,7 @@ type peer struct {
 	needOld []segment.ID
 	needNew []segment.ID
 	pool    []segment.ID
+	supOf   []overlay.NodeID // node ids of env.Suppliers, index for index
 	// mapSnap is the reusable advertisement snapshot (SnapshotInto
 	// refills it each period; the encoded image, not the map, crosses
 	// the transport).
@@ -447,17 +448,16 @@ func (p *peer) plan_() {
 	if p.isSource || p.profile.In <= 0 || p.in.Available() < 1 {
 		return
 	}
-	p.env = core.Env{
-		Tau:       p.par.tau,
-		P:         p.par.p,
-		Q:         float64(p.par.q),
-		Inbound:   p.profile.In,
-		Playhead:  p.pb.WindowLo(),
-		Suppliers: p.env.Suppliers[:0],
-	}
+	// Assigned field by field: Env also carries BuildCandidates' reused
+	// availability scratch, which a struct literal would drop.
+	p.env.Tau = p.par.tau
+	p.env.P = p.par.p
+	p.env.Q = float64(p.par.q)
+	p.env.Inbound = p.profile.In
+	p.env.Playhead = p.pb.WindowLo()
 	supIDs := p.env.Suppliers[:0]
 	maxAdvert := segment.None
-	supOf := make([]overlay.NodeID, 0, len(p.neighbors))
+	supOf := p.supOf[:0]
 	for _, v := range p.neighbors {
 		view, ok := p.views[v]
 		if !ok || view.period < p.tick-viewTTLPeriods || view.m == nil {
@@ -472,7 +472,7 @@ func (p *peer) plan_() {
 		supIDs = append(supIDs, core.Supplier{ID: core.SupplierID(v), Rate: view.rate, View: view.m})
 		supOf = append(supOf, v)
 	}
-	p.env.Suppliers = supIDs
+	p.env.Suppliers, p.supOf = supIDs, supOf
 	if maxAdvert == segment.None {
 		return
 	}

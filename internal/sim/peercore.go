@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/bits"
+
 	"gossipstream/internal/buffer"
 	"gossipstream/internal/segment"
 )
@@ -131,23 +133,34 @@ func (pb *Playback) NeedWindowsInto(buf *buffer.Buffer, sessions []segment.Sessi
 }
 
 // appendMissing appends the ids in [lo, hi] absent from the buffer and
-// not in the granted in-flight set to dst. The granted scan is linear —
-// the set holds at most Inbound·τ entries per period (and is empty at
-// round 0 of classic runs), so a flat slice beats a map.
+// not in the granted in-flight set to dst, ascending. It walks the
+// complement of the buffer's own availability words, a few words at a
+// time, after marking the in-flight ids as held — the granted set holds at
+// most Inbound·τ entries per period (and is empty at round 0 of classic
+// runs), so one pass over it per chunk beats a membership test per id.
 func appendMissing(dst []segment.ID, buf *buffer.Buffer, granted []segment.ID, lo, hi segment.ID) []segment.ID {
-	for id := lo; id <= hi; id++ {
-		if buf.Has(id) {
-			continue
-		}
-		inFlight := false
+	var chunk [8]uint64
+	for w0, wEnd := int(lo>>6), int(hi>>6); w0 <= wEnd; w0 += len(chunk) {
+		held := chunk[:min(len(chunk), wEnd-w0+1)]
+		buf.AvailWords(w0, held)
+		first := segment.ID(w0) << 6
 		for _, g := range granted {
-			if g == id {
-				inFlight = true
-				break
+			if off := int(g - first); off >= 0 && off < len(held)<<6 {
+				held[off>>6] |= 1 << uint(off&63)
 			}
 		}
-		if !inFlight {
-			dst = append(dst, id)
+		for i, w := range held {
+			base := first + segment.ID(i)<<6
+			missing := ^w
+			if lo > base {
+				missing &= ^uint64(0) << uint(lo-base)
+			}
+			if hi-base < 63 {
+				missing &= ^uint64(0) >> uint(63-(hi-base))
+			}
+			for ; missing != 0; missing &= missing - 1 {
+				dst = append(dst, base+segment.ID(bits.TrailingZeros64(missing)))
+			}
 		}
 	}
 	return dst

@@ -3,7 +3,6 @@ package sim
 import (
 	"math/rand"
 	"slices"
-	"sort"
 
 	"gossipstream/internal/bitfield"
 	"gossipstream/internal/core"
@@ -101,9 +100,7 @@ func (s *Sim) planRound() {
 			// Stable bucketing by destination shard: a supplier's requests
 			// keep their planning order, so the sharded gather below
 			// reproduces the serial merge's queue contents exactly.
-			slices.SortStableFunc(sh.requests, func(a, b routedRequest) int {
-				return engine.ShardOf(int(a.sup)) - engine.ShardOf(int(b.sup))
-			})
+			sh.bucketRequests(shards)
 		}
 	})
 	// Scalar reduce in shard order (identical on both engines).
@@ -133,24 +130,50 @@ func (s *Sim) planRound() {
 		}
 		for si := 0; si < shards; si++ {
 			sh := &s.shards[si]
-			rlo, rhi := destShardRange(sh.requests, d)
-			for _, rr := range sh.requests[rlo:rhi] {
+			for _, rr := range sh.requests[sh.reqOff[d]:sh.reqOff[d+1]] {
 				s.incoming[rr.sup] = append(s.incoming[rr.sup], rr.req)
 			}
 		}
 	})
 }
 
-// destShardRange returns the subrange of a destination-sorted outbox
-// addressed to suppliers in shard d.
-func destShardRange(reqs []routedRequest, d int) (lo, hi int) {
-	lo = sort.Search(len(reqs), func(i int) bool {
-		return engine.ShardOf(int(reqs[i].sup)) >= d
-	})
-	hi = lo + sort.Search(len(reqs)-lo, func(i int) bool {
-		return engine.ShardOf(int(reqs[lo+i].sup)) > d
-	})
-	return lo, hi
+// bucketRequests stably regroups the outbox by destination shard and
+// records where each shard's requests start: those addressed to shard d
+// end up in requests[reqOff[d]:reqOff[d+1]], in planning order. The
+// regrouped outbox is built in the spare one and the two swap.
+func (sh *shardScratch) bucketRequests(shards int) {
+	reqs := sh.requests
+	sorted := slices.Grow(sh.reqSpare[:0], len(reqs))[:len(reqs)]
+	sh.reqOff = bucketByShard(sh.reqOff, shards, len(reqs),
+		func(i int) int { return engine.ShardOf(int(reqs[i].sup)) },
+		func(i int, at int32) { sorted[at] = reqs[i] })
+	sh.requests, sh.reqSpare = sorted, reqs
+}
+
+// bucketByShard is a stable counting sort of items 0..n-1 by shard id —
+// the key range is the shard count, so counting beats comparing, and a
+// stable sort by a given key has only one result. It calls place(i, at)
+// with the sorted position of every item, in item order, and returns the
+// offsets (reusing off's backing): shard d's items occupy positions
+// [off[d], off[d+1]).
+func bucketByShard(off []int32, shards, n int, shardOf func(i int) int, place func(i int, at int32)) []int32 {
+	// Counted two slots up, so that after the prefix sum off[d+1] is the
+	// position of shard d's first item; placing advances it to the
+	// shard's end, which is where shard d+1 starts.
+	off = slices.Grow(off[:0], shards+2)[:shards+2]
+	clear(off)
+	for i := 0; i < n; i++ {
+		off[shardOf(i)+2]++
+	}
+	for d := 3; d < len(off); d++ {
+		off[d] += off[d-1]
+	}
+	for i := 0; i < n; i++ {
+		d := shardOf(i)
+		place(i, off[d+1])
+		off[d+1]++
+	}
+	return off[:shards+1]
 }
 
 // planNode runs one node's scheduler for the round and queues its
@@ -162,14 +185,14 @@ func (s *Sim) planNode(ws *workerScratch, sh *shardScratch, n *nodeState, round 
 	for i := range n.linkReqs {
 		n.linkReqs[i] = 0 // per-round prefetch request counters
 	}
-	ws.env = core.Env{
-		Tau:       s.cfg.Tau,
-		P:         s.cfg.P,
-		Q:         float64(s.cfg.Q),
-		Inbound:   n.profile.In,
-		Playhead:  n.WindowLo(),
-		Suppliers: ws.env.Suppliers[:0],
-	}
+	// Assigned field by field: Env also carries BuildCandidates' reused
+	// availability scratch, which a struct literal would drop.
+	ws.env.Tau = s.cfg.Tau
+	ws.env.P = s.cfg.P
+	ws.env.Q = float64(s.cfg.Q)
+	ws.env.Inbound = n.profile.In
+	ws.env.Playhead = n.WindowLo()
+	ws.env.Suppliers = ws.env.Suppliers[:0]
 	ws.supAdj = ws.supAdj[:0]
 	for k := range n.viewSuppliers {
 		sup := n.viewSuppliers[k]
@@ -323,16 +346,27 @@ func (s *Sim) prefetch(ws *workerScratch, sh *shardScratch, n *nodeState, rng *r
 	}
 	pool := append(ws.pool[:0], ws.env.NeedOld...)
 	ws.pool = pool
+	if len(pool) == 0 {
+		return
+	}
+	// NeedOld is ascending, so its ends bound the span the rows must cover.
+	w0 := int(pool[0] >> 6)
+	nw := int(pool[len(pool)-1]>>6) - w0 + 1
+	s.readNeighborWords(ws, n, w0, nw)
+	union := ws.nbWords[:nw]
 	// Partial Fisher-Yates: draw random candidates until the budget or the
-	// pool is exhausted.
+	// pool is exhausted. Every draw is made whether or not anyone holds the
+	// id: the stream is shared by all nodes of the shard.
 	for k := 0; k < len(pool) && budget > 0; k++ {
 		j := k + rng.Intn(len(pool)-k)
 		pool[k], pool[j] = pool[j], pool[k]
 		id := pool[k]
-		if ws.seen.has(id) {
-			continue
+		off := int(id) - w0<<6
+		wi, bit := off>>6, uint64(1)<<uint(off&63)
+		if union[wi]&bit == 0 || ws.seen.has(id) {
+			continue // held by no reachable neighbor, or already asked for
 		}
-		sup, ni := s.pickSupplier(n, id, rng)
+		sup, ni := s.pickSupplier(ws, n, nw, wi, bit, rng)
 		if sup < 0 {
 			continue
 		}
@@ -345,27 +379,54 @@ func (s *Sim) prefetch(ws *workerScratch, sh *shardScratch, n *nodeState, rng *r
 	}
 }
 
-// pickSupplier chooses a uniformly random neighbor that holds the segment
-// and whose link to n still has request capacity this period; -1 if none.
-// The second return is the neighbor's adjacency slot.
-func (s *Sim) pickSupplier(n *nodeState, id segment.ID, rng *rand.Rand) (overlay.NodeID, int32) {
-	best, bestIdx := overlay.NodeID(-1), int32(-1)
-	count := 0
+// readNeighborWords fills the worker's prefetch rows for node n over the
+// availability words [w0, w0+nw). ws.nbWords starts with the union row;
+// then, for every neighbor a prefetch request could go to — alive, not
+// across an active partition, and in shared mode with outbound left (none
+// of which changes during the plan phase) — in adjacency order, comes one
+// row of its buffer's words, its adjacency slot going to ws.nbAdj. Unlike
+// the planner's supplier list the rows are not capped at
+// core.MaxSuppliers: a hub prefetches from any of its neighbors.
+func (s *Sim) readNeighborWords(ws *workerScratch, n *nodeState, w0, nw int) {
+	ws.nbAdj = ws.nbAdj[:0]
+	words := slices.Grow(ws.nbWords[:0], nw)[:nw]
+	clear(words)
 	for ni, v := range s.g.Neighbors(n.id) {
 		nb := s.nodes[v]
-		if !nb.alive || !nb.buf.Has(id) || s.blocked(n.id, v) {
+		if !nb.alive || s.blocked(n.id, v) || (s.cfg.SharedOutbound && nb.out.Available() < 1) {
 			continue
 		}
-		if s.cfg.SharedOutbound {
-			if nb.out.Available() < 1 {
-				continue
-			}
-		} else if int(n.linkGrants[ni]+n.linkReqs[ni]) >= s.linkCap(nb) {
+		ws.nbAdj = append(ws.nbAdj, int32(ni))
+		words = slices.Grow(words, nw)[:len(words)+nw]
+		row := words[len(words)-nw:]
+		nb.buf.AvailWords(w0, row)
+		for k, w := range row {
+			words[k] |= w
+		}
+	}
+	ws.nbWords = words
+}
+
+// pickSupplier chooses a uniformly random neighbor among the rows of
+// readNeighborWords that holds the segment (bit of word wi) and whose link
+// to n still has request capacity this period; -1 if none. The second
+// return is the neighbor's adjacency slot. One reservoir draw is made per
+// eligible neighbor, in adjacency order.
+func (s *Sim) pickSupplier(ws *workerScratch, n *nodeState, nw, wi int, bit uint64, rng *rand.Rand) (overlay.NodeID, int32) {
+	best, bestIdx := overlay.NodeID(-1), int32(-1)
+	count := 0
+	nbrs := s.g.Neighbors(n.id)
+	for k, ni := range ws.nbAdj {
+		if ws.nbWords[(k+1)*nw+wi]&bit == 0 {
+			continue
+		}
+		v := nbrs[ni]
+		if !s.cfg.SharedOutbound && int(n.linkGrants[ni]+n.linkReqs[ni]) >= s.linkCap(s.nodes[v]) {
 			continue
 		}
 		count++
 		if rng.Intn(count) == 0 {
-			best, bestIdx = v, int32(ni)
+			best, bestIdx = v, ni
 		}
 	}
 	return best, bestIdx

@@ -3,7 +3,6 @@ package sim
 import (
 	"math/rand"
 	"slices"
-	"sort"
 
 	"gossipstream/internal/bandwidth"
 	"gossipstream/internal/overlay"
@@ -75,7 +74,7 @@ func (s *Sim) serveRound() {
 			}
 		}
 		if parallel {
-			sh.buildCommitIndex()
+			sh.buildCommitIndex(shards)
 		}
 	})
 	if parallel {
@@ -184,8 +183,7 @@ func (s *Sim) commitParallel(shards, round int) {
 		dsh.committed, dsh.reRequests = 0, 0
 		for si := 0; si < shards; si++ {
 			src := &s.shards[si]
-			lo, hi := src.reqShardRange(d)
-			for _, idx := range src.propOrder[lo:hi] {
+			for _, idx := range src.propOrder[src.propOff[d]:src.propOff[d+1]] {
 				p := src.proposals[idx]
 				req := s.nodes[p.from]
 				if !req.in.Take(1) {
@@ -253,37 +251,17 @@ func (s *Sim) commitParallel(shards, round int) {
 
 // buildCommitIndex prepares the shard's proposals for the parallel
 // commit: propOrder is the proposal indexes stably sorted by requester
-// shard (so one requester shard's slice is a contiguous range, in
-// original proposal order), accept the cleared per-proposal win flags.
-func (sh *shardScratch) buildCommitIndex() {
+// shard (bucketByShard), so requester shard d's proposals are
+// propOrder[propOff[d]:propOff[d+1]] in original proposal order; accept
+// is the cleared per-proposal win flags.
+func (sh *shardScratch) buildCommitIndex(shards int) {
 	n := len(sh.proposals)
-	if cap(sh.propOrder) < n {
-		sh.propOrder = make([]int32, 0, n+n/2+8)
-	}
-	sh.propOrder = sh.propOrder[:0]
-	if cap(sh.accept) < n {
-		sh.accept = make([]bool, n)
-	}
-	sh.accept = sh.accept[:n]
-	for i := 0; i < n; i++ {
-		sh.propOrder = append(sh.propOrder, int32(i))
-		sh.accept[i] = false
-	}
-	slices.SortStableFunc(sh.propOrder, func(a, b int32) int {
-		return engine.ShardOf(int(sh.proposals[a].from)) - engine.ShardOf(int(sh.proposals[b].from))
-	})
-}
-
-// reqShardRange returns the propOrder subrange whose proposals address
-// requesters in shard d (binary search over the sorted index).
-func (sh *shardScratch) reqShardRange(d int) (lo, hi int) {
-	lo = sort.Search(len(sh.propOrder), func(i int) bool {
-		return engine.ShardOf(int(sh.proposals[sh.propOrder[i]].from)) >= d
-	})
-	hi = lo + sort.Search(len(sh.propOrder)-lo, func(i int) bool {
-		return engine.ShardOf(int(sh.proposals[sh.propOrder[lo+i]].from)) > d
-	})
-	return lo, hi
+	sh.accept = slices.Grow(sh.accept[:0], n)[:n]
+	clear(sh.accept)
+	sh.propOrder = slices.Grow(sh.propOrder[:0], n)[:n]
+	sh.propOff = bucketByShard(sh.propOff, shards, n,
+		func(i int) int { return engine.ShardOf(int(sh.proposals[i].from)) },
+		func(i int, at int32) { sh.propOrder[at] = int32(i) })
 }
 
 // proposePerLink proposes grants under the paper's link-capacity

@@ -1,0 +1,230 @@
+package sim
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+
+	"gossipstream/internal/overlay"
+	"gossipstream/internal/segment"
+	"gossipstream/internal/sim/engine"
+)
+
+// probePrefetch and probePickSupplier are the prefetch loop as it was
+// before availability was read in bulk, kept verbatim as the reference:
+// every drawn id is chased through each neighbor's buffer with
+// nb.buf.Has(id). The word-parallel prefetch must route the same requests
+// and leave the shared RNG stream at the same position.
+func probePrefetch(s *Sim, ws *workerScratch, sh *shardScratch, n *nodeState, rng *rand.Rand) {
+	budget := n.in.Available() - len(ws.plan.Requests)
+	if budget <= 0 {
+		return
+	}
+	for _, r := range ws.plan.Requests {
+		ws.seen.add(r.Segment)
+	}
+	pool := append(ws.pool[:0], ws.env.NeedOld...)
+	ws.pool = pool
+	for k := 0; k < len(pool) && budget > 0; k++ {
+		j := k + rng.Intn(len(pool)-k)
+		pool[k], pool[j] = pool[j], pool[k]
+		id := pool[k]
+		if ws.seen.has(id) {
+			continue
+		}
+		sup, ni := probePickSupplier(s, n, id, rng)
+		if sup < 0 {
+			continue
+		}
+		n.linkReqs[ni]++
+		sh.requests = append(sh.requests, routedRequest{
+			sup: sup,
+			req: pullRequest{from: n.id, seg: id, nbIdx: ni},
+		})
+		budget--
+	}
+}
+
+func probePickSupplier(s *Sim, n *nodeState, id segment.ID, rng *rand.Rand) (overlay.NodeID, int32) {
+	best, bestIdx := overlay.NodeID(-1), int32(-1)
+	count := 0
+	for ni, v := range s.g.Neighbors(n.id) {
+		nb := s.nodes[v]
+		if !nb.alive || !nb.buf.Has(id) || s.blocked(n.id, v) {
+			continue
+		}
+		if s.cfg.SharedOutbound {
+			if nb.out.Available() < 1 {
+				continue
+			}
+		} else if int(n.linkGrants[ni]+n.linkReqs[ni]) >= s.linkCap(nb) {
+			continue
+		}
+		count++
+		if rng.Intn(count) == 0 {
+			best, bestIdx = v, int32(ni)
+		}
+	}
+	return best, bestIdx
+}
+
+// hubGraph wires node 0 to every other node, far more neighbors than the
+// planner's core.MaxSuppliers=64 supplier mask holds, in a chosen
+// adjacency order: its first 62 slots are leaves that know nobody else
+// (they only ever hold what the hub gave them), then come the nodes of a
+// ring-with-chords mesh. The hub's planner therefore sees two useful
+// suppliers; everything else it needs it can only prefetch, mostly from
+// neighbors past slot 64.
+func hubGraph(n int) *overlay.Graph {
+	const leaves = 62
+	rng := rand.New(rand.NewSource(99))
+	g := overlay.New(n)
+	for v := 1; v <= leaves; v++ {
+		g.AddEdge(0, overlay.NodeID(v))
+	}
+	mesh := n - 1 - leaves
+	for i := 0; i < mesh; i++ {
+		v := overlay.NodeID(1 + leaves + i)
+		g.AddEdge(v, overlay.NodeID(1+leaves+(i+1)%mesh))
+		for k := 0; k < 2; k++ {
+			if w := overlay.NodeID(1 + leaves + rng.Intn(mesh)); w != v {
+				g.AddEdge(v, w)
+			}
+		}
+	}
+	for i := 0; i < mesh; i++ {
+		g.AddEdge(0, overlay.NodeID(1+leaves+i))
+	}
+	return g
+}
+
+// TestPrefetchMatchesProbeLoop replays, before every plan round of a run
+// with a >64-neighbor hub and several serve rounds per period, the round's
+// planning of all nodes twice on scratch outboxes — once as shipped and
+// once with prefetch swapped for the probing reference — from identically
+// seeded generators shared by all nodes, as in the engine. The two routed
+// request sequences must be equal and the generators must end in step.
+func TestPrefetchMatchesProbeLoop(t *testing.T) {
+	const hub = overlay.NodeID(0)
+	for _, shared := range []bool{true, false} {
+		name := "perlink"
+		if shared {
+			name = "shared"
+		}
+		t.Run(name, func(t *testing.T) {
+			g := hubGraph(220)
+			// The first source sits past the hub's 64th adjacency slot, out
+			// of its planner's sight.
+			source := g.Neighbors(hub)[150]
+			s, err := New(Config{
+				Graph: g, Seed: 5, NewAlgorithm: Fast,
+				FirstSource: source, NewSource: -1, SharedOutbound: shared,
+				WarmupTicks: 45, HorizonTicks: 60, JoinSpreadTicks: 4,
+				ServeRounds: 3, Workers: 1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var prefetched, fromHubTail, retryRounds int
+			compare := func() {
+				if s.round > 0 {
+					retryRounds++
+				}
+				var shipped, probed shardScratch
+				seed := engine.SeedFor(5, rngPlan, s.tick, s.round, 0)
+				rngShipped, rngProbed := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+				ws := s.workers[0]
+				for _, nd := range s.nodes {
+					if !nd.alive || nd.isSource || nd.profile.In <= 0 || nd.in.Available() < 1 {
+						continue
+					}
+					s.planNode(ws, &shipped, nd, s.round, rngShipped)
+
+					// The scheduler alone (it draws nothing), then the
+					// reference prefetch on the state planNode leaves behind.
+					// (planNode returns before prefetch when nothing is needed.)
+					ran := probed.diagPlanned
+					s.cfg.DisablePrefetch = true
+					s.planNode(ws, &probed, nd, s.round, nil)
+					s.cfg.DisablePrefetch = false
+					if probed.diagPlanned > ran {
+						probePrefetch(s, ws, &probed, nd, rngProbed)
+					}
+				}
+				if !slices.Equal(shipped.requests, probed.requests) {
+					t.Fatalf("tick %d round %d: routed requests differ: %d shipped, %d from the probe loop",
+						s.tick, s.round, len(shipped.requests), len(probed.requests))
+				}
+				if a, b := rngShipped.Int63(), rngProbed.Int63(); a != b {
+					t.Fatalf("tick %d round %d: the RNG streams left prefetch out of step", s.tick, s.round)
+				}
+				for _, rr := range shipped.requests {
+					if rr.req.expected != 0 {
+						continue // a planned request, not a prefetch
+					}
+					prefetched++
+					if rr.req.from == hub && rr.req.nbIdx >= 64 {
+						fromHubTail++
+					}
+				}
+			}
+			s.sched = engine.NewPipeline(
+				engine.Phase{Name: "plan", Run: func() { compare(); s.planRound() }},
+				engine.Phase{Name: "serve", Run: s.serveRound},
+			)
+			if _, err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%d prefetch requests compared over %d retry rounds, %d of them from the hub to neighbors past slot 64",
+				prefetched, retryRounds, fromHubTail)
+			if prefetched == 0 || retryRounds == 0 || fromHubTail == 0 {
+				t.Fatal("the run never exercised a retry round or a prefetch past the hub's 64th neighbor")
+			}
+		})
+	}
+}
+
+// TestShardBucketsMatchStableSort pins the two counting sorts of the
+// sharded routing against the stable comparison sorts they replaced: the
+// same permutation, and offsets that delimit each shard's run.
+func TestShardBucketsMatchStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for trial := 0; trial < 50; trial++ {
+		shards := 1 + rng.Intn(9)
+		n := rng.Intn(400)
+		var sh shardScratch
+		for i := 0; i < n; i++ {
+			node := overlay.NodeID(rng.Intn(shards * engine.ShardSize))
+			sh.requests = append(sh.requests, routedRequest{sup: node, req: pullRequest{seg: segment.ID(i)}})
+			sh.proposals = append(sh.proposals, proposal{from: node, seg: segment.ID(i)})
+		}
+		want := slices.Clone(sh.requests)
+		slices.SortStableFunc(want, func(a, b routedRequest) int {
+			return engine.ShardOf(int(a.sup)) - engine.ShardOf(int(b.sup))
+		})
+		sh.bucketRequests(shards)
+		sh.buildCommitIndex(shards)
+		if !slices.Equal(sh.requests, want) {
+			t.Fatalf("trial %d: bucketRequests is not the stable sort by destination shard", trial)
+		}
+		for i, idx := range sh.propOrder {
+			// Proposal i carries seg i, so the commit index must list the
+			// proposals in the order the sorted requests carry their segs.
+			if sh.proposals[idx].seg != want[i].req.seg {
+				t.Fatalf("trial %d: propOrder[%d] = %d, stable sort puts proposal %d there", trial, i, idx, want[i].req.seg)
+			}
+		}
+		for d := 0; d < shards; d++ {
+			for _, off := range [][]int32{sh.reqOff, sh.propOff} {
+				for _, rr := range want[off[d]:off[d+1]] {
+					if engine.ShardOf(int(rr.sup)) != d {
+						t.Fatalf("trial %d: offsets %v put a shard-%d item in shard %d's run", trial, off, engine.ShardOf(int(rr.sup)), d)
+					}
+				}
+			}
+		}
+		if got := int(sh.reqOff[shards]); got != n || int(sh.propOff[shards]) != n || len(sh.accept) != n {
+			t.Fatalf("trial %d: offsets end at %d/%d, accept holds %d, want %d", trial, got, sh.propOff[shards], len(sh.accept), n)
+		}
+	}
+}

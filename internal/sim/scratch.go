@@ -126,6 +126,12 @@ type workerScratch struct {
 	retry []int32
 	// pool is the prefetch candidate pool (the former poolScratch).
 	pool []segment.ID
+	// nbAdj and nbWords are prefetch's availability rows for the node
+	// being planned (readNeighborWords): the adjacency slots of its
+	// reachable neighbors and, after a leading union row, their buffers'
+	// bitmap words over the pool's id span, one row each.
+	nbAdj   []int32
+	nbWords []uint64
 	// rng is the worker's reusable generator. Every sharded phase that
 	// draws randomness reseeds it with its (phase, tick, round, shard)
 	// stream before use — Rand.Seed resets the source to exactly the
@@ -152,17 +158,23 @@ func (ws *workerScratch) seedRNG(seed int64) *rand.Rand {
 // producing round.
 type shardScratch struct {
 	// requests is the plan phase outbox: requests routed to suppliers
-	// during the reduce, in planning order (the parallel gather stably
-	// re-sorts them by destination shard first).
+	// during the reduce, in planning order. The parallel gather first
+	// regroups them stably by destination shard (bucketRequests): reqSpare
+	// is the buffer that regrouping sorts into (the two swap each round),
+	// reqOff the per-destination-shard offsets it leaves behind.
 	requests []routedRequest
+	reqSpare []routedRequest
+	reqOff   []int32
 	// proposals is the serve phase outbox: tentative grants awaiting the
 	// commit step.
 	proposals []proposal
 	// Parallel-commit index over proposals (multi-worker engine only):
 	// propOrder is the proposal indexes stably sorted by requester shard,
-	// accept the per-proposal win flags the requester-shard workers set
-	// (distinct indexes, so the concurrent writes are race-free).
+	// propOff the per-requester-shard offsets into it, accept the
+	// per-proposal win flags the requester-shard workers set (distinct
+	// indexes, so the concurrent writes are race-free).
 	propOrder []int32
+	propOff   []int32
 	accept    []bool
 	// Requester-side commit output, reduced serially in shard order:
 	// deliveries landing at this shard's nodes (classic substrate),
