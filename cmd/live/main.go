@@ -172,10 +172,11 @@ func main() {
 // printLiveStats renders the wall-clock execution account, drop
 // counters included (kernel drops stay zero on the channel transport).
 func printLiveStats(ls runtime.LiveStats) {
-	fmt.Printf("  wall: %v for %d periods (%d overruns); transport: %d data frames sent, %d delivered, %d lost, %d inbox-dropped, %d kernel-dropped\n",
+	fmt.Printf("  wall: %v for %d periods (%d overruns); transport: %d data frames sent, %d delivered, %d lost, %d inbox-dropped, %d kernel-dropped; %d frames in %d datagrams\n",
 		ls.WallDuration.Round(1000000), ls.Periods, ls.Overruns,
 		ls.Transport.DataSent, ls.Transport.DataDelivered, ls.Transport.DataLost,
-		ls.Transport.InboxDropped, ls.Transport.KernelDrops)
+		ls.Transport.InboxDropped, ls.Transport.KernelDrops,
+		ls.Transport.Frames, ls.Transport.Datagrams)
 }
 
 // statsLogf is the sink for the runner's periodic stats lines.

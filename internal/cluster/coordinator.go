@@ -171,13 +171,17 @@ func Serve(cfg Config) (*sim.Result, runtime.LiveStats, error) {
 	l.setPolicy(func() netmodel.LinkPolicy { return r.Policy() },
 		func() int { return int(tick.Load()) }, 1/cfg.TimeScale)
 
+	// Shard 0 spawns before the workers are released: its sockets are
+	// bound and published before any worker's first advertisement looks
+	// them up, and its set-up does not compete for the CPUs with peers
+	// already ticking.
+	if err := r.StartShard(0, shards); err != nil {
+		return nil, stats, err
+	}
 	// Release the shards: every worker acked its welcome, so the start
 	// broadcast is the run's opening gun.
 	for _, w := range workerShards {
 		l.send(w, &Payload{Kind: "start", Start: &Start{Workers: cfg.Workers}})
-	}
-	if err := r.StartShard(0, shards); err != nil {
-		return nil, stats, err
 	}
 
 	co := &coordinator{cfg: cfg, l: l, book: book, r: r, shards: shards,

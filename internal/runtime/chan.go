@@ -26,6 +26,7 @@ type ChanTransport struct {
 	inboxes map[overlay.NodeID]chan Frame
 	shape   *shaper
 	closed  bool
+	land    func(Frame) // t.deliver, bound once (send runs per frame)
 
 	dataSent      atomic.Int64
 	dataDelivered atomic.Int64
@@ -37,10 +38,12 @@ type ChanTransport struct {
 // NewChanTransport returns an empty in-process transport; seed drives
 // the shaping draws (loss, jitter).
 func NewChanTransport(seed int64) *ChanTransport {
-	return &ChanTransport{
+	t := &ChanTransport{
 		inboxes: make(map[overlay.NodeID]chan Frame),
 		shape:   newShaper(seed),
 	}
+	t.land = t.deliver
+	return t
 }
 
 // Open attaches a node.
@@ -87,7 +90,7 @@ func (t *ChanTransport) send(f Frame) {
 	if f.Kind == FrameData {
 		t.dataSent.Add(1)
 	}
-	delivered := t.shape.route(f, t.deliver)
+	delivered := t.shape.route(f, t.land, t.land)
 	if !delivered && f.Kind == FrameData {
 		t.dataLost.Add(1) // severed at injection
 	}
@@ -128,9 +131,18 @@ type chanEndpoint struct {
 	inbox chan Frame
 }
 
-func (e *chanEndpoint) Send(f Frame) {
+// Queue delivers at once: a channel send has no per-datagram cost to
+// share, so the channel transport holds nothing back.
+func (e *chanEndpoint) Queue(f Frame) {
 	f.Msg.From = e.id
 	e.t.send(f)
+}
+
+func (e *chanEndpoint) Flush() {}
+
+func (e *chanEndpoint) Send(f Frame) {
+	e.Queue(f)
+	e.Flush()
 }
 
 func (e *chanEndpoint) Recv() <-chan Frame { return e.inbox }

@@ -35,6 +35,8 @@ type runnerObs struct {
 	inboxDrop *obs.Counter
 	malformed *obs.Counter
 	kernel    *obs.Counter
+	datagrams *obs.Counter
+	wireFrame *obs.Counter
 
 	peers      *obs.Gauge
 	inboxDepth *obs.Gauge
@@ -64,6 +66,8 @@ func newRunnerObs(o *obs.Obs) *runnerObs {
 		inboxDrop: reg.Counter("gossip_transport_inbox_dropped_total", "frames dropped at a full peer inbox"),
 		malformed: reg.Counter("gossip_transport_malformed_total", "datagrams that failed to decode"),
 		kernel:    reg.Counter("gossip_kernel_udp_drops_total", "kernel-reported receive drops on the transport's UDP sockets"),
+		datagrams: reg.Counter("gossip_transport_datagrams_total", "datagrams the transport wrote"),
+		wireFrame: reg.Counter("gossip_transport_frames_total", "frames of every kind carried in those datagrams"),
 
 		peers:      reg.Gauge("gossip_active_peers", "running, arrived peers this period"),
 		inboxDepth: reg.Gauge("gossip_inbox_depth", "deepest peer inbox observed at period end"),
@@ -176,6 +180,8 @@ func (r *Runner) refreshStats() {
 		ob.inboxDrop.SetTotal(st.InboxDropped)
 		ob.malformed.SetTotal(st.Malformed)
 		ob.kernel.SetTotal(st.KernelDrops)
+		ob.datagrams.SetTotal(st.Datagrams)
+		ob.wireFrame.SetTotal(st.Frames)
 	}
 }
 
@@ -216,10 +222,10 @@ func (r *Runner) tickObs(tickStart time.Time) {
 	}
 	if statsLine {
 		st := r.statsCache
-		r.opt.Logf("live: tick %d/%d peers=%d inbox=%d sent=%d delivered=%d lost=%d inboxDrop=%d kernelDrop=%d overruns=%d",
+		r.opt.Logf("live: tick %d/%d peers=%d inbox=%d sent=%d delivered=%d lost=%d inboxDrop=%d kernelDrop=%d datagrams=%d frames=%d overruns=%d",
 			r.tick+1, r.duration, active, depth,
 			st.DataSent, st.DataDelivered, st.DataLost,
-			st.InboxDropped, st.KernelDrops, r.stats.Overruns)
+			st.InboxDropped, st.KernelDrops, st.Datagrams, st.Frames, r.stats.Overruns)
 	}
 }
 

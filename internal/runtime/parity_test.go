@@ -74,6 +74,16 @@ func TestLiveSimParityPaperSingleSwitch(t *testing.T) {
 		t.Errorf("cohort: live %d, sim %d", lw.Cohort, sw.Cohort)
 	}
 
+	// Everything below is a statistical band that assumes the live clock
+	// kept pace. A period that overran stretched it (the host was busy,
+	// not the protocol wrong), so the comparison is inconclusive.
+	if n := r.Stats().Overruns; n > 0 {
+		t.Skipf("inconclusive: %d of %d periods overran on this host, so the live clock was stretched "+
+			"and the bands below do not apply. (Peers stranding at the paper's rates — benchmark/README.md "+
+			"\"Bandwidth headroom\" — is a separate, still-open cause of a low live continuity; this skip does not cover it.)",
+			n, r.Stats().Periods)
+	}
+
 	// Delivery ratio: every measurement window completes — at most 2% of
 	// the cohort may straggle past the horizon (wall-clock tail the
 	// simulator does not have), and every completion time is recorded.

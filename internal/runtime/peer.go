@@ -27,6 +27,11 @@ import (
 // arrive; denials refund the requester's inbound budget and trigger a
 // bounded retry at an alternate supplier, the live counterpart of the
 // simulator's retry rounds.
+//
+// Outbound frames are queued on the endpoint and flushed at two points:
+// the end of a period (a neighbour's map and this period's requests to
+// it share a datagram) and the end of a drained inbox burst (all answers
+// to one requester share a datagram).
 
 // peerParams is the protocol parameter block, fixed for a run.
 type peerParams struct {
@@ -172,6 +177,7 @@ type peer struct {
 	// refills it each period; the encoded image, not the map, crosses
 	// the transport).
 	mapSnap *buffer.Map
+	gossip  []SessionInfo // see sessionGossip
 
 	tickCh  chan tickCmd
 	ctrlCh  chan ctrlMsg
@@ -249,17 +255,32 @@ func (p *peer) run() {
 				return
 			}
 		case f := <-p.ep.Recv():
-			p.handleFrame(f)
+			p.burst(f)
 		case t := <-p.tickCh:
 			// Drain the inbox before the period: everything that reached
 			// this node by the period boundary is visible to playback and
 			// planning, however the host happened to schedule the
 			// goroutines (the live analog of the simulator's
-			// store-and-forward rule).
+			// store-and-forward rule). Answers queued here leave with the
+			// period's own flush.
 			if !p.drain() {
 				return
 			}
 			p.period(t.n)
+		}
+	}
+}
+
+// burst handles f and every frame already waiting behind it, then
+// flushes the answers they produced.
+func (p *peer) burst(f Frame) {
+	for {
+		p.handleFrame(f)
+		select {
+		case f = <-p.ep.Recv():
+		default:
+			p.ep.Flush()
+			return
 		}
 	}
 }
@@ -295,6 +316,7 @@ func (p *peer) period(tick int) {
 		p.advertise()
 		p.plan_()
 	}
+	p.ep.Flush()
 	p.reports <- p.makeReport(tick)
 }
 
@@ -399,13 +421,10 @@ func (p *peer) advertise() {
 	if err != nil {
 		img = nil
 	}
-	sessions := make([]SessionInfo, len(p.sessions))
-	for i, s := range p.sessions {
-		sessions[i] = SessionInfo{Source: overlay.NodeID(s.Source), Begin: s.Begin, End: s.End}
-	}
+	sessions := p.sessionGossip()
 	rate := p.advertisedRate()
 	for _, v := range p.neighbors {
-		p.ep.Send(Frame{
+		p.ep.Queue(Frame{
 			Kind:     FrameMap,
 			Msg:      netmodel.Message{To: v, Sent: p.tick},
 			MapImg:   img,
@@ -414,6 +433,25 @@ func (p *peer) advertise() {
 			Sessions: sessions,
 		})
 	}
+}
+
+// sessionGossip is the timeline as it rides on map frames. The image is
+// rebuilt only when the timeline changed — a handful of times per run,
+// not every period — and then replaced, never rewritten: frames already
+// sent share it, by reference on the channel transport.
+func (p *peer) sessionGossip() []SessionInfo {
+	fresh := len(p.gossip) == len(p.sessions)
+	for i := 0; fresh && i < len(p.sessions); i++ {
+		s, g := p.sessions[i], p.gossip[i]
+		fresh = g.Source == overlay.NodeID(s.Source) && g.Begin == s.Begin && g.End == s.End
+	}
+	if !fresh {
+		p.gossip = make([]SessionInfo, len(p.sessions))
+		for i, s := range p.sessions {
+			p.gossip[i] = SessionInfo{Source: overlay.NodeID(s.Source), Begin: s.Begin, End: s.End}
+		}
+	}
+	return p.gossip
 }
 
 // advertisedRate is the R(j) this peer offers a neighbor: its full
@@ -516,7 +554,7 @@ func (p *peer) request(seg segment.ID, sup overlay.NodeID) {
 	if re {
 		delete(p.timedOut, seg)
 	}
-	p.ep.Send(Frame{Kind: FrameRequest, ReReq: re, Msg: netmodel.Message{To: sup, Seg: seg, Sent: p.tick}})
+	p.ep.Queue(Frame{Kind: FrameRequest, ReReq: re, Msg: netmodel.Message{To: sup, Seg: seg, Sent: p.tick}})
 }
 
 // prefetch spends leftover inbound budget on uniformly random missing
@@ -591,7 +629,12 @@ func (p *peer) handleMap(f Frame) {
 	if err != nil {
 		return
 	}
-	p.views[f.Msg.From] = &neighborView{m: m, maxSeen: f.MaxSeen, rate: f.Rate, period: p.tick}
+	view := p.views[f.Msg.From]
+	if view == nil {
+		view = new(neighborView)
+		p.views[f.Msg.From] = view
+	}
+	view.m, view.maxSeen, view.rate, view.period = m, f.MaxSeen, f.Rate, p.tick
 	p.mapBits += p.par.wireBits
 	p.mergeSessions(f.Sessions)
 }
@@ -637,7 +680,7 @@ func (p *peer) serve(from overlay.NodeID, seg segment.ID, reReq bool) {
 	if !grant {
 		kind = FrameDeny
 	}
-	p.ep.Send(Frame{Kind: kind, Msg: netmodel.Message{To: from, Seg: seg, Sent: p.tick}})
+	p.ep.Queue(Frame{Kind: kind, Msg: netmodel.Message{To: from, Seg: seg, Sent: p.tick}})
 }
 
 // handleDeny refunds the inbound token and retries the segment at an
@@ -653,7 +696,7 @@ func (p *peer) handleDeny(from overlay.NodeID, seg segment.ID) {
 		if alt := p.alternateSupplier(seg, denied); alt >= 0 {
 			p.requested[seg] = p.tick
 			p.reqPer[alt]++
-			p.ep.Send(Frame{Kind: FrameRequest, Msg: netmodel.Message{To: alt, Seg: seg, Sent: p.tick}})
+			p.ep.Queue(Frame{Kind: FrameRequest, Msg: netmodel.Message{To: alt, Seg: seg, Sent: p.tick}})
 			return
 		}
 	}

@@ -151,12 +151,19 @@ type Frame struct {
 }
 
 // Endpoint is one node's attachment to a Transport: an outbox that
-// shapes and routes frames, and an inbox channel the peer goroutine
-// selects on. Send never blocks — a frame to a full inbox, a detached
-// destination or across a severed link is dropped, exactly like a
-// datagram.
+// shapes, coalesces and routes frames, and an inbox channel the peer
+// goroutine selects on. Nothing here blocks — a frame to a full inbox, a
+// detached destination or across a severed link is dropped, exactly like
+// a datagram. Queue, Flush and Send belong to the one goroutine that owns
+// the endpoint (the peer's); the outbox is unsynchronized.
 type Endpoint interface {
-	// Send queues one frame for delivery to f.Msg.To.
+	// Queue accepts one frame for delivery to f.Msg.To. A transport that
+	// writes datagrams may hold the frame until the next Flush, sharing a
+	// datagram with the other frames queued for that destination.
+	Queue(f Frame)
+	// Flush writes everything Queue is holding.
+	Flush()
+	// Send is Queue followed by Flush: the frame leaves at once.
 	Send(f Frame)
 	// Recv is the endpoint's inbox. It is never closed; peers exit via
 	// their control channel, not by observing transport shutdown.
@@ -167,11 +174,12 @@ type Endpoint interface {
 }
 
 // Transport wires a set of node endpoints together. Implementations
-// must support concurrent Send from many peer goroutines and mid-run
-// Open (churn joiners). The delay/loss/partition behavior of a
-// transport comes from the installed netmodel.LinkPolicy — the same
-// policy object the simulator's heaps consult, mutated live by scenario
-// events (latency shifts, loss bursts, partitions) through the runner.
+// must support concurrent sends from many peer goroutines, each on its
+// own endpoint, and mid-run Open (churn joiners). The
+// delay/loss/partition behavior of a transport comes from the installed
+// netmodel.LinkPolicy — the same policy object the simulator's heaps
+// consult, mutated live by scenario events (latency shifts, loss bursts,
+// partitions) through the runner.
 type Transport interface {
 	// Open attaches a node and returns its endpoint. Opening an id
 	// twice replaces the previous attachment.
@@ -210,6 +218,12 @@ type TransportStats struct {
 	InboxDropped int64
 	Malformed    int64
 	KernelDrops  int64
+
+	// Datagrams written and the frames (of every kind) they carried;
+	// Frames/Datagrams is the coalescing factor. Both stay zero on the
+	// channel transport, which moves frames by value.
+	Datagrams int64
+	Frames    int64
 }
 
 // shaper applies a netmodel.LinkPolicy to frames on the wall clock: the
@@ -256,9 +270,11 @@ func (s *shaper) stop() {
 // a wall-clock delay (0 for control frames and unshaped transports).
 // The loss draw happens at delivery time — like the transit phase's
 // pop — so a partition or loss burst that begins mid-flight still
-// catches the frame. deliver runs on the caller's goroutine for
-// immediate frames and on a timer goroutine for delayed ones.
-func (s *shaper) route(f Frame, deliver func(Frame)) (sent bool) {
+// catches the frame. An immediate frame is handed to now on the caller's
+// goroutine, a delayed one to later on a timer goroutine — the split
+// that lets a transport keep an unsynchronized per-sender outbox behind
+// now.
+func (s *shaper) route(f Frame, now, later func(Frame)) (sent bool) {
 	s.mu.Lock()
 	p := s.policy
 	if s.stopped || (p != nil && p.Blocked(f.Msg.From, f.Msg.To)) {
@@ -277,13 +293,13 @@ func (s *shaper) route(f Frame, deliver func(Frame)) (sent bool) {
 	}
 	s.mu.Unlock()
 	if wallDelay <= 0 {
-		s.land(f, deliver)
+		s.land(f, now)
 		return true
 	}
 	// In-flight timers are not drained on shutdown: land re-checks the
 	// stopped flag, so frames delayed past Close simply evaporate (the
 	// documented drop-on-close semantics).
-	time.AfterFunc(wallDelay, func() { s.land(f, deliver) })
+	time.AfterFunc(wallDelay, func() { s.land(f, later) })
 	return true
 }
 

@@ -1,11 +1,14 @@
 package runtime
 
 import (
+	"bytes"
+	"net"
 	"testing"
 	"time"
 
 	"gossipstream/internal/netmodel"
 	"gossipstream/internal/overlay"
+	"gossipstream/internal/segment"
 )
 
 // recvOne pops a frame from the endpoint with a deadline.
@@ -110,7 +113,12 @@ func TestChanTransportShapedDelay(t *testing.T) {
 	if f.Msg.ArrivalMS != 40 {
 		t.Fatalf("ArrivalMS = %v, want 40", f.Msg.ArrivalMS)
 	}
+	// The timer goroutine counts the delivery after the inbox send, so
+	// the receiver can get here first.
 	st := tr.Stats()
+	for deadline := time.Now().Add(time.Second); st.DelayScenarioMS != 40 && time.Now().Before(deadline); st = tr.Stats() {
+		time.Sleep(time.Millisecond)
+	}
 	if st.DelayScenarioMS != 40 {
 		t.Fatalf("delay sum %v, want 40", st.DelayScenarioMS)
 	}
@@ -137,4 +145,193 @@ func TestUDPTransportLoopback(t *testing.T) {
 	if st := tr.Stats(); st.DataSent != 1 || st.DataDelivered != 1 {
 		t.Fatalf("stats %+v", st)
 	}
+}
+
+// TestUDPSendWithoutFlushDelivers is the ping-pong contract callers
+// outside the peer loop rely on: Send puts the frame on the wire at
+// once, with no Flush to follow.
+func TestUDPSendWithoutFlushDelivers(t *testing.T) {
+	tr := NewUDPTransport(5)
+	a, err := tr.Open(1)
+	if err != nil {
+		t.Skipf("udp bind unavailable: %v", err)
+	}
+	defer tr.Close()
+	b, _ := tr.Open(2)
+	for i := 0; i < 200; i++ {
+		a.Send(Frame{Kind: FrameData, Msg: netmodel.Message{To: 2, Seg: segment.ID(i)}})
+		if f := recvOne(t, b, "sent frame"); f.Msg.Seg != segment.ID(i) {
+			t.Fatalf("ping %d: got %+v", i, f)
+		}
+	}
+	if st := tr.Stats(); st.Datagrams != 200 || st.Frames != 200 {
+		t.Fatalf("200 sends wrote %d datagrams carrying %d frames", st.Datagrams, st.Frames)
+	}
+}
+
+// rawBook resolves every node to one raw socket, so a test can read the
+// datagrams a transport writes.
+type rawBook struct{ addr string }
+
+func (b rawBook) Resolve(overlay.NodeID) (string, bool) { return b.addr, true }
+func (rawBook) Publish(overlay.NodeID, string)          {}
+func (rawBook) Piggyback(int) []DirEntry                { return nil }
+func (rawBook) MergeWire([]DirEntry)                    {}
+
+// openRaw attaches node 1 to a UDP transport whose every other
+// destination is the returned raw socket.
+func openRaw(t *testing.T, tr *UDPTransport) (Endpoint, *net.UDPConn) {
+	t.Helper()
+	raw, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Skipf("udp bind unavailable: %v", err)
+	}
+	t.Cleanup(func() { raw.Close() })
+	tr.SetAddrBook(rawBook{raw.LocalAddr().String()})
+	a, err := tr.Open(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+	return a, raw
+}
+
+// TestUDPSingleFrameDatagramIsEncodeFrame: one frame sent alone goes on
+// the wire as exactly EncodeFrame's bytes.
+func TestUDPSingleFrameDatagramIsEncodeFrame(t *testing.T) {
+	tr := NewUDPTransport(6)
+	defer tr.Close()
+	a, raw := openRaw(t, tr)
+	f := Frame{Kind: FrameRequest, ReReq: true, Msg: netmodel.Message{To: 2, Seg: 77, Sent: 4}}
+	a.Send(f)
+	buf := make([]byte, 2048)
+	n, _, err := raw.ReadFromUDP(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Msg.From = 1
+	if want := EncodeFrame(f); !bytes.Equal(buf[:n], want) {
+		t.Fatalf("datagram %x, EncodeFrame %x", buf[:n], want)
+	}
+}
+
+// TestUDPDatagramBudget: 60 requests queued for one destination arrive
+// complete and in order, in at least two datagrams, none above the
+// budget, with a map queued for another destination travelling apart.
+func TestUDPDatagramBudget(t *testing.T) {
+	tr := NewUDPTransport(7)
+	defer tr.Close()
+	a, raw := openRaw(t, tr)
+	for i := 0; i < 60; i++ {
+		a.Queue(Frame{Kind: FrameRequest, Msg: netmodel.Message{To: 2, Seg: segment.ID(i)}})
+	}
+	a.Queue(Frame{Kind: FrameMap, Msg: netmodel.Message{To: 3}, MapImg: make([]byte, 80)})
+	if st := tr.Stats(); st.Datagrams != 1 {
+		t.Fatalf("before Flush: %d datagrams written, want the one the budget forced out", st.Datagrams)
+	}
+	a.Flush()
+	a.Flush() // nothing pending: writes nothing
+	st := tr.Stats()
+	if st.Datagrams != 3 || st.Frames != 61 {
+		t.Fatalf("wrote %d datagrams carrying %d frames, want 3 and 61", st.Datagrams, st.Frames)
+	}
+	buf := make([]byte, 4096)
+	next, maps := segment.ID(0), 0
+	for d := 0; d < 3; d++ {
+		n, _, err := raw.ReadFromUDP(buf)
+		if err != nil {
+			t.Fatalf("datagram %d: %v", d, err)
+		}
+		if n > datagramBudget {
+			t.Errorf("datagram %d is %d bytes, budget %d", d, n, datagramBudget)
+		}
+		frames, err := decodeDatagram(buf[:n], nil)
+		if err != nil {
+			t.Fatalf("datagram %d: %v", d, err)
+		}
+		for _, f := range frames {
+			switch {
+			case f.Kind == FrameMap && len(frames) == 1 && f.Msg.To == 3:
+				maps++
+			case f.Kind == FrameRequest && f.Msg.To == 2 && f.Msg.Seg == next:
+				next++
+			default:
+				t.Fatalf("datagram %d: unexpected %s to %d seg %d (next request %d)", d, f.Kind, f.Msg.To, f.Msg.Seg, next)
+			}
+		}
+	}
+	if next != 60 || maps != 1 {
+		t.Fatalf("received %d requests and %d maps, want 60 and 1", next, maps)
+	}
+}
+
+// TestUDPShapedFramesTravelAlone: under a delay+loss policy queued data
+// frames bypass the outbox — each lands from its own timer with its own
+// loss draw, as its own datagram — and the data ledger balances.
+func TestUDPShapedFramesTravelAlone(t *testing.T) {
+	tr := NewUDPTransport(8)
+	a, err := tr.Open(1)
+	if err != nil {
+		t.Skipf("udp bind unavailable: %v", err)
+	}
+	defer tr.Close()
+	b, _ := tr.Open(2)
+	tr.SetPolicy(netmodel.Flat{Delay: 20, Loss: 0.3})
+	tr.SetTick(0, 1)
+	const n = 200
+	for i := 0; i < n; i++ {
+		a.Queue(Frame{Kind: FrameData, Msg: netmodel.Message{To: 2, Seg: segment.ID(i)}})
+	}
+	if st := tr.Stats(); st.Datagrams != 0 {
+		t.Fatalf("%d datagrams written before any delay elapsed", st.Datagrams)
+	}
+	a.Flush() // the outbox is empty: delayed frames never joined it
+	got := 0
+	deadline := time.After(10 * time.Second)
+	poll := time.NewTicker(5 * time.Millisecond) // a lost frame wakes nobody
+	defer poll.Stop()
+	for st := tr.Stats(); st.DataDelivered+st.DataLost < n; st = tr.Stats() {
+		select {
+		case f := <-b.Recv():
+			if f.Kind != FrameData || f.Msg.ArrivalMS != 20 {
+				t.Fatalf("got %+v", f)
+			}
+			got++
+		case <-poll.C:
+		case <-deadline:
+			t.Fatalf("ledger never balanced: %+v", st)
+		}
+	}
+	st := tr.Stats()
+	if st.DataSent != n || st.DataSent != st.DataDelivered+st.DataLost {
+		t.Fatalf("ledger %+v", st)
+	}
+	if st.DataLost < n/10 || st.DataDelivered < n/2 {
+		t.Fatalf("30%% loss drew %d lost, %d delivered of %d", st.DataLost, st.DataDelivered, n)
+	}
+	if st.Datagrams != st.DataDelivered || st.Frames != st.Datagrams {
+		t.Fatalf("%d delivered frames travelled in %d datagrams carrying %d frames, want one each",
+			st.DataDelivered, st.Datagrams, st.Frames)
+	}
+	for ; int64(got) < st.DataDelivered; got++ {
+		recvOne(t, b, "delivered data frame")
+	}
+}
+
+// TestChanQueueDeliversAtOnce: the channel transport holds nothing back.
+func TestChanQueueDeliversAtOnce(t *testing.T) {
+	tr := NewChanTransport(9)
+	defer tr.Close()
+	a, _ := tr.Open(1)
+	b, _ := tr.Open(2)
+	a.Queue(Frame{Kind: FrameRequest, Msg: netmodel.Message{To: 2, Seg: 5}})
+	select {
+	case f := <-b.Recv():
+		if f.Msg.Seg != 5 || f.Msg.From != 1 {
+			t.Fatalf("got %+v", f)
+		}
+	default:
+		t.Fatal("queued frame not in the inbox before Flush")
+	}
+	a.Flush()
 }

@@ -33,18 +33,21 @@ type AddrBook interface {
 
 // UDPTransport carries frames as binary datagrams over real UDP
 // sockets: one loopback socket per node, an address book mapping node
-// ids to socket addresses, and a reader goroutine per socket decoding
-// datagrams into the node's inbox. With an AddrBook installed the
-// transport spans processes: locally unknown destinations resolve
-// through the gossiped directory, locally bound sockets are published
-// into it, and map frames carry directory piggybacks both ways.
+// ids to socket addresses, a per-endpoint outbox that packs the frames
+// queued for one destination into one datagram, and a reader goroutine
+// per socket decoding datagrams into the node's inbox. With an AddrBook
+// installed the transport spans processes: locally unknown destinations
+// resolve through the gossiped directory, locally bound sockets are
+// published into it, and map frames carry directory piggybacks both
+// ways.
 //
 // Shaping composes: with a LinkPolicy installed, data frames are
 // delayed before the socket write and the loss/partition draws apply on
-// top of whatever the real network does. The raw configuration (nil
-// policy) lets loopback provide its own (near-zero) delay — the
-// delivery-ratio parity configuration; a WAN-parameterized Model makes
-// localhost behave like the traced swarm.
+// top of whatever the real network does. A delayed frame is written from
+// its timer as a datagram of its own, so the draws stay per frame. The
+// raw configuration (nil policy) lets loopback provide its own
+// (near-zero) delay — the delivery-ratio parity configuration; a
+// WAN-parameterized Model makes localhost behave like the traced swarm.
 type UDPTransport struct {
 	mu     sync.RWMutex
 	nodes  map[overlay.NodeID]*udpNode
@@ -59,6 +62,8 @@ type UDPTransport struct {
 	dataLost      atomic.Int64
 	inboxDropped  atomic.Int64
 	malformed     atomic.Int64
+	datagrams     atomic.Int64
+	frames        atomic.Int64
 	delayMu       sync.Mutex
 	delaySum      float64 // scenario ms
 
@@ -117,51 +122,55 @@ func (t *UDPTransport) Open(id overlay.NodeID) (Endpoint, error) {
 		book.Publish(id, addr.String())
 	}
 	t.wg.Add(1)
-	go t.read(n)
-	return &udpEndpoint{t: t, id: id, node: n}, nil
+	go t.read(n, book)
+	e := &udpEndpoint{t: t, id: id, node: n, book: book}
+	e.landNow, e.landLater = e.hold, e.writeAlone
+	return e, nil
 }
 
 // read decodes datagrams into the node's inbox until the socket closes.
-func (t *UDPTransport) read(n *udpNode) {
+// A datagram is decoded whole before any of its frames is delivered: one
+// malformed frame drops them all, counted once.
+func (t *UDPTransport) read(n *udpNode, book AddrBook) {
 	defer t.wg.Done()
 	// Sized for the largest legal frame: a map datagram at the
 	// maxWireSessions bound plus image (loopback carries datagrams far
 	// beyond one physical MTU).
 	buf := make([]byte, 64*1024)
+	var frames []Frame
 	for {
 		sz, _, err := n.conn.ReadFromUDP(buf)
 		if err != nil {
 			return // socket closed (endpoint Close or transport Close)
 		}
-		f, err := DecodeFrame(buf[:sz])
+		frames, err = decodeDatagram(buf[:sz], frames)
 		if err != nil {
 			t.malformed.Add(1)
 			continue // malformed datagram: drop
 		}
-		if len(f.Dir) > 0 {
-			// Absorb the directory piggyback; peers never see it.
-			t.mu.RLock()
-			book := t.book
-			t.mu.RUnlock()
-			if book != nil {
-				book.MergeWire(f.Dir)
-			}
-			f.Dir = nil
-		}
-		select {
-		case n.inbox <- f:
-			if f.Kind == FrameData {
-				t.dataDelivered.Add(1)
-				if f.Msg.ArrivalMS > 0 {
-					t.delayMu.Lock()
-					t.delaySum += f.Msg.ArrivalMS
-					t.delayMu.Unlock()
+		for _, f := range frames {
+			if len(f.Dir) > 0 {
+				// Absorb the directory piggyback; peers never see it.
+				if book != nil {
+					book.MergeWire(f.Dir)
 				}
+				f.Dir = nil
 			}
-		default:
-			t.inboxDropped.Add(1)
-			if f.Kind == FrameData {
-				t.dataLost.Add(1) // inbox overflow: datagram semantics
+			select {
+			case n.inbox <- f:
+				if f.Kind == FrameData {
+					t.dataDelivered.Add(1)
+					if f.Msg.ArrivalMS > 0 {
+						t.delayMu.Lock()
+						t.delaySum += f.Msg.ArrivalMS
+						t.delayMu.Unlock()
+					}
+				}
+			default:
+				t.inboxDropped.Add(1)
+				if f.Kind == FrameData {
+					t.dataLost.Add(1) // inbox overflow: datagram semantics
+				}
 			}
 		}
 	}
@@ -195,6 +204,8 @@ func (t *UDPTransport) Stats() TransportStats {
 		InboxDropped:    t.inboxDropped.Load(),
 		Malformed:       t.malformed.Load(),
 		KernelDrops:     kernelUDPDrops(ports),
+		Datagrams:       t.datagrams.Load(),
+		Frames:          t.frames.Load(),
 	}
 }
 
@@ -212,43 +223,30 @@ func (t *UDPTransport) Close() {
 	t.wg.Wait()
 }
 
-// send routes one frame through the shaper onto the wire.
-func (t *UDPTransport) send(from *udpNode, f Frame) {
-	if f.Kind == FrameData {
-		t.dataSent.Add(1)
-	}
-	delivered := t.shape.route(f, func(f Frame) { t.write(from, f) })
-	if !delivered && f.Kind == FrameData {
-		t.dataLost.Add(1) // severed at injection
-	}
-}
-
-// write serializes the frame and puts it on the sender's socket,
-// resolving cross-process destinations through the address book and
-// attaching the directory piggyback to map frames.
-func (t *UDPTransport) write(from *udpNode, f Frame) {
-	if f.Kind == frameDropped {
-		t.dataLost.Add(1)
-		return
-	}
+// resolve answers where a destination's socket lives: a locally bound
+// node, or a cross-process one through the address book. False means the
+// destination is unknown everywhere (or the transport closed) and the
+// frame evaporates.
+func (t *UDPTransport) resolve(book AddrBook, to overlay.NodeID) (*net.UDPAddr, bool) {
 	t.mu.RLock()
-	addr, ok := t.addrs[f.Msg.To]
-	book := t.book
+	addr, ok := t.addrs[to]
 	closed := t.closed
 	t.mu.RUnlock()
 	if closed {
-		return
+		return nil, false
 	}
 	if !ok && book != nil {
-		addr, ok = t.resolveRemote(book, f.Msg.To)
+		addr, ok = t.resolveRemote(book, to)
 	}
-	if !ok {
-		return // destination unknown everywhere: the datagram evaporates
-	}
-	if f.Kind == FrameMap && book != nil {
-		f.Dir = book.Piggyback(maxMapDirEntries)
-	}
-	from.conn.WriteToUDP(EncodeFrame(f), addr)
+	return addr, ok
+}
+
+// emit puts one datagram of n frames on the sender's socket — the
+// transport's only socket write.
+func (t *UDPTransport) emit(from *udpNode, addr *net.UDPAddr, b []byte, n int) {
+	from.conn.WriteToUDP(b, addr)
+	t.datagrams.Add(1)
+	t.frames.Add(int64(n))
 }
 
 // resolveRemote answers a cross-process destination from the address
@@ -280,11 +278,112 @@ type udpEndpoint struct {
 	t    *UDPTransport
 	id   overlay.NodeID
 	node *udpNode
+	book AddrBook
+
+	// out is the outbox: one pending datagram per destination queued
+	// since the last Flush, in first-queued order. It belongs to the
+	// goroutine that calls Queue and Flush; truncating it on Flush keeps
+	// every element's buffer for the next burst.
+	out []pendingDatagram
+	// The shaper's two landing hooks, bound once (Queue runs per frame).
+	landNow, landLater func(Frame)
+}
+
+// pendingDatagram is the frames queued for one destination, already
+// encoded back to back.
+type pendingDatagram struct {
+	to     overlay.NodeID
+	addr   *net.UDPAddr
+	buf    []byte
+	frames int
+}
+
+// Queue routes one frame through the shaper. A frame that lands at once
+// joins the outbox; one the policy delays is written alone when its
+// timer fires, with its partition and loss draws taken then.
+func (e *udpEndpoint) Queue(f Frame) {
+	f.Msg.From = e.id
+	if f.Kind == FrameData {
+		e.t.dataSent.Add(1)
+	}
+	if !e.t.shape.route(f, e.landNow, e.landLater) && f.Kind == FrameData {
+		e.t.dataLost.Add(1) // severed at injection
+	}
+}
+
+// Flush writes one datagram per destination with frames pending.
+func (e *udpEndpoint) Flush() {
+	for i := range e.out {
+		d := &e.out[i]
+		e.t.emit(e.node, d.addr, d.buf, d.frames)
+	}
+	e.out = e.out[:0]
 }
 
 func (e *udpEndpoint) Send(f Frame) {
-	f.Msg.From = e.id
-	e.t.send(e.node, f)
+	e.Queue(f)
+	e.Flush()
+}
+
+// hold appends a landed frame to its destination's pending datagram,
+// attaching the directory piggyback to map frames. A datagram the frame
+// would push past datagramBudget is written first.
+func (e *udpEndpoint) hold(f Frame) {
+	if f.Kind == frameDropped {
+		e.t.dataLost.Add(1)
+		return
+	}
+	d := e.pending(f.Msg.To)
+	if d == nil {
+		return
+	}
+	if f.Kind == FrameMap && e.book != nil {
+		f.Dir = e.book.Piggyback(maxMapDirEntries)
+	}
+	mark := len(d.buf)
+	d.buf = AppendFrame(d.buf, f)
+	if mark > 0 && len(d.buf) > datagramBudget {
+		e.t.emit(e.node, d.addr, d.buf[:mark], d.frames)
+		d.buf = d.buf[:copy(d.buf, d.buf[mark:])]
+		d.frames = 0
+	}
+	d.frames++
+}
+
+// pending finds or opens the outbox entry for a destination, resolving
+// its address once per datagram; nil when the destination is unknown.
+func (e *udpEndpoint) pending(to overlay.NodeID) *pendingDatagram {
+	for i := range e.out {
+		if e.out[i].to == to {
+			return &e.out[i]
+		}
+	}
+	addr, ok := e.t.resolve(e.book, to)
+	if !ok {
+		return nil
+	}
+	n := len(e.out)
+	if n < cap(e.out) {
+		e.out = e.out[:n+1]
+	} else {
+		e.out = append(e.out, pendingDatagram{})
+	}
+	d := &e.out[n]
+	d.to, d.addr, d.buf, d.frames = to, addr, d.buf[:0], 0
+	return d
+}
+
+// writeAlone is the timer-side landing of a delayed frame: a datagram of
+// its own, never the outbox, which only the owning goroutine may touch.
+// (No directory piggyback here: the shaper never delays a map frame.)
+func (e *udpEndpoint) writeAlone(f Frame) {
+	if f.Kind == frameDropped {
+		e.t.dataLost.Add(1)
+		return
+	}
+	if addr, ok := e.t.resolve(e.book, f.Msg.To); ok {
+		e.t.emit(e.node, addr, EncodeFrame(f), 1)
+	}
 }
 
 func (e *udpEndpoint) Recv() <-chan Frame { return e.node.inbox }

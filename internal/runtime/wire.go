@@ -9,12 +9,25 @@ import (
 	"gossipstream/internal/segment"
 )
 
-// The binary wire format of one frame, little-endian. Request, deny
-// and data frames are a fixed 29-byte header; a map frame adds the
-// availability image (80 bytes for B=600), the gossiped session
+// The binary wire format, little-endian. A datagram is 1..n frames back
+// to back: every frame kind is self-delimiting (fixed length, or explicit
+// counts and lengths), so no datagram header or per-frame length prefix
+// exists and a single-frame datagram is exactly EncodeFrame's bytes — the
+// form the cluster control link (internal/cluster) reads with the strict
+// DecodeFrame. The peer transport coalesces: an Endpoint's Queue appends
+// frames to one pending datagram per destination and Flush writes them,
+// which a peer does once at the end of its period (a neighbour's map and
+// this period's requests to it share a datagram) and once per drained
+// inbox burst (all answers to one requester share a datagram). A pending
+// datagram is written early when the next frame would push it past
+// datagramBudget; a frame the LinkPolicy delays travels alone, from its
+// timer. The receiver decodes a datagram all-or-nothing.
+//
+// Request, deny and data frames are a fixed 29-byte header; a map frame
+// adds the availability image (80 bytes for B=600), the gossiped session
 // timeline at 20 bytes per session, and a small piggybacked directory
 // batch, so it fits a 1500-byte MTU up to ~60 sessions and a loopback
-// datagram up to the maxWireSessions bound, which EncodeFrame enforces
+// datagram up to the maxWireSessions bound, which the encoder enforces
 // by truncating the newest sessions (the prefix must survive —
 // receivers merge timelines by index):
 //
@@ -76,8 +89,31 @@ const (
 // comfortable loopback datagram.
 const maxWireCtrl = 60000
 
-// EncodeFrame serializes a frame into the binary wire format.
+// datagramBudget is the size past which a pending datagram stops taking
+// frames: under one Ethernet MTU's UDP payload, so a coalesced datagram
+// never fragments on a real link. A single frame larger than the budget
+// (a long session timeline, a control payload) still travels, alone.
+const datagramBudget = 1400
+
+// EncodeFrame serializes a frame into the binary wire format: a
+// single-frame datagram.
 func EncodeFrame(f Frame) []byte {
+	n := wireHeaderLen
+	if f.Kind == FrameMap {
+		n += 8 + 8 + 2 + len(f.Sessions)*20 + 2 + len(f.MapImg) + 1 + dirWireLen(f.Dir)
+	}
+	return appendFrame(make([]byte, 0, n), &f)
+}
+
+// AppendFrame appends the frame's wire encoding to b and returns the
+// extended slice — EncodeFrame without the allocation, for building a
+// datagram of several frames in a reused buffer.
+func AppendFrame(b []byte, f Frame) []byte { return appendFrame(b, &f) }
+
+// appendFrame is the encoder. It clamps f's slices to the wire bounds in
+// place, so f must be the caller's own copy (a Frame is ~150 bytes; the
+// pointer spares the exported entry points a second copy).
+func appendFrame(b []byte, f *Frame) []byte {
 	if len(f.Sessions) > maxWireSessions {
 		f.Sessions = f.Sessions[:maxWireSessions]
 	}
@@ -91,11 +127,6 @@ func EncodeFrame(f Frame) []byte {
 			f.Dir = f.Dir[:maxWireDirEntries]
 		}
 	}
-	n := wireHeaderLen
-	if f.Kind == FrameMap {
-		n += 8 + 8 + 2 + len(f.Sessions)*20 + 2 + len(f.MapImg) + 1 + dirWireLen(f.Dir)
-	}
-	b := make([]byte, 0, n)
 	kind := byte(f.Kind)
 	if f.ReReq && f.Kind == FrameRequest {
 		kind |= wireReReqBit
@@ -160,20 +191,54 @@ func appendCtrl(b, ctrl []byte) []byte {
 	return append(b, ctrl...)
 }
 
-// DecodeFrame parses the binary wire format. The returned frame owns
-// its slices (nothing aliases the input).
+// DecodeFrame parses a single-frame datagram, strictly: bytes left over
+// after the frame are an error. The returned frame owns its slices
+// (nothing aliases the input).
 func DecodeFrame(b []byte) (Frame, error) {
+	f, rest, err := decodeOne(b)
+	if err != nil {
+		return f, err
+	}
+	if len(rest) != 0 {
+		return f, fmt.Errorf("runtime: %d trailing bytes on a %s frame", len(rest), f.Kind)
+	}
+	return f, nil
+}
+
+// decodeDatagram parses a datagram of 1..n back-to-back frames into dst
+// (reused from its start), in wire order. It is all-or-nothing: one
+// malformed frame (or an empty datagram) rejects the whole datagram,
+// because past a bad frame the boundaries of its successors cannot be
+// trusted.
+func decodeDatagram(b []byte, dst []Frame) ([]Frame, error) {
+	dst = dst[:0]
+	for {
+		f, rest, err := decodeOne(b)
+		if err != nil {
+			return dst[:0], err
+		}
+		dst = append(dst, f)
+		if len(rest) == 0 {
+			return dst, nil
+		}
+		b = rest
+	}
+}
+
+// decodeOne parses the frame at the head of b and returns the bytes that
+// follow it.
+func decodeOne(b []byte) (Frame, []byte, error) {
 	var f Frame
 	if len(b) < wireHeaderLen {
-		return f, fmt.Errorf("runtime: frame of %d bytes, want >= %d", len(b), wireHeaderLen)
+		return f, nil, fmt.Errorf("runtime: frame of %d bytes, want >= %d", len(b), wireHeaderLen)
 	}
 	f.Kind = FrameKind(b[0] &^ wireReReqBit)
 	f.ReReq = b[0]&wireReReqBit != 0
 	if f.Kind < FrameMap || f.Kind > FramePong {
-		return f, fmt.Errorf("runtime: unknown frame kind %d", b[0])
+		return f, nil, fmt.Errorf("runtime: unknown frame kind %d", b[0])
 	}
 	if f.ReReq && f.Kind != FrameRequest {
-		return f, fmt.Errorf("runtime: re-request flag on a %s frame", f.Kind)
+		return f, nil, fmt.Errorf("runtime: re-request flag on a %s frame", f.Kind)
 	}
 	f.Msg.From = overlay.NodeID(binary.LittleEndian.Uint32(b[1:]))
 	f.Msg.To = overlay.NodeID(binary.LittleEndian.Uint32(b[5:]))
@@ -181,61 +246,45 @@ func DecodeFrame(b []byte) (Frame, error) {
 	f.Msg.Sent = int(int32(binary.LittleEndian.Uint32(b[17:])))
 	f.Msg.ArrivalMS = math.Float64frombits(binary.LittleEndian.Uint64(b[21:]))
 	rest := b[wireHeaderLen:]
+	var err error
 	switch f.Kind {
 	case FrameMap:
 		return decodeMapPayload(f, rest)
 	case FrameDirDelta:
 		if len(rest) < 2 {
-			return f, fmt.Errorf("runtime: truncated dir-delta frame")
+			return f, nil, fmt.Errorf("runtime: truncated dir-delta frame")
 		}
 		ndir := int(binary.LittleEndian.Uint16(rest[0:]))
 		if ndir > maxWireDirEntries {
-			return f, fmt.Errorf("runtime: dir-delta advertises %d entries (max %d)", ndir, maxWireDirEntries)
+			return f, nil, fmt.Errorf("runtime: dir-delta advertises %d entries (max %d)", ndir, maxWireDirEntries)
 		}
-		var err error
 		f.Dir, rest, err = decodeDirEntries(rest[2:], ndir)
 		if err != nil {
-			return f, err
+			return f, nil, err
 		}
 		f.Ctrl, rest, err = decodeCtrl(rest)
-		if err != nil {
-			return f, err
-		}
-		if len(rest) != 0 {
-			return f, fmt.Errorf("runtime: %d trailing bytes on a dir-delta frame", len(rest))
-		}
-		return f, nil
 	case FrameHello, FrameEvent, FrameAck, FramePing, FramePong:
-		var err error
 		f.Ctrl, rest, err = decodeCtrl(rest)
-		if err != nil {
-			return f, err
-		}
-		if len(rest) != 0 {
-			return f, fmt.Errorf("runtime: %d trailing bytes on a %s frame", len(rest), f.Kind)
-		}
-		return f, nil
-	default:
-		if len(rest) != 0 {
-			return f, fmt.Errorf("runtime: %d trailing bytes on a %s frame", len(rest), f.Kind)
-		}
-		return f, nil
 	}
+	if err != nil {
+		return f, nil, err
+	}
+	return f, rest, nil
 }
 
-func decodeMapPayload(f Frame, rest []byte) (Frame, error) {
+func decodeMapPayload(f Frame, rest []byte) (Frame, []byte, error) {
 	if len(rest) < 8+8+2 {
-		return f, fmt.Errorf("runtime: truncated map frame (%d payload bytes)", len(rest))
+		return f, nil, fmt.Errorf("runtime: truncated map frame (%d payload bytes)", len(rest))
 	}
 	f.MaxSeen = segment.ID(int64(binary.LittleEndian.Uint64(rest[0:])))
 	f.Rate = math.Float64frombits(binary.LittleEndian.Uint64(rest[8:]))
 	nsess := int(binary.LittleEndian.Uint16(rest[16:]))
 	rest = rest[18:]
 	if nsess > maxWireSessions {
-		return f, fmt.Errorf("runtime: map frame advertises %d sessions (max %d)", nsess, maxWireSessions)
+		return f, nil, fmt.Errorf("runtime: map frame advertises %d sessions (max %d)", nsess, maxWireSessions)
 	}
 	if len(rest) < nsess*20+2 {
-		return f, fmt.Errorf("runtime: truncated session list (%d sessions, %d bytes left)", nsess, len(rest))
+		return f, nil, fmt.Errorf("runtime: truncated session list (%d sessions, %d bytes left)", nsess, len(rest))
 	}
 	if nsess > 0 {
 		f.Sessions = make([]SessionInfo, nsess)
@@ -251,7 +300,7 @@ func decodeMapPayload(f Frame, rest []byte) (Frame, error) {
 	maplen := int(binary.LittleEndian.Uint16(rest[0:]))
 	rest = rest[2:]
 	if len(rest) < maplen+1 {
-		return f, fmt.Errorf("runtime: map image length %d, frame carries %d bytes", maplen, len(rest))
+		return f, nil, fmt.Errorf("runtime: map image length %d, frame carries %d bytes", maplen, len(rest))
 	}
 	if maplen > 0 {
 		f.MapImg = append([]byte(nil), rest[:maplen]...)
@@ -259,17 +308,14 @@ func decodeMapPayload(f Frame, rest []byte) (Frame, error) {
 	rest = rest[maplen:]
 	ndir := int(rest[0])
 	if ndir > maxMapDirEntries {
-		return f, fmt.Errorf("runtime: map frame piggybacks %d dir entries (max %d)", ndir, maxMapDirEntries)
+		return f, nil, fmt.Errorf("runtime: map frame piggybacks %d dir entries (max %d)", ndir, maxMapDirEntries)
 	}
 	var err error
 	f.Dir, rest, err = decodeDirEntries(rest[1:], ndir)
 	if err != nil {
-		return f, err
+		return f, nil, err
 	}
-	if len(rest) != 0 {
-		return f, fmt.Errorf("runtime: %d trailing bytes on a map frame", len(rest))
-	}
-	return f, nil
+	return f, rest, nil
 }
 
 func decodeDirEntries(b []byte, n int) ([]DirEntry, []byte, error) {

@@ -1,12 +1,15 @@
 package runtime
 
 import (
+	"bytes"
+	"encoding/hex"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"gossipstream/internal/buffer"
 	"gossipstream/internal/netmodel"
+	"gossipstream/internal/overlay"
 	"gossipstream/internal/segment"
 )
 
@@ -170,4 +173,161 @@ func TestWireGarbageFuzz(t *testing.T) {
 		// to encode again without panicking.
 		_ = EncodeFrame(f)
 	}
+}
+
+// TestWireSingleFrameGolden pins the bytes of a single-frame datagram to
+// the encoding in use before datagrams carried several frames, so old and
+// new processes interoperate on the cluster control link (which writes
+// EncodeFrame's bytes and reads them with the strict DecodeFrame).
+func TestWireSingleFrameGolden(t *testing.T) {
+	cases := []struct {
+		f    Frame
+		want string
+	}{
+		{Frame{Kind: FrameRequest, ReReq: true, Msg: netmodel.Message{From: 3, To: 9, Seg: 1234, Sent: 41}},
+			"820300000009000000d204000000000000290000000000000000000000"},
+		{Frame{Kind: FrameMap, Msg: netmodel.Message{From: 7, To: 8, Seg: segment.None, Sent: 99},
+			MapImg: []byte{0xa5, 0x5a, 0x01}, MaxSeen: 179, Rate: 12.5,
+			Sessions: []SessionInfo{{Source: 4, Begin: 0, End: 399}, {Source: 27, Begin: 400, End: segment.None}},
+			Dir:      []DirEntry{{ID: 7, Ver: 3, Addr: "127.0.0.1:40107"}}},
+			"010700000008000000ffffffffffffffff630000000000000000000000b300000000000000000000000000294002000400000000000000000000008f010000000000001b0000009001000000000000ffffffffffffffff0300a55a010107000000030000000f3132372e302e302e313a3430313037"},
+	}
+	for _, c := range cases {
+		want, err := hex.DecodeString(c.want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := EncodeFrame(c.f); !bytes.Equal(got, want) {
+			t.Errorf("%s: EncodeFrame\n got %x\nwant %x", c.f.Kind, got, want)
+		}
+		if got := AppendFrame([]byte{0xee}, c.f); !bytes.Equal(got[1:], want) || got[0] != 0xee {
+			t.Errorf("%s: AppendFrame\n got %x\nwant ee%x", c.f.Kind, got, want)
+		}
+	}
+}
+
+// randomFrame draws one frame of a random kind with a random payload.
+func randomFrame(rng *rand.Rand) Frame {
+	f := Frame{Msg: netmodel.Message{
+		From: overlay.NodeID(rng.Intn(1 << 20)), To: overlay.NodeID(rng.Intn(1 << 20)),
+		Seg: segment.ID(rng.Int63n(1<<40)) - 1, Sent: rng.Intn(1 << 20),
+	}}
+	noise := func(n int) []byte {
+		if n == 0 {
+			return nil // what the decoder returns for an empty payload
+		}
+		b := make([]byte, n)
+		rng.Read(b)
+		return b
+	}
+	dir := func(n int) []DirEntry {
+		var d []DirEntry
+		for i := 0; i < n; i++ {
+			d = append(d, DirEntry{ID: overlay.NodeID(rng.Intn(500)), Ver: rng.Uint32(), Addr: string(noise(rng.Intn(22)))})
+		}
+		return d
+	}
+	switch rng.Intn(7) {
+	case 0:
+		f.Kind = FrameMap
+		f.MapImg, f.MaxSeen, f.Rate = noise(rng.Intn(90)), segment.ID(rng.Int63n(1<<30)), rng.Float64()*40
+		for i := rng.Intn(4); i > 0; i-- {
+			f.Sessions = append(f.Sessions, SessionInfo{Source: overlay.NodeID(rng.Intn(100)), Begin: segment.ID(rng.Int63n(5000)), End: segment.None})
+		}
+		f.Dir = dir(rng.Intn(maxMapDirEntries + 1))
+	case 1:
+		f.Kind, f.ReReq = FrameRequest, rng.Intn(2) == 0
+	case 2:
+		f.Kind = FrameDeny
+	case 3, 4:
+		f.Kind, f.Msg.ArrivalMS = FrameData, rng.Float64()*300
+	case 5:
+		f.Kind, f.Dir, f.Ctrl = FrameDirDelta, dir(rng.Intn(6)), noise(rng.Intn(33))
+	case 6:
+		f.Kind, f.Ctrl = FrameEvent, noise(rng.Intn(200))
+	}
+	return f
+}
+
+// TestDatagramRoundTrip: k random frames of mixed kinds appended with
+// AppendFrame decode back to the same k frames in order, and a datagram
+// with any one frame cut short or given an unknown kind is rejected whole.
+func TestDatagramRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(0xda7a))
+	for round := 0; round < 300; round++ {
+		k := 1 + rng.Intn(12)
+		frames := make([]Frame, k)
+		ends := make([]int, k) // ends[i]: datagram length after frame i
+		var dg []byte
+		for i := range frames {
+			frames[i] = randomFrame(rng)
+			dg = AppendFrame(dg, frames[i])
+			ends[i] = len(dg)
+		}
+		got, err := decodeDatagram(dg, nil)
+		if err != nil {
+			t.Fatalf("round %d: %d frames: %v", round, k, err)
+		}
+		if !reflect.DeepEqual(got, frames) {
+			t.Fatalf("round %d: round trip\n got %+v\nwant %+v", round, got, frames)
+		}
+		if _, err := DecodeFrame(dg); (err == nil) != (k == 1) {
+			t.Fatalf("round %d: strict DecodeFrame on %d frames: err=%v", round, k, err)
+		}
+
+		i := rng.Intn(k)
+		start := 0
+		if i > 0 {
+			start = ends[i-1]
+		}
+		cut := start + 1 + rng.Intn(ends[i]-start-1) // strictly inside frame i
+		if out, err := decodeDatagram(dg[:cut], got); err == nil || len(out) != 0 {
+			t.Fatalf("round %d: frame %d of %d cut at byte %d: err=%v, %d frames kept", round, i, k, cut-start, err, len(out))
+		}
+		bad := append([]byte(nil), dg...)
+		bad[start] = 0x7f
+		if out, err := decodeDatagram(bad, got); err == nil || len(out) != 0 {
+			t.Fatalf("round %d: frame %d of %d with an unknown kind: err=%v, %d frames kept", round, i, k, err, len(out))
+		}
+	}
+	if _, err := decodeDatagram(nil, nil); err == nil {
+		t.Fatal("empty datagram decoded without error")
+	}
+}
+
+// FuzzDecodeDatagram: the datagram decoder must never panic, and the
+// codec is strict — whatever decodes re-encodes to the very bytes that
+// were read, so frame boundaries are never ambiguous.
+func FuzzDecodeDatagram(f *testing.F) {
+	rng := rand.New(rand.NewSource(0xf0dd))
+	for k := 1; k <= 6; k++ {
+		var dg []byte
+		for i := 0; i < k; i++ {
+			dg = AppendFrame(dg, randomFrame(rng))
+		}
+		f.Add(dg)
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		frames, err := decodeDatagram(b, nil)
+		if err != nil {
+			if len(frames) != 0 {
+				t.Fatalf("rejected datagram kept %d frames", len(frames))
+			}
+			return
+		}
+		var enc []byte
+		for _, fr := range frames {
+			enc = AppendFrame(enc, fr)
+		}
+		if !bytes.Equal(enc, b) {
+			t.Fatalf("decode∘encode is not the identity on %d frames\n in  %x\n out %x", len(frames), b, enc)
+		}
+		// Compared as bytes: a NaN ArrivalMS is never DeepEqual to itself.
+		if one, err := DecodeFrame(b); (err == nil) != (len(frames) == 1) {
+			t.Fatalf("strict DecodeFrame disagrees on %d frames: %v", len(frames), err)
+		} else if err == nil && !bytes.Equal(EncodeFrame(one), b) {
+			t.Fatalf("strict DecodeFrame decoded %+v, datagram decoder %+v", one, frames[0])
+		}
+	})
 }
