@@ -164,7 +164,8 @@ type Config struct {
 	Obs *obs.Obs
 
 	// Workers sets the engine concurrency for the sharded phases (plan,
-	// serve, refill, playback). 0 or 1 selects the serial engine;
+	// serve, refill, playback). 0 or 1 runs every shard inline on the
+	// caller's goroutine (one worker — the same code, no goroutines);
 	// negative selects GOMAXPROCS. The worker count never affects
 	// results: per-shard RNG streams and shard-ordered merges make a run
 	// a pure function of the seed at any concurrency (see

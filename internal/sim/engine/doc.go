@@ -15,10 +15,11 @@
 //     shard order. The reduce may itself run sharded — each destination
 //     shard gathering from every source shard's buffer, walking source
 //     shards in ascending order — provided the outcome is
-//     element-for-element identical to the serial in-order merge.
+//     element-for-element identical to one in-order walk over the
+//     buffers.
 //
 // Together these rules make a run a pure function of its configuration:
-// the same seed produces a bit-identical result at any worker count,
-// including the serial (one-worker) engine. Workers only decide how
-// many shards execute concurrently.
+// the same seed produces a bit-identical result at any worker count.
+// Workers only decide how many shards execute concurrently; one worker
+// runs the same sharded code inline on the caller's goroutine.
 package engine

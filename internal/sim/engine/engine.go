@@ -36,8 +36,8 @@ func ShardSpan(n, s int) (lo, hi int) {
 func ShardOf(i int) int { return i / ShardSize }
 
 // Pool executes shard-indexed work across a bounded set of goroutines.
-// A Pool with one worker runs everything inline on the caller's
-// goroutine — that is the serial engine. Pools are reusable and safe for
+// A Pool with one worker runs every shard inline on the caller's
+// goroutine, in shard order. Pools are reusable and safe for
 // sequential reuse; a single Run call distributes shards to workers
 // dynamically (work stealing), which is safe because the determinism
 // contract makes shard results independent of execution order.
@@ -46,7 +46,7 @@ type Pool struct {
 }
 
 // NewPool returns a pool with the given concurrency. workers <= 0 selects
-// GOMAXPROCS; workers == 1 is the serial engine.
+// GOMAXPROCS; workers == 1 starts no goroutines.
 func NewPool(workers int) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

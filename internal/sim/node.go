@@ -63,7 +63,8 @@ type nodeState struct {
 	// the current period: they are in flight (arriving at period end) and
 	// must not be re-requested in retry rounds. At most Inbound·τ entries,
 	// so a flat slice with linear membership beats a map; it is appended
-	// only by the serial commit step and cleared at delivery. Under the
+	// only by the commit worker owning the node's shard and cleared at
+	// delivery. Under the
 	// netmodel transport a segment stays granted for its whole flight
 	// time (possibly several ticks) and is removed individually at
 	// delivery or loss, so the round-0 isGranted scans become
@@ -79,7 +80,8 @@ type nodeState struct {
 	// node's i-th neighbor (the per-pair cap of the per-link substrate —
 	// the former pairGrants map, now requester-side and allocation-free).
 	// Slot i is written only by neighbor i's serve goroutine during
-	// propose and by the serial commit, never by two goroutines at once.
+	// propose and by the node's own shard during commit, never by two
+	// goroutines at once.
 	linkGrants []int32
 	// linkReqs[i] counts this round's prefetch requests on the same link
 	// (the former pairReqs map). Touched only by the node's own plan

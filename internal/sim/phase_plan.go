@@ -14,15 +14,13 @@ import (
 // The plan phase runs every alive non-source node's scheduler and routes
 // the resulting pull requests to their suppliers. Nodes are sharded on
 // the engine grid; each shard plans its nodes with a dedicated RNG stream
-// and buffers its requests in a per-shard outbox, which the merge step
-// routes into the suppliers' queues in shard order — so the queue
-// contents are identical at any worker count. On the serial engine the
-// merge is one walk; on the parallel engine each outbox is stably
-// bucketed by destination shard and a second sharded pass gathers each
-// supplier shard's slice of every outbox in source-shard order, which
-// reproduces the serial queue contents exactly (a supplier's requests
-// within one outbox keep their planning order — stable bucketing — and
-// outboxes are visited in the same shard order).
+// and buffers its requests in a per-shard outbox, stably bucketed by
+// destination shard; a second pass, sharded over suppliers, gathers each
+// supplier shard's slice of every outbox in source-shard order. A
+// supplier's queue is therefore its requests in (source shard, planning
+// order) — a supplier's requests within one outbox keep their planning
+// order (stable bucketing) and outboxes are visited in shard order — so
+// the queue contents are identical at any worker count.
 
 // phaseSchedule drives the per-period plan/serve rounds: planning and
 // serving repeat up to ServeRounds times, because the period is one
@@ -46,7 +44,7 @@ func (s *Sim) phaseSchedule() {
 	}
 }
 
-// planRound is the parallel half of one scheduling round. On round 0 it
+// planRound is the planning half of one scheduling round. On round 0 it
 // also snapshots each node's plan view (neighbor suppliers + undelivered
 // windows) for the period and accounts the buffer-map exchange: each
 // alive node receives one 620-bit map per alive neighbor per period
@@ -55,12 +53,6 @@ func (s *Sim) planRound() {
 	n := len(s.nodes)
 	shards := s.ensureShards(n)
 	round := s.round
-	parallel := s.pool.Workers() > 1
-	if !parallel {
-		for i := range s.incoming {
-			s.incoming[i] = s.incoming[i][:0]
-		}
-	}
 	s.pool.Run(shards, func(worker, shard int) {
 		ws := s.workers[worker]
 		sh := &s.shards[shard]
@@ -96,14 +88,11 @@ func (s *Sim) planRound() {
 			}
 			s.planNode(ws, sh, nd, round, rng)
 		}
-		if parallel {
-			// Stable bucketing by destination shard: a supplier's requests
-			// keep their planning order, so the sharded gather below
-			// reproduces the serial merge's queue contents exactly.
-			sh.bucketRequests(shards)
-		}
+		// Stable bucketing by destination shard: a supplier's requests
+		// keep their planning order through the gather below.
+		sh.bucketRequests(shards)
 	})
-	// Scalar reduce in shard order (identical on both engines).
+	// Scalar reduce in shard order.
 	for si := 0; si < shards; si++ {
 		sh := &s.shards[si]
 		s.controlBits += sh.controlBits
@@ -111,18 +100,9 @@ func (s *Sim) planRound() {
 		s.diagCandidates += sh.diagCandidates
 		s.diagPlanned += sh.diagPlanned
 	}
-	if !parallel {
-		// Serial merge: route every shard's requests in shard order.
-		for si := 0; si < shards; si++ {
-			for _, rr := range s.shards[si].requests {
-				s.incoming[rr.sup] = append(s.incoming[rr.sup], rr.req)
-			}
-		}
-		return
-	}
-	// Parallel gather, sharded over *suppliers*: each worker fills its own
-	// shard's queues by visiting every outbox's slice for that shard in
-	// source-shard order — same contents, same order, no write conflicts.
+	// Gather, sharded over *suppliers*: each worker fills its own shard's
+	// queues by visiting every outbox's slice for that shard in
+	// source-shard order — no write conflicts.
 	s.pool.Run(shards, func(_, d int) {
 		lo, hi := engine.ShardSpan(n, d)
 		for i := lo; i < hi; i++ {

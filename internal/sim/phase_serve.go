@@ -24,12 +24,11 @@ import (
 //     inbound budget, which competing suppliers may have oversubscribed
 //     during propose. Winners become deliveries; losers refund the
 //     supplier's spent capacity so it is available to the next round
-//     (capacity is per period). On the serial engine the commit is one
-//     walk in (shard, proposal) order. On the parallel engine it is
-//     sharded over *requesters*: a proposal's fate depends only on its
-//     requester's inbound budget and per-requester arrival order, so
-//     workers that own disjoint requester shards make the identical
-//     decisions — see commitParallel for the exact argument.
+//     (capacity is per period). The commit is sharded over
+//     *requesters*: a proposal's fate depends only on its requester's
+//     inbound budget and per-requester arrival order, so workers that
+//     own disjoint requester shards decide independently — see commit
+//     for the exact argument.
 //
 // In the paper's per-link model (the default) a supplier answers each
 // neighbor independently at rate R(j): the only caps are the per-link
@@ -52,7 +51,6 @@ func (s *Sim) serveRound() {
 	n := len(s.nodes)
 	shards := s.ensureShards(n)
 	round := s.round
-	parallel := s.pool.Workers() > 1
 	s.pool.Run(shards, func(worker, shard int) {
 		ws := s.workers[worker]
 		sh := &s.shards[shard]
@@ -73,15 +71,9 @@ func (s *Sim) serveRound() {
 				s.proposePerLink(ws, sh, overlay.NodeID(sid), reqs)
 			}
 		}
-		if parallel {
-			sh.buildCommitIndex(shards)
-		}
+		sh.buildCommitIndex(shards)
 	})
-	if parallel {
-		s.commitParallel(shards, round)
-	} else {
-		s.commitSerial(shards, round)
-	}
+	s.commit(shards, round)
 }
 
 // serveJitterRNG returns the round's jitter stream (nil when the transport
@@ -99,68 +91,16 @@ func (s *Sim) serveJitterRNG(round int) *rand.Rand {
 	return s.jitterRNG
 }
 
-// commitSerial is the single-worker commit: one walk over every shard's
-// proposals in (shard, position) order. Under the netmodel transport the
-// committed grant becomes an in-flight message instead of an end-of-tick
-// delivery; its jitter draw comes from a dedicated per-(tick, round)
-// stream, deterministic because the walk is shard-ordered.
-func (s *Sim) commitSerial(shards, round int) {
-	jitterRNG := s.serveJitterRNG(round)
-	granted := false
-	var committed int64
-	for si := 0; si < shards; si++ {
-		for _, p := range s.shards[si].proposals {
-			req := s.nodes[p.from]
-			if !req.in.Take(1) {
-				// Competing suppliers oversubscribed this requester's
-				// inbound budget: refund the capacity spent at propose.
-				if s.cfg.SharedOutbound {
-					s.nodes[p.sup].out.Refund(1)
-				} else {
-					req.linkGrants[p.nbIdx]--
-				}
-				continue
-			}
-			req.markGranted(p.seg)
-			granted = true
-			committed++
-			if s.net != nil {
-				if req.consumeLost(p.seg) {
-					s.obsReReq.Inc()
-					if s.win.active {
-						s.netReRequests++ // a loss-induced re-request got re-granted
-					}
-				}
-				var jitter float64
-				if jitterRNG != nil {
-					jitter = jitterRNG.Float64() * s.net.JitterMS()
-				}
-				s.net.Send(s.tick, p.sup, p.from, p.seg, jitter)
-				s.audInjected++
-			} else {
-				dst := &s.shards[engine.ShardOf(int(p.from))]
-				dst.landed = append(dst.landed, delivery{to: p.from, seg: p.seg})
-			}
-			if s.win.active {
-				s.dataBits += bandwidth.BitsForSegments(1)
-			}
-		}
-	}
-	s.granted = granted
-	s.obsSent.Add(committed)
-}
-
-// commitParallel is the multi-worker commit. A proposal's fate depends on
+// commit resolves the round's proposals. A proposal's fate depends on
 // exactly two things: its requester's inbound budget and the order the
-// requester's proposals arrive in the global (shard, position) commit
-// walk. Both are requester-local, so the decisions can be sharded over
-// requesters: each worker replays, for its own requesters only, the same
-// subsequence of the global walk the serial commit would visit (source
-// shards ascending, original proposal order within each — the per-source
-// commit index is a *stable* sort by requester shard, so intra-shard
-// order survives the bucketing). Identical per-requester order plus
-// untouched cross-requester state means bit-identical Take/markGranted
-// decisions at any worker count.
+// requester's proposals arrive in the global (shard, position) order.
+// Both are requester-local, so the decisions are sharded over
+// requesters: each worker visits, for its own requesters only, their
+// subsequence of that global order (source shards ascending, original
+// proposal order within each — the per-source commit index is a *stable*
+// sort by requester shard, so intra-shard order survives the bucketing).
+// Identical per-requester order plus untouched cross-requester state
+// means bit-identical Take/markGranted decisions at any worker count.
 //
 // Writes stay disjoint: requester state (inbound budget, granted set,
 // linkGrants refunds) belongs to the worker owning the requester's shard;
@@ -169,14 +109,16 @@ func (s *Sim) commitSerial(shards, round int) {
 // scratch. The two cross-shard effects — shared-mode supplier refunds and
 // the global window counters — are deferred to a serial shard-ordered
 // reduce. Refunds only influence the *next* round's planning (commit
-// decisions never read supplier budgets), so deferring them is
-// behavior-identical to the serial commit's in-walk refunds.
+// decisions never read supplier budgets), so deferring them to the end
+// of the round changes nothing.
 //
-// Under the netmodel transport the message sends themselves stay serial:
-// a final pass walks the accept flags in the original (shard, position)
-// order, so jitter draws and transport sequence numbers match the serial
-// engine exactly.
-func (s *Sim) commitParallel(shards, round int) {
+// Under the netmodel transport the committed grant becomes an in-flight
+// message instead of an end-of-tick delivery, and the sends themselves
+// stay serial: a final pass walks the accept flags in the original
+// (shard, position) order, so the jitter draws — from a dedicated
+// per-(tick, round) stream — and the transport sequence numbers do not
+// depend on the worker count.
+func (s *Sim) commit(shards, round int) {
 	s.pool.Run(shards, func(_, d int) {
 		dsh := &s.shards[d]
 		dsh.refundSup = dsh.refundSup[:0]
@@ -249,9 +191,9 @@ func (s *Sim) commitParallel(shards, round int) {
 	}
 }
 
-// buildCommitIndex prepares the shard's proposals for the parallel
-// commit: propOrder is the proposal indexes stably sorted by requester
-// shard (bucketByShard), so requester shard d's proposals are
+// buildCommitIndex prepares the shard's proposals for the commit:
+// propOrder is the proposal indexes stably sorted by requester shard
+// (bucketByShard), so requester shard d's proposals are
 // propOrder[propOff[d]:propOff[d+1]] in original proposal order; accept
 // is the cleared per-proposal win flags.
 func (sh *shardScratch) buildCommitIndex(shards int) {

@@ -152,27 +152,25 @@ func (ws *workerScratch) seedRNG(seed int64) *rand.Rand {
 }
 
 // shardScratch buffers one shard's phase output until the shard-ordered
-// reduce (serial in-order walk on the serial engine, sorted-outbox
-// parallel gather at Workers>1 — bit-identical by construction). Indexed
-// by shard on the fixed grid; contents are valid only within the
-// producing round.
+// reduce. Indexed by shard on the fixed grid; contents are valid only
+// within the producing round.
 type shardScratch struct {
 	// requests is the plan phase outbox: requests routed to suppliers
-	// during the reduce, in planning order. The parallel gather first
-	// regroups them stably by destination shard (bucketRequests): reqSpare
-	// is the buffer that regrouping sorts into (the two swap each round),
-	// reqOff the per-destination-shard offsets it leaves behind.
+	// during the reduce, in planning order. The gather first regroups
+	// them stably by destination shard (bucketRequests): reqSpare is the
+	// buffer that regrouping sorts into (the two swap each round), reqOff
+	// the per-destination-shard offsets it leaves behind.
 	requests []routedRequest
 	reqSpare []routedRequest
 	reqOff   []int32
 	// proposals is the serve phase outbox: tentative grants awaiting the
 	// commit step.
 	proposals []proposal
-	// Parallel-commit index over proposals (multi-worker engine only):
-	// propOrder is the proposal indexes stably sorted by requester shard,
-	// propOff the per-requester-shard offsets into it, accept the
-	// per-proposal win flags the requester-shard workers set (distinct
-	// indexes, so the concurrent writes are race-free).
+	// Commit index over proposals: propOrder is the proposal indexes
+	// stably sorted by requester shard, propOff the per-requester-shard
+	// offsets into it, accept the per-proposal win flags the
+	// requester-shard workers set (distinct indexes, so the concurrent
+	// writes are race-free).
 	propOrder []int32
 	propOff   []int32
 	accept    []bool
@@ -230,9 +228,9 @@ type pullRequest struct {
 	nbIdx int32
 }
 
-// proposal is a tentative grant produced by the parallel serve phase. The
-// supplier has already spent the capacity (outbound tokens in shared
-// mode, a linkGrants slot in per-link mode); the serial commit either
+// proposal is a tentative grant produced by the serve phase's propose
+// step. The supplier has already spent the capacity (outbound tokens in
+// shared mode, a linkGrants slot in per-link mode); the commit either
 // lands it as a delivery or refunds the capacity when the requester's
 // inbound budget was oversubscribed by competing suppliers.
 type proposal struct {

@@ -36,7 +36,7 @@ type Sim struct {
 	churnRNG *rand.Rand
 	profRNG  *rand.Rand
 	// jitterRNG is the serve commit's reusable jitter generator, reseeded
-	// to its per-(tick, round) stream before each serial commit walk.
+	// to its per-(tick, round) stream before each commit's send pass.
 	jitterRNG *rand.Rand
 
 	g     *overlay.Graph
@@ -234,7 +234,7 @@ func New(cfg Config) (*Sim, error) {
 
 	workers := cfg.Workers
 	if workers == 0 {
-		workers = 1 // the serial engine
+		workers = 1 // every shard inline on the caller's goroutine
 	}
 	s.pool = engine.NewPool(workers)
 	s.workers = make([]*workerScratch, s.pool.Workers())
@@ -300,8 +300,7 @@ func (s *Sim) autoDuration() int {
 	return end
 }
 
-// Workers returns the engine concurrency the simulation runs with (1 for
-// the serial engine).
+// Workers returns the engine concurrency the simulation runs with.
 func (s *Sim) Workers() int { return s.pool.Workers() }
 
 // CapturePhaseMem toggles per-phase allocation capture on both the tick
