@@ -9,8 +9,7 @@
 // transit phase drains every message whose timestamp falls inside the
 // current scheduling period, in timestamp order, so two grants issued
 // the same tick arrive in their true sub-tick order and delay metrics
-// resolve below one period. Config.QuantizeTicks restores the original
-// tick-floored behavior bit for bit.
+// resolve below one period.
 //
 // The Model is deliberately RNG-free: jitter values and loss draws are
 // made by the caller from dedicated engine.SeedFor streams, so the model

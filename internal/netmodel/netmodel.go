@@ -33,14 +33,6 @@ type Config struct {
 	// Loss is the baseline per-message loss probability in [0, 1). A
 	// LossBurst event overrides it for a bounded window.
 	Loss float64
-	// QuantizeTicks floors every message's arrival timestamp onto whole
-	// scheduling periods — the original tick-quantized transport. Under
-	// it, same-tick arrivals pop in injection order (not sub-tick delay
-	// order) and delivery delays are reported in whole periods, exactly
-	// reproducing the pre-subtick engine bit for bit. The default (false)
-	// is the sub-tick transport: continuous arrival timestamps, true
-	// sub-period delay metrics.
-	QuantizeTicks bool
 }
 
 // Defaulted returns a copy with zero fields replaced by defaults.
@@ -81,14 +73,12 @@ type Message struct {
 	// Sent is the tick the grant was committed; Due the tick whose
 	// transit phase delivers the message — derived from ArrivalMS with
 	// the same comparisons PopDue makes, so it names the actual delivery
-	// tick in both ordering modes (Due == Sent reproduces the classic
-	// end-of-tick delivery timing).
+	// tick (Due == Sent reproduces the classic end-of-tick delivery
+	// timing).
 	Sent, Due int
 	// ArrivalMS is the message's continuous arrival timestamp in
 	// milliseconds since the start of the run: the send tick's start
-	// plus the link delay. Under QuantizeTicks it is floored onto the
-	// start of the Due period, which makes the (ArrivalMS, seq) heap
-	// order degenerate to the original (Due, injection) order.
+	// plus the link delay.
 	ArrivalMS float64
 	// seq is the global injection sequence number — the heap tiebreak
 	// that makes equal-timestamp pops independent of heap internals.
@@ -174,10 +164,6 @@ func (m *Model) Ping(n overlay.NodeID) int {
 // caller can skip its jitter stream entirely).
 func (m *Model) JitterMS() float64 { return m.cfg.JitterMS }
 
-// Quantized reports whether the model runs in the tick-quantized
-// compatibility mode (Config.QuantizeTicks).
-func (m *Model) Quantized() bool { return m.cfg.QuantizeTicks }
-
 // DelayMS is one message's continuous link delay in milliseconds:
 // propagation is the mean of the two endpoints' one-way delays (ping/2
 // each), scaled by the current latency factor, plus the caller-drawn
@@ -186,42 +172,23 @@ func (m *Model) DelayMS(a, b overlay.NodeID, jitterMS float64) float64 {
 	return m.latFactor*(float64(m.Ping(a))+float64(m.Ping(b)))/2 + jitterMS
 }
 
-// DelayTicks converts one message's link delay into whole scheduling
-// periods beyond the sending tick. The classic substrate's end-of-tick
-// delivery is the zero of this function — a delay below one period adds
-// no extra ticks, so with small pings and no latency storm the model
-// reproduces the paper's timing exactly.
-func (m *Model) DelayTicks(a, b overlay.NodeID, jitterMS float64) int {
-	return int(m.DelayMS(a, b, jitterMS) / m.tauMS)
-}
-
 // Send injects one granted segment into the in-flight queue and returns
 // its delivery tick. jitterMS is the caller's draw from its jitter
 // stream (0 when jitter is disabled). The arrival timestamp is the send
-// tick's start plus the continuous link delay; under QuantizeTicks it is
-// floored onto the start of the due period instead, reproducing the
-// original (Due, injection) pop order exactly.
+// tick's start plus the continuous link delay — a delay below one period
+// lands in the sending tick, the classic substrate's end-of-tick
+// delivery.
 func (m *Model) Send(tick int, from, to overlay.NodeID, seg segment.ID, jitterMS float64) int {
-	delay := m.DelayMS(from, to, jitterMS)
-	var due int
-	var arrival float64
-	if m.cfg.QuantizeTicks {
-		// The pre-subtick floor, kept as the exact original expression —
-		// the QuantizeTicks goldens pin it bit for bit.
-		due = tick + int(delay/m.tauMS)
-		arrival = float64(due) * m.tauMS
-	} else {
-		arrival = float64(tick)*m.tauMS + delay
-		// Derive Due from the timestamp with the same comparisons PopDue
-		// makes, so the returned tick agrees with the actual delivery
-		// even when the division rounds across a period boundary.
-		due = int(arrival / m.tauMS)
-		for float64(due)*m.tauMS > arrival {
-			due--
-		}
-		for float64(due+1)*m.tauMS <= arrival {
-			due++
-		}
+	arrival := float64(tick)*m.tauMS + m.DelayMS(from, to, jitterMS)
+	// Derive Due from the timestamp with the same comparisons PopDue
+	// makes, so the returned tick agrees with the actual delivery even
+	// when the division rounds across a period boundary.
+	due := int(arrival / m.tauMS)
+	for float64(due)*m.tauMS > arrival {
+		due--
+	}
+	for float64(due+1)*m.tauMS <= arrival {
+		due++
 	}
 	shard := engine.ShardOf(int(to))
 	for len(m.heaps) <= shard {
@@ -394,9 +361,7 @@ func splitmix64(x uint64) uint64 {
 
 // msgHeap is a binary min-heap of in-flight messages ordered by
 // (ArrivalMS, seq): the injection sequence tiebreak makes the pop order
-// of equal-timestamp messages a pure function of the push order. Under
-// QuantizeTicks arrival timestamps sit on period boundaries, so this
-// order degenerates to the original (Due, injection) order.
+// of equal-timestamp messages a pure function of the push order.
 type msgHeap []Message
 
 func (h msgHeap) less(i, j int) bool {

@@ -28,25 +28,27 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestDelayTicks pins how a link delay becomes a delivery tick: Send
+// returns the tick whose period the arrival timestamp falls in.
 func TestDelayTicks(t *testing.T) {
 	m := New(Config{PingMS: []int{100, 300}, DefaultPingMS: 60}, 1.0)
 	// Mean one-way propagation (100+300)/2 = 200 ms < 1000 ms: no extra
 	// ticks — the classic end-of-tick delivery.
-	if d := m.DelayTicks(0, 1, 0); d != 0 {
+	if d := m.Send(0, 0, 1, 1, 0); d != 0 {
 		t.Errorf("sub-period delay gave %d extra ticks", d)
 	}
 	// Jitter pushes it over one period.
-	if d := m.DelayTicks(0, 1, 900); d != 1 {
+	if d := m.Send(0, 0, 1, 2, 900); d != 1 {
 		t.Errorf("200+900 ms = %d ticks, want 1", d)
 	}
 	// A latency storm scales propagation but not jitter.
 	m.SetLatencyFactor(10)
-	if d := m.DelayTicks(0, 1, 0); d != 2 {
+	if d := m.Send(0, 0, 1, 3, 0); d != 2 {
 		t.Errorf("10x200 ms = %d ticks, want 2", d)
 	}
 	m.SetLatencyFactor(1)
 	// Nodes beyond the ping table use the default.
-	if d := m.DelayTicks(0, 99, 0); d != 0 {
+	if d := m.Send(0, 0, 99, 4, 0); d != 0 {
 		t.Errorf("default-ping delay gave %d extra ticks", d)
 	}
 	if p := m.Ping(99); p != 60 {
@@ -54,15 +56,13 @@ func TestDelayTicks(t *testing.T) {
 	}
 }
 
-// TestSubtickPopOrder is the tentpole's ordering contract: two grants
+// TestSubtickPopOrder is the transport's ordering contract: two grants
 // issued the same tick with different ping-derived delays pop in delay
-// order, not injection order — the sub-tick transport distinguishes
-// arrivals the quantized model collapsed onto one period boundary.
+// order, not injection order.
 func TestSubtickPopOrder(t *testing.T) {
 	// Node 2 is a slow peer (800 ms), node 3 a fast one (100 ms); both
 	// send to node 1 (ping 100) in tick 0, slow first.
-	cfg := Config{PingMS: []int{60, 100, 800, 100}}
-	m := New(cfg, 1.0)
+	m := New(Config{PingMS: []int{60, 100, 800, 100}}, 1.0)
 	m.Send(0, 2, 1, 7, 0) // delay (800+100)/2 = 450 ms, injected first
 	m.Send(0, 3, 1, 8, 0) // delay (100+100)/2 = 100 ms, injected second
 	var got []int
@@ -79,43 +79,37 @@ func TestSubtickPopOrder(t *testing.T) {
 	if len(got) != 2 || got[0] != 8 || got[1] != 7 {
 		t.Errorf("sub-tick pop order = %v, want [8 7] (delay order)", got)
 	}
-
-	// The same two sends under QuantizeTicks collapse onto the period
-	// boundary and pop in injection order — the pre-subtick behavior.
-	cfg.QuantizeTicks = true
-	q := New(cfg, 1.0)
-	q.Send(0, 2, 1, 7, 0)
-	q.Send(0, 3, 1, 8, 0)
-	got = got[:0]
-	q.SettleDelivered(q.PopDue(0, 0, func(msg Message) { got = append(got, int(msg.Seg)) }))
-	if len(got) != 2 || got[0] != 7 || got[1] != 8 {
-		t.Errorf("quantized pop order = %v, want [7 8] (injection order)", got)
-	}
 }
 
-// TestSubtickDueTick pins that the sub-tick transport never changes
-// *which* tick a message lands in — only the order and the reported
-// delay: the arrival timestamp falls in the period the quantized model
-// floored onto.
+// TestSubtickDueTick pins that a message lands in the period its
+// continuous delay floors onto — the send tick plus the whole periods of
+// delay — and pops exactly at the tick Send returned, including an
+// arrival that sits exactly on a period boundary.
 func TestSubtickDueTick(t *testing.T) {
 	m := New(Config{DefaultPingMS: 100}, 1.0)
-	q := New(Config{DefaultPingMS: 100, QuantizeTicks: true}, 1.0)
-	for _, jit := range []float64{0, 850, 950, 1900, 2850} {
-		if sub, quant := m.Send(3, 0, 1, 1, jit), q.Send(3, 0, 1, 1, jit); sub != quant {
-			t.Errorf("jitter %v ms: sub-tick due %d != quantized due %d", jit, sub, quant)
+	wantDue := map[float64]int{0: 3, 850: 3, 950: 4, 1900: 5, 2850: 5}
+	perTick := map[int]int{}
+	for jit, want := range wantDue {
+		due := m.Send(3, 0, 1, 1, jit)
+		if due != want {
+			t.Errorf("jitter %v ms: due %d, want %d", jit, due, want)
 		}
+		perTick[due]++
 	}
-	// Every message pops exactly at its due tick under both models.
 	for tick := 3; tick <= 6; tick++ {
-		var subSegs, quantSegs int
-		m.SettleDelivered(m.PopDue(0, tick, func(Message) { subSegs++ }))
-		q.SettleDelivered(q.PopDue(0, tick, func(Message) { quantSegs++ }))
-		if subSegs != quantSegs {
-			t.Errorf("tick %d: sub-tick popped %d, quantized popped %d", tick, subSegs, quantSegs)
+		popped := 0
+		m.SettleDelivered(m.PopDue(0, tick, func(msg Message) {
+			popped++
+			if msg.Due != tick {
+				t.Errorf("tick %d popped a message due at %d", tick, msg.Due)
+			}
+		}))
+		if popped != perTick[tick] {
+			t.Errorf("tick %d: popped %d, want %d", tick, popped, perTick[tick])
 		}
 	}
-	if m.InFlight() != 0 || q.InFlight() != 0 {
-		t.Errorf("stragglers left in flight: %d sub-tick, %d quantized", m.InFlight(), q.InFlight())
+	if m.InFlight() != 0 {
+		t.Errorf("stragglers left in flight: %d", m.InFlight())
 	}
 }
 

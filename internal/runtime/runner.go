@@ -221,8 +221,6 @@ func FromScenario(sc *scenario.Scenario, factory sim.AlgorithmFactory, opt Optio
 	if cfg.Net != nil {
 		// The same trace-derived delay/loss/partition state machine the
 		// transit phase would drain, shared with the shaped transports.
-		// (QuantizeTicks only affects the heap path the live runtime
-		// never calls; the wall clock is continuous by nature.)
 		r.policy = &lockedPolicy{m: netmodel.New(*cfg.Net, cfg.Tau)}
 		transport.SetPolicy(r.policy)
 	}

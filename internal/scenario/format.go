@@ -27,17 +27,14 @@ import (
 //	churn 0.02 0.02      # baseline leave/join fractions (join defaults to leave)
 //	perlink              # per-link capacity model (default: shared outbound)
 //	qs 50
-//	net loss=0.05 jitter=200 ping=80 subtick   # message-level transport model
+//	net loss=0.05 jitter=200 ping=80   # message-level transport model
 //
 // The net directive enables the netmodel transport: per-link delivery
 // delay derived from the synthesized trace's ping times, per-message
 // loss (`loss`, baseline probability), uniform jitter (`jitter`,
 // milliseconds) and the default ping of nodes without a trace record
-// (`ping`, milliseconds; churn joiners and crowd members). The bare
-// `subtick` flag selects the sub-tick event-driven transport (continuous
-// arrival timestamps, true sub-period delay metrics); without it the
-// file keeps the original tick-quantized transport. All options are
-// optional — a bare `net` turns on the transport with trace delays
+// (`ping`, milliseconds; churn joiners and crowd members). All options
+// are optional — a bare `net` turns on the transport with trace delays
 // only. The latency/lossburst/partition/heal events require it.
 //
 //	at 40  switch to=41            # planned handoff to a pinned speaker
@@ -168,7 +165,7 @@ func (sc *Scenario) parseLine(fields []string) error {
 	return fmt.Errorf("unknown directive %q", key)
 }
 
-// parseNet handles the net directive's k=v options and bare flags.
+// parseNet handles the net directive's k=v options.
 func (sc *Scenario) parseNet(args []string) error {
 	sc.Net = true
 	for _, a := range args {
@@ -181,12 +178,6 @@ func (sc *Scenario) parseNet(args []string) error {
 			sc.NetJitterMS, err = strconv.ParseFloat(v, 64)
 		case "ping":
 			sc.NetPingMS, err = strconv.Atoi(v)
-		case "subtick":
-			if found {
-				return fmt.Errorf("net: subtick is a bare flag, got %q", a)
-			}
-			sc.NetSubtick = true
-			continue
 		default:
 			return fmt.Errorf("net: unknown option %q", k)
 		}
@@ -395,9 +386,6 @@ func (sc *Scenario) Write(w io.Writer) error {
 		}
 		if sc.NetPingMS != 0 {
 			fmt.Fprintf(bw, " ping=%d", sc.NetPingMS)
-		}
-		if sc.NetSubtick {
-			fmt.Fprint(bw, " subtick")
 		}
 		fmt.Fprintln(bw)
 	}

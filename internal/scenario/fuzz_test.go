@@ -30,7 +30,7 @@ func FuzzScenarioParse(f *testing.F) {
 		f.Add(buf.String())
 	}
 	f.Add("scenario x\nnodes 10\nseed 1\n\nat 5 switch\n")
-	f.Add("scenario x\nnodes 10\nseed 1\nnet loss=0.1 jitter=40 ping=80 subtick\n\nat 5 switch to=3 failure horizon=9\nat 9 partition frac=0.5 by=ping\nat 11 heal\n")
+	f.Add("scenario x\nnodes 10\nseed 1\nnet loss=0.1 jitter=40 ping=80\n\nat 5 switch to=3 failure horizon=9\nat 9 partition frac=0.5 by=ping\nat 11 heal\n")
 	f.Add("# comment\nscenario a0\ndesc words here\nnodes 4\nm 3\nseed -7\nfirst 2\nspread 3\nhorizon 20\nduration 90\nchurn 0.01 0.02\nperlink\nqs 30\n\nat 1 measure for=10\nat 2 churnburst for=3 leave=0.1 join=0.2\nat 3 crowd count=2 backlog=5\nat 4 bandwidth factor=0.5\n")
 	f.Fuzz(func(t *testing.T, text string) {
 		sc, err := Parse(strings.NewReader(text))

@@ -12,12 +12,12 @@ import (
 // synthesizes a valid scenario spanning the full event alphabet —
 // planned and failure switches, demotions, churn bursts, flash crowds,
 // bandwidth and latency shifts, loss bursts, partitions (uniform and
-// latency-clustered), heals, and overlapping measurement windows, over
-// both the quantized and sub-tick transports. Every output satisfies
-// Validate, round-trips through Write/Parse, and — the property the
-// fuzz driver leans on — runs without a run error at any worker count,
-// so the determinism contract and the run invariants can be checked on
-// an unbounded family of timelines instead of the hand-written library.
+// latency-clustered), heals, and overlapping measurement windows, with
+// and without the netmodel transport. Every output satisfies Validate,
+// round-trips through Write/Parse, and — the property the fuzz driver
+// leans on — runs without a run error at any worker count, so the
+// determinism contract and the run invariants can be checked on an
+// unbounded family of timelines instead of the hand-written library.
 //
 // The generation is biased where uniform sampling would produce
 // scenarios that cannot run or measure anything:
@@ -94,7 +94,6 @@ func Generate(opt GenOptions) *Scenario {
 	}
 	if rng.Intn(4) != 0 {
 		sc.Net = true
-		sc.NetSubtick = rng.Intn(2) == 0
 		if rng.Intn(3) == 0 {
 			sc.NetLoss = 0.01 + 0.09*rng.Float64()
 		}

@@ -102,15 +102,13 @@ func TestGeneratedScenarioDeterminism(t *testing.T) {
 // test without failing it.
 func TestGeneratorCoverage(t *testing.T) {
 	kinds := map[sim.EventKind]int{}
-	var planned, failed, byPing, uniform, subtick, quantized, churny int
+	var planned, failed, byPing, uniform, withNet, withoutNet, churny int
 	for seed := int64(1); seed <= 100; seed++ {
 		sc := Generate(GenOptions{Seed: seed})
 		if sc.Net {
-			if sc.NetSubtick {
-				subtick++
-			} else {
-				quantized++
-			}
+			withNet++
+		} else {
+			withoutNet++
 		}
 		if sc.ChurnLeave > 0 || sc.ChurnJoin > 0 {
 			churny++
@@ -145,7 +143,7 @@ func TestGeneratorCoverage(t *testing.T) {
 	for name, n := range map[string]int{
 		"planned switch": planned, "failure switch": failed,
 		"uniform partition": uniform, "by=ping partition": byPing,
-		"subtick net": subtick, "quantized net": quantized,
+		"net transport": withNet, "classic substrate": withoutNet,
 		"churn": churny,
 	} {
 		if n == 0 {

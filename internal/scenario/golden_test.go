@@ -53,91 +53,6 @@ func TestNetNilMatchesPreNetmodelGolden(t *testing.T) {
 	})
 }
 
-// TestQuantizeTicksMatchesPR3Golden pins the sub-tick migration: the
-// QuantizeTicks compatibility mode must reproduce the tick-floored
-// transport exactly as it behaved before the sub-tick transit landed.
-// Each case is the PR 3 definition of a bundled net scenario — today's
-// library runs them with `subtick` (and transatlantic-split with a
-// ping-clustered partition), so the shapes are pinned inline here with
-// those knobs off; the golden values were captured at the pre-subtick
-// HEAD. Any drift in the quantized path — a reordered pop, an extra RNG
-// draw, a changed delay floor — shows up as a mismatch.
-func TestQuantizeTicksMatchesPR3Golden(t *testing.T) {
-	cases := []struct {
-		sc   *Scenario
-		want []string
-	}{
-		{
-			sc: &Scenario{
-				Name: "lossy-uplink", Nodes: 300, M: 5, Seed: 19, Spread: 25, Horizon: 220,
-				Net: true, NetLoss: 0.05, NetJitterMS: 150,
-				Events: []sim.Event{
-					sim.LossBurstAt(45, 40, 0.25),
-					sim.SwitchAt(55, -1),
-				},
-			},
-			want: []string{
-				"kind=switch tick=55 old=5 new=3 cohort=148 ctrl=25110000 data=1861847040 played=46161 stalled=19455 finish=41.141892 prepare=29.594595 start=42.340136 nf=0 np=0 measured=45 netdel=48590 netlost=12017 rereq=12308 delay=48590.000000",
-			},
-		},
-		{
-			sc: &Scenario{
-				Name: "transatlantic-split", Nodes: 300, M: 5, Seed: 23, Spread: 25, Horizon: 90,
-				Net: true, NetJitterMS: 1500,
-				Events: []sim.Event{
-					sim.PartitionAt(45, 0.5),
-					sim.SwitchAt(50, -1),
-					sim.HealAt(80),
-					sim.MeasureAt(145, 60),
-				},
-			},
-			want: []string{
-				"kind=switch tick=50 old=5 new=124 cohort=148 ctrl=26111920 data=2006200320 played=61932 stalled=28667 finish=40.594595 prepare=33.114865 start=41.748299 nf=0 np=0 measured=62 netdel=65308 netlost=0 rereq=43 delay=90797.000000",
-				"kind=measure tick=145 old=0 new=0 cohort=148 ctrl=33405600 data=2795274240 played=87735 stalled=1065 finish=NaN prepare=NaN start=NaN nf=0 np=0 measured=60 netdel=91095 netlost=0 rereq=0 delay=127053.000000",
-			},
-		},
-		{
-			sc: &Scenario{
-				Name: "latency-storm", Nodes: 300, M: 5, Seed: 29, Spread: 25, Horizon: 250,
-				Net: true, NetJitterMS: 300,
-				Events: []sim.Event{
-					sim.LatencyShiftAt(40, 20),
-					sim.SwitchAt(55, -1),
-					sim.LatencyShiftAt(110, 1),
-				},
-			},
-			want: []string{
-				"kind=switch tick=55 old=0 new=35 cohort=148 ctrl=22572960 data=1235804160 played=47025 stalled=12474 finish=33.195946 prepare=21.358108 start=34.537415 nf=0 np=0 measured=41 netdel=40820 netlost=0 rereq=0 delay=90977.000000",
-			},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.sc.Name, func(t *testing.T) {
-			if tc.sc.NetSubtick {
-				t.Fatal("golden scenarios must run the quantized transport")
-			}
-			cfg, err := tc.sc.Scaled(150).Config(sim.Fast)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res := mustRun(t, cfg)
-			if len(res.Windows) != len(tc.want) {
-				t.Fatalf("windows = %d, want %d", len(res.Windows), len(tc.want))
-			}
-			for i, w := range res.Windows {
-				if got := goldenNetLine(w); got != tc.want[i] {
-					t.Errorf("window %d drifted from the PR 3 tick-floored transport:\n got %s\nwant %s", i, got, tc.want[i])
-				}
-			}
-		})
-	}
-}
-
-func goldenNetLine(w *sim.SwitchMetrics) string {
-	return fmt.Sprintf("%s netdel=%d netlost=%d rereq=%d delay=%.6f",
-		goldenLine(w), w.NetDelivered, w.NetLost, w.NetReRequests, w.NetDelaySeconds)
-}
-
 func goldenLine(w *sim.SwitchMetrics) string {
 	return fmt.Sprintf("kind=%s tick=%d old=%d new=%d cohort=%d ctrl=%d data=%d played=%d stalled=%d finish=%.6f prepare=%.6f start=%.6f nf=%d np=%d measured=%d",
 		w.Kind, w.Tick, w.OldSource, w.NewSource, w.Cohort, w.ControlBits, w.DataBits,

@@ -113,9 +113,8 @@ func SourceCrash() *Scenario {
 // plus jitter), and a 25% loss burst breaks over the handoff itself —
 // the regime "Adaptive Streaming in P2P Live Video Systems" shows
 // dominates perceived switch quality. Lost grants surface as
-// loss-induced re-requests, and the window's mean delivery delay now
-// resolves the sub-second trace latencies the quantized transport used
-// to round up to a whole period.
+// loss-induced re-requests, and the window's mean delivery delay
+// resolves the sub-second trace latencies.
 func LossyUplink() *Scenario {
 	return &Scenario{
 		Name:        "lossy-uplink",
@@ -128,7 +127,6 @@ func LossyUplink() *Scenario {
 		Net:         true,
 		NetLoss:     0.05,
 		NetJitterMS: 150,
-		NetSubtick:  true,
 		Events: []sim.Event{
 			sim.LossBurstAt(45, 40, 0.25),
 			sim.SwitchAt(55, -1),
@@ -154,7 +152,6 @@ func TransatlanticSplit() *Scenario {
 		Horizon:     90,
 		Net:         true,
 		NetJitterMS: 1500, // multi-tick flights: the split severs messages mid-air
-		NetSubtick:  true,
 		Events: []sim.Event{
 			sim.PartitionByPingAt(45, 0.5),
 			sim.SwitchAt(50, -1),
@@ -168,8 +165,7 @@ func TransatlanticSplit() *Scenario {
 // around the handoff (trace pings of tens of milliseconds become
 // seconds, i.e. multi-tick flights), then restores the baseline: the
 // switch must complete while every grant spends periods in transit, and
-// under the sub-tick transport same-tick grants land in true delay
-// order instead of injection order.
+// same-tick grants land in true delay order.
 func LatencyStorm() *Scenario {
 	return &Scenario{
 		Name:        "latency-storm",
@@ -181,7 +177,6 @@ func LatencyStorm() *Scenario {
 		Horizon:     250,
 		Net:         true,
 		NetJitterMS: 300,
-		NetSubtick:  true,
 		Events: []sim.Event{
 			sim.LatencyShiftAt(40, 20),
 			sim.SwitchAt(55, -1),

@@ -68,13 +68,6 @@ type Scenario struct {
 	// NetPingMS is the ping of nodes without a trace record — churn
 	// joiners and crowd members (0 → netmodel's default).
 	NetPingMS int
-	// NetSubtick selects the sub-tick event-driven transport (`net ...
-	// subtick`): messages carry continuous arrival timestamps, same-tick
-	// grants land in true delay order, and delay metrics resolve below
-	// one period. The default (false) keeps the scenario file format's
-	// original tick-quantized transport, so existing files reproduce
-	// their pre-subtick runs bit for bit (netmodel.Config.QuantizeTicks).
-	NetSubtick bool
 
 	// Events is the timeline, in firing order.
 	Events []sim.Event
@@ -238,14 +231,13 @@ func (sc *Scenario) Config(factory sim.AlgorithmFactory) (sim.Config, error) {
 			DefaultPingMS: sc.NetPingMS,
 			JitterMS:      sc.NetJitterMS,
 			Loss:          sc.NetLoss,
-			QuantizeTicks: !sc.NetSubtick,
 		}
 	}
 	return cfg, nil
 }
 
-// Run compiles and executes the scenario with the given scheduler on the
-// serial engine. For worker control or ratio tracking, use Config and
+// Run compiles and executes the scenario with the given scheduler on one
+// worker. For worker control or ratio tracking, use Config and
 // drive sim.New directly.
 func (sc *Scenario) Run(factory sim.AlgorithmFactory) (*sim.Result, error) {
 	cfg, err := sc.Config(factory)

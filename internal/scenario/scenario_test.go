@@ -47,7 +47,7 @@ duration 500
 churn 0.01 0.02
 perlink
 qs 25
-net loss=0.05 jitter=150 ping=80 subtick
+net loss=0.05 jitter=150 ping=80
 
 at 20 switch to=3 horizon=90
 at 60 switch
@@ -73,7 +73,7 @@ at 140 demote
 		sc.ChurnLeave != 0.01 || sc.ChurnJoin != 0.02 || !sc.PerLink || sc.Qs != 25 {
 		t.Errorf("header misparsed: %+v", sc)
 	}
-	if !sc.Net || sc.NetLoss != 0.05 || sc.NetJitterMS != 150 || sc.NetPingMS != 80 || !sc.NetSubtick {
+	if !sc.Net || sc.NetLoss != 0.05 || sc.NetJitterMS != 150 || sc.NetPingMS != 80 {
 		t.Errorf("net directive misparsed: %+v", sc)
 	}
 	want := []sim.Event{
@@ -208,7 +208,7 @@ func TestSerialHandoffDeterminism(t *testing.T) {
 	}
 	for _, workers := range []int{1, 8} {
 		if got := run(workers); !reflect.DeepEqual(serial, got) {
-			t.Errorf("workers=%d diverged from the serial engine", workers)
+			t.Errorf("workers=%d diverged from the one-worker run", workers)
 		}
 	}
 }
@@ -218,13 +218,9 @@ func TestSerialHandoffDeterminism(t *testing.T) {
 // bit-identical Result at Workers ∈ {0, 1, 8} — including the in-flight
 // messages severed by the partition (the scenario's jitter keeps grants
 // airborne across the split instant). The bundled transatlantic-split
-// runs the sub-tick transport with a ping-clustered partition, so this
-// is also the sub-tick worker-count invariance pin the CI netmodel job
-// exercises.
+// splits by ping, so this is also the ping-clustered partition's
+// worker-count invariance pin the CI netmodel job exercises.
 func TestNetScenarioDeterminism(t *testing.T) {
-	if !TransatlanticSplit().NetSubtick {
-		t.Fatal("transatlantic-split no longer pins the sub-tick transport")
-	}
 	run := func(workers int) (*sim.Result, sim.Config) {
 		cfg, err := TransatlanticSplit().Scaled(150).Config(sim.Fast)
 		if err != nil {
@@ -233,7 +229,7 @@ func TestNetScenarioDeterminism(t *testing.T) {
 		cfg.Workers = workers
 		return mustRun(t, cfg), cfg
 	}
-	serial, cfg := run(0)
+	serial, cfg := run(0) // the reference: the default, one worker
 	if err := sim.CheckInvariants(cfg, serial); err != nil {
 		t.Errorf("run invariants violated: %v", err)
 	}
@@ -246,11 +242,11 @@ func TestNetScenarioDeterminism(t *testing.T) {
 	// Sub-tick delay metrics resolve below whole periods: with 1.5 s
 	// uniform jitter the summed delay cannot sit on a period boundary.
 	if d := serial.NetDelaySeconds; d == math.Trunc(d) {
-		t.Errorf("NetDelaySeconds = %v looks tick-quantized on a sub-tick run", d)
+		t.Errorf("NetDelaySeconds = %v looks tick-quantized", d)
 	}
 	for _, workers := range []int{1, 8} {
 		if got, _ := run(workers); !reflect.DeepEqual(serial, got) {
-			t.Errorf("workers=%d diverged from the serial engine", workers)
+			t.Errorf("workers=%d diverged from the one-worker run", workers)
 		}
 	}
 }

@@ -144,11 +144,10 @@ type Config struct {
 	// become in-flight messages with a continuous sub-tick arrival
 	// timestamp derived from trace ping times (plus seeded jitter), a
 	// per-message loss probability, and partition semantics, drained in
-	// timestamp order by the pipeline's transit phase
-	// (Net.QuantizeTicks restores the tick-floored behavior bit for
-	// bit). nil keeps the classic substrate — every grant delivered
-	// instantly and losslessly at the end of its tick, bit-identical to
-	// the pre-netmodel engine. See internal/netmodel.
+	// timestamp order by the pipeline's transit phase. nil keeps the
+	// classic substrate — every grant delivered instantly and losslessly
+	// at the end of its tick, bit-identical to the pre-netmodel engine.
+	// See internal/netmodel.
 	Net *netmodel.Config
 
 	// TrackRatios records the per-tick undelivered/delivered ratio series

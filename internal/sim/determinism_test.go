@@ -72,21 +72,24 @@ func testPings(n int) []int {
 }
 
 // TestEngineWorkerCountInvariance is the determinism regression test of
-// the sharded engine: the same Config (including seeds) run on the serial
-// engine and with 1, 2 and 8 workers must produce identical Results —
-// every event time, ratio point, and the controlBits/dataBits accounting.
+// the sharded engine: the same Config (including seeds) run with the
+// default worker count (0 → one) and with 1, 2 and 8 workers must produce
+// identical Results — every event time, ratio point, and the
+// controlBits/dataBits accounting.
 func TestEngineWorkerCountInvariance(t *testing.T) {
 	scenarios := []struct {
-		name string
-		mut  func(*Config)
+		name    string
+		nodes   int   // 0: 180, a single shard
+		workers []int // nil: 0, 1, 2 and 8; the first is the reference run
+		mut     func(*Config)
 	}{
-		{"shared", func(c *Config) { c.SharedOutbound = true }},
-		{"perlink", func(c *Config) { c.SharedOutbound = false }},
-		{"shared-churn", func(c *Config) {
+		{name: "shared", mut: func(c *Config) { c.SharedOutbound = true }},
+		{name: "perlink", mut: func(c *Config) { c.SharedOutbound = false }},
+		{name: "shared-churn", mut: func(c *Config) {
 			c.SharedOutbound = true
 			c.Churn = &ChurnConfig{LeaveFraction: 0.05, JoinFraction: 0.05}
 		}},
-		{"perlink-normal-algo", func(c *Config) {
+		{name: "perlink-normal-algo", mut: func(c *Config) {
 			c.SharedOutbound = false
 			c.NewAlgorithm = Normal
 		}},
@@ -96,7 +99,7 @@ func TestEngineWorkerCountInvariance(t *testing.T) {
 		// handoff: the initial speaker (pinned to node 2) is demoted back
 		// to listener at 120 and retakes the floor at 135. Every event
 		// must be worker-count invariant.
-		{"scripted-chain", func(c *Config) {
+		{name: "scripted-chain", mut: func(c *Config) {
 			c.SharedOutbound = true
 			c.FirstSource = 2
 			c.Churn = &ChurnConfig{LeaveFraction: 0.02, JoinFraction: 0.02}
@@ -118,7 +121,7 @@ func TestEngineWorkerCountInvariance(t *testing.T) {
 		// ping) and a demote — the in-flight message state, its sub-tick
 		// pop order and the millisecond delay accounting must all be
 		// worker-count invariant.
-		{"netmodel", func(c *Config) {
+		{name: "netmodel", mut: func(c *Config) {
 			c.SharedOutbound = true
 			c.Churn = &ChurnConfig{LeaveFraction: 0.02, JoinFraction: 0.02}
 			c.Net = &netmodel.Config{PingMS: testPings(180), DefaultPingMS: 120, JitterMS: 400, Loss: 0.05}
@@ -134,17 +137,18 @@ func TestEngineWorkerCountInvariance(t *testing.T) {
 				SwitchAt(135, -1),
 			}, Duration: 170}
 		}},
-		// The same stress script on the QuantizeTicks compatibility
-		// transport (the pre-subtick tick-floored model), with the
-		// partition latency-clustered instead of uniform: both partition
-		// assignments and both arrival-ordering modes are worker-count
-		// invariant. The heterogeneous ping table matters — it puts real
+		// The same stress script across three shards (N=600), one worker
+		// against eight, with the partition latency-clustered instead of
+		// uniform: with a netmodel and a shared outbound budget the one
+		// commit path defers both its supplier refunds and its message
+		// sends to serial passes, and here most of them cross a shard
+		// boundary. The heterogeneous ping table matters — it puts real
 		// nodes on both sides of the by-ping quantile cut (an empty table
 		// would degenerate the split to the uniform hash).
-		{"netmodel-quantized", func(c *Config) {
+		{name: "netmodel-three-shards", nodes: 600, workers: []int{1, 8}, mut: func(c *Config) {
 			c.SharedOutbound = true
 			c.Churn = &ChurnConfig{LeaveFraction: 0.02, JoinFraction: 0.02}
-			c.Net = &netmodel.Config{PingMS: testPings(180), DefaultPingMS: 120, JitterMS: 400, Loss: 0.05, QuantizeTicks: true}
+			c.Net = &netmodel.Config{PingMS: testPings(600), DefaultPingMS: 120, JitterMS: 400, Loss: 0.05}
 			c.Script = &Script{Events: []Event{
 				SwitchAt(25, -1),
 				LatencyShiftAt(35, 12),
@@ -160,8 +164,15 @@ func TestEngineWorkerCountInvariance(t *testing.T) {
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
+			nodes, workers := sc.nodes, sc.workers
+			if nodes == 0 {
+				nodes = 180
+			}
+			if workers == nil {
+				workers = []int{0, 1, 2, 8}
+			}
 			run := func(workers int) (*Result, Config) {
-				g := testTopology(t, 180, 33)
+				g := testTopology(t, nodes, 33)
 				cfg := quickConfig(g, Fast)
 				cfg.TrackRatios = true
 				sc.mut(&cfg)
@@ -176,13 +187,13 @@ func TestEngineWorkerCountInvariance(t *testing.T) {
 				}
 				return res, cfg
 			}
-			serial, cfg := run(0) // the serial engine
-			if err := CheckInvariants(cfg, serial); err != nil {
+			ref, cfg := run(workers[0])
+			if err := CheckInvariants(cfg, ref); err != nil {
 				t.Errorf("%s: run invariants violated: %v", sc.name, err)
 			}
-			for _, workers := range []int{1, 2, 8} {
-				res, _ := run(workers)
-				resultsEqual(t, sc.name, serial, res)
+			for _, w := range workers[1:] {
+				res, _ := run(w)
+				resultsEqual(t, sc.name, ref, res)
 			}
 		})
 	}

@@ -35,10 +35,9 @@ const invariantEps = 1e-9
 //     NetReRequests stay zero unless the run configured baseline loss, a
 //     loss burst, or a partition
 //   - MeanDeliveryDelay within the netmodel's configured bound
-//     (max latency factor × max ping + jitter amplitude, plus one period
-//     of quantization slack), and at or above the model's delay floor —
-//     one period under QuantizeTicks, the minimum scaled ping sub-tick
-//     (the near-optimal floor a lossless run cannot beat)
+//     (max latency factor × max ping + jitter amplitude), and at or
+//     above the model's delay floor — the minimum scaled ping (the
+//     near-optimal floor a lossless run cannot beat)
 //
 // cfg must be the Config the run was built with (it is re-defaulted
 // internally, so passing the pre-Defaulted form is fine).
@@ -310,9 +309,7 @@ func checkLedger(cfg Config, res *Result, events []Event, fail func(string, ...a
 	// Delay bound and floor. Every message's delay is
 	// latFactor·(ping_a+ping_b)/2 + jitter, so the mean of any window sits
 	// between minLat·minPing (the near-optimal floor: no schedule can beat
-	// the wire) and maxLat·maxPing + jitter amplitude; QuantizeTicks adds
-	// one period of flooring slack on top and raises the floor to a whole
-	// period (same-tick delivery counts one period).
+	// the wire) and maxLat·maxPing + jitter amplitude.
 	minPing, maxPing := nc.DefaultPingMS, nc.DefaultPingMS
 	for _, p := range nc.PingMS {
 		if p < minPing {
@@ -322,12 +319,8 @@ func checkLedger(cfg Config, res *Result, events []Event, fail func(string, ...a
 			maxPing = p
 		}
 	}
-	bound := (maxLat*float64(maxPing)+nc.JitterMS)/1000 + cfg.Tau + invariantEps
-	floor := minLat * float64(minPing) / 1000
-	if nc.QuantizeTicks {
-		floor = cfg.Tau
-	}
-	floor -= invariantEps
+	bound := (maxLat*float64(maxPing)+nc.JitterMS)/1000 + invariantEps
+	floor := minLat*float64(minPing)/1000 - invariantEps
 	for i, w := range res.Windows {
 		if w.NetDelivered == 0 {
 			continue

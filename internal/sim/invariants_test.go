@@ -11,13 +11,13 @@ import (
 // exercised against: the full event alphabet over the sub-tick netmodel
 // transport (latency storm, loss burst, partition, heal, demote), plus
 // churn — every conservation bucket of the ledger is populated.
-func invariantConfig(t *testing.T, quantize bool) Config {
+func invariantConfig(t *testing.T) Config {
 	t.Helper()
 	g := testTopology(t, 180, 33)
 	cfg := quickConfig(g, Fast)
 	cfg.TrackRatios = true
 	cfg.Churn = &ChurnConfig{LeaveFraction: 0.02, JoinFraction: 0.02}
-	cfg.Net = &netmodel.Config{PingMS: testPings(180), DefaultPingMS: 120, JitterMS: 400, Loss: 0.05, QuantizeTicks: quantize}
+	cfg.Net = &netmodel.Config{PingMS: testPings(180), DefaultPingMS: 120, JitterMS: 400, Loss: 0.05}
 	cfg.Script = &Script{Events: []Event{
 		SwitchAt(25, -1),
 		LatencyShiftAt(35, 12),
@@ -47,8 +47,8 @@ func runFor(t *testing.T, cfg Config) *Result {
 }
 
 // TestCheckInvariantsClean runs the checker against healthy runs across
-// the configuration space: no transport, sub-tick transport, quantized
-// transport, and a lossless transport (where the zero-loss rules bite).
+// the configuration space: no transport, the netmodel transport under
+// stress, and a lossless transport (where the zero-loss rules bite).
 func TestCheckInvariantsClean(t *testing.T) {
 	t.Run("no-net", func(t *testing.T) {
 		g := testTopology(t, 120, 7)
@@ -61,28 +61,22 @@ func TestCheckInvariantsClean(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	for _, quantize := range []bool{false, true} {
-		name := "subtick"
-		if quantize {
-			name = "quantized"
+	t.Run("subtick", func(t *testing.T) {
+		cfg := invariantConfig(t)
+		res := runFor(t, cfg)
+		if res.Audit == nil {
+			t.Fatal("netmodel run produced no transport ledger")
 		}
-		t.Run(name, func(t *testing.T) {
-			cfg := invariantConfig(t, quantize)
-			res := runFor(t, cfg)
-			if res.Audit == nil {
-				t.Fatal("netmodel run produced no transport ledger")
-			}
-			if res.Audit.Injected == 0 || res.Audit.Delivered == 0 {
-				t.Fatalf("ledger never saw traffic: %+v", res.Audit)
-			}
-			if res.Audit.Lost == 0 || res.Audit.Severed == 0 {
-				t.Fatalf("stress run should populate every drop bucket: %+v", res.Audit)
-			}
-			if err := CheckInvariants(cfg, res); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+		if res.Audit.Injected == 0 || res.Audit.Delivered == 0 {
+			t.Fatalf("ledger never saw traffic: %+v", res.Audit)
+		}
+		if res.Audit.Lost == 0 || res.Audit.Severed == 0 {
+			t.Fatalf("stress run should populate every drop bucket: %+v", res.Audit)
+		}
+		if err := CheckInvariants(cfg, res); err != nil {
+			t.Fatal(err)
+		}
+	})
 	t.Run("lossless", func(t *testing.T) {
 		g := testTopology(t, 150, 9)
 		cfg := quickConfig(g, Fast)
@@ -110,13 +104,17 @@ func TestCheckInvariantsClean(t *testing.T) {
 // undone afterwards, and the result must audit clean again — proving the
 // failure came from the injected damage, not a leftover.
 func TestCheckInvariantsCatches(t *testing.T) {
-	cfg := invariantConfig(t, false)
+	cfg := invariantConfig(t)
 	res := runFor(t, cfg)
 	if err := CheckInvariants(cfg, res); err != nil {
 		t.Fatal(err)
 	}
 	w0 := res.Windows[0]
 	var savedDelay float64
+	// The model bound of invariantConfig, in seconds: the ×12 latency
+	// storm over the slowest ping of testPings (20+35·12 ms) plus the
+	// jitter amplitude.
+	const delayBound = (12*(20+35*12) + 400) / 1000.0
 	cases := []struct {
 		name    string
 		want    string
@@ -151,6 +149,17 @@ func TestCheckInvariantsCatches(t *testing.T) {
 			name:    "delay-over-bound",
 			want:    "above the model bound",
 			corrupt: func() { savedDelay, w0.NetDelaySeconds = w0.NetDelaySeconds, 1e9 },
+			restore: func() { w0.NetDelaySeconds = savedDelay },
+		},
+		{
+			// Half a period over the bound: legal while the bound carried
+			// one period of flooring slack, a violation without it.
+			name: "delay-within-a-period-of-bound",
+			want: "above the model bound",
+			corrupt: func() {
+				savedDelay = w0.NetDelaySeconds
+				w0.NetDelaySeconds = (delayBound + cfg.Defaulted().Tau/2) * float64(w0.NetDelivered)
+			},
 			restore: func() { w0.NetDelaySeconds = savedDelay },
 		},
 		{

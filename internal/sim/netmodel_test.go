@@ -17,9 +17,7 @@ func netConfig(loss float64) *netmodel.Config {
 // with zero loss, zero jitter and sub-period pings, the netmodel run
 // reproduces the instant-delivery run's metrics exactly — every message
 // lands within its sending period, so the transit phase is the deliver
-// phase. The sub-tick transport reports the true 40 ms link delay; the
-// QuantizeTicks compatibility mode rounds it up to the classic whole
-// period. Both are otherwise bit-identical to the classic run.
+// phase — and reports the true 40 ms link delay.
 func TestNetInstantEquivalence(t *testing.T) {
 	run := func(net *netmodel.Config) *Result {
 		g := testTopology(t, 150, 9)
@@ -37,82 +35,61 @@ func TestNetInstantEquivalence(t *testing.T) {
 		return res
 	}
 	classic := run(nil)
-	cases := []struct {
-		name      string
-		cfg       *netmodel.Config
-		wantDelay float64 // seconds
-	}{
-		// 40 ms << 1 s period; the sub-tick transport reports it exactly.
-		{"subtick", &netmodel.Config{DefaultPingMS: 40}, 0.040},
-		// The compatibility mode floors onto periods: one period each.
-		{"quantized", &netmodel.Config{DefaultPingMS: 40, QuantizeTicks: true}, 1.0},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			instant := run(tc.cfg)
-			if instant.NetDelivered == 0 {
-				t.Fatal("transport delivered nothing")
-			}
-			if instant.NetLost != 0 || instant.NetReRequests != 0 {
-				t.Errorf("lossless run recorded %d losses, %d re-requests", instant.NetLost, instant.NetReRequests)
-			}
-			if d := instant.MeanDeliveryDelay(); math.Abs(d-tc.wantDelay) > 1e-9 {
-				t.Errorf("mean delivery delay = %v s, want %v", d, tc.wantDelay)
-			}
-			// Apart from its own accounting (zero on the classic run by
-			// definition), the transport changes nothing. The run-level
-			// ledger must show a perfect lossless run before it goes.
-			if a := instant.Audit; a == nil {
-				t.Fatal("netmodel run carries no transport ledger")
-			} else if a.Delivered != a.Injected || a.Lost != 0 || a.Severed != 0 ||
-				a.Evaporated != 0 || a.InFlight != 0 {
-				t.Errorf("lossless ledger not fully delivered: %+v", *a)
-			}
-			instant.Audit = nil
-			zeroNet := func(m *SwitchMetrics) {
-				m.NetDelivered, m.NetLost, m.NetReRequests, m.NetDelaySeconds = 0, 0, 0, 0
-			}
-			zeroNet(&instant.SwitchMetrics)
-			for _, w := range instant.Windows {
-				zeroNet(w)
-			}
-			resultsEqual(t, "instant-net", classic, instant)
-		})
-	}
+	t.Run("subtick", func(t *testing.T) {
+		// 40 ms << 1 s period; the transport reports it exactly.
+		instant := run(&netmodel.Config{DefaultPingMS: 40})
+		if instant.NetDelivered == 0 {
+			t.Fatal("transport delivered nothing")
+		}
+		if instant.NetLost != 0 || instant.NetReRequests != 0 {
+			t.Errorf("lossless run recorded %d losses, %d re-requests", instant.NetLost, instant.NetReRequests)
+		}
+		if d := instant.MeanDeliveryDelay(); math.Abs(d-0.040) > 1e-9 {
+			t.Errorf("mean delivery delay = %v s, want 0.040", d)
+		}
+		// Apart from its own accounting (zero on the classic run by
+		// definition), the transport changes nothing. The run-level
+		// ledger must show a perfect lossless run before it goes.
+		if a := instant.Audit; a == nil {
+			t.Fatal("netmodel run carries no transport ledger")
+		} else if a.Delivered != a.Injected || a.Lost != 0 || a.Severed != 0 ||
+			a.Evaporated != 0 || a.InFlight != 0 {
+			t.Errorf("lossless ledger not fully delivered: %+v", *a)
+		}
+		instant.Audit = nil
+		zeroNet := func(m *SwitchMetrics) {
+			m.NetDelivered, m.NetLost, m.NetReRequests, m.NetDelaySeconds = 0, 0, 0, 0
+		}
+		zeroNet(&instant.SwitchMetrics)
+		for _, w := range instant.Windows {
+			zeroNet(w)
+		}
+		resultsEqual(t, "instant-net", classic, instant)
+	})
 }
 
-// TestSubtickDelayBelowOnePeriod pins the tentpole's metric claim: with
-// heterogeneous pings and jitter but every delay under one period, the
-// sub-tick run's mean delivery delay is a genuine sub-second value — not
-// the whole-period floor the quantized transport reports for the very
-// same messages.
+// TestSubtickDelayBelowOnePeriod pins the transport's metric claim: with
+// jitter but every delay under one period, the run's mean delivery delay
+// is a genuine sub-second value, not a whole period.
 func TestSubtickDelayBelowOnePeriod(t *testing.T) {
-	run := func(quantize bool) *Result {
-		g := testTopology(t, 150, 9)
-		cfg := quickConfig(g, Fast)
-		cfg.Net = &netmodel.Config{DefaultPingMS: 80, JitterMS: 400, QuantizeTicks: quantize}
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := s.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	g := testTopology(t, 150, 9)
+	cfg := quickConfig(g, Fast)
+	cfg.Net = &netmodel.Config{DefaultPingMS: 80, JitterMS: 400}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	sub, quant := run(false), run(true)
-	if sub.NetDelivered == 0 || quant.NetDelivered == 0 {
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.NetDelivered == 0 {
 		t.Fatal("transport delivered nothing")
 	}
 	// 80 ms propagation + U[0,400) ms jitter: every delay is in
 	// (0.08 s, 0.48 s) — strictly below one period.
-	d := sub.MeanDeliveryDelay()
-	if d <= 0.08 || d >= 0.48 {
-		t.Errorf("sub-tick mean delay = %v s, want within (0.08, 0.48)", d)
-	}
-	if qd := quant.MeanDeliveryDelay(); math.Abs(qd-1.0) > 1e-9 {
-		t.Errorf("quantized mean delay = %v s, want the 1-period floor", qd)
+	if d := res.MeanDeliveryDelay(); d <= 0.08 || d >= 0.48 {
+		t.Errorf("mean delay = %v s, want within (0.08, 0.48)", d)
 	}
 }
 

@@ -13,9 +13,7 @@ import (
 // timestamp falls within the current period, in timestamp order, draws
 // their loss fate, and lands the survivors — so two grants issued the
 // same tick arrive in their true sub-tick order, and the delay metrics
-// resolve below one period. Under Config.Net.QuantizeTicks timestamps
-// sit on period boundaries and the drain degenerates to the original
-// tick-floored (due, injection) order, bit for bit.
+// resolve below one period.
 //
 // Sharded on the destination grid: each shard owns its own message heap
 // inside the model, buffer writes are destination-local, and the loss
@@ -42,10 +40,9 @@ func (s *Sim) phaseTransit() {
 	n := len(s.nodes)
 	shards := s.ensureShards(n)
 	popped := 0
-	quantized := s.net.Quantized()
 	s.pool.Run(shards, func(worker, shard int) {
 		sh := &s.shards[shard]
-		sh.netDelivered, sh.netLost, sh.netDelayTicks, sh.netDelayMS, sh.netPopped = 0, 0, 0, 0, 0
+		sh.netDelivered, sh.netLost, sh.netDelayMS, sh.netPopped = 0, 0, 0, 0
 		sh.netSevered, sh.netEvap = 0, 0
 		rng := s.workers[worker].seedRNG(engine.SeedFor(s.cfg.Seed, rngNet, s.tick, 0, shard))
 		loss := s.net.LossProb(s.tick)
@@ -77,15 +74,8 @@ func (s *Sim) phaseTransit() {
 			to.receive(msg.Seg)
 			to.removeGranted(msg.Seg)
 			sh.netDelivered++
-			if quantized {
-				// Tick-floored delay includes the landing period itself:
-				// the classic substrate's same-tick delivery measures one
-				// period.
-				sh.netDelayTicks += int64(s.tick - msg.Sent + 1)
-			} else {
-				// The true link delay, sub-period resolution.
-				sh.netDelayMS += msg.DelayMS(s.cfg.Tau)
-			}
+			// The true link delay, sub-period resolution.
+			sh.netDelayMS += msg.DelayMS(s.cfg.Tau)
 		})
 	})
 	// Serial merge in shard order: window accounting, the run-level
@@ -104,7 +94,6 @@ func (s *Sim) phaseTransit() {
 		if s.win.active {
 			s.netDelivered += sh.netDelivered
 			s.netLost += sh.netLost + sh.netSevered
-			s.netDelayTicks += sh.netDelayTicks
 			s.netDelayMS += sh.netDelayMS
 		}
 	}

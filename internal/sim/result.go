@@ -47,10 +47,8 @@ type SwitchMetrics struct {
 	// Transport accounting over the window (all zero unless the run
 	// enabled Config.Net): messages delivered and lost in transit, the
 	// loss-induced re-requests that got re-granted, and the delivered
-	// messages' summed delivery delay in seconds. The sub-tick transport
-	// sums true link delays (sub-period resolution); under
-	// Net.QuantizeTicks delays are whole periods, with same-tick
-	// delivery counting one period like the classic substrate.
+	// messages' summed delivery delay in seconds — true link delays,
+	// sub-period resolution.
 	NetDelivered    int64
 	NetLost         int64
 	NetReRequests   int64
@@ -105,9 +103,8 @@ func (m *SwitchMetrics) MaxPrepareS2() float64 { return stats.Max(m.PrepareS2Tim
 
 // MeanDeliveryDelay returns the average in-window delivery delay of the
 // transport model in seconds (0 without Config.Net or when nothing was
-// delivered). The sub-tick transport reports true link delays — well
-// below one period on a fast mesh; under Net.QuantizeTicks the value is
-// tick-floored, with one period the classic instant-substrate floor.
+// delivered). These are true link delays — well below one period on a
+// fast mesh.
 func (m *SwitchMetrics) MeanDeliveryDelay() float64 {
 	if m.NetDelivered == 0 {
 		return 0

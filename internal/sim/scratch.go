@@ -198,16 +198,14 @@ type shardScratch struct {
 	// Per-tick diagnostics, merged into the Sim's counters.
 	diagRequests, diagCandidates, diagPlanned int
 	// Transit phase output (netmodel runs): messages popped, delivered
-	// and lost this tick, and the delivered messages' summed delay —
-	// whole ticks under QuantizeTicks, true milliseconds otherwise.
-	// Severed (partition-crossing drops) and evaporated (dead
+	// and lost this tick, and the delivered messages' summed delay in
+	// milliseconds. Severed (partition-crossing drops) and evaporated (dead
 	// destination) messages are tracked apart from loss draws for the
 	// run-level conservation ledger; the window's NetLost counter still
 	// sums losses and severs together, as it always has.
 	netPopped             int
 	netDelivered, netLost int64
 	netSevered, netEvap   int64
-	netDelayTicks         int64
 	netDelayMS            float64
 }
 

@@ -90,12 +90,10 @@ type Sim struct {
 	controlBits int64
 	dataBits    int64
 	// Transport accounting over the open window (netmodel runs only):
-	// delivered/lost message counts, summed delivery delay (whole ticks
-	// under QuantizeTicks, true milliseconds on the sub-tick transport),
-	// and grants that re-request a previously lost segment.
+	// delivered/lost message counts, summed delivery delay in
+	// milliseconds, and grants that re-request a previously lost segment.
 	netDelivered  int64
 	netLost       int64
-	netDelayTicks int64
 	netDelayMS    float64
 	netReRequests int64
 	res           *Result
@@ -645,7 +643,7 @@ func (s *Sim) openWindow(isSwitch bool, horizon int, ev Event) {
 		m.OldSource, m.NewSource, m.Failure = s.oldSource, s.newSource, ev.Failure
 	}
 	s.controlBits, s.dataBits = 0, 0
-	s.netDelivered, s.netLost, s.netDelayTicks, s.netDelayMS, s.netReRequests = 0, 0, 0, 0, 0
+	s.netDelivered, s.netLost, s.netDelayMS, s.netReRequests = 0, 0, 0, 0
 	s.cohort = s.cohort[:0]
 	for _, n := range s.nodes {
 		eligible := n.alive && !n.isSource
@@ -688,13 +686,7 @@ func (s *Sim) closeWindow(measured int, hitHorizon, interrupted bool) {
 	m.NetDelivered = s.netDelivered
 	m.NetLost = s.netLost
 	m.NetReRequests = s.netReRequests
-	if s.net != nil && !s.net.Quantized() {
-		m.NetDelaySeconds = s.netDelayMS / 1000
-	} else {
-		// Tick-floored delays (and the classic substrate's zero), kept as
-		// the exact pre-subtick expression for the QuantizeTicks goldens.
-		m.NetDelaySeconds = float64(s.netDelayTicks) * s.cfg.Tau
-	}
+	m.NetDelaySeconds = s.netDelayMS / 1000
 	for _, id := range s.cohort {
 		n := s.nodes[id]
 		if s.win.isSwitch {
