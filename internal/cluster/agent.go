@@ -117,7 +117,7 @@ func Join(cfg JoinConfig) (*sim.Result, error) {
 		})
 	}
 	a := &agent{cfg: cfg, l: l, book: book, r: r, shard: w.Shard,
-		shards: w.Shards, timeScale: w.TimeScale, tick: &tick, inj: inj,
+		shards: w.Shards, tick: &tick, inj: inj,
 		rng: rand.New(rand.NewSource(cfg.Seed ^ 0x905517)),
 	}
 	return a.run()
@@ -175,16 +175,15 @@ func awaitStart(l *link) error {
 
 // agent is a joined worker's run loop state.
 type agent struct {
-	cfg       JoinConfig
-	l         *link
-	book      *Directory
-	r         *runtime.Runner
-	shard     int
-	shards    int
-	timeScale float64
-	tick      *atomic.Int64
-	rng       *rand.Rand
-	inj       *chaos.Injector
+	cfg    JoinConfig
+	l      *link
+	book   *Directory
+	r      *runtime.Runner
+	shard  int
+	shards int
+	tick   *atomic.Int64
+	rng    *rand.Rand
+	inj    *chaos.Injector
 
 	appliedSeq uint64
 	finishing  bool
@@ -197,12 +196,10 @@ type agent struct {
 // fallback).
 func (a *agent) run() (*sim.Result, error) {
 	r := a.r
-	periodWall := time.Duration(float64(time.Second) * r.Tau() / a.timeScale)
-	wallPer := 1 / a.timeScale
+	periodWall := r.PeriodWall()
 	// The fallback deadline: well past the scripted duration, so a
 	// coordinator that died partitioned cannot wedge the process.
 	fallback := time.Now().Add(time.Duration(r.Duration()+60)*periodWall + time.Minute)
-	next := time.Now()
 	for r.CurrentTick() < r.Duration() && !a.finishing {
 		a.tick.Store(int64(r.CurrentTick()))
 		if inj := a.inj; inj != nil {
@@ -224,7 +221,7 @@ func (a *agent) run() (*sim.Result, error) {
 		if a.finishing {
 			break
 		}
-		if err := r.TickShard(wallPer); err != nil {
+		if err := r.TickShard(); err != nil {
 			return nil, err
 		}
 		hs := r.HealthSample()
@@ -246,12 +243,7 @@ func (a *agent) run() (*sim.Result, error) {
 			a.cfg.logf("cluster: shard %d hit its fallback deadline", a.shard)
 			break
 		}
-		next = next.Add(periodWall)
-		if d := time.Until(next); d > 0 {
-			time.Sleep(d)
-		} else {
-			next = time.Now()
-		}
+		r.Pace()
 	}
 	if !a.finishing {
 		// Scripted duration reached without a finish directive: wait a

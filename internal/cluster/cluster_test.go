@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"gossipstream/internal/obs"
 	"gossipstream/internal/runtime"
 	"gossipstream/internal/scenario"
 	"gossipstream/internal/sim"
@@ -194,5 +195,36 @@ func TestClusterEventSurvivesLossBurst(t *testing.T) {
 	}
 	if sw.NetDelivered == 0 {
 		t.Error("no shaped data deliveries recorded — the policy seam is dead")
+	}
+}
+
+// TestClusterCountsOverruns runs a cluster whose period (50 µs of wall
+// clock) no host can keep, so every period ends late: the shared pacing
+// step must count the overruns on the coordinator's runner and on an
+// agent's — the health table, the overruns counter and the benchmark's
+// runtime.overrun_share all read these.
+func TestClusterCountsOverruns(t *testing.T) {
+	sc := &scenario.Scenario{
+		Name: "overrun", Nodes: 24, M: 5, Seed: 3, Horizon: 20, Duration: 30,
+		Events: []sim.Event{sim.SwitchAt(5, -1)},
+	}
+	regs := []*obs.Registry{obs.NewRegistry(), obs.NewRegistry()}
+	_, errs := runClusterOpts(t, sc, 1, 20000,
+		func(cfg *Config) {
+			cfg.Obs = &obs.Obs{Reg: regs[0]}
+			// Unpaced shards drift apart by more ticks than the production
+			// detector tolerates; this test is not about failover.
+			cfg.Tuning = Tuning{SuspectAfter: 1 << 20}
+		},
+		func(_ int, jc *JoinConfig) { jc.Obs = &obs.Obs{Reg: regs[1]} })
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("join %d: %v", i, err)
+		}
+	}
+	for shard, reg := range regs {
+		if got := reg.Counter("gossip_overruns_total", "").Value(); got == 0 {
+			t.Errorf("shard %d: gossip_overruns_total = 0 on a run that overran every period", shard)
+		}
 	}
 }

@@ -313,16 +313,13 @@ type coordinator struct {
 // the merge.
 func (c *coordinator) run() (*sim.Result, error) {
 	r := c.r
-	periodWall := time.Duration(float64(time.Second) * r.Tau() / c.cfg.TimeScale)
-	wallPer := 1 / c.cfg.TimeScale
-	next := time.Now()
 	for r.CurrentTick() < r.Duration() {
 		c.tick.Store(int64(r.CurrentTick()))
 		c.drainInbox()
 		if err := c.fireEvents(); err != nil {
 			return nil, err
 		}
-		if err := r.TickShard(wallPer); err != nil {
+		if err := r.TickShard(); err != nil {
 			return nil, err
 		}
 		if d := r.ResolveChurnStep(); d != nil {
@@ -336,12 +333,7 @@ func (c *coordinator) run() (*sim.Result, error) {
 		if r.EarlyExit() && c.drained() {
 			break
 		}
-		next = next.Add(periodWall)
-		if d := time.Until(next); d > 0 {
-			time.Sleep(d)
-		} else {
-			next = time.Now()
-		}
+		r.Pace()
 	}
 	// The final health table: the last word on every shard before the
 	// finish, including the cluster-wide drop totals the merged report

@@ -125,6 +125,19 @@ func (g *Graph) MinDegree() int {
 	return deg
 }
 
+// MinDegreeNode returns the lowest-id node of minimum degree — the
+// auto-picked first source of every backend, which holds exactly M
+// neighbors like the paper's. The graph must not be empty.
+func (g *Graph) MinDegreeNode() NodeID {
+	best := NodeID(0)
+	for u := 1; u < g.N(); u++ {
+		if g.Degree(NodeID(u)) < g.Degree(best) {
+			best = NodeID(u)
+		}
+	}
+	return best
+}
+
 // AvgDegree returns the mean degree.
 func (g *Graph) AvgDegree() float64 {
 	if g.N() == 0 {

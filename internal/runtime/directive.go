@@ -355,7 +355,7 @@ func (r *Runner) ResolveSwitch(ev sim.Event, old, to overlay.NodeID, s1End segme
 	}
 	d.Horizon = ev.Horizon
 	if d.Horizon <= 0 {
-		d.Horizon = r.horizonDefault()
+		d.Horizon = r.cfg.HorizonTicks
 	}
 	return d
 }
@@ -438,12 +438,14 @@ func (r *Runner) resolveJoin(anchor segment.ID, sessionIdx, known int) JoinSpec 
 	}
 }
 
-// resolveChurn resolves this tick's baseline (or burst-overridden)
-// churn into one membership directive; nil when nothing changes.
+// resolveChurn resolves the baseline (or burst-overridden) churn of the
+// period TickShard just completed — the simulator's churn phase, at
+// tick end — into one membership directive; nil when nothing changes.
 func (r *Runner) resolveChurn() *Directive {
+	tick := r.tick - 1 // TickShard already advanced to the next period
 	cc := r.cfg.Churn
 	if r.burst != nil {
-		if r.tick < r.burstUntil {
+		if tick < r.burstUntil {
 			cc = r.burst
 		} else {
 			r.burst = nil
@@ -453,7 +455,7 @@ func (r *Runner) resolveChurn() *Directive {
 		return nil
 	}
 	alive := r.dir.AliveCount()
-	d := &Directive{Kind: DirMembership, Tick: r.tick, Resolved: true}
+	d := &Directive{Kind: DirMembership, Tick: tick, Resolved: true}
 	leaves := int(cc.LeaveFraction * float64(alive))
 	curSrc := overlay.NodeID(r.timeline[len(r.timeline)-1].Source)
 	for i := 0; i < leaves; i++ {
@@ -699,8 +701,8 @@ func (r *Runner) applyJoin(js JoinSpec, resolved bool) {
 
 // StartShard prepares the runner to be driven tick by tick as one shard
 // of a multi-process run: it spawns the owned slice of the initial
-// population and hands pacing, event resolution and directive delivery
-// to the caller. shards must divide the id space consistently across
+// population and hands event resolution and directive delivery to the
+// caller, who ends every period with Pace. shards must divide the id space consistently across
 // every process (id mod shards == shard).
 func (r *Runner) StartShard(shard, shards int) error {
 	if r.ran {
@@ -712,8 +714,10 @@ func (r *Runner) StartShard(shard, shards int) error {
 	r.ran = true
 	r.shard, r.shards = shard, shards
 	if err := r.spawnInitial(); err != nil {
+		r.shutdown()
 		return err
 	}
+	r.nextWall = time.Now()
 	if r.obs != nil {
 		r.obs.trace.Emit(obs.TraceEvent{T: obs.EvRunStart,
 			Scenario: r.sc.Name, Algo: r.res.Algorithm, Nodes: r.g.N(),
@@ -723,11 +727,13 @@ func (r *Runner) StartShard(shard, shards int) error {
 }
 
 // TickShard runs one scheduling period: publish the tick, pace every
-// owned peer through its period, collect reports, advance windows. The
-// caller paces the wall clock and applies directives between calls.
-func (r *Runner) TickShard(wallPerScenarioMS float64) error {
+// owned peer through its period and collect their reports (the frame
+// exchange itself runs on the wall clock in the peers' own goroutines),
+// advance windows. The caller applies directives between calls and ends
+// the period with Pace.
+func (r *Runner) TickShard() error {
 	tickStart := time.Now()
-	r.tr.SetTick(r.tick, wallPerScenarioMS)
+	r.tr.SetTick(r.tick, 1/r.opt.TimeScale)
 	ticked := 0
 	for _, h := range r.peers {
 		if h.running {
@@ -747,10 +753,6 @@ func (r *Runner) TickShard(wallPerScenarioMS float64) error {
 
 // CurrentTick is the next period TickShard will run.
 func (r *Runner) CurrentTick() int { return r.tick }
-
-// Tau is the scheduling period in scenario seconds — the pacing unit a
-// shard's driving loop stretches onto the wall clock.
-func (r *Runner) Tau() float64 { return r.par.tau }
 
 // Duration is the scripted (or auto-derived) run length in periods.
 func (r *Runner) Duration() int { return r.duration }

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"testing"
+	"time"
 
 	"gossipstream/internal/overlay"
 	"gossipstream/internal/scenario"
@@ -41,10 +42,10 @@ func TestResolveFailoverRemapsOrphans(t *testing.T) {
 	// A few ticks so local reports exist, then share shard 2's view with
 	// the coordinator the way the status stream would.
 	for i := 0; i < 3; i++ {
-		if err := r0.TickShard(1); err != nil {
+		if err := r0.TickShard(); err != nil {
 			t.Fatal(err)
 		}
-		if err := r2.TickShard(1); err != nil {
+		if err := r2.TickShard(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -129,10 +130,10 @@ func TestResolveFailoverRemapsOrphans(t *testing.T) {
 	}
 
 	for i := 0; i < 3; i++ {
-		if err := r0.TickShard(1); err != nil {
+		if err := r0.TickShard(); err != nil {
 			t.Fatal(err)
 		}
-		if err := r2.TickShard(1); err != nil {
+		if err := r2.TickShard(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -153,5 +154,25 @@ func TestResolveFailoverRemapsOrphans(t *testing.T) {
 func TestRespawnSeedDiffers(t *testing.T) {
 	if respawnSeedSalt == 0 {
 		t.Fatal("respawn seed salt is zero — respawns would replay the original stream")
+	}
+}
+
+// TestPaceCountsOverruns drives the shared pacing step — the one every
+// driving loop ends its period with — past its deadline on the runners of
+// two shards: a late period is an overrun on whichever runner paced it.
+func TestPaceCountsOverruns(t *testing.T) {
+	for _, shard := range []int{0, 2} {
+		r := shardRunner(t, shard)
+		defer r.Abort()
+		for late := 1; late <= 2; late++ {
+			if err := r.TickShard(); err != nil {
+				t.Fatal(err)
+			}
+			time.Sleep(2 * r.PeriodWall())
+			r.Pace()
+			if got := r.Stats().Overruns; got != late {
+				t.Errorf("shard %d: Overruns = %d after %d late periods", shard, got, late)
+			}
+		}
 	}
 }

@@ -128,6 +128,9 @@ type Runner struct {
 	tick int
 	ran  bool
 	err  error
+	// nextWall is the wall-clock deadline of the period in progress
+	// (see Pace).
+	nextWall time.Time
 
 	win liveWindow
 	res *sim.Result
@@ -225,48 +228,14 @@ func FromScenario(sc *scenario.Scenario, factory sim.AlgorithmFactory, opt Optio
 		transport.SetPolicy(r.policy)
 	}
 
-	r.events = cfg.Script.Events
-	sortEvents(r.events)
+	r.events = cfg.Script.Sorted()
 	r.earlyExit = cfg.Script.Duration == 0
 	r.duration = cfg.Script.Duration
 	if r.duration <= 0 {
-		r.duration = r.autoDuration()
+		r.duration = cfg.Script.AutoDuration(cfg.HorizonTicks)
 	}
 	return r, nil
 }
-
-// sortEvents orders the timeline by tick (stable, like sim.Script).
-func sortEvents(evs []sim.Event) {
-	for i := 1; i < len(evs); i++ {
-		for j := i; j > 0 && evs[j].Tick < evs[j-1].Tick; j-- {
-			evs[j], evs[j-1] = evs[j-1], evs[j]
-		}
-	}
-}
-
-// autoDuration mirrors the simulator's rule: every window gets room to
-// reach its horizon.
-func (r *Runner) autoDuration() int {
-	end := 1
-	for _, ev := range r.events {
-		after := 1
-		switch ev.Kind {
-		case sim.EvSwitchSource:
-			after = ev.Horizon
-			if after <= 0 {
-				after = r.horizonDefault()
-			}
-		case sim.EvMeasureWindow, sim.EvChurnBurst, sim.EvLossBurst:
-			after = ev.Ticks
-		}
-		if t := ev.Tick + after; t > end {
-			end = t
-		}
-	}
-	return end
-}
-
-func (r *Runner) horizonDefault() int { return r.cfg.HorizonTicks }
 
 // Stats returns the wall-clock execution account (valid after Run).
 func (r *Runner) Stats() LiveStats { return r.stats }
@@ -282,79 +251,55 @@ func (r *Runner) Policy() netmodel.LinkPolicy {
 	return r.policy
 }
 
-// Run spins the peers up, executes the event timeline on the wall
-// clock, and returns the collected Result. Like the simulator, the run
-// ends at the script duration — or earlier, once every event fired and
-// every measurement window closed, when the duration was auto-derived.
+// Run executes the scenario in this process — the one-shard case of the
+// shard API the cluster drives: start shard 0 of 1, then per period fire
+// the due events, tick the peers, churn and pace the wall clock. Like
+// the simulator, the run ends at the script duration — or earlier, once
+// every event fired and every measurement window closed, when the
+// duration was auto-derived.
 func (r *Runner) Run() (*sim.Result, error) {
-	if r.ran {
-		return nil, fmt.Errorf("runtime: Run called twice")
-	}
-	r.ran = true
 	start := time.Now()
-	defer func() {
-		r.stats.WallDuration = time.Since(start)
-		r.stats.Transport = r.tr.Stats()
-		r.shutdown()
-	}()
-
-	if err := r.spawnInitial(); err != nil {
+	if err := r.StartShard(0, 1); err != nil {
 		return nil, err
 	}
-	if r.obs != nil {
-		r.obs.trace.Emit(obs.TraceEvent{T: obs.EvRunStart,
-			Scenario: r.sc.Name, Algo: r.res.Algorithm, Nodes: r.g.N(), Seed: r.sc.Seed})
-	}
-
-	periodWall := time.Duration(float64(time.Second) * r.par.tau / r.opt.TimeScale)
-	wallPerScenarioMS := 1 / r.opt.TimeScale
-	next := time.Now()
-	for r.tick = 0; r.tick < r.duration; r.tick++ {
-		tickStart := time.Now()
-		r.tr.SetTick(r.tick, wallPerScenarioMS)
+	defer func() { r.stats.WallDuration = time.Since(start) }()
+	for r.tick < r.duration {
 		r.fireEvents()
+		if r.err == nil && r.TickShard() == nil {
+			r.churnStep()
+		}
 		if r.err != nil {
+			r.shutdown()
 			return nil, r.err
 		}
-		// Pace every running peer through one scheduling period and
-		// collect their reports; the frame exchange itself runs on the
-		// wall clock in the peers' own goroutines.
-		ticked := 0
-		for _, h := range r.peers {
-			if h.running {
-				h.p.tickCh <- tickCmd{n: r.tick}
-				ticked++
-			}
-		}
-		for i := 0; i < ticked; i++ {
-			r.observe(<-r.reports)
-		}
-		r.stats.Periods++
-		r.windowsTick()
-		r.churnStep()
-		if r.err != nil {
-			return nil, r.err
-		}
-		r.tickObs(tickStart)
 		if r.earlyExit && !r.win.active && r.nextEvent >= len(r.events) {
 			break
 		}
-		next = next.Add(periodWall)
-		if d := time.Until(next); d > 0 {
-			time.Sleep(d)
-		} else {
-			// The host could not complete the period's work in time:
-			// stretch the wall clock instead of dropping ticks.
-			next = time.Now()
-			r.stats.Overruns++
-		}
+		r.Pace()
 	}
-	if r.win.active {
-		r.closeWindow(r.duration-r.win.openTick, false, true)
+	return r.FinishShard(), nil
+}
+
+// PeriodWall is the wall-clock length of one scheduling period at the
+// run's TimeScale.
+func (r *Runner) PeriodWall() time.Duration {
+	return time.Duration(float64(time.Second) * r.par.tau / r.opt.TimeScale)
+}
+
+// Pace ends a period on the wall clock — the one pacing step of every
+// driving loop (Run, the cluster coordinator, the cluster agents). It
+// sleeps until the period's deadline; when the host could not complete
+// the period's work in time it stretches the wall clock instead of
+// dropping ticks: the schedule re-anchors at now and the period counts
+// as an overrun.
+func (r *Runner) Pace() {
+	r.nextWall = r.nextWall.Add(r.PeriodWall())
+	if d := time.Until(r.nextWall); d > 0 {
+		time.Sleep(d)
+		return
 	}
-	r.finalize()
-	r.finishObs()
-	return r.res, nil
+	r.nextWall = time.Now()
+	r.stats.Overruns++
 }
 
 // spawnInitial builds the whole population from the synthesized trace:
@@ -371,7 +316,7 @@ func (r *Runner) spawnInitial() error {
 
 	first := r.cfg.FirstSource
 	if first < 0 {
-		first = minDegreeNode(r.g)
+		first = r.g.MinDegreeNode()
 	}
 	r.timeline = []segment.Session{{Source: segment.SourceID(first), Begin: 0, End: segment.None}}
 	r.roles[first] = true
@@ -501,18 +446,6 @@ func (r *Runner) activeCount() int {
 		}
 	}
 	return n
-}
-
-// minDegreeNode mirrors the simulator's auto-pick: the lowest-id node
-// of minimum degree holds exactly M neighbors, like the paper's source.
-func minDegreeNode(g *overlay.Graph) overlay.NodeID {
-	best := overlay.NodeID(0)
-	for u := 1; u < g.N(); u++ {
-		if g.Degree(overlay.NodeID(u)) < g.Degree(best) {
-			best = overlay.NodeID(u)
-		}
-	}
-	return best
 }
 
 // lockedPolicy wraps the run's netmodel.Model so transport goroutines

@@ -317,11 +317,36 @@ func (sc *Script) Validate() error {
 	return nil
 }
 
-// sorted returns the events ordered by tick (stable, so same-tick events
-// keep their authored order).
-func (sc *Script) sorted() []Event {
+// Sorted returns a copy of the events ordered by tick (stable, so
+// same-tick events keep their authored order) — the firing order of
+// every backend.
+func (sc *Script) Sorted() []Event {
 	out := make([]Event, len(sc.Events))
 	copy(out, sc.Events)
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Tick < out[j].Tick })
 	return out
+}
+
+// AutoDuration derives the run length of a script without a Duration
+// from its timeline: every measurement window gets room to reach its
+// horizon (defaultHorizon for a switch that sets none) and every burst
+// room to run out.
+func (sc *Script) AutoDuration(defaultHorizon int) int {
+	end := 1
+	for _, ev := range sc.Events {
+		after := 1
+		switch ev.Kind {
+		case EvSwitchSource:
+			after = ev.Horizon
+			if after <= 0 {
+				after = defaultHorizon
+			}
+		case EvMeasureWindow, EvChurnBurst, EvLossBurst:
+			after = ev.Ticks
+		}
+		if t := ev.Tick + after; t > end {
+			end = t
+		}
+	}
+	return end
 }

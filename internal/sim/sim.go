@@ -192,7 +192,7 @@ func New(cfg Config) (*Sim, error) {
 	}
 	s.oldSource = cfg.FirstSource
 	if s.oldSource < 0 {
-		s.oldSource = minDegreeNode(s.g)
+		s.oldSource = s.g.MinDegreeNode()
 	}
 	s.tl = segment.NewTimeline(segment.SourceID(s.oldSource))
 	src := s.nodes[s.oldSource]
@@ -222,11 +222,11 @@ func New(cfg Config) (*Sim, error) {
 			Duration: cfg.WarmupTicks + cfg.HorizonTicks,
 		}
 	}
-	s.events = script.sorted()
+	s.events = script.Sorted()
 	s.earlyExit = cfg.Script == nil || cfg.Script.Duration == 0
 	s.duration = script.Duration
 	if s.duration <= 0 {
-		s.duration = s.autoDuration()
+		s.duration = script.AutoDuration(cfg.HorizonTicks)
 	}
 	s.res = &Result{Algorithm: s.algo.Name()}
 
@@ -276,28 +276,6 @@ func New(cfg Config) (*Sim, error) {
 	return s, nil
 }
 
-// autoDuration derives the run length from the event timeline: every
-// measurement window gets room to reach its horizon.
-func (s *Sim) autoDuration() int {
-	end := 1
-	for _, ev := range s.events {
-		after := 1
-		switch ev.Kind {
-		case EvSwitchSource:
-			after = ev.Horizon
-			if after <= 0 {
-				after = s.cfg.HorizonTicks
-			}
-		case EvMeasureWindow, EvChurnBurst, EvLossBurst:
-			after = ev.Ticks
-		}
-		if t := ev.Tick + after; t > end {
-			end = t
-		}
-	}
-	return end
-}
-
 // Workers returns the engine concurrency the simulation runs with.
 func (s *Sim) Workers() int { return s.pool.Workers() }
 
@@ -333,18 +311,6 @@ func neighborTarget(g *overlay.Graph) int {
 		m = 5
 	}
 	return m
-}
-
-// minDegreeNode returns the lowest-id node of minimum degree — the
-// auto-picked source, which holds exactly M neighbors like the paper's.
-func minDegreeNode(g *overlay.Graph) overlay.NodeID {
-	best := overlay.NodeID(0)
-	for u := 1; u < g.N(); u++ {
-		if g.Degree(overlay.NodeID(u)) < g.Degree(best) {
-			best = overlay.NodeID(u)
-		}
-	}
-	return best
 }
 
 // Run executes the event timeline and returns the collected Result. The
