@@ -276,23 +276,19 @@ func BenchmarkAblationSubstrate(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulationTick measures raw simulator throughput: one full
-// scheduling period of a 1000-node system (all phases: maps, planning,
-// contention, transfers, playback) on the serial engine.
-func BenchmarkSimulationTick(b *testing.B) {
-	benchTicks(b, 1000, 1)
-}
-
 // BenchmarkScenario measures the scenario engine end to end: the
 // serial-handoff-chain library scenario (three measured switches in one
-// live mesh) at N=200 on the serial and the parallel engine. One op is a
-// whole multi-window run; the windows' mean switch time is reported so
-// the benchmark doubles as a metrics sanity check.
+// live mesh) at N=200 with one worker and, on a multi-core machine, with
+// GOMAXPROCS workers. One op is a whole multi-window run; the windows'
+// mean switch time is reported so the benchmark doubles as a metrics
+// sanity check.
 func BenchmarkScenario(b *testing.B) {
-	for vi, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-		parallel := vi == 1
+	counts := []int{1}
+	if p := runtime.GOMAXPROCS(0); p > 1 {
+		counts = append(counts, p)
+	}
+	for _, workers := range counts {
 		b.Run(fmt.Sprintf("serial-handoff-chain/workers=%d", workers), func(b *testing.B) {
-			skipDegenerateParallel(b, parallel)
 			sc := scenario.SerialHandoffChain().Scaled(200)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -319,62 +315,5 @@ func BenchmarkScenario(b *testing.B) {
 				b.ReportMetric(prep/3, "s-prepare-mean")
 			}
 		})
-	}
-}
-
-// BenchmarkEngineParallel contrasts the serial engine (workers=1) with
-// the parallel engine (workers=GOMAXPROCS) at three scales, n=100000
-// being the headline. The engine's determinism contract makes the runs
-// bit-identical — only wall-clock differs — so ns/op across the workers
-// variants IS the speedup measurement. cmd/bench runs the same
-// workloads at fixed iteration counts and appends each capture to the
-// BENCH_engine.json trajectory.
-func BenchmarkEngineParallel(b *testing.B) {
-	for _, n := range []int{1000, 10000, 100000} {
-		for vi, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-			parallel := vi == 1
-			b.Run(fmt.Sprintf("n=%d/workers=%d", n, workers), func(b *testing.B) {
-				skipDegenerateParallel(b, parallel)
-				benchTicks(b, n, workers)
-			})
-		}
-	}
-}
-
-// skipDegenerateParallel skips the workers=GOMAXPROCS variant on a
-// single-CPU runner, where it degenerates to a re-run of the serial
-// engine: the duplicate numbers would read as a measured speedup of 1.0
-// when no parallel execution ever happened (cmd/bench records the same
-// condition as an explicit skipped row in BENCH_engine.json).
-func skipDegenerateParallel(b *testing.B, parallelVariant bool) {
-	b.Helper()
-	if parallelVariant && runtime.GOMAXPROCS(0) == 1 {
-		b.Skip("GOMAXPROCS=1: the parallel variant degenerates to the serial engine; run on a multi-core machine to measure speedup")
-	}
-}
-
-// benchTicks times b.N warm-up scheduling periods of an n-node system at
-// the given engine concurrency.
-func benchTicks(b *testing.B, n, workers int) {
-	b.Helper()
-	w := experiment.Paper()
-	g, err := w.Topology(n, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := sim.Config{
-		Graph: g, Seed: 1, NewAlgorithm: sim.Fast,
-		FirstSource: -1, NewSource: -1, SharedOutbound: true,
-		WarmupTicks: b.N, HorizonTicks: 1, JoinSpreadTicks: 10,
-		Workers: workers,
-	}
-	s, err := sim.New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	if _, err := s.Run(); err != nil {
-		b.Fatal(err)
 	}
 }

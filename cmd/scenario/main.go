@@ -38,7 +38,7 @@ func main() {
 		algo    = flag.String("algo", "fast", "scheduler: fast, normal or both")
 		n       = flag.Int("n", 0, "override the overlay size (crowd batches rescale proportionally)")
 		seed    = flag.Int64("seed", 0, "override the scenario seed (0 keeps the file's)")
-		workers = flag.Int("workers", 0, "engine workers (0/1 = serial engine, <0 = GOMAXPROCS); results are identical at any setting")
+		workers = flag.Int("workers", 0, "engine workers (0/1 = one worker, inline; <0 = GOMAXPROCS); results are identical at any setting")
 		timings = flag.Bool("timings", false, "print the per-phase wall-clock and allocation breakdown")
 		smoke   = flag.Bool("smoke", false, "run every bundled scenario at small scale and verify its windows (CI guard)")
 		compare = flag.Bool("compare", false, "sweep fast vs normal over the whole bundled library (experiment.ScenarioSweep)")

@@ -30,7 +30,7 @@ func main() {
 		seeds     = flag.Int("seeds", 3, "replicas per size")
 		ratioN    = flag.Int("ration", 1000, "overlay size for the ratio tracks (Figures 5/9)")
 		workers   = flag.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
-		simWork   = flag.Int("simworkers", 0, "engine workers inside each simulation (0 = serial engine, <0 = GOMAXPROCS); results are identical at any setting")
+		simWork   = flag.Int("simworkers", 0, "engine workers inside each simulation (0 = one worker, inline; <0 = GOMAXPROCS); results are identical at any setting")
 		csvOut    = flag.Bool("csv", false, "emit CSV instead of tables")
 		ablations = flag.Bool("ablations", false, "run the design-choice ablations instead of the figures")
 		abN       = flag.Int("abn", 500, "overlay size for ablations")

@@ -34,7 +34,7 @@ func main() {
 		churn   = flag.Bool("churn", false, "dynamic environment: 5% leave/join per period")
 		perLink = flag.Bool("perlink", false, "per-link outbound capacity instead of shared")
 		ratios  = flag.Bool("ratios", false, "track and draw the Figure 5/9 ratio curves")
-		workers = flag.Int("workers", 0, "engine workers (0/1 = serial engine, <0 = GOMAXPROCS); results are identical at any setting")
+		workers = flag.Int("workers", 0, "engine workers (0/1 = one worker, inline; <0 = GOMAXPROCS); results are identical at any setting")
 		timings = flag.Bool("timings", false, "print the per-phase wall-clock and allocation breakdown")
 	)
 	flag.Parse()

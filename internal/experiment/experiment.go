@@ -60,7 +60,7 @@ type Workload struct {
 	Workers int
 
 	// SimWorkers sets the engine concurrency *inside* each simulation
-	// (sim.Config.Workers): 0 runs every trial on the serial engine,
+	// (sim.Config.Workers): 0 runs every trial on one worker,
 	// negative selects GOMAXPROCS per trial. Results are identical at any
 	// setting; only wall-clock changes.
 	SimWorkers int

@@ -10,7 +10,7 @@ import (
 	"gossipstream/internal/trace"
 )
 
-// allocSim builds the BenchmarkEngineParallel workload (paper topology,
+// allocSim builds the engine's reference workload (paper topology,
 // Fast algorithm, shared outbound) sized so the switch event stays far
 // beyond the ticks a test drives by hand. The topology mirrors
 // experiment.Workload.Topology (which this package cannot import —
@@ -49,7 +49,7 @@ func tick(s *Sim) {
 }
 
 // TestTickAllocations pins the steady-state allocation cost of one
-// scheduling period at N=1000 on the serial engine. The hot path runs
+// scheduling period at N=1000 with one worker. The hot path runs
 // on reused scratch (per-shard arenas, pooled snapshots, presized
 // buffers), so once every node has joined and per-node slices have
 // grown to their working size, a tick should allocate almost nothing.
@@ -67,7 +67,7 @@ func TestTickAllocations(t *testing.T) {
 	got := testing.AllocsPerRun(100, func() { tick(s) })
 	if got > budget {
 		t.Fatalf("steady-state tick allocations = %.1f, budget %.0f — the hot path regressed "+
-			"(compare against the BENCH_engine.json trajectory)", got, budget)
+			"(sim.allocs_per_tick in a traced benchmark run localizes it)", got, budget)
 	}
 	t.Logf("steady-state allocations per tick at N=1000: %.1f (budget %.0f)", got, budget)
 }
