@@ -702,8 +702,8 @@ func (r *Runner) applyJoin(js JoinSpec, resolved bool) {
 // StartShard prepares the runner to be driven tick by tick as one shard
 // of a multi-process run: it spawns the owned slice of the initial
 // population and hands event resolution and directive delivery to the
-// caller, who ends every period with Pace. shards must divide the id space consistently across
-// every process (id mod shards == shard).
+// caller, who ends every period with Pace. shards must divide the id
+// space consistently across every process (id mod shards == shard).
 func (r *Runner) StartShard(shard, shards int) error {
 	if r.ran {
 		return fmt.Errorf("runtime: Run called twice")

@@ -164,12 +164,12 @@ func TestEngineWorkerCountInvariance(t *testing.T) {
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			nodes, workers := sc.nodes, sc.workers
+			nodes, counts := sc.nodes, sc.workers
 			if nodes == 0 {
 				nodes = 180
 			}
-			if workers == nil {
-				workers = []int{0, 1, 2, 8}
+			if counts == nil {
+				counts = []int{0, 1, 2, 8}
 			}
 			run := func(workers int) (*Result, Config) {
 				g := testTopology(t, nodes, 33)
@@ -187,11 +187,11 @@ func TestEngineWorkerCountInvariance(t *testing.T) {
 				}
 				return res, cfg
 			}
-			ref, cfg := run(workers[0])
+			ref, cfg := run(counts[0])
 			if err := CheckInvariants(cfg, ref); err != nil {
 				t.Errorf("%s: run invariants violated: %v", sc.name, err)
 			}
-			for _, w := range workers[1:] {
+			for _, w := range counts[1:] {
 				res, _ := run(w)
 				resultsEqual(t, sc.name, ref, res)
 			}
