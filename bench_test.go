@@ -19,7 +19,6 @@ import (
 	"testing"
 
 	"gossipstream/internal/experiment"
-	"gossipstream/internal/metrics"
 	"gossipstream/internal/model"
 	"gossipstream/internal/scenario"
 	"gossipstream/internal/sim"
@@ -34,7 +33,7 @@ func benchWorkload() experiment.Workload {
 	return w
 }
 
-func reportRows(b *testing.B, rows []metrics.SizeRow) {
+func reportRows(b *testing.B, rows []experiment.SizeRow) {
 	b.Helper()
 	if len(rows) == 0 {
 		b.Fatal("no rows")
@@ -229,7 +228,8 @@ func BenchmarkAblationRateSplit(b *testing.B) {
 func BenchmarkAblationNeighborCount(b *testing.B) {
 	w := benchWorkload()
 	for i := 0; i < b.N; i++ {
-		rows, ms, err := experiment.NeighborCountSweep(w, 300, []int{3, 5, 8})
+		ms := []int{3, 5, 8}
+		rows, err := experiment.NeighborCountSweep(w, 300, ms)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -244,7 +244,7 @@ func BenchmarkAblationNeighborCount(b *testing.B) {
 func BenchmarkAblationStartupThreshold(b *testing.B) {
 	w := benchWorkload()
 	for i := 0; i < b.N; i++ {
-		rows, _, err := experiment.StartupThresholdSweep(w, 300, []int{25, 50})
+		rows, err := experiment.StartupThresholdSweep(w, 300, []int{25, 50})
 		if err != nil {
 			b.Fatal(err)
 		}

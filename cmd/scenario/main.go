@@ -160,7 +160,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		printResult(algoName, res)
+		scenario.FormatResult(os.Stdout, algoName, res) // the report format shared with cmd/live
 		if *timings {
 			fmt.Printf("  phase timings (%d workers):\n", s.Workers())
 			for _, t := range s.PhaseTimings() {
@@ -270,39 +270,15 @@ func load(file, name string) *scenario.Scenario {
 	return nil
 }
 
-// printResult renders one run's per-window metric blocks in the report
-// format shared with cmd/live (internal/scenario.FormatResult).
-func printResult(algoName string, res *sim.Result) {
-	scenario.FormatResult(os.Stdout, algoName, res)
-}
-
 // runSmoke executes every bundled scenario at small scale and fails loudly
 // when a window comes back empty or the result flunks the run-invariant
 // checker — the CI guard against scenario rot.
 func runSmoke() {
 	failed := false
 	for _, sc := range scenario.Library() {
-		small := sc.Scaled(120)
-		cfg, err := small.Config(sim.Fast)
+		res, err := smokeOne(sc.Scaled(120))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "scenario smoke: %s: %v\n", sc.Name, err)
-			failed = true
-			continue
-		}
-		s, err := sim.New(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "scenario smoke: %s: %v\n", sc.Name, err)
-			failed = true
-			continue
-		}
-		res, err := s.Run()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "scenario smoke: %s: %v\n", sc.Name, err)
-			failed = true
-			continue
-		}
-		if err := sim.CheckInvariants(cfg, res); err != nil {
-			fmt.Fprintf(os.Stderr, "scenario smoke: %s: invariants: %v\n", sc.Name, err)
 			failed = true
 			continue
 		}
@@ -323,6 +299,27 @@ func runSmoke() {
 	if failed {
 		os.Exit(1)
 	}
+}
+
+// smokeOne runs one scenario under the fast scheduler and audits the
+// result against the run-invariant checker.
+func smokeOne(sc *scenario.Scenario) (*sim.Result, error) {
+	cfg, err := sc.Config(sim.Fast)
+	if err != nil {
+		return nil, err
+	}
+	s, err := sim.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	res, err := s.Run()
+	if err != nil {
+		return nil, err
+	}
+	if err := sim.CheckInvariants(cfg, res); err != nil {
+		return nil, fmt.Errorf("invariants: %w", err)
+	}
+	return res, nil
 }
 
 func fatal(err error) {

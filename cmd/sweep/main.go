@@ -20,7 +20,6 @@ import (
 	"strings"
 
 	"gossipstream/internal/experiment"
-	"gossipstream/internal/metrics"
 )
 
 func main() {
@@ -96,49 +95,40 @@ func main() {
 }
 
 func runAblations(w experiment.Workload, n int) {
-	priority := experiment.Ablation{
-		Workload: w, N: n, Baseline: "normal",
-		Variants: experiment.PriorityVariants(),
+	for _, ab := range []struct {
+		title    string
+		variants []experiment.NamedFactory
+	}{
+		{"priority scoring variants", experiment.PriorityVariants()},
+		{"optimal rate split", experiment.SplitVariants()},
+	} {
+		rows, err := experiment.Ablation{Workload: w, N: n, Baseline: "normal", Variants: ab.variants}.Run()
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Println(experiment.FormatAblation(fmt.Sprintf("Ablation: %s (N=%d)", ab.title, n), rows))
 	}
-	rows, err := priority.Run()
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Println(experiment.FormatAblation(
-		fmt.Sprintf("Ablation: priority scoring variants (N=%d)", n), rows))
 
-	split := experiment.Ablation{
-		Workload: w, N: n, Baseline: "normal",
-		Variants: experiment.SplitVariants(),
+	// One-parameter sweeps: the neighbor count M and the startup threshold Qs.
+	for _, p := range []struct {
+		title, col string
+		values     []int
+		run        func(experiment.Workload, int, []int) ([]experiment.SizeRow, error)
+	}{
+		{"neighbor count M", "M", []int{3, 5, 8, 12}, experiment.NeighborCountSweep},
+		{"startup threshold Qs", "Qs", []int{10, 25, 50, 100}, experiment.StartupThresholdSweep},
+	} {
+		rows, err := p.run(w, n, p.values)
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Printf("Ablation: %s (N=%d)\n", p.title, n)
+		fmt.Printf("%4s %12s %12s %12s\n", p.col, "fast prep(s)", "norm prep(s)", "reduction")
+		for i, r := range rows {
+			fmt.Printf("%4d %12.2f %12.2f %11.1f%%\n", p.values[i], r.FastPrepareS2, r.NormalPrepareS2, r.Reduction*100)
+		}
+		fmt.Println()
 	}
-	rows, err = split.Run()
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Println(experiment.FormatAblation(
-		fmt.Sprintf("Ablation: optimal rate split (N=%d)", n), rows))
-
-	mRows, ms, err := experiment.NeighborCountSweep(w, n, []int{3, 5, 8, 12})
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("Ablation: neighbor count M (N=%d)\n", n)
-	fmt.Printf("%4s %12s %12s %12s\n", "M", "fast prep(s)", "norm prep(s)", "reduction")
-	for i, r := range mRows {
-		fmt.Printf("%4d %12.2f %12.2f %11.1f%%\n", ms[i], r.FastPrepareS2, r.NormalPrepareS2, r.Reduction*100)
-	}
-	fmt.Println()
-
-	qRows, qss, err := experiment.StartupThresholdSweep(w, n, []int{10, 25, 50, 100})
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("Ablation: startup threshold Qs (N=%d)\n", n)
-	fmt.Printf("%4s %12s %12s %12s\n", "Qs", "fast prep(s)", "norm prep(s)", "reduction")
-	for i, r := range qRows {
-		fmt.Printf("%4d %12.2f %12.2f %11.1f%%\n", qss[i], r.FastPrepareS2, r.NormalPrepareS2, r.Reduction*100)
-	}
-	fmt.Println()
 
 	// Substrate ablations: per-link capacity model and no-prefetch mesh.
 	for _, sub := range []struct {
@@ -151,11 +141,10 @@ func runAblations(w experiment.Workload, n int) {
 		ws := w
 		sub.apply(&ws)
 		ws.Sizes = []int{n}
-		samples, err := ws.Sweep()
+		rows, err := ws.RunSizeSweep()
 		if err != nil {
 			fatal(err)
 		}
-		rows := metrics.AggregateBySize(samples)
 		fmt.Printf("Substrate ablation: %s (N=%d)\n", sub.name, n)
 		fmt.Println(experiment.FormatSwitchTime(rows, false))
 	}

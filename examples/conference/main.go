@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"log"
 
-	"gossipstream/internal/core"
 	"gossipstream/internal/scenario"
 	"gossipstream/internal/sim"
 	"gossipstream/internal/stats"
@@ -62,14 +61,15 @@ func main() {
 		fastTotal, normalTotal, stats.ReductionRatio(normalTotal, fastTotal)*100)
 
 	// Panel segment: two speakers live at once. The serial switch model no
-	// longer applies; the parallel extension splits a listener's inbound
-	// across both live streams by equalizing deadline lateness.
+	// longer applies; the parallel extension (parallel.go) splits a
+	// listener's inbound across both live streams by equalizing deadline
+	// lateness.
 	fmt.Println("panel segment: two live speakers, one listener with I=15 seg/s")
-	demands := []core.ParallelDemand{
+	demands := []ParallelDemand{
 		{Backlog: 80, Deadline: 6, Supply: 9},  // main camera, behind
 		{Backlog: 30, Deadline: 8, Supply: 12}, // slides stream
 	}
-	rates, err := core.ParallelSplit(15, demands)
+	rates, err := ParallelSplit(15, demands)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func main() {
 		fmt.Printf("  stream %d: backlog=%3.0f due in %2.0fs supply<=%2.0f -> allocated %.2f seg/s\n",
 			i+1, demands[i].Backlog, demands[i].Deadline, demands[i].Supply, r)
 	}
-	fmt.Printf("  worst lateness: %.2f s\n", core.ParallelLateness(rates, demands))
+	fmt.Printf("  worst lateness: %.2f s\n", ParallelLateness(rates, demands))
 }
 
 // run executes the conference scenario under one scheduler.

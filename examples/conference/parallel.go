@@ -12,7 +12,7 @@
 // computed here by bisection on the common lateness (a water-filling
 // argument: demand for rate is monotone in the target lateness).
 
-package core
+package main
 
 import (
 	"fmt"
@@ -38,7 +38,7 @@ type ParallelDemand struct {
 // minimizes max_k(Q_k/I_k − D_k) over feasible allocations.
 func ParallelSplit(inbound float64, demands []ParallelDemand) ([]float64, error) {
 	if inbound <= 0 {
-		return nil, fmt.Errorf("core: ParallelSplit inbound %v must be positive", inbound)
+		return nil, fmt.Errorf("ParallelSplit: inbound %v must be positive", inbound)
 	}
 	out := make([]float64, len(demands))
 	active := 0

@@ -42,7 +42,8 @@ func main() {
 	fmt.Printf("  the slowest straggler needed %.1f s.\n", s.Max)
 }
 
-func classRun(n int, factory sim.AlgorithmFactory) *sim.Result {
+// classRun simulates one lecture and returns the hand-off's metrics.
+func classRun(n int, factory sim.AlgorithmFactory) *sim.SwitchMetrics {
 	tr := trace.Synthesize("lecture", n, 1, int64(n))
 	g, err := tr.Graph()
 	if err != nil {
@@ -54,12 +55,11 @@ func classRun(n int, factory sim.AlgorithmFactory) *sim.Result {
 		Seed:         int64(n) * 3,
 		NewAlgorithm: factory,
 		FirstSource:  -1,
-		NewSource:    -1,
-		// Students arrive over the first 30 of 45 warm-up periods and play
-		// the lecture from its beginning — the catch-up backlog that makes
-		// the hand-off hard.
-		WarmupTicks:     45,
+		// Students arrive over the first 30 periods and play the lecture
+		// from its beginning — the catch-up backlog that makes the
+		// hand-off, 45 periods in, hard.
 		JoinSpreadTicks: 30,
+		Script:          &sim.Script{Events: []sim.Event{sim.SwitchAt(45, -1)}},
 		SharedOutbound:  true,
 	})
 	if err != nil {
@@ -69,5 +69,5 @@ func classRun(n int, factory sim.AlgorithmFactory) *sim.Result {
 	if err != nil {
 		log.Fatal(err)
 	}
-	return res
+	return res.FirstSwitch()
 }

@@ -32,18 +32,19 @@ func main() {
 	// 2. Simulated source switches per algorithm, averaged over a few run
 	//    seeds (a single switch is noisy: the randomly chosen new source's
 	//    position in the overlay matters).
-	run := func(factory sim.AlgorithmFactory, seed int64) *sim.Result {
+	run := func(factory sim.AlgorithmFactory, seed int64) *sim.SwitchMetrics {
 		s, err := sim.New(sim.Config{
 			Graph:        g.Clone(), // churnless here, but Clone keeps runs independent
 			Seed:         seed,
 			NewAlgorithm: factory,
 			FirstSource:  -1,
-			NewSource:    -1,
+			// Members assemble over the first 25 periods; the one planned
+			// switch fires at period 40 and is measured in its own window.
+			JoinSpreadTicks: 25,
+			Script:          &sim.Script{Events: []sim.Event{sim.SwitchAt(40, -1)}},
 			// Everything else defaults to the paper's setup: τ=1 s, p=10,
 			// Q=10, Qs=50, B=600, heterogeneous inbound with mean 15.
-			SharedOutbound:  true,
-			WarmupTicks:     40,
-			JoinSpreadTicks: 25,
+			SharedOutbound: true,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -52,7 +53,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		return res
+		return res.FirstSwitch()
 	}
 
 	const seeds = 5

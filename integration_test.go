@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"gossipstream/internal/experiment"
-	"gossipstream/internal/metrics"
 	"gossipstream/internal/overlay"
 	"gossipstream/internal/sim"
 	"gossipstream/internal/trace"
@@ -46,11 +45,10 @@ func TestPipelineTraceToFigures(t *testing.T) {
 			Graph:           g.Clone(),
 			Seed:            314,
 			NewAlgorithm:    factory,
-			WarmupTicks:     30,
 			JoinSpreadTicks: 15,
 			HorizonTicks:    150,
 			FirstSource:     -1,
-			NewSource:       -1,
+			Script:          &sim.Script{Events: []sim.Event{sim.SwitchAt(30, -1)}},
 			SharedOutbound:  true,
 		})
 		if err != nil {
@@ -64,14 +62,14 @@ func TestPipelineTraceToFigures(t *testing.T) {
 	}
 	fast := runOne(sim.Fast)
 	normal := runOne(sim.Normal)
-	if fast.UnpreparedS2 > 0 || normal.UnpreparedS2 > 0 {
+	if fast.FirstSwitch().UnpreparedS2 > 0 || normal.FirstSwitch().UnpreparedS2 > 0 {
 		t.Fatalf("incomplete switch: fast=%d normal=%d unprepared",
-			fast.UnpreparedS2, normal.UnpreparedS2)
+			fast.FirstSwitch().UnpreparedS2, normal.FirstSwitch().UnpreparedS2)
 	}
 
 	// 4. Aggregate and format as the sweep harness does.
-	rows := metrics.AggregateBySize([]metrics.PairSample{{
-		N: 150, Seed: 314, Fast: fast, Normal: normal,
+	rows := experiment.AggregateBySize([]experiment.PairSample{{
+		N: 150, Fast: fast, Normal: normal,
 	}})
 	if len(rows) != 1 || rows[0].N != 150 {
 		t.Fatalf("aggregation wrong: %+v", rows)
@@ -93,13 +91,13 @@ func TestPipelineWorkloadSweepShapes(t *testing.T) {
 	w := experiment.Paper()
 	w.Sizes = []int{200}
 	w.SeedsPerSize = 3
-	w.WarmupTicks = 35
+	w.SwitchTick = 35
 	w.JoinSpreadTicks = 20
 	samples, err := w.Sweep()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := metrics.AggregateBySize(samples)
+	rows := experiment.AggregateBySize(samples)
 	r := rows[0]
 	if r.FastPrepareS2 >= r.NormalPrepareS2 {
 		t.Errorf("fast prepare %.2f not below normal %.2f (averaged over %d replicas)",
@@ -112,7 +110,7 @@ func TestPipelineWorkloadSweepShapes(t *testing.T) {
 		t.Errorf("overheads diverge: fast %.4f vs normal %.4f", r.FastOverhead, r.NormalOverhead)
 	}
 	for _, s := range samples {
-		for _, res := range []*sim.Result{s.Fast, s.Normal} {
+		for _, res := range []*sim.SwitchMetrics{s.Fast.FirstSwitch(), s.Normal.FirstSwitch()} {
 			if res.ControlBits%620 != 0 {
 				t.Errorf("control bits %d not in 620-bit units", res.ControlBits)
 			}
@@ -134,13 +132,13 @@ func TestPipelineDynamicMatchesStaticDirection(t *testing.T) {
 	w.Sizes = []int{200}
 	w.SeedsPerSize = 3
 	w.Churn = true
-	w.WarmupTicks = 35
+	w.SwitchTick = 35
 	w.JoinSpreadTicks = 20
 	samples, err := w.Sweep()
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := metrics.AggregateBySize(samples)[0]
+	r := experiment.AggregateBySize(samples)[0]
 	if r.FastPrepareS2 >= r.NormalPrepareS2 {
 		t.Errorf("dynamic: fast prepare %.2f not below normal %.2f",
 			r.FastPrepareS2, r.NormalPrepareS2)

@@ -2,12 +2,11 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"gossipstream/internal/core"
-	"gossipstream/internal/metrics"
 	"gossipstream/internal/sim"
-	"gossipstream/internal/sim/engine"
 	"gossipstream/internal/stats"
 )
 
@@ -39,43 +38,32 @@ type NamedFactory struct {
 // fanning the (variant, replica) trials out over the engine pool with
 // per-trial seeds.
 func (a Ablation) Run() ([]AblationRow, error) {
-	w := a.Workload
-	w.Sizes = []int{a.N}
-	reps := w.SeedsPerSize
-	type outcome struct {
-		res *sim.Result
-		err error
+	if !slices.ContainsFunc(a.Variants, func(v NamedFactory) bool { return v.Name == a.Baseline }) {
+		return nil, fmt.Errorf("experiment: ablation baseline %q names no variant", a.Baseline)
 	}
-	outcomes := make([]outcome, len(a.Variants)*reps)
-	engine.NewPool(w.Workers).Run(len(outcomes), func(_, i int) {
-		v := a.Variants[i/reps]
-		r := i % reps
-		g, err := w.Topology(a.N, r)
-		if err != nil {
-			outcomes[i] = outcome{err: err}
-			return
+	w := a.Workload
+	reps := w.SeedsPerSize
+	trials := make([]trial, 0, len(a.Variants)*reps)
+	for _, v := range a.Variants {
+		for r := 0; r < reps; r++ {
+			t := w.trial(a.N, r, v.Factory)
+			t.label = "variant " + v.Name + ": " + t.label
+			trials = append(trials, t)
 		}
-		runSeed := w.BaseSeed ^ int64(a.N)<<20 ^ int64(r)<<8
-		s, err := sim.New(w.simConfig(g, runSeed, v.Factory))
-		if err != nil {
-			outcomes[i] = outcome{err: err}
-			return
-		}
-		res, err := s.Run()
-		outcomes[i] = outcome{res: res, err: err}
-	})
+	}
+	results, err := runTrials(w.Workers, trials)
+	if err != nil {
+		return nil, err
+	}
 
 	rows := make([]AblationRow, 0, len(a.Variants))
 	var baseline float64
 	for vi, v := range a.Variants {
 		var preps, fins []float64
-		for r := 0; r < reps; r++ {
-			o := outcomes[vi*reps+r]
-			if o.err != nil {
-				return nil, o.err
-			}
-			preps = append(preps, o.res.AvgPrepareS2())
-			fins = append(fins, o.res.AvgFinishS1())
+		for _, res := range results[vi*reps : (vi+1)*reps] {
+			sw := res.FirstSwitch()
+			preps = append(preps, sw.AvgPrepareS2())
+			fins = append(fins, sw.AvgFinishS1())
 		}
 		row := AblationRow{
 			Name:      v.Name,
@@ -132,37 +120,30 @@ func SplitVariants() []NamedFactory {
 	}
 }
 
-// NeighborCountSweep reruns the paired comparison at several M values —
-// the paper's claim that "M=5 is usually a good practical choice".
-func NeighborCountSweep(w Workload, n int, ms []int) ([]metrics.SizeRow, []int, error) {
-	rows := make([]metrics.SizeRow, 0, len(ms))
-	for _, m := range ms {
-		wm := w
-		wm.M = m
-		wm.Sizes = []int{n}
-		samples, err := wm.Sweep()
+// sweepParam reruns the paired comparison at size n once per value, set
+// applying the value to a copy of the workload; one row per value.
+func sweepParam(w Workload, n int, values []int, set func(*Workload, int)) ([]SizeRow, error) {
+	w.Sizes = []int{n}
+	rows := make([]SizeRow, 0, len(values))
+	for _, v := range values {
+		wv := w
+		set(&wv, v)
+		agg, err := wv.RunSizeSweep()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		agg := metrics.AggregateBySize(samples)
 		rows = append(rows, agg[0])
 	}
-	return rows, ms, nil
+	return rows, nil
+}
+
+// NeighborCountSweep reruns the paired comparison at several M values —
+// the paper's claim that "M=5 is usually a good practical choice".
+func NeighborCountSweep(w Workload, n int, ms []int) ([]SizeRow, error) {
+	return sweepParam(w, n, ms, func(w *Workload, m int) { w.M = m })
 }
 
 // StartupThresholdSweep reruns the paired comparison at several Qs values.
-func StartupThresholdSweep(w Workload, n int, qss []int) ([]metrics.SizeRow, []int, error) {
-	rows := make([]metrics.SizeRow, 0, len(qss))
-	for _, qs := range qss {
-		wq := w
-		wq.Sizes = []int{n}
-		wq.qsOverride = qs
-		samples, err := wq.Sweep()
-		if err != nil {
-			return nil, nil, err
-		}
-		agg := metrics.AggregateBySize(samples)
-		rows = append(rows, agg[0])
-	}
-	return rows, qss, nil
+func StartupThresholdSweep(w Workload, n int, qss []int) ([]SizeRow, error) {
+	return sweepParam(w, n, qss, func(w *Workload, qs int) { w.qsOverride = qs })
 }

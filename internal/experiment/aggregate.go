@@ -1,22 +1,23 @@
-// Package metrics aggregates simulation results across repeated runs:
-// per-size means, reduction ratios, and point-wise series averaging for
-// the figure tracks. It sits between the raw sim.Result values and the
-// experiment tables.
-package metrics
+package experiment
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"gossipstream/internal/sim"
 	"gossipstream/internal/stats"
 )
 
+// Aggregation of simulation results across repeated runs: per-size
+// means, reduction ratios, and point-wise series averaging for the
+// figure tracks — the step between the raw sim.Result values and the
+// experiment tables.
+
 // PairSample is one (topology, seed) run of both algorithms on identical
 // conditions.
 type PairSample struct {
 	N      int
-	Seed   int64
 	Fast   *sim.Result
 	Normal *sim.Result
 }
@@ -58,7 +59,7 @@ func AggregateBySize(samples []PairSample) []SizeRow {
 		}
 		byN[s.N] = append(byN[s.N], s)
 	}
-	sortInts(order)
+	slices.Sort(order)
 	rows := make([]SizeRow, 0, len(order))
 	for _, n := range order {
 		rows = append(rows, aggregateGroup(n, byN[n]))
@@ -70,14 +71,15 @@ func aggregateGroup(n int, group []PairSample) SizeRow {
 	row := SizeRow{N: n, Samples: len(group)}
 	var ff, fp, nf, np, fo, no []float64
 	for _, s := range group {
-		ff = append(ff, s.Fast.AvgFinishS1())
-		fp = append(fp, s.Fast.AvgPrepareS2())
-		nf = append(nf, s.Normal.AvgFinishS1())
-		np = append(np, s.Normal.AvgPrepareS2())
-		fo = append(fo, s.Fast.Overhead())
-		no = append(no, s.Normal.Overhead())
-		row.FastUnprepared += s.Fast.UnpreparedS2
-		row.NormalUnprepared += s.Normal.UnpreparedS2
+		fast, normal := s.Fast.FirstSwitch(), s.Normal.FirstSwitch()
+		ff = append(ff, fast.AvgFinishS1())
+		fp = append(fp, fast.AvgPrepareS2())
+		nf = append(nf, normal.AvgFinishS1())
+		np = append(np, normal.AvgPrepareS2())
+		fo = append(fo, fast.Overhead())
+		no = append(no, normal.Overhead())
+		row.FastUnprepared += fast.UnpreparedS2
+		row.NormalUnprepared += normal.UnpreparedS2
 	}
 	row.FastFinishS1 = stats.Mean(ff)
 	row.FastPrepareS2 = stats.Mean(fp)
@@ -131,12 +133,4 @@ func AverageSeries(label string, in []*stats.Series) *stats.Series {
 		}
 	}
 	return out
-}
-
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

@@ -1,4 +1,4 @@
-package metrics
+package experiment
 
 import (
 	"math"
@@ -11,22 +11,23 @@ import (
 func fakeResult(alg string, finish, prepare float64, control, data int64) *sim.Result {
 	return &sim.Result{
 		Algorithm: alg,
-		SwitchMetrics: sim.SwitchMetrics{
+		Windows: []*sim.SwitchMetrics{{
+			Kind:           "switch",
 			Nodes:          100,
 			Cohort:         98,
 			FinishS1Times:  []float64{finish - 1, finish, finish + 1},
 			PrepareS2Times: []float64{prepare - 2, prepare, prepare + 2},
 			ControlBits:    control,
 			DataBits:       data,
-		},
+		}},
 	}
 }
 
 func TestAggregateBySize(t *testing.T) {
 	samples := []PairSample{
-		{N: 500, Seed: 1, Fast: fakeResult("fast", 10, 12, 620, 62000), Normal: fakeResult("normal", 9, 16, 620, 62000)},
-		{N: 500, Seed: 2, Fast: fakeResult("fast", 12, 14, 620, 62000), Normal: fakeResult("normal", 11, 18, 620, 62000)},
-		{N: 100, Seed: 1, Fast: fakeResult("fast", 6, 8, 310, 31000), Normal: fakeResult("normal", 5, 10, 310, 31000)},
+		{N: 500, Fast: fakeResult("fast", 10, 12, 620, 62000), Normal: fakeResult("normal", 9, 16, 620, 62000)},
+		{N: 500, Fast: fakeResult("fast", 12, 14, 620, 62000), Normal: fakeResult("normal", 11, 18, 620, 62000)},
+		{N: 100, Fast: fakeResult("fast", 6, 8, 310, 31000), Normal: fakeResult("normal", 5, 10, 310, 31000)},
 	}
 	rows := AggregateBySize(samples)
 	if len(rows) != 2 {

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"gossipstream/internal/metrics"
 	"gossipstream/internal/overlay"
 	"gossipstream/internal/sim"
 	"gossipstream/internal/sim/engine"
@@ -41,10 +40,12 @@ type Workload struct {
 	// (Section 5.1 uses M=5).
 	M int
 
-	// WarmupTicks, JoinSpreadTicks and HorizonTicks shape each run; see
-	// sim.Config. Defaults reproduce the calibrated stable phase:
-	// members assemble over ~25 s and the switch fires at 40 s.
-	WarmupTicks     int
+	// SwitchTick is the period at which each run's one planned switch
+	// fires (the warm-up before it lets the system reach its stable
+	// phase); JoinSpreadTicks and HorizonTicks are sim.Config's. Paper()
+	// sets the calibrated shape: members assemble over ~25 s, the switch
+	// fires at 40 s.
+	SwitchTick      int
 	JoinSpreadTicks int
 	HorizonTicks    int
 
@@ -89,21 +90,12 @@ func Paper() Workload {
 		SeedsPerSize:    5,
 		BaseSeed:        20080917, // ICPP 2008 proceedings date
 		M:               5,
-		WarmupTicks:     40,
+		SwitchTick:      40,
 		JoinSpreadTicks: 25,
 		HorizonTicks:    300,
 		FastFactory:     sim.Fast,
 		NormalFactory:   sim.Normal,
 	}
-}
-
-// Quick returns a scaled-down workload for tests and the quickstart
-// example: small overlays, one seed.
-func Quick() Workload {
-	w := Paper()
-	w.Sizes = []int{100, 300}
-	w.SeedsPerSize = 1
-	return w
 }
 
 // Topology synthesizes the overlay for one (size, replica) cell: a
@@ -120,17 +112,17 @@ func (w Workload) Topology(n int, replica int) (*overlay.Graph, error) {
 	return g, nil
 }
 
-// simConfig assembles the sim.Config for one run on a fresh topology.
+// simConfig assembles the sim.Config for one run on a fresh topology:
+// the paper's evaluation shape as a one-event script.
 func (w Workload) simConfig(g *overlay.Graph, runSeed int64, algo sim.AlgorithmFactory) sim.Config {
 	cfg := sim.Config{
 		Graph:           g,
 		Seed:            runSeed,
 		NewAlgorithm:    algo,
-		WarmupTicks:     w.WarmupTicks,
 		JoinSpreadTicks: w.JoinSpreadTicks,
 		HorizonTicks:    w.HorizonTicks,
 		FirstSource:     -1,
-		NewSource:       -1,
+		Script:          &sim.Script{Events: []sim.Event{sim.SwitchAt(w.SwitchTick, -1)}},
 		SharedOutbound:  !w.PerLinkOutbound,
 		DisablePrefetch: w.DisablePrefetch,
 		Qs:              w.qsOverride,
@@ -143,74 +135,80 @@ func (w Workload) simConfig(g *overlay.Graph, runSeed int64, algo sim.AlgorithmF
 	return cfg
 }
 
-// job is one simulation to execute.
-type job struct {
-	n, replica int
-	fast       bool
+// trial is one simulation of a sweep.
+type trial struct {
+	label  string // names the trial in an error
+	config func() (sim.Config, error)
+}
+
+// runTrials executes independent trials on the engine pool — one trial
+// per shard, each writing its own result slot, so no lock guards the
+// fan-out — and returns their results in trial order, or the first
+// failed trial's error.
+func runTrials(workers int, trials []trial) ([]*sim.Result, error) {
+	results := make([]*sim.Result, len(trials))
+	errs := make([]error, len(trials))
+	engine.NewPool(workers).Run(len(trials), func(_, i int) {
+		cfg, err := trials[i].config()
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		s, err := sim.New(cfg)
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		results[i], errs[i] = s.Run()
+	})
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("experiment: %s: %w", trials[i].label, err)
+		}
+	}
+	return results, nil
+}
+
+// trial builds one (size, replica) cell's run under the given scheduler.
+func (w Workload) trial(n, replica int, algo sim.AlgorithmFactory) trial {
+	return trial{
+		label: fmt.Sprintf("size %d replica %d", n, replica),
+		config: func() (sim.Config, error) {
+			g, err := w.Topology(n, replica)
+			if err != nil {
+				return sim.Config{}, err
+			}
+			runSeed := w.BaseSeed ^ int64(n)<<20 ^ int64(replica)<<8
+			return w.simConfig(g, runSeed, algo), nil
+		},
+	}
 }
 
 // Sweep runs both algorithms over every (size, replica) cell and returns
-// the paired samples, ordered by size then replica. Trials fan out over
-// the engine pool — one trial per shard, each writing its own result
-// slot, so no lock guards the fan-out.
-func (w Workload) Sweep() ([]metrics.PairSample, error) {
+// the paired samples, ordered by size then replica.
+func (w Workload) Sweep() ([]PairSample, error) {
 	if w.FastFactory == nil {
 		w.FastFactory = sim.Fast
 	}
 	if w.NormalFactory == nil {
 		w.NormalFactory = sim.Normal
 	}
-	jobs := make([]job, 0, len(w.Sizes)*w.SeedsPerSize*2)
-	for si := range w.Sizes {
+	trials := make([]trial, 0, len(w.Sizes)*w.SeedsPerSize*2)
+	for _, n := range w.Sizes {
 		for r := 0; r < w.SeedsPerSize; r++ {
-			jobs = append(jobs, job{n: w.Sizes[si], replica: r, fast: true})
-			jobs = append(jobs, job{n: w.Sizes[si], replica: r, fast: false})
+			trials = append(trials, w.trial(n, r, w.FastFactory), w.trial(n, r, w.NormalFactory))
 		}
 	}
-
-	type outcome struct {
-		res *sim.Result
-		err error
+	results, err := runTrials(w.Workers, trials)
+	if err != nil {
+		return nil, err
 	}
-	outcomes := make([]outcome, len(jobs))
-	engine.NewPool(w.Workers).Run(len(jobs), func(_, i int) {
-		res, err := w.runOne(jobs[i])
-		outcomes[i] = outcome{res: res, err: err}
-	})
-
-	samples := make([]metrics.PairSample, 0, len(jobs)/2)
-	for i := 0; i < len(jobs); i += 2 {
-		j := jobs[i]
-		fast, normal := outcomes[i], outcomes[i+1]
-		if fast.err != nil {
-			return nil, fmt.Errorf("experiment: size %d replica %d: %w", j.n, j.replica, fast.err)
+	samples := make([]PairSample, 0, len(results)/2)
+	for _, n := range w.Sizes {
+		for r := 0; r < w.SeedsPerSize; r++ {
+			i := 2 * len(samples)
+			samples = append(samples, PairSample{N: n, Fast: results[i], Normal: results[i+1]})
 		}
-		if normal.err != nil {
-			return nil, fmt.Errorf("experiment: size %d replica %d: %w", j.n, j.replica, normal.err)
-		}
-		samples = append(samples, metrics.PairSample{
-			N:    j.n,
-			Seed: w.BaseSeed + int64(j.replica),
-			Fast: fast.res, Normal: normal.res,
-		})
 	}
 	return samples, nil
-}
-
-// runOne executes a single simulation job.
-func (w Workload) runOne(j job) (*sim.Result, error) {
-	g, err := w.Topology(j.n, j.replica)
-	if err != nil {
-		return nil, err
-	}
-	factory := w.NormalFactory
-	if j.fast {
-		factory = w.FastFactory
-	}
-	runSeed := w.BaseSeed ^ int64(j.n)<<20 ^ int64(j.replica)<<8
-	s, err := sim.New(w.simConfig(g, runSeed, factory))
-	if err != nil {
-		return nil, err
-	}
-	return s.Run()
 }

@@ -14,7 +14,7 @@ func tiny() Workload {
 	w := Paper()
 	w.Sizes = []int{80}
 	w.SeedsPerSize = 2
-	w.WarmupTicks = 25
+	w.SwitchTick = 25
 	w.JoinSpreadTicks = 12
 	w.HorizonTicks = 150
 	w.Workers = 2
@@ -74,7 +74,7 @@ func TestSweepPairsAlgorithms(t *testing.T) {
 		if s.Fast.Algorithm != "fast" || s.Normal.Algorithm != "normal" {
 			t.Fatalf("mislabeled results: %s / %s", s.Fast.Algorithm, s.Normal.Algorithm)
 		}
-		if s.Fast.Nodes != s.Normal.Nodes {
+		if s.Fast.FirstSwitch().Nodes != s.Normal.FirstSwitch().Nodes {
 			t.Error("paired runs saw different populations")
 		}
 	}
@@ -91,7 +91,7 @@ func TestSweepDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a[0].Fast.AvgPrepareS2() != b[0].Fast.AvgPrepareS2() {
+	if a[0].Fast.FirstSwitch().AvgPrepareS2() != b[0].Fast.FirstSwitch().AvgPrepareS2() {
 		t.Error("sweep not reproducible")
 	}
 }
@@ -167,6 +167,13 @@ func TestAblationRun(t *testing.T) {
 	if !strings.Contains(out, "normal") || !strings.Contains(out, "fast") {
 		t.Error("ablation table incomplete")
 	}
+
+	// A baseline that names no variant would leave the reduction column
+	// NaN in every row; it must be an error that names the baseline.
+	ab.Baseline = "norml"
+	if _, err := ab.Run(); err == nil || !strings.Contains(err.Error(), `"norml"`) {
+		t.Errorf("missing baseline: err = %v, want one naming it", err)
+	}
 }
 
 func TestVariantSets(t *testing.T) {
@@ -194,12 +201,12 @@ func TestVariantSets(t *testing.T) {
 func TestQsOverride(t *testing.T) {
 	w := tiny()
 	w.SeedsPerSize = 1
-	rows, qss, err := StartupThresholdSweep(w, 80, []int{20, 50})
+	rows, err := StartupThresholdSweep(w, 80, []int{20, 50})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 || qss[0] != 20 {
-		t.Fatalf("sweep shape wrong: %v", qss)
+	if len(rows) != 2 {
+		t.Fatalf("sweep shape wrong: %d rows", len(rows))
 	}
 	// A smaller startup threshold must prepare sooner.
 	if rows[0].FastPrepareS2 >= rows[1].FastPrepareS2 {

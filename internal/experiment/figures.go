@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"gossipstream/internal/metrics"
 	"gossipstream/internal/plot"
 	"gossipstream/internal/stats"
 )
@@ -38,19 +37,20 @@ func (w Workload) RunRatioTrack(n int) (*RatioTrack, error) {
 	var fu, fd, nu, nd []*stats.Series
 	var flf, flp, nlf, nlp []float64
 	for _, s := range samples {
-		fu = append(fu, s.Fast.UndeliveredS1)
-		fd = append(fd, s.Fast.DeliveredS2)
-		nu = append(nu, s.Normal.UndeliveredS1)
-		nd = append(nd, s.Normal.DeliveredS2)
-		flf = append(flf, s.Fast.MaxFinishS1())
-		flp = append(flp, s.Fast.MaxPrepareS2())
-		nlf = append(nlf, s.Normal.MaxFinishS1())
-		nlp = append(nlp, s.Normal.MaxPrepareS2())
+		fast, normal := s.Fast.FirstSwitch(), s.Normal.FirstSwitch()
+		fu = append(fu, fast.UndeliveredS1)
+		fd = append(fd, fast.DeliveredS2)
+		nu = append(nu, normal.UndeliveredS1)
+		nd = append(nd, normal.DeliveredS2)
+		flf = append(flf, fast.MaxFinishS1())
+		flp = append(flp, fast.MaxPrepareS2())
+		nlf = append(nlf, normal.MaxFinishS1())
+		nlp = append(nlp, normal.MaxPrepareS2())
 	}
-	rt.FastUndelivered = metrics.AverageSeries("fast: undelivered S1", fu)
-	rt.FastDelivered = metrics.AverageSeries("fast: delivered S2", fd)
-	rt.NormalUndeliv = metrics.AverageSeries("normal: undelivered S1", nu)
-	rt.NormalDelivered = metrics.AverageSeries("normal: delivered S2", nd)
+	rt.FastUndelivered = AverageSeries("fast: undelivered S1", fu)
+	rt.FastDelivered = AverageSeries("fast: delivered S2", fd)
+	rt.NormalUndeliv = AverageSeries("normal: undelivered S1", nu)
+	rt.NormalDelivered = AverageSeries("normal: delivered S2", nd)
 	rt.FastLastFinish = stats.Mean(flf)
 	rt.FastLastPrepare = stats.Mean(flp)
 	rt.NormalLastFinish = stats.Mean(nlf)
@@ -81,18 +81,18 @@ func (rt *RatioTrack) Render() string {
 
 // RunSizeSweep regenerates the size-sweep figures: 6/7/8 in a static
 // environment, 10/11/12 with churn enabled.
-func (w Workload) RunSizeSweep() ([]metrics.SizeRow, error) {
+func (w Workload) RunSizeSweep() ([]SizeRow, error) {
 	samples, err := w.Sweep()
 	if err != nil {
 		return nil, err
 	}
-	return metrics.AggregateBySize(samples), nil
+	return AggregateBySize(samples), nil
 }
 
 // FormatFinishPrepare renders the Figures 6/10 bar groups: per size, the
 // four bars in the paper's order (normal finish S1, fast finish S1, fast
 // prepare S2, normal prepare S2).
-func FormatFinishPrepare(rows []metrics.SizeRow, dynamic bool) string {
+func FormatFinishPrepare(rows []SizeRow, dynamic bool) string {
 	fig := "Figure 6 (static)"
 	if dynamic {
 		fig = "Figure 10 (dynamic)"
@@ -114,7 +114,7 @@ func FormatFinishPrepare(rows []metrics.SizeRow, dynamic bool) string {
 
 // FormatSwitchTime renders the Figures 7/11 table: average switch time
 // per algorithm and the reduction ratio.
-func FormatSwitchTime(rows []metrics.SizeRow, dynamic bool) string {
+func FormatSwitchTime(rows []SizeRow, dynamic bool) string {
 	fig := "Figure 7 (static)"
 	if dynamic {
 		fig = "Figure 11 (dynamic)"
@@ -131,7 +131,7 @@ func FormatSwitchTime(rows []metrics.SizeRow, dynamic bool) string {
 
 // FormatOverhead renders the Figures 8/12 table: communication overhead
 // per algorithm and size.
-func FormatOverhead(rows []metrics.SizeRow, dynamic bool) string {
+func FormatOverhead(rows []SizeRow, dynamic bool) string {
 	fig := "Figure 8 (static)"
 	if dynamic {
 		fig = "Figure 12 (dynamic)"
@@ -147,7 +147,7 @@ func FormatOverhead(rows []metrics.SizeRow, dynamic bool) string {
 
 // CSV renders the size rows as comma-separated values for downstream
 // tooling.
-func CSV(rows []metrics.SizeRow) string {
+func CSV(rows []SizeRow) string {
 	var b strings.Builder
 	b.WriteString("n,samples,fast_finish_s1,normal_finish_s1,fast_prepare_s2,normal_prepare_s2,reduction,fast_overhead,normal_overhead\n")
 	for _, r := range rows {

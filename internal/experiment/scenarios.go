@@ -6,7 +6,6 @@ import (
 
 	"gossipstream/internal/scenario"
 	"gossipstream/internal/sim"
-	"gossipstream/internal/sim/engine"
 	"gossipstream/internal/stats"
 )
 
@@ -47,42 +46,29 @@ func (sw ScenarioSweep) Run() ([]ScenarioOutcome, error) {
 	if normal == nil {
 		normal = sim.Normal
 	}
-	type outcome struct {
-		res *sim.Result
-		err error
+	trials := make([]trial, 0, len(sw.Scenarios)*2)
+	for _, sc := range sw.Scenarios {
+		for _, algo := range [2]sim.AlgorithmFactory{fast, normal} {
+			trials = append(trials, trial{
+				label: "scenario " + sc.Name,
+				config: func() (sim.Config, error) {
+					cfg, err := sc.Config(algo)
+					if err != nil {
+						return sim.Config{}, err
+					}
+					cfg.Workers = sw.SimWorkers
+					return cfg, nil
+				},
+			})
+		}
 	}
-	outcomes := make([]outcome, len(sw.Scenarios)*2)
-	engine.NewPool(sw.Workers).Run(len(outcomes), func(_, i int) {
-		sc := sw.Scenarios[i/2]
-		factory := fast
-		if i%2 == 1 {
-			factory = normal
-		}
-		cfg, err := sc.Config(factory)
-		if err != nil {
-			outcomes[i] = outcome{err: err}
-			return
-		}
-		cfg.Workers = sw.SimWorkers
-		s, err := sim.New(cfg)
-		if err != nil {
-			outcomes[i] = outcome{err: err}
-			return
-		}
-		res, err := s.Run()
-		outcomes[i] = outcome{res: res, err: err}
-	})
-
+	results, err := runTrials(sw.Workers, trials)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]ScenarioOutcome, 0, len(sw.Scenarios))
 	for i, sc := range sw.Scenarios {
-		f, n := outcomes[2*i], outcomes[2*i+1]
-		if f.err != nil {
-			return nil, fmt.Errorf("experiment: scenario %s: %w", sc.Name, f.err)
-		}
-		if n.err != nil {
-			return nil, fmt.Errorf("experiment: scenario %s: %w", sc.Name, n.err)
-		}
-		out = append(out, ScenarioOutcome{Scenario: sc, Fast: f.res, Normal: n.res})
+		out = append(out, ScenarioOutcome{Scenario: sc, Fast: results[2*i], Normal: results[2*i+1]})
 	}
 	return out, nil
 }

@@ -211,17 +211,3 @@ func (r *Runner) closeWindow(measured int, hitHorizon, interrupted bool) {
 			Unfinished: m.UnfinishedS1, Unprepared: m.UnpreparedS2})
 	}
 }
-
-// finalize mirrors the simulator: the first switch window (or the first
-// window of any kind) becomes the Result's embedded flat metrics.
-func (r *Runner) finalize() {
-	for _, w := range r.res.Windows {
-		if w.Kind == "switch" {
-			r.res.SwitchMetrics = *w
-			return
-		}
-	}
-	if len(r.res.Windows) > 0 {
-		r.res.SwitchMetrics = *r.res.Windows[0]
-	}
-}

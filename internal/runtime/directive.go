@@ -783,15 +783,13 @@ func (r *Runner) EventsDone() bool { return r.nextEvent >= len(r.events) }
 // coordinator loop (nil when this tick churns nothing).
 func (r *Runner) ResolveChurnStep() *Directive { return r.resolveChurn() }
 
-// FinishShard closes any open window, finalizes the shard-local result
-// and shuts the peers and transport down. The per-shard Result holds
-// this shard's windows (cohorts are owned peers only); the coordinator
-// merges them by window index.
+// FinishShard closes any open window and shuts the peers and transport
+// down. The per-shard Result holds this shard's windows (cohorts are
+// owned peers only); the coordinator merges them by window index.
 func (r *Runner) FinishShard() *sim.Result {
 	if r.win.active {
 		r.closeWindow(r.tick-r.win.openTick, false, true)
 	}
-	r.finalize()
 	r.finishObs()
 	r.stats.Transport = r.tr.Stats()
 	r.shutdown()
@@ -799,11 +797,10 @@ func (r *Runner) FinishShard() *sim.Result {
 }
 
 // MergeWindows folds per-shard windows (matched by index) into one
-// result: counters sum, completion-time lists concatenate, the measured
-// span is the longest shard's, and the flat SwitchMetrics re-derive
-// from the merged windows. Window identity fields (kind, tick, the
-// handoff pair) come from the first shard carrying them — every shard
-// applied the same directives, so they agree.
+// result: counters sum, completion-time lists concatenate and the
+// measured span is the longest shard's. Window identity fields (kind,
+// tick, the handoff pair) come from the first shard carrying them —
+// every shard applied the same directives, so they agree.
 func MergeWindows(parts []*sim.Result) *sim.Result {
 	merged := &sim.Result{}
 	var windows []*sim.SwitchMetrics
@@ -850,14 +847,5 @@ func MergeWindows(parts []*sim.Result) *sim.Result {
 		}
 	}
 	merged.Windows = windows
-	for _, w := range merged.Windows {
-		if w != nil && w.Kind == "switch" {
-			merged.SwitchMetrics = *w
-			return merged
-		}
-	}
-	if len(merged.Windows) > 0 && merged.Windows[0] != nil {
-		merged.SwitchMetrics = *merged.Windows[0]
-	}
 	return merged
 }

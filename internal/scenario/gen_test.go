@@ -63,6 +63,7 @@ func genCount() int {
 func TestGeneratedScenarioDeterminism(t *testing.T) {
 	for seed := int64(1); seed <= int64(genCount()); seed++ {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
+			t.Parallel() // seeds are independent runs; the family is the suite's longest test
 			sc := Generate(GenOptions{Seed: seed})
 			text := genText(t, sc)
 			parsed, err := Parse(strings.NewReader(text))

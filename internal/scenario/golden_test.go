@@ -42,7 +42,7 @@ func TestNetNilMatchesPreNetmodelGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		res := mustRun(t, cfg)
-		w := &res.SwitchMetrics
+		w := res.FirstSwitch()
 		got := fmt.Sprintf("cohort=%d ctrl=%d data=%d finish=%.6f prepare=%.6f nf=%d np=%d measured=%d",
 			w.Cohort, w.ControlBits, w.DataBits, w.AvgFinishS1(), w.AvgPrepareS2(),
 			w.UnfinishedS1, w.UnpreparedS2, w.MeasuredTicks)

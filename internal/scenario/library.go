@@ -9,9 +9,10 @@ import "gossipstream/internal/sim"
 
 // PaperSingleSwitch is the paper's evaluation shape as a scenario: the
 // session assembles over 25 ticks, warms up to 40, then one planned
-// switch to a random successor, measured to the horizon. Compiling and
-// running it reproduces the classic sim.Config single-switch path bit
-// for bit (the equivalence regression in scenario_test.go).
+// switch to a random successor, measured to the horizon — the run behind
+// every figure of Section 5 (experiment.Workload emits the same one-event
+// script on its own topologies). TestNetNilMatchesPreNetmodelGolden pins
+// its values.
 func PaperSingleSwitch() *Scenario {
 	return &Scenario{
 		Name:    "paper-single-switch",

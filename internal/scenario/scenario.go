@@ -201,7 +201,6 @@ func (sc *Scenario) Config(factory sim.AlgorithmFactory) (sim.Config, error) {
 		Seed:            sc.Seed,
 		NewAlgorithm:    factory,
 		FirstSource:     first,
-		NewSource:       -1,
 		SharedOutbound:  !sc.PerLink,
 		Qs:              sc.Qs,
 		HorizonTicks:    sc.Horizon,

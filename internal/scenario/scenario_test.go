@@ -154,36 +154,6 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-// TestPaperSingleSwitchMatchesLegacy is the acceptance anchor: compiling
-// and running paper-single-switch reproduces the classic sim.Config
-// single-switch path bit for bit.
-func TestPaperSingleSwitchMatchesLegacy(t *testing.T) {
-	sc := PaperSingleSwitch().Scaled(200)
-
-	cfg, err := sc.Config(sim.Fast)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scripted := mustRun(t, cfg)
-
-	// The same run, hand-assembled the pre-scenario way: no Script, the
-	// switch at WarmupTicks, measured for HorizonTicks.
-	legacy, err := sc.Config(sim.Fast) // fresh graph: runs mutate topologies
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy.Script = nil
-	legacy.WarmupTicks = 40
-	legacyRes := mustRun(t, legacy)
-
-	if !reflect.DeepEqual(scripted.SwitchMetrics, legacyRes.SwitchMetrics) {
-		t.Errorf("flat metrics diverged:\n%+v\nvs\n%+v", scripted.SwitchMetrics, legacyRes.SwitchMetrics)
-	}
-	if !reflect.DeepEqual(scripted.Windows, legacyRes.Windows) {
-		t.Errorf("windows diverged")
-	}
-}
-
 // TestSerialHandoffDeterminism is the multi-switch acceptance criterion:
 // three serial switches produce three switch-metrics blocks, and the same
 // seed yields a bit-identical Result at Workers ∈ {0, 1, 8}.
@@ -236,12 +206,12 @@ func TestNetScenarioDeterminism(t *testing.T) {
 	if len(serial.Windows) != 2 {
 		t.Fatalf("windows = %d, want 2", len(serial.Windows))
 	}
-	if serial.NetDelivered == 0 {
+	if serial.FirstSwitch().NetDelivered == 0 {
 		t.Fatal("transport delivered nothing")
 	}
 	// Sub-tick delay metrics resolve below whole periods: with 1.5 s
 	// uniform jitter the summed delay cannot sit on a period boundary.
-	if d := serial.NetDelaySeconds; d == math.Trunc(d) {
+	if d := serial.FirstSwitch().NetDelaySeconds; d == math.Trunc(d) {
 		t.Errorf("NetDelaySeconds = %v looks tick-quantized", d)
 	}
 	for _, workers := range []int{1, 8} {

@@ -49,7 +49,7 @@ func TestTracedRunBitIdentical(t *testing.T) {
 
 				if !reflect.DeepEqual(bare, traced) {
 					t.Errorf("traced run diverged from bare run:\nbare:   %+v\ntraced: %+v",
-						bare.SwitchMetrics, traced.SwitchMetrics)
+						bare, traced)
 				}
 				if n, err := obs.ValidateTrace(&buf); err != nil {
 					t.Errorf("trace stream invalid after %d lines: %v", n, err)

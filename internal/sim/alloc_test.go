@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"flag"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"gossipstream/internal/obs"
@@ -29,12 +31,12 @@ func allocSimObs(t testing.TB, n int, o *obs.Obs) *Sim {
 		t.Fatal(err)
 	}
 	overlay.AugmentMinDegree(g, 5, rand.New(rand.NewSource(seed^0xa06)))
-	s, err := New(Config{
+	s, err := New(singleSwitch(Config{
 		Graph: g, Seed: 1, NewAlgorithm: Fast,
-		FirstSource: -1, NewSource: -1, SharedOutbound: true,
-		WarmupTicks: 10_000, HorizonTicks: 1, JoinSpreadTicks: 10,
+		FirstSource: -1, SharedOutbound: true,
+		HorizonTicks: 1, JoinSpreadTicks: 10,
 		Workers: 1, Obs: o,
-	})
+	}, 10_000, -1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,25 +98,34 @@ func TestTickAllocationsWithObs(t *testing.T) {
 }
 
 // TestTickAllocations100k is the scale smoke: the same pinned hot path
-// must hold its per-tick allocation budget at N=100000, where any
-// per-node or per-message allocation would multiply 100x. Skipped under
-// -short (building and warming a 100k-node overlay takes tens of
-// seconds).
+// must hold a per-tick allocation budget of 0.2 per node — steady-state
+// allocations come from occasional slice growth, not per-node work, so
+// any per-node or per-message allocation blows through it. The budget is
+// pinned at N=25000 on every run (~3 s; the count is deterministic, and
+// 25000 is a size whose slices do not happen to double inside the
+// measured ticks, as N=20000's do); N=100000 itself (building and
+// warming a 100k-node overlay takes tens of seconds) runs only when -run
+// names it, as the alloc-budget CI job does:
+//
+//	go test -run 'TestTickAllocations100k/N=100000' ./internal/sim
 func TestTickAllocations100k(t *testing.T) {
-	if testing.Short() {
-		t.Skip("N=100000 smoke skipped in -short mode")
+	const perNode = 0.2
+	for _, n := range []int{25_000, 100_000} {
+		name := fmt.Sprintf("N=%d", n)
+		t.Run(name, func(t *testing.T) {
+			if n == 100_000 && !strings.Contains(flag.Lookup("test.run").Value.String(), name) {
+				t.Skipf("runs only when named: -run 'TestTickAllocations100k/%s'", name)
+			}
+			budget := perNode * float64(n)
+			s := allocSim(t, n)
+			for s.tick < 15 {
+				tick(s)
+			}
+			got := testing.AllocsPerRun(3, func() { tick(s) })
+			if got > budget {
+				t.Fatalf("steady-state tick allocations at %s = %.1f, budget %.0f", name, got, budget)
+			}
+			t.Logf("steady-state allocations per tick at %s: %.1f (budget %.0f)", name, got, budget)
+		})
 	}
-	// Per-tick budget scales sub-linearly: steady-state allocations come
-	// from occasional slice growth, not per-node work.
-	const budget = 20_000.0
-
-	s := allocSim(t, 100_000)
-	for s.tick < 15 {
-		tick(s)
-	}
-	got := testing.AllocsPerRun(3, func() { tick(s) })
-	if got > budget {
-		t.Fatalf("steady-state tick allocations at N=100000 = %.1f, budget %.0f", got, budget)
-	}
-	t.Logf("steady-state allocations per tick at N=100000: %.1f (budget %.0f)", got, budget)
 }

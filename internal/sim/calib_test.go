@@ -19,13 +19,13 @@ func TestCalibration(t *testing.T) {
 		{300, 40, 25, true}, {1000, 40, 25, true}, {300, 45, 30, true},
 		{1000, 45, 30, true}, {2000, 45, 30, true}, {1000, 50, 35, true},
 	} {
-		run := func(factory AlgorithmFactory) *Result {
+		run := func(factory AlgorithmFactory) *SwitchMetrics {
 			g := testTopology(t, tc.n, 42)
-			s, err := New(Config{
+			s, err := New(singleSwitch(Config{
 				Graph: g, Seed: 7, NewAlgorithm: factory,
-				WarmupTicks: tc.warm, HorizonTicks: 250, FirstSource: -1, NewSource: -1,
+				HorizonTicks: 250, FirstSource: -1,
 				SharedOutbound: tc.shared, JoinSpreadTicks: tc.spread,
-			})
+			}, tc.warm, -1))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -33,7 +33,7 @@ func TestCalibration(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return res
+			return res.FirstSwitch()
 		}
 		fast := run(Fast)
 		normal := run(Normal)

@@ -82,11 +82,13 @@ type Config struct {
 	// The paper's Algorithm 1 treats R(j) as the rate supplier j offers
 	// *to the requesting node* — queueing time τ(j) accumulates only the
 	// requester's own transfers, with no term for competing neighbors — so
-	// the faithful default (false) caps each supplier→requester link at
-	// R(j)·τ segments per period and lets a supplier serve all links at
-	// once. With SharedOutbound=true, R(j)·τ is instead a per-period
-	// aggregate budget shared by all of j's links (modern swarm-style
-	// contention; used by the substrate-ablation benchmarks).
+	// the zero value (false) is the paper's literal reading: each
+	// supplier→requester link is capped at R(j)·τ segments per period and
+	// a supplier serves all links at once. With SharedOutbound=true,
+	// R(j)·τ is instead a per-period aggregate budget shared by all of
+	// j's links (swarm-style contention). Shared is what this repository
+	// calibrates and runs: scenario files, the experiment workloads and
+	// every CLI set it, and per-link is their opt-in substrate ablation.
 	SharedOutbound bool
 
 	// Profiles optionally pins per-node bandwidth; drawn from the paper's
@@ -97,12 +99,8 @@ type Config struct {
 	// algorithm).
 	NewAlgorithm AlgorithmFactory
 
-	// WarmupTicks run before the measured switch so the system reaches its
-	// stable phase (default 40).
-	WarmupTicks int
-
-	// JoinSpreadTicks staggers node arrivals uniformly over the first part
-	// of the warm-up (default WarmupTicks/2; set negative for simultaneous
+	// JoinSpreadTicks staggers node arrivals uniformly over the first
+	// ticks of the run (default 20; set negative for simultaneous
 	// start). Members of a conference or lecture session assemble over
 	// time but play the stream from its beginning, so a node arriving at
 	// time t carries a catch-up backlog of p·t segments — the undelivered
@@ -110,7 +108,8 @@ type Config struct {
 	// little inbound headroom (I close to p) still carry part of it when
 	// the switch happens.
 	JoinSpreadTicks int
-	// HorizonTicks bound the post-switch measurement window (default 150).
+	// HorizonTicks bound the measurement window of a switch event that
+	// sets no Horizon of its own (default 150).
 	HorizonTicks int
 
 	// FirstSource is the initial streaming source S1. A negative value
@@ -118,23 +117,14 @@ type Config struct {
 	// minimum (a source "holding M connected neighbors", like every other
 	// node). Default: node 0.
 	FirstSource overlay.NodeID
-	// NewSource, when positive (or zero with PinNewSource set), pins the
-	// node promoted to S2 at the implicit single switch; otherwise a
-	// random alive non-source node is chosen. Ignored when Script is set
-	// (scenario events carry their own targets). Because the zero value
-	// must mean "unset", pinning node 0 requires PinNewSource.
-	NewSource overlay.NodeID
-	// PinNewSource disambiguates NewSource's zero value: when true,
-	// NewSource=0 pins node 0 instead of selecting a random new source.
-	PinNewSource bool
 
-	// Script, when set, replaces the implicit single-switch run with a
-	// scenario event timeline: tick-scheduled source switches (planned or
-	// crash), churn bursts, flash crowds, bandwidth shifts and extra
-	// measurement windows, each switch reporting its own metrics block in
-	// Result.Windows. When nil, the run executes the classic paper shape:
-	// WarmupTicks of warm-up, one planned switch (to NewSource), measured
-	// for HorizonTicks. See Script and the internal/scenario package.
+	// Script is the event timeline the run executes: tick-scheduled
+	// source switches (planned or crash), churn bursts, flash crowds,
+	// bandwidth shifts and extra measurement windows, each switch
+	// reporting its own metrics block in Result.Windows. Required. The
+	// paper's evaluation shape — warm up, one planned switch, measure to
+	// the horizon — is the one-event script {SwitchAt(40, -1)}. See
+	// Script and the internal/scenario package.
 	Script *Script
 
 	// Churn enables the dynamic environment; nil means static.
@@ -202,22 +192,14 @@ func (c Config) Defaulted() Config {
 	if c.NewAlgorithm == nil {
 		c.NewAlgorithm = Fast
 	}
-	if c.WarmupTicks <= 0 {
-		c.WarmupTicks = 40
-	}
 	if c.JoinSpreadTicks == 0 {
-		c.JoinSpreadTicks = c.WarmupTicks / 2
+		c.JoinSpreadTicks = 20
 	}
 	if c.JoinSpreadTicks < 0 {
 		c.JoinSpreadTicks = 0
 	}
 	if c.HorizonTicks <= 0 {
 		c.HorizonTicks = 150
-	}
-	if c.NewSource == 0 && !c.PinNewSource {
-		// The zero value means "unset" (random pick): pinning node 0
-		// requires the explicit PinNewSource flag.
-		c.NewSource = -1
 	}
 	return c
 }
@@ -236,9 +218,6 @@ func (c Config) Validate() error {
 	if int(c.FirstSource) >= c.Graph.N() {
 		return fmt.Errorf("sim: FirstSource %d out of range", c.FirstSource)
 	}
-	if c.NewSource >= 0 && int(c.NewSource) >= c.Graph.N() {
-		return fmt.Errorf("sim: NewSource %d out of range", c.NewSource)
-	}
 	if c.Churn != nil {
 		if c.Churn.LeaveFraction < 0 || c.Churn.LeaveFraction >= 1 {
 			return fmt.Errorf("sim: LeaveFraction %v out of [0,1)", c.Churn.LeaveFraction)
@@ -252,15 +231,16 @@ func (c Config) Validate() error {
 			return err
 		}
 	}
-	if c.Script != nil {
-		if err := c.Script.Validate(); err != nil {
-			return err
-		}
-		if c.Net == nil {
-			for i, ev := range c.Script.Events {
-				if ev.Kind.NeedsNet() {
-					return fmt.Errorf("sim: event %d (%s) requires Config.Net", i, ev.Kind)
-				}
+	if c.Script == nil {
+		return fmt.Errorf("sim: Config.Script is required")
+	}
+	if err := c.Script.Validate(); err != nil {
+		return err
+	}
+	if c.Net == nil {
+		for i, ev := range c.Script.Events {
+			if ev.Kind.NeedsNet() {
+				return fmt.Errorf("sim: event %d (%s) requires Config.Net", i, ev.Kind)
 			}
 		}
 	}

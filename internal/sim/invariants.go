@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"reflect"
 )
 
 // This file is the run-invariant checker: a structural audit of any
@@ -48,36 +47,19 @@ func CheckInvariants(cfg Config, res *Result) error {
 		errs = append(errs, fmt.Errorf(format, args...))
 	}
 
-	events := implicitEvents(cfg)
-	checkWindows(cfg, res, events, fail)
-	checkLedger(cfg, res, events, fail)
-
-	// The embedded SwitchMetrics must mirror the first switch window (or
-	// the first window of any kind when the run never switched).
-	if len(res.Windows) > 0 {
-		mirror := res.Windows[0]
-		for _, w := range res.Windows {
-			if w.Kind == "switch" {
-				mirror = w
-				break
-			}
-		}
-		if !reflect.DeepEqual(res.SwitchMetrics, *mirror) {
-			fail("embedded SwitchMetrics does not mirror window %d", mirror.Window)
-		}
-	}
+	checkWindows(cfg, res, cfg.Script.Events, fail)
+	checkLedger(cfg, res, cfg.Script.Events, fail)
 
 	return errors.Join(errs...)
 }
 
 // CheckLiveInvariants audits a merged live-cluster Result: the window
-// checks and the SwitchMetrics mirror of CheckInvariants, plus the
-// loss-possibility rule applied directly to the windows. The transport
-// ledger is deliberately absent — live transports are real sockets (or
-// wall-clock shapers) with no conservation ledger, so a live result
-// must not carry one. unscripted lists events the run resolved beyond
-// the script — a failover-induced crash switch opens a window no
-// scripted event accounts for.
+// checks of CheckInvariants, plus the loss-possibility rule applied
+// directly to the windows. The transport ledger is deliberately absent —
+// live transports are real sockets (or wall-clock shapers) with no
+// conservation ledger, so a live result must not carry one. unscripted
+// lists events the run resolved beyond the script — a failover-induced
+// crash switch opens a window no scripted event accounts for.
 func CheckLiveInvariants(cfg Config, res *Result, unscripted ...Event) error {
 	cfg = cfg.Defaulted()
 	var errs []error
@@ -94,7 +76,7 @@ func CheckLiveInvariants(cfg Config, res *Result, unscripted ...Event) error {
 		return errors.Join(errs...)
 	}
 
-	events := append(append([]Event(nil), implicitEvents(cfg)...), unscripted...)
+	events := append(append([]Event(nil), cfg.Script.Events...), unscripted...)
 	checkWindows(cfg, res, events, fail)
 
 	if res.Audit != nil {
@@ -124,29 +106,7 @@ func CheckLiveInvariants(cfg Config, res *Result, unscripted ...Event) error {
 		}
 	}
 
-	if len(res.Windows) > 0 {
-		mirror := res.Windows[0]
-		for _, w := range res.Windows {
-			if w.Kind == "switch" {
-				mirror = w
-				break
-			}
-		}
-		if !reflect.DeepEqual(res.SwitchMetrics, *mirror) {
-			fail("embedded SwitchMetrics does not mirror window %d", mirror.Window)
-		}
-	}
-
 	return errors.Join(errs...)
-}
-
-// implicitEvents returns the run's event timeline: the script's events,
-// or the implicit single planned switch of a nil script.
-func implicitEvents(cfg Config) []Event {
-	if cfg.Script != nil {
-		return cfg.Script.Events
-	}
-	return []Event{SwitchAt(cfg.WarmupTicks, cfg.NewSource)}
 }
 
 // checkWindows audits every measurement window's internal consistency.

@@ -38,13 +38,14 @@ func TestNetInstantEquivalence(t *testing.T) {
 	t.Run("subtick", func(t *testing.T) {
 		// 40 ms << 1 s period; the transport reports it exactly.
 		instant := run(&netmodel.Config{DefaultPingMS: 40})
-		if instant.NetDelivered == 0 {
+		sw := instant.FirstSwitch()
+		if sw.NetDelivered == 0 {
 			t.Fatal("transport delivered nothing")
 		}
-		if instant.NetLost != 0 || instant.NetReRequests != 0 {
-			t.Errorf("lossless run recorded %d losses, %d re-requests", instant.NetLost, instant.NetReRequests)
+		if sw.NetLost != 0 || sw.NetReRequests != 0 {
+			t.Errorf("lossless run recorded %d losses, %d re-requests", sw.NetLost, sw.NetReRequests)
 		}
-		if d := instant.MeanDeliveryDelay(); math.Abs(d-0.040) > 1e-9 {
+		if d := sw.MeanDeliveryDelay(); math.Abs(d-0.040) > 1e-9 {
 			t.Errorf("mean delivery delay = %v s, want 0.040", d)
 		}
 		// Apart from its own accounting (zero on the classic run by
@@ -57,12 +58,8 @@ func TestNetInstantEquivalence(t *testing.T) {
 			t.Errorf("lossless ledger not fully delivered: %+v", *a)
 		}
 		instant.Audit = nil
-		zeroNet := func(m *SwitchMetrics) {
-			m.NetDelivered, m.NetLost, m.NetReRequests, m.NetDelaySeconds = 0, 0, 0, 0
-		}
-		zeroNet(&instant.SwitchMetrics)
 		for _, w := range instant.Windows {
-			zeroNet(w)
+			w.NetDelivered, w.NetLost, w.NetReRequests, w.NetDelaySeconds = 0, 0, 0, 0
 		}
 		resultsEqual(t, "instant-net", classic, instant)
 	})
@@ -83,12 +80,13 @@ func TestSubtickDelayBelowOnePeriod(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.NetDelivered == 0 {
+	sw := res.FirstSwitch()
+	if sw.NetDelivered == 0 {
 		t.Fatal("transport delivered nothing")
 	}
 	// 80 ms propagation + U[0,400) ms jitter: every delay is in
 	// (0.08 s, 0.48 s) — strictly below one period.
-	if d := res.MeanDeliveryDelay(); d <= 0.08 || d >= 0.48 {
+	if d := sw.MeanDeliveryDelay(); d <= 0.08 || d >= 0.48 {
 		t.Errorf("mean delay = %v s, want within (0.08, 0.48)", d)
 	}
 }
@@ -108,17 +106,18 @@ func TestNetLossSlowsTheSwitch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.NetLost == 0 {
+	sw := res.FirstSwitch()
+	if sw.NetLost == 0 {
 		t.Fatal("15% loss produced zero lost messages")
 	}
-	if res.NetReRequests == 0 {
+	if sw.NetReRequests == 0 {
 		t.Error("losses induced no re-requests")
 	}
-	if res.LossRate() < 0.05 || res.LossRate() > 0.30 {
-		t.Errorf("loss rate = %v, want around 0.15", res.LossRate())
+	if sw.LossRate() < 0.05 || sw.LossRate() > 0.30 {
+		t.Errorf("loss rate = %v, want around 0.15", sw.LossRate())
 	}
-	if res.UnpreparedS2 > res.Cohort/4 {
-		t.Errorf("mesh did not converge under loss: %d of %d unprepared", res.UnpreparedS2, res.Cohort)
+	if sw.UnpreparedS2 > sw.Cohort/4 {
+		t.Errorf("mesh did not converge under loss: %d of %d unprepared", sw.UnpreparedS2, sw.Cohort)
 	}
 }
 
@@ -142,13 +141,14 @@ func TestNetPartitionBlocksAndHeals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sw := res.FirstSwitch()
 	// The switch happened after the heal, so the whole cohort should
 	// still converge.
 	if len(res.Windows) != 1 || res.Windows[0].Kind != "switch" {
 		t.Fatalf("windows: %+v", res.Windows)
 	}
-	if res.UnpreparedS2 > res.Cohort/4 {
-		t.Errorf("mesh did not recover from the partition: %d of %d unprepared", res.UnpreparedS2, res.Cohort)
+	if sw.UnpreparedS2 > sw.Cohort/4 {
+		t.Errorf("mesh did not recover from the partition: %d of %d unprepared", sw.UnpreparedS2, sw.Cohort)
 	}
 }
 

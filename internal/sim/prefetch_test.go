@@ -116,12 +116,12 @@ func TestPrefetchMatchesProbeLoop(t *testing.T) {
 			// The first source sits past the hub's 64th adjacency slot, out
 			// of its planner's sight.
 			source := g.Neighbors(hub)[150]
-			s, err := New(Config{
+			s, err := New(singleSwitch(Config{
 				Graph: g, Seed: 5, NewAlgorithm: Fast,
-				FirstSource: source, NewSource: -1, SharedOutbound: shared,
-				WarmupTicks: 45, HorizonTicks: 60, JoinSpreadTicks: 4,
+				FirstSource: source, SharedOutbound: shared,
+				HorizonTicks: 60, JoinSpreadTicks: 4,
 				ServeRounds: 3, Workers: 1,
-			})
+			}, 45, -1))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -9,8 +9,8 @@ import (
 
 // SwitchMetrics is everything one measurement window recorded. A run
 // produces one window per SwitchSource or MeasureWindow event of its
-// script (the implicit paper script has exactly one), so a three-handoff
-// conference reports three switch-metrics blocks. Times are seconds
+// script (the paper's single-switch script has exactly one), so a
+// three-handoff conference reports three switch-metrics blocks. Times are seconds
 // relative to the window's opening instant ("simulation time 0" in the
 // paper's figures — the switch instant for switch windows).
 type SwitchMetrics struct {
@@ -161,17 +161,10 @@ type NetAudit struct {
 	InFlight   int64 // messages still airborne when the run ended
 }
 
-// Result is everything one simulation run measured. The embedded
-// SwitchMetrics mirrors the run's first switch window, so single-switch
-// callers read the paper's metrics (and call the metric methods) off the
-// Result directly, exactly as before the scenario engine; Windows holds
-// every measurement window of the run in order.
+// Result is everything one simulation run measured: every metric lives
+// in Windows, one block per measurement window.
 type Result struct {
 	Algorithm string
-
-	// SwitchMetrics mirrors Windows' first switch window (or the first
-	// window of any kind, when the script never switched).
-	SwitchMetrics
 
 	// Windows are the run's measurement windows in opening order: one per
 	// SwitchSource and MeasureWindow event that fired.
@@ -182,13 +175,15 @@ type Result struct {
 	Audit *NetAudit
 }
 
-// String implements fmt.Stringer with the headline numbers.
-func (r *Result) String() string {
-	s := fmt.Sprintf("%s: n=%d cohort=%d finishS1=%.2fs prepareS2=%.2fs overhead=%.4f (unfinished=%d unprepared=%d)",
-		r.Algorithm, r.Nodes, r.Cohort, r.AvgFinishS1(), r.AvgPrepareS2(), r.Overhead(),
-		r.UnfinishedS1, r.UnpreparedS2)
-	if len(r.Windows) > 1 {
-		s += fmt.Sprintf(" [%d windows]", len(r.Windows))
+// FirstSwitch returns the run's first switch window — where a
+// single-switch run (the paper's evaluation shape) keeps its metrics —
+// or nil when the run opened none. The pointer is into Windows, not a
+// copy.
+func (r *Result) FirstSwitch() *SwitchMetrics {
+	for _, w := range r.Windows {
+		if w != nil && w.Kind == "switch" {
+			return w
+		}
 	}
-	return s
+	return nil
 }

@@ -19,8 +19,8 @@ import (
 // worker-dependent source.
 //
 // Construct events with the XxxAt helpers: the zero value of To pins
-// node 0, so building Event literals by hand risks the same zero-value
-// ambiguity Config.NewSource used to have.
+// node 0, so an Event literal that leaves To out does not mean "pick a
+// random successor".
 type Event struct {
 	// Tick schedules the event: it fires at the start of that tick.
 	Tick int
@@ -232,10 +232,8 @@ func DemoteAt(tick int, node overlay.NodeID) Event {
 	return Event{Tick: tick, Kind: EvDemoteSource, To: node}
 }
 
-// Script is a declarative event timeline driving one run. A nil
-// Config.Script selects the implicit paper script — a single planned
-// switch at WarmupTicks measured for HorizonTicks — so the scenario
-// engine and the classic single-switch path are one code path.
+// Script is a declarative event timeline driving one run; every run has
+// one (Config.Script is required).
 type Script struct {
 	// Events fire in Tick order; same-tick events fire in slice order.
 	Events []Event

@@ -3,52 +3,20 @@ package sim
 import (
 	"testing"
 
-	"gossipstream/internal/overlay"
 	"gossipstream/internal/segment"
 )
 
-// TestScriptImplicitEquivalence is the scenario engine's anchor: a script
-// spelling out the implicit paper run (one planned switch at WarmupTicks,
-// measured for HorizonTicks) must reproduce the classic single-switch
-// path bit for bit.
-func TestScriptImplicitEquivalence(t *testing.T) {
-	run := func(script *Script) *Result {
-		g := testTopology(t, 160, 21)
-		cfg := quickConfig(g, Fast)
-		cfg.TrackRatios = true
-		cfg.Script = script
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := s.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	legacy := run(nil)
-	scripted := run(&Script{
-		Events:   []Event{SwitchAt(30, -1)}, // quickConfig: WarmupTicks=30
-		Duration: 30 + 200,                  // HorizonTicks=200
-	})
-	resultsEqual(t, "implicit-vs-explicit", legacy, scripted)
-	if len(legacy.Windows) != 1 || len(scripted.Windows) != 1 {
-		t.Fatalf("window counts: legacy=%d scripted=%d, want 1",
-			len(legacy.Windows), len(scripted.Windows))
-	}
-}
-
 // TestScriptMultiSwitchWindows checks the serial-handoff contract: one
-// switch-metrics block per SwitchSource event, chained sources, and the
-// flat Result mirroring the first switch window.
+// switch-metrics block per SwitchSource event, chained sources, pinned
+// targets honored — node 0 included, which an event pins like any other
+// id — and FirstSwitch pointing at the first switch window.
 func TestScriptMultiSwitchWindows(t *testing.T) {
 	g := testTopology(t, 180, 22)
 	cfg := quickConfig(g, Fast)
 	cfg.Script = &Script{Events: []Event{
 		SwitchAt(30, 20),
 		SwitchAt(90, 40),
-		SwitchAt(150, -1),
+		SwitchAt(150, 0),
 	}}
 	s, err := New(cfg)
 	if err != nil {
@@ -79,13 +47,12 @@ func TestScriptMultiSwitchWindows(t *testing.T) {
 				i, w.OldSource, res.Windows[i-1].NewSource)
 		}
 	}
-	if res.Windows[0].NewSource != 20 || res.Windows[1].NewSource != 40 {
-		t.Errorf("pinned targets not honored: %d, %d",
-			res.Windows[0].NewSource, res.Windows[1].NewSource)
+	if res.Windows[0].NewSource != 20 || res.Windows[1].NewSource != 40 || res.Windows[2].NewSource != 0 {
+		t.Errorf("pinned targets not honored: %d, %d, %d",
+			res.Windows[0].NewSource, res.Windows[1].NewSource, res.Windows[2].NewSource)
 	}
-	// The flat metrics mirror the first switch window.
-	if res.Cohort != res.Windows[0].Cohort || res.AvgPrepareS2() != res.Windows[0].AvgPrepareS2() {
-		t.Error("flat Result does not mirror the first switch window")
+	if res.FirstSwitch() != res.Windows[0] {
+		t.Error("FirstSwitch is not the first switch window")
 	}
 	// Each handoff ends the previous speaker's tenure: three sources were
 	// promoted, and every promoted node is marked a source.
@@ -365,6 +332,9 @@ func TestScriptExplicitDuration(t *testing.T) {
 	if len(res.Windows) != 0 {
 		t.Errorf("event-free run grew %d windows", len(res.Windows))
 	}
+	if sw := res.FirstSwitch(); sw != nil {
+		t.Errorf("FirstSwitch on a run with no windows = %+v, want nil", sw)
+	}
 
 	// A window cut short by the cap: 5 ticks after the switch, nodes that
 	// arrived at spread tick 15 cannot have played S1 to its end (300
@@ -387,38 +357,5 @@ func TestScriptExplicitDuration(t *testing.T) {
 	}
 	if w.MeasuredTicks != 5 {
 		t.Errorf("capped window measured %d ticks, want 5", w.MeasuredTicks)
-	}
-}
-
-// TestPinNewSourceZero is the Config sentinel regression: node 0 must be
-// pinnable as the new source (the old Defaulted rule made NewSource=0
-// unpinnable whenever FirstSource was 0).
-func TestPinNewSourceZero(t *testing.T) {
-	if got := (Config{NewSource: 0}).Defaulted().NewSource; got != -1 {
-		t.Errorf("unset NewSource defaulted to %d, want -1", got)
-	}
-	if got := (Config{NewSource: 0, PinNewSource: true}).Defaulted().NewSource; got != 0 {
-		t.Errorf("pinned NewSource=0 defaulted to %d, want 0", got)
-	}
-	if got := (Config{NewSource: 7}).Defaulted().NewSource; got != 7 {
-		t.Errorf("NewSource=7 defaulted to %d, want 7", got)
-	}
-	g := testTopology(t, 100, 28)
-	cfg := quickConfig(g, Fast)
-	cfg.FirstSource = 3
-	cfg.NewSource = 0
-	cfg.PinNewSource = true
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if s.newSource != overlay.NodeID(0) {
-		t.Errorf("new source = %d, want pinned node 0", s.newSource)
-	}
-	if !s.nodes[0].isSource {
-		t.Error("node 0 not promoted")
 	}
 }

@@ -23,8 +23,7 @@ import (
 // shard per-node work across the engine worker pool, under the engine
 // package's determinism contract — results are bit-identical at any
 // worker count. The events phase executes the run's Script (the scenario
-// engine); a nil Config.Script selects the implicit paper script: one
-// planned switch at WarmupTicks, measured for HorizonTicks.
+// engine).
 type Sim struct {
 	cfg Config
 
@@ -52,8 +51,8 @@ type Sim struct {
 	tl      *segment.Timeline
 	nextGen segment.ID // next id the current source will emit
 
-	// Event timeline: the run's Script (or the implicit single switch),
-	// sorted by tick; nextEvent indexes the first unfired event.
+	// Event timeline: the run's Script sorted by tick; nextEvent indexes
+	// the first unfired event.
 	events    []Event
 	nextEvent int
 	duration  int
@@ -213,20 +212,11 @@ func New(cfg Config) (*Sim, error) {
 		s.net.Reserve(len(s.nodes), 4)
 	}
 
-	script := cfg.Script
-	if script == nil {
-		// The implicit paper script: warm up, then one planned switch
-		// measured for the configured horizon.
-		script = &Script{
-			Events:   []Event{SwitchAt(cfg.WarmupTicks, cfg.NewSource)},
-			Duration: cfg.WarmupTicks + cfg.HorizonTicks,
-		}
-	}
-	s.events = script.Sorted()
-	s.earlyExit = cfg.Script == nil || cfg.Script.Duration == 0
-	s.duration = script.Duration
-	if s.duration <= 0 {
-		s.duration = script.AutoDuration(cfg.HorizonTicks)
+	s.events = cfg.Script.Sorted()
+	s.earlyExit = cfg.Script.Duration == 0
+	s.duration = cfg.Script.Duration
+	if s.earlyExit {
+		s.duration = cfg.Script.AutoDuration(cfg.HorizonTicks)
 	}
 	s.res = &Result{Algorithm: s.algo.Name()}
 
@@ -573,8 +563,8 @@ func (s *Sim) applySwitch(ev Event) {
 
 // pickNewSource draws a uniformly random alive node that never held the
 // source role, excluding old; -1 when none exists. The draw comes from
-// the membership directory's stream — the same stream churn picks from —
-// so a scripted single switch reproduces the classic path bit-for-bit.
+// the membership directory's stream — the same stream churn picks from,
+// and the draw the pre-netmodel goldens were captured with.
 func (s *Sim) pickNewSource(old overlay.NodeID) overlay.NodeID {
 	for tries := 0; tries < 64; tries++ {
 		cand := s.dir.RandomAlive(old)
@@ -837,9 +827,7 @@ func (s *Sim) timeSince(tick int) float64 {
 	return float64(tick-s.win.openTick+1) * s.cfg.Tau
 }
 
-// finalize closes the transport's whole-run ledger and mirrors the first
-// switch window (or the first window of any kind) into the Result's
-// embedded flat metrics, preserving the classic single-switch read path.
+// finalize closes the transport's whole-run ledger.
 func (s *Sim) finalize() {
 	if s.net != nil {
 		s.res.Audit = &NetAudit{
@@ -850,14 +838,5 @@ func (s *Sim) finalize() {
 			Evaporated: s.audEvap,
 			InFlight:   int64(s.net.InFlight()),
 		}
-	}
-	for _, w := range s.res.Windows {
-		if w.Kind == "switch" {
-			s.res.SwitchMetrics = *w
-			return
-		}
-	}
-	if len(s.res.Windows) > 0 {
-		s.res.SwitchMetrics = *s.res.Windows[0]
 	}
 }

@@ -2,24 +2,34 @@ package sim
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"gossipstream/internal/bandwidth"
 	"gossipstream/internal/overlay"
 )
 
+// singleSwitch gives cfg the paper's run shape — warm up, one planned
+// switch at tick to node to (negative: a random successor), measured to
+// the horizon — the one place this package's tests spell that script.
+func singleSwitch(cfg Config, tick int, to overlay.NodeID) Config {
+	cfg.Script = &Script{Events: []Event{SwitchAt(tick, to)}}
+	return cfg
+}
+
+// quickSwitchTick is the tick quickConfig's switch fires at.
+const quickSwitchTick = 30
+
 func quickConfig(g *overlay.Graph, factory AlgorithmFactory) Config {
-	return Config{
+	return singleSwitch(Config{
 		Graph:           g,
 		Seed:            11,
 		NewAlgorithm:    factory,
-		WarmupTicks:     30,
 		JoinSpreadTicks: 15,
 		HorizonTicks:    200,
 		FirstSource:     -1,
-		NewSource:       -1,
 		SharedOutbound:  true,
-	}
+	}, quickSwitchTick, -1)
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -46,6 +56,12 @@ func TestConfigValidation(t *testing.T) {
 	if err := tiny.Defaulted().Validate(); err == nil {
 		t.Error("single-node graph accepted")
 	}
+	// Every run is scripted: there is no implicit timeline to fall back on.
+	bad = quickConfig(g, Fast)
+	bad.Script = nil
+	if _, err := New(bad); err == nil || !strings.Contains(err.Error(), "Script") {
+		t.Errorf("New with a nil Script: err = %v, want one naming Script", err)
+	}
 }
 
 func TestDefaultsMatchPaper(t *testing.T) {
@@ -65,23 +81,24 @@ func TestRunCompletesAndMeasures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Cohort < 190 {
-		t.Errorf("cohort = %d, want ~198", res.Cohort)
+	sw := res.FirstSwitch()
+	if sw.Cohort < 190 {
+		t.Errorf("cohort = %d, want ~198", sw.Cohort)
 	}
-	if res.UnpreparedS2 > 0 || res.UnfinishedS1 > 0 {
-		t.Errorf("incomplete nodes: %d unfinished, %d unprepared", res.UnfinishedS1, res.UnpreparedS2)
+	if sw.UnpreparedS2 > 0 || sw.UnfinishedS1 > 0 {
+		t.Errorf("incomplete nodes: %d unfinished, %d unprepared", sw.UnfinishedS1, sw.UnpreparedS2)
 	}
-	if res.AvgPrepareS2() <= 0 || math.IsNaN(res.AvgPrepareS2()) {
-		t.Errorf("prepare time = %v", res.AvgPrepareS2())
+	if sw.AvgPrepareS2() <= 0 || math.IsNaN(sw.AvgPrepareS2()) {
+		t.Errorf("prepare time = %v", sw.AvgPrepareS2())
 	}
-	if res.AvgFinishS1() <= 0 || math.IsNaN(res.AvgFinishS1()) {
-		t.Errorf("finish time = %v", res.AvgFinishS1())
+	if sw.AvgFinishS1() <= 0 || math.IsNaN(sw.AvgFinishS1()) {
+		t.Errorf("finish time = %v", sw.AvgFinishS1())
 	}
-	if res.DataBits == 0 || res.ControlBits == 0 {
+	if sw.DataBits == 0 || sw.ControlBits == 0 {
 		t.Error("communication accounting empty")
 	}
-	if res.Overhead() <= 0 || res.Overhead() > 0.2 {
-		t.Errorf("overhead = %v, implausible", res.Overhead())
+	if sw.Overhead() <= 0 || sw.Overhead() > 0.2 {
+		t.Errorf("overhead = %v, implausible", sw.Overhead())
 	}
 }
 
@@ -100,7 +117,7 @@ func TestRunTwiceFails(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	run := func() *Result {
+	run := func() *SwitchMetrics {
 		g := testTopology(t, 150, 9)
 		s, err := New(quickConfig(g, Fast))
 		if err != nil {
@@ -110,7 +127,7 @@ func TestDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return res.FirstSwitch()
 	}
 	a, b := run(), run()
 	if a.AvgPrepareS2() != b.AvgPrepareS2() || a.AvgFinishS1() != b.AvgFinishS1() {
@@ -137,7 +154,8 @@ func TestSeedSensitivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.AvgPrepareS2() == r2.AvgPrepareS2() && r1.DataBits == r2.DataBits {
+	w1, w2 := r1.FirstSwitch(), r2.FirstSwitch()
+	if w1.AvgPrepareS2() == w2.AvgPrepareS2() && w1.DataBits == w2.DataBits {
 		t.Error("different seeds produced identical runs (suspicious)")
 	}
 }
@@ -148,11 +166,8 @@ func TestSeedSensitivity(t *testing.T) {
 func TestTickInvariants(t *testing.T) {
 	g := testTopology(t, 120, 5)
 	cfg := quickConfig(g, Fast)
-	total := cfg.WarmupTicks + 40
-	cfg.Script = &Script{
-		Events:   []Event{SwitchAt(cfg.WarmupTicks, -1)},
-		Duration: total,
-	}
+	total := quickSwitchTick + 40
+	cfg.Script.Duration = total
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -274,11 +289,12 @@ func TestOverheadMatchesWireArithmetic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ControlBits%620 != 0 {
-		t.Errorf("control bits %d not a multiple of 620", res.ControlBits)
+	sw := res.FirstSwitch()
+	if sw.ControlBits%620 != 0 {
+		t.Errorf("control bits %d not a multiple of 620", sw.ControlBits)
 	}
-	if res.DataBits%(30*1024) != 0 {
-		t.Errorf("data bits %d not a multiple of 30 kb", res.DataBits)
+	if sw.DataBits%(30*1024) != 0 {
+		t.Errorf("data bits %d not a multiple of 30 kb", sw.DataBits)
 	}
 }
 
@@ -294,7 +310,8 @@ func TestTrackRatiosSeries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, d := res.UndeliveredS1, res.DeliveredS2
+	sw := res.FirstSwitch()
+	u, d := sw.UndeliveredS1, sw.DeliveredS2
 	if u == nil || d == nil || u.Len() == 0 || d.Len() == 0 {
 		t.Fatal("ratio series missing")
 	}
@@ -335,16 +352,17 @@ func TestDynamicEnvironmentRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Cohort == 0 {
+	sw := res.FirstSwitch()
+	if sw.Cohort == 0 {
 		t.Fatal("empty cohort under churn")
 	}
 	// At 5% departures per period most of the cohort leaves before the
 	// switch completes; what matters is that the survivors are not
 	// wedged: (nearly) every cohort node still alive at the end prepared.
-	if res.UnpreparedS2 > res.Cohort/20 {
-		t.Errorf("%d surviving cohort nodes never prepared (cohort %d)", res.UnpreparedS2, res.Cohort)
+	if sw.UnpreparedS2 > sw.Cohort/20 {
+		t.Errorf("%d surviving cohort nodes never prepared (cohort %d)", sw.UnpreparedS2, sw.Cohort)
 	}
-	if len(res.PrepareS2Times) == 0 {
+	if len(sw.PrepareS2Times) == 0 {
 		t.Error("nobody prepared under churn")
 	}
 }
@@ -361,8 +379,9 @@ func TestPerLinkModeRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.UnpreparedS2 > 0 {
-		t.Errorf("%d unprepared in per-link mode", res.UnpreparedS2)
+	sw := res.FirstSwitch()
+	if sw.UnpreparedS2 > 0 {
+		t.Errorf("%d unprepared in per-link mode", sw.UnpreparedS2)
 	}
 }
 
@@ -383,7 +402,7 @@ func TestPrefetchAblationDegradesThroughput(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.AvgFinishS1()
+		return res.FirstSwitch().AvgFinishS1()
 	}
 	with := run(false)
 	without := run(true)
@@ -396,7 +415,7 @@ func TestPinnedSources(t *testing.T) {
 	g := testTopology(t, 100, 14)
 	cfg := quickConfig(g, Fast)
 	cfg.FirstSource = 3
-	cfg.NewSource = 7
+	cfg = singleSwitch(cfg, quickSwitchTick, 7)
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -416,7 +435,7 @@ func TestSourcesExcludedFromCohort(t *testing.T) {
 	g := testTopology(t, 100, 15)
 	cfg := quickConfig(g, Fast)
 	cfg.FirstSource = 3
-	cfg.NewSource = 7
+	cfg = singleSwitch(cfg, quickSwitchTick, 7)
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -441,10 +460,11 @@ func TestContinuityAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.PlayedSegments == 0 {
+	sw := res.FirstSwitch()
+	if sw.PlayedSegments == 0 {
 		t.Fatal("no playback recorded in the measurement window")
 	}
-	c := res.Continuity()
+	c := sw.Continuity()
 	if c <= 0 || c > 1 {
 		t.Fatalf("continuity = %v, outside (0,1]", c)
 	}
@@ -453,10 +473,9 @@ func TestContinuityAccounting(t *testing.T) {
 	if c < 0.5 {
 		t.Errorf("continuity %v implausibly low", c)
 	}
-	// Zero-window result reports perfect continuity by convention.
-	empty := &Result{}
-	if empty.Continuity() != 1 {
-		t.Error("empty result continuity must be 1")
+	// A window nothing played in reports perfect continuity by convention.
+	if (&SwitchMetrics{}).Continuity() != 1 {
+		t.Error("empty window continuity must be 1")
 	}
 }
 
@@ -481,7 +500,7 @@ func TestFastBeatsNormalOnPreparingTime(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			*alg.sum += res.AvgPrepareS2()
+			*alg.sum += res.FirstSwitch().AvgPrepareS2()
 		}
 	}
 	if fastSum >= normalSum {

@@ -19,9 +19,9 @@ func TestSmokeFastVsNormal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation smoke test")
 	}
-	run := func(factory AlgorithmFactory) *Result {
+	run := func(factory AlgorithmFactory) *SwitchMetrics {
 		g := testTopology(t, 300, 42)
-		s, err := New(Config{Graph: g, Seed: 7, NewAlgorithm: factory, TrackRatios: true, NewSource: 17})
+		s, err := New(singleSwitch(Config{Graph: g, Seed: 7, NewAlgorithm: factory, TrackRatios: true}, 40, 17))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -29,7 +29,7 @@ func TestSmokeFastVsNormal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return res.FirstSwitch()
 	}
 	fast := run(Fast)
 	normal := run(Normal)
