@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"gossipstream/internal/plot"
 	"gossipstream/internal/stats"
 )
 
@@ -67,11 +66,11 @@ func (rt *RatioTrack) Render() string {
 		fig = "Figure 9"
 	}
 	var b strings.Builder
-	b.WriteString(plot.Line(
+	b.WriteString(lineChart(
 		fmt.Sprintf("%s (top): undelivered ratio of S1, %s network, %d nodes", fig, env, rt.N),
 		64, 12, rt.NormalUndeliv, rt.FastUndelivered))
 	b.WriteString("\n")
-	b.WriteString(plot.Line(
+	b.WriteString(lineChart(
 		fmt.Sprintf("%s (bottom): delivered ratio of S2, %s network, %d nodes", fig, env, rt.N),
 		64, 12, rt.FastDelivered, rt.NormalDelivered))
 	fmt.Fprintf(&b, "\nlast node finishes S1:  normal=%.1fs fast=%.1fs\n", rt.NormalLastFinish, rt.FastLastFinish)
@@ -97,16 +96,16 @@ func FormatFinishPrepare(rows []SizeRow, dynamic bool) string {
 	if dynamic {
 		fig = "Figure 10 (dynamic)"
 	}
-	groups := make([]plot.BarGroup, 0, len(rows))
+	groups := make([]barGroup, 0, len(rows))
 	for _, r := range rows {
-		groups = append(groups, plot.BarGroup{
+		groups = append(groups, barGroup{
 			Label: fmt.Sprintf("N=%d", r.N),
 			Values: []float64{
 				r.NormalFinishS1, r.FastFinishS1, r.FastPrepareS2, r.NormalPrepareS2,
 			},
 		})
 	}
-	return plot.Bars(
+	return barChart(
 		fig+": avg finishing time of S1 and preparing time of S2 (seconds)",
 		[]string{"normal: finish S1", "fast:   finish S1", "fast:   prepare S2", "normal: prepare S2"},
 		groups, 48)

@@ -1,8 +1,4 @@
-// Package plot renders the experiment results as ASCII charts so every
-// figure of the paper can be eyeballed straight from a terminal: line
-// charts for the ratio tracks (Figures 5/9) and grouped bars for the size
-// sweeps (Figures 6-8, 10-12).
-package plot
+package experiment
 
 import (
 	"fmt"
@@ -12,10 +8,14 @@ import (
 	"gossipstream/internal/stats"
 )
 
-// Line renders one or more series as an ASCII line chart of the given
+// The figures render as ASCII charts so every figure of the paper can be
+// eyeballed straight from a terminal: line charts for the ratio tracks
+// (Figures 5/9) and grouped bars for the size sweeps (Figures 6-8, 10-12).
+
+// lineChart renders one or more series as an ASCII line chart of the given
 // width and height. Each series is drawn with its own glyph, in order:
 // '*', 'o', '+', 'x'.
-func Line(title string, width, height int, series ...*stats.Series) string {
+func lineChart(title string, width, height int, series ...*stats.Series) string {
 	if width < 16 {
 		width = 16
 	}
@@ -85,15 +85,15 @@ func Line(title string, width, height int, series ...*stats.Series) string {
 	return b.String()
 }
 
-// BarGroup is one cluster of bars sharing an x label (one network size).
-type BarGroup struct {
+// barGroup is one cluster of bars sharing an x label (one network size).
+type barGroup struct {
 	Label  string
 	Values []float64
 }
 
-// Bars renders grouped horizontal bars with a shared scale. names label
+// barChart renders grouped horizontal bars with a shared scale. names label
 // the bars within each group.
-func Bars(title string, names []string, groups []BarGroup, width int) string {
+func barChart(title string, names []string, groups []barGroup, width int) string {
 	if width < 20 {
 		width = 20
 	}

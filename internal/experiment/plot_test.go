@@ -1,4 +1,4 @@
-package plot
+package experiment
 
 import (
 	"strings"
@@ -14,7 +14,7 @@ func TestLineRendersAllSeries(t *testing.T) {
 		a.Append(x, x)
 		b.Append(x, 10-x)
 	}
-	out := Line("demo", 40, 10, a, b)
+	out := lineChart("demo", 40, 10, a, b)
 	if !strings.Contains(out, "demo") {
 		t.Error("title missing")
 	}
@@ -31,7 +31,7 @@ func TestLineRendersAllSeries(t *testing.T) {
 }
 
 func TestLineEmpty(t *testing.T) {
-	out := Line("empty", 40, 10, &stats.Series{Label: "x"})
+	out := lineChart("empty", 40, 10, &stats.Series{Label: "x"})
 	if !strings.Contains(out, "no data") {
 		t.Error("empty chart must say so")
 	}
@@ -42,19 +42,19 @@ func TestLineConstantSeries(t *testing.T) {
 	for x := 0.0; x < 5; x++ {
 		s.Append(x, 1.0)
 	}
-	out := Line("flat", 30, 6, s)
+	out := lineChart("flat", 30, 6, s)
 	if !strings.Contains(out, "*") {
 		t.Error("constant series not drawn")
 	}
 }
 
 func TestBars(t *testing.T) {
-	groups := []BarGroup{
+	groups := []barGroup{
 		{Label: "N=100", Values: []float64{5, 4, 6, 8}},
 		{Label: "N=500", Values: []float64{10, 9, 11, 14}},
 	}
 	names := []string{"a", "b", "c", "d"}
-	out := Bars("fig", names, groups, 40)
+	out := barChart("fig", names, groups, 40)
 	for _, want := range []string{"fig", "N=100", "N=500", "a", "d", "="} {
 		if !strings.Contains(out, want) {
 			t.Errorf("%q missing from output", want)
@@ -75,7 +75,7 @@ func TestBars(t *testing.T) {
 }
 
 func TestBarsZeroValues(t *testing.T) {
-	out := Bars("z", []string{"only"}, []BarGroup{{Label: "g", Values: []float64{0}}}, 20)
+	out := barChart("z", []string{"only"}, []barGroup{{Label: "g", Values: []float64{0}}}, 20)
 	if !strings.Contains(out, "0.000") {
 		t.Error("zero value not rendered")
 	}

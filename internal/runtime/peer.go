@@ -21,12 +21,12 @@ import (
 //
 // Per period a peer: refills its budgets, generates (source) or plays
 // back (listener), advertises its buffer map to every neighbor, and
-// plans pull requests with the same core.Algorithm the simulator runs —
-// against views decoded from real map frames rather than same-tick
-// shared memory. Requests are served (or denied) asynchronously as they
-// arrive; denials refund the requester's inbound budget and trigger a
-// bounded retry at an alternate supplier, the live counterpart of the
-// simulator's retry rounds.
+// plans pull requests with the simulator's own planning step
+// (sim.Planner) — against views decoded from real map frames rather than
+// same-tick shared memory. Requests are served (or denied)
+// asynchronously as they arrive; a denial is retried at another supplier
+// through the planner's supplier pick, or refunds the requester's
+// inbound token — the live counterpart of the simulator's retry rounds.
 //
 // Outbound frames are queued on the endpoint and flushed at two points:
 // the end of a period (a neighbour's map and this period's requests to
@@ -121,9 +121,8 @@ type peer struct {
 	ep  Endpoint
 	rng *rand.Rand
 
-	algo core.Algorithm
-	buf  *buffer.Buffer
-	pb   sim.Playback
+	buf *buffer.Buffer
+	pb  sim.Playback
 
 	base, profile bandwidth.Profile
 	in, out       *bandwidth.Budget
@@ -165,14 +164,11 @@ type peer struct {
 	dupes, denies     int
 	reReqs            int
 
-	// Scratch reused across periods.
-	env     core.Env
-	plan    core.Plan
-	granted []segment.ID
-	needOld []segment.ID
-	needNew []segment.ID
-	pool    []segment.ID
-	supOf   []overlay.NodeID // node ids of env.Suppliers, index for index
+	// The planning step and its scratch, reused across periods: rows are
+	// the neighbors with a fresh view, inflight the keys of requested.
+	planner  sim.Planner
+	rows     []sim.Row
+	inflight []segment.ID
 	// mapSnap is the reusable advertisement snapshot (SnapshotInto
 	// refills it each period; the encoded image, not the map, crosses
 	// the transport).
@@ -203,11 +199,13 @@ type spawnSpec struct {
 
 func newPeer(spec spawnSpec, par peerParams, algo core.Algorithm, ep Endpoint, reports chan<- report) *peer {
 	p := &peer{
-		id:           spec.id,
-		par:          par,
-		ep:           ep,
-		rng:          rand.New(rand.NewSource(spec.seed)),
-		algo:         algo,
+		id:  spec.id,
+		par: par,
+		ep:  ep,
+		rng: rand.New(rand.NewSource(spec.seed)),
+		planner: sim.NewPlanner(algo, sim.PlanParams{
+			Tau: par.tau, P: par.p, Q: par.q, Qs: par.qs, BufferCap: par.bufferCap,
+		}),
 		buf:          buffer.New(par.bufferCap),
 		pb:           sim.NewPlayback(spec.anchor, spec.sessionIdx, spec.known),
 		base:         spec.profile,
@@ -314,7 +312,7 @@ func (p *peer) period(tick int) {
 		p.playback()
 		p.checkPrepared()
 		p.advertise()
-		p.plan_()
+		p.schedule()
 	}
 	p.ep.Flush()
 	p.reports <- p.makeReport(tick)
@@ -422,7 +420,7 @@ func (p *peer) advertise() {
 		img = nil
 	}
 	sessions := p.sessionGossip()
-	rate := p.advertisedRate()
+	rate := sim.LinkRate(p.out.Rate(), p.par.linkShare, p.par.tau, p.par.sharedOut)
 	for _, v := range p.neighbors {
 		p.ep.Queue(Frame{
 			Kind:     FrameMap,
@@ -454,94 +452,65 @@ func (p *peer) sessionGossip() []SessionInfo {
 	return p.gossip
 }
 
-// advertisedRate is the R(j) this peer offers a neighbor: its full
-// outbound in the shared-capacity substrate, out/LinkShare (floored at
-// one segment per period) in the paper's per-link model — the same
-// values the simulator's buildView computes from shared memory.
-func (p *peer) advertisedRate() float64 {
-	if p.par.sharedOut {
-		return p.out.Rate()
-	}
-	r := p.out.Rate() / float64(p.par.linkShare)
-	if floor := 1 / p.par.tau; r < floor {
-		r = floor
-	}
-	return r
-}
-
-// linkCapFor estimates a supplier's per-link per-period grant capacity
-// from its advertised rate.
-func (p *peer) linkCapFor(rate float64) int {
-	c := int(rate*p.par.tau + 1e-9)
-	if c < 1 {
-		c = 1
-	}
-	return c
-}
-
-// plan_ runs the scheduler against the decoded neighbor views and
-// issues this period's pull requests. (Named with a trailing underscore
-// only to dodge the plan scratch field.)
-func (p *peer) plan_() {
-	if p.isSource || p.profile.In <= 0 || p.in.Available() < 1 {
+// schedule runs the planning step against the decoded neighbor views
+// and queues this period's pull requests, within one snapshot of the
+// inbound budget.
+func (p *peer) schedule() {
+	budget := p.in.Available()
+	if p.isSource || p.profile.In <= 0 || budget < 1 {
 		return
 	}
-	// Assigned field by field: Env also carries BuildCandidates' reused
-	// availability scratch, which a struct literal would drop.
-	p.env.Tau = p.par.tau
-	p.env.P = p.par.p
-	p.env.Q = float64(p.par.q)
-	p.env.Inbound = p.profile.In
-	p.env.Playhead = p.pb.WindowLo()
-	supIDs := p.env.Suppliers[:0]
-	maxAdvert := segment.None
-	supOf := p.supOf[:0]
-	for _, v := range p.neighbors {
-		view, ok := p.views[v]
-		if !ok || view.period < p.tick-viewTTLPeriods || view.m == nil {
-			continue // never heard from it, or the link has gone silent
-		}
-		if len(supIDs) == core.MaxSuppliers {
-			break
-		}
-		if view.maxSeen > maxAdvert {
-			maxAdvert = view.maxSeen
-		}
-		supIDs = append(supIDs, core.Supplier{ID: core.SupplierID(v), Rate: view.rate, View: view.m})
-		supOf = append(supOf, v)
-	}
-	p.env.Suppliers, p.supOf = supIDs, supOf
-	if maxAdvert == segment.None {
-		return
-	}
-
-	// The shared per-node protocol core: session discovery and the two
-	// undelivered request windows, with in-flight requests excluded.
-	p.pb.Discover(p.sessions, maxAdvert)
-	p.granted = p.granted[:0]
+	rows := p.viewRows(nil)
+	p.inflight = p.inflight[:0]
 	for seg := range p.requested {
-		p.granted = append(p.granted, seg)
+		p.inflight = append(p.inflight, seg)
 	}
-	p.needOld, p.needNew = p.pb.NeedWindows(p.buf, p.sessions, maxAdvert,
-		p.par.bufferCap, p.par.qs, p.granted, p.needOld, p.needNew)
-	if len(p.needOld) == 0 && len(p.needNew) == 0 {
+	if !p.planner.Plan(&p.pb, p.buf, p.sessions, p.inflight, p.profile.In, rows) {
 		return
 	}
-	p.env.NeedOld, p.env.NeedNew = p.needOld, p.needNew
+	for _, pu := range p.planner.Pulls {
+		if budget == 0 {
+			return
+		}
+		// The per-link estimate counts every request sent on the link,
+		// planned ones included.
+		rows[pu.Row].Headroom--
+		p.request(pu.Seg, overlay.NodeID(rows[pu.Row].ID))
+		budget--
+	}
+	if p.par.disablePrefetch {
+		return
+	}
+	p.planner.Prefetch(rows, budget, p.rng)
+	for _, pu := range p.planner.Pulls {
+		p.request(pu.Seg, overlay.NodeID(rows[pu.Row].ID))
+	}
+}
 
-	p.algo.Plan(&p.env, &p.plan)
-	for _, req := range p.plan.Requests {
-		if p.in.Available() < 1 {
-			break
+// viewRows lists the neighbors whose buffer-map view is fresh, minus
+// skip, as planning rows. In the per-link substrate a row's headroom is
+// what is left of the supplier's link capacity, estimated from its
+// advertised rate, after this period's requests to it; the shared
+// substrate leaves the supplier to deny.
+func (p *peer) viewRows(skip []overlay.NodeID) []sim.Row {
+	rows := p.rows[:0]
+	for _, v := range p.neighbors {
+		view := p.views[v]
+		if view == nil || view.period < p.tick-viewTTLPeriods || view.m == nil || containsNode(skip, v) {
+			continue // never heard from it, the link has gone silent, or it denied
 		}
-		if _, dup := p.requested[req.Segment]; dup {
-			continue
+		headroom := sim.Unbounded
+		if !p.par.sharedOut {
+			headroom = sim.LinkCap(view.rate, p.par.tau) - p.reqPer[v]
 		}
-		p.request(req.Segment, overlay.NodeID(req.Supplier))
+		rows = append(rows, sim.Row{
+			Supplier: core.Supplier{ID: core.SupplierID(v), Rate: view.rate, View: view.m},
+			MaxSeen:  view.maxSeen,
+			Headroom: headroom,
+		})
 	}
-	if !p.par.disablePrefetch {
-		p.prefetch(supOf)
-	}
+	p.rows = rows
+	return rows
 }
 
 // request spends one inbound token on a pull request, tagging the
@@ -555,54 +524,6 @@ func (p *peer) request(seg segment.ID, sup overlay.NodeID) {
 		delete(p.timedOut, seg)
 	}
 	p.ep.Queue(Frame{Kind: FrameRequest, ReReq: re, Msg: netmodel.Message{To: sup, Seg: seg, Sent: p.tick}})
-}
-
-// prefetch spends leftover inbound budget on uniformly random missing
-// segments of the current stream — the data-driven-mesh substrate
-// behavior, identical in role to the simulator's prefetch (random
-// useful-piece selection keeps neighborhood holdings diverse).
-func (p *peer) prefetch(sups []overlay.NodeID) {
-	budget := p.in.Available()
-	if budget <= 0 {
-		return
-	}
-	pool := append(p.pool[:0], p.needOld...)
-	p.pool = pool
-	for k := 0; k < len(pool) && budget > 0; k++ {
-		j := k + p.rng.Intn(len(pool)-k)
-		pool[k], pool[j] = pool[j], pool[k]
-		id := pool[k]
-		if _, dup := p.requested[id]; dup {
-			continue
-		}
-		sup := p.pickSupplier(sups, id)
-		if sup < 0 {
-			continue
-		}
-		p.request(id, sup)
-		budget--
-	}
-}
-
-// pickSupplier chooses a uniformly random supplier advertising the
-// segment with per-link request headroom; -1 if none.
-func (p *peer) pickSupplier(sups []overlay.NodeID, id segment.ID) overlay.NodeID {
-	best := overlay.NodeID(-1)
-	count := 0
-	for _, v := range sups {
-		view := p.views[v]
-		if view == nil || view.m == nil || !view.m.Has(id) {
-			continue
-		}
-		if !p.par.sharedOut && p.reqPer[v] >= p.linkCapFor(view.rate) {
-			continue
-		}
-		count++
-		if p.rng.Intn(count) == 0 {
-			best = v
-		}
-	}
-	return best
 }
 
 // handleFrame processes one inbound frame.
@@ -665,7 +586,7 @@ func (p *peer) serve(from overlay.NodeID, seg segment.ID, reReq bool) {
 	if grant {
 		if p.par.sharedOut {
 			grant = p.out.Take(1)
-		} else if p.grantsOut[from] < p.linkCapFor(p.advertisedRate()) {
+		} else if p.grantsOut[from] < sim.LinkCap(sim.LinkRate(p.out.Rate(), p.par.linkShare, p.par.tau, false), p.par.tau) {
 			p.grantsOut[from]++
 		} else {
 			grant = false
@@ -683,8 +604,9 @@ func (p *peer) serve(from overlay.NodeID, seg segment.ID, reReq bool) {
 	p.ep.Queue(Frame{Kind: kind, Msg: netmodel.Message{To: from, Seg: seg, Sent: p.tick}})
 }
 
-// handleDeny refunds the inbound token and retries the segment at an
-// alternate supplier, at most denyRetryCap suppliers per period.
+// handleDeny retries the segment at another supplier that advertises it,
+// has not denied it and has request headroom — at most denyRetryCap
+// suppliers per period — and otherwise refunds the inbound token.
 func (p *peer) handleDeny(from overlay.NodeID, seg segment.ID) {
 	if _, ok := p.requested[seg]; !ok {
 		return // stale deny from a previous period
@@ -693,7 +615,9 @@ func (p *peer) handleDeny(from overlay.NodeID, seg segment.ID) {
 	denied := append(p.deniedBy[seg], from)
 	p.deniedBy[seg] = denied
 	if len(denied) < denyRetryCap {
-		if alt := p.alternateSupplier(seg, denied); alt >= 0 {
+		rows := p.viewRows(denied)
+		if r := p.planner.Pick(rows, seg, p.rng); r >= 0 {
+			alt := overlay.NodeID(rows[r].ID)
 			p.requested[seg] = p.tick
 			p.reqPer[alt]++
 			p.ep.Queue(Frame{Kind: FrameRequest, Msg: netmodel.Message{To: alt, Seg: seg, Sent: p.tick}})
@@ -702,30 +626,6 @@ func (p *peer) handleDeny(from overlay.NodeID, seg segment.ID) {
 	}
 	delete(p.requested, seg)
 	p.in.Refund(1)
-}
-
-// alternateSupplier picks a random fresh-view neighbor advertising the
-// segment that has not denied it this period.
-func (p *peer) alternateSupplier(seg segment.ID, denied []overlay.NodeID) overlay.NodeID {
-	best := overlay.NodeID(-1)
-	count := 0
-outer:
-	for _, v := range p.neighbors {
-		view := p.views[v]
-		if view == nil || view.m == nil || view.period < p.tick-viewTTLPeriods || !view.m.Has(seg) {
-			continue
-		}
-		for _, d := range denied {
-			if d == v {
-				continue outer
-			}
-		}
-		count++
-		if p.rng.Intn(count) == 0 {
-			best = v
-		}
-	}
-	return best
 }
 
 // handleData lands one granted segment.

@@ -3,7 +3,6 @@ package sim
 import (
 	"gossipstream/internal/bandwidth"
 	"gossipstream/internal/buffer"
-	"gossipstream/internal/core"
 	"gossipstream/internal/overlay"
 	"gossipstream/internal/segment"
 )
@@ -83,28 +82,22 @@ type nodeState struct {
 	// propose and by the node's own shard during commit, never by two
 	// goroutines at once.
 	linkGrants []int32
-	// linkReqs[i] counts this round's prefetch requests on the same link
-	// (the former pairReqs map). Touched only by the node's own plan
-	// worker.
+	// linkReqs is the per-link prefetch request counter of the probe-loop
+	// prefetch that TestPrefetchMatchesProbeLoop keeps as its reference;
+	// the planner now tracks the same count as its rows' headroom.
 	linkReqs []int32
 
-	// Per-period plan view, built once at round 0 of each scheduling
-	// period and reused by the retry rounds (suppliers get re-filtered for
-	// "busy", needs for "granted" — but the neighbor scan, session
-	// discovery and missing-segment scan run once per period, not once per
-	// round). viewSuppliers holds the alive neighbors as core suppliers;
-	// viewSupAdj maps each of them back to its index in the adjacency list
-	// (the linkGrants/linkReqs slot). All four slices are read-only spans
-	// into the owning shard's plan-view arenas (shardScratch), valid for
-	// the period they were built in — a node that skips a period keeps a
-	// stale span but never reads it, because the view is only consumed by
-	// the rounds of the period that built it.
-	viewSuppliers []core.Supplier
-	viewSupAdj    []int32
-
-	// needOld and needNew cache the period's undelivered windows (the
-	// other half of the plan view).
-	needOld, needNew []segment.ID
+	// Per-period plan rows, built once at round 0 of each scheduling
+	// period and reused by the retry rounds (only their headroom changes
+	// between rounds): view holds the alive, reachable neighbors; viewAdj
+	// maps each of them back to its index in the adjacency list (the
+	// linkGrants slot). Both are read-only spans into the owning shard's
+	// plan-view arenas (shardScratch), valid for the period they were built
+	// in — a node that skips a period keeps a stale span but never reads
+	// it, because the view is only consumed by the rounds of the period
+	// that built it.
+	view    []Row
+	viewAdj []int32
 }
 
 // markGranted notes an in-flight segment for the rest of the period.

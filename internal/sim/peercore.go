@@ -1,31 +1,42 @@
 package sim
 
 import (
+	"math"
 	"math/bits"
+	"math/rand"
+	"slices"
 
 	"gossipstream/internal/buffer"
+	"gossipstream/internal/core"
 	"gossipstream/internal/segment"
 )
 
-// This file is the per-node protocol core: the playback/session state
-// machine and the need-window computation every gossipstream peer runs
-// once per scheduling period, extracted from the simulator's phases so
-// that a second execution backend can drive the same protocol step. Two
-// consumers exist today:
+// This file is the per-node protocol core every gossipstream peer runs
+// once per scheduling period, whichever backend drives it:
 //
-//   - the simulator's playback and plan phases (phase_world.go,
-//     phase_plan.go) call these methods on the nodeState's embedded
-//     Playback, exactly as the monolithic phases used to inline them —
-//     the extraction is behavior-preserving bit for bit;
+//   - Playback, the playback/session state machine, with session
+//     discovery and the two need windows;
+//   - Planner, the planning step of Section 4: read the neighbours'
+//     availability rows, build both need windows, run the core.Algorithm
+//     rate split and priority scheduler (Plan), then spend the leftover
+//     inbound on random useful pieces (Prefetch), with one supplier pick
+//     (Pick) that deny retries reuse;
+//   - LinkRate and LinkCap, the per-link rate and capacity formula.
 //
-//   - the live runtime (internal/runtime) drives one Playback per peer
-//     goroutine on the wall clock, with the same sessions/needs/advance
-//     semantics but buffer maps decoded from real transport frames.
+// Two drivers call it. The simulator's playback and plan phases
+// (phase_world.go, phase_plan.go) drive it against same-tick buffers,
+// and own row filtering (alive, partitions, busy suppliers), the shard
+// arenas and request routing. The live runtime (internal/runtime) drives
+// it per peer goroutine against buffer maps decoded from real frames,
+// and owns view expiry, the in-flight and timeout maps and frame
+// queueing.
 //
-// Everything here is pure node-local state: no Sim, no RNG, no engine.
-// The measurement hooks (finish-S1 / prepare-S2 / start-S2 ticks) stay
-// with the caller — Advance reports which sessions started and finished
-// so each backend can do its own window accounting.
+// Everything here is node-local: no Sim, no engine. The only randomness
+// is the generator the driver passes in, drawn in a fixed order (the
+// simulator's determinism contract). The measurement hooks (finish-S1 /
+// prepare-S2 / start-S2 ticks) stay with the caller — Advance reports
+// which sessions started and finished so each backend can do its own
+// window accounting.
 
 // Playback is one peer's playback and session-discovery state machine
 // over the serial session timeline. The zero value is NOT ready to use;
@@ -85,26 +96,15 @@ func (pb *Playback) Discover(sessions []segment.Session, maxAdvert segment.ID) {
 	}
 }
 
-// NeedWindows computes the peer's two undelivered request windows for
+// NeedWindowsInto computes the peer's two undelivered request windows for
 // the period: the current stream's window — [WindowLo, maxAdvert],
 // clipped to the session end and to one buffer capacity — and, once the
 // successor session is discovered, the first qs segments of the new
 // stream. Segments already held and segments in the granted in-flight
-// set are excluded. Results are appended to needOld/needNew (reset to
-// length zero first) and returned, so callers can reuse backing arrays
-// across periods.
-func (pb *Playback) NeedWindows(buf *buffer.Buffer, sessions []segment.Session, maxAdvert segment.ID, bufferCap, qs int, granted []segment.ID, needOld, needNew []segment.ID) ([]segment.ID, []segment.ID) {
-	dst, split := pb.NeedWindowsInto(buf, sessions, maxAdvert, bufferCap, qs, granted, needOld[:0])
-	needNew = append(needNew[:0], dst[split:]...)
-	return dst[:split:split], needNew
-}
-
-// NeedWindowsInto is the arena form of NeedWindows: both windows are
-// appended to dst — the old-stream window first — and the returned split
-// index separates them (needOld = dst[base:split], needNew = dst[split:],
-// where base is len(dst) at the call). The simulator points many nodes'
-// windows into one per-shard arena this way, paying append growth once
-// per shard instead of once per node.
+// set are excluded. Both windows are appended to dst — the old-stream
+// window first — and the returned split index separates them
+// (needOld = dst[base:split], needNew = dst[split:], where base is
+// len(dst) at the call).
 func (pb *Playback) NeedWindowsInto(buf *buffer.Buffer, sessions []segment.Session, maxAdvert segment.ID, bufferCap, qs int, granted, dst []segment.ID) ([]segment.ID, int) {
 	cur := sessions[pb.SessionIdx]
 
@@ -252,4 +252,233 @@ func (pb *Playback) tryStart(buf *buffer.Buffer, cur segment.Session, q, qs int)
 // window is equivalent to qs consecutive from its begin.
 func Prepared(buf *buffer.Buffer, begin segment.ID, qs int) bool {
 	return buf.ConsecutiveFrom(begin) >= qs
+}
+
+// LinkRate is R(j), the sending rate a supplier with outbound rate out
+// offers each of its links: its whole outbound in the shared-capacity
+// substrate, where one budget serves every link; out/linkShare in the
+// paper's per-link model — a single per-node value, exactly the "sending
+// rate of node j" of Algorithm 1 (the paper never differentiates R(j) by
+// requester). A per-link rate is never below one segment per period: a
+// live connection always makes some progress.
+func LinkRate(out float64, linkShare int, tau float64, shared bool) float64 {
+	if shared {
+		return out
+	}
+	r := out / float64(linkShare)
+	if floor := 1 / tau; r < floor {
+		r = floor
+	}
+	return r
+}
+
+// LinkCap is the whole-segment per-period capacity of a link at rate R(j).
+func LinkCap(rate, tau float64) int {
+	return max(1, int(rate*tau+1e-9))
+}
+
+// Unbounded is the headroom of a row whose link the driver does not
+// meter per link (the shared-capacity substrate).
+const Unbounded = math.MaxInt32
+
+// Row is one neighbour as the planning step sees it: the supplier (id,
+// rate R(j), availability view), its advertised high-water mark, and how
+// many more requests its link may take this round. A row without
+// headroom is busy: it neither supplies the plan nor takes prefetch.
+type Row struct {
+	core.Supplier
+	MaxSeen  segment.ID
+	Headroom int
+}
+
+// Pull is one request the planning step emits: a segment and the index of
+// the row to ask. ExpectedAt is the scheduler's expected receive offset
+// within the period; zero for a prefetch pull.
+type Pull struct {
+	Seg        segment.ID
+	Row        int32
+	ExpectedAt float64
+}
+
+// PlanParams are the protocol constants of the planning step, fixed for
+// a run.
+type PlanParams struct {
+	Tau, P    float64
+	Q, Qs     int
+	BufferCap int
+}
+
+// Planner is one peer's planning step and its reusable scratch (one per
+// simulator worker, one per live peer). A driver calls Plan, queues the
+// planned pulls, then calls Prefetch with what is left of the inbound
+// budget and queues those; Prefetch reads the need window and requests
+// of that Plan. The per-segment loops make no interface calls and no
+// allocations once the scratch has grown.
+type Planner struct {
+	algo core.Algorithm
+	par  PlanParams
+	// env and plan are the scheduler's input and output. env also carries
+	// BuildCandidates' reused availability scratch, so its fields are
+	// assigned one by one, never overwritten with a literal.
+	env  core.Env
+	plan core.Plan
+	// needs backs both need windows, old-stream window first; sup maps
+	// env.Suppliers back to row indexes.
+	needs []segment.ID
+	sup   []int32
+	// pool is the prefetch candidate pool. pre lists the rows prefetch
+	// may ask, and words holds their availability over the pool's span:
+	// the union row first, then one row per entry of pre.
+	pool  []segment.ID
+	pre   []int32
+	words []uint64
+	// Pulls is the last Plan's or Prefetch's output.
+	Pulls []Pull
+}
+
+// NewPlanner returns a planner running algo under par.
+func NewPlanner(algo core.Algorithm, par PlanParams) Planner {
+	return Planner{algo: algo, par: par}
+}
+
+// Plan is the scheduling half of the step. It discovers sessions from
+// the highest mark the first core.MaxSuppliers rows advertise, builds
+// both need windows without the held and inflight segments, hands the
+// scheduler those rows that have headroom as suppliers, and runs it;
+// Pulls holds its requests in precedence order. It reports false, with
+// no pulls, when nothing is advertised or nothing is needed — then the
+// scheduler did not run and Prefetch must not be called.
+func (pl *Planner) Plan(pb *Playback, buf *buffer.Buffer, sessions []segment.Session, inflight []segment.ID, inbound float64, rows []Row) bool {
+	pl.Pulls = pl.Pulls[:0]
+	pl.env.Suppliers, pl.sup = pl.env.Suppliers[:0], pl.sup[:0]
+	maxAdvert := segment.None
+	for k := range rows[:min(len(rows), core.MaxSuppliers)] {
+		r := &rows[k]
+		maxAdvert = max(maxAdvert, r.MaxSeen)
+		if r.Headroom >= 1 {
+			pl.env.Suppliers = append(pl.env.Suppliers, r.Supplier)
+			pl.sup = append(pl.sup, int32(k))
+		}
+	}
+	if maxAdvert == segment.None {
+		return false
+	}
+	pb.Discover(sessions, maxAdvert)
+	needs, split := pb.NeedWindowsInto(buf, sessions, maxAdvert, pl.par.BufferCap, pl.par.Qs, inflight, pl.needs[:0])
+	pl.needs = needs
+	if len(needs) == 0 {
+		return false
+	}
+	pl.env.Tau = pl.par.Tau
+	pl.env.P = pl.par.P
+	pl.env.Q = float64(pl.par.Q)
+	pl.env.Inbound = inbound
+	pl.env.Playhead = pb.WindowLo()
+	pl.env.NeedOld, pl.env.NeedNew = needs[:split:split], needs[split:]
+	pl.algo.Plan(&pl.env, &pl.plan)
+	for _, req := range pl.plan.Requests {
+		pl.Pulls = append(pl.Pulls, Pull{Seg: req.Segment, Row: pl.sup[req.SupplierIndex], ExpectedAt: req.ExpectedAt})
+	}
+	return true
+}
+
+// Prefetch is the leftover half of the step, run after a Plan that
+// reported true: it spends up to budget requests on uniformly random
+// segments of the current stream's need window that the plan did not
+// request, each asked of a uniformly random row that advertises it and
+// still has headroom — random useful-piece selection, the substrate of
+// every data-driven mesh, which keeps neighbourhood holdings diverse. It
+// never touches the next stream: how much inbound a node grants the new
+// source before finishing the old one is exactly the decision the
+// switch algorithms make. Every row is eligible, not just the
+// scheduler's first core.MaxSuppliers, so a hub prefetches from all its
+// neighbours. Each pull spends one headroom of its row; Pulls holds them.
+//
+// The draw order is part of the simulator's determinism contract (the
+// generator is shared by every node of a shard): one shuffle draw per
+// candidate taken from the pool, whether or not anyone holds it, and one
+// reservoir draw per eligible row in row order (see pick).
+func (pl *Planner) Prefetch(rows []Row, budget int, rng *rand.Rand) {
+	pl.Pulls = pl.Pulls[:0]
+	if budget <= 0 || len(pl.env.NeedOld) == 0 {
+		return
+	}
+	pool := append(pl.pool[:0], pl.env.NeedOld...)
+	pl.pool = pool
+	// NeedOld is ascending, so its ends bound the span the rows must cover.
+	w0 := int(pool[0] >> 6)
+	nw := int(pool[len(pool)-1]>>6) - w0 + 1
+	pl.readRows(rows, w0, nw)
+	union := pl.words[:nw]
+	for _, r := range pl.plan.Requests {
+		if off := int(r.Segment) - w0<<6; off >= 0 && off < nw<<6 {
+			union[off>>6] &^= 1 << uint(off&63) // already asked for
+		}
+	}
+	// Partial Fisher-Yates: draw random candidates until the budget or
+	// the pool is exhausted.
+	for k := 0; k < len(pool) && budget > 0; k++ {
+		j := k + rng.Intn(len(pool)-k)
+		pool[k], pool[j] = pool[j], pool[k]
+		off := int(pool[k]) - w0<<6
+		wi, bit := off>>6, uint64(1)<<uint(off&63)
+		if union[wi]&bit == 0 {
+			continue // held by no usable row, or planned
+		}
+		r := pl.pick(rows, nw, wi, bit, rng)
+		if r < 0 {
+			continue
+		}
+		rows[r].Headroom--
+		pl.Pulls = append(pl.Pulls, Pull{Seg: pool[k], Row: r})
+		budget--
+	}
+}
+
+// Pick chooses a supplier for one segment the way prefetch does: a
+// uniformly random row that advertises it and has headroom; -1 if none.
+// The live peer re-routes a denied request through it.
+func (pl *Planner) Pick(rows []Row, seg segment.ID, rng *rand.Rand) int {
+	pl.readRows(rows, int(seg>>6), 1)
+	return int(pl.pick(rows, 1, 0, 1<<uint(seg&63), rng))
+}
+
+// readRows fills pre with the rows that have headroom, in row order, and
+// words with their availability over the words [w0, w0+nw): the union
+// row, then one row per entry of pre.
+func (pl *Planner) readRows(rows []Row, w0, nw int) {
+	pl.pre = pl.pre[:0]
+	words := slices.Grow(pl.words[:0], nw)[:nw]
+	clear(words)
+	for k := range rows {
+		if rows[k].Headroom < 1 {
+			continue
+		}
+		pl.pre = append(pl.pre, int32(k))
+		words = slices.Grow(words, nw)[:len(words)+nw]
+		row := words[len(words)-nw:]
+		rows[k].View.AvailWords(w0, row)
+		for i, w := range row {
+			words[i] |= w
+		}
+	}
+	pl.words = words
+}
+
+// pick is the one supplier pick: a reservoir draw over the rows of pre
+// that hold the segment (bit of word wi) and still have headroom, one
+// reservoir draw per such row in row order. It returns the chosen row's
+// index, -1 if none.
+func (pl *Planner) pick(rows []Row, nw, wi int, bit uint64, rng *rand.Rand) int32 {
+	best, count := int32(-1), 0
+	for k, r := range pl.pre {
+		if pl.words[(k+1)*nw+wi]&bit == 0 || rows[r].Headroom < 1 {
+			continue
+		}
+		count++
+		if rng.Intn(count) == 0 {
+			best = r
+		}
+	}
+	return best
 }

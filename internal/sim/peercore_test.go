@@ -88,7 +88,8 @@ func TestPlaybackDiscoverAndNeedWindows(t *testing.T) {
 	if pb.Known != 1 {
 		t.Fatalf("known = %d before discovery", pb.Known)
 	}
-	needOld, needNew := pb.NeedWindows(buf, sessions, 9, 50, 4, nil, nil, nil)
+	needs, split := pb.NeedWindowsInto(buf, sessions, 9, 50, 4, nil, nil)
+	needOld, needNew := needs[:split], needs[split:]
 	if want := []segment.ID{1, 3, 4, 5, 6, 7, 8, 9}; !reflect.DeepEqual(needOld, want) {
 		t.Fatalf("needOld %v, want %v", needOld, want)
 	}
@@ -103,7 +104,8 @@ func TestPlaybackDiscoverAndNeedWindows(t *testing.T) {
 		t.Fatalf("known = %d after discovery", pb.Known)
 	}
 	buf.Insert(10)
-	needOld, needNew = pb.NeedWindows(buf, sessions, 12, 50, 4, []segment.ID{11}, needOld, needNew)
+	needs, split = pb.NeedWindowsInto(buf, sessions, 12, 50, 4, []segment.ID{11}, needs[:0])
+	needOld, needNew = needs[:split], needs[split:]
 	if want := []segment.ID{1, 3, 4, 5, 6, 7, 8, 9}; !reflect.DeepEqual(needOld, want) {
 		t.Fatalf("needOld %v, want %v (clipped at the session end)", needOld, want)
 	}

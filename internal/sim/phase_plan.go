@@ -7,7 +7,6 @@ import (
 	"gossipstream/internal/bitfield"
 	"gossipstream/internal/core"
 	"gossipstream/internal/overlay"
-	"gossipstream/internal/segment"
 	"gossipstream/internal/sim/engine"
 )
 
@@ -45,8 +44,8 @@ func (s *Sim) phaseSchedule() {
 }
 
 // planRound is the planning half of one scheduling round. On round 0 it
-// also snapshots each node's plan view (neighbor suppliers + undelivered
-// windows) for the period and accounts the buffer-map exchange: each
+// also snapshots each node's plan rows (its reachable neighbors) for the
+// period and accounts the buffer-map exchange: each
 // alive node receives one 620-bit map per alive neighbor per period
 // (retry rounds reuse the same maps).
 func (s *Sim) planRound() {
@@ -62,9 +61,8 @@ func (s *Sim) planRound() {
 		if round == 0 {
 			// New period: the plan-view arenas are rebuilt from scratch
 			// (buildView repopulates them for every planning node below).
-			sh.supArena = sh.supArena[:0]
-			sh.supAdjArena = sh.supAdjArena[:0]
-			sh.needArena = sh.needArena[:0]
+			sh.rowArena = sh.rowArena[:0]
+			sh.adjArena = sh.adjArena[:0]
 		}
 		rng := ws.seedRNG(engine.SeedFor(s.cfg.Seed, rngPlan, s.tick, round, shard))
 		wire := int64(bitfield.WireBits(s.cfg.BufferCap))
@@ -156,106 +154,66 @@ func bucketByShard(off []int32, shards, n int, shardOf func(i int) int, place fu
 	return off[:shards+1]
 }
 
-// planNode runs one node's scheduler for the round and queues its
-// requests in the shard outbox.
+// planNode runs one node's planning step (peercore.go) for the round and
+// queues its requests in the shard outbox.
 func (s *Sim) planNode(ws *workerScratch, sh *shardScratch, n *nodeState, round int, rng *rand.Rand) {
 	if round == 0 {
 		s.buildView(sh, n)
 	}
-	for i := range n.linkReqs {
-		n.linkReqs[i] = 0 // per-round prefetch request counters
-	}
-	// Assigned field by field: Env also carries BuildCandidates' reused
-	// availability scratch, which a struct literal would drop.
-	ws.env.Tau = s.cfg.Tau
-	ws.env.P = s.cfg.P
-	ws.env.Q = float64(s.cfg.Q)
-	ws.env.Inbound = n.profile.In
-	ws.env.Playhead = n.WindowLo()
-	ws.env.Suppliers = ws.env.Suppliers[:0]
-	ws.supAdj = ws.supAdj[:0]
-	for k := range n.viewSuppliers {
-		sup := n.viewSuppliers[k]
-		if round > 0 {
-			// Skip neighbors that signalled "busy" in the previous round:
-			// exhausted aggregate outbound (shared mode) or an exhausted
-			// link to this node (per-link mode).
-			nb := s.nodes[sup.ID]
-			if s.cfg.SharedOutbound {
-				if nb.out.Available() < 1 {
-					continue
-				}
-			} else if int(n.linkGrants[n.viewSupAdj[k]]) >= s.linkCap(nb) {
-				continue
-			}
+	// Request headroom per row for this round. A neighbor that signalled
+	// "busy" — exhausted aggregate outbound in shared mode, an exhausted
+	// link to this node in per-link mode — neither supplies the plan nor
+	// takes prefetch.
+	for k := range n.view {
+		r := &n.view[k]
+		nb := s.nodes[r.ID]
+		switch {
+		case !s.cfg.SharedOutbound:
+			r.Headroom = s.linkCap(nb) - int(n.linkGrants[n.viewAdj[k]])
+		case nb.out.Available() < 1:
+			r.Headroom = 0
+		default:
+			r.Headroom = Unbounded
 		}
-		ws.env.Suppliers = append(ws.env.Suppliers, sup)
-		ws.supAdj = append(ws.supAdj, n.viewSupAdj[k])
 	}
-
-	// Needs: the cached per-period windows, minus segments granted in
-	// earlier rounds of this period (in flight, must not be re-requested).
-	needOld, needNew := n.needOld, n.needNew
-	ws.seen.begin()
-	if round > 0 && len(n.granted) > 0 {
-		for _, id := range n.granted {
-			ws.seen.add(id)
-		}
-		needOld = filterSeen(ws.needOld[:0], n.needOld, &ws.seen)
-		ws.needOld = needOld
-		needNew = filterSeen(ws.needNew[:0], n.needNew, &ws.seen)
-		ws.needNew = needNew
-	}
-	if len(needOld) == 0 && len(needNew) == 0 {
+	// In flight: segments granted in an earlier round of this period, or
+	// still travelling under the netmodel.
+	if !ws.Plan(&n.Playback, n.buf, s.sessions, n.granted, n.profile.In, n.view) {
 		return
 	}
-	ws.env.NeedOld, ws.env.NeedNew = needOld, needNew
-
-	ws.algo.Plan(&ws.env, &ws.plan)
 	sh.diagRequests += len(ws.plan.Requests)
-	sh.diagCandidates += len(needOld) + len(needNew)
+	sh.diagCandidates += len(ws.env.NeedOld) + len(ws.env.NeedNew)
 	sh.diagPlanned++
-	for _, req := range ws.plan.Requests {
+	s.route(sh, n, ws.Pulls)
+	if !s.cfg.DisablePrefetch {
+		// The serve phase, not the plan, spends the inbound budget.
+		ws.Prefetch(n.view, n.in.Available()-len(ws.plan.Requests), rng)
+		s.route(sh, n, ws.Pulls)
+	}
+}
+
+// route queues pulls in the shard outbox, addressed to their rows' nodes.
+func (s *Sim) route(sh *shardScratch, n *nodeState, pulls []Pull) {
+	for _, pu := range pulls {
 		sh.requests = append(sh.requests, routedRequest{
-			sup: overlay.NodeID(req.Supplier),
-			req: pullRequest{
-				from:     n.id,
-				seg:      req.Segment,
-				expected: req.ExpectedAt,
-				nbIdx:    ws.supAdj[req.SupplierIndex],
-			},
+			sup: overlay.NodeID(n.view[pu.Row].ID),
+			req: pullRequest{from: n.id, seg: pu.Seg, expected: pu.ExpectedAt, nbIdx: n.viewAdj[pu.Row]},
 		})
 	}
-	if !s.cfg.DisablePrefetch {
-		s.prefetch(ws, sh, n, rng)
-	}
 }
 
-// filterSeen appends the ids of src absent from seen to dst.
-func filterSeen(dst, src []segment.ID, seen *segSet) []segment.ID {
-	for _, id := range src {
-		if !seen.has(id) {
-			dst = append(dst, id)
-		}
-	}
-	return dst
-}
-
-// buildView snapshots the node's per-period plan view: its alive
-// neighbors as suppliers (with their adjacency slots) and its undelivered
-// windows. Built once per period — the view is stable across the retry
-// rounds because buffers, rates and playheads only change at period
-// boundaries; rounds re-filter it for busy suppliers and in-flight
-// segments. Discovery of a new session happens here — the node notices
-// neighbors advertising segments past the current session's end.
+// buildView snapshots the node's per-period plan rows: its alive
+// neighbors not cut off by an active partition, in adjacency order, with
+// their rates and advertised marks (and their adjacency slots beside).
+// Built once per period — rows, rates and marks only change at period
+// boundaries; each round refreshes the rows' headroom.
 //
-// The view lives as spans of the shard's arenas (the node fields are
+// The rows live as spans of the shard's arenas (the node fields are
 // windows into them), appended shard-locally by the worker that owns the
 // node — so the arena layout, like the view contents, is a pure function
 // of shard state and the determinism contract is untouched.
 func (s *Sim) buildView(sh *shardScratch, n *nodeState) {
-	supBase := len(sh.supArena)
-	maxAdvert := segment.None
+	base := len(sh.rowArena)
 	for ni, v := range s.g.Neighbors(n.id) {
 		nb := s.nodes[v]
 		if !nb.alive || s.blocked(n.id, v) {
@@ -263,151 +221,16 @@ func (s *Sim) buildView(sh *shardScratch, n *nodeState) {
 			// no requests, no supply until the partition heals.
 			continue
 		}
-		if len(sh.supArena)-supBase == core.MaxSuppliers {
-			// Hubs created by the random augmentation can exceed the
-			// scheduler's supplier mask; a node evaluates at most
-			// MaxSuppliers neighbors per period (far beyond the M=5 a
-			// real deployment maintains).
-			break
-		}
-		if nb.maxSeen > maxAdvert {
-			maxAdvert = nb.maxSeen
-		}
-		rate := s.linkRate(nb)
-		if s.cfg.SharedOutbound {
-			rate = nb.out.Rate()
-		}
-		sh.supArena = append(sh.supArena, core.Supplier{
-			ID:   core.SupplierID(v),
-			Rate: rate,
-			View: nb.buf,
+		sh.rowArena = append(sh.rowArena, Row{
+			Supplier: core.Supplier{
+				ID:   core.SupplierID(v),
+				Rate: LinkRate(nb.out.Rate(), s.cfg.LinkShare, s.cfg.Tau, s.cfg.SharedOutbound),
+				View: nb.buf,
+			},
+			MaxSeen: nb.maxSeen,
 		})
-		sh.supAdjArena = append(sh.supAdjArena, int32(ni))
+		sh.adjArena = append(sh.adjArena, int32(ni))
 	}
-	n.viewSuppliers = sh.supArena[supBase:len(sh.supArena):len(sh.supArena)]
-	n.viewSupAdj = sh.supAdjArena[supBase:len(sh.supAdjArena):len(sh.supAdjArena)]
-	if maxAdvert == segment.None {
-		n.needOld, n.needNew = nil, nil
-		return
-	}
-
-	// Session discovery and the undelivered request windows: the shared
-	// per-node protocol core (peercore.go), driven here against same-tick
-	// buffer state and in the live runtime against decoded wire maps.
-	n.Discover(s.sessions, maxAdvert)
-	needBase := len(sh.needArena)
-	arena, split := n.NeedWindowsInto(n.buf, s.sessions, maxAdvert,
-		s.cfg.BufferCap, s.cfg.Qs, n.granted, sh.needArena)
-	sh.needArena = arena
-	n.needOld = arena[needBase:split:split]
-	n.needNew = arena[split:len(arena):len(arena)]
-}
-
-// prefetch spends the node's leftover inbound budget on uniformly random
-// missing segments of the node's *current* stream. This is the substrate
-// behaviour of every data-driven mesh (random useful-piece selection): it
-// decorrelates neighborhood holdings so all links stay useful. It runs
-// identically under both switch algorithms, after — and never instead of —
-// their prioritized requests.
-//
-// Crucially, prefetch never touches the next session's segments: how much
-// inbound a node grants the new source before finishing the old one is
-// exactly the decision the paper's switch algorithms make, and the
-// emergent dissemination speed of S2 is the effect being measured.
-func (s *Sim) prefetch(ws *workerScratch, sh *shardScratch, n *nodeState, rng *rand.Rand) {
-	budget := n.in.Available() - len(ws.plan.Requests)
-	if budget <= 0 {
-		return
-	}
-	// Segments the plan already requested this round must not be asked
-	// for again (ws.seen already stamps the in-flight set).
-	for _, r := range ws.plan.Requests {
-		ws.seen.add(r.Segment)
-	}
-	pool := append(ws.pool[:0], ws.env.NeedOld...)
-	ws.pool = pool
-	if len(pool) == 0 {
-		return
-	}
-	// NeedOld is ascending, so its ends bound the span the rows must cover.
-	w0 := int(pool[0] >> 6)
-	nw := int(pool[len(pool)-1]>>6) - w0 + 1
-	s.readNeighborWords(ws, n, w0, nw)
-	union := ws.nbWords[:nw]
-	// Partial Fisher-Yates: draw random candidates until the budget or the
-	// pool is exhausted. Every draw is made whether or not anyone holds the
-	// id: the stream is shared by all nodes of the shard.
-	for k := 0; k < len(pool) && budget > 0; k++ {
-		j := k + rng.Intn(len(pool)-k)
-		pool[k], pool[j] = pool[j], pool[k]
-		id := pool[k]
-		off := int(id) - w0<<6
-		wi, bit := off>>6, uint64(1)<<uint(off&63)
-		if union[wi]&bit == 0 || ws.seen.has(id) {
-			continue // held by no reachable neighbor, or already asked for
-		}
-		sup, ni := s.pickSupplier(ws, n, nw, wi, bit, rng)
-		if sup < 0 {
-			continue
-		}
-		n.linkReqs[ni]++
-		sh.requests = append(sh.requests, routedRequest{
-			sup: sup,
-			req: pullRequest{from: n.id, seg: id, nbIdx: ni},
-		})
-		budget--
-	}
-}
-
-// readNeighborWords fills the worker's prefetch rows for node n over the
-// availability words [w0, w0+nw). ws.nbWords starts with the union row;
-// then, for every neighbor a prefetch request could go to — alive, not
-// across an active partition, and in shared mode with outbound left (none
-// of which changes during the plan phase) — in adjacency order, comes one
-// row of its buffer's words, its adjacency slot going to ws.nbAdj. Unlike
-// the planner's supplier list the rows are not capped at
-// core.MaxSuppliers: a hub prefetches from any of its neighbors.
-func (s *Sim) readNeighborWords(ws *workerScratch, n *nodeState, w0, nw int) {
-	ws.nbAdj = ws.nbAdj[:0]
-	words := slices.Grow(ws.nbWords[:0], nw)[:nw]
-	clear(words)
-	for ni, v := range s.g.Neighbors(n.id) {
-		nb := s.nodes[v]
-		if !nb.alive || s.blocked(n.id, v) || (s.cfg.SharedOutbound && nb.out.Available() < 1) {
-			continue
-		}
-		ws.nbAdj = append(ws.nbAdj, int32(ni))
-		words = slices.Grow(words, nw)[:len(words)+nw]
-		row := words[len(words)-nw:]
-		nb.buf.AvailWords(w0, row)
-		for k, w := range row {
-			words[k] |= w
-		}
-	}
-	ws.nbWords = words
-}
-
-// pickSupplier chooses a uniformly random neighbor among the rows of
-// readNeighborWords that holds the segment (bit of word wi) and whose link
-// to n still has request capacity this period; -1 if none. The second
-// return is the neighbor's adjacency slot. One reservoir draw is made per
-// eligible neighbor, in adjacency order.
-func (s *Sim) pickSupplier(ws *workerScratch, n *nodeState, nw, wi int, bit uint64, rng *rand.Rand) (overlay.NodeID, int32) {
-	best, bestIdx := overlay.NodeID(-1), int32(-1)
-	count := 0
-	nbrs := s.g.Neighbors(n.id)
-	for k, ni := range ws.nbAdj {
-		if ws.nbWords[(k+1)*nw+wi]&bit == 0 {
-			continue
-		}
-		v := nbrs[ni]
-		if !s.cfg.SharedOutbound && int(n.linkGrants[ni]+n.linkReqs[ni]) >= s.linkCap(s.nodes[v]) {
-			continue
-		}
-		count++
-		if rng.Intn(count) == 0 {
-			best, bestIdx = v, ni
-		}
-	}
-	return best, bestIdx
+	n.view = sh.rowArena[base:len(sh.rowArena):len(sh.rowArena)]
+	n.viewAdj = sh.adjArena[base:len(sh.adjArena):len(sh.adjArena)]
 }

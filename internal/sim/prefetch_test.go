@@ -141,13 +141,16 @@ func TestPrefetchMatchesProbeLoop(t *testing.T) {
 					s.planNode(ws, &shipped, nd, s.round, rngShipped)
 
 					// The scheduler alone (it draws nothing), then the
-					// reference prefetch on the state planNode leaves behind.
+					// reference prefetch on the state planNode leaves behind,
+					// with its in-flight set and per-link counters fresh.
 					// (planNode returns before prefetch when nothing is needed.)
 					ran := probed.diagPlanned
 					s.cfg.DisablePrefetch = true
 					s.planNode(ws, &probed, nd, s.round, nil)
 					s.cfg.DisablePrefetch = false
 					if probed.diagPlanned > ran {
+						ws.seen.begin()
+						clear(nd.linkReqs)
 						probePrefetch(s, ws, &probed, nd, rngProbed)
 					}
 				}

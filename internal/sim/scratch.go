@@ -3,7 +3,6 @@ package sim
 import (
 	"math/rand"
 
-	"gossipstream/internal/core"
 	"gossipstream/internal/overlay"
 	"gossipstream/internal/segment"
 )
@@ -107,31 +106,16 @@ func (c *nodeCounter) inc(id overlay.NodeID) {
 // information between shards: every field is (re)initialized per node or
 // per supplier visit.
 type workerScratch struct {
-	env  core.Env
-	plan core.Plan
-	algo core.Algorithm
-	// supAdj maps env.Suppliers back to adjacency indices for the node
-	// currently being planned (parallel slice to env.Suppliers).
-	supAdj []int32
-	// needOld/needNew hold the round's granted-filtered needs when the
-	// cached per-period view cannot be used verbatim (rounds > 0).
-	needOld, needNew []segment.ID
-	// seen stamps segments already granted or planned (the former
-	// plannedSet map, and the distinct-first grant set of shared serve).
+	// Planner is the worker's planning step (peercore.go), run for every
+	// node the worker plans.
+	Planner
+	// seen is the distinct-first grant set of shared serve.
 	seen segSet
 	// reqCount counts proposals per requester inside one supplier queue.
 	reqCount nodeCounter
 	// retry holds the queue indexes deferred by the distinct-first rule
 	// of shared serve (candidates for the duplicate pass).
 	retry []int32
-	// pool is the prefetch candidate pool (the former poolScratch).
-	pool []segment.ID
-	// nbAdj and nbWords are prefetch's availability rows for the node
-	// being planned (readNeighborWords): the adjacency slots of its
-	// reachable neighbors and, after a leading union row, their buffers'
-	// bitmap words over the pool's id span, one row each.
-	nbAdj   []int32
-	nbWords []uint64
 	// rng is the worker's reusable generator. Every sharded phase that
 	// draws randomness reseeds it with its (phase, tick, round, shard)
 	// stream before use — Rand.Seed resets the source to exactly the
@@ -182,17 +166,16 @@ type shardScratch struct {
 	refundSup  []overlay.NodeID
 	committed  int
 	reRequests int
-	// Plan-view arenas: the per-period views of the shard's nodes
-	// (suppliers, adjacency slots, undelivered windows) live as spans of
-	// these backing arrays instead of per-node slices. Reset at round 0 of
-	// each period, right before buildView repopulates them shard-locally —
-	// so in steady state a whole period's views cost zero allocations,
-	// where per-node slices kept paying append-growth during warm-up. A
-	// mid-build realloc strands earlier spans on the old backing, which is
-	// harmless: spans are read through the node fields, not the arena.
-	supArena    []core.Supplier
-	supAdjArena []int32
-	needArena   []segment.ID
+	// Plan-view arenas: the per-period rows of the shard's nodes (and
+	// their adjacency slots) live as spans of these backing arrays instead
+	// of per-node slices. Reset at round 0 of each period, right before
+	// buildView repopulates them shard-locally — so in steady state a
+	// whole period's views cost zero allocations, where per-node slices
+	// kept paying append-growth during warm-up. A mid-build realloc
+	// strands earlier spans on the old backing, which is harmless: spans
+	// are read through the node fields, not the arena.
+	rowArena []Row
+	adjArena []int32
 	// controlBits accumulates the round-0 buffer-map exchange cost.
 	controlBits int64
 	// Per-tick diagnostics, merged into the Sim's counters.

@@ -227,7 +227,9 @@ func New(cfg Config) (*Sim, error) {
 	s.pool = engine.NewPool(workers)
 	s.workers = make([]*workerScratch, s.pool.Workers())
 	for i := range s.workers {
-		s.workers[i] = &workerScratch{algo: cfg.NewAlgorithm()}
+		s.workers[i] = &workerScratch{Planner: NewPlanner(cfg.NewAlgorithm(), PlanParams{
+			Tau: cfg.Tau, P: cfg.P, Q: cfg.Q, Qs: cfg.Qs, BufferCap: cfg.BufferCap,
+		})}
 	}
 	s.sched = engine.NewPipeline(
 		engine.Phase{Name: "plan", Run: s.planRound},
@@ -725,27 +727,10 @@ func (s *Sim) applyShift(n *nodeState) {
 	n.out.SetRate(n.profile.Out)
 }
 
-// linkRate is R(j): the sending rate supplier j offers on each of its
-// links — out_j / LinkShare, a single per-node value, exactly the
-// "sending rate of node j" of Algorithm 1 (the paper never differentiates
-// R(j) by requester; Figure 4 annotates each neighbor with its outbound
-// rate o_j). The rate is never below one segment per period: a live
-// connection always makes some progress.
-func (s *Sim) linkRate(j *nodeState) float64 {
-	r := j.out.Rate() / float64(s.cfg.LinkShare)
-	if floor := 1 / s.cfg.Tau; r < floor {
-		r = floor
-	}
-	return r
-}
-
-// linkCap is the whole-segment per-period capacity of one link.
+// linkCap is the per-period grant capacity of each of j's links in the
+// per-link substrate.
 func (s *Sim) linkCap(j *nodeState) int {
-	c := int(s.linkRate(j)*s.cfg.Tau + 1e-9)
-	if c < 1 {
-		c = 1
-	}
-	return c
+	return LinkCap(LinkRate(j.out.Rate(), s.cfg.LinkShare, s.cfg.Tau, false), s.cfg.Tau)
 }
 
 // cohortComplete reports whether every surviving cohort member has both
