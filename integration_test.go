@@ -1,11 +1,10 @@
-// Cross-module integration tests: the full pipeline from a serialized
+// Cross-module integration tests: the full pipeline from a synthesized
 // overlay trace through augmentation, simulation of both switch
 // algorithms, aggregation, and figure formatting — the path cmd/sweep
 // exercises, as a test.
 package gossipstream_test
 
 import (
-	"bytes"
 	"math/rand"
 	"strings"
 	"testing"
@@ -16,21 +15,14 @@ import (
 	"gossipstream/internal/trace"
 )
 
-// TestPipelineTraceToFigures drives a trace file through every layer.
+// TestPipelineTraceToFigures drives a synthesized trace through every
+// layer.
 func TestPipelineTraceToFigures(t *testing.T) {
-	// 1. Synthesize, serialize, re-parse — the tracegen round trip.
+	// 1. Synthesize the crawl-like trace.
 	tr := trace.Synthesize("integration", 150, 1, 314)
-	var wire bytes.Buffer
-	if err := tr.Write(&wire); err != nil {
-		t.Fatal(err)
-	}
-	parsed, err := trace.Parse(&wire)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	// 2. Build and prepare the overlay exactly as Section 5.1 prescribes.
-	g, err := parsed.Graph()
+	g, err := tr.Graph()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -356,7 +356,7 @@ func (c *coordinator) run() (*sim.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return runtime.MergeWindows(append([]*sim.Result{local}, parts...)), nil
+	return sim.MergeWindows(append([]*sim.Result{local}, parts...)), nil
 }
 
 // drainInbox folds queued worker messages (statuses, stray hellos)

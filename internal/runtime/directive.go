@@ -547,8 +547,8 @@ func (r *Runner) Apply(d *Directive) error {
 	case DirDemote:
 		r.applyDemoteDirective(d)
 	case DirMeasure:
-		r.closeWindow(r.tick-r.win.openTick, false, true)
-		r.openWindow(false, d.Ticks, sim.Event{})
+		r.endWindow(true)
+		r.startWindow(false, d.Ticks, false)
 	case DirMembership:
 		r.applyMembership(d)
 	case DirBandwidth:
@@ -588,7 +588,7 @@ func (r *Runner) Apply(d *Directive) error {
 // as the simulator's applySwitch, with control round-trips in place of
 // shared memory.
 func (r *Runner) applySwitchDirective(d *Directive) {
-	r.closeWindow(r.tick-r.win.openTick, false, true)
+	r.endWindow(true)
 	if d.Failure {
 		if !d.Resolved {
 			// Replay the resolver's membership repair structurally.
@@ -611,7 +611,7 @@ func (r *Runner) applySwitchDirective(d *Directive) {
 		newH.p.ctrlCh <- ctrlMsg{kind: ctrlBecomeSource, sessions: append([]segment.Session(nil), r.timeline...)}
 	}
 	r.lastRetired = d.Old
-	r.openWindow(true, d.Horizon, sim.Event{Failure: d.Failure})
+	r.startWindow(true, d.Horizon, d.Failure)
 }
 
 // applyDemoteDirective returns the resolved ex-source to listener duty.
@@ -745,7 +745,9 @@ func (r *Runner) TickShard() error {
 		r.observe(<-r.reports)
 	}
 	r.stats.Periods++
-	r.windowsTick()
+	if r.win.Due(r.tick) {
+		r.endWindow(false)
+	}
 	r.tickObs(tickStart)
 	r.tick++
 	return r.err
@@ -762,7 +764,7 @@ func (r *Runner) Duration() int { return r.duration }
 func (r *Runner) EarlyExit() bool { return r.earlyExit }
 
 // Idle reports whether this shard has no open measurement window.
-func (r *Runner) Idle() bool { return !r.win.active }
+func (r *Runner) Idle() bool { return !r.win.Active() }
 
 // DueEvent peeks the next unfired timeline event due at or before the
 // current tick.
@@ -787,65 +789,9 @@ func (r *Runner) ResolveChurnStep() *Directive { return r.resolveChurn() }
 // down. The per-shard Result holds this shard's windows (cohorts are
 // owned peers only); the coordinator merges them by window index.
 func (r *Runner) FinishShard() *sim.Result {
-	if r.win.active {
-		r.closeWindow(r.tick-r.win.openTick, false, true)
-	}
+	r.endWindow(true)
 	r.finishObs()
 	r.stats.Transport = r.tr.Stats()
 	r.shutdown()
 	return r.res
-}
-
-// MergeWindows folds per-shard windows (matched by index) into one
-// result: counters sum, completion-time lists concatenate and the
-// measured span is the longest shard's. Window identity fields (kind,
-// tick, the handoff pair) come from the first shard carrying them —
-// every shard applied the same directives, so they agree.
-func MergeWindows(parts []*sim.Result) *sim.Result {
-	merged := &sim.Result{}
-	var windows []*sim.SwitchMetrics
-	for _, part := range parts {
-		if part == nil {
-			continue
-		}
-		if merged.Algorithm == "" {
-			merged.Algorithm = part.Algorithm
-		}
-		for i, w := range part.Windows {
-			for len(windows) <= i {
-				windows = append(windows, nil)
-			}
-			if windows[i] == nil {
-				cp := *w
-				cp.FinishS1Times = append([]float64(nil), w.FinishS1Times...)
-				cp.PrepareS2Times = append([]float64(nil), w.PrepareS2Times...)
-				cp.StartS2Times = append([]float64(nil), w.StartS2Times...)
-				windows[i] = &cp
-				continue
-			}
-			m := windows[i]
-			m.Nodes += w.Nodes
-			m.Cohort += w.Cohort
-			m.ControlBits += w.ControlBits
-			m.DataBits += w.DataBits
-			m.PlayedSegments += w.PlayedSegments
-			m.StalledSlots += w.StalledSlots
-			m.UnfinishedS1 += w.UnfinishedS1
-			m.UnpreparedS2 += w.UnpreparedS2
-			m.NetDelivered += w.NetDelivered
-			m.NetLost += w.NetLost
-			m.NetReRequests += w.NetReRequests
-			m.NetDelaySeconds += w.NetDelaySeconds
-			m.FinishS1Times = append(m.FinishS1Times, w.FinishS1Times...)
-			m.PrepareS2Times = append(m.PrepareS2Times, w.PrepareS2Times...)
-			m.StartS2Times = append(m.StartS2Times, w.StartS2Times...)
-			if w.MeasuredTicks > m.MeasuredTicks {
-				m.MeasuredTicks = w.MeasuredTicks
-			}
-			m.HitHorizon = m.HitHorizon || w.HitHorizon
-			m.Interrupted = m.Interrupted || w.Interrupted
-		}
-	}
-	merged.Windows = windows
-	return merged
 }

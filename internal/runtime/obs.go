@@ -208,7 +208,7 @@ func (r *Runner) tickObs(tickStart time.Time) {
 		ob.overruns.SetTotal(int64(r.stats.Overruns))
 		ob.peers.Set(int64(active))
 		ob.inboxDepth.Set(int64(depth))
-		if r.win.active {
+		if r.win.Active() {
 			ob.windowOpen.Set(1)
 		} else {
 			ob.windowOpen.Set(0)
@@ -242,7 +242,7 @@ func (r *Runner) publishSnapshot(inboxDepth, active int) {
 		Overruns:      r.stats.Overruns,
 		ActivePeers:   active,
 		InboxDepth:    inboxDepth,
-		WindowOpen:    r.win.active,
+		WindowOpen:    r.win.Active(),
 		WindowsClosed: len(r.res.Windows),
 		Transport:     r.statsCache,
 	})

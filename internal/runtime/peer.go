@@ -23,10 +23,11 @@ import (
 // back (listener), advertises its buffer map to every neighbor, and
 // plans pull requests with the simulator's own planning step
 // (sim.Planner) — against views decoded from real map frames rather than
-// same-tick shared memory. Requests are served (or denied)
-// asynchronously as they arrive; a denial is retried at another supplier
-// through the planner's supplier pick, or refunds the requester's
-// inbound token — the live counterpart of the simulator's retry rounds.
+// same-tick shared memory. Requests are served (or denied) one inbox
+// burst at a time, under the simulator's service rule (servePending); a
+// denial is retried at another supplier through the planner's supplier
+// pick, or refunds the requester's inbound token — the live counterpart
+// of the simulator's retry rounds.
 //
 // Outbound frames are queued on the endpoint and flushed at two points:
 // the end of a period (a neighbour's map and this period's requests to
@@ -88,7 +89,8 @@ type ctrlMsg struct {
 	reply     chan segment.ID   // ctrlStopSource: the closed session's end id
 }
 
-// report is one peer's per-period account to the runner's collector.
+// report is one peer's per-period account to the runner, which folds it
+// into the measurement window (Runner.observe).
 type report struct {
 	id       overlay.NodeID
 	period   int
@@ -154,6 +156,10 @@ type peer struct {
 	timedOut map[segment.ID]int
 	// Per-period grant counts per requester (the per-link serve cap).
 	grantsOut map[overlay.NodeID]int
+	// pending is the current inbox burst's pull requests, answered
+	// together at its end; served is servePending's distinct-first set.
+	pending []pullReq
+	served  map[segment.ID]bool
 
 	// Period accumulators, flushed into the report.
 	mapBits, dataBits int64
@@ -225,6 +231,7 @@ func newPeer(spec spawnSpec, par peerParams, algo core.Algorithm, ep Endpoint, r
 		timedOut:     make(map[segment.ID]int),
 		reqPer:       make(map[overlay.NodeID]int),
 		grantsOut:    make(map[overlay.NodeID]int),
+		served:       make(map[segment.ID]bool),
 		preparedDone: make(map[int]bool),
 		started:      -1,
 		finished:     -1,
@@ -269,22 +276,23 @@ func (p *peer) run() {
 	}
 }
 
-// burst handles f and every frame already waiting behind it, then
-// flushes the answers they produced.
+// burst handles f and every frame already waiting behind it, answers the
+// requests among them, then flushes the answers.
 func (p *peer) burst(f Frame) {
 	for {
 		p.handleFrame(f)
 		select {
 		case f = <-p.ep.Recv():
 		default:
+			p.servePending()
 			p.ep.Flush()
 			return
 		}
 	}
 }
 
-// drain empties the control and frame queues; false means a quit
-// arrived mid-drain.
+// drain empties the control and frame queues and answers the requests
+// among the frames; false means a quit arrived mid-drain.
 func (p *peer) drain() bool {
 	for {
 		select {
@@ -295,6 +303,7 @@ func (p *peer) drain() bool {
 		case f := <-p.ep.Recv():
 			p.handleFrame(f)
 		default:
+			p.servePending()
 			return true
 		}
 	}
@@ -535,7 +544,7 @@ func (p *peer) handleFrame(f Frame) {
 	case FrameMap:
 		p.handleMap(f)
 	case FrameRequest:
-		p.serve(f.Msg.From, f.Msg.Seg, f.ReReq)
+		p.pending = append(p.pending, pullReq{from: f.Msg.From, seg: f.Msg.Seg, reReq: f.ReReq})
 	case FrameDeny:
 		p.handleDeny(f.Msg.From, f.Msg.Seg)
 	case FrameData:
@@ -576,12 +585,48 @@ func (p *peer) mergeSessions(remote []SessionInfo) {
 	}
 }
 
+// pullReq is one received pull request awaiting its answer.
+type pullReq struct {
+	from  overlay.NodeID
+	seg   segment.ID
+	reReq bool
+}
+
+// servePending answers the burst's requests. In the shared-outbound
+// substrate it applies the simulator's service rule (phase_serve.go
+// proposeShared): random order, each distinct segment granted once
+// before leftover capacity goes to duplicates — a congested supplier
+// that answered in arrival order would hand same-depth requesters the
+// same segments and leave them nothing to trade. Per-link caps are per
+// requester, so there arrival order stands.
+func (p *peer) servePending() {
+	reqs := p.pending
+	if p.par.sharedOut && len(reqs) > 1 {
+		p.rng.Shuffle(len(reqs), func(i, j int) { reqs[i], reqs[j] = reqs[j], reqs[i] })
+		clear(p.served)
+		dups := 0
+		for _, r := range reqs {
+			if p.served[r.seg] {
+				reqs[dups] = r // deferred to the duplicate pass
+				dups++
+				continue
+			}
+			p.served[r.seg] = p.serve(r.from, r.seg, r.reReq)
+		}
+		reqs = reqs[:dups]
+	}
+	for _, r := range reqs {
+		p.serve(r.from, r.seg, r.reReq)
+	}
+	p.pending = p.pending[:0]
+}
+
 // serve answers one pull request: grant under this period's capacity,
-// deny otherwise. The requester's own state is unknown here — unlike
-// the simulator's serve phase, a live supplier cannot read the
-// requester's budget, so over-subscription resolves at the requester
-// (duplicate data is dropped on arrival).
-func (p *peer) serve(from overlay.NodeID, seg segment.ID, reReq bool) {
+// deny otherwise, and reports whether it granted. The requester's own
+// state is unknown here — unlike the simulator's serve phase, a live
+// supplier cannot read the requester's budget, so over-subscription
+// resolves at the requester (duplicate data is dropped on arrival).
+func (p *peer) serve(from overlay.NodeID, seg segment.ID, reReq bool) bool {
 	grant := p.buf.Has(seg)
 	if grant {
 		if p.par.sharedOut {
@@ -602,6 +647,7 @@ func (p *peer) serve(from overlay.NodeID, seg segment.ID, reReq bool) {
 		kind = FrameDeny
 	}
 	p.ep.Queue(Frame{Kind: kind, Msg: netmodel.Message{To: from, Seg: seg, Sent: p.tick}})
+	return grant
 }
 
 // handleDeny retries the segment at another supplier that advertises it,

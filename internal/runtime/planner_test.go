@@ -317,6 +317,51 @@ func TestLivePlannerMatchesReference(t *testing.T) {
 	}
 }
 
+// TestServeDistinctFirst pins the live supplier to the simulator's
+// shared-outbound service rule: within one burst, each distinct segment
+// is granted once before leftover capacity goes to duplicates, whatever
+// order the requests arrived and the shuffle put them in.
+func TestServeDistinctFirst(t *testing.T) {
+	for _, tc := range []struct {
+		out       float64
+		wantDupes int // duplicate grants of the contended segment
+	}{
+		{out: 3, wantDupes: 0}, // capacity for the distinct segments only
+		{out: 5, wantDupes: 2}, // leftover capacity serves duplicates
+	} {
+		for seed := int64(1); seed <= 20; seed++ {
+			var ep recEndpoint
+			p := newPeer(spawnSpec{
+				id: 0, profile: bandwidth.Profile{In: 10, Out: tc.out}, bwFactor: 1,
+				sessions: []segment.Session{{Begin: 0, End: segment.None}}, known: 1, mySession: -1, seed: seed,
+			}, testPeerParams(true, false), sim.Fast(), &ep, nil)
+			p.out.Refill(1)
+			for seg := segment.ID(1); seg <= 3; seg++ {
+				p.buf.Insert(seg)
+			}
+			// Four requesters contend for segment 1 and arrive first; one
+			// each asks for segments 2 and 3.
+			for from, seg := range []segment.ID{1, 1, 1, 1, 2, 3} {
+				p.pending = append(p.pending, pullReq{from: overlay.NodeID(from + 1), seg: seg})
+			}
+			p.servePending()
+			granted := map[segment.ID]int{}
+			for _, f := range ep.frames {
+				if f.Kind == FrameData {
+					granted[f.Seg]++
+				}
+			}
+			if len(ep.frames) != 6 || granted[2] != 1 || granted[3] != 1 || granted[1] != 1+tc.wantDupes {
+				t.Fatalf("out=%v seed %d: grants per segment %v over %d answers, want 1 each plus %d duplicates of segment 1",
+					tc.out, seed, granted, len(ep.frames), tc.wantDupes)
+			}
+			if len(p.pending) != 0 {
+				t.Fatalf("out=%v seed %d: %d requests left pending", tc.out, seed, len(p.pending))
+			}
+		}
+	}
+}
+
 // TestDenyRetryRespectsLinkCap pins the deny retry to the per-link
 // request headroom the planner enforces: in the per-link substrate a
 // denied segment is re-requested only over a link below its capacity

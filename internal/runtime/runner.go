@@ -3,6 +3,7 @@ package runtime
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -132,8 +133,11 @@ type Runner struct {
 	// (see Pace).
 	nextWall time.Time
 
-	win liveWindow
-	res *sim.Result
+	// win is the measurement window (sim.Window); statsOpen holds the
+	// transport counters at its opening, for the window's deltas.
+	win       sim.Window
+	statsOpen TransportStats
+	res       *sim.Result
 
 	stats LiveStats
 
@@ -220,6 +224,9 @@ func FromScenario(sc *scenario.Scenario, factory sim.AlgorithmFactory, opt Optio
 	}
 	if opt.Obs != nil {
 		r.obs = newRunnerObs(opt.Obs)
+		r.win = sim.NewWindow(cfg.Tau, r.obs.trace, r.obs.windows)
+	} else {
+		r.win = sim.NewWindow(cfg.Tau, nil, nil)
 	}
 	if cfg.Net != nil {
 		// The same trace-derived delay/loss/partition state machine the
@@ -272,7 +279,7 @@ func (r *Runner) Run() (*sim.Result, error) {
 			r.shutdown()
 			return nil, r.err
 		}
-		if r.earlyExit && !r.win.active && r.nextEvent >= len(r.events) {
+		if r.earlyExit && !r.win.Active() && r.nextEvent >= len(r.events) {
 			break
 		}
 		r.Pace()
@@ -391,7 +398,9 @@ func (r *Runner) stopPeer(id overlay.NodeID) {
 	h.running = false
 	h.active = false
 	h.p.ctrlCh <- ctrlMsg{kind: ctrlQuit}
-	r.cohortDied(id)
+	if k := r.win.Slot(id); k >= 0 {
+		r.win.Gone(k)
+	}
 }
 
 // refreshNeighbors pushes every running peer's current adjacency list —
@@ -418,7 +427,9 @@ func (r *Runner) shutdown() {
 }
 
 // observe folds one per-period report into the runner's state and the
-// open measurement window.
+// measurement window. Bit accounting covers the whole mesh, like the
+// simulator's phase-level counters; re-requests count only under a
+// shaping policy, like the Net* counters (see endWindow).
 func (r *Runner) observe(rep report) {
 	r.lastRep[rep.id] = rep
 	if h, ok := r.peers[rep.id]; ok && h.running {
@@ -428,7 +439,17 @@ func (r *Runner) observe(rep report) {
 		ob.holes.Add(int64(rep.stalled))
 		ob.reReqs.Add(int64(rep.reReqs))
 	}
-	r.windowObserve(rep)
+	r.win.AddBits(rep.mapBits, rep.dataBits)
+	if r.policy != nil {
+		r.win.AddReRequests(int64(rep.reReqs))
+	}
+	if k := r.win.Slot(rep.id); k >= 0 {
+		if !rep.alive {
+			r.win.Gone(k)
+		}
+		st := sim.PlaybackStep{Played: rep.played, Stalled: rep.stalled, Started: rep.started, Finished: rep.finished}
+		r.win.Step(k, rep.period, st, slices.Contains(rep.prepared, len(r.timeline)-1))
+	}
 }
 
 // activeListener reports whether a node is a running, arrived,
@@ -436,6 +457,51 @@ func (r *Runner) observe(rep report) {
 func (r *Runner) activeListener(id overlay.NodeID) bool {
 	h, ok := r.peers[id]
 	return ok && h.running && h.active && !h.isSource
+}
+
+// startWindow opens a measurement window over this shard's cohort: its
+// active listeners.
+func (r *Runner) startWindow(isSwitch bool, horizon int, failure bool) {
+	var cohort []overlay.NodeID
+	for id := range r.peers {
+		if r.activeListener(id) {
+			cohort = append(cohort, id)
+		}
+	}
+	h := sim.WindowHeader{Index: len(r.res.Windows), Tick: r.tick, Nodes: r.activeCount(), Horizon: horizon}
+	if isSwitch {
+		last := len(r.timeline) - 1
+		h.Switch, h.Session, h.Failure = true, last, failure
+		h.OldSource = overlay.NodeID(r.timeline[last-1].Source)
+		h.NewSource = overlay.NodeID(r.timeline[last].Source)
+	}
+	r.win.Open(h, cohort)
+	if r.policy != nil {
+		r.statsOpen = r.tr.Stats()
+	}
+	if ob := r.obs; ob != nil {
+		ob.windowOpen.Set(1)
+	}
+}
+
+// endWindow closes the open window at the current period (no-op when
+// none is open). Under a shaping policy it first adds the window's
+// transport deltas; without one those counters would report the
+// in-process transport's mechanics, which have no simulator
+// counterpart.
+func (r *Runner) endWindow(interrupted bool) {
+	if !r.win.Active() {
+		return
+	}
+	if r.policy != nil {
+		st := r.tr.Stats()
+		r.win.AddNet(st.DataDelivered-r.statsOpen.DataDelivered, st.DataLost-r.statsOpen.DataLost,
+			st.DelayScenarioMS-r.statsOpen.DelayScenarioMS)
+	}
+	r.res.Windows = append(r.res.Windows, r.win.Close(r.tick, interrupted))
+	if ob := r.obs; ob != nil {
+		ob.windowOpen.Set(0)
+	}
 }
 
 func (r *Runner) activeCount() int {

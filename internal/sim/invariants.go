@@ -83,30 +83,35 @@ func CheckLiveInvariants(cfg Config, res *Result, unscripted ...Event) error {
 		fail("live result carries a transport ledger")
 	}
 	if cfg.Net != nil {
-		nc := cfg.Net.Defaulted()
-		lossPossible := nc.Loss > 0
-		partitionPossible := false
-		for _, ev := range events {
-			switch ev.Kind {
-			case EvLossBurst:
-				if ev.Prob > 0 {
-					lossPossible = true
-				}
-			case EvPartition:
-				partitionPossible = true
-			}
-		}
-		var winLost, winReReq int64
-		for _, w := range res.Windows {
-			winLost += w.NetLost
-			winReReq += w.NetReRequests
-		}
-		if !lossPossible && !partitionPossible && (winLost != 0 || winReReq != 0) {
-			fail("windows report %d losses and %d re-requests on a lossless, unpartitioned run", winLost, winReReq)
-		}
+		checkLossRule(cfg, res, events, fail)
 	}
 
 	return errors.Join(errs...)
+}
+
+// checkLossRule applies the loss-possibility rule to a netmodel run's
+// windows: NetLost and NetReRequests stay zero unless the run configured
+// baseline loss, a loss burst, or a partition. It returns which of the
+// two drop causes the run allows.
+func checkLossRule(cfg Config, res *Result, events []Event, fail func(string, ...any)) (lossPossible, partitionPossible bool) {
+	lossPossible = cfg.Net.Defaulted().Loss > 0
+	for _, ev := range events {
+		switch ev.Kind {
+		case EvLossBurst:
+			lossPossible = lossPossible || ev.Prob > 0
+		case EvPartition:
+			partitionPossible = true
+		}
+	}
+	var lost, reReq int64
+	for _, w := range res.Windows {
+		lost += w.NetLost
+		reReq += w.NetReRequests
+	}
+	if !lossPossible && !partitionPossible && (lost != 0 || reReq != 0) {
+		fail("windows report %d losses and %d re-requests on a lossless, unpartitioned run", lost, reReq)
+	}
+	return lossPossible, partitionPossible
 }
 
 // checkWindows audits every measurement window's internal consistency.
@@ -235,41 +240,26 @@ func checkLedger(cfg Config, res *Result, events []Event, fail func(string, ...a
 	}
 
 	// Loss accounting only where loss is possible.
-	nc := cfg.Net.Defaulted()
-	lossPossible := nc.Loss > 0
-	partitionPossible := false
-	maxLat, minLat := 1.0, 1.0
-	for _, ev := range events {
-		switch ev.Kind {
-		case EvLossBurst:
-			if ev.Prob > 0 {
-				lossPossible = true
-			}
-		case EvPartition:
-			partitionPossible = true
-		case EvLatencyShift:
-			if ev.Factor > maxLat {
-				maxLat = ev.Factor
-			}
-			if ev.Factor < minLat {
-				minLat = ev.Factor
-			}
-		}
-	}
+	lossPossible, partitionPossible := checkLossRule(cfg, res, events, fail)
 	if !lossPossible && a.Lost != 0 {
 		fail("ledger: %d loss-drawn drops on a run with no configured loss", a.Lost)
 	}
 	if !partitionPossible && a.Severed != 0 {
 		fail("ledger: %d severed messages on a run with no partition", a.Severed)
 	}
-	if !lossPossible && !partitionPossible && (winLost != 0 || winReReq != 0) {
-		fail("windows report %d losses and %d re-requests on a lossless, unpartitioned run", winLost, winReReq)
-	}
 
 	// Delay bound and floor. Every message's delay is
 	// latFactor·(ping_a+ping_b)/2 + jitter, so the mean of any window sits
 	// between minLat·minPing (the near-optimal floor: no schedule can beat
 	// the wire) and maxLat·maxPing + jitter amplitude.
+	maxLat, minLat := 1.0, 1.0
+	for _, ev := range events {
+		if ev.Kind == EvLatencyShift {
+			maxLat = max(maxLat, ev.Factor)
+			minLat = min(minLat, ev.Factor)
+		}
+	}
+	nc := cfg.Net.Defaulted()
 	minPing, maxPing := nc.DefaultPingMS, nc.DefaultPingMS
 	for _, p := range nc.PingMS {
 		if p < minPing {

@@ -7,9 +7,6 @@ import (
 	"gossipstream/internal/segment"
 )
 
-// unset marks a per-node event that has not happened yet.
-const unset = -1
-
 // nodeState is everything one simulated peer owns. During the parallel
 // phases a node's fields are mutated only by the worker that owns its
 // shard — with two audited exceptions, linkGrants and linkReqs, whose
@@ -46,17 +43,10 @@ type nodeState struct {
 	// playback/session state machine shared with the live runtime.
 	Playback
 
-	// Measured-switch bookkeeping (seconds are derived later; ticks here).
-	finishS1Tick  int // finished the whole playback of S1
-	prepareS2Tick int // gathered the first Qs segments of S2
-	startS2Tick   int // actually started playing S2 (max of the two conditions)
-	q0            int // undelivered S1 backlog at the switch tick
-	inCohort      bool
-
-	// Playback continuity accounting over the measurement window: played
-	// counts consumed segments, stalled counts playback slots lost to a
-	// hole at the playhead while mid-stream.
-	played, stalled int
+	// q0 is the undelivered S1 backlog at the switch tick, unset before
+	// the node's first switch window (the TrackRatios denominator; the
+	// window's own stamps live in Sim.win).
+	q0 int
 
 	// granted holds the segments already won in an earlier serve round of
 	// the current period: they are in flight (arriving at period end) and
@@ -184,14 +174,11 @@ func newNodeState(id overlay.NodeID, prof bandwidth.Profile, bufCap, joinTick in
 		// Pre-size the in-flight set to a period's worth of grants: the
 		// slice converges there anyway, and paying it at construction
 		// keeps the first scheduling periods growth-free.
-		granted:       make([]segment.ID, 0, 16),
-		joinTick:      joinTick,
-		maxSeen:       segment.None,
-		Playback:      NewPlayback(0, 0, 1),
-		finishS1Tick:  unset,
-		prepareS2Tick: unset,
-		startS2Tick:   unset,
-		q0:            unset,
+		granted:  make([]segment.ID, 0, 16),
+		joinTick: joinTick,
+		maxSeen:  segment.None,
+		Playback: NewPlayback(0, 0, 1),
+		q0:       unset,
 	}
 }
 

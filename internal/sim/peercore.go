@@ -33,10 +33,10 @@ import (
 //
 // Everything here is node-local: no Sim, no engine. The only randomness
 // is the generator the driver passes in, drawn in a fixed order (the
-// simulator's determinism contract). The measurement hooks (finish-S1 /
-// prepare-S2 / start-S2 ticks) stay with the caller — Advance reports
-// which sessions started and finished so each backend can do its own
-// window accounting.
+// simulator's determinism contract). Measurement is not in here: Advance
+// reports which sessions started and finished, Prepared tests the
+// prepare-S2 condition, and each driver hands both to the one
+// measurement window (window.go), which stamps and counts them.
 
 // Playback is one peer's playback and session-discovery state machine
 // over the serial session timeline. The zero value is NOT ready to use;
@@ -166,10 +166,9 @@ func appendMissing(dst []segment.ID, buf *buffer.Buffer, granted []segment.ID, l
 	return dst
 }
 
-// PlaybackStep reports what one Advance did, so the caller can do its
-// own measurement accounting (the simulator stamps finish-S1 /
-// prepare-S2 / start-S2 ticks; the live runtime reports the same events
-// to its collector).
+// PlaybackStep reports what one Advance did: what Window.Step stamps
+// and counts for a cohort member (the live peer reports it to the runner
+// with its period report).
 type PlaybackStep struct {
 	// Played counts segments consumed this period; Stalled counts
 	// playback slots lost to a hole at the playhead while mid-stream.

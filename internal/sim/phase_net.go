@@ -91,10 +91,8 @@ func (s *Sim) phaseTransit() {
 		s.audLost += sh.netLost
 		s.audSevered += sh.netSevered
 		s.audEvap += sh.netEvap
-		if s.win.active {
-			s.netDelivered += sh.netDelivered
-			s.netLost += sh.netLost + sh.netSevered
-			s.netDelayMS += sh.netDelayMS
+		if s.win.Active() {
+			s.win.AddNet(sh.netDelivered, sh.netLost+sh.netSevered, sh.netDelayMS)
 		}
 	}
 	s.net.SettleDelivered(popped)

@@ -74,7 +74,7 @@ func (s *Sim) planRound() {
 			}
 			// Map exchange cost: nd receives its alive neighbors' maps
 			// (maps do not cross an active partition).
-			if s.win.active && round == 0 {
+			if s.win.Active() && round == 0 {
 				for _, v := range s.g.Neighbors(nd.id) {
 					if s.nodes[v].alive && !s.blocked(nd.id, v) {
 						sh.controlBits += wire
@@ -93,7 +93,7 @@ func (s *Sim) planRound() {
 	// Scalar reduce in shard order.
 	for si := 0; si < shards; si++ {
 		sh := &s.shards[si]
-		s.controlBits += sh.controlBits
+		s.win.AddBits(sh.controlBits, 0)
 		s.diagRequests += sh.diagRequests
 		s.diagCandidates += sh.diagCandidates
 		s.diagPlanned += sh.diagPlanned

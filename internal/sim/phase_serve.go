@@ -142,7 +142,7 @@ func (s *Sim) commit(shards, round int) {
 				if s.net != nil {
 					if req.consumeLost(p.seg) {
 						s.obsReReq.Inc() // atomic; observational only
-						if s.win.active {
+						if s.win.Active() {
 							dsh.reRequests++
 						}
 					}
@@ -164,9 +164,9 @@ func (s *Sim) commit(shards, round int) {
 		for _, sup := range dsh.refundSup {
 			s.nodes[sup].out.Refund(1)
 		}
-		if s.win.active {
-			s.dataBits += int64(dsh.committed) * bandwidth.BitsForSegments(1)
-			s.netReRequests += int64(dsh.reRequests)
+		if s.win.Active() {
+			s.win.AddBits(0, int64(dsh.committed)*bandwidth.BitsForSegments(1))
+			s.win.AddReRequests(int64(dsh.reRequests))
 		}
 	}
 	s.granted = granted

@@ -97,9 +97,10 @@ func (s *Sim) phaseDeliver() {
 }
 
 // phasePlayback advances every alive non-source node's playback state
-// machine by one period and checks the cohort's prepare-S2 condition.
-// Sharded: playback state is node-local and the timeline snapshot is
-// read-only.
+// machine by one period and folds each cohort member's step into the
+// measurement window, with the prepare-S2 condition. Sharded: playback
+// state is node-local, Window.Step writes only the member's own ledger
+// row, and the timeline snapshot is read-only.
 func (s *Sim) phasePlayback() {
 	sessions := s.sessions
 	perTick := int(s.cfg.P*s.cfg.Tau + 1e-9)
@@ -112,28 +113,10 @@ func (s *Sim) phasePlayback() {
 			if !nd.alive || nd.isSource {
 				continue
 			}
-			// The playback state machine itself is the shared per-node
-			// protocol core (peercore.go); the window accounting around it
-			// — the finish-S1/start-S2 stamps and the continuity counters —
-			// stays simulator-side, driven by the step report.
 			st := nd.Advance(nd.buf, sessions, s.cfg.Q, s.cfg.Qs, perTick)
-			measured := s.win.active && nd.inCohort
-			if measured {
-				nd.played += st.Played
-				nd.stalled += st.Stalled
-			}
-			if measured && s.win.isSwitch {
-				if st.Started == s.newSessionIdx && nd.startS2Tick == unset {
-					nd.startS2Tick = s.tick
-				}
-				if st.Finished == s.newSessionIdx-1 && nd.finishS1Tick == unset {
-					nd.finishS1Tick = s.tick
-				}
-			}
-			if s.win.active && s.win.isSwitch && nd.inCohort && nd.prepareS2Tick == unset && nd.Known > s.newSessionIdx {
-				if nd.undeliveredIn(s.s2Begin, s.s2Begin+segment.ID(s.cfg.Qs)-1) == 0 {
-					nd.prepareS2Tick = s.tick
-				}
+			if k := s.win.Slot(nd.id); k >= 0 {
+				prepared := nd.Known > s.newSessionIdx && s.win.Preparing(k) && Prepared(nd.buf, s.s2Begin, s.cfg.Qs)
+				s.win.Step(k, s.tick, st, prepared)
 			}
 		}
 	})
@@ -168,6 +151,9 @@ func (s *Sim) phaseChurn() {
 		}
 		s.nodes[victim].alive = false
 		s.dir.Leave(victim)
+		if k := s.win.Slot(victim); k >= 0 {
+			s.win.Gone(k)
+		}
 	}
 	joins := int(cc.JoinFraction * float64(alive))
 	for i := 0; i < joins; i++ {

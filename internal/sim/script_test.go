@@ -169,8 +169,8 @@ func TestScriptFlashCrowd(t *testing.T) {
 		t.Fatalf("window closed prematurely: %+v", got)
 	}
 	// Everyone but the old and the newly promoted source is in the cohort.
-	if s.win.metrics.Cohort != 120+40-2 {
-		t.Errorf("cohort %d does not include the crowd (want %d)", s.win.metrics.Cohort, 120+40-2)
+	if got := len(s.win.members); got != 120+40-2 {
+		t.Errorf("cohort %d does not include the crowd (want %d)", got, 120+40-2)
 	}
 }
 

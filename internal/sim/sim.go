@@ -82,20 +82,8 @@ type Sim struct {
 
 	tick int
 	ran  bool
-	win  window // the open measurement window, if any
-
-	// Window-relative measurement state (reset when a window opens).
-	cohort      []overlay.NodeID
-	controlBits int64
-	dataBits    int64
-	// Transport accounting over the open window (netmodel runs only):
-	// delivered/lost message counts, summed delivery delay in
-	// milliseconds, and grants that re-request a previously lost segment.
-	netDelivered  int64
-	netLost       int64
-	netDelayMS    float64
-	netReRequests int64
-	res           *Result
+	win  Window // the measurement window (window.go)
+	res  *Result
 
 	// Whole-run transport ledger (netmodel runs only), independent of the
 	// window state: every injected message ends up in exactly one of the
@@ -134,17 +122,6 @@ type Sim struct {
 	obsReReq     *obs.Counter
 	obsEvents    *obs.Counter
 	obsWindows   *obs.Counter
-}
-
-// window is the state of one open measurement window. At most one window
-// is open at a time: a new SwitchSource or MeasureWindow event closes the
-// previous window (marking it Interrupted) before opening its own.
-type window struct {
-	active   bool
-	isSwitch bool
-	openTick int
-	horizon  int
-	metrics  *SwitchMetrics
 }
 
 // RNG stream tags of the phases that draw randomness (the `phase` input
@@ -265,6 +242,7 @@ func New(cfg Config) (*Sim, error) {
 		s.obsEvents = reg.Counter("gossip_events_total", "scenario events fired")
 		s.obsWindows = reg.Counter("gossip_windows_closed_total", "measurement windows closed")
 	}
+	s.win = NewWindow(cfg.Tau, s.trace, s.obsWindows)
 	return s, nil
 }
 
@@ -329,15 +307,13 @@ func (s *Sim) Run() (*Result, error) {
 		if s.runErr != nil {
 			return nil, s.runErr
 		}
-		if s.earlyExit && !s.win.active && s.nextEvent >= len(s.events) {
+		if s.earlyExit && !s.win.Active() && s.nextEvent >= len(s.events) {
 			break
 		}
 	}
 	// A window still open here was cut short by the duration cap, not by
 	// its own horizon (phaseRecord closes horizon expiries in the loop).
-	if s.win.active {
-		s.closeWindow(s.duration-s.win.openTick, false, true)
-	}
+	s.endWindow(true)
 	s.finalize()
 	if s.trace != nil {
 		s.trace.Emit(obs.TraceEvent{T: obs.EvRunEnd, Tick: s.tick, Windows: len(s.res.Windows)})
@@ -387,8 +363,8 @@ func (s *Sim) fire(ev Event, idx int) {
 	case EvSwitchSource:
 		s.applySwitch(ev)
 	case EvMeasureWindow:
-		s.closeWindow(s.tick-s.win.openTick, false, true)
-		s.openWindow(false, ev.Ticks, ev)
+		s.endWindow(true)
+		s.startWindow(false, ev.Ticks, ev)
 	case EvChurnBurst:
 		s.burst = &ChurnConfig{LeaveFraction: ev.Leave, JoinFraction: ev.Join}
 		s.burstUntil = s.tick + ev.Ticks
@@ -514,7 +490,7 @@ func (s *Sim) applySwitch(ev Event) {
 		return
 	}
 
-	s.closeWindow(s.tick-s.win.openTick, false, true)
+	s.endWindow(true)
 
 	s1End := s.nextGen - 1
 	if ev.Failure {
@@ -560,7 +536,7 @@ func (s *Sim) applySwitch(ev Event) {
 	if horizon <= 0 {
 		horizon = s.cfg.HorizonTicks
 	}
-	s.openWindow(true, horizon, ev)
+	s.startWindow(true, horizon, ev)
 }
 
 // pickNewSource draws a uniformly random alive node that never held the
@@ -587,91 +563,37 @@ func (s *Sim) pickNewSource(old overlay.NodeID) overlay.NodeID {
 	return -1
 }
 
-// openWindow freezes the measurement cohort and per-node baselines for a
-// new window.
-func (s *Sim) openWindow(isSwitch bool, horizon int, ev Event) {
-	m := &SwitchMetrics{
-		Window: len(s.res.Windows),
-		Kind:   "measure",
-		Tick:   s.tick,
-		Nodes:  s.dir.AliveCount(),
-	}
-	if isSwitch {
-		m.Kind = "switch"
-		m.OldSource, m.NewSource, m.Failure = s.oldSource, s.newSource, ev.Failure
-	}
-	s.controlBits, s.dataBits = 0, 0
-	s.netDelivered, s.netLost, s.netDelayMS, s.netReRequests = 0, 0, 0, 0
-	s.cohort = s.cohort[:0]
+// startWindow opens a measurement window over the simulator's cohort:
+// every alive non-source node. A switch window also freezes each
+// member's undelivered S1 backlog (q0) for the ratio series.
+func (s *Sim) startWindow(isSwitch bool, horizon int, ev Event) {
+	var cohort []overlay.NodeID
 	for _, n := range s.nodes {
-		eligible := n.alive && !n.isSource
-		n.inCohort = eligible
-		if !eligible {
+		if !n.alive || n.isSource {
 			continue
 		}
-		n.played, n.stalled = 0, 0
 		if isSwitch {
-			n.finishS1Tick, n.prepareS2Tick, n.startS2Tick = unset, unset, unset
 			n.q0 = n.undeliveredIn(n.WindowLo(), s.s1End)
 		}
-		s.cohort = append(s.cohort, n.id)
+		cohort = append(cohort, n.id)
 	}
-	m.Cohort = len(s.cohort)
+	s.win.Open(WindowHeader{
+		Index: len(s.res.Windows), Tick: s.tick, Nodes: s.dir.AliveCount(), Horizon: horizon,
+		Switch: isSwitch, Session: s.newSessionIdx,
+		OldSource: s.oldSource, NewSource: s.newSource, Failure: ev.Failure,
+	}, cohort)
 	if s.cfg.TrackRatios && isSwitch {
+		m := s.win.Metrics()
 		m.UndeliveredS1 = &stats.Series{Label: "undelivered-S1"}
 		m.DeliveredS2 = &stats.Series{Label: "delivered-S2"}
 	}
-	s.win = window{active: true, isSwitch: isSwitch, openTick: s.tick, horizon: horizon, metrics: m}
-	if s.trace != nil {
-		s.trace.Emit(obs.TraceEvent{T: obs.EvWindowOpen, Tick: s.tick,
-			Window: obs.P(m.Window), Kind: m.Kind, Cohort: m.Cohort})
-	}
 }
 
-// closeWindow finalizes the open window (no-op when none is open):
-// per-node event ticks become the window's time samples and the window
-// joins Result.Windows.
-func (s *Sim) closeWindow(measured int, hitHorizon, interrupted bool) {
-	if !s.win.active {
-		return
-	}
-	m := s.win.metrics
-	m.MeasuredTicks = measured
-	m.HitHorizon = hitHorizon
-	m.Interrupted = interrupted
-	m.ControlBits = s.controlBits
-	m.DataBits = s.dataBits
-	m.NetDelivered = s.netDelivered
-	m.NetLost = s.netLost
-	m.NetReRequests = s.netReRequests
-	m.NetDelaySeconds = s.netDelayMS / 1000
-	for _, id := range s.cohort {
-		n := s.nodes[id]
-		if s.win.isSwitch {
-			if n.finishS1Tick != unset {
-				m.FinishS1Times = append(m.FinishS1Times, s.timeSince(n.finishS1Tick))
-			} else if n.alive {
-				m.UnfinishedS1++
-			}
-			if n.prepareS2Tick != unset {
-				m.PrepareS2Times = append(m.PrepareS2Times, s.timeSince(n.prepareS2Tick))
-			} else if n.alive {
-				m.UnpreparedS2++
-			}
-			if n.startS2Tick != unset {
-				m.StartS2Times = append(m.StartS2Times, s.timeSince(n.startS2Tick))
-			}
-		}
-		m.PlayedSegments += int64(n.played)
-		m.StalledSlots += int64(n.stalled)
-	}
-	s.res.Windows = append(s.res.Windows, m)
-	s.win.active = false
-	s.obsWindows.Inc()
-	if s.trace != nil {
-		s.trace.Emit(obs.TraceEvent{T: obs.EvWindowClose, Tick: s.tick,
-			Window: obs.P(m.Window), Measured: m.MeasuredTicks,
-			Unfinished: m.UnfinishedS1, Unprepared: m.UnpreparedS2})
+// endWindow closes the open window at the current tick (no-op when none
+// is open) and appends it to Result.Windows.
+func (s *Sim) endWindow(interrupted bool) {
+	if m := s.win.Close(s.tick, interrupted); m != nil {
+		s.res.Windows = append(s.res.Windows, m)
 	}
 }
 
@@ -733,49 +655,30 @@ func (s *Sim) linkCap(j *nodeState) int {
 	return LinkCap(LinkRate(j.out.Rate(), s.cfg.LinkShare, s.cfg.Tau, false), s.cfg.Tau)
 }
 
-// cohortComplete reports whether every surviving cohort member has both
-// finished S1 and prepared S2.
-func (s *Sim) cohortComplete() bool {
-	for _, id := range s.cohort {
-		n := s.nodes[id]
-		if !n.alive {
-			continue
-		}
-		if n.finishS1Tick == unset || n.prepareS2Tick == unset {
-			return false
-		}
-	}
-	return true
-}
-
 // phaseRecord appends the tick's aggregate ratio points (bit counters
 // are updated inline by the other phases) and closes the open window
 // when its cohort completed or its horizon ran out.
 func (s *Sim) phaseRecord() {
-	if !s.win.active {
+	if !s.win.Active() {
 		return
 	}
-	if s.win.isSwitch {
-		s.recordTick()
-	}
-	elapsed := s.tick - s.win.openTick + 1
-	switch {
-	case s.win.isSwitch && s.cohortComplete():
-		s.closeWindow(elapsed, false, false)
-	case elapsed >= s.win.horizon:
-		s.closeWindow(s.win.horizon, true, false)
+	s.recordTick()
+	if s.win.Due(s.tick) {
+		s.endWindow(false)
 	}
 }
 
+// recordTick appends the open switch window's ratio points (TrackRatios
+// only): Σ Q1/Σ Q0 and Σ (Qs−Q2)/Σ Qs over the surviving cohort.
 func (s *Sim) recordTick() {
-	m := s.win.metrics
+	m := s.win.Metrics()
 	if m.UndeliveredS1 == nil {
 		return
 	}
 	var q1Sum, q0Sum, d2Sum, qsSum int
 	qs := segment.ID(s.cfg.Qs)
-	for _, id := range s.cohort {
-		n := s.nodes[id]
+	for _, mb := range s.win.members {
+		n := s.nodes[mb.id]
 		if !n.alive || n.q0 == unset {
 			continue
 		}
@@ -796,20 +699,13 @@ func (s *Sim) recordTick() {
 		d2Sum += s.cfg.Qs - q2
 		qsSum += s.cfg.Qs
 	}
-	t := s.timeSince(s.tick)
+	t := s.win.since(s.tick)
 	if q0Sum > 0 {
 		m.UndeliveredS1.Append(t, float64(q1Sum)/float64(q0Sum))
 	}
 	if qsSum > 0 {
 		m.DeliveredS2.Append(t, float64(d2Sum)/float64(qsSum))
 	}
-}
-
-// timeSince converts an event tick into seconds after the open window's
-// start (the switch instant for switch windows): events land at the end
-// of their period.
-func (s *Sim) timeSince(tick int) float64 {
-	return float64(tick-s.win.openTick+1) * s.cfg.Tau
 }
 
 // finalize closes the transport's whole-run ledger.

@@ -227,11 +227,11 @@ func TestPrepareImpliesConsecutiveQs(t *testing.T) {
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range s.cohort {
-		n := s.nodes[id]
-		if n.prepareS2Tick != unset && n.alive {
+	for _, mb := range s.win.members {
+		n := s.nodes[mb.id]
+		if mb.prepareS2 != unset && n.alive {
 			if got := n.buf.ConsecutiveFrom(s.s2Begin); got < s.cfg.Qs {
-				t.Fatalf("node %d prepared with only %d consecutive S2 segments", id, got)
+				t.Fatalf("node %d prepared with only %d consecutive S2 segments", mb.id, got)
 			}
 		}
 	}
@@ -246,10 +246,10 @@ func TestFinishImpliesFullS1Playback(t *testing.T) {
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range s.cohort {
-		n := s.nodes[id]
-		if n.finishS1Tick != unset && n.Playhead <= s.s1End {
-			t.Fatalf("node %d marked finished with playhead %d <= s1End %d", id, n.Playhead, s.s1End)
+	for _, mb := range s.win.members {
+		n := s.nodes[mb.id]
+		if mb.finishS1 != unset && n.Playhead <= s.s1End {
+			t.Fatalf("node %d marked finished with playhead %d <= s1End %d", mb.id, n.Playhead, s.s1End)
 		}
 	}
 }
@@ -263,16 +263,15 @@ func TestStartS2RequiresBothConditions(t *testing.T) {
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range s.cohort {
-		n := s.nodes[id]
-		if n.startS2Tick == unset {
+	for _, mb := range s.win.members {
+		if mb.startS2 == unset {
 			continue
 		}
-		if n.finishS1Tick == unset || n.startS2Tick < n.finishS1Tick {
-			t.Fatalf("node %d started S2 at %d before finishing S1 (%d)", id, n.startS2Tick, n.finishS1Tick)
+		if mb.finishS1 == unset || mb.startS2 < mb.finishS1 {
+			t.Fatalf("node %d started S2 at %d before finishing S1 (%d)", mb.id, mb.startS2, mb.finishS1)
 		}
-		if n.prepareS2Tick == unset || n.startS2Tick < n.prepareS2Tick {
-			t.Fatalf("node %d started S2 at %d before preparing (%d)", id, n.startS2Tick, n.prepareS2Tick)
+		if mb.prepareS2 == unset || mb.startS2 < mb.prepareS2 {
+			t.Fatalf("node %d started S2 at %d before preparing (%d)", mb.id, mb.startS2, mb.prepareS2)
 		}
 	}
 }
@@ -443,9 +442,9 @@ func TestSourcesExcludedFromCohort(t *testing.T) {
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range s.cohort {
-		if id == 3 || id == 7 {
-			t.Fatalf("source %d in cohort", id)
+	for _, mb := range s.win.members {
+		if mb.id == 3 || mb.id == 7 {
+			t.Fatalf("source %d in cohort", mb.id)
 		}
 	}
 }

@@ -4,9 +4,8 @@
 // was collected from Dec. 2000 to Jun. 2001 on dss.clip2.com (this web
 // site is unavailable now)" — each record carrying a node's ID, IP, host
 // name, port, ping time and speed, of which only ID, IP and ping are used
-// (Section 5.1). The crawls are unrecoverable, so this package defines a
-// faithful plain-text trace format with the same fields and a
-// deterministic synthesizer that emits a 30-trace family at the same
+// (Section 5.1). The crawls are unrecoverable, so this package holds a
+// deterministic synthesizer that emits crawl-like traces at the paper's
 // scales (100–10000 nodes) with Gnutella-like connectivity. After the
 // paper's mandatory random-edge augmentation to M=5 neighbors (package
 // overlay), the workload is statistically indistinguishable from what the
@@ -14,28 +13,20 @@
 package trace
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"math/rand"
 	"sort"
-	"strconv"
-	"strings"
 
 	"gossipstream/internal/overlay"
 )
 
-// Node is one trace record (a crawled peer).
+// Node is one trace record (a crawled peer): the fields a run reads.
 type Node struct {
-	ID       int
-	IP       string
-	Host     string
-	Port     int
-	PingMS   int // round-trip ping in milliseconds
-	SpeedKbs int // advertised link speed, kbit/s
+	ID     int
+	PingMS int // round-trip ping in milliseconds
 }
 
-// Trace is a parsed overlay trace: peers plus the crawled link set.
+// Trace is an overlay trace: peers plus the crawled link set.
 type Trace struct {
 	Name  string
 	Nodes []Node
@@ -46,7 +37,7 @@ type Trace struct {
 func (t *Trace) N() int { return len(t.Nodes) }
 
 // Graph converts the trace into an overlay graph. Node IDs must be dense
-// in [0, N); Synthesize and Parse both guarantee it.
+// in [0, N); Synthesize guarantees it.
 func (t *Trace) Graph() (*overlay.Graph, error) {
 	g := overlay.New(len(t.Nodes))
 	for i, n := range t.Nodes {
@@ -63,130 +54,24 @@ func (t *Trace) Graph() (*overlay.Graph, error) {
 	return g, nil
 }
 
-// Write serializes the trace in the canonical text format:
-//
-//	# gossipstream clip2-style trace
-//	T <name>
-//	N <id> <ip> <host> <port> <ping_ms> <speed_kbps>
-//	E <id1> <id2>
-func (t *Trace) Write(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "# gossipstream clip2-style trace")
-	fmt.Fprintf(bw, "T %s\n", t.Name)
-	for _, n := range t.Nodes {
-		fmt.Fprintf(bw, "N %d %s %s %d %d %d\n", n.ID, n.IP, n.Host, n.Port, n.PingMS, n.SpeedKbs)
-	}
-	for _, e := range t.Edges {
-		fmt.Fprintf(bw, "E %d %d\n", e[0], e[1])
-	}
-	return bw.Flush()
-}
-
-// Parse reads the canonical text format.
-func Parse(r io.Reader) (*Trace, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 1<<20)
-	t := &Trace{}
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		fields := strings.Fields(text)
-		switch fields[0] {
-		case "T":
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("trace: line %d: want 'T <name>'", line)
-			}
-			t.Name = fields[1]
-		case "N":
-			if len(fields) != 7 {
-				return nil, fmt.Errorf("trace: line %d: want 'N id ip host port ping speed'", line)
-			}
-			var n Node
-			var err error
-			if n.ID, err = strconv.Atoi(fields[1]); err != nil {
-				return nil, fmt.Errorf("trace: line %d: bad id: %v", line, err)
-			}
-			n.IP = fields[2]
-			n.Host = fields[3]
-			if n.Port, err = strconv.Atoi(fields[4]); err != nil {
-				return nil, fmt.Errorf("trace: line %d: bad port: %v", line, err)
-			}
-			if n.PingMS, err = strconv.Atoi(fields[5]); err != nil {
-				return nil, fmt.Errorf("trace: line %d: bad ping: %v", line, err)
-			}
-			if n.SpeedKbs, err = strconv.Atoi(fields[6]); err != nil {
-				return nil, fmt.Errorf("trace: line %d: bad speed: %v", line, err)
-			}
-			t.Nodes = append(t.Nodes, n)
-		case "E":
-			if len(fields) != 3 {
-				return nil, fmt.Errorf("trace: line %d: want 'E id1 id2'", line)
-			}
-			a, err := strconv.Atoi(fields[1])
-			if err != nil {
-				return nil, fmt.Errorf("trace: line %d: bad edge endpoint: %v", line, err)
-			}
-			b, err := strconv.Atoi(fields[2])
-			if err != nil {
-				return nil, fmt.Errorf("trace: line %d: bad edge endpoint: %v", line, err)
-			}
-			t.Edges = append(t.Edges, [2]int{a, b})
-		default:
-			return nil, fmt.Errorf("trace: line %d: unknown record %q", line, fields[0])
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("trace: %w", err)
-	}
-	if len(t.Nodes) == 0 {
-		return nil, fmt.Errorf("trace: no node records")
-	}
-	return t, nil
-}
-
 // Synthesize builds one Gnutella-like trace: preferential-attachment
-// connectivity (attach edges per arriving node), plausible IP/host/port
-// fields, ping times drawn from a heavy-tailed distribution, and the
-// crawl-era modem/DSL/T1 speed mix.
+// connectivity (attach edges per arriving node) and ping times drawn from
+// a heavy-tailed distribution.
 func Synthesize(name string, n, attach int, seed int64) *Trace {
-	return SynthesizeDist(name, n, attach, seed, 0, 0)
-}
-
-// SynthesizeDist is Synthesize with the ping-time distribution
-// overridden: pings are drawn from a Gaussian with the given mean and
-// sigma (milliseconds), clamped to ≥ 1 ms — the knob netmodel
-// experiments sweep latency regimes with. pingMean <= 0 selects the
-// legacy heavy-tailed crawl distribution, reproducing Synthesize
-// bit-for-bit (the RNG draw sequence is preserved).
-func SynthesizeDist(name string, n, attach int, seed int64, pingMean, pingSigma float64) *Trace {
 	rng := rand.New(rand.NewSource(seed))
 	t := &Trace{Name: name}
-	speeds := []int{28, 33, 56, 64, 128, 384, 768, 1544}
 	for i := 0; i < n; i++ {
-		var ping int
-		if pingMean > 0 {
-			ping = int(pingMean + pingSigma*rng.NormFloat64())
-			if ping < 1 {
-				ping = 1
-			}
-		} else {
-			ping = 20 + rng.Intn(80)
-			if rng.Intn(10) == 0 { // heavy tail: transcontinental / modem peers
-				ping += 100 + rng.Intn(400)
-			}
+		ping := 20 + rng.Intn(80)
+		if rng.Intn(10) == 0 { // heavy tail: transcontinental / modem peers
+			ping += 100 + rng.Intn(400)
 		}
-		t.Nodes = append(t.Nodes, Node{
-			ID:       i,
-			IP:       fmt.Sprintf("%d.%d.%d.%d", 1+rng.Intn(223), rng.Intn(256), rng.Intn(256), 1+rng.Intn(254)),
-			Host:     fmt.Sprintf("peer%04d.example.net", i),
-			Port:     6346 + rng.Intn(10), // Gnutella's default port range
-			PingMS:   ping,
-			SpeedKbs: speeds[rng.Intn(len(speeds))],
-		})
+		// The crawl record's IP octets, port and speed class are drawn and
+		// discarded: no run reads them, but the draws keep the generator's
+		// sequence, and so every synthesized topology, where it always was.
+		for _, k := range [...]int{223, 256, 256, 254, 10, 8} {
+			rng.Intn(k)
+		}
+		t.Nodes = append(t.Nodes, Node{ID: i, PingMS: ping})
 	}
 	g := overlay.Generate(overlay.KindPreferential, n, attach, rng)
 	for u := 0; u < g.N(); u++ {
@@ -203,47 +88,4 @@ func SynthesizeDist(name string, n, attach int, seed int64, pingMean, pingSigma 
 		return t.Edges[i][1] < t.Edges[j][1]
 	})
 	return t
-}
-
-// FamilySizes returns the node counts of the synthesized 30-trace family:
-// the paper's range 100..10000, log-spaced, with the six evaluation sizes
-// (100, 500, 1000, 2000, 4000, 8000) guaranteed to appear.
-func FamilySizes() []int {
-	sizes := map[int]bool{100: true, 500: true, 1000: true, 2000: true, 4000: true, 8000: true, 10000: true}
-	// Fill the remaining slots log-uniformly between 100 and 10000.
-	cur := 100.0
-	for len(sizes) < 30 {
-		cur *= 1.19
-		s := int(cur/10) * 10
-		if s > 10000 {
-			cur = 105 // restart slightly offset to fill gaps
-			continue
-		}
-		sizes[s] = true
-	}
-	out := make([]int, 0, len(sizes))
-	for s := range sizes {
-		out = append(out, s)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// Family synthesizes the full 30-trace family with deterministic seeds
-// derived from base.
-func Family(base int64) []*Trace {
-	return FamilyDist(base, 0, 0)
-}
-
-// FamilyDist is Family with the ping-time distribution overridden (see
-// SynthesizeDist; pingMean <= 0 keeps the legacy distribution).
-func FamilyDist(base int64, pingMean, pingSigma float64) []*Trace {
-	sizes := FamilySizes()
-	out := make([]*Trace, 0, len(sizes))
-	for i, n := range sizes {
-		attach := 1 + i%2 // alternate sparse/denser crawls, avg degree ~1.5-3
-		name := fmt.Sprintf("clip2-synth-%05d", n)
-		out = append(out, SynthesizeDist(name, n, attach, base+int64(i)*1009, pingMean, pingSigma))
-	}
-	return out
 }
