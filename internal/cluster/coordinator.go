@@ -300,11 +300,10 @@ type coordinator struct {
 	earlyReports []*Report
 
 	// pendingStop holds the event queue while a remote stop-source round
-	// trip is in flight (its ack carries the closing segment id).
+	// trip is in flight (its ack carries the closing segment id of
+	// stopSwitch, the resolved planned switch it completes).
 	pendingStop chan *Payload
-	stopEvent   sim.Event
-	stopOld     overlay.NodeID
-	stopNew     overlay.NodeID
+	stopSwitch  *runtime.Directive
 	stopDest    int
 }
 
@@ -348,7 +347,7 @@ func (c *coordinator) run() (*sim.Result, error) {
 	// receives it from the retry loop once its heal directive (queued
 	// ahead in sequence) lands.
 	for _, w := range c.workers {
-		c.l.send(w, &Payload{Kind: "directive", Dir: &runtime.Directive{Kind: runtime.DirFinish}})
+		c.l.send(w, &Payload{Kind: "directive", Dir: &runtime.Directive{Directive: sim.Directive{Kind: runtime.DirFinish}}})
 	}
 	local := r.FinishShard()
 	c.cfg.logf("cluster: shard 0 finished at tick %d, collecting reports", r.CurrentTick())
@@ -418,10 +417,11 @@ func (c *coordinator) fireEvents() error {
 		select {
 		case reply := <-c.pendingStop:
 			c.pendingStop = nil
+			d := c.stopSwitch
 			if reply == nil || reply.S1End == nil || !reply.S1End.OK {
-				return fmt.Errorf("cluster: stop-source round trip for node %d failed", c.stopOld)
+				return fmt.Errorf("cluster: stop-source round trip for node %d failed", d.Old)
 			}
-			d := r.ResolveSwitch(c.stopEvent, c.stopOld, c.stopNew, reply.S1End.Seg)
+			d.S1End = reply.S1End.Seg
 			r.PopEvent()
 			c.broadcastApply(d)
 		default:
@@ -433,35 +433,33 @@ func (c *coordinator) fireEvents() error {
 		if !due {
 			return nil
 		}
-		d, needStop, err := r.ResolveEvent(ev)
+		d, stop, err := r.ResolveEvent(ev)
 		if err != nil {
 			return err
 		}
-		if needStop != nil {
-			owner := r.OwnerOf(needStop.Old)
+		if stop {
+			owner := r.OwnerOf(d.Old)
 			if c.dead[owner] {
-				// The old source's worker died between ticks: resolve the
-				// switch as a crash handoff instead of calling a corpse.
-				ev.Failure = true
-				d := r.ResolveSwitch(ev, needStop.Old, needStop.New, r.CrashS1End())
+				// The old source's worker died between ticks: make the
+				// switch a crash handoff instead of calling a corpse.
+				r.CrashSwitch(d)
 				r.PopEvent()
 				c.broadcastApply(d)
 				continue
 			}
-			c.stopEvent = ev
-			c.stopOld = needStop.Old
-			c.stopNew = needStop.New
+			c.stopSwitch = d
 			c.stopDest = owner
 			ch := make(chan *Payload, 1)
 			c.pendingStop = ch
-			go func(dest int, d runtime.Directive) {
-				reply, err := c.l.call(dest, &Payload{Kind: "directive", Dir: &d}, c.cfg.Tuning.CallTimeout)
+			req := runtime.Directive{Directive: sim.Directive{Kind: runtime.DirStopSource, Tick: d.Tick, Old: d.Old, New: d.New}}
+			go func() {
+				reply, err := c.l.call(owner, &Payload{Kind: "directive", Dir: &req}, c.cfg.Tuning.CallTimeout)
 				if err != nil {
 					reply = nil
 				}
 				ch <- reply
-			}(owner, *needStop)
-			c.cfg.logf("cluster: tick %d: stop-source call to shard %d (node %d)", r.CurrentTick(), owner, needStop.Old)
+			}()
+			c.cfg.logf("cluster: tick %d: stop-source call to shard %d (node %d)", r.CurrentTick(), owner, d.Old)
 			return nil // hold until the reply
 		}
 		r.PopEvent()
@@ -479,10 +477,10 @@ func (c *coordinator) fireEvents() error {
 // both orders are safe for everything else because resolution is
 // already done.
 func (c *coordinator) broadcastApply(d *runtime.Directive) {
-	c.cfg.logf("cluster: tick %d: %v directive", c.r.CurrentTick(), d.Kind)
+	c.cfg.logf("cluster: tick %d: %s directive", c.r.CurrentTick(), d.KindName())
 	wire := *d
 	wire.Resolved = false // workers must replay the structural mutations
-	if d.Kind == runtime.DirHeal {
+	if d.Kind == sim.DirHeal {
 		c.r.Apply(d)
 		for _, w := range c.workers {
 			c.l.send(w, &Payload{Kind: "directive", Dir: &wire})

@@ -306,15 +306,13 @@ func (c *coordinator) failover(w int) error {
 		// from the cohort's high-water mark, exactly as a scripted
 		// failure switch does).
 		c.pendingStop = nil
-		ev := c.stopEvent
-		ev.Failure = true
-		d := r.ResolveSwitch(ev, c.stopOld, c.stopNew, r.CrashS1End())
+		r.CrashSwitch(c.stopSwitch)
 		r.PopEvent()
-		c.broadcastApply(d)
+		c.broadcastApply(c.stopSwitch)
 	} else if srcDied {
 		// The live source was owned by the dead shard: synthesize an
 		// unscripted crash switch so the stream continues on a survivor.
-		d, _, err := r.ResolveFailureSwitch()
+		d, err := r.ResolveFailureSwitch()
 		if err != nil {
 			return err
 		}

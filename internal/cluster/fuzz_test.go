@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"testing"
 
+	"gossipstream/internal/bandwidth"
 	"gossipstream/internal/overlay"
 	"gossipstream/internal/runtime"
+	"gossipstream/internal/sim"
 )
 
 // FuzzWireDecode fuzzes the cluster's wire surface end to end: the
@@ -46,10 +48,10 @@ func FuzzWireDecode(f *testing.F) {
 	// The failover alphabet: a reassignment directive with respawn specs,
 	// a fence, and the keepalive ping/pong pair.
 	f.Add(sealed(runtime.FrameEvent, 9, &Payload{Kind: "directive", Dir: &runtime.Directive{
-		Kind: runtime.DirReassign, Tick: 18, DeadShard: 2,
+		Directive: sim.Directive{Kind: runtime.DirReassign, Tick: 18}, DeadShard: 2,
 		Respawns: []runtime.RespawnSpec{
-			{Owner: 0, Join: runtime.JoinSpec{ID: 2, Neighbors: []overlay.NodeID{1, 5}, Anchor: 40, Known: 1, ProfIn: 512, ProfOut: 512}},
-			{Owner: 1, Join: runtime.JoinSpec{ID: 5, Anchor: 41, SessionIdx: 0, Known: 1}},
+			{Owner: 0, Join: sim.JoinSpec{ID: 2, Neighbors: []overlay.NodeID{1, 5}, Anchor: 40, Profile: bandwidth.Profile{In: 512, Out: 512}}},
+			{Owner: 1, Join: sim.JoinSpec{ID: 5, Anchor: 41}},
 		},
 	}}))
 	f.Add(sealed(runtime.FrameEvent, 11, &Payload{Kind: "fence"}))

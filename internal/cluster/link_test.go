@@ -9,6 +9,7 @@ import (
 	"gossipstream/internal/netmodel"
 	"gossipstream/internal/overlay"
 	"gossipstream/internal/runtime"
+	"gossipstream/internal/sim"
 )
 
 // testPolicy is a mutable LinkPolicy stub: a switchable full block and
@@ -94,7 +95,7 @@ func TestLinkLossyDeliveryInOrder(t *testing.T) {
 
 	const n = 20
 	for i := 1; i <= n; i++ {
-		a.send(1, &Payload{Kind: "directive", Dir: &runtime.Directive{Kind: runtime.DirMeasure, Tick: i}})
+		a.send(1, &Payload{Kind: "directive", Dir: &runtime.Directive{Directive: sim.Directive{Kind: sim.DirMeasure, Tick: i}}})
 	}
 	for want := 1; want <= n; want++ {
 		select {
@@ -128,7 +129,7 @@ func TestPartitionSeversControlPlane(t *testing.T) {
 
 	pa.set(true, 0)
 	pb.set(true, 0)
-	a.send(1, &Payload{Kind: "directive", Dir: &runtime.Directive{Kind: runtime.DirHeal, Tick: 7}})
+	a.send(1, &Payload{Kind: "directive", Dir: &runtime.Directive{Directive: sim.Directive{Kind: sim.DirHeal, Tick: 7}}})
 
 	select {
 	case <-got:
@@ -177,14 +178,14 @@ func TestLinkRejectsForgedFrames(t *testing.T) {
 	got := make(chan int, 8)
 	ackAll(b, got)
 
-	forged.send(1, &Payload{Kind: "directive", Dir: &runtime.Directive{Kind: runtime.DirMeasure, Tick: 1}})
+	forged.send(1, &Payload{Kind: "directive", Dir: &runtime.Directive{Directive: sim.Directive{Kind: sim.DirMeasure, Tick: 1}}})
 	select {
 	case <-got:
 		t.Fatal("forged frame delivered")
 	case <-time.After(300 * time.Millisecond):
 	}
 
-	a.send(1, &Payload{Kind: "directive", Dir: &runtime.Directive{Kind: runtime.DirMeasure, Tick: 2}})
+	a.send(1, &Payload{Kind: "directive", Dir: &runtime.Directive{Directive: sim.Directive{Kind: sim.DirMeasure, Tick: 2}}})
 	select {
 	case tick := <-got:
 		if tick != 2 {

@@ -1,9 +1,5 @@
 package runtime
 
-import (
-	"gossipstream/internal/overlay"
-)
-
 // Event firing: the scenario's tick-scheduled timeline executed on the
 // wall clock. Every event is resolved into an explicit Directive (see
 // directive.go) and applied — in a single-process run the two happen
@@ -19,10 +15,13 @@ import (
 // tick, in timeline order — the live counterpart of the simulator's
 // events phase, running while every peer is quiescent between periods.
 func (r *Runner) fireEvents() {
-	for r.err == nil && r.nextEvent < len(r.events) && r.events[r.nextEvent].Tick <= r.tick {
-		ev := r.events[r.nextEvent]
-		r.nextEvent++
-		d, _, err := r.ResolveEvent(ev)
+	for r.err == nil {
+		ev, due := r.DueEvent()
+		if !due {
+			return
+		}
+		d, _, err := r.ResolveEvent(ev) // every source is owned: no stop round trip
+		r.PopEvent()
 		if err != nil {
 			r.err = err
 			return
@@ -42,30 +41,7 @@ func (r *Runner) fireEvents() {
 // repair the mesh through the directory, joiners adopt their neighbors'
 // current playback position.
 func (r *Runner) churnStep() {
-	if d := r.resolveChurn(); d != nil {
+	if d := r.ResolveChurnStep(); d != nil {
 		r.applyMembership(d)
 	}
-}
-
-// pickNewSource draws a uniformly random active peer that never held
-// the source role, excluding old; -1 when none exists.
-func (r *Runner) pickNewSource(old overlay.NodeID) overlay.NodeID {
-	for tries := 0; tries < 64; tries++ {
-		cand := r.dir.RandomAlive(old)
-		if cand < 0 {
-			return -1
-		}
-		if r.sourceEligible(cand) {
-			return cand
-		}
-	}
-	for _, cand := range r.dir.Alive() {
-		if cand == old {
-			continue
-		}
-		if r.sourceEligible(cand) {
-			return cand
-		}
-	}
-	return -1
 }

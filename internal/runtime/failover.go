@@ -3,9 +3,7 @@ package runtime
 import (
 	"sort"
 
-	"gossipstream/internal/bandwidth"
 	"gossipstream/internal/overlay"
-	"gossipstream/internal/segment"
 	"gossipstream/internal/sim"
 )
 
@@ -26,7 +24,7 @@ import (
 // process keeps) — no RNG draw happens at respawn time.
 type RespawnSpec struct {
 	Owner int
-	Join  JoinSpec
+	Join  sim.JoinSpec
 }
 
 // maxRespawnsPerDirective chunks a large reassignment across several
@@ -49,12 +47,12 @@ const respawnSeedSalt = 0x0fa1_10ff
 func (r *Runner) ResolveFailover(deadShard int, survivors []int) (dirs []*Directive, srcDied bool) {
 	order := append([]int(nil), survivors...)
 	sort.Ints(order)
-	cur := overlay.NodeID(r.timeline[len(r.timeline)-1].Source)
+	cur := overlay.NodeID(r.current().Source)
 
 	var lost, orphans []overlay.NodeID
 	for i := 0; i < r.g.N(); i++ {
 		id := overlay.NodeID(i)
-		if r.dead[id] || r.ownerOf(id) != deadShard {
+		if !r.dir.IsAlive(id) || r.ownerOf(id) != deadShard {
 			continue
 		}
 		switch {
@@ -70,11 +68,9 @@ func (r *Runner) ResolveFailover(deadShard int, survivors []int) (dirs []*Direct
 	}
 
 	if len(lost) > 0 {
-		d := &Directive{Kind: DirMembership, Tick: r.tick, Resolved: true}
+		d := &Directive{Directive: sim.Directive{Kind: sim.DirMembership, Tick: r.tick, Leaves: lost}, Resolved: true}
 		for _, id := range lost {
 			d.Repair = append(d.Repair, r.dir.Leave(id)...)
-			r.dead[id] = true
-			d.Leaves = append(d.Leaves, id)
 		}
 		dirs = append(dirs, d)
 	}
@@ -82,7 +78,7 @@ func (r *Runner) ResolveFailover(deadShard int, survivors []int) (dirs []*Direct
 	var d *Directive
 	for i, id := range orphans {
 		if d == nil {
-			d = &Directive{Kind: DirReassign, Tick: r.tick, DeadShard: deadShard, Resolved: true}
+			d = &Directive{Directive: sim.Directive{Kind: DirReassign, Tick: r.tick}, DeadShard: deadShard, Resolved: true}
 		}
 		d.Respawns = append(d.Respawns, RespawnSpec{
 			Owner: order[i%len(order)],
@@ -101,36 +97,17 @@ func (r *Runner) ResolveFailover(deadShard int, survivors []int) (dirs []*Direct
 
 // respawnSpec rebuilds one orphan's join wiring: current adjacency from
 // the graph, the playback anchor from its neighbors' reported frontier
-// (the churn-join rule — "follow the neighbors' current steps"), and
-// the bandwidth profile restated from the ledger.
-func (r *Runner) respawnSpec(id overlay.NodeID) JoinSpec {
-	anchor := segment.ID(0)
-	for _, v := range r.g.Neighbors(id) {
-		if rep, ok := r.lastRep[v]; ok && rep.alive && rep.windowLo > anchor {
-			anchor = rep.windowLo
-		}
-	}
+// (the resolver's churn-join rule), and the bandwidth profile restated
+// from the ledger.
+func (r *Runner) respawnSpec(id overlay.NodeID) sim.JoinSpec {
+	neighbors := append([]overlay.NodeID(nil), r.g.Neighbors(id)...)
+	anchor := r.resolver.JoinAnchor(neighbors)
 	if anchor == 0 {
 		// No live neighbor report (an isolated corner): start at the
 		// current session's first segment.
-		anchor = r.timeline[len(r.timeline)-1].Begin
+		anchor = r.current().Begin
 	}
-	idx, known := 0, 1
-	for si, s := range r.timeline {
-		if s.Contains(anchor) {
-			idx, known = si, si+1
-		}
-	}
-	prof := r.profile[id]
-	return JoinSpec{
-		ID:         id,
-		Neighbors:  append([]overlay.NodeID(nil), r.g.Neighbors(id)...),
-		Anchor:     anchor,
-		SessionIdx: idx,
-		Known:      known,
-		ProfIn:     prof.In,
-		ProfOut:    prof.Out,
-	}
+	return sim.JoinSpec{ID: id, Neighbors: neighbors, Anchor: anchor, Profile: r.profile[id]}
 }
 
 // applyReassign executes one reassignment on any shard: record the
@@ -149,19 +126,7 @@ func (r *Runner) applyReassign(d *Directive) {
 		if h, ok := r.peers[js.ID]; ok && h.running {
 			continue // already hosted here (a replayed directive)
 		}
-		spec := spawnSpec{
-			id:         js.ID,
-			profile:    bandwidth.Profile{In: js.ProfIn, Out: js.ProfOut},
-			bwFactor:   r.bwFactor,
-			neighbors:  r.g.Neighbors(js.ID),
-			sessions:   r.timeline,
-			anchor:     js.Anchor,
-			sessionIdx: js.SessionIdx,
-			known:      js.Known,
-			mySession:  -1,
-			seed:       r.sc.Seed ^ (int64(js.ID)+1)*0x9e37_79b9 ^ respawnSeedSalt,
-		}
-		if err := r.spawn(spec); err != nil {
+		if err := r.spawn(r.joinSpawn(js, respawnSeedSalt)); err != nil {
 			r.err = err
 			return
 		}
@@ -175,17 +140,12 @@ func (r *Runner) applyReassign(d *Directive) {
 // ResolveFailureSwitch synthesizes and resolves an unscripted crash
 // switch — the live source's worker died, so the stream must continue
 // from a surviving successor. The closing segment id is estimated from
-// the cohort's reported high-water mark (CrashS1End), exactly like a
-// scripted failure switch.
-func (r *Runner) ResolveFailureSwitch() (*Directive, *Directive, error) {
-	ev := sim.Event{Kind: sim.EvSwitchSource, Tick: r.tick, To: -1, Failure: true}
-	return r.ResolveEvent(ev)
+// the cohort's reported high-water mark, exactly like a scripted failure
+// switch.
+func (r *Runner) ResolveFailureSwitch() (*Directive, error) {
+	d, _, err := r.ResolveEvent(sim.CrashAt(r.tick, -1))
+	return d, err
 }
-
-// CrashS1End exposes the crash truncation point to the cluster
-// coordinator: the highest segment any eligible listener reported
-// having seen, floored at the current session's first segment.
-func (r *Runner) CrashS1End() segment.ID { return r.crashS1End() }
 
 // Abort stops every owned peer and the transport without finalizing a
 // result — the fail-stop path of a chaos-killed or fenced agent.

@@ -81,8 +81,8 @@ func TestResolveFailoverRemapsOrphans(t *testing.T) {
 			if rs.Join.Anchor < 0 {
 				t.Fatalf("node %d respawns with anchor %d", rs.Join.ID, rs.Join.Anchor)
 			}
-			if rs.Join.Known < 1 {
-				t.Fatalf("node %d respawns knowing %d sessions", rs.Join.ID, rs.Join.Known)
+			if rs.Join.Profile != r0.profile[rs.Join.ID] {
+				t.Fatalf("node %d respawns with profile %+v, ledger has %+v", rs.Join.ID, rs.Join.Profile, r0.profile[rs.Join.ID])
 			}
 			owners[rs.Join.ID] = rs.Owner
 		}

@@ -4,9 +4,74 @@ import (
 	"runtime"
 	"testing"
 
+	"gossipstream/internal/overlay"
 	"gossipstream/internal/scenario"
 	"gossipstream/internal/sim"
 )
+
+// TestLiveSimResolveSameExperiment pins that a live run and its
+// simulated twin resolve one scenario into the same experiment: a
+// uniform partition assigns every node the same side, each flash-crowd
+// joiner gets the same id and profile, and the first baseline churn step
+// draws the same joiner profiles. Both backends resolve through one
+// sim.Resolver, so this is exact, not statistical.
+func TestLiveSimResolveSameExperiment(t *testing.T) {
+	const n, crowd = 40, 6
+	sc := &scenario.Scenario{
+		Name: "resolve-parity", Nodes: n, M: 5, Seed: 11,
+		Net: true, ChurnLeave: 0.05, ChurnJoin: 0.05, Duration: 4,
+		Events: []sim.Event{
+			sim.FlashCrowdAt(0, crowd, 20),
+			sim.PartitionAt(1, 0.5),
+		},
+	}
+	cfg, err := sc.Config(sim.Fast)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := FromScenario(sc, sim.Fast, Options{TimeScale: 500})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The first churn step (end of tick 0) sees the initial nodes plus
+	// the crowd alive and joins 5% of them right after the crowd's ids.
+	alive := n + crowd
+	joiners := alive + int(sc.ChurnJoin*float64(alive))
+	sides := 0
+	for id := overlay.NodeID(0); id < overlay.NodeID(joiners); id++ {
+		if s.Side(id) == r.policy.m.Side(id) {
+			sides++
+		} else {
+			t.Errorf("node %d: partition side sim %d, live %d", id, s.Side(id), r.policy.m.Side(id))
+		}
+	}
+	t.Logf("partition sides agree on %d of %d nodes", sides, joiners)
+	for id := overlay.NodeID(n); id < overlay.NodeID(joiners); id++ {
+		what := "crowd joiner"
+		if id >= n+crowd {
+			what = "first churn joiner"
+		}
+		live, ok := r.profile[id]
+		if !ok {
+			t.Errorf("%s %d never joined the live run", what, id)
+			continue
+		}
+		if sp := s.Profile(id); sp != live {
+			t.Errorf("%s %d: profile sim %+v, live %+v", what, id, sp, live)
+		}
+	}
+}
 
 // TestLiveSimParityPaperSingleSwitch pins the live runtime against the
 // simulator on the paper's evaluation scenario: paper-single-switch,

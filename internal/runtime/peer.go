@@ -715,7 +715,8 @@ func (p *peer) handleCtrl(c ctrlMsg) bool {
 		p.in.SetRate(p.profile.In)
 		p.out.SetRate(p.profile.Out)
 		p.sessions = append(p.sessions[:0], c.sessions...)
-		p.adoptPosition(c.anchor)
+		// Rejoin playback by following the neighbors' current steps.
+		p.pb = sim.JoinPlayback(p.sessions, c.anchor)
 	case ctrlNeighbors:
 		p.neighbors = append(p.neighbors[:0], c.neighbors...)
 		for v := range p.views {
@@ -735,20 +736,6 @@ func (p *peer) handleCtrl(c ctrlMsg) bool {
 		return false
 	}
 	return true
-}
-
-// adoptPosition rejoins playback at anchor — the Section 5.4 "follow
-// its neighbors' current steps" rule, shared with the simulator's
-// adoptPosition.
-func (p *peer) adoptPosition(anchor segment.ID) {
-	idx, known := 0, 1
-	for i, s := range p.sessions {
-		if s.Contains(anchor) {
-			idx, known = i, i+1
-			break
-		}
-	}
-	p.pb = sim.NewPlayback(anchor, idx, known)
 }
 
 func containsNode(list []overlay.NodeID, v overlay.NodeID) bool {

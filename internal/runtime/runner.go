@@ -86,11 +86,12 @@ type Runner struct {
 	tr     Transport
 	policy *lockedPolicy // nil without the network model
 
-	g   *overlay.Graph
-	dir *membership.Directory
-
-	rng      *rand.Rand // structural decisions (successor picks, partition seeds)
-	churnRNG *rand.Rand // churn victim/joiner profile draws
+	// g is the local overlay. resolver makes every resolution decision
+	// (sim.Resolver, shared with the simulator) and dir is its membership
+	// directory; only the process that resolves consults them.
+	g        *overlay.Graph
+	resolver *sim.Resolver
+	dir      *membership.Directory
 
 	timeline []segment.Session
 
@@ -106,12 +107,10 @@ type Runner struct {
 	// Sharding: a single-process run owns every node (shard 0 of 1); a
 	// multi-process run owns ids congruent to shard mod shards and is
 	// driven tick by tick through the StartShard/TickShard/Apply API.
-	// roles and dead are the resolver's global ledger of source-role
-	// holders and departed nodes — the state that substitutes for
-	// peerHandle flags when the node lives in another process.
+	// roles is the global ledger of source-role holders, kept by every
+	// process (departures are the directory's).
 	shard, shards int
 	roles         map[overlay.NodeID]bool
-	dead          map[overlay.NodeID]bool
 
 	// Failover state (see failover.go): owner overrides for peers
 	// reassigned off a dead shard (consulted before the id-mod-shards
@@ -121,10 +120,7 @@ type Runner struct {
 	owner   map[overlay.NodeID]int
 	profile map[overlay.NodeID]bandwidth.Profile
 
-	lastRetired overlay.NodeID
-	burst       *sim.ChurnConfig
-	burstUntil  int
-	bwFactor    float64
+	bwFactor float64
 
 	tick int
 	ran  bool
@@ -171,14 +167,6 @@ func FromScenario(sc *scenario.Scenario, factory sim.AlgorithmFactory, opt Optio
 		return nil, err
 	}
 	cfg = cfg.Defaulted()
-	g := cfg.Graph
-
-	// The membership view target, inferred from the augmented topology's
-	// minimum degree exactly like the simulator's neighborTarget.
-	m := g.MinDegree()
-	if m < 1 {
-		m = 5
-	}
 	par := peerParams{
 		tau:             cfg.Tau,
 		p:               cfg.P,
@@ -198,30 +186,27 @@ func FromScenario(sc *scenario.Scenario, factory sim.AlgorithmFactory, opt Optio
 		transport = NewChanTransport(sc.Seed ^ 0x11fe)
 	}
 	r := &Runner{
-		sc:          sc,
-		cfg:         cfg,
-		par:         par,
-		opt:         opt,
-		factory:     factory,
-		tr:          transport,
-		g:           g,
-		dir:         membership.NewDirectory(g, m, rand.New(rand.NewSource(sc.Seed^0x3a11ce))),
-		rng:         rand.New(rand.NewSource(sc.Seed)),
-		churnRNG:    rand.New(rand.NewSource(sc.Seed ^ 0x5eed_c0de)),
-		peers:       make(map[overlay.NodeID]*peerHandle),
-		lastRep:     make(map[overlay.NodeID]report),
-		reports:     make(chan report, 4096),
-		shards:      1,
-		roles:       make(map[overlay.NodeID]bool),
-		dead:        make(map[overlay.NodeID]bool),
-		owner:       make(map[overlay.NodeID]int),
-		profile:     make(map[overlay.NodeID]bandwidth.Profile),
-		lastRetired: -1,
-		bwFactor:    1,
-		res:         &sim.Result{Algorithm: factory().Name()},
+		sc:       sc,
+		cfg:      cfg,
+		par:      par,
+		opt:      opt,
+		factory:  factory,
+		tr:       transport,
+		g:        cfg.Graph,
+		peers:    make(map[overlay.NodeID]*peerHandle),
+		lastRep:  make(map[overlay.NodeID]report),
+		reports:  make(chan report, 4096),
+		shards:   1,
+		roles:    make(map[overlay.NodeID]bool),
+		owner:    make(map[overlay.NodeID]int),
+		profile:  make(map[overlay.NodeID]bandwidth.Profile),
+		bwFactor: 1,
+		res:      &sim.Result{Algorithm: factory().Name()},
 
 		statsCacheTick: -1,
 	}
+	r.resolver = sim.NewResolver(cfg, (*runnerFacts)(r))
+	r.dir = r.resolver.Directory()
 	if opt.Obs != nil {
 		r.obs = newRunnerObs(opt.Obs)
 		r.win = sim.NewWindow(cfg.Tau, r.obs.trace, r.obs.windows)
@@ -321,10 +306,7 @@ func (r *Runner) spawnInitial() error {
 	stagger := rand.New(rand.NewSource(r.sc.Seed ^ 0x57a6))
 	spread := r.cfg.JoinSpreadTicks // 0 after Defaulted = simultaneous start
 
-	first := r.cfg.FirstSource
-	if first < 0 {
-		first = r.g.MinDegreeNode()
-	}
+	first := r.cfg.InitialSource()
 	r.timeline = []segment.Session{{Source: segment.SourceID(first), Begin: 0, End: segment.None}}
 	r.roles[first] = true
 

@@ -204,6 +204,15 @@ func (c Config) Defaulted() Config {
 	return c
 }
 
+// InitialSource is the node streaming S1: FirstSource, or the lowest-id
+// minimum-degree node when FirstSource is negative.
+func (c Config) InitialSource() overlay.NodeID {
+	if c.FirstSource < 0 {
+		return c.Graph.MinDegreeNode()
+	}
+	return c.FirstSource
+}
+
 // Validate reports configuration errors that Defaulted cannot repair.
 func (c Config) Validate() error {
 	if c.Graph == nil {

@@ -21,7 +21,13 @@ import (
 //     rate split and priority scheduler (Plan), then spend the leftover
 //     inbound on random useful pieces (Prefetch), with one supplier pick
 //     (Pick) that deny retries reuse;
-//   - LinkRate and LinkCap, the per-link rate and capacity formula.
+//   - LinkRate and LinkCap, the per-link rate and capacity formula;
+//   - JoinPlayback, the one anchor → session lookup of every (re)joining
+//     peer.
+//
+// It is one of the three pieces both backends share, beside Window
+// (window.go, the measurement window) and Resolver (resolve.go, the
+// resolution of scenario events and churn into directives).
 //
 // Two drivers call it. The simulator's playback and plan phases
 // (phase_world.go, phase_plan.go) drive it against same-tick buffers,
@@ -63,6 +69,20 @@ type Playback struct {
 // known sessions.
 func NewPlayback(anchor segment.ID, sessionIdx, known int) Playback {
 	return Playback{SessionIdx: sessionIdx, Known: known, Playhead: anchor, Anchor: anchor}
+}
+
+// JoinPlayback returns the state of a peer (re)joining the stream at
+// anchor — a churn or crowd joiner, a respawned peer, a demoted
+// ex-source: playing the session that contains anchor and having
+// discovered it and every earlier one (the first session when none
+// contains anchor).
+func JoinPlayback(sessions []segment.Session, anchor segment.ID) Playback {
+	for i, s := range sessions {
+		if s.Contains(anchor) {
+			return NewPlayback(anchor, i, i+1)
+		}
+	}
+	return NewPlayback(anchor, 0, 1)
 }
 
 // WindowLo is the lowest segment id the peer still cares about: its

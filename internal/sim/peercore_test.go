@@ -16,6 +16,31 @@ func closedSession(src segment.SourceID, begin, end segment.ID) segment.Session 
 	return segment.Session{Source: src, Begin: begin, End: end}
 }
 
+// TestJoinPlayback pins the one anchor → session lookup every joiner,
+// respawn and demote enters playback through.
+func TestJoinPlayback(t *testing.T) {
+	sessions := []segment.Session{
+		closedSession(1, 0, 19),
+		closedSession(2, 20, 39),
+		{Source: 3, Begin: 40, End: segment.None},
+	}
+	for _, tc := range []struct {
+		name       string
+		anchor     segment.ID
+		idx, known int
+	}{
+		{name: "inside a closed session", anchor: 25, idx: 1, known: 2},
+		{name: "inside the open session", anchor: 57, idx: 2, known: 3},
+		{name: "before the timeline", anchor: segment.None, idx: 0, known: 1},
+	} {
+		pb := JoinPlayback(sessions, tc.anchor)
+		want := Playback{SessionIdx: tc.idx, Known: tc.known, Playhead: tc.anchor, Anchor: tc.anchor}
+		if pb != want {
+			t.Errorf("%s: JoinPlayback(%d) = %+v, want %+v", tc.name, tc.anchor, pb, want)
+		}
+	}
+}
+
 func TestPlaybackAdvanceStartPlayFinish(t *testing.T) {
 	sessions := []segment.Session{
 		closedSession(1, 0, 19),

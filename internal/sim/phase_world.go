@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"gossipstream/internal/bandwidth"
-	"gossipstream/internal/segment"
 	"gossipstream/internal/sim/engine"
 )
 
@@ -122,55 +120,11 @@ func (s *Sim) phasePlayback() {
 	})
 }
 
-// phaseChurn removes LeaveFraction of the alive non-source nodes and adds
-// JoinFraction fresh nodes, wired through the membership directory.
-// Running at tick end, after playback: departures and joins take effect
-// for the next period's refill and planning. A ChurnBurst event overrides
-// the baseline fractions for its duration.
+// phaseChurn resolves and applies the tick's baseline (or burst) churn
+// (Resolver.Churn). Running at tick end, after playback: departures and
+// joins take effect for the next period's refill and planning.
 func (s *Sim) phaseChurn() {
-	cc := s.cfg.Churn
-	if s.burst != nil {
-		if s.tick < s.burstUntil {
-			cc = s.burst
-		} else {
-			s.burst = nil
-		}
-	}
-	if cc == nil {
-		return
-	}
-	alive := s.dir.AliveCount()
-	leaves := int(cc.LeaveFraction * float64(alive))
-	for i := 0; i < leaves; i++ {
-		victim := s.dir.RandomAlive(s.oldSource, s.newSource)
-		if victim < 0 {
-			break
-		}
-		if s.nodes[victim].isSource || !s.nodes[victim].alive {
-			continue
-		}
-		s.nodes[victim].alive = false
-		s.dir.Leave(victim)
-		if k := s.win.Slot(victim); k >= 0 {
-			s.win.Gone(k)
-		}
-	}
-	joins := int(cc.JoinFraction * float64(alive))
-	for i := 0; i < joins; i++ {
-		id, neighbors := s.dir.Join()
-		prof := bandwidth.Profile{In: bandwidth.DrawRate(s.churnRNG), Out: bandwidth.DrawRate(s.churnRNG)}
-		n := newNodeState(id, prof, s.cfg.BufferCap, s.tick)
-		s.applyShift(n)
-		// "A new joining node ... starts its media playback by following
-		// its neighbors' current steps" (Section 5.4).
-		anchor := segment.ID(0)
-		for _, v := range neighbors {
-			if lo := s.nodes[v].WindowLo(); lo > anchor {
-				anchor = lo
-			}
-		}
-		s.adoptPosition(n, anchor)
-		s.nodes = append(s.nodes, n)
-		s.incoming = append(s.incoming, nil)
+	if d := s.resolver.Churn(s.tick); d != nil {
+		s.applyMembership(d)
 	}
 }

@@ -31,17 +31,18 @@ type Sim struct {
 	pipeline *engine.Pipeline
 	sched    *engine.Pipeline // the per-round plan → serve sub-pipeline
 
-	rng      *rand.Rand // structural decisions (source pick)
-	churnRNG *rand.Rand
-	profRNG  *rand.Rand
+	profRNG *rand.Rand
 	// jitterRNG is the serve commit's reusable jitter generator, reseeded
 	// to its per-(tick, round) stream before each commit's send pass.
 	jitterRNG *rand.Rand
 
-	g     *overlay.Graph
-	dir   *membership.Directory
-	nodes []*nodeState
-	algo  core.Algorithm // naming only; planning uses per-worker instances
+	// resolver turns script events and churn into directives (resolve.go);
+	// dir is its membership directory, read here.
+	resolver *Resolver
+	g        *overlay.Graph
+	dir      *membership.Directory
+	nodes    []*nodeState
+	algo     core.Algorithm // naming only; planning uses per-worker instances
 
 	// net is the message-level transport model (nil = classic instant
 	// delivery). When set, the pipeline's transit phase replaces the
@@ -71,14 +72,8 @@ type Sim struct {
 	oldSource, newSource overlay.NodeID
 	s1End, s2Begin       segment.ID
 	newSessionIdx        int
-	// lastRetired is the most recent node that stopped being the source
-	// (the default target of an EvDemoteSource).
-	lastRetired overlay.NodeID
 
-	// Scenario environment state.
-	burst      *ChurnConfig // churn-burst override, nil outside bursts
-	burstUntil int          // first tick after the burst
-	bwFactor   float64      // current bandwidth shift factor (1 = baseline)
+	bwFactor float64 // current bandwidth shift factor (1 = baseline)
 
 	tick int
 	ran  bool
@@ -143,14 +138,13 @@ func New(cfg Config) (*Sim, error) {
 	}
 	s := &Sim{
 		cfg:      cfg,
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		churnRNG: rand.New(rand.NewSource(cfg.Seed ^ 0x5eed_c0de)),
 		profRNG:  rand.New(rand.NewSource(cfg.Seed ^ 0x0ba5_e5)),
 		g:        cfg.Graph,
 		algo:     cfg.NewAlgorithm(),
 		bwFactor: 1,
 	}
-	s.dir = membership.NewDirectory(s.g, neighborTarget(s.g), rand.New(rand.NewSource(cfg.Seed^0x3a11ce)))
+	s.resolver = NewResolver(cfg, (*simFacts)(s))
+	s.dir = s.resolver.Directory()
 
 	profiles := cfg.Profiles
 	if profiles == nil {
@@ -166,10 +160,7 @@ func New(cfg Config) (*Sim, error) {
 		}
 		s.nodes[i] = n
 	}
-	s.oldSource = cfg.FirstSource
-	if s.oldSource < 0 {
-		s.oldSource = s.g.MinDegreeNode()
-	}
+	s.oldSource = cfg.InitialSource()
 	s.tl = segment.NewTimeline(segment.SourceID(s.oldSource))
 	src := s.nodes[s.oldSource]
 	src.becomeSource(cfg.SourceOutFactor * cfg.P)
@@ -180,7 +171,6 @@ func New(cfg Config) (*Sim, error) {
 	s.incoming = make([][]pullRequest, len(s.nodes))
 	s.newSessionIdx = -1
 	s.newSource = -1
-	s.lastRetired = -1
 	if cfg.Net != nil {
 		s.net = netmodel.New(*cfg.Net, cfg.Tau)
 		// Reserve room for a few grants in flight per node — the
@@ -349,7 +339,9 @@ func (s *Sim) phaseEvents() {
 	}
 }
 
-// fire applies one event to the world.
+// fire resolves one event (resolve.go) and applies the directive. An
+// event that cannot be resolved (a switch with no eligible successor, a
+// demote with no live ex-source) is a run error, with the world intact.
 func (s *Sim) fire(ev Event, idx int) {
 	s.obsEvents.Inc()
 	if s.trace != nil {
@@ -359,169 +351,110 @@ func (s *Sim) fire(ev Event, idx int) {
 		}
 		s.trace.Emit(te)
 	}
-	switch ev.Kind {
-	case EvSwitchSource:
-		s.applySwitch(ev)
-	case EvMeasureWindow:
+	d, err := s.resolver.Event(ev, idx, s.tick, s.tl.Current(), s.nextGen)
+	if err != nil {
+		s.runErr = err
+		return
+	}
+	if d == nil {
+		return // a churn burst: only the resolver's burst window moved
+	}
+	switch d.Kind {
+	case DirSwitch:
+		s.applySwitch(d)
+	case DirMeasure:
 		s.endWindow(true)
-		s.startWindow(false, ev.Ticks, ev)
-	case EvChurnBurst:
-		s.burst = &ChurnConfig{LeaveFraction: ev.Leave, JoinFraction: ev.Join}
-		s.burstUntil = s.tick + ev.Ticks
-	case EvFlashCrowd:
-		rng := rand.New(rand.NewSource(engine.SeedFor(s.cfg.Seed, rngEvents, s.tick, idx, 0)))
-		s.flashCrowd(ev, rng)
-	case EvBandwidthShift:
-		s.shiftBandwidth(ev.Factor)
-	case EvLatencyShift:
-		s.net.SetLatencyFactor(ev.Factor)
-	case EvLossBurst:
-		s.net.SetLossBurst(ev.Prob, s.tick+ev.Ticks)
-	case EvPartition:
-		// The side-assignment seed comes from the event's own stream, so
-		// two partitions in one run split differently.
-		seed := engine.SeedFor(s.cfg.Seed, rngEvents, s.tick, idx, 0)
-		if ev.ByPing {
-			s.net.PartitionByPing(ev.Frac, seed)
+		s.startWindow(false, d.Ticks, false)
+	case DirMembership:
+		s.applyMembership(d)
+	case DirBandwidth:
+		s.shiftBandwidth(d.Factor)
+	case DirLatency:
+		s.net.SetLatencyFactor(d.Factor)
+	case DirLoss:
+		s.net.SetLossBurst(d.Prob, d.Until)
+	case DirPartition:
+		if d.ByPing {
+			s.net.PartitionByPing(d.Frac, d.Seed)
 		} else {
-			s.net.Partition(ev.Frac, seed)
+			s.net.Partition(d.Frac, d.Seed)
 		}
 		if s.trace != nil {
 			s.trace.Emit(obs.TraceEvent{T: obs.EvPartition, Tick: s.tick, Kind: "sever"})
 		}
-	case EvHeal:
+	case DirHeal:
 		s.net.Heal()
 		if s.trace != nil {
 			s.trace.Emit(obs.TraceEvent{T: obs.EvPartition, Tick: s.tick, Kind: "heal"})
 		}
-	case EvDemoteSource:
-		s.applyDemote(ev)
+	case DirDemote:
+		s.applyDemote(d)
 	}
 }
 
-// applyDemote turns an ex-source back into a listener: its base
+// applyDemote turns the resolved ex-source back into a listener: its base
 // bandwidth profile returns (under the current bandwidth shift), it
-// rejoins playback at its neighbors' current position exactly like a
-// churn joiner, and — no longer being a source — it can be promoted
-// again by a later switch (the round-trip handoff). The current source
-// and dead ex-sources cannot be demoted; a demote that cannot apply is a
-// run error, like an unservable switch.
-func (s *Sim) applyDemote(ev Event) {
-	id := ev.To
-	if id < 0 {
-		id = s.lastRetired
-	}
-	switch {
-	case id < 0 || int(id) >= len(s.nodes):
-		s.runErr = fmt.Errorf("sim: demote at tick %d: no ex-source to demote", s.tick)
-		return
-	case !s.nodes[id].isSource:
-		s.runErr = fmt.Errorf("sim: demote at tick %d: node %d never held the source role or was already demoted", s.tick, id)
-		return
-	case overlay.NodeID(s.tl.Current().Source) == id && s.tl.Current().Open():
-		s.runErr = fmt.Errorf("sim: demote at tick %d: node %d is the current source", s.tick, id)
-		return
-	case !s.nodes[id].alive:
-		s.runErr = fmt.Errorf("sim: demote at tick %d: ex-source %d is dead", s.tick, id)
-		return
-	}
-	n := s.nodes[id]
+// rejoins playback at the resolved anchor exactly like a churn joiner,
+// and — no longer being a source — it can be promoted again by a later
+// switch (the round-trip handoff). The ex-source kept its buffer, so it
+// usually starts as a well-provisioned supplier of the old stream.
+func (s *Sim) applyDemote(d *Directive) {
+	n := s.nodes[d.Node]
 	n.isSource = false
 	s.applyShift(n) // base × the current bandwidth shift, rates included
-	// Rejoin playback by following the neighbors' current steps (the
-	// Section 5.4 joiner rule): the ex-source kept its buffer, so it
-	// usually starts as a well-provisioned supplier of the old stream.
-	anchor := segment.ID(0)
-	for _, v := range s.g.Neighbors(n.id) {
-		if s.nodes[v].alive {
-			if lo := s.nodes[v].WindowLo(); lo > anchor {
-				anchor = lo
-			}
+	s.sessions = s.tl.SessionsInto(s.sessions)
+	n.Playback = JoinPlayback(s.sessions, d.Anchor)
+}
+
+// applyMembership executes a resolved membership step: departures leave
+// the cohort, and joiners enter with their drawn profile (under the
+// current bandwidth shift) at their resolved anchor.
+func (s *Sim) applyMembership(d *Directive) {
+	for _, v := range d.Leaves {
+		s.nodes[v].alive = false
+		if k := s.win.Slot(v); k >= 0 {
+			s.win.Gone(k)
 		}
 	}
-	n.Active = false
-	s.adoptPosition(n, anchor)
-	if id == s.lastRetired {
-		s.lastRetired = -1
+	s.sessions = s.tl.SessionsInto(s.sessions)
+	for _, js := range d.Joins {
+		n := newNodeState(js.ID, js.Profile, s.cfg.BufferCap, s.tick)
+		n.Playback = JoinPlayback(s.sessions, js.Anchor)
+		s.applyShift(n)
+		s.nodes = append(s.nodes, n)
+		s.incoming = append(s.incoming, nil)
 	}
 }
 
-// adoptPosition points a (re)joining node's playback at anchor and
-// aligns its session bookkeeping with the timeline — the Section 5.4
-// "follow its neighbors' current steps" rule, shared by churn joiners
-// and demoted ex-sources.
-func (s *Sim) adoptPosition(n *nodeState, anchor segment.ID) {
-	n.Anchor = anchor
-	n.Playhead = anchor
-	if ses, ok := s.tl.SessionOf(anchor); ok {
-		for idx, sv := range s.tl.Sessions() {
-			if sv.Begin == ses.Begin {
-				n.SessionIdx = idx
-				n.Known = idx + 1
-				break
-			}
-		}
-	}
-}
-
-// applySwitch is a switch event: the current source stops streaming (or
-// crashes), a new source is promoted and starts the next session, and a
-// fresh measurement window opens over the frozen cohort. This is the
-// generalization of the old single-switch performSwitch: the paper's
-// "simulation time 0", once per SwitchSource event.
-func (s *Sim) applySwitch(ev Event) {
-	cur := s.tl.Current()
-	old := overlay.NodeID(cur.Source)
-	oldNode := s.nodes[old]
-
-	// Resolve the successor before mutating anything, so an unservable
-	// switch surfaces as a run error with the world intact. (The pick
-	// draws no randomness on failure paths that matter: RandomAlive is
-	// untouched by the mutations below.)
-	to := ev.To
-	if to >= 0 && (int(to) >= len(s.nodes) || !s.dir.IsAlive(to) || s.nodes[to].isSource) {
-		to = -1
-	}
-	if to < 0 {
-		to = s.pickNewSource(old)
-	}
-	if to < 0 {
-		s.runErr = fmt.Errorf("sim: switch at tick %d: no eligible new source (every alive node is or was a source)", s.tick)
-		return
-	}
-
+// applySwitch executes a resolved switch: the current source stops
+// streaming (or crashes), the successor is promoted and starts the next
+// session, and a fresh measurement window opens over the frozen cohort —
+// the paper's "simulation time 0", once per SwitchSource event. The
+// closing id of a planned switch is the last segment the old source
+// generated.
+func (s *Sim) applySwitch(d *Directive) {
 	s.endWindow(true)
-
-	s1End := s.nextGen - 1
-	if ev.Failure {
-		// The speaker crashes mid-stream: segments that never left its
-		// machine are lost, so the session truncates at the last id any
-		// other alive node holds (the dead node's buffer is never
-		// consulted again — every supplier path checks alive — so the
-		// truncated ids are safely reused by the next session).
-		s1End = cur.Begin - 1
-		for _, n := range s.nodes {
-			if n.alive && !n.isSource && n.maxSeen > s1End {
-				s1End = n.maxSeen
-			}
-		}
-		oldNode.alive = false
-		s.dir.Leave(old)
+	if d.Failure {
+		// The crashed speaker's buffer is never consulted again (every
+		// supplier path checks alive), so the truncated ids are safely
+		// reused by the next session.
+		s.nodes[d.Old].alive = false
+	} else {
+		d.S1End = s.nextGen - 1
 	}
-	s.s1End = s1End
-	s.tl.Close(s1End)
+	s.s1End = d.S1End
+	s.tl.Close(d.S1End)
 
-	ses, err := s.tl.Append(segment.SourceID(to))
+	ses, err := s.tl.Append(segment.SourceID(d.New))
 	if err != nil {
 		panic(fmt.Sprintf("sim: timeline append: %v", err)) // unreachable: Close precedes
 	}
 	s.s2Begin = ses.Begin
 	s.nextGen = ses.Begin
 	s.newSessionIdx = len(s.tl.Sessions()) - 1
-	s.oldSource, s.newSource = old, to
-	s.lastRetired = old
+	s.oldSource, s.newSource = d.Old, d.New
 
-	ns := s.nodes[to]
+	ns := s.nodes[d.New]
 	ns.becomeSource(s.cfg.SourceOutFactor * s.cfg.P)
 	// The synchronization mechanism the paper assumes: the new source
 	// knows S1's ending segment id and embeds it in its first segments.
@@ -529,44 +462,15 @@ func (s *Sim) applySwitch(ev Event) {
 
 	if s.trace != nil {
 		s.trace.Emit(obs.TraceEvent{T: obs.EvSwitch, Tick: s.tick, Kind: "s1-end", Seg: obs.P(int64(s.s1End))})
-		s.trace.Emit(obs.TraceEvent{T: obs.EvSwitch, Tick: s.tick, Kind: "become-source", Node: obs.P(int64(to)), Seg: obs.P(int64(s.s2Begin))})
+		s.trace.Emit(obs.TraceEvent{T: obs.EvSwitch, Tick: s.tick, Kind: "become-source", Node: obs.P(int64(d.New)), Seg: obs.P(int64(s.s2Begin))})
 	}
-
-	horizon := ev.Horizon
-	if horizon <= 0 {
-		horizon = s.cfg.HorizonTicks
-	}
-	s.startWindow(true, horizon, ev)
-}
-
-// pickNewSource draws a uniformly random alive node that never held the
-// source role, excluding old; -1 when none exists. The draw comes from
-// the membership directory's stream — the same stream churn picks from,
-// and the draw the pre-netmodel goldens were captured with.
-func (s *Sim) pickNewSource(old overlay.NodeID) overlay.NodeID {
-	for tries := 0; tries < 64; tries++ {
-		cand := s.dir.RandomAlive(old)
-		if cand < 0 {
-			return -1
-		}
-		if !s.nodes[cand].isSource {
-			return cand
-		}
-	}
-	// Dense ex-source corner (long handoff chains on tiny meshes):
-	// linear fallback keeps the pick total.
-	for _, cand := range s.dir.Alive() {
-		if cand != old && !s.nodes[cand].isSource {
-			return cand
-		}
-	}
-	return -1
+	s.startWindow(true, d.Horizon, d.Failure)
 }
 
 // startWindow opens a measurement window over the simulator's cohort:
 // every alive non-source node. A switch window also freezes each
 // member's undelivered S1 backlog (q0) for the ratio series.
-func (s *Sim) startWindow(isSwitch bool, horizon int, ev Event) {
+func (s *Sim) startWindow(isSwitch bool, horizon int, failure bool) {
 	var cohort []overlay.NodeID
 	for _, n := range s.nodes {
 		if !n.alive || n.isSource {
@@ -580,7 +484,7 @@ func (s *Sim) startWindow(isSwitch bool, horizon int, ev Event) {
 	s.win.Open(WindowHeader{
 		Index: len(s.res.Windows), Tick: s.tick, Nodes: s.dir.AliveCount(), Horizon: horizon,
 		Switch: isSwitch, Session: s.newSessionIdx,
-		OldSource: s.oldSource, NewSource: s.newSource, Failure: ev.Failure,
+		OldSource: s.oldSource, NewSource: s.newSource, Failure: failure,
 	}, cohort)
 	if s.cfg.TrackRatios && isSwitch {
 		m := s.win.Metrics()
@@ -597,32 +501,27 @@ func (s *Sim) endWindow(interrupted bool) {
 	}
 }
 
-// flashCrowd joins a batch of fresh nodes through the membership
-// protocol. Unlike churn joiners, who adopt their neighbors' playback
-// position, crowd members play the current stream from its beginning
-// (bounded by Backlog) — the catch-up backlog of an audience arriving
-// late to a live event. Profiles are drawn from the event's own RNG
-// stream (the rngEvents tag).
-func (s *Sim) flashCrowd(ev Event, rng *rand.Rand) {
-	sessions := s.tl.Sessions()
-	curIdx := len(sessions) - 1
-	anchor := sessions[curIdx].Begin
-	if ev.Backlog > 0 {
-		if a := s.nextGen - segment.ID(ev.Backlog); a > anchor {
-			anchor = a
-		}
+// simFacts answers the resolver's per-node questions from the simulated
+// world, exactly.
+type simFacts Sim
+
+func (f *simFacts) Alive(id overlay.NodeID) bool          { return f.nodes[id].alive }
+func (f *simFacts) Sourced(id overlay.NodeID) bool        { return f.nodes[id].isSource }
+func (f *simFacts) MaxSeen(id overlay.NodeID) segment.ID  { return f.nodes[id].maxSeen }
+func (f *simFacts) WindowLo(id overlay.NodeID) segment.ID { return f.nodes[id].WindowLo() }
+
+// Profile is node id's drawn bandwidth profile, before any bandwidth
+// shift. With Side, it is what a check that two backends resolved the
+// same experiment reads.
+func (s *Sim) Profile(id overlay.NodeID) bandwidth.Profile { return s.nodes[id].base }
+
+// Side is node id's side of the active partition (netmodel.Model.Side),
+// 0 without one.
+func (s *Sim) Side(id overlay.NodeID) int {
+	if s.net == nil {
+		return 0
 	}
-	for i := 0; i < ev.Count; i++ {
-		id, _ := s.dir.Join()
-		prof := bandwidth.Profile{In: bandwidth.DrawRate(rng), Out: bandwidth.DrawRate(rng)}
-		n := newNodeState(id, prof, s.cfg.BufferCap, s.tick)
-		n.Anchor, n.Playhead = anchor, anchor
-		n.SessionIdx = curIdx
-		n.Known = curIdx + 1
-		s.applyShift(n)
-		s.nodes = append(s.nodes, n)
-		s.incoming = append(s.incoming, nil)
-	}
+	return s.net.Side(id)
 }
 
 // shiftBandwidth rescales every non-source node's rates to factor times
