@@ -10,6 +10,7 @@
 package bitfield
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -190,6 +191,16 @@ var ErrCorrupt = errors.New("bitfield: corrupt wire image")
 // ErrAnchorRange is returned when the anchor id does not fit in 20 bits.
 var ErrAnchorRange = errors.New("bitfield: anchor id exceeds 20-bit range")
 
+// The map bits start at wire bit AnchorBits = 2 bytes + 4 bits, so map
+// bits [8k-4, 8k+4) fill wire byte 2+k, most significant bit first. The
+// codec moves them 64 at a time: Word64 reads a window of 64 map bits,
+// and bits.Reverse64 turns it into the big-endian image of the eight
+// wire bytes that window fills.
+const mapByte0 = AnchorBits / 8
+
+// mapShift is the map's bit offset inside wire byte mapByte0.
+const mapShift = AnchorBits % 8
+
 // Encode serializes anchor and the set into a byte slice: 20-bit anchor
 // (big-endian, packed) followed by the map bits, zero-padded to a byte
 // boundary. Wire cost accounting should use WireBits, not len(bytes)*8.
@@ -197,56 +208,74 @@ func Encode(anchor int64, s *Set) ([]byte, error) {
 	if anchor < 0 || anchor > MaxAnchor {
 		return nil, fmt.Errorf("%w: %d", ErrAnchorRange, anchor)
 	}
-	nbits := AnchorBits + s.n
-	out := make([]byte, (nbits+7)/8)
-	// Pack the anchor into the first 20 bits.
-	putBits(out, 0, AnchorBits, uint64(anchor))
-	for i := 0; i < s.n; i++ {
-		if s.Get(i) {
-			setWireBit(out, AnchorBits+i)
+	out := make([]byte, (AnchorBits+s.n+7)/8)
+	for k := 0; mapByte0+k < len(out); k += 8 {
+		v := bits.Reverse64(s.Word64(8*k - mapShift))
+		if dst := out[mapByte0+k:]; len(dst) >= 8 {
+			binary.BigEndian.PutUint64(dst, v)
+		} else {
+			for i := range dst {
+				dst[i] = byte(v >> (56 - 8*i))
+			}
 		}
 	}
+	// Word64 reads the 4 bits before the map as zero, leaving the high
+	// nibble of byte 2 to the anchor's low bits.
+	out[0] = byte(anchor >> 12)
+	out[1] = byte(anchor >> 4)
+	out[2] |= byte(anchor << (8 - mapShift))
 	return out, nil
 }
 
 // Decode parses a wire image produced by Encode for a map of n bits.
 func Decode(img []byte, n int) (anchor int64, s *Set, err error) {
-	need := (AnchorBits + n + 7) / 8
-	if len(img) != need {
-		return 0, nil, fmt.Errorf("%w: got %d bytes, want %d", ErrCorrupt, len(img), need)
-	}
-	anchor = int64(getBits(img, 0, AnchorBits))
 	s = New(n)
-	for i := 0; i < n; i++ {
-		if getWireBit(img, AnchorBits+i) {
-			s.Set(i)
-		}
+	anchor, err = DecodeInto(img, s)
+	if err != nil {
+		return 0, nil, err
 	}
 	return anchor, s, nil
 }
 
-func setWireBit(b []byte, i int) { b[i>>3] |= 1 << uint(7-i&7) }
-
-func getWireBit(b []byte, i int) bool { return b[i>>3]&(1<<uint(7-i&7)) != 0 }
-
-// putBits writes the low `width` bits of v into b starting at bit offset
-// off, most significant bit first.
-func putBits(b []byte, off, width int, v uint64) {
-	for i := 0; i < width; i++ {
-		if v&(1<<uint(width-1-i)) != 0 {
-			setWireBit(b, off+i)
-		}
+// DecodeInto parses a wire image for a map of s.Len() bits into s,
+// overwriting every bit — the allocation-free form of Decode for a
+// receiver that keeps one set per neighbour. A rejected image leaves s
+// untouched. Padding bits past the map are masked off, so the set keeps
+// its invariant that no bit at or past Len is set.
+func DecodeInto(img []byte, s *Set) (anchor int64, err error) {
+	if need := (AnchorBits + s.n + 7) / 8; len(img) != need {
+		return 0, fmt.Errorf("%w: got %d bytes, want %d", ErrCorrupt, len(img), need)
 	}
+	for w := range s.words {
+		// Wire bytes 2+8w .. 9+8w hold map bits 64w-4 .. 64w+59; the
+		// top nibble of byte 10+8w holds bits 64w+60 .. 64w+63.
+		lo := mapByte0 + 8*w
+		s.words[w] = bits.Reverse64(loadBE(img, lo))>>mapShift |
+			uint64(bits.Reverse8(byteAt(img, lo+8)))<<(64-mapShift)
+	}
+	if tail := s.n & 63; tail != 0 {
+		s.words[len(s.words)-1] &= 1<<uint(tail) - 1
+	}
+	return int64(img[0])<<12 | int64(img[1])<<4 | int64(img[2]>>(8-mapShift)), nil
 }
 
-// getBits reads `width` bits starting at bit offset off, MSB first.
-func getBits(b []byte, off, width int) uint64 {
+// loadBE reads 8 bytes at off as a big-endian word, bytes past the end of
+// b reading as zero.
+func loadBE(b []byte, off int) uint64 {
+	if off+8 <= len(b) {
+		return binary.BigEndian.Uint64(b[off:])
+	}
 	var v uint64
-	for i := 0; i < width; i++ {
-		v <<= 1
-		if getWireBit(b, off+i) {
-			v |= 1
-		}
+	for i := 0; i < 8; i++ {
+		v = v<<8 | uint64(byteAt(b, off+i))
 	}
 	return v
+}
+
+// byteAt reads b[i], or zero past the end of b.
+func byteAt(b []byte, i int) byte {
+	if i < len(b) {
+		return b[i]
+	}
+	return 0
 }

@@ -379,9 +379,22 @@ func (m *Map) Encode() ([]byte, error) {
 
 // DecodeMap parses a wire image for a buffer of the given capacity.
 func DecodeMap(img []byte, capacity int) (*Map, error) {
-	anchor, bits, err := bitfield.Decode(img, capacity)
+	return DecodeMapInto(nil, img, capacity)
+}
+
+// DecodeMapInto parses a wire image into dst in place — the
+// allocation-free variant of DecodeMap for receivers that keep one map
+// per neighbour. A nil dst, or one built for a different capacity, falls
+// back to a fresh map; either way the filled map is returned. A rejected
+// image leaves dst untouched.
+func DecodeMapInto(dst *Map, img []byte, capacity int) (*Map, error) {
+	if dst == nil || dst.Bits == nil || dst.Bits.Len() != capacity {
+		dst = &Map{Bits: bitfield.New(capacity)}
+	}
+	anchor, err := bitfield.DecodeInto(img, dst.Bits)
 	if err != nil {
 		return nil, err
 	}
-	return &Map{Anchor: segment.ID(anchor), Capacity: capacity, Bits: bits}, nil
+	dst.Anchor, dst.Capacity = segment.ID(anchor), capacity
+	return dst, nil
 }

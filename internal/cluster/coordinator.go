@@ -171,10 +171,10 @@ func Serve(cfg Config) (*sim.Result, runtime.LiveStats, error) {
 	l.setPolicy(func() netmodel.LinkPolicy { return r.Policy() },
 		func() int { return int(tick.Load()) }, 1/cfg.TimeScale)
 
-	// Shard 0 spawns before the workers are released: its sockets are
-	// bound and published before any worker's first advertisement looks
-	// them up, and its set-up does not compete for the CPUs with peers
-	// already ticking.
+	// Shard 0 spawns before the workers are released: its socket is
+	// bound and its nodes published before any worker's first
+	// advertisement looks them up, and its set-up does not compete for
+	// the CPUs with peers already ticking.
 	if err := r.StartShard(0, shards); err != nil {
 		return nil, stats, err
 	}

@@ -14,7 +14,7 @@
 //	                      └───────┬───────┴───────┬───────┘
 //	                          Transport (Frame = netmodel.Message + map/request/deny)
 //	                       ChanTransport         UDPTransport
-//	                       (in-process)          (loopback sockets)
+//	                       (in-process)          (one loopback socket)
 //
 // The peers run the exact protocol core the simulator runs: request
 // planning is the same core.Algorithm, playback and session discovery

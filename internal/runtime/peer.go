@@ -424,6 +424,8 @@ func (p *peer) advertise() {
 		anchor = lo
 	}
 	p.mapSnap = p.buf.SnapshotInto(p.mapSnap, anchor)
+	// A fresh image each period: the channel transport hands it to every
+	// neighbour's inbox by reference, so it must outlive this call.
 	img, err := p.mapSnap.Encode()
 	if err != nil {
 		img = nil
@@ -552,14 +554,19 @@ func (p *peer) handleFrame(f Frame) {
 	}
 }
 
-// handleMap decodes a neighbor's advertisement and merges its session
-// gossip.
+// handleMap decodes a neighbor's advertisement into its view's map, in
+// place, and merges its session gossip. A rejected image leaves the old
+// view as it was.
 func (p *peer) handleMap(f Frame) {
-	m, err := buffer.DecodeMap(f.MapImg, p.par.bufferCap)
+	view := p.views[f.Msg.From]
+	var old *buffer.Map
+	if view != nil {
+		old = view.m
+	}
+	m, err := buffer.DecodeMapInto(old, f.MapImg, p.par.bufferCap)
 	if err != nil {
 		return
 	}
-	view := p.views[f.Msg.From]
 	if view == nil {
 		view = new(neighborView)
 		p.views[f.Msg.From] = view

@@ -402,3 +402,42 @@ func TestDenyRetryRespectsLinkCap(t *testing.T) {
 		}
 	}
 }
+
+// TestHandleMapDecodesInPlace: a neighbour's advertisement lands in the
+// map its view already holds, allocating nothing, and an image of the
+// wrong length leaves the view as it was.
+func TestHandleMapDecodesInPlace(t *testing.T) {
+	var ep recEndpoint
+	p := newPeer(spawnSpec{
+		id: 0, profile: bandwidth.Profile{In: 10, Out: 10}, bwFactor: 1,
+		sessions: []segment.Session{{Begin: 0, End: segment.None}}, known: 1, mySession: -1, seed: 3,
+	}, testPeerParams(false, false), sim.Fast(), &ep, nil)
+	nb := buffer.New(600)
+	for seg := segment.ID(100); seg < 400; seg += 2 {
+		nb.Insert(seg)
+	}
+	img, err := nb.SnapshotFrom(100).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := Frame{Kind: FrameMap, MapImg: img, MaxSeen: 398, Rate: 3}
+	f.Msg.From = 1
+	p.tick = 4
+	p.handleMap(f)
+	view := p.views[1]
+	m := view.m
+	if allocs := testing.AllocsPerRun(100, func() { p.handleMap(f) }); allocs != 0 {
+		t.Errorf("a received map allocated %v times", allocs)
+	}
+	if view.m != m || m.Anchor != 100 || !m.Has(100) || m.Has(101) || !m.Has(398) || m.Count() != 150 {
+		t.Fatalf("decoded view: same map %v, anchor %d, count %d", view.m == m, m.Anchor, m.Count())
+	}
+	bad := f
+	bad.MapImg, bad.MaxSeen = img[:len(img)-1], 999
+	p.tick = 5
+	p.handleMap(bad)
+	if view.m != m || view.maxSeen != 398 || view.period != 4 || m.Anchor != 100 || m.Count() != 150 {
+		t.Fatalf("a rejected image changed the view: maxSeen %d period %d anchor %d count %d",
+			view.maxSeen, view.period, m.Anchor, m.Count())
+	}
+}

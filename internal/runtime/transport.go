@@ -159,7 +159,8 @@ type Frame struct {
 type Endpoint interface {
 	// Queue accepts one frame for delivery to f.Msg.To. A transport that
 	// writes datagrams may hold the frame until the next Flush, sharing a
-	// datagram with the other frames queued for that destination.
+	// datagram with the other frames queued for that destination's
+	// address.
 	Queue(f Frame)
 	// Flush writes everything Queue is holding.
 	Flush()
@@ -213,7 +214,7 @@ type TransportStats struct {
 	// Drop accounting across every frame kind (not just data): frames
 	// lost to a full inbox, datagrams that failed to decode, and — on
 	// the UDP transport — receive drops the kernel reported against the
-	// transport's sockets (the buffer-pressure artifact explicit socket
+	// transport's socket (the buffer-pressure artifact explicit socket
 	// sizing is meant to shrink).
 	InboxDropped int64
 	Malformed    int64

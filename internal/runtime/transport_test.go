@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"bytes"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -169,30 +170,47 @@ func TestUDPSendWithoutFlushDelivers(t *testing.T) {
 	}
 }
 
-// rawBook resolves every node to one raw socket, so a test can read the
-// datagrams a transport writes.
-type rawBook struct{ addr string }
+// rawBook resolves node ids to raw sockets, so a test can read the
+// datagrams a transport writes: an id it does not list resolves to the
+// socket listed under 0. Publish records what the transport announced.
+type rawBook struct {
+	addrs     map[overlay.NodeID]string
+	published map[overlay.NodeID]string
+}
 
-func (b rawBook) Resolve(overlay.NodeID) (string, bool) { return b.addr, true }
-func (rawBook) Publish(overlay.NodeID, string)          {}
-func (rawBook) Piggyback(int) []DirEntry                { return nil }
-func (rawBook) MergeWire([]DirEntry)                    {}
+func (b rawBook) Resolve(id overlay.NodeID) (string, bool) {
+	if a, ok := b.addrs[id]; ok {
+		return a, true
+	}
+	a, ok := b.addrs[0]
+	return a, ok
+}
+func (b rawBook) Publish(id overlay.NodeID, addr string) { b.published[id] = addr }
+func (rawBook) Piggyback(int) []DirEntry                 { return nil }
+func (rawBook) MergeWire([]DirEntry)                     {}
 
-// openRaw attaches node 1 to a UDP transport whose every other
-// destination is the returned raw socket.
-func openRaw(t *testing.T, tr *UDPTransport) (Endpoint, *net.UDPConn) {
+// listenRaw binds a raw loopback socket the test reads datagrams from.
+func listenRaw(t *testing.T) *net.UDPConn {
 	t.Helper()
 	raw, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		t.Skipf("udp bind unavailable: %v", err)
 	}
 	t.Cleanup(func() { raw.Close() })
-	tr.SetAddrBook(rawBook{raw.LocalAddr().String()})
+	raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+	return raw
+}
+
+// openRaw attaches node 1 to a UDP transport whose every other
+// destination is the returned raw socket.
+func openRaw(t *testing.T, tr *UDPTransport) (Endpoint, *net.UDPConn) {
+	t.Helper()
+	raw := listenRaw(t)
+	tr.SetAddrBook(rawBook{addrs: map[overlay.NodeID]string{0: raw.LocalAddr().String()}, published: map[overlay.NodeID]string{}})
 	a, err := tr.Open(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw.SetReadDeadline(time.Now().Add(5 * time.Second))
 	return a, raw
 }
 
@@ -215,53 +233,159 @@ func TestUDPSingleFrameDatagramIsEncodeFrame(t *testing.T) {
 	}
 }
 
-// TestUDPDatagramBudget: 60 requests queued for one destination arrive
-// complete and in order, in at least two datagrams, none above the
-// budget, with a map queued for another destination travelling apart.
+// TestUDPDatagramBudget pins the coalescing rule: frames for nodes
+// behind one address share a datagram, frames for nodes behind two
+// addresses travel apart, and no datagram goes over the budget. Nodes 2
+// and 3 sit behind socket A, node 4 behind socket B; 60 requests to 2
+// with a map to 3 among them arrive at A complete and in order, in two
+// datagrams (the budget forces the first out before Flush), and the map
+// to 4 arrives at B alone.
 func TestUDPDatagramBudget(t *testing.T) {
 	tr := NewUDPTransport(7)
 	defer tr.Close()
-	a, raw := openRaw(t, tr)
+	rawA, rawB := listenRaw(t), listenRaw(t)
+	tr.SetAddrBook(rawBook{
+		addrs:     map[overlay.NodeID]string{2: rawA.LocalAddr().String(), 3: rawA.LocalAddr().String(), 4: rawB.LocalAddr().String()},
+		published: map[overlay.NodeID]string{},
+	})
+	a, err := tr.Open(1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 60; i++ {
+		if i == 30 {
+			a.Queue(Frame{Kind: FrameMap, Msg: netmodel.Message{To: 3}, MapImg: make([]byte, 80)})
+		}
 		a.Queue(Frame{Kind: FrameRequest, Msg: netmodel.Message{To: 2, Seg: segment.ID(i)}})
 	}
-	a.Queue(Frame{Kind: FrameMap, Msg: netmodel.Message{To: 3}, MapImg: make([]byte, 80)})
+	a.Queue(Frame{Kind: FrameMap, Msg: netmodel.Message{To: 4}, MapImg: make([]byte, 80)})
 	if st := tr.Stats(); st.Datagrams != 1 {
 		t.Fatalf("before Flush: %d datagrams written, want the one the budget forced out", st.Datagrams)
 	}
 	a.Flush()
 	a.Flush() // nothing pending: writes nothing
 	st := tr.Stats()
-	if st.Datagrams != 3 || st.Frames != 61 {
-		t.Fatalf("wrote %d datagrams carrying %d frames, want 3 and 61", st.Datagrams, st.Frames)
+	if st.Datagrams != 3 || st.Frames != 62 {
+		t.Fatalf("wrote %d datagrams carrying %d frames, want 3 and 62", st.Datagrams, st.Frames)
 	}
 	buf := make([]byte, 4096)
-	next, maps := segment.ID(0), 0
-	for d := 0; d < 3; d++ {
+	read := func(raw *net.UDPConn, what string) []Frame {
+		t.Helper()
 		n, _, err := raw.ReadFromUDP(buf)
 		if err != nil {
-			t.Fatalf("datagram %d: %v", d, err)
+			t.Fatalf("%s: %v", what, err)
 		}
 		if n > datagramBudget {
-			t.Errorf("datagram %d is %d bytes, budget %d", d, n, datagramBudget)
+			t.Errorf("%s is %d bytes, budget %d", what, n, datagramBudget)
 		}
 		frames, err := decodeDatagram(buf[:n], nil)
 		if err != nil {
-			t.Fatalf("datagram %d: %v", d, err)
+			t.Fatalf("%s: %v", what, err)
 		}
+		return frames
+	}
+	next, shared := segment.ID(0), false
+	for d := 0; d < 2; d++ {
+		frames := read(rawA, fmt.Sprintf("datagram %d at A", d))
 		for _, f := range frames {
 			switch {
-			case f.Kind == FrameMap && len(frames) == 1 && f.Msg.To == 3:
-				maps++
+			case f.Kind == FrameMap && f.Msg.To == 3 && !shared:
+				shared = len(frames) > 1
+				if !shared {
+					t.Fatalf("datagram %d at A: the map to 3 travelled alone", d)
+				}
 			case f.Kind == FrameRequest && f.Msg.To == 2 && f.Msg.Seg == next:
 				next++
 			default:
-				t.Fatalf("datagram %d: unexpected %s to %d seg %d (next request %d)", d, f.Kind, f.Msg.To, f.Msg.Seg, next)
+				t.Fatalf("datagram %d at A: unexpected %s to %d seg %d (next request %d)", d, f.Kind, f.Msg.To, f.Msg.Seg, next)
 			}
 		}
 	}
-	if next != 60 || maps != 1 {
-		t.Fatalf("received %d requests and %d maps, want 60 and 1", next, maps)
+	if next != 60 || !shared {
+		t.Fatalf("A received %d requests, map to 3 shared a datagram: %v; want 60 and true", next, shared)
+	}
+	if frames := read(rawB, "datagram at B"); len(frames) != 1 || frames[0].Kind != FrameMap || frames[0].Msg.To != 4 {
+		t.Fatalf("B received %+v, want the map to 4 alone", frames)
+	}
+}
+
+// TestUDPOneSocketDemux: nodes opened on one transport share its one
+// socket, and the reader hands each frame to the inbox Msg.To names. A
+// burst from a fourth node to the other three is one datagram reaching
+// every inbox in order; a closed node's frames evaporate while its
+// siblings still receive, uncounted; opening the id again rebinds a
+// fresh inbox.
+// Every Open publishes the shared address under its node's id.
+func TestUDPOneSocketDemux(t *testing.T) {
+	tr := NewUDPTransport(10)
+	defer tr.Close()
+	// The book resolves what was published, as a cluster's directory
+	// does: frames for a closed node still reach the socket.
+	pub := map[overlay.NodeID]string{}
+	book := rawBook{addrs: pub, published: pub}
+	tr.SetAddrBook(book)
+	eps := make(map[overlay.NodeID]Endpoint)
+	for _, id := range []overlay.NodeID{1, 2, 3, 4} {
+		ep, err := tr.Open(id)
+		if err != nil {
+			t.Skipf("udp bind unavailable: %v", err)
+		}
+		eps[id] = ep
+	}
+	if len(book.published) != 4 || book.published[1] != book.published[2] ||
+		book.published[1] != book.published[3] || book.published[1] != book.published[4] {
+		t.Fatalf("published %v, want one shared address under each of the four ids", book.published)
+	}
+	const k = 10
+	burst := func(round int) {
+		for i := 0; i < k; i++ {
+			for _, to := range []overlay.NodeID{1, 2, 3} {
+				eps[4].Queue(Frame{Kind: FrameRequest, Msg: netmodel.Message{To: to, Seg: segment.ID(i), Sent: round}})
+			}
+		}
+		eps[4].Flush()
+	}
+	expect := func(round int, to overlay.NodeID) {
+		t.Helper()
+		for i := 0; i < k; i++ {
+			f := recvOne(t, eps[to], fmt.Sprintf("round %d frame %d to %d", round, i, to))
+			if f.Kind != FrameRequest || f.Msg.From != 4 || f.Msg.To != to || f.Msg.Seg != segment.ID(i) || f.Msg.Sent != round {
+				t.Fatalf("round %d: node %d got %+v, want request %d from 4", round, to, f, i)
+			}
+		}
+	}
+
+	burst(0)
+	if st := tr.Stats(); st.Datagrams != 1 || st.Frames != 3*k {
+		t.Fatalf("one burst to three local nodes wrote %d datagrams carrying %d frames, want 1 and %d", st.Datagrams, st.Frames, 3*k)
+	}
+	for _, to := range []overlay.NodeID{1, 2, 3} {
+		expect(0, to)
+	}
+
+	closed := eps[2]
+	closed.Close()
+	burst(1)
+	expect(1, 1)
+	expect(1, 3) // node 3's frames follow node 2's in the one datagram
+	if n := len(closed.Recv()); n != 0 {
+		t.Fatalf("closed node 2 still received %d frames", n)
+	}
+
+	ep, err := tr.Open(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eps[2] = ep
+	burst(2)
+	for _, to := range []overlay.NodeID{1, 2, 3} {
+		expect(2, to)
+	}
+	if n := len(closed.Recv()); n != 0 {
+		t.Fatalf("the closed endpoint received %d frames after its id was reopened", n)
+	}
+	if st := tr.Stats(); st.Datagrams != 3 || st.Frames != 9*k || st.InboxDropped != 0 || st.Malformed != 0 {
+		t.Fatalf("three bursts: stats %+v, want 3 datagrams carrying %d frames, nothing dropped", st, 9*k)
 	}
 }
 

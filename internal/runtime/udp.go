@@ -10,20 +10,20 @@ import (
 	"gossipstream/internal/overlay"
 )
 
-// udpSocketBuf is the explicit kernel buffer request for every node
-// socket. A time-compressed run bursts a whole period's frames at once
-// and a reader goroutine on a loaded host may lag far behind the
-// socket; the kernel clamps the request to net.core.rmem_max, so this
-// asks for plenty and takes what it gets.
+// udpSocketBuf is the explicit kernel buffer request for the
+// transport's socket. A time-compressed run bursts a whole period's
+// frames at once and the reader goroutine on a loaded host may lag far
+// behind the socket; the kernel clamps the request to net.core.rmem_max,
+// so this asks for plenty and takes what it gets.
 const udpSocketBuf = 4 << 20
 
 // AddrBook resolves node ids to socket addresses beyond the locally
-// opened sockets — the seam through which a cluster's gossiped address
-// directory plugs into the transport. Publish announces a socket this
-// process bound; Resolve answers where a remote node's socket lives;
-// Piggyback and MergeWire attach and absorb the small directory batches
-// that ride every map advertisement, spreading the directory epidemic
-// along the same links the data plane uses.
+// attached nodes — the seam through which a cluster's gossiped address
+// directory plugs into the transport. Publish announces a node attached
+// to this process's socket; Resolve answers where a remote node's socket
+// lives; Piggyback and MergeWire attach and absorb the small directory
+// batches that ride every map advertisement, spreading the directory
+// epidemic along the same links the data plane uses.
 type AddrBook interface {
 	Resolve(id overlay.NodeID) (string, bool)
 	Publish(id overlay.NodeID, addr string)
@@ -31,14 +31,18 @@ type AddrBook interface {
 	MergeWire(entries []DirEntry)
 }
 
-// UDPTransport carries frames as binary datagrams over real UDP
-// sockets: one loopback socket per node, an address book mapping node
-// ids to socket addresses, a per-endpoint outbox that packs the frames
-// queued for one destination into one datagram, and a reader goroutine
-// per socket decoding datagrams into the node's inbox. With an AddrBook
-// installed the transport spans processes: locally unknown destinations
-// resolve through the gossiped directory, locally bound sockets are
-// published into it, and map frames carry directory piggybacks both
+// UDPTransport carries frames as binary datagrams over a real UDP
+// socket: one loopback socket per transport (so per process), bound at
+// the first Open, and one reader goroutine that decodes each datagram
+// and hands every frame to the inbox of the local node its Msg.To names.
+// A frame for a node not attached here evaporates, as it would at a
+// closed port. Each endpoint's outbox packs the frames queued for one
+// destination address into one datagram, so frames for several nodes
+// behind one socket share it. Every frame crosses the kernel, even
+// between nodes of one process. With an AddrBook installed the transport
+// spans processes: destinations not attached here resolve through the
+// gossiped directory, every Open publishes the shared socket's address
+// under the node's id, and map frames carry directory piggybacks both
 // ways.
 //
 // Shaping composes: with a LinkPolicy installed, data frames are
@@ -49,13 +53,14 @@ type AddrBook interface {
 // (near-zero) delay — the delivery-ratio parity configuration; a
 // WAN-parameterized Model makes localhost behave like the traced swarm.
 type UDPTransport struct {
-	mu     sync.RWMutex
-	nodes  map[overlay.NodeID]*udpNode
-	addrs  map[overlay.NodeID]*net.UDPAddr
-	remote map[string]*net.UDPAddr // resolved AddrBook endpoints, by string form
-	book   AddrBook
-	shape  *shaper
-	closed bool
+	mu      sync.RWMutex
+	conn    *net.UDPConn // nil until the first Open
+	addr    *net.UDPAddr // conn's local address
+	inboxes map[overlay.NodeID]chan Frame
+	remote  map[string]*net.UDPAddr // resolved AddrBook endpoints, by string form
+	book    AddrBook
+	shape   *shaper
+	closed  bool
 
 	dataSent      atomic.Int64
 	dataDelivered atomic.Int64
@@ -70,19 +75,13 @@ type UDPTransport struct {
 	wg sync.WaitGroup
 }
 
-type udpNode struct {
-	conn  *net.UDPConn
-	inbox chan Frame
-}
-
 // NewUDPTransport returns an empty UDP transport; seed drives the
 // shaping draws.
 func NewUDPTransport(seed int64) *UDPTransport {
 	return &UDPTransport{
-		nodes:  make(map[overlay.NodeID]*udpNode),
-		addrs:  make(map[overlay.NodeID]*net.UDPAddr),
-		remote: make(map[string]*net.UDPAddr),
-		shape:  newShaper(seed),
+		inboxes: make(map[overlay.NodeID]chan Frame),
+		remote:  make(map[string]*net.UDPAddr),
+		shape:   newShaper(seed),
 	}
 }
 
@@ -94,44 +93,57 @@ func (t *UDPTransport) SetAddrBook(b AddrBook) {
 	t.mu.Unlock()
 }
 
-// Open binds a loopback UDP socket for the node and starts its reader.
+// Open attaches the node's inbox to the transport's socket, binding the
+// socket and starting its reader on the first call. Opening an attached
+// id again rebinds it to a fresh inbox.
 func (t *UDPTransport) Open(id overlay.NodeID) (Endpoint, error) {
-	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 0})
-	if err != nil {
-		return nil, fmt.Errorf("runtime: udp bind for node %d: %w", id, err)
-	}
-	conn.SetReadBuffer(udpSocketBuf)
-	conn.SetWriteBuffer(udpSocketBuf)
-	n := &udpNode{conn: conn, inbox: make(chan Frame, inboxCap)}
+	inbox := make(chan Frame, inboxCap)
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
-		conn.Close()
 		return nil, fmt.Errorf("runtime: udp transport closed")
 	}
-	if old, ok := t.nodes[id]; ok {
-		old.conn.Close()
+	if t.conn == nil {
+		if err := t.bind(); err != nil {
+			t.mu.Unlock()
+			return nil, fmt.Errorf("runtime: udp bind for node %d: %w", id, err)
+		}
 	}
-	addr := conn.LocalAddr().(*net.UDPAddr)
-	t.nodes[id] = n
-	t.addrs[id] = addr
-	book := t.book
+	t.inboxes[id] = inbox
+	conn, addr, book := t.conn, t.addr, t.book
 	t.mu.Unlock()
 
 	if book != nil {
 		book.Publish(id, addr.String())
 	}
-	t.wg.Add(1)
-	go t.read(n, book)
-	e := &udpEndpoint{t: t, id: id, node: n, book: book}
+	e := &udpEndpoint{t: t, id: id, conn: conn, inbox: inbox, book: book}
 	e.landNow, e.landLater = e.hold, e.writeAlone
 	return e, nil
 }
 
-// read decodes datagrams into the node's inbox until the socket closes.
-// A datagram is decoded whole before any of its frames is delivered: one
-// malformed frame drops them all, counted once.
-func (t *UDPTransport) read(n *udpNode, book AddrBook) {
+// bind opens the transport's socket and starts its reader. Caller holds
+// the lock.
+func (t *UDPTransport) bind() error {
+	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 0})
+	if err != nil {
+		return err
+	}
+	conn.SetReadBuffer(udpSocketBuf)
+	conn.SetWriteBuffer(udpSocketBuf)
+	t.conn, t.addr = conn, conn.LocalAddr().(*net.UDPAddr)
+	// The book answers a detached local node with the published string:
+	// it must resolve to the very address local nodes do.
+	t.remote[t.addr.String()] = t.addr
+	t.wg.Add(1)
+	go t.read(conn, t.book)
+	return nil
+}
+
+// read decodes datagrams and demultiplexes their frames into the
+// addressed nodes' inboxes until the socket closes. A datagram is
+// decoded whole before any of its frames is delivered: one malformed
+// frame drops them all, counted once.
+func (t *UDPTransport) read(conn *net.UDPConn, book AddrBook) {
 	defer t.wg.Done()
 	// Sized for the largest legal frame: a map datagram at the
 	// maxWireSessions bound plus image (loopback carries datagrams far
@@ -139,39 +151,51 @@ func (t *UDPTransport) read(n *udpNode, book AddrBook) {
 	buf := make([]byte, 64*1024)
 	var frames []Frame
 	for {
-		sz, _, err := n.conn.ReadFromUDP(buf)
+		sz, _, err := conn.ReadFromUDP(buf)
 		if err != nil {
-			return // socket closed (endpoint Close or transport Close)
+			return // socket closed (transport Close)
 		}
 		frames, err = decodeDatagram(buf[:sz], frames)
 		if err != nil {
 			t.malformed.Add(1)
 			continue // malformed datagram: drop
 		}
-		for _, f := range frames {
-			if len(f.Dir) > 0 {
+		for i := range frames {
+			if f := &frames[i]; len(f.Dir) > 0 {
 				// Absorb the directory piggyback; peers never see it.
 				if book != nil {
 					book.MergeWire(f.Dir)
 				}
 				f.Dir = nil
 			}
-			select {
-			case n.inbox <- f:
-				if f.Kind == FrameData {
-					t.dataDelivered.Add(1)
-					if f.Msg.ArrivalMS > 0 {
-						t.delayMu.Lock()
-						t.delaySum += f.Msg.ArrivalMS
-						t.delayMu.Unlock()
-					}
-				}
-			default:
-				t.inboxDropped.Add(1)
-				if f.Kind == FrameData {
-					t.dataLost.Add(1) // inbox overflow: datagram semantics
-				}
+		}
+		t.mu.RLock()
+		for _, f := range frames {
+			if inbox, ok := t.inboxes[f.Msg.To]; ok {
+				t.deliver(inbox, f)
 			}
+		}
+		t.mu.RUnlock()
+	}
+}
+
+// deliver hands one frame to an inbox without blocking: a full inbox
+// drops it, like a datagram.
+func (t *UDPTransport) deliver(inbox chan Frame, f Frame) {
+	select {
+	case inbox <- f:
+		if f.Kind == FrameData {
+			t.dataDelivered.Add(1)
+			if f.Msg.ArrivalMS > 0 {
+				t.delayMu.Lock()
+				t.delaySum += f.Msg.ArrivalMS
+				t.delayMu.Unlock()
+			}
+		}
+	default:
+		t.inboxDropped.Add(1)
+		if f.Kind == FrameData {
+			t.dataLost.Add(1) // inbox overflow: datagram semantics
 		}
 	}
 }
@@ -185,15 +209,15 @@ func (t *UDPTransport) SetTick(tick int, wallPerScenarioMS float64) {
 }
 
 // Stats returns cumulative data-plane counters plus the kernel's own
-// receive-drop account for the transport's live sockets.
+// receive-drop account for the transport's socket.
 func (t *UDPTransport) Stats() TransportStats {
 	t.delayMu.Lock()
 	delay := t.delaySum
 	t.delayMu.Unlock()
+	port := 0 // unbound: no socket, no drops
 	t.mu.RLock()
-	ports := make(map[int]bool, len(t.nodes))
-	for _, a := range t.addrs {
-		ports[a.Port] = true
+	if t.addr != nil {
+		port = t.addr.Port
 	}
 	t.mu.RUnlock()
 	return TransportStats{
@@ -203,48 +227,49 @@ func (t *UDPTransport) Stats() TransportStats {
 		DelayScenarioMS: delay,
 		InboxDropped:    t.inboxDropped.Load(),
 		Malformed:       t.malformed.Load(),
-		KernelDrops:     kernelUDPDrops(ports),
+		KernelDrops:     kernelUDPDrops(port),
 		Datagrams:       t.datagrams.Load(),
 		Frames:          t.frames.Load(),
 	}
 }
 
-// Close shuts every socket down and reaps the readers.
+// Close shuts the socket down and reaps the reader.
 func (t *UDPTransport) Close() {
 	t.shape.stop()
 	t.mu.Lock()
 	t.closed = true
-	for _, n := range t.nodes {
-		n.conn.Close()
+	if t.conn != nil {
+		t.conn.Close()
 	}
-	t.nodes = make(map[overlay.NodeID]*udpNode)
-	t.addrs = make(map[overlay.NodeID]*net.UDPAddr)
+	t.inboxes = make(map[overlay.NodeID]chan Frame)
 	t.mu.Unlock()
 	t.wg.Wait()
 }
 
-// resolve answers where a destination's socket lives: a locally bound
-// node, or a cross-process one through the address book. False means the
-// destination is unknown everywhere (or the transport closed) and the
-// frame evaporates.
+// resolve answers where a destination's socket lives: this transport's
+// own for a locally attached node, or a cross-process one through the
+// address book. False means the destination is unknown everywhere (or
+// the transport closed) and the frame evaporates.
 func (t *UDPTransport) resolve(book AddrBook, to overlay.NodeID) (*net.UDPAddr, bool) {
 	t.mu.RLock()
-	addr, ok := t.addrs[to]
-	closed := t.closed
+	_, local := t.inboxes[to]
+	addr, closed := t.addr, t.closed
 	t.mu.RUnlock()
-	if closed {
+	switch {
+	case closed:
 		return nil, false
+	case local:
+		return addr, true
+	case book != nil:
+		return t.resolveRemote(book, to)
 	}
-	if !ok && book != nil {
-		addr, ok = t.resolveRemote(book, to)
-	}
-	return addr, ok
+	return nil, false
 }
 
-// emit puts one datagram of n frames on the sender's socket — the
-// transport's only socket write.
-func (t *UDPTransport) emit(from *udpNode, addr *net.UDPAddr, b []byte, n int) {
-	from.conn.WriteToUDP(b, addr)
+// emit puts one datagram of n frames on the socket — the transport's
+// only socket write.
+func (t *UDPTransport) emit(conn *net.UDPConn, addr *net.UDPAddr, b []byte, n int) {
+	conn.WriteToUDP(b, addr)
 	t.datagrams.Add(1)
 	t.frames.Add(int64(n))
 }
@@ -252,7 +277,8 @@ func (t *UDPTransport) emit(from *udpNode, addr *net.UDPAddr, b []byte, n int) {
 // resolveRemote answers a cross-process destination from the address
 // book, caching the parsed socket address by its string form (a node
 // that rebinds publishes a new string, so the cache never serves a
-// stale binding).
+// stale binding). One string maps to one *net.UDPAddr for the life of
+// the transport, so the outbox can compare addresses by pointer.
 func (t *UDPTransport) resolveRemote(book AddrBook, id overlay.NodeID) (*net.UDPAddr, bool) {
 	s, ok := book.Resolve(id)
 	if !ok || s == "" {
@@ -269,33 +295,47 @@ func (t *UDPTransport) resolveRemote(book AddrBook, id overlay.NodeID) (*net.UDP
 		return nil, false
 	}
 	t.mu.Lock()
-	t.remote[s] = addr
+	if first, raced := t.remote[s]; raced {
+		addr = first
+	} else {
+		t.remote[s] = addr
+	}
 	t.mu.Unlock()
 	return addr, true
 }
 
 type udpEndpoint struct {
-	t    *UDPTransport
-	id   overlay.NodeID
-	node *udpNode
-	book AddrBook
+	t     *UDPTransport
+	id    overlay.NodeID
+	conn  *net.UDPConn
+	inbox chan Frame
+	book  AddrBook
 
-	// out is the outbox: one pending datagram per destination queued
-	// since the last Flush, in first-queued order. It belongs to the
-	// goroutine that calls Queue and Flush; truncating it on Flush keeps
-	// every element's buffer for the next burst.
-	out []pendingDatagram
+	// out is the outbox: one pending datagram per destination address
+	// queued since the last Flush, in first-queued order; dests caches
+	// where each destination node resolved to in the meantime, so a
+	// burst asks the address book once per node. Both belong to the
+	// goroutine that calls Queue and Flush; truncating them on Flush
+	// keeps every element's buffer for the next burst.
+	out   []pendingDatagram
+	dests []resolvedDest
 	// The shaper's two landing hooks, bound once (Queue runs per frame).
 	landNow, landLater func(Frame)
 }
 
-// pendingDatagram is the frames queued for one destination, already
-// encoded back to back.
+// pendingDatagram is the frames queued for one destination address,
+// already encoded back to back.
 type pendingDatagram struct {
-	to     overlay.NodeID
 	addr   *net.UDPAddr
 	buf    []byte
 	frames int
+}
+
+// resolvedDest is one destination node resolved since the last Flush:
+// the index of its address's pending datagram, -1 when it is unknown.
+type resolvedDest struct {
+	to overlay.NodeID
+	d  int
 }
 
 // Queue routes one frame through the shaper. A frame that lands at once
@@ -311,13 +351,14 @@ func (e *udpEndpoint) Queue(f Frame) {
 	}
 }
 
-// Flush writes one datagram per destination with frames pending.
+// Flush writes one datagram per destination address with frames pending.
 func (e *udpEndpoint) Flush() {
 	for i := range e.out {
 		d := &e.out[i]
-		e.t.emit(e.node, d.addr, d.buf, d.frames)
+		e.t.emit(e.conn, d.addr, d.buf, d.frames)
 	}
 	e.out = e.out[:0]
+	e.dests = e.dests[:0]
 }
 
 func (e *udpEndpoint) Send(f Frame) {
@@ -325,9 +366,9 @@ func (e *udpEndpoint) Send(f Frame) {
 	e.Flush()
 }
 
-// hold appends a landed frame to its destination's pending datagram,
-// attaching the directory piggyback to map frames. A datagram the frame
-// would push past datagramBudget is written first.
+// hold appends a landed frame to its destination address's pending
+// datagram, attaching the directory piggyback to map frames. A datagram
+// the frame would push past datagramBudget is written first.
 func (e *udpEndpoint) hold(f Frame) {
 	if f.Kind == frameDropped {
 		e.t.dataLost.Add(1)
@@ -343,24 +384,42 @@ func (e *udpEndpoint) hold(f Frame) {
 	mark := len(d.buf)
 	d.buf = AppendFrame(d.buf, f)
 	if mark > 0 && len(d.buf) > datagramBudget {
-		e.t.emit(e.node, d.addr, d.buf[:mark], d.frames)
+		e.t.emit(e.conn, d.addr, d.buf[:mark], d.frames)
 		d.buf = d.buf[:copy(d.buf, d.buf[mark:])]
 		d.frames = 0
 	}
 	d.frames++
 }
 
-// pending finds or opens the outbox entry for a destination, resolving
-// its address once per datagram; nil when the destination is unknown.
+// pending finds or opens the outbox entry for a destination's address,
+// resolving the destination once per Flush; nil when it is unknown.
 func (e *udpEndpoint) pending(to overlay.NodeID) *pendingDatagram {
-	for i := range e.out {
-		if e.out[i].to == to {
-			return &e.out[i]
+	d, seen := -1, false
+	for _, r := range e.dests {
+		if r.to == to {
+			d, seen = r.d, true
+			break
 		}
 	}
-	addr, ok := e.t.resolve(e.book, to)
-	if !ok {
+	if !seen {
+		if addr, ok := e.t.resolve(e.book, to); ok {
+			d = e.datagramFor(addr)
+		}
+		e.dests = append(e.dests, resolvedDest{to: to, d: d})
+	}
+	if d < 0 {
 		return nil
+	}
+	return &e.out[d]
+}
+
+// datagramFor returns the index of the pending datagram for addr,
+// opening one when none is pending.
+func (e *udpEndpoint) datagramFor(addr *net.UDPAddr) int {
+	for i := range e.out {
+		if e.out[i].addr == addr {
+			return i
+		}
 	}
 	n := len(e.out)
 	if n < cap(e.out) {
@@ -369,8 +428,8 @@ func (e *udpEndpoint) pending(to overlay.NodeID) *pendingDatagram {
 		e.out = append(e.out, pendingDatagram{})
 	}
 	d := &e.out[n]
-	d.to, d.addr, d.buf, d.frames = to, addr, d.buf[:0], 0
-	return d
+	d.addr, d.buf, d.frames = addr, d.buf[:0], 0
+	return n
 }
 
 // writeAlone is the timer-side landing of a delayed frame: a datagram of
@@ -382,18 +441,18 @@ func (e *udpEndpoint) writeAlone(f Frame) {
 		return
 	}
 	if addr, ok := e.t.resolve(e.book, f.Msg.To); ok {
-		e.t.emit(e.node, addr, EncodeFrame(f), 1)
+		e.t.emit(e.conn, addr, EncodeFrame(f), 1)
 	}
 }
 
-func (e *udpEndpoint) Recv() <-chan Frame { return e.node.inbox }
+func (e *udpEndpoint) Recv() <-chan Frame { return e.inbox }
 
+// Close detaches the node's inbox; the socket stays with the transport.
+// Frames still addressed to the node evaporate at the reader.
 func (e *udpEndpoint) Close() {
 	e.t.mu.Lock()
-	if e.t.nodes[e.id] == e.node {
-		delete(e.t.nodes, e.id)
-		delete(e.t.addrs, e.id)
+	if e.t.inboxes[e.id] == e.inbox {
+		delete(e.t.inboxes, e.id)
 	}
 	e.t.mu.Unlock()
-	e.node.conn.Close()
 }

@@ -7,19 +7,19 @@ import (
 	"strings"
 )
 
-// kernelUDPDrops sums the kernel's receive-drop counters for the given
-// local ports by reading the /proc/net/udp tables — the drops the
+// kernelUDPDrops reads the kernel's receive-drop counter for the given
+// local port from the /proc/net/udp tables — the drops the
 // kernel made because a socket buffer was full, which no userspace
 // counter sees. Returns 0 wherever the tables are unavailable (non-
 // Linux hosts, restricted containers): the counter is best-effort
 // diagnostics, not accounting the protocol depends on.
-func kernelUDPDrops(ports map[int]bool) int64 {
-	if len(ports) == 0 {
+func kernelUDPDrops(port int) int64 {
+	if port == 0 {
 		return 0
 	}
 	var total int64
 	for _, path := range []string{"/proc/net/udp", "/proc/net/udp6"} {
-		total += procUDPDrops(path, ports)
+		total += procUDPDrops(path, port)
 	}
 	return total
 }
@@ -32,7 +32,7 @@ func kernelUDPDrops(ports map[int]bool) int64 {
 //
 // The local port is the hex field after the colon in local_address; the
 // drop counter is the final field.
-func procUDPDrops(path string, ports map[int]bool) int64 {
+func procUDPDrops(path string, port int) int64 {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0
@@ -51,8 +51,8 @@ func procUDPDrops(path string, ports map[int]bool) int64 {
 		if colon < 0 {
 			continue
 		}
-		port, err := strconv.ParseInt(local[colon+1:], 16, 32)
-		if err != nil || !ports[int(port)] {
+		p, err := strconv.ParseInt(local[colon+1:], 16, 32)
+		if err != nil || int(p) != port {
 			continue
 		}
 		drops, err := strconv.ParseInt(fields[len(fields)-1], 10, 64)

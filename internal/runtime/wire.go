@@ -15,10 +15,13 @@ import (
 // exists and a single-frame datagram is exactly EncodeFrame's bytes — the
 // form the cluster control link (internal/cluster) reads with the strict
 // DecodeFrame. The peer transport coalesces: an Endpoint's Queue appends
-// frames to one pending datagram per destination and Flush writes them,
-// which a peer does once at the end of its period (a neighbour's map and
-// this period's requests to it share a datagram) and once per drained
-// inbox burst (all answers to one requester share a datagram). A pending
+// frames to one pending datagram per destination address (one per
+// process, since a process's nodes share one socket) and Flush writes
+// them, which a peer does once at the end of its period (its maps and
+// this period's requests to the neighbours of one process share a
+// datagram) and once per drained inbox burst (all answers to one
+// requester's process share a datagram). The receiver hands each frame
+// to the inbox its Msg.To names. A pending
 // datagram is written early when the next frame would push it past
 // datagramBudget; a frame the LinkPolicy delays travels alone, from its
 // timer. The receiver decodes a datagram all-or-nothing.
