@@ -50,7 +50,7 @@ func main() {
 		transport = flag.String("transport", "chan", "transport: chan (in-process channels) or udp (loopback sockets)")
 		timescale = flag.Float64("timescale", 0, "scenario seconds per wall second (0 = default 50; 1 = real time)")
 		compare   = flag.Bool("compare", false, "run the simulator first, then the live system, and print both")
-		stats     = flag.Bool("stats", false, "print the wall-clock execution stats (periods, overruns, transport counters)")
+		stats     = flag.Bool("stats", false, "print the wall-clock execution stats (periods, overruns, transport counters, denies and duplicates per delivered segment)")
 		serve     = flag.String("serve", "", "run as a cluster starter node listening on this address (host:port)")
 		join      = flag.String("join", "", "join a cluster starter at this address and host one shard")
 		workers   = flag.Int("workers", 2, "with -serve: joining processes to wait for")
@@ -170,13 +170,18 @@ func main() {
 }
 
 // printLiveStats renders the wall-clock execution account, drop
-// counters included (kernel drops stay zero on the channel transport).
+// counters included (kernel drops stay zero on the channel transport),
+// and the peers' account of contention: denies and duplicate deliveries
+// per delivered segment.
 func printLiveStats(ls runtime.LiveStats) {
 	fmt.Printf("  wall: %v for %d periods (%d overruns); transport: %d data frames sent, %d delivered, %d lost, %d inbox-dropped, %d kernel-dropped; %d frames in %d datagrams\n",
 		ls.WallDuration.Round(1000000), ls.Periods, ls.Overruns,
 		ls.Transport.DataSent, ls.Transport.DataDelivered, ls.Transport.DataLost,
 		ls.Transport.InboxDropped, ls.Transport.KernelDrops,
 		ls.Transport.Frames, ls.Transport.Datagrams)
+	per := func(n int64) float64 { return float64(n) / float64(max(ls.Delivered, 1)) }
+	fmt.Printf("  peers: %d segments delivered; %d denies (%.3f per delivered segment), %d duplicate deliveries (%.3f per delivered segment)\n",
+		ls.Delivered, ls.Denies, per(ls.Denies), ls.Dupes, per(ls.Dupes))
 }
 
 // statsLogf is the sink for the runner's periodic stats lines.

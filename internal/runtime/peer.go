@@ -24,10 +24,10 @@ import (
 // plans pull requests with the simulator's own planning step
 // (sim.Planner) — against views decoded from real map frames rather than
 // same-tick shared memory. Requests are served (or denied) one inbox
-// burst at a time, under the simulator's service rule (servePending); a
-// denial is retried at another supplier through the planner's supplier
-// pick, or refunds the requester's inbound token — the live counterpart
-// of the simulator's retry rounds.
+// burst at a time, by the simulator's own serving step (sim.Server,
+// answerBurst); a denial is retried at another supplier through the
+// planner's supplier pick, or refunds the requester's inbound token —
+// the live counterpart of the simulator's retry rounds.
 //
 // Outbound frames are queued on the endpoint and flushed at two points:
 // the end of a period (a neighbour's map and this period's requests to
@@ -90,7 +90,7 @@ type ctrlMsg struct {
 }
 
 // report is one peer's per-period account to the runner, which folds it
-// into the measurement window (Runner.observe).
+// into the measurement window and LiveStats (Runner.observe).
 type report struct {
 	id       overlay.NodeID
 	period   int
@@ -105,7 +105,7 @@ type report struct {
 	started, finished int   // session indices, -1 when nothing happened
 	prepared          []int // session indices newly prepared this period
 
-	dupes, denies int // diagnostics
+	dupes, denies int // LiveStats.Dupes and Denies
 	reReqs        int // granted loss-induced re-requests (supplier side)
 }
 
@@ -154,12 +154,16 @@ type peer struct {
 	// of these carries the wire-level re-request bit, the live
 	// counterpart of the simulator's NetReRequests accounting.
 	timedOut map[segment.ID]int
-	// Per-period grant counts per requester (the per-link serve cap).
-	grantsOut map[overlay.NodeID]int
+	// Per-period grant counts per requester (the per-link serve cap),
+	// zeroed at refill; the counters outlive the period so the server can
+	// hold them by pointer.
+	grantsOut map[overlay.NodeID]*int32
 	// pending is the current inbox burst's pull requests, answered
-	// together at its end; served is servePending's distinct-first set.
-	pending []pullReq
-	served  map[segment.ID]bool
+	// together at its end by server; reReq marks those that carried the
+	// wire re-request bit.
+	pending []sim.Request
+	reReq   []bool
+	server  sim.Server
 
 	// Period accumulators, flushed into the report.
 	mapBits, dataBits int64
@@ -204,14 +208,15 @@ type spawnSpec struct {
 }
 
 func newPeer(spec spawnSpec, par peerParams, algo core.Algorithm, ep Endpoint, reports chan<- report) *peer {
+	steps := sim.PeerParams{Tau: par.tau, P: par.p, Q: par.q, Qs: par.qs, BufferCap: par.bufferCap,
+		LinkShare: par.linkShare, Shared: par.sharedOut}
 	p := &peer{
-		id:  spec.id,
-		par: par,
-		ep:  ep,
-		rng: rand.New(rand.NewSource(spec.seed)),
-		planner: sim.NewPlanner(algo, sim.PlanParams{
-			Tau: par.tau, P: par.p, Q: par.q, Qs: par.qs, BufferCap: par.bufferCap,
-		}),
+		id:           spec.id,
+		par:          par,
+		ep:           ep,
+		rng:          rand.New(rand.NewSource(spec.seed)),
+		planner:      sim.NewPlanner(algo, steps),
+		server:       sim.NewServer(steps),
 		buf:          buffer.New(par.bufferCap),
 		pb:           sim.NewPlayback(spec.anchor, spec.sessionIdx, spec.known),
 		base:         spec.profile,
@@ -230,8 +235,7 @@ func newPeer(spec spawnSpec, par peerParams, algo core.Algorithm, ep Endpoint, r
 		deniedBy:     make(map[segment.ID][]overlay.NodeID),
 		timedOut:     make(map[segment.ID]int),
 		reqPer:       make(map[overlay.NodeID]int),
-		grantsOut:    make(map[overlay.NodeID]int),
-		served:       make(map[segment.ID]bool),
+		grantsOut:    make(map[overlay.NodeID]*int32),
 		preparedDone: make(map[int]bool),
 		started:      -1,
 		finished:     -1,
@@ -284,7 +288,7 @@ func (p *peer) burst(f Frame) {
 		select {
 		case f = <-p.ep.Recv():
 		default:
-			p.servePending()
+			p.answerBurst()
 			p.ep.Flush()
 			return
 		}
@@ -303,7 +307,7 @@ func (p *peer) drain() bool {
 		case f := <-p.ep.Recv():
 			p.handleFrame(f)
 		default:
-			p.servePending()
+			p.answerBurst()
 			return true
 		}
 	}
@@ -331,8 +335,8 @@ func (p *peer) period(tick int) {
 func (p *peer) refill() {
 	p.in.Refill(p.par.tau)
 	p.out.Refill(p.par.tau)
-	for k := range p.grantsOut {
-		delete(p.grantsOut, k)
+	for _, n := range p.grantsOut {
+		*n = 0
 	}
 	for k := range p.reqPer {
 		delete(p.reqPer, k)
@@ -546,7 +550,8 @@ func (p *peer) handleFrame(f Frame) {
 	case FrameMap:
 		p.handleMap(f)
 	case FrameRequest:
-		p.pending = append(p.pending, pullReq{from: f.Msg.From, seg: f.Msg.Seg, reReq: f.ReReq})
+		p.pending = append(p.pending, sim.Request{From: f.Msg.From, Seg: f.Msg.Seg})
+		p.reReq = append(p.reReq, f.ReReq)
 	case FrameDeny:
 		p.handleDeny(f.Msg.From, f.Msg.Seg)
 	case FrameData:
@@ -592,69 +597,41 @@ func (p *peer) mergeSessions(remote []SessionInfo) {
 	}
 }
 
-// pullReq is one received pull request awaiting its answer.
-type pullReq struct {
-	from  overlay.NodeID
-	seg   segment.ID
-	reReq bool
-}
-
-// servePending answers the burst's requests. In the shared-outbound
-// substrate it applies the simulator's service rule (phase_serve.go
-// proposeShared): random order, each distinct segment granted once
-// before leftover capacity goes to duplicates — a congested supplier
-// that answered in arrival order would hand same-depth requesters the
-// same segments and leave them nothing to trade. Per-link caps are per
-// requester, so there arrival order stands.
-func (p *peer) servePending() {
-	reqs := p.pending
-	if p.par.sharedOut && len(reqs) > 1 {
-		p.rng.Shuffle(len(reqs), func(i, j int) { reqs[i], reqs[j] = reqs[j], reqs[i] })
-		clear(p.served)
-		dups := 0
-		for _, r := range reqs {
-			if p.served[r.seg] {
-				reqs[dups] = r // deferred to the duplicate pass
-				dups++
-				continue
+// answerBurst answers the burst's pull requests with the serving step the
+// simulator runs (sim.Server): a data frame for each grant and a deny
+// frame for each refusal, in the order the supplier reached them.
+func (p *peer) answerBurst() {
+	p.server.Serve(p.pending, p.buf, p.out, p.rng, p)
+	for _, a := range p.server.Answers {
+		kind := FrameDeny
+		if a.Grant {
+			kind = FrameData
+			if p.reReq[a.At] {
+				// A loss-induced re-request re-granted: the counter the
+				// simulator's serve phase keeps as NetReRequests.
+				p.reReqs++
 			}
-			p.served[r.seg] = p.serve(r.from, r.seg, r.reReq)
 		}
-		reqs = reqs[:dups]
+		r := p.pending[a.At]
+		p.ep.Queue(Frame{Kind: kind, Msg: netmodel.Message{To: r.From, Seg: r.Seg, Sent: p.tick}})
 	}
-	for _, r := range reqs {
-		p.serve(r.from, r.seg, r.reReq)
-	}
-	p.pending = p.pending[:0]
+	p.pending, p.reReq = p.pending[:0], p.reReq[:0]
 }
 
-// serve answers one pull request: grant under this period's capacity,
-// deny otherwise, and reports whether it granted. The requester's own
-// state is unknown here — unlike the simulator's serve phase, a live
-// supplier cannot read the requester's budget, so over-subscription
-// resolves at the requester (duplicate data is dropped on arrival).
-func (p *peer) serve(from overlay.NodeID, seg segment.ID, reReq bool) bool {
-	grant := p.buf.Has(seg)
-	if grant {
-		if p.par.sharedOut {
-			grant = p.out.Take(1)
-		} else if p.grantsOut[from] < sim.LinkCap(sim.LinkRate(p.out.Rate(), p.par.linkShare, p.par.tau, false), p.par.tau) {
-			p.grantsOut[from]++
-		} else {
-			grant = false
-		}
+// Takes is the server's requester question. A live supplier cannot read
+// the requester's budget, buffer or pending grants, so it does not know
+// and says yes: over-subscription resolves at the requester, which
+// retries or refunds a deny and drops duplicate data on arrival.
+func (p *peer) Takes(sim.Request, int32) bool { return true }
+
+// LinkGrants is this period's grant counter toward r's requester.
+func (p *peer) LinkGrants(r sim.Request) *int32 {
+	n := p.grantsOut[r.From]
+	if n == nil {
+		n = new(int32)
+		p.grantsOut[r.From] = n
 	}
-	if grant && reReq {
-		// A loss-induced re-request re-granted: the counter the
-		// simulator's serve phase keeps as NetReRequests.
-		p.reReqs++
-	}
-	kind := FrameData
-	if !grant {
-		kind = FrameDeny
-	}
-	p.ep.Queue(Frame{Kind: kind, Msg: netmodel.Message{To: from, Seg: seg, Sent: p.tick}})
-	return grant
+	return n
 }
 
 // handleDeny retries the segment at another supplier that advertises it,

@@ -342,9 +342,10 @@ func TestServeDistinctFirst(t *testing.T) {
 			// Four requesters contend for segment 1 and arrive first; one
 			// each asks for segments 2 and 3.
 			for from, seg := range []segment.ID{1, 1, 1, 1, 2, 3} {
-				p.pending = append(p.pending, pullReq{from: overlay.NodeID(from + 1), seg: seg})
+				p.pending = append(p.pending, sim.Request{From: overlay.NodeID(from + 1), Seg: seg})
+				p.reReq = append(p.reReq, false)
 			}
-			p.servePending()
+			p.answerBurst()
 			granted := map[segment.ID]int{}
 			for _, f := range ep.frames {
 				if f.Kind == FrameData {

@@ -58,6 +58,11 @@ type LiveStats struct {
 	Overruns int
 	// Transport is the cumulative data-plane account.
 	Transport TransportStats
+	// Delivered counts the segments peers landed, Dupes the data frames
+	// for a segment the peer already held (dropped on arrival), and
+	// Denies the denies peers received while the request was in flight —
+	// a supplier's refusal the requester retried elsewhere or refunded.
+	Delivered, Dupes, Denies int64
 }
 
 // peerHandle is the runner's view of one spawned peer.
@@ -422,6 +427,9 @@ func (r *Runner) observe(rep report) {
 		ob.reReqs.Add(int64(rep.reReqs))
 	}
 	r.win.AddBits(rep.mapBits, rep.dataBits)
+	r.stats.Delivered += rep.dataBits / bandwidth.BitsForSegments(1)
+	r.stats.Dupes += int64(rep.dupes)
+	r.stats.Denies += int64(rep.denies)
 	if r.policy != nil {
 		r.win.AddReRequests(int64(rep.reReqs))
 	}

@@ -143,3 +143,26 @@ func TestLiveRunTwiceFails(t *testing.T) {
 		t.Fatal("second Run did not fail")
 	}
 }
+
+// TestLiveStatsCountDenies: a contended run (the paper's single switch,
+// where congested suppliers refuse a large share of requests) reports the
+// refusals and the peers' deliveries in Stats.
+func TestLiveStatsCountDenies(t *testing.T) {
+	sc := scenario.PaperSingleSwitch().Scaled(40)
+	r, err := FromScenario(sc, sim.Fast, Options{TimeScale: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Run(); err != nil {
+		t.Fatal(err)
+	}
+	st := r.Stats()
+	t.Logf("%d delivered, %d denies, %d duplicate deliveries, %d data frames through the transport",
+		st.Delivered, st.Denies, st.Dupes, st.Transport.DataDelivered)
+	if st.Delivered == 0 || st.Denies == 0 {
+		t.Fatalf("a contended run reports %d delivered segments and %d denies", st.Delivered, st.Denies)
+	}
+	if st.Delivered+st.Dupes > st.Transport.DataDelivered {
+		t.Fatalf("peers landed %d+%d data frames, the transport delivered %d", st.Delivered, st.Dupes, st.Transport.DataDelivered)
+	}
+}

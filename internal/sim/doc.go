@@ -15,10 +15,10 @@
 // pipeline, determinism rule, extension recipes — is documented in
 // docs/ARCHITECTURE.md.
 //
-// The live runtime (internal/runtime) drives three pieces of this
-// package instead of keeping its own: Planner (peercore.go, the
-// per-node planning step), Window (window.go, the measurement window)
-// and Resolver (resolve.go, which resolves scenario events and churn
-// into directives). So one scenario runs one protocol, is measured one
+// The live runtime (internal/runtime) drives four pieces of this
+// package instead of keeping its own: Planner and Server (peercore.go,
+// the per-node planning and serving steps), Window (window.go, the
+// measurement window) and Resolver (resolve.go, which resolves scenario
+// events and churn into directives). So one scenario runs one protocol, is measured one
 // way and resolves to one experiment on both backends.
 package sim

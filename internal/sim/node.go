@@ -9,9 +9,9 @@ import (
 
 // nodeState is everything one simulated peer owns. During the parallel
 // phases a node's fields are mutated only by the worker that owns its
-// shard — with two audited exceptions, linkGrants and linkReqs, whose
-// per-neighbor slots are each written by exactly one goroutine (see the
-// field comments).
+// shard — with one audited exception, linkGrants, whose per-neighbor
+// slots are each written by exactly one goroutine (see the field
+// comment).
 type nodeState struct {
 	id      overlay.NodeID
 	buf     *buffer.Buffer
@@ -23,16 +23,10 @@ type nodeState struct {
 
 	alive    bool
 	isSource bool // currently acting as the streaming source
-	wasS1    bool // was the old source of the measured switch
 	joinTick int  // tick the node entered the system (0 for initial nodes)
 	// startTick delays initial nodes' activation (staggered assembly of
 	// the session); inactive nodes neither request nor supply.
 	startTick int
-
-	// aliveDeg is the node's alive-neighbor count, refreshed each period;
-	// its outbound is shared equally across those links (link rate =
-	// out/aliveDeg — the R(j) of Algorithm 1).
-	aliveDeg int
 
 	// maxSeen is the largest segment id the node has received — its local
 	// notion of how far the stream extends (neighbors read it as the
@@ -72,10 +66,6 @@ type nodeState struct {
 	// propose and by the node's own shard during commit, never by two
 	// goroutines at once.
 	linkGrants []int32
-	// linkReqs is the per-link prefetch request counter of the probe-loop
-	// prefetch that TestPrefetchMatchesProbeLoop keeps as its reference;
-	// the planner now tracks the same count as its rows' headroom.
-	linkReqs []int32
 
 	// Per-period plan rows, built once at round 0 of each scheduling
 	// period and reused by the retry rounds (only their headroom changes
@@ -145,21 +135,6 @@ func (n *nodeState) consumeLost(id segment.ID) bool {
 		}
 	}
 	return false
-}
-
-// ensureLinkScratch sizes the per-neighbor counters to the node's current
-// degree (adjacency lists mutate under churn between periods). Both
-// counters share one backing allocation; the three-index slice keeps the
-// grant half from growing into the request half.
-func (n *nodeState) ensureLinkScratch(deg int) {
-	if cap(n.linkGrants) < deg {
-		backing := make([]int32, 2*deg)
-		n.linkGrants = backing[:deg:deg]
-		n.linkReqs = backing[deg:]
-		return
-	}
-	n.linkGrants = n.linkGrants[:deg]
-	n.linkReqs = n.linkReqs[:deg]
 }
 
 func newNodeState(id overlay.NodeID, prof bandwidth.Profile, bufCap, joinTick int) *nodeState {

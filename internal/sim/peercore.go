@@ -6,8 +6,10 @@ import (
 	"math/rand"
 	"slices"
 
+	"gossipstream/internal/bandwidth"
 	"gossipstream/internal/buffer"
 	"gossipstream/internal/core"
+	"gossipstream/internal/overlay"
 	"gossipstream/internal/segment"
 )
 
@@ -21,21 +23,25 @@ import (
 //     rate split and priority scheduler (Plan), then spend the leftover
 //     inbound on random useful pieces (Prefetch), with one supplier pick
 //     (Pick) that deny retries reuse;
+//   - Server, the supplier's side of the same step: which requests of
+//     its queue it grants under its sending rate R(j), in the randomized,
+//     distinct-first order of gossip forwarding;
 //   - LinkRate and LinkCap, the per-link rate and capacity formula;
 //   - JoinPlayback, the one anchor → session lookup of every (re)joining
 //     peer.
 //
-// It is one of the three pieces both backends share, beside Window
-// (window.go, the measurement window) and Resolver (resolve.go, the
-// resolution of scenario events and churn into directives).
+// Planner and Server are two of the four pieces both backends share,
+// beside Window (window.go, the measurement window) and Resolver
+// (resolve.go, the resolution of scenario events and churn into
+// directives).
 //
-// Two drivers call it. The simulator's playback and plan phases
-// (phase_world.go, phase_plan.go) drive it against same-tick buffers,
-// and own row filtering (alive, partitions, busy suppliers), the shard
-// arenas and request routing. The live runtime (internal/runtime) drives
-// it per peer goroutine against buffer maps decoded from real frames,
-// and owns view expiry, the in-flight and timeout maps and frame
-// queueing.
+// Two drivers call it. The simulator's playback, plan and serve phases
+// (phase_world.go, phase_plan.go, phase_serve.go) drive it against
+// same-tick buffers, and own row filtering (alive, partitions, busy
+// suppliers), the shard arenas, request routing and the commit. The live
+// runtime (internal/runtime) drives it per peer goroutine against buffer
+// maps decoded from real frames, and owns view expiry, the in-flight and
+// timeout maps, deny retries and frame queueing.
 //
 // Everything here is node-local: no Sim, no engine. The only randomness
 // is the generator the driver passes in, drawn in a fixed order (the
@@ -311,20 +317,21 @@ type Row struct {
 }
 
 // Pull is one request the planning step emits: a segment and the index of
-// the row to ask. ExpectedAt is the scheduler's expected receive offset
-// within the period; zero for a prefetch pull.
+// the row to ask.
 type Pull struct {
-	Seg        segment.ID
-	Row        int32
-	ExpectedAt float64
+	Seg segment.ID
+	Row int32
 }
 
-// PlanParams are the protocol constants of the planning step, fixed for
-// a run.
-type PlanParams struct {
+// PeerParams are the protocol constants of the planning and serving
+// steps, fixed for a run. Shared selects the shared-outbound substrate:
+// one budget across every link instead of the per-link rate R(j).
+type PeerParams struct {
 	Tau, P    float64
 	Q, Qs     int
 	BufferCap int
+	LinkShare int
+	Shared    bool
 }
 
 // Planner is one peer's planning step and its reusable scratch (one per
@@ -335,7 +342,7 @@ type PlanParams struct {
 // allocations once the scratch has grown.
 type Planner struct {
 	algo core.Algorithm
-	par  PlanParams
+	par  PeerParams
 	// env and plan are the scheduler's input and output. env also carries
 	// BuildCandidates' reused availability scratch, so its fields are
 	// assigned one by one, never overwritten with a literal.
@@ -356,7 +363,7 @@ type Planner struct {
 }
 
 // NewPlanner returns a planner running algo under par.
-func NewPlanner(algo core.Algorithm, par PlanParams) Planner {
+func NewPlanner(algo core.Algorithm, par PeerParams) Planner {
 	return Planner{algo: algo, par: par}
 }
 
@@ -396,7 +403,7 @@ func (pl *Planner) Plan(pb *Playback, buf *buffer.Buffer, sessions []segment.Ses
 	pl.env.NeedOld, pl.env.NeedNew = needs[:split:split], needs[split:]
 	pl.algo.Plan(&pl.env, &pl.plan)
 	for _, req := range pl.plan.Requests {
-		pl.Pulls = append(pl.Pulls, Pull{Seg: req.Segment, Row: pl.sup[req.SupplierIndex], ExpectedAt: req.ExpectedAt})
+		pl.Pulls = append(pl.Pulls, Pull{Seg: req.Segment, Row: pl.sup[req.SupplierIndex]})
 	}
 	return true
 }
@@ -500,4 +507,115 @@ func (pl *Planner) pick(rows []Row, nw, wi int, bit uint64, rng *rand.Rand) int3
 		}
 	}
 	return best
+}
+
+// Request is one pull request in a supplier's queue. Link is the
+// driver's handle of its link: the simulator's slot of the supplier in
+// the requester's adjacency list (the live peer keys links by From).
+type Request struct {
+	From overlay.NodeID
+	Seg  segment.ID
+	Link int32
+}
+
+// Requesters is what a Server asks its driver about a queue's requesters.
+type Requesters interface {
+	// Takes reports whether r's requester can still take r.Seg after
+	// granted grants earlier in this queue. A driver that cannot see the
+	// requester answers true, and the requester resolves any
+	// over-subscription itself.
+	Takes(r Request, granted int32) bool
+	// LinkGrants is the period's grant counter of r's link.
+	LinkGrants(r Request) *int32
+}
+
+// Answer is a Server's verdict on the request at index At of its queue.
+type Answer struct {
+	At    int32
+	Grant bool
+}
+
+// Server is one supplier's serving step and its reusable scratch (one
+// per simulator worker, one per live peer). A grant needs the segment at
+// the supplier, a requester that Takes it, and room: an outbound token
+// under a shared budget, a grant under the link's LinkCap otherwise.
+//
+// In the paper's per-link model a supplier answers each neighbour at its
+// own rate R(j), in arrival order. Under a shared budget service order
+// decides mesh throughput — a congested supplier answering every queue
+// alike leaves same-depth peers identical holdings and nothing to trade
+// — so, like gossip's randomized forwarding, it serves the queue in
+// random order and grants each distinct segment once before leftover
+// capacity goes to duplicates.
+type Server struct {
+	par PeerParams
+	// order is the service order; deferred the duplicate pass.
+	order, deferred []int32
+	// seen holds the distinct segments granted, granted the grants per
+	// requester, both over the current queue.
+	seen    segSet
+	granted nodeCounter
+	// Answers is the last Serve's verdicts, one per request, in the
+	// order the supplier reached them.
+	Answers []Answer
+}
+
+// NewServer returns a server under par.
+func NewServer(par PeerParams) Server {
+	return Server{par: par}
+}
+
+// Serve answers a supplier's queue against its holding buf and outbound
+// budget out, leaving one verdict per request in Answers; reqs is not
+// reordered. Once the room runs out, the rest of the queue is denied in
+// the same pass order. The only draw — part of the simulator's
+// determinism contract — is one shuffle from rng under a shared budget
+// with a token left at queue start (rng may be nil per link).
+func (sv *Server) Serve(reqs []Request, buf *buffer.Buffer, out *bandwidth.Budget, rng *rand.Rand, rq Requesters) {
+	sv.Answers = sv.Answers[:0]
+	sv.deferred = sv.deferred[:0]
+	sv.seen.begin()
+	sv.granted.begin()
+	order := sv.order[:0]
+	for i := range reqs {
+		order = append(order, int32(i))
+	}
+	sv.order = order
+	shared := sv.par.Shared
+	var linkCap int32
+	if !shared {
+		linkCap = int32(LinkCap(LinkRate(out.Rate(), sv.par.LinkShare, sv.par.Tau, false), sv.par.Tau))
+	} else if out.Available() >= 1 {
+		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+	}
+	for _, i := range order {
+		if shared && sv.seen.has(reqs[i].Seg) {
+			sv.deferred = append(sv.deferred, i) // a duplicate: pass 2
+			continue
+		}
+		sv.answer(reqs[i], i, buf, out, linkCap, rq)
+	}
+	for _, i := range sv.deferred {
+		sv.answer(reqs[i], i, buf, out, linkCap, rq)
+	}
+}
+
+// answer decides request i and appends its verdict.
+func (sv *Server) answer(r Request, i int32, buf *buffer.Buffer, out *bandwidth.Budget, linkCap int32, rq Requesters) {
+	shared := sv.par.Shared
+	grant := (!shared || out.Available() >= 1) && buf.Has(r.Seg) && rq.Takes(r, sv.granted.get(r.From))
+	if grant {
+		if shared {
+			out.Take(1)
+			sv.seen.add(r.Seg)
+		} else if n := rq.LinkGrants(r); *n < linkCap {
+			*n++
+		} else {
+			grant = false // the link's period capacity is spent
+		}
+	}
+	if grant {
+		sv.granted.inc(r.From)
+	}
+	sv.Answers = append(sv.Answers, Answer{At: i, Grant: grant})
 }

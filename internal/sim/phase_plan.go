@@ -109,7 +109,7 @@ func (s *Sim) planRound() {
 		for si := 0; si < shards; si++ {
 			sh := &s.shards[si]
 			for _, rr := range sh.requests[sh.reqOff[d]:sh.reqOff[d+1]] {
-				s.incoming[rr.sup] = append(s.incoming[rr.sup], rr.req)
+				s.incoming[rr.sup] = append(s.incoming[rr.sup], rr.Request)
 			}
 		}
 	})
@@ -196,8 +196,8 @@ func (s *Sim) planNode(ws *workerScratch, sh *shardScratch, n *nodeState, round 
 func (s *Sim) route(sh *shardScratch, n *nodeState, pulls []Pull) {
 	for _, pu := range pulls {
 		sh.requests = append(sh.requests, routedRequest{
-			sup: overlay.NodeID(n.view[pu.Row].ID),
-			req: pullRequest{from: n.id, seg: pu.Seg, expected: pu.ExpectedAt, nbIdx: n.viewAdj[pu.Row]},
+			sup:     overlay.NodeID(n.view[pu.Row].ID),
+			Request: Request{From: n.id, Seg: pu.Seg, Link: n.viewAdj[pu.Row]},
 		})
 	}
 }

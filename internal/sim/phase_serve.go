@@ -12,13 +12,13 @@ import (
 // The serve phase resolves the round's requests at every supplier in two
 // sub-steps:
 //
-//   - propose (parallel, sharded over suppliers): each supplier walks its
-//     request queue and tentatively grants under its own capacity — the
-//     per-link R(j)·τ caps of the paper's model, or the aggregate
-//     outbound budget of the shared ablation — spending that capacity
-//     immediately. Requester state is only read (it is frozen during the
-//     parallel step), so proposals depend solely on round-start state and
-//     supplier-local state: deterministic at any worker count.
+//   - propose (parallel, sharded over suppliers): each supplier answers
+//     its request queue with the shared serving step (Server,
+//     peercore.go), which spends its capacity immediately, and every
+//     grant becomes a tentative proposal. Requester state is only read
+//     (it is frozen during the parallel step), so proposals depend solely
+//     on round-start state and supplier-local state: deterministic at any
+//     worker count.
 //
 //   - commit: each proposal is re-validated against the requester's live
 //     inbound budget, which competing suppliers may have oversubscribed
@@ -29,21 +29,6 @@ import (
 //     inbound budget and per-requester arrival order, so workers that
 //     own disjoint requester shards decide independently — see commit
 //     for the exact argument.
-//
-// In the paper's per-link model (the default) a supplier answers each
-// neighbor independently at rate R(j): the only caps are the per-link
-// R(j)·τ segments per period and the requester's inbound budget. This is
-// exactly the capacity model behind Algorithm 1, whose queueing time τ(j)
-// accumulates only the requester's own transfers at j.
-//
-// In the shared-outbound ablation a supplier's R(j)·τ is an aggregate
-// period budget across all links. Service order then decides mesh
-// throughput: if a congested supplier answers every queue in the same
-// order, same-depth peers end up with identical holdings and have nothing
-// to trade. Mirroring the randomized forwarding of gossip protocols, the
-// supplier serves its queue in random order (from its shard's RNG
-// stream) and grants each distinct segment once before spending leftover
-// capacity on duplicates.
 
 // serveRound executes propose and commit for the current round, setting
 // s.granted when any grant landed.
@@ -65,11 +50,7 @@ func (s *Sim) serveRound() {
 			if len(reqs) == 0 {
 				continue
 			}
-			if s.cfg.SharedOutbound {
-				s.proposeShared(ws, sh, overlay.NodeID(sid), reqs, rng)
-			} else {
-				s.proposePerLink(ws, sh, overlay.NodeID(sid), reqs)
-			}
+			s.propose(ws, sh, overlay.NodeID(sid), reqs, rng)
 		}
 		sh.buildCommitIndex(shards)
 	})
@@ -127,27 +108,27 @@ func (s *Sim) commit(shards, round int) {
 			src := &s.shards[si]
 			for _, idx := range src.propOrder[src.propOff[d]:src.propOff[d+1]] {
 				p := src.proposals[idx]
-				req := s.nodes[p.from]
+				req := s.nodes[p.From]
 				if !req.in.Take(1) {
 					if s.cfg.SharedOutbound {
 						dsh.refundSup = append(dsh.refundSup, p.sup)
 					} else {
-						req.linkGrants[p.nbIdx]--
+						req.linkGrants[p.Link]--
 					}
 					continue
 				}
-				req.markGranted(p.seg)
+				req.markGranted(p.Seg)
 				src.accept[idx] = true
 				dsh.committed++
 				if s.net != nil {
-					if req.consumeLost(p.seg) {
+					if req.consumeLost(p.Seg) {
 						s.obsReReq.Inc() // atomic; observational only
 						if s.win.Active() {
 							dsh.reRequests++
 						}
 					}
 				} else {
-					dsh.landed = append(dsh.landed, delivery{to: p.from, seg: p.seg})
+					dsh.landed = append(dsh.landed, delivery{to: p.From, seg: p.Seg})
 				}
 			}
 		}
@@ -184,7 +165,7 @@ func (s *Sim) commit(shards, round int) {
 				if jitterRNG != nil {
 					jitter = jitterRNG.Float64() * s.net.JitterMS()
 				}
-				s.net.Send(s.tick, p.sup, p.from, p.seg, jitter)
+				s.net.Send(s.tick, p.sup, p.From, p.Seg, jitter)
 				s.audInjected++
 			}
 		}
@@ -202,75 +183,20 @@ func (sh *shardScratch) buildCommitIndex(shards int) {
 	clear(sh.accept)
 	sh.propOrder = slices.Grow(sh.propOrder[:0], n)[:n]
 	sh.propOff = bucketByShard(sh.propOff, shards, n,
-		func(i int) int { return engine.ShardOf(int(sh.proposals[i].from)) },
+		func(i int) int { return engine.ShardOf(int(sh.proposals[i].From)) },
 		func(i int, at int32) { sh.propOrder[at] = int32(i) })
 }
 
-// proposePerLink proposes grants under the paper's link-capacity
-// semantics. The per-pair counter lives requester-side
-// (req.linkGrants[nbIdx]); the slot belongs to exactly one supplier, so
-// the concurrent increment is race-free.
-func (s *Sim) proposePerLink(ws *workerScratch, sh *shardScratch, sid overlay.NodeID, reqs []pullRequest) {
+// propose answers supplier sid's queue and turns its grants into
+// proposals, in the order the supplier reached them. The requester-side
+// link counter (linkGrants, see simFacts) belongs to exactly one
+// supplier, so the concurrent increments are race-free.
+func (s *Sim) propose(ws *workerScratch, sh *shardScratch, sid overlay.NodeID, reqs []Request, rng *rand.Rand) {
 	sup := s.nodes[sid]
-	perLink := int32(s.linkCap(sup))
-	ws.reqCount.begin()
-	for _, r := range reqs {
-		req := s.nodes[r.from]
-		if !req.alive || req.in.Available() < int(ws.reqCount.get(r.from))+1 ||
-			!sup.buf.Has(r.seg) || req.buf.Has(r.seg) || req.isGranted(r.seg) {
-			continue
+	ws.Serve(reqs, sup.buf, sup.out, rng, (*simFacts)(s))
+	for _, a := range ws.Answers {
+		if a.Grant {
+			sh.proposals = append(sh.proposals, routedRequest{sup: sid, Request: reqs[a.At]})
 		}
-		if req.linkGrants[r.nbIdx] >= perLink {
-			continue // this link's period capacity is exhausted
-		}
-		req.linkGrants[r.nbIdx]++
-		ws.reqCount.inc(r.from)
-		sh.proposals = append(sh.proposals, proposal{sup: sid, from: r.from, seg: r.seg, nbIdx: r.nbIdx})
-	}
-}
-
-// proposeShared proposes grants under an aggregate outbound budget with
-// randomized, distinct-first service order.
-func (s *Sim) proposeShared(ws *workerScratch, sh *shardScratch, sid overlay.NodeID, reqs []pullRequest, rng *rand.Rand) {
-	sup := s.nodes[sid]
-	if sup.out.Available() < 1 {
-		return
-	}
-	// Deterministic shuffle from the shard's RNG stream.
-	rng.Shuffle(len(reqs), func(i, j int) { reqs[i], reqs[j] = reqs[j], reqs[i] })
-	ws.seen.begin()     // distinct segments proposed so far
-	ws.reqCount.begin() // per-requester proposals in this queue
-	propose := func(r pullRequest) bool {
-		req := s.nodes[r.from]
-		if !req.alive || req.in.Available() < int(ws.reqCount.get(r.from))+1 ||
-			!sup.buf.Has(r.seg) || req.buf.Has(r.seg) || req.isGranted(r.seg) {
-			return false
-		}
-		sup.out.Take(1)
-		ws.seen.add(r.seg)
-		ws.reqCount.inc(r.from)
-		sh.proposals = append(sh.proposals, proposal{sup: sid, from: r.from, seg: r.seg, nbIdx: r.nbIdx})
-		return true
-	}
-	// Pass 1: distinct segments only; queue entries deferred by the
-	// distinct-first rule are collected for the duplicate pass (an entry
-	// proposed once must not be proposed again — the grant is pending).
-	ws.retry = ws.retry[:0]
-	for i, r := range reqs {
-		if sup.out.Available() < 1 {
-			break
-		}
-		if ws.seen.has(r.seg) {
-			ws.retry = append(ws.retry, int32(i))
-			continue
-		}
-		propose(r)
-	}
-	// Pass 2: spend leftover capacity on duplicate segments.
-	for _, i := range ws.retry {
-		if sup.out.Available() < 1 {
-			break
-		}
-		propose(reqs[i])
 	}
 }

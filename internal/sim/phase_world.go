@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"slices"
+
 	"gossipstream/internal/sim/engine"
 )
 
@@ -57,16 +59,11 @@ func (s *Sim) phaseRefill() {
 			}
 			nd.in.Refill(s.cfg.Tau)
 			nd.out.Refill(s.cfg.Tau)
-			nbs := s.g.Neighbors(nd.id)
-			nd.ensureLinkScratch(len(nbs))
-			deg := 0
-			for ni, v := range nbs {
-				nd.linkGrants[ni] = 0 // per-period link grant counters
-				if s.nodes[v].alive {
-					deg++
-				}
-			}
-			nd.aliveDeg = deg
+			// Per-period link grant counters, one per adjacency slot
+			// (adjacency lists mutate under churn between periods).
+			deg := len(s.g.Neighbors(nd.id))
+			nd.linkGrants = slices.Grow(nd.linkGrants[:0], deg)[:deg]
+			clear(nd.linkGrants)
 		}
 	})
 }

@@ -11,8 +11,9 @@ import (
 )
 
 // probePrefetch and probePickSupplier are the prefetch loop as it was
-// before availability was read in bulk, kept verbatim as the reference:
-// every drawn id is chased through each neighbor's buffer with
+// before availability was read in bulk, kept verbatim as the reference
+// except that the per-link request counts live in the probe, not on the
+// node: every drawn id is chased through each neighbor's buffer with
 // nb.buf.Has(id). The word-parallel prefetch must route the same requests
 // and leave the shared RNG stream at the same position.
 func probePrefetch(s *Sim, ws *workerScratch, sh *shardScratch, n *nodeState, rng *rand.Rand) {
@@ -25,6 +26,7 @@ func probePrefetch(s *Sim, ws *workerScratch, sh *shardScratch, n *nodeState, rn
 	}
 	pool := append(ws.pool[:0], ws.env.NeedOld...)
 	ws.pool = pool
+	linkReqs := make([]int32, len(s.g.Neighbors(n.id)))
 	for k := 0; k < len(pool) && budget > 0; k++ {
 		j := k + rng.Intn(len(pool)-k)
 		pool[k], pool[j] = pool[j], pool[k]
@@ -32,20 +34,20 @@ func probePrefetch(s *Sim, ws *workerScratch, sh *shardScratch, n *nodeState, rn
 		if ws.seen.has(id) {
 			continue
 		}
-		sup, ni := probePickSupplier(s, n, id, rng)
+		sup, ni := probePickSupplier(s, n, linkReqs, id, rng)
 		if sup < 0 {
 			continue
 		}
-		n.linkReqs[ni]++
+		linkReqs[ni]++
 		sh.requests = append(sh.requests, routedRequest{
-			sup: sup,
-			req: pullRequest{from: n.id, seg: id, nbIdx: ni},
+			sup:     sup,
+			Request: Request{From: n.id, Seg: id, Link: ni},
 		})
 		budget--
 	}
 }
 
-func probePickSupplier(s *Sim, n *nodeState, id segment.ID, rng *rand.Rand) (overlay.NodeID, int32) {
+func probePickSupplier(s *Sim, n *nodeState, linkReqs []int32, id segment.ID, rng *rand.Rand) (overlay.NodeID, int32) {
 	best, bestIdx := overlay.NodeID(-1), int32(-1)
 	count := 0
 	for ni, v := range s.g.Neighbors(n.id) {
@@ -57,7 +59,7 @@ func probePickSupplier(s *Sim, n *nodeState, id segment.ID, rng *rand.Rand) (ove
 			if nb.out.Available() < 1 {
 				continue
 			}
-		} else if int(n.linkGrants[ni]+n.linkReqs[ni]) >= s.linkCap(nb) {
+		} else if int(n.linkGrants[ni]+linkReqs[ni]) >= s.linkCap(nb) {
 			continue
 		}
 		count++
@@ -149,9 +151,15 @@ func TestPrefetchMatchesProbeLoop(t *testing.T) {
 					s.planNode(ws, &probed, nd, s.round, nil)
 					s.cfg.DisablePrefetch = false
 					if probed.diagPlanned > ran {
+						planned := len(probed.requests)
 						ws.seen.begin()
-						clear(nd.linkReqs)
 						probePrefetch(s, ws, &probed, nd, rngProbed)
+						for _, rr := range probed.requests[planned:] {
+							prefetched++
+							if rr.From == hub && rr.Link >= 64 {
+								fromHubTail++
+							}
+						}
 					}
 				}
 				if !slices.Equal(shipped.requests, probed.requests) {
@@ -160,15 +168,6 @@ func TestPrefetchMatchesProbeLoop(t *testing.T) {
 				}
 				if a, b := rngShipped.Int63(), rngProbed.Int63(); a != b {
 					t.Fatalf("tick %d round %d: the RNG streams left prefetch out of step", s.tick, s.round)
-				}
-				for _, rr := range shipped.requests {
-					if rr.req.expected != 0 {
-						continue // a planned request, not a prefetch
-					}
-					prefetched++
-					if rr.req.from == hub && rr.req.nbIdx >= 64 {
-						fromHubTail++
-					}
 				}
 			}
 			s.sched = engine.NewPipeline(
@@ -198,8 +197,8 @@ func TestShardBucketsMatchStableSort(t *testing.T) {
 		var sh shardScratch
 		for i := 0; i < n; i++ {
 			node := overlay.NodeID(rng.Intn(shards * engine.ShardSize))
-			sh.requests = append(sh.requests, routedRequest{sup: node, req: pullRequest{seg: segment.ID(i)}})
-			sh.proposals = append(sh.proposals, proposal{from: node, seg: segment.ID(i)})
+			sh.requests = append(sh.requests, routedRequest{sup: node, Request: Request{Seg: segment.ID(i)}})
+			sh.proposals = append(sh.proposals, routedRequest{Request: Request{From: node, Seg: segment.ID(i)}})
 		}
 		want := slices.Clone(sh.requests)
 		slices.SortStableFunc(want, func(a, b routedRequest) int {
@@ -213,8 +212,8 @@ func TestShardBucketsMatchStableSort(t *testing.T) {
 		for i, idx := range sh.propOrder {
 			// Proposal i carries seg i, so the commit index must list the
 			// proposals in the order the sorted requests carry their segs.
-			if sh.proposals[idx].seg != want[i].req.seg {
-				t.Fatalf("trial %d: propOrder[%d] = %d, stable sort puts proposal %d there", trial, i, idx, want[i].req.seg)
+			if sh.proposals[idx].Seg != want[i].Seg {
+				t.Fatalf("trial %d: propOrder[%d] = %d, stable sort puts proposal %d there", trial, i, idx, want[i].Seg)
 			}
 		}
 		for d := 0; d < shards; d++ {

@@ -52,7 +52,7 @@ func (s *segSet) has(id segment.ID) bool {
 }
 
 // nodeCounter counts per-node values with the same stamped-reset trick
-// (the per-requester proposal counts inside one supplier's serve queue).
+// (the per-requester grants inside one supplier's serve queue).
 type nodeCounter struct {
 	gen    uint32
 	stamps []uint32
@@ -109,13 +109,9 @@ type workerScratch struct {
 	// Planner is the worker's planning step (peercore.go), run for every
 	// node the worker plans.
 	Planner
-	// seen is the distinct-first grant set of shared serve.
-	seen segSet
-	// reqCount counts proposals per requester inside one supplier queue.
-	reqCount nodeCounter
-	// retry holds the queue indexes deferred by the distinct-first rule
-	// of shared serve (candidates for the duplicate pass).
-	retry []int32
+	// Server is the worker's serving step (peercore.go), run for every
+	// supplier queue the worker answers.
+	Server
 	// rng is the worker's reusable generator. Every sharded phase that
 	// draws randomness reseeds it with its (phase, tick, round, shard)
 	// stream before use — Rand.Seed resets the source to exactly the
@@ -149,7 +145,7 @@ type shardScratch struct {
 	reqOff   []int32
 	// proposals is the serve phase outbox: tentative grants awaiting the
 	// commit step.
-	proposals []proposal
+	proposals []routedRequest
 	// Commit index over proposals: propOrder is the proposal indexes
 	// stably sorted by requester shard, propOff the per-requester-shard
 	// offsets into it, accept the per-proposal win flags the
@@ -193,32 +189,14 @@ type shardScratch struct {
 }
 
 // routedRequest is a pull request together with the supplier it is
-// addressed to (the routing key of the merge step).
+// addressed to (the routing key of the merge step). In the serve outbox
+// it is a proposal: a tentative grant the supplier has already spent
+// capacity on (an outbound token in shared mode, a linkGrants slot per
+// link), which the commit lands as a delivery or refunds when the
+// requester's inbound budget was oversubscribed by competing suppliers.
 type routedRequest struct {
 	sup overlay.NodeID
-	req pullRequest
-}
-
-// pullRequest is one queued segment pull at a supplier.
-type pullRequest struct {
-	from     overlay.NodeID
-	seg      segment.ID
-	expected float64
-	// nbIdx is the supplier's index in the requester's adjacency list —
-	// the requester-side linkGrants/linkReqs slot of this link.
-	nbIdx int32
-}
-
-// proposal is a tentative grant produced by the serve phase's propose
-// step. The supplier has already spent the capacity (outbound tokens in
-// shared mode, a linkGrants slot in per-link mode); the commit either
-// lands it as a delivery or refunds the capacity when the requester's
-// inbound budget was oversubscribed by competing suppliers.
-type proposal struct {
-	sup   overlay.NodeID
-	from  overlay.NodeID
-	seg   segment.ID
-	nbIdx int32
+	Request
 }
 
 // delivery is a transfer granted this tick, landed at tick end.

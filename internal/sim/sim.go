@@ -99,7 +99,7 @@ type Sim struct {
 	// Sharded scratch, reused across ticks.
 	workers  []*workerScratch
 	shards   []shardScratch
-	incoming [][]pullRequest
+	incoming [][]Request
 
 	// per-tick diagnostics (tests and the debug CLI read these)
 	diagRequests   int
@@ -164,11 +164,10 @@ func New(cfg Config) (*Sim, error) {
 	s.tl = segment.NewTimeline(segment.SourceID(s.oldSource))
 	src := s.nodes[s.oldSource]
 	src.becomeSource(cfg.SourceOutFactor * cfg.P)
-	src.wasS1 = true
 	src.alive = true // the session exists from the moment its source speaks
 	src.startTick = 0
 
-	s.incoming = make([][]pullRequest, len(s.nodes))
+	s.incoming = make([][]Request, len(s.nodes))
 	s.newSessionIdx = -1
 	s.newSource = -1
 	if cfg.Net != nil {
@@ -193,10 +192,10 @@ func New(cfg Config) (*Sim, error) {
 	}
 	s.pool = engine.NewPool(workers)
 	s.workers = make([]*workerScratch, s.pool.Workers())
+	par := PeerParams{Tau: cfg.Tau, P: cfg.P, Q: cfg.Q, Qs: cfg.Qs, BufferCap: cfg.BufferCap,
+		LinkShare: cfg.LinkShare, Shared: cfg.SharedOutbound}
 	for i := range s.workers {
-		s.workers[i] = &workerScratch{Planner: NewPlanner(cfg.NewAlgorithm(), PlanParams{
-			Tau: cfg.Tau, P: cfg.P, Q: cfg.Q, Qs: cfg.Qs, BufferCap: cfg.BufferCap,
-		})}
+		s.workers[i] = &workerScratch{Planner: NewPlanner(cfg.NewAlgorithm(), par), Server: NewServer(par)}
 	}
 	s.sched = engine.NewPipeline(
 		engine.Phase{Name: "plan", Run: s.planRound},
@@ -501,14 +500,25 @@ func (s *Sim) endWindow(interrupted bool) {
 	}
 }
 
-// simFacts answers the resolver's per-node questions from the simulated
-// world, exactly.
+// simFacts answers the resolver's per-node questions and the server's
+// requester questions from the simulated world, exactly.
 type simFacts Sim
 
 func (f *simFacts) Alive(id overlay.NodeID) bool          { return f.nodes[id].alive }
 func (f *simFacts) Sourced(id overlay.NodeID) bool        { return f.nodes[id].isSource }
 func (f *simFacts) MaxSeen(id overlay.NodeID) segment.ID  { return f.nodes[id].maxSeen }
 func (f *simFacts) WindowLo(id overlay.NodeID) segment.ID { return f.nodes[id].WindowLo() }
+
+// Takes: the requester is alive, has inbound left after this queue's
+// grants, lacks the segment and has no grant of it pending.
+func (f *simFacts) Takes(r Request, granted int32) bool {
+	req := f.nodes[r.From]
+	return req.alive && req.in.Available() >= int(granted)+1 && !req.buf.Has(r.Seg) && !req.isGranted(r.Seg)
+}
+
+// LinkGrants is the requester-side counter of the link; commit refunds it
+// when the requester's inbound was over-subscribed.
+func (f *simFacts) LinkGrants(r Request) *int32 { return &f.nodes[r.From].linkGrants[r.Link] }
 
 // Profile is node id's drawn bandwidth profile, before any bandwidth
 // shift. With Side, it is what a check that two backends resolved the
