@@ -77,7 +77,11 @@ func main() {
 		return
 	}
 
-	sc := load(*file, *name)
+	sc, err := scenario.Select(*file, *name)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "live: %v\n", err)
+		os.Exit(2)
+	}
 	if *n > 0 {
 		sc = sc.Scaled(*n)
 	}
@@ -339,36 +343,6 @@ func makeTransport(kind string, seed int64) runtime.Transport {
 
 func printResult(algoName string, res *sim.Result) {
 	scenario.FormatResult(os.Stdout, algoName, res)
-}
-
-// load resolves the scenario source: a file, a bundled name, or an error.
-func load(file, name string) *scenario.Scenario {
-	switch {
-	case file != "" && name != "":
-		fmt.Fprintln(os.Stderr, "live: -f and -name are mutually exclusive")
-		os.Exit(2)
-	case file != "":
-		f, err := os.Open(file)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		sc, err := scenario.Parse(f)
-		if err != nil {
-			fatal(err)
-		}
-		return sc
-	case name != "":
-		sc := scenario.Lookup(name)
-		if sc == nil {
-			fmt.Fprintf(os.Stderr, "live: unknown scenario %q (see -list)\n", name)
-			os.Exit(2)
-		}
-		return sc
-	}
-	fmt.Fprintln(os.Stderr, "live: need -f, -name or -list")
-	os.Exit(2)
-	return nil
 }
 
 func fatal(err error) {

@@ -100,7 +100,11 @@ func main() {
 		return
 	}
 
-	sc := load(*file, *name)
+	sc, err := scenario.Select(*file, *name)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "scenario: %v\n", err)
+		os.Exit(2)
+	}
 	if *n > 0 {
 		sc = sc.Scaled(*n)
 	}
@@ -238,36 +242,6 @@ func writeTimingsJSON(path string, out []runTimings) error {
 		return err
 	}
 	return os.WriteFile(path, data, 0o644)
-}
-
-// load resolves the scenario source: a file, a bundled name, or an error.
-func load(file, name string) *scenario.Scenario {
-	switch {
-	case file != "" && name != "":
-		fmt.Fprintln(os.Stderr, "scenario: -f and -name are mutually exclusive")
-		os.Exit(2)
-	case file != "":
-		f, err := os.Open(file)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		sc, err := scenario.Parse(f)
-		if err != nil {
-			fatal(err)
-		}
-		return sc
-	case name != "":
-		sc := scenario.Lookup(name)
-		if sc == nil {
-			fmt.Fprintf(os.Stderr, "scenario: unknown scenario %q (see -list)\n", name)
-			os.Exit(2)
-		}
-		return sc
-	}
-	fmt.Fprintln(os.Stderr, "scenario: need -f, -name, -list or -smoke")
-	os.Exit(2)
-	return nil
 }
 
 // runSmoke executes every bundled scenario at small scale and fails loudly

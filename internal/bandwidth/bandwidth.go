@@ -36,13 +36,10 @@ type Profile struct {
 }
 
 // SourceProfile returns the capacity profile of a streaming source: zero
-// inbound, outFactor·p outbound ("the source node has zero inbound rate
-// and much larger outbound rate", Section 5.1).
-func SourceProfile(outFactor float64) Profile {
-	if outFactor <= 0 {
-		outFactor = 6
-	}
-	return Profile{In: 0, Out: outFactor * PlayRate}
+// inbound, 6p outbound ("the source node has zero inbound rate and much
+// larger outbound rate", Section 5.1).
+func SourceProfile() Profile {
+	return Profile{In: 0, Out: 6 * PlayRate}
 }
 
 // DrawRate samples one rate from the paper's distribution: support

@@ -43,16 +43,12 @@ func TestAssign(t *testing.T) {
 }
 
 func TestSourceProfile(t *testing.T) {
-	p := SourceProfile(6)
+	p := SourceProfile()
 	if p.In != 0 {
 		t.Error("source must have zero inbound")
 	}
 	if p.Out != 60 {
 		t.Errorf("source outbound %v, want 60", p.Out)
-	}
-	// Non-positive factor falls back to the default.
-	if SourceProfile(0).Out != 60 {
-		t.Error("default source factor wrong")
 	}
 }
 

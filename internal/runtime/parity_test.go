@@ -10,11 +10,13 @@ import (
 )
 
 // TestLiveSimResolveSameExperiment pins that a live run and its
-// simulated twin resolve one scenario into the same experiment: a
-// uniform partition assigns every node the same side, each flash-crowd
-// joiner gets the same id and profile, and the first baseline churn step
-// draws the same joiner profiles. Both backends resolve through one
-// sim.Resolver, so this is exact, not statistical.
+// simulated twin resolve one scenario into the same experiment: every
+// initial node gets the same profile, a uniform partition assigns every
+// node the same side, each flash-crowd joiner gets the same id and
+// profile, and the first baseline churn step draws the same joiner
+// profiles. Both backends draw the population through Config.Arrivals
+// and resolve through one sim.Resolver, so this is exact, not
+// statistical.
 func TestLiveSimResolveSameExperiment(t *testing.T) {
 	const n, crowd = 40, 6
 	sc := &scenario.Scenario{
@@ -57,9 +59,12 @@ func TestLiveSimResolveSameExperiment(t *testing.T) {
 		}
 	}
 	t.Logf("partition sides agree on %d of %d nodes", sides, joiners)
-	for id := overlay.NodeID(n); id < overlay.NodeID(joiners); id++ {
+	for id := overlay.NodeID(0); id < overlay.NodeID(joiners); id++ {
 		what := "crowd joiner"
-		if id >= n+crowd {
+		switch {
+		case id < n:
+			what = "initial node"
+		case id >= n+crowd:
 			what = "first churn joiner"
 		}
 		live, ok := r.profile[id]

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"gossipstream/internal/bandwidth"
+	"gossipstream/internal/bitfield"
 	"gossipstream/internal/buffer"
 	"gossipstream/internal/core"
 	"gossipstream/internal/netmodel"
@@ -34,19 +35,16 @@ import (
 // it share a datagram) and the end of a drained inbox burst (all answers
 // to one requester share a datagram).
 
-// peerParams is the protocol parameter block, fixed for a run.
+// peerParams is what a peer takes from the run's sim.Config, fixed for
+// a run: the planning and serving steps' parameters, and whether the
+// leftover inbound goes to prefetch. The protocol constants are sim's.
 type peerParams struct {
-	tau             float64
-	p               float64
-	q, qs           int
-	bufferCap       int
-	linkShare       int
-	sharedOut       bool
-	sourceOutFactor float64
+	sim.PeerParams
 	disablePrefetch bool
-	perTick         int   // p·τ whole segments
-	wireBits        int64 // control cost of one buffer map
 }
+
+// wireBits is the control cost of one buffer map.
+var wireBits = int64(bitfield.WireBits(sim.BufferCap))
 
 // viewTTLPeriods is how many periods a neighbor's buffer-map view stays
 // usable without a refresh. Maps arrive every period on a healthy link,
@@ -208,16 +206,14 @@ type spawnSpec struct {
 }
 
 func newPeer(spec spawnSpec, par peerParams, algo core.Algorithm, ep Endpoint, reports chan<- report) *peer {
-	steps := sim.PeerParams{Tau: par.tau, P: par.p, Q: par.q, Qs: par.qs, BufferCap: par.bufferCap,
-		LinkShare: par.linkShare, Shared: par.sharedOut}
 	p := &peer{
 		id:           spec.id,
 		par:          par,
 		ep:           ep,
 		rng:          rand.New(rand.NewSource(spec.seed)),
-		planner:      sim.NewPlanner(algo, steps),
-		server:       sim.NewServer(steps),
-		buf:          buffer.New(par.bufferCap),
+		planner:      sim.NewPlanner(algo, par.PeerParams),
+		server:       sim.NewServer(par.PeerParams),
+		buf:          buffer.New(sim.BufferCap),
 		pb:           sim.NewPlayback(spec.anchor, spec.sessionIdx, spec.known),
 		base:         spec.profile,
 		profile:      spec.profile,
@@ -246,7 +242,7 @@ func newPeer(spec spawnSpec, par peerParams, algo core.Algorithm, ep Endpoint, r
 	if !spec.isSource {
 		p.profile = bandwidth.Profile{In: spec.profile.In * spec.bwFactor, Out: spec.profile.Out * spec.bwFactor}
 	} else {
-		p.profile = bandwidth.SourceProfile(par.sourceOutFactor)
+		p.profile = bandwidth.SourceProfile()
 		p.pb.Known = len(p.sessions)
 	}
 	p.in = bandwidth.NewBudget(p.profile.In)
@@ -333,8 +329,8 @@ func (p *peer) period(tick int) {
 
 // refill resets the per-period budgets and request bookkeeping.
 func (p *peer) refill() {
-	p.in.Refill(p.par.tau)
-	p.out.Refill(p.par.tau)
+	p.in.Refill(sim.Tau)
+	p.out.Refill(sim.Tau)
 	for _, n := range p.grantsOut {
 		*n = 0
 	}
@@ -369,7 +365,7 @@ func (p *peer) generate() {
 	if !p.isSource || p.mySession < 0 || p.mySession >= len(p.sessions) || !p.sessions[p.mySession].Open() {
 		return
 	}
-	for i := 0; i < p.par.perTick; i++ {
+	for range sim.PerTick {
 		p.buf.Insert(p.nextGen)
 		if p.nextGen > p.maxSeen {
 			p.maxSeen = p.nextGen
@@ -383,7 +379,7 @@ func (p *peer) playback() {
 	if p.isSource {
 		return
 	}
-	st := p.pb.Advance(p.buf, p.sessions, p.par.q, p.par.qs, p.par.perTick)
+	st := p.pb.Advance(p.buf, p.sessions, p.par.Qs)
 	p.played += st.Played
 	p.stalled += st.Stalled
 	if st.Started >= 0 {
@@ -405,7 +401,7 @@ func (p *peer) checkPrepared() {
 		if p.preparedDone[k] {
 			continue
 		}
-		if sim.Prepared(p.buf, p.sessions[k].Begin, p.par.qs) {
+		if sim.Prepared(p.buf, p.sessions[k].Begin, p.par.Qs) {
 			p.preparedDone[k] = true
 			p.newlyPrepared = append(p.newlyPrepared, k)
 		}
@@ -424,7 +420,7 @@ func (p *peer) advertise() {
 	if anchor < 0 {
 		anchor = 0
 	}
-	if lo := p.maxSeen - segment.ID(p.par.bufferCap) + 1; lo > anchor {
+	if lo := p.maxSeen - segment.ID(sim.BufferCap) + 1; lo > anchor {
 		anchor = lo
 	}
 	p.mapSnap = p.buf.SnapshotInto(p.mapSnap, anchor)
@@ -435,7 +431,7 @@ func (p *peer) advertise() {
 		img = nil
 	}
 	sessions := p.sessionGossip()
-	rate := sim.LinkRate(p.out.Rate(), p.par.linkShare, p.par.tau, p.par.sharedOut)
+	rate := sim.LinkRate(p.out.Rate(), p.par.Shared)
 	for _, v := range p.neighbors {
 		p.ep.Queue(Frame{
 			Kind:     FrameMap,
@@ -515,8 +511,8 @@ func (p *peer) viewRows(skip []overlay.NodeID) []sim.Row {
 			continue // never heard from it, the link has gone silent, or it denied
 		}
 		headroom := sim.Unbounded
-		if !p.par.sharedOut {
-			headroom = sim.LinkCap(view.rate, p.par.tau) - p.reqPer[v]
+		if !p.par.Shared {
+			headroom = sim.LinkCap(view.rate) - p.reqPer[v]
 		}
 		rows = append(rows, sim.Row{
 			Supplier: core.Supplier{ID: core.SupplierID(v), Rate: view.rate, View: view.m},
@@ -568,7 +564,7 @@ func (p *peer) handleMap(f Frame) {
 	if view != nil {
 		old = view.m
 	}
-	m, err := buffer.DecodeMapInto(old, f.MapImg, p.par.bufferCap)
+	m, err := buffer.DecodeMapInto(old, f.MapImg, sim.BufferCap)
 	if err != nil {
 		return
 	}
@@ -577,7 +573,7 @@ func (p *peer) handleMap(f Frame) {
 		p.views[f.Msg.From] = view
 	}
 	view.m, view.maxSeen, view.rate, view.period = m, f.MaxSeen, f.Rate, p.tick
-	p.mapBits += p.par.wireBits
+	p.mapBits += wireBits
 	p.mergeSessions(f.Sessions)
 }
 
@@ -681,7 +677,7 @@ func (p *peer) handleCtrl(c ctrlMsg) bool {
 		p.nextGen = p.sessions[p.mySession].Begin
 		p.isSource = true
 		p.alive = true
-		p.profile = bandwidth.SourceProfile(p.par.sourceOutFactor)
+		p.profile = bandwidth.SourceProfile()
 		p.in.SetRate(0)
 		p.out.SetRate(p.profile.Out)
 		p.pb.Active = false

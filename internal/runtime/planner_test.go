@@ -46,7 +46,7 @@ func (pb refPlayback) NeedWindows(buf *buffer.Buffer, sessions []segment.Session
 // linkCapFor estimates a supplier's per-link per-period grant capacity
 // from its advertised rate.
 func (p *refPeer) linkCapFor(rate float64) int {
-	c := int(rate*p.par.tau + 1e-9)
+	c := int(rate*sim.Tau + 1e-9)
 	if c < 1 {
 		c = 1
 	}
@@ -62,9 +62,9 @@ func (p *refPeer) plan_() {
 	}
 	// Assigned field by field: Env also carries BuildCandidates' reused
 	// availability scratch, which a struct literal would drop.
-	p.env.Tau = p.par.tau
-	p.env.P = p.par.p
-	p.env.Q = float64(p.par.q)
+	p.env.Tau = sim.Tau
+	p.env.P = bandwidth.PlayRate
+	p.env.Q = sim.Q
 	p.env.Inbound = p.profile.In
 	p.env.Playhead = p.pb.WindowLo()
 	supIDs := p.env.Suppliers[:0]
@@ -97,7 +97,7 @@ func (p *refPeer) plan_() {
 		p.granted = append(p.granted, seg)
 	}
 	p.needOld, p.needNew = p.pb.NeedWindows(p.buf, p.sessions, maxAdvert,
-		p.par.bufferCap, p.par.qs, p.granted, p.needOld, p.needNew)
+		sim.BufferCap, p.par.Qs, p.granted, p.needOld, p.needNew)
 	if len(p.needOld) == 0 && len(p.needNew) == 0 {
 		return
 	}
@@ -155,7 +155,7 @@ func (p *refPeer) pickSupplier(sups []overlay.NodeID, id segment.ID) overlay.Nod
 		if view == nil || view.m == nil || !view.m.Has(id) {
 			continue
 		}
-		if !p.par.sharedOut && p.reqPer[v] >= p.linkCapFor(view.rate) {
+		if !p.par.Shared && p.reqPer[v] >= p.linkCapFor(view.rate) {
 			continue
 		}
 		count++
@@ -186,10 +186,7 @@ func (e *recEndpoint) Recv() <-chan Frame { return nil }
 func (e *recEndpoint) Close()             {}
 
 func testPeerParams(shared, noPrefetch bool) peerParams {
-	return peerParams{
-		tau: 1, p: 10, q: 10, qs: 50, bufferCap: 600, linkShare: 4,
-		sharedOut: shared, sourceOutFactor: 6, disablePrefetch: noPrefetch, perTick: 10,
-	}
+	return peerParams{PeerParams: sim.PeerParams{Qs: 50, Shared: shared}, disablePrefetch: noPrefetch}
 }
 
 // syntheticPeer builds a listener mid-stream from a seed alone, so two
@@ -233,7 +230,7 @@ func syntheticPeer(seed int64, par peerParams, algo core.Algorithm, ep Endpoint)
 			p.timedOut[id] = tick - 1
 		}
 	}
-	p.in.Refill(par.tau)
+	p.in.Refill(sim.Tau)
 	if rng.Intn(4) == 0 {
 		p.in.Take(rng.Intn(p.in.Available() + 1))
 	}
@@ -243,7 +240,7 @@ func syntheticPeer(seed int64, par peerParams, algo core.Algorithm, ep Endpoint)
 		if rng.Intn(8) == 0 {
 			continue // never heard from it
 		}
-		nb := buffer.New(par.bufferCap)
+		nb := buffer.New(sim.BufferCap)
 		hold(nb, rng.Float64())
 		period := tick - rng.Intn(2)
 		if rng.Intn(8) == 0 {
@@ -387,7 +384,7 @@ func TestDenyRetryRespectsLinkCap(t *testing.T) {
 		}
 		p.request(seg, denier)
 		if altAtCap {
-			p.reqPer[alt] = sim.LinkCap(2, 1) // two requests already on the link
+			p.reqPer[alt] = sim.LinkCap(2) // two requests already on the link
 		}
 		ep.frames = nil
 		before := p.in.Available()

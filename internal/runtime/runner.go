@@ -2,13 +2,11 @@ package runtime
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 	"sync"
 	"time"
 
 	"gossipstream/internal/bandwidth"
-	"gossipstream/internal/bitfield"
 	"gossipstream/internal/membership"
 	"gossipstream/internal/netmodel"
 	"gossipstream/internal/obs"
@@ -173,17 +171,8 @@ func FromScenario(sc *scenario.Scenario, factory sim.AlgorithmFactory, opt Optio
 	}
 	cfg = cfg.Defaulted()
 	par := peerParams{
-		tau:             cfg.Tau,
-		p:               cfg.P,
-		q:               cfg.Q,
-		qs:              cfg.Qs,
-		bufferCap:       cfg.BufferCap,
-		linkShare:       cfg.LinkShare,
-		sharedOut:       cfg.SharedOutbound,
-		sourceOutFactor: cfg.SourceOutFactor,
+		PeerParams:      sim.PeerParams{Qs: cfg.Qs, Shared: cfg.SharedOutbound},
 		disablePrefetch: cfg.DisablePrefetch,
-		perTick:         int(cfg.P*cfg.Tau + 1e-9),
-		wireBits:        int64(bitfield.WireBits(cfg.BufferCap)),
 	}
 
 	transport := opt.Transport
@@ -214,14 +203,14 @@ func FromScenario(sc *scenario.Scenario, factory sim.AlgorithmFactory, opt Optio
 	r.dir = r.resolver.Directory()
 	if opt.Obs != nil {
 		r.obs = newRunnerObs(opt.Obs)
-		r.win = sim.NewWindow(cfg.Tau, r.obs.trace, r.obs.windows)
+		r.win = sim.NewWindow(sim.Tau, r.obs.trace, r.obs.windows)
 	} else {
-		r.win = sim.NewWindow(cfg.Tau, nil, nil)
+		r.win = sim.NewWindow(sim.Tau, nil, nil)
 	}
 	if cfg.Net != nil {
 		// The same trace-derived delay/loss/partition state machine the
 		// transit phase would drain, shared with the shaped transports.
-		r.policy = &lockedPolicy{m: netmodel.New(*cfg.Net, cfg.Tau)}
+		r.policy = &lockedPolicy{m: netmodel.New(*cfg.Net, sim.Tau)}
 		transport.SetPolicy(r.policy)
 	}
 
@@ -280,7 +269,7 @@ func (r *Runner) Run() (*sim.Result, error) {
 // PeriodWall is the wall-clock length of one scheduling period at the
 // run's TimeScale.
 func (r *Runner) PeriodWall() time.Duration {
-	return time.Duration(float64(time.Second) * r.par.tau / r.opt.TimeScale)
+	return time.Duration(float64(time.Second) * sim.Tau / r.opt.TimeScale)
 }
 
 // Pace ends a period on the wall clock — the one pacing step of every
@@ -304,12 +293,7 @@ func (r *Runner) Pace() {
 // over the scenario's spread — the same assembly the simulator runs.
 func (r *Runner) spawnInitial() error {
 	n := r.g.N()
-	profiles := r.cfg.Profiles
-	if profiles == nil {
-		profiles = bandwidth.Assign(n, rand.New(rand.NewSource(r.sc.Seed^0x0ba5_e5)))
-	}
-	stagger := rand.New(rand.NewSource(r.sc.Seed ^ 0x57a6))
-	spread := r.cfg.JoinSpreadTicks // 0 after Defaulted = simultaneous start
+	profiles, startTicks := r.cfg.Arrivals()
 
 	first := r.cfg.InitialSource()
 	r.timeline = []segment.Session{{Source: segment.SourceID(first), Begin: 0, End: segment.None}}
@@ -321,13 +305,6 @@ func (r *Runner) spawnInitial() error {
 		// ownership — the profiles slice is seed-identical on every
 		// process, and a failover respawn restates it from here.
 		r.profile[id] = profiles[i]
-		// The stagger draw runs for every node regardless of ownership,
-		// so every shard's RNG stream stays aligned and any process can
-		// recompute any node's start tick.
-		startTick := 0
-		if spread > 0 {
-			startTick = stagger.Intn(spread + 1)
-		}
 		if !r.owns(id) {
 			continue
 		}
@@ -335,7 +312,7 @@ func (r *Runner) spawnInitial() error {
 			id:        id,
 			profile:   profiles[i],
 			bwFactor:  1,
-			startTick: startTick,
+			startTick: startTicks[i],
 			neighbors: r.g.Neighbors(id),
 			sessions:  r.timeline,
 			mySession: -1,
@@ -345,7 +322,6 @@ func (r *Runner) spawnInitial() error {
 		if id == first {
 			spec.isSource = true
 			spec.mySession = 0
-			spec.startTick = 0
 		}
 		if err := r.spawn(spec); err != nil {
 			return err

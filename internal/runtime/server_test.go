@@ -44,7 +44,7 @@ type pullReq struct {
 // requester, so there arrival order stands.
 func (p *refServer) servePending() {
 	reqs := p.pending
-	if p.par.sharedOut && len(reqs) > 1 {
+	if p.par.Shared && len(reqs) > 1 {
 		p.rng.Shuffle(len(reqs), func(i, j int) { reqs[i], reqs[j] = reqs[j], reqs[i] })
 		clear(p.served)
 		dups := 0
@@ -72,9 +72,9 @@ func (p *refServer) servePending() {
 func (p *refServer) serve(from overlay.NodeID, seg segment.ID, reReq bool) bool {
 	grant := p.buf.Has(seg)
 	if grant {
-		if p.par.sharedOut {
+		if p.par.Shared {
 			grant = p.out.Take(1)
-		} else if p.grantsOut[from] < sim.LinkCap(sim.LinkRate(p.out.Rate(), p.par.linkShare, p.par.tau, false), p.par.tau) {
+		} else if p.grantsOut[from] < sim.LinkCap(sim.LinkRate(p.out.Rate(), false)) {
 			p.grantsOut[from]++
 		} else {
 			grant = false
@@ -133,7 +133,7 @@ func burstPeer(seed int64, shared bool, ep Endpoint) (*peer, []pullReq, map[over
 func TestAnswerBurstMatchesOracle(t *testing.T) {
 	for _, shared := range []bool{true, false} {
 		t.Run(fmt.Sprintf("shared=%v", shared), func(t *testing.T) {
-			grants, dupes, denies, unshuffled := 0, 0, 0, 0
+			grants, dupes, denies, unshuffled, capDenied := 0, 0, 0, 0, 0
 			for seed := int64(1); seed <= 200; seed++ {
 				var got, want, idle recEndpoint
 				p, burst, counts := burstPeer(seed, shared, &got)
@@ -199,12 +199,17 @@ func TestAnswerBurstMatchesOracle(t *testing.T) {
 						granted[f.Seg] = true
 					} else {
 						denies++
+						if !shared && p.buf.Has(f.Seg) {
+							// Held, and a live supplier takes the requester
+							// at its word: only the link's cap was spent.
+							capDenied++
+						}
 					}
 				}
 			}
-			t.Logf("%d grants (%d duplicate) and %d denies compared, %d multi-request bursts at zero outbound", grants, dupes, denies, unshuffled)
-			if grants == 0 || dupes == 0 || denies == 0 || (shared && unshuffled == 0) {
-				t.Fatal("the comparison is vacuous: no grants, no duplicate grants, no denies or no idle supplier")
+			t.Logf("%d grants (%d duplicate) and %d denies (%d by a spent link) compared, %d multi-request bursts at zero outbound", grants, dupes, denies, capDenied, unshuffled)
+			if grants == 0 || dupes == 0 || denies == 0 || (shared && unshuffled == 0) || (!shared && capDenied == 0) {
+				t.Fatal("the comparison is vacuous: no grants, no duplicate grants, no denies, no idle supplier or no link-cap denial")
 			}
 		})
 	}

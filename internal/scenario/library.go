@@ -1,6 +1,12 @@
 package scenario
 
-import "gossipstream/internal/sim"
+import (
+	"errors"
+	"fmt"
+	"os"
+
+	"gossipstream/internal/sim"
+)
 
 // The bundled scenario library: one named Scenario per dynamic the north
 // star calls for. Each is a plain value — Scaled(n) shrinks any of them
@@ -208,4 +214,27 @@ func Lookup(name string) *Scenario {
 		}
 	}
 	return nil
+}
+
+// Select resolves a CLI's scenario source: the scenario file at path file
+// (-f), or the bundled scenario called name (-name); exactly one of the
+// two is given.
+func Select(file, name string) (*Scenario, error) {
+	switch {
+	case file != "" && name != "":
+		return nil, errors.New("-f and -name are mutually exclusive")
+	case file != "":
+		f, err := os.Open(file)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		return Parse(f)
+	case name != "":
+		if sc := Lookup(name); sc != nil {
+			return sc, nil
+		}
+		return nil, fmt.Errorf("unknown scenario %q (see -list)", name)
+	}
+	return nil, errors.New("need -f or -name (or -list)")
 }

@@ -3,6 +3,8 @@ package scenario
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -306,4 +308,36 @@ func mustRun(t *testing.T, cfg sim.Config) *sim.Result {
 		t.Fatal(err)
 	}
 	return res
+}
+
+// TestSelect pins the CLIs' one scenario selection: a file or a bundled
+// name, never both, never neither.
+func TestSelect(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "crowd.scn")
+	var buf bytes.Buffer
+	if err := FlashCrowdJoin().Scaled(30).Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(file, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		what, file, name string
+		want             string // the selected scenario's name, "" for an error
+		err              string
+	}{
+		{"file", file, "", FlashCrowdJoin().Name, ""},
+		{"name", "", "paper-single-switch", "paper-single-switch", ""},
+		{"both", file, "paper-single-switch", "", "mutually exclusive"},
+		{"neither", "", "", "", "need -f or -name"},
+		{"unknown name", "", "no-such-scenario", "", `unknown scenario "no-such-scenario"`},
+	} {
+		sc, err := Select(c.file, c.name)
+		switch {
+		case c.want != "" && (err != nil || sc.Name != c.want):
+			t.Errorf("%s: got %v, %v; want scenario %s", c.what, sc, err, c.want)
+		case c.want == "" && (err == nil || !strings.Contains(err.Error(), c.err)):
+			t.Errorf("%s: err = %v, want one containing %q", c.what, err, c.err)
+		}
+	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 
 	"gossipstream/internal/bandwidth"
 	"gossipstream/internal/core"
@@ -32,8 +33,20 @@ type ChurnConfig struct {
 	JoinFraction float64
 }
 
+// The protocol constants of Section 5.1, the one parameter set every run
+// of the paper uses; the playback rate p is bandwidth.PlayRate and the
+// source's outbound bandwidth.SourceProfile.
+const (
+	Tau         = 1.0                           // scheduling period τ, seconds
+	Q           = 10                            // S1 consecutive-segment start threshold
+	BufferCap   = 600                           // buffer capacity B, segments
+	PerTick     = int(bandwidth.PlayRate * Tau) // p·τ: whole segments played (and generated) per period
+	ServeRounds = 3                             // plan/serve rounds per period (see phaseSchedule)
+)
+
 // Config fully describes one simulation run. Zero fields default to the
-// paper's Section 5.1 settings via Defaulted.
+// paper's Section 5.1 settings via Defaulted; the protocol constants
+// above are not configurable.
 type Config struct {
 	// Graph is the overlay topology; it is mutated by churn, so callers
 	// that reuse topologies should pass a Clone. Required.
@@ -41,30 +54,9 @@ type Config struct {
 	// Seed drives every random decision of the run.
 	Seed int64
 
-	Tau       float64 // scheduling period τ, seconds (default 1.0)
-	P         float64 // playback rate, segments/second (default 10)
-	Q         int     // S1 consecutive-segment start threshold (default 10)
-	Qs        int     // segments of the new source needed to start (default 50)
-	BufferCap int     // buffer capacity B in segments (default 600)
-
-	// SourceOutFactor scales the source's outbound rate to
-	// SourceOutFactor·p ("much larger outbound rate"; default 6).
-	SourceOutFactor float64
-
-	// ServeRounds is the number of request/serve exchanges per scheduling
-	// period (default 3). The period is one second while a pull round-trip
-	// is tens of milliseconds, so nodes whose first-choice supplier ran out
-	// of capacity retry elsewhere within the same period.
-	ServeRounds int
-
-	// LinkShare divides a node's outbound rate across its links: the rate
-	// R(j) a supplier offers each neighbor is out_j / LinkShare. The
-	// default 1 is the paper's semantics — Figure 4 annotates each
-	// neighbor with its full outbound rate o_j, and Algorithm 1's τ(j)
-	// queues only the requester's own transfers at j. Setting LinkShare=M
-	// models a node provisioning its outbound equally across its M
-	// connections (used by the substrate-ablation benchmarks).
-	LinkShare int
+	// Qs is the number of segments of the new source needed to start
+	// (default 50).
+	Qs int
 
 	// DisablePrefetch turns off the substrate's leftover-budget random
 	// prefetch. The paper's switch algorithms govern the *prioritized*
@@ -90,10 +82,6 @@ type Config struct {
 	// calibrates and runs: scenario files, the experiment workloads and
 	// every CLI set it, and per-link is their opt-in substrate ablation.
 	SharedOutbound bool
-
-	// Profiles optionally pins per-node bandwidth; drawn from the paper's
-	// distribution when nil. Must match Graph.N() if set.
-	Profiles []bandwidth.Profile
 
 	// NewAlgorithm builds the per-run scheduler (default: the fast switch
 	// algorithm).
@@ -165,29 +153,8 @@ type Config struct {
 // Defaulted returns a copy with unset fields replaced by the paper's
 // defaults.
 func (c Config) Defaulted() Config {
-	if c.Tau <= 0 {
-		c.Tau = 1.0
-	}
-	if c.P <= 0 {
-		c.P = bandwidth.PlayRate
-	}
-	if c.Q <= 0 {
-		c.Q = 10
-	}
 	if c.Qs <= 0 {
 		c.Qs = 50
-	}
-	if c.BufferCap <= 0 {
-		c.BufferCap = 600
-	}
-	if c.SourceOutFactor <= 0 {
-		c.SourceOutFactor = 6
-	}
-	if c.ServeRounds <= 0 {
-		c.ServeRounds = 3
-	}
-	if c.LinkShare <= 0 {
-		c.LinkShare = 1
 	}
 	if c.NewAlgorithm == nil {
 		c.NewAlgorithm = Fast
@@ -213,6 +180,27 @@ func (c Config) InitialSource() overlay.NodeID {
 	return c.FirstSource
 }
 
+// Arrivals draws the run's initial population, one entry per node of
+// Graph: the bandwidth profiles from the paper's distribution, and the
+// start ticks, uniform over [0, JoinSpreadTicks] (every node at 0 without
+// a spread; the initial source at 0 always, since the session exists from
+// the moment its source speaks). Both drivers assemble their population
+// from it, so the simulator and the live runtime see one draw. c must be
+// Defaulted.
+func (c Config) Arrivals() (profiles []bandwidth.Profile, startTicks []int) {
+	n := c.Graph.N()
+	profiles = bandwidth.Assign(n, rand.New(rand.NewSource(c.Seed^0x0ba5_e5)))
+	startTicks = make([]int, n)
+	if c.JoinSpreadTicks > 0 {
+		stagger := rand.New(rand.NewSource(c.Seed ^ 0x57a6))
+		for i := range startTicks {
+			startTicks[i] = stagger.Intn(c.JoinSpreadTicks + 1)
+		}
+	}
+	startTicks[c.InitialSource()] = 0
+	return profiles, startTicks
+}
+
 // Validate reports configuration errors that Defaulted cannot repair.
 func (c Config) Validate() error {
 	if c.Graph == nil {
@@ -220,9 +208,6 @@ func (c Config) Validate() error {
 	}
 	if c.Graph.N() < 2 {
 		return fmt.Errorf("sim: need at least 2 nodes, have %d", c.Graph.N())
-	}
-	if c.Profiles != nil && len(c.Profiles) != c.Graph.N() {
-		return fmt.Errorf("sim: %d profiles for %d nodes", len(c.Profiles), c.Graph.N())
 	}
 	if int(c.FirstSource) >= c.Graph.N() {
 		return fmt.Errorf("sim: FirstSource %d out of range", c.FirstSource)

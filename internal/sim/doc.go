@@ -15,6 +15,12 @@
 // pipeline, determinism rule, extension recipes — is documented in
 // docs/ARCHITECTURE.md.
 //
+// The protocol runs at the paper's one parameter set (Section 5.1): the
+// constants Tau, Q, BufferCap, PerTick and ServeRounds beside
+// bandwidth.PlayRate and bandwidth.SourceProfile. A Config sets only
+// what a scenario varies: topology, seeds, Qs, the capacity substrate,
+// the script, churn and the network model.
+//
 // The live runtime (internal/runtime) drives four pieces of this
 // package instead of keeping its own: Planner and Server (peercore.go,
 // the per-node planning and serving steps), Window (window.go, the

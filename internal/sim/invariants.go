@@ -174,7 +174,7 @@ func checkWindows(cfg Config, res *Result, events []Event, fail func(string, ...
 		// Every completion sample lands inside the window: samples are
 		// end-of-period times relative to the opening instant, so they sit
 		// in (0, MeasuredTicks·τ].
-		limit := float64(w.MeasuredTicks)*cfg.Tau + invariantEps
+		limit := float64(w.MeasuredTicks)*Tau + invariantEps
 		for _, samples := range [][]float64{w.FinishS1Times, w.PrepareS2Times, w.StartS2Times} {
 			for _, v := range samples {
 				if v <= 0 || v > limit {

@@ -158,7 +158,7 @@ func TestCheckInvariantsCatches(t *testing.T) {
 			want: "above the model bound",
 			corrupt: func() {
 				savedDelay = w0.NetDelaySeconds
-				w0.NetDelaySeconds = (delayBound + cfg.Defaulted().Tau/2) * float64(w0.NetDelivered)
+				w0.NetDelaySeconds = (delayBound + Tau/2) * float64(w0.NetDelivered)
 			},
 			restore: func() { w0.NetDelaySeconds = savedDelay },
 		},

@@ -137,10 +137,10 @@ func (n *nodeState) consumeLost(id segment.ID) bool {
 	return false
 }
 
-func newNodeState(id overlay.NodeID, prof bandwidth.Profile, bufCap, joinTick int) *nodeState {
+func newNodeState(id overlay.NodeID, prof bandwidth.Profile, joinTick int) *nodeState {
 	return &nodeState{
 		id:      id,
-		buf:     buffer.New(bufCap),
+		buf:     buffer.New(BufferCap),
 		profile: prof,
 		base:    prof,
 		in:      bandwidth.NewBudget(prof.In),
@@ -168,11 +168,11 @@ func (n *nodeState) receive(id segment.ID) {
 // becomeSource promotes the node to streaming source: inbound drops to
 // zero, outbound is boosted, and any in-progress playback of the previous
 // stream is abandoned (the speaker stops being a listener).
-func (n *nodeState) becomeSource(outRate float64) {
+func (n *nodeState) becomeSource() {
 	n.isSource = true
-	n.profile = bandwidth.Profile{In: 0, Out: outRate}
+	n.profile = bandwidth.SourceProfile()
 	n.in.SetRate(0)
-	n.out.SetRate(outRate)
+	n.out.SetRate(n.profile.Out)
 	n.Active = false
 }
 

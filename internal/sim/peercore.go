@@ -209,30 +209,29 @@ type PlaybackStep struct {
 
 // Advance runs one scheduling period of the playback state machine:
 // start (the Q-consecutive rule, or the first-qs rule when entering a
-// successor session at its beginning), consume up to perTick segments,
+// successor session at its beginning), consume up to PerTick segments,
 // stall on a hole, and transition to the next session when the current
-// one is played out. q and qs are the paper's startup thresholds,
-// perTick is p·τ.
-func (pb *Playback) Advance(buf *buffer.Buffer, sessions []segment.Session, q, qs, perTick int) PlaybackStep {
+// one is played out. qs is the new stream's startup threshold.
+func (pb *Playback) Advance(buf *buffer.Buffer, sessions []segment.Session, qs int) PlaybackStep {
 	st := PlaybackStep{Started: -1, Finished: -1}
 	if pb.SessionIdx >= len(sessions) {
 		return st // finished every session that exists
 	}
 	cur := sessions[pb.SessionIdx]
 	if !pb.Active {
-		if !pb.tryStart(buf, cur, q, qs) {
+		if !pb.tryStart(buf, cur, qs) {
 			return st
 		}
 		st.Started = pb.SessionIdx
 	}
-	for consumed := 0; consumed < perTick; consumed++ {
+	for consumed := 0; consumed < PerTick; consumed++ {
 		if !cur.Open() && pb.Playhead > cur.End {
 			break
 		}
 		if !buf.Has(pb.Playhead) {
 			// Stall: hole at the playhead. The remaining playback slots
 			// of this period are lost (continuity accounting).
-			st.Stalled = perTick - consumed
+			st.Stalled = PerTick - consumed
 			return st
 		}
 		pb.Playhead++
@@ -253,7 +252,7 @@ func (pb *Playback) Advance(buf *buffer.Buffer, sessions []segment.Session, q, q
 // its beginning; the first qs segments for a peer starting a successor
 // session at its beginning (completed playback of the previous stream
 // is implied by SessionIdx having advanced).
-func (pb *Playback) tryStart(buf *buffer.Buffer, cur segment.Session, q, qs int) bool {
+func (pb *Playback) tryStart(buf *buffer.Buffer, cur segment.Session, qs int) bool {
 	if pb.SessionIdx > 0 && pb.Anchor == cur.Begin {
 		// Starting a successor session: need its first qs segments.
 		need := qs
@@ -263,7 +262,7 @@ func (pb *Playback) tryStart(buf *buffer.Buffer, cur segment.Session, q, qs int)
 		if buf.ConsecutiveFrom(cur.Begin) < need {
 			return false
 		}
-	} else if buf.ConsecutiveFrom(pb.Anchor) < q {
+	} else if buf.ConsecutiveFrom(pb.Anchor) < Q {
 		return false
 	}
 	pb.Active = true
@@ -280,26 +279,23 @@ func Prepared(buf *buffer.Buffer, begin segment.ID, qs int) bool {
 }
 
 // LinkRate is R(j), the sending rate a supplier with outbound rate out
-// offers each of its links: its whole outbound in the shared-capacity
-// substrate, where one budget serves every link; out/linkShare in the
-// paper's per-link model — a single per-node value, exactly the "sending
-// rate of node j" of Algorithm 1 (the paper never differentiates R(j) by
-// requester). A per-link rate is never below one segment per period: a
-// live connection always makes some progress.
-func LinkRate(out float64, linkShare int, tau float64, shared bool) float64 {
+// offers each of its links: its whole outbound, which one budget spreads
+// over every link in the shared-capacity substrate, and which each link
+// gets in full in the paper's per-link model — Figure 4 annotates each
+// neighbour with its full outbound rate o_j, a single per-node value,
+// exactly the "sending rate of node j" of Algorithm 1 (the paper never
+// differentiates R(j) by requester). A per-link rate is never below one
+// segment per period: a live connection always makes some progress.
+func LinkRate(out float64, shared bool) float64 {
 	if shared {
 		return out
 	}
-	r := out / float64(linkShare)
-	if floor := 1 / tau; r < floor {
-		r = floor
-	}
-	return r
+	return max(out, 1/Tau)
 }
 
 // LinkCap is the whole-segment per-period capacity of a link at rate R(j).
-func LinkCap(rate, tau float64) int {
-	return max(1, int(rate*tau+1e-9))
+func LinkCap(rate float64) int {
+	return max(1, int(rate*Tau+1e-9))
 }
 
 // Unbounded is the headroom of a row whose link the driver does not
@@ -323,15 +319,13 @@ type Pull struct {
 	Row int32
 }
 
-// PeerParams are the protocol constants of the planning and serving
-// steps, fixed for a run. Shared selects the shared-outbound substrate:
-// one budget across every link instead of the per-link rate R(j).
+// PeerParams are what the planning and serving steps take from a run's
+// Config, beside the protocol constants: the new stream's startup
+// threshold Qs, and Shared, which selects the shared-outbound substrate
+// (one budget across every link instead of the per-link rate R(j)).
 type PeerParams struct {
-	Tau, P    float64
-	Q, Qs     int
-	BufferCap int
-	LinkShare int
-	Shared    bool
+	Qs     int
+	Shared bool
 }
 
 // Planner is one peer's planning step and its reusable scratch (one per
@@ -390,14 +384,14 @@ func (pl *Planner) Plan(pb *Playback, buf *buffer.Buffer, sessions []segment.Ses
 		return false
 	}
 	pb.Discover(sessions, maxAdvert)
-	needs, split := pb.NeedWindowsInto(buf, sessions, maxAdvert, pl.par.BufferCap, pl.par.Qs, inflight, pl.needs[:0])
+	needs, split := pb.NeedWindowsInto(buf, sessions, maxAdvert, BufferCap, pl.par.Qs, inflight, pl.needs[:0])
 	pl.needs = needs
 	if len(needs) == 0 {
 		return false
 	}
-	pl.env.Tau = pl.par.Tau
-	pl.env.P = pl.par.P
-	pl.env.Q = float64(pl.par.Q)
+	pl.env.Tau = Tau
+	pl.env.P = bandwidth.PlayRate
+	pl.env.Q = Q
 	pl.env.Inbound = inbound
 	pl.env.Playhead = pb.WindowLo()
 	pl.env.NeedOld, pl.env.NeedNew = needs[:split:split], needs[split:]
@@ -584,7 +578,7 @@ func (sv *Server) Serve(reqs []Request, buf *buffer.Buffer, out *bandwidth.Budge
 	shared := sv.par.Shared
 	var linkCap int32
 	if !shared {
-		linkCap = int32(LinkCap(LinkRate(out.Rate(), sv.par.LinkShare, sv.par.Tau, false), sv.par.Tau))
+		linkCap = int32(LinkCap(LinkRate(out.Rate(), false)))
 	} else if out.Available() >= 1 {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 	}

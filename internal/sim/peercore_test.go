@@ -53,7 +53,7 @@ func TestPlaybackAdvanceStartPlayFinish(t *testing.T) {
 	for id := segment.ID(0); id < 5; id++ {
 		buf.Insert(id)
 	}
-	st := pb.Advance(buf, sessions, 10, 5, 10)
+	st := pb.Advance(buf, sessions, 5)
 	if st.Started != -1 || st.Played != 0 || pb.Active {
 		t.Fatalf("started below threshold: %+v", st)
 	}
@@ -62,7 +62,7 @@ func TestPlaybackAdvanceStartPlayFinish(t *testing.T) {
 	for id := segment.ID(5); id < 15; id++ {
 		buf.Insert(id)
 	}
-	st = pb.Advance(buf, sessions, 10, 5, 10)
+	st = pb.Advance(buf, sessions, 5)
 	if st.Started != 0 || st.Played != 10 || st.Stalled != 0 {
 		t.Fatalf("start period: %+v", st)
 	}
@@ -71,7 +71,7 @@ func TestPlaybackAdvanceStartPlayFinish(t *testing.T) {
 	}
 
 	// A hole at 15 stalls the rest of the period.
-	st = pb.Advance(buf, sessions, 10, 5, 10)
+	st = pb.Advance(buf, sessions, 5)
 	if st.Played != 5 || st.Stalled != 5 || st.Finished != -1 {
 		t.Fatalf("stall period: %+v", st)
 	}
@@ -80,7 +80,7 @@ func TestPlaybackAdvanceStartPlayFinish(t *testing.T) {
 	for id := segment.ID(15); id < 20; id++ {
 		buf.Insert(id)
 	}
-	st = pb.Advance(buf, sessions, 10, 5, 10)
+	st = pb.Advance(buf, sessions, 5)
 	if st.Finished != 0 || pb.SessionIdx != 1 || pb.Anchor != 20 || pb.Active {
 		t.Fatalf("finish period: %+v, pb %+v", st, pb)
 	}
@@ -89,11 +89,11 @@ func TestPlaybackAdvanceStartPlayFinish(t *testing.T) {
 	for id := segment.ID(20); id < 24; id++ {
 		buf.Insert(id)
 	}
-	if st = pb.Advance(buf, sessions, 10, 5, 10); st.Started != -1 {
+	if st = pb.Advance(buf, sessions, 5); st.Started != -1 {
 		t.Fatalf("successor started below qs: %+v", st)
 	}
 	buf.Insert(24)
-	if st = pb.Advance(buf, sessions, 10, 5, 10); st.Started != 1 || st.Played != 5 {
+	if st = pb.Advance(buf, sessions, 5); st.Started != 1 || st.Played != 5 {
 		t.Fatalf("successor start: %+v", st)
 	}
 }

@@ -75,7 +75,7 @@ func (s *Sim) phaseTransit() {
 			to.removeGranted(msg.Seg)
 			sh.netDelivered++
 			// The true link delay, sub-period resolution.
-			sh.netDelayMS += msg.DelayMS(s.cfg.Tau)
+			sh.netDelayMS += msg.DelayMS(Tau)
 		})
 	})
 	// Serial merge in shard order: window accounting, the run-level

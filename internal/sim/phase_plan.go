@@ -34,7 +34,7 @@ func (s *Sim) phaseSchedule() {
 		s.shards[i].landed = s.shards[i].landed[:0]
 	}
 	s.diagRequests, s.diagCandidates, s.diagPlanned = 0, 0, 0
-	for s.round = 0; s.round < s.cfg.ServeRounds; s.round++ {
+	for s.round = 0; s.round < ServeRounds; s.round++ {
 		s.granted = false
 		s.sched.Run() // plan, then serve
 		if !s.granted && s.round > 0 {
@@ -65,7 +65,7 @@ func (s *Sim) planRound() {
 			sh.adjArena = sh.adjArena[:0]
 		}
 		rng := ws.seedRNG(engine.SeedFor(s.cfg.Seed, rngPlan, s.tick, round, shard))
-		wire := int64(bitfield.WireBits(s.cfg.BufferCap))
+		wire := int64(bitfield.WireBits(BufferCap))
 		lo, hi := engine.ShardSpan(n, shard)
 		for i := lo; i < hi; i++ {
 			nd := s.nodes[i]
@@ -224,7 +224,7 @@ func (s *Sim) buildView(sh *shardScratch, n *nodeState) {
 		sh.rowArena = append(sh.rowArena, Row{
 			Supplier: core.Supplier{
 				ID:   core.SupplierID(v),
-				Rate: LinkRate(nb.out.Rate(), s.cfg.LinkShare, s.cfg.Tau, s.cfg.SharedOutbound),
+				Rate: LinkRate(nb.out.Rate(), s.cfg.SharedOutbound),
 				View: nb.buf,
 			},
 			MaxSeen: nb.maxSeen,

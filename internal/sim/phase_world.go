@@ -36,8 +36,7 @@ func (s *Sim) phaseGenerate() {
 	if !src.alive {
 		return
 	}
-	n := int(s.cfg.P*s.cfg.Tau + 1e-9)
-	for i := 0; i < n; i++ {
+	for range PerTick {
 		src.receive(s.nextGen)
 		s.nextGen++
 	}
@@ -57,8 +56,8 @@ func (s *Sim) phaseRefill() {
 			if !nd.alive {
 				continue
 			}
-			nd.in.Refill(s.cfg.Tau)
-			nd.out.Refill(s.cfg.Tau)
+			nd.in.Refill(Tau)
+			nd.out.Refill(Tau)
 			// Per-period link grant counters, one per adjacency slot
 			// (adjacency lists mutate under churn between periods).
 			deg := len(s.g.Neighbors(nd.id))
@@ -98,7 +97,6 @@ func (s *Sim) phaseDeliver() {
 // row, and the timeline snapshot is read-only.
 func (s *Sim) phasePlayback() {
 	sessions := s.sessions
-	perTick := int(s.cfg.P*s.cfg.Tau + 1e-9)
 	n := len(s.nodes)
 	shards := s.ensureShards(n)
 	s.pool.Run(shards, func(_, shard int) {
@@ -108,7 +106,7 @@ func (s *Sim) phasePlayback() {
 			if !nd.alive || nd.isSource {
 				continue
 			}
-			st := nd.Advance(nd.buf, sessions, s.cfg.Q, s.cfg.Qs, perTick)
+			st := nd.Advance(nd.buf, sessions, s.cfg.Qs)
 			if k := s.win.Slot(nd.id); k >= 0 {
 				prepared := nd.Known > s.newSessionIdx && s.win.Preparing(k) && Prepared(nd.buf, s.s2Begin, s.cfg.Qs)
 				s.win.Step(k, s.tick, st, prepared)

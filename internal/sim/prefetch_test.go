@@ -121,8 +121,7 @@ func TestPrefetchMatchesProbeLoop(t *testing.T) {
 			s, err := New(singleSwitch(Config{
 				Graph: g, Seed: 5, NewAlgorithm: Fast,
 				FirstSource: source, SharedOutbound: shared,
-				HorizonTicks: 60, JoinSpreadTicks: 4,
-				ServeRounds: 3, Workers: 1,
+				HorizonTicks: 60, JoinSpreadTicks: 4, Workers: 1,
 			}, 45, -1))
 			if err != nil {
 				t.Fatal(err)

@@ -115,7 +115,7 @@ func (s *Sim) proposeShared(ws *serveScratch, sh *proposalOutbox, sid overlay.No
 func serveWorld(seed int64, shared bool) (*Sim, []Request) {
 	const segs, deg = 24, 3
 	rng := rand.New(rand.NewSource(seed))
-	s := &Sim{cfg: Config{Tau: 1, LinkShare: 1 + rng.Intn(6), SharedOutbound: shared}}
+	s := &Sim{cfg: Config{SharedOutbound: shared}}
 	for id := range 2 + rng.Intn(12) {
 		n := &nodeState{id: overlay.NodeID(id), buf: buffer.New(64), alive: rng.Intn(10) != 0}
 		n.in = bandwidth.NewBudget(float64(rng.Intn(6)))
@@ -155,7 +155,7 @@ func serveWorld(seed int64, shared bool) (*Sim, []Request) {
 func TestProposeMatchesOracle(t *testing.T) {
 	for _, shared := range []bool{true, false} {
 		t.Run(fmt.Sprintf("shared=%v", shared), func(t *testing.T) {
-			proposals, duplicates, full := 0, 0, 0
+			proposals, duplicates, full, capDenied := 0, 0, 0, 0
 			for seed := int64(1); seed <= 2000; seed++ {
 				got, reqs := serveWorld(seed, shared)
 				want, _ := serveWorld(seed, shared)
@@ -167,7 +167,7 @@ func TestProposeMatchesOracle(t *testing.T) {
 				if shared {
 					gotRNG, wantRNG = rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
 				}
-				ws := &workerScratch{Server: NewServer(PeerParams{Tau: 1, LinkShare: got.cfg.LinkShare, Shared: shared})}
+				ws := &workerScratch{Server: NewServer(PeerParams{Shared: shared})}
 				var gotSh shardScratch
 				var wantSh proposalOutbox
 				got.propose(ws, &gotSh, 0, reqs, gotRNG)
@@ -208,13 +208,36 @@ func TestProposeMatchesOracle(t *testing.T) {
 				if capped(got, seed) {
 					full++
 				}
+				if !shared {
+					capDenied += linkCapDenied(got, reqs, ws.Answers)
+				}
 			}
-			t.Logf("%d proposals compared, %d duplicate grants, %d queues that ran a budget or link out", proposals, duplicates, full)
-			if proposals == 0 || full == 0 || (shared && duplicates == 0) {
-				t.Fatal("the comparison is vacuous: no proposals, exhausted capacity or duplicate grants")
+			t.Logf("%d proposals compared, %d duplicate grants, %d queues that ran a budget or link out, %d requests denied by a spent link", proposals, duplicates, full, capDenied)
+			if proposals == 0 || full == 0 || (shared && duplicates == 0) || (!shared && capDenied == 0) {
+				t.Fatal("the comparison is vacuous: no proposals, exhausted capacity, duplicate grants or link-cap denials")
 			}
 		})
 	}
+}
+
+// linkCapDenied counts the requests of a per-link queue that supplier 0
+// denied only because their link's capacity was spent: it holds the
+// segment and the requester could still take it after its grants earlier
+// in the queue. Serving touches no requester state but the link counters,
+// so the facts read after the queue are the facts it was served against.
+func linkCapDenied(s *Sim, reqs []Request, answers []Answer) int {
+	denied := 0
+	granted := map[overlay.NodeID]int32{}
+	for _, a := range answers {
+		r := reqs[a.At]
+		switch {
+		case a.Grant:
+			granted[r.From]++
+		case s.nodes[0].buf.Has(r.Seg) && (*simFacts)(s).Takes(r, granted[r.From]):
+			denied++
+		}
+	}
+	return denied
 }
 
 // capped reports whether serving s's queue ran out of room: the

@@ -31,7 +31,6 @@ type Sim struct {
 	pipeline *engine.Pipeline
 	sched    *engine.Pipeline // the per-round plan → serve sub-pipeline
 
-	profRNG *rand.Rand
 	// jitterRNG is the serve commit's reusable jitter generator, reseeded
 	// to its per-(tick, round) stream before each commit's send pass.
 	jitterRNG *rand.Rand
@@ -138,7 +137,6 @@ func New(cfg Config) (*Sim, error) {
 	}
 	s := &Sim{
 		cfg:      cfg,
-		profRNG:  rand.New(rand.NewSource(cfg.Seed ^ 0x0ba5_e5)),
 		g:        cfg.Graph,
 		algo:     cfg.NewAlgorithm(),
 		bwFactor: 1,
@@ -146,32 +144,23 @@ func New(cfg Config) (*Sim, error) {
 	s.resolver = NewResolver(cfg, (*simFacts)(s))
 	s.dir = s.resolver.Directory()
 
-	profiles := cfg.Profiles
-	if profiles == nil {
-		profiles = bandwidth.Assign(s.g.N(), s.profRNG)
-	}
+	profiles, startTicks := cfg.Arrivals()
 	s.nodes = make([]*nodeState, s.g.N())
-	stagger := rand.New(rand.NewSource(cfg.Seed ^ 0x57a6)) // arrival times
 	for i := range s.nodes {
-		n := newNodeState(overlay.NodeID(i), profiles[i], cfg.BufferCap, 0)
-		if cfg.JoinSpreadTicks > 0 {
-			n.startTick = stagger.Intn(cfg.JoinSpreadTicks + 1)
-			n.alive = n.startTick == 0
-		}
+		n := newNodeState(overlay.NodeID(i), profiles[i], 0)
+		n.startTick = startTicks[i]
+		n.alive = n.startTick == 0
 		s.nodes[i] = n
 	}
 	s.oldSource = cfg.InitialSource()
 	s.tl = segment.NewTimeline(segment.SourceID(s.oldSource))
-	src := s.nodes[s.oldSource]
-	src.becomeSource(cfg.SourceOutFactor * cfg.P)
-	src.alive = true // the session exists from the moment its source speaks
-	src.startTick = 0
+	s.nodes[s.oldSource].becomeSource()
 
 	s.incoming = make([][]Request, len(s.nodes))
 	s.newSessionIdx = -1
 	s.newSource = -1
 	if cfg.Net != nil {
-		s.net = netmodel.New(*cfg.Net, cfg.Tau)
+		s.net = netmodel.New(*cfg.Net, Tau)
 		// Reserve room for a few grants in flight per node — the
 		// steady-state population under sub-period link delays — so the
 		// warm-up ticks never grow the transport's heaps.
@@ -192,8 +181,7 @@ func New(cfg Config) (*Sim, error) {
 	}
 	s.pool = engine.NewPool(workers)
 	s.workers = make([]*workerScratch, s.pool.Workers())
-	par := PeerParams{Tau: cfg.Tau, P: cfg.P, Q: cfg.Q, Qs: cfg.Qs, BufferCap: cfg.BufferCap,
-		LinkShare: cfg.LinkShare, Shared: cfg.SharedOutbound}
+	par := PeerParams{Qs: cfg.Qs, Shared: cfg.SharedOutbound}
 	for i := range s.workers {
 		s.workers[i] = &workerScratch{Planner: NewPlanner(cfg.NewAlgorithm(), par), Server: NewServer(par)}
 	}
@@ -231,7 +219,7 @@ func New(cfg Config) (*Sim, error) {
 		s.obsEvents = reg.Counter("gossip_events_total", "scenario events fired")
 		s.obsWindows = reg.Counter("gossip_windows_closed_total", "measurement windows closed")
 	}
-	s.win = NewWindow(cfg.Tau, s.trace, s.obsWindows)
+	s.win = NewWindow(Tau, s.trace, s.obsWindows)
 	return s, nil
 }
 
@@ -417,7 +405,7 @@ func (s *Sim) applyMembership(d *Directive) {
 	}
 	s.sessions = s.tl.SessionsInto(s.sessions)
 	for _, js := range d.Joins {
-		n := newNodeState(js.ID, js.Profile, s.cfg.BufferCap, s.tick)
+		n := newNodeState(js.ID, js.Profile, s.tick)
 		n.Playback = JoinPlayback(s.sessions, js.Anchor)
 		s.applyShift(n)
 		s.nodes = append(s.nodes, n)
@@ -454,7 +442,7 @@ func (s *Sim) applySwitch(d *Directive) {
 	s.oldSource, s.newSource = d.Old, d.New
 
 	ns := s.nodes[d.New]
-	ns.becomeSource(s.cfg.SourceOutFactor * s.cfg.P)
+	ns.becomeSource()
 	// The synchronization mechanism the paper assumes: the new source
 	// knows S1's ending segment id and embeds it in its first segments.
 	ns.Known = s.newSessionIdx + 1
@@ -561,7 +549,7 @@ func (s *Sim) applyShift(n *nodeState) {
 // linkCap is the per-period grant capacity of each of j's links in the
 // per-link substrate.
 func (s *Sim) linkCap(j *nodeState) int {
-	return LinkCap(LinkRate(j.out.Rate(), s.cfg.LinkShare, s.cfg.Tau, false), s.cfg.Tau)
+	return LinkCap(LinkRate(j.out.Rate(), false))
 }
 
 // phaseRecord appends the tick's aggregate ratio points (bit counters

@@ -38,11 +38,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 	g := testTopology(t, 50, 1)
 	bad := quickConfig(g, Fast)
-	bad.Profiles = make([]bandwidth.Profile, 3)
-	if err := bad.Defaulted().Validate(); err == nil {
-		t.Error("profile count mismatch accepted")
-	}
-	bad = quickConfig(g, Fast)
 	bad.FirstSource = 1000
 	if err := bad.Defaulted().Validate(); err == nil {
 		t.Error("out-of-range FirstSource accepted")
@@ -65,9 +60,15 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestDefaultsMatchPaper(t *testing.T) {
-	c := Config{}.Defaulted()
-	if c.Tau != 1.0 || c.P != 10 || c.Q != 10 || c.Qs != 50 || c.BufferCap != 600 {
-		t.Errorf("defaults diverge from Section 5.1: %+v", c)
+	if Tau != 1.0 || bandwidth.PlayRate != 10 || Q != 10 || BufferCap != 600 || PerTick != 10 || ServeRounds != 3 {
+		t.Errorf("constants diverge from Section 5.1: τ=%v p=%v Q=%v B=%v p·τ=%v rounds=%v",
+			Tau, bandwidth.PlayRate, Q, BufferCap, PerTick, ServeRounds)
+	}
+	if src := bandwidth.SourceProfile(); src != (bandwidth.Profile{In: 0, Out: 6 * bandwidth.PlayRate}) {
+		t.Errorf("source profile %+v, want zero inbound and 6p outbound", src)
+	}
+	if c := (Config{}).Defaulted(); c.Qs != 50 {
+		t.Errorf("default Qs %d, want 50", c.Qs)
 	}
 }
 
@@ -178,7 +179,6 @@ func TestTickInvariants(t *testing.T) {
 			prevPlayheads[n.id] = int64(n.Playhead)
 		}
 		s.step()
-		perTick := int(s.cfg.P * s.cfg.Tau)
 		seen := map[[2]int64]bool{}
 		perNode := map[overlay.NodeID]int{}
 		for si := range s.shards {
@@ -194,7 +194,7 @@ func TestTickInvariants(t *testing.T) {
 		for id, got := range perNode {
 			n := s.nodes[id]
 			// Inbound cap: rate·τ plus one carry segment.
-			if float64(got) > n.profile.In*s.cfg.Tau+1 {
+			if float64(got) > n.profile.In*Tau+1 {
 				t.Fatalf("tick %d: node %d received %d > inbound %v", s.tick, id, got, n.profile.In)
 			}
 		}
@@ -206,7 +206,7 @@ func TestTickInvariants(t *testing.T) {
 			if adv < 0 && n.Active {
 				t.Fatalf("tick %d: node %d playhead moved backwards", s.tick, n.id)
 			}
-			if adv > int64(perTick) && prevPlayheads[n.id] > 0 {
+			if adv > int64(PerTick) && prevPlayheads[n.id] > 0 {
 				t.Fatalf("tick %d: node %d played %d > p segments", s.tick, n.id, adv)
 			}
 			// A playing node must hold every segment it has played up to
