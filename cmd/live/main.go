@@ -140,8 +140,9 @@ func main() {
 			fmt.Println()
 		}
 
+		tr := makeTransport(*transport, sc.Seed)
 		r, err := runtime.FromScenario(sc, factory, runtime.Options{
-			Transport:  makeTransport(*transport, sc.Seed),
+			Transport:  tr,
 			TimeScale:  *timescale,
 			Obs:        o,
 			StatsEvery: *statsEvery,
@@ -158,6 +159,9 @@ func main() {
 			label = "live/" + algoName
 		}
 		res, err := r.Run()
+		if tr != nil {
+			tr.Close()
+		}
 		if err != nil {
 			fatal(err)
 		}
@@ -327,8 +331,9 @@ func runJoin(starter, token string, seed int64, debugAddr, traceFile string, sta
 	}
 }
 
-// makeTransport builds a fresh transport per run (a runner owns and
-// closes its transport).
+// makeTransport builds a fresh transport per run; nil leaves the choice
+// (and the closing) to the runner. A transport returned here is the
+// caller's to close.
 func makeTransport(kind string, seed int64) runtime.Transport {
 	switch kind {
 	case "chan":

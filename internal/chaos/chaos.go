@@ -24,11 +24,12 @@ type Kind uint8
 
 const (
 	// Kill fail-stops the worker at the fault's tick: the agent aborts
-	// its peers, closes its control socket and returns ErrKilled — from
-	// the cluster's point of view, a crash.
+	// its peers, closes its transport (the process's one socket) and
+	// returns ErrKilled — from the cluster's point of view, a crash.
 	Kill Kind = iota + 1
 	// Hang wedges the worker's run loop for Ticks scheduling periods
-	// (statuses stop; the link's reader keeps answering keepalives).
+	// (statuses stop; the transport's reader keeps answering keepalives
+	// through the control link).
 	Hang
 	// DropAcks suppresses the worker's outbound control acks for Ticks
 	// periods; directives still apply, but the coordinator's reliable
@@ -116,7 +117,7 @@ type Step struct {
 
 // Injector executes one shard's share of a Plan. Step is called from
 // the agent's run loop once per tick; DropAcksActive is consulted from
-// the link's reader goroutine, hence the lock.
+// the transport's reader goroutine, hence the lock.
 type Injector struct {
 	mu      sync.Mutex
 	shard   int

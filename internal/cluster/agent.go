@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"gossipstream/internal/chaos"
-	"gossipstream/internal/netmodel"
 	"gossipstream/internal/obs"
 	"gossipstream/internal/runtime"
 	"gossipstream/internal/scenario"
@@ -20,7 +18,7 @@ import (
 type JoinConfig struct {
 	Starter string // the starter node's control address (host:port)
 	Token   string // shared HMAC secret
-	Seed    int64  // control-plane socket seed (any value; 0 is fine)
+	Seed    int64  // seeds the process's shaping and gossip draws (any value; 0 is fine)
 	Logf    func(format string, args ...any)
 
 	// Obs, Debug and StatsEvery mirror Config: instrument the shard's
@@ -60,8 +58,12 @@ func Join(cfg JoinConfig) (*sim.Result, error) {
 	if cfg.Debug != "" && cfg.Obs == nil {
 		cfg.Obs = &obs.Obs{Reg: obs.NewRegistry()}
 	}
+	// The one socket binds before the hello: the welcome, the shard's
+	// peers and its control traffic all arrive on it.
 	book := NewDirectory(cfg.Seed ^ 0x0d1c7)
-	l, err := newLink("", -1, cfg.Token, book, cfg.Seed^0xa6e27)
+	tr := runtime.NewUDPTransport(cfg.Seed ^ 0x11fe)
+	defer tr.Close()
+	l, err := newLink(tr, "", -1, cfg.Token, book)
 	if err != nil {
 		return nil, err
 	}
@@ -81,8 +83,6 @@ func Join(cfg JoinConfig) (*sim.Result, error) {
 	l.setShard(w.Shard)
 	book.MergeWire(w.Dir)
 
-	tr := runtime.NewUDPTransport(sc.Seed ^ 0x11fe ^ int64(w.Shard))
-	tr.SetAddrBook(book)
 	r, err := runtime.FromScenario(sc, algoFactory(w.Algo), runtime.Options{
 		Transport: tr, TimeScale: w.TimeScale,
 		Obs: cfg.Obs, StatsEvery: cfg.StatsEvery, Logf: cfg.Logf,
@@ -98,9 +98,6 @@ func Join(cfg JoinConfig) (*sim.Result, error) {
 		defer dbg.Close()
 		cfg.logf("cluster: debug endpoint on http://%s", dbg.Addr())
 	}
-	var tick atomic.Int64
-	l.setPolicy(func() netmodel.LinkPolicy { return r.Policy() },
-		func() int { return int(tick.Load()) }, 1/w.TimeScale)
 	ackWelcome()
 
 	if err := awaitStart(l); err != nil {
@@ -117,7 +114,7 @@ func Join(cfg JoinConfig) (*sim.Result, error) {
 		})
 	}
 	a := &agent{cfg: cfg, l: l, book: book, r: r, shard: w.Shard,
-		shards: w.Shards, tick: &tick, inj: inj,
+		shards: w.Shards, inj: inj,
 		rng: rand.New(rand.NewSource(cfg.Seed ^ 0x905517)),
 	}
 	return a.run()
@@ -127,7 +124,7 @@ func Join(cfg JoinConfig) (*sim.Result, error) {
 // arrives; the returned ack closure must be called once the agent is
 // ready to receive sequenced traffic under its assigned shard.
 func awaitWelcome(cfg JoinConfig, l *link) (*Welcome, func(), error) {
-	hello := &Hello{Addr: l.addr()}
+	hello := &Hello{Addr: l.addr}
 	deadline := time.After(5 * time.Minute)
 	t := time.NewTicker(helloEvery)
 	defer t.Stop()
@@ -181,7 +178,6 @@ type agent struct {
 	r      *runtime.Runner
 	shard  int
 	shards int
-	tick   *atomic.Int64
 	rng    *rand.Rand
 	inj    *chaos.Injector
 
@@ -201,7 +197,7 @@ func (a *agent) run() (*sim.Result, error) {
 	// coordinator that died partitioned cannot wedge the process.
 	fallback := time.Now().Add(time.Duration(r.Duration()+60)*periodWall + time.Minute)
 	for r.CurrentTick() < r.Duration() && !a.finishing {
-		a.tick.Store(int64(r.CurrentTick()))
+		a.l.tick.Store(int64(r.CurrentTick()))
 		if inj := a.inj; inj != nil {
 			st := inj.Step(r.CurrentTick())
 			if st.Kill {

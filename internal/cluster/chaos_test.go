@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	stdruntime "runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -106,7 +107,7 @@ func TestClusterSurvivesWorkerKill(t *testing.T) {
 
 // TestClusterHangOnlySuspects scripts a worker hang (plus ack-drop and
 // delayed-status windows on the other worker): the detector must
-// suspect the wedged shard — the link's reader keeps answering
+// suspect the wedged shard — the transport's reader keeps answering
 // keepalives — but never declare it dead, and the run completes with
 // zero failovers once the shard wakes up.
 func TestClusterHangOnlySuspects(t *testing.T) {
@@ -222,5 +223,33 @@ func TestClusterRejectsFalseFailover(t *testing.T) {
 	}
 	if err := sim.CheckLiveInvariants(scfg, res); err != nil {
 		t.Errorf("live invariants: %v", err)
+	}
+}
+
+// TestClusterErrorsOnSilentShard: a worker that was never failed over
+// but never delivered a status makes the run an error naming the shard,
+// not a merged result. The detector is off and the coordinator unpaced,
+// so all 30 coordinator ticks pass while the one joiner is wedged at its
+// first tick; it wakes to the finish directive and reports, statusless.
+func TestClusterErrorsOnSilentShard(t *testing.T) {
+	sc := &scenario.Scenario{
+		Name: "silent", Nodes: 24, M: 5, Seed: 3, Horizon: 20, Duration: 30,
+		Events: []sim.Event{sim.SwitchAt(5, -1)},
+	}
+	// 40000 periods of 50 µs: a 2 s hang, far past the coordinator's run.
+	plan := &chaos.Plan{Faults: []chaos.Fault{{Shard: 1, Tick: 0, Kind: chaos.Hang, Ticks: 40000}}}
+	if err := plan.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	_, errs, err := launchCluster(t, sc, 1, 20000,
+		func(cfg *Config) { cfg.Tuning = Tuning{SuspectAfter: 1 << 20} },
+		func(_ int, jc *JoinConfig) { jc.Chaos = plan })
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("join %d: %v", i, err)
+		}
+	}
+	if err == nil || !strings.Contains(err.Error(), "shard 1") {
+		t.Fatalf("serve returned %v, want an error naming the silent shard 1", err)
 	}
 }

@@ -19,6 +19,18 @@ import (
 func runClusterOpts(t *testing.T, sc *scenario.Scenario, workers int, timeScale float64,
 	mutate func(*Config), mutateJoin func(int, *JoinConfig)) (*sim.Result, []error) {
 	t.Helper()
+	res, errs, err := launchCluster(t, sc, workers, timeScale, mutate, mutateJoin)
+	if err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+	return res, errs
+}
+
+// launchCluster is runClusterOpts with the starter's error returned
+// unjudged too.
+func launchCluster(t *testing.T, sc *scenario.Scenario, workers int, timeScale float64,
+	mutate func(*Config), mutateJoin func(int, *JoinConfig)) (*sim.Result, []error, error) {
+	t.Helper()
 	addrCh := make(chan string, 1)
 	type out struct {
 		res *sim.Result
@@ -63,10 +75,7 @@ func runClusterOpts(t *testing.T, sc *scenario.Scenario, workers int, timeScale 
 	}
 	got := <-servCh
 	wg.Wait()
-	if got.err != nil {
-		t.Fatalf("serve: %v", got.err)
-	}
-	return got.res, errs
+	return got.res, errs, got.err
 }
 
 // runCluster is runClusterOpts with defaults and every join required to
@@ -97,10 +106,9 @@ func TestClusterParityPaperSingleSwitch(t *testing.T) {
 	}
 	sc := scenario.PaperSingleSwitch().Scaled(60)
 
-	r, err := runtime.FromScenario(sc, sim.Fast, runtime.Options{
-		Transport: runtime.NewUDPTransport(sc.Seed ^ 0x11fe),
-		TimeScale: 50,
-	})
+	tr := runtime.NewUDPTransport(sc.Seed ^ 0x11fe)
+	defer tr.Close()
+	r, err := runtime.FromScenario(sc, sim.Fast, runtime.Options{Transport: tr, TimeScale: 50})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"gossipstream/internal/netmodel"
 	"gossipstream/internal/obs"
 	"gossipstream/internal/overlay"
 	"gossipstream/internal/runtime"
@@ -141,16 +140,22 @@ func Serve(cfg Config) (*sim.Result, runtime.LiveStats, error) {
 	sc := cfg.Scenario
 	shards := cfg.Workers + 1
 
+	// One socket for the whole process: the control link and shard 0's
+	// peers share the transport bound at cfg.Listen. The runner does not
+	// close a transport it was handed, so the report exchange after
+	// FinishShard still has it.
 	book := NewDirectory(sc.Seed ^ 0xd1c7)
-	l, err := newLink(cfg.Listen, 0, cfg.Token, book, sc.Seed^0xc771)
+	tr := runtime.NewUDPTransport(sc.Seed ^ 0x11fe)
+	defer tr.Close()
+	l, err := newLink(tr, cfg.Listen, 0, cfg.Token, book)
 	if err != nil {
 		return nil, stats, err
 	}
 	defer l.close()
 	l.setObs(cfg.Obs)
-	cfg.logf("cluster: coordinator listening on %s (%d shards)", l.addr(), shards)
+	cfg.logf("cluster: coordinator listening on %s (%d shards)", l.addr, shards)
 	if cfg.Ready != nil {
-		cfg.Ready(l.addr())
+		cfg.Ready(l.addr)
 	}
 
 	workerShards, err := awaitWorkers(cfg, sc, l, book, shards)
@@ -158,8 +163,6 @@ func Serve(cfg Config) (*sim.Result, runtime.LiveStats, error) {
 		return nil, stats, err
 	}
 
-	tr := runtime.NewUDPTransport(sc.Seed ^ 0x11fe)
-	tr.SetAddrBook(book)
 	r, err := runtime.FromScenario(sc, algoFactory(cfg.Algo), runtime.Options{
 		Transport: tr, TimeScale: cfg.TimeScale,
 		Obs: cfg.Obs, StatsEvery: cfg.StatsEvery, Logf: cfg.Logf,
@@ -167,12 +170,9 @@ func Serve(cfg Config) (*sim.Result, runtime.LiveStats, error) {
 	if err != nil {
 		return nil, stats, err
 	}
-	var tick atomic.Int64
-	l.setPolicy(func() netmodel.LinkPolicy { return r.Policy() },
-		func() int { return int(tick.Load()) }, 1/cfg.TimeScale)
 
-	// Shard 0 spawns before the workers are released: its socket is
-	// bound and its nodes published before any worker's first
+	// Shard 0 spawns before the workers are released: its nodes are
+	// published before any worker's first
 	// advertisement looks them up, and its set-up does not compete for
 	// the CPUs with peers already ticking.
 	if err := r.StartShard(0, shards); err != nil {
@@ -184,8 +184,7 @@ func Serve(cfg Config) (*sim.Result, runtime.LiveStats, error) {
 		l.send(w, &Payload{Kind: "start", Start: &Start{Workers: cfg.Workers}})
 	}
 
-	co := &coordinator{cfg: cfg, l: l, book: book, r: r, shards: shards,
-		workers: workerShards, tick: &tick,
+	co := &coordinator{cfg: cfg, l: l, book: book, r: r, shards: shards, workers: workerShards,
 		lastStatus: make(map[int]*Status),
 		health:     make(map[int]*shardHealth),
 		det: NewDetector(DetectorConfig{
@@ -272,7 +271,6 @@ type coordinator struct {
 	r       *runtime.Runner
 	shards  int
 	workers []int
-	tick    *atomic.Int64
 
 	lastStatus map[int]*Status
 
@@ -283,7 +281,7 @@ type coordinator struct {
 
 	// The fail-stop machinery (see failover.go): the per-worker failure
 	// detector, the set of shards already declared dead, keepalive pongs
-	// collected from the link's reader goroutine, and the counters.
+	// collected from the transport's reader goroutine, and the counters.
 	det    *Detector
 	dead   map[int]bool
 	pongMu sync.Mutex
@@ -313,7 +311,7 @@ type coordinator struct {
 func (c *coordinator) run() (*sim.Result, error) {
 	r := c.r
 	for r.CurrentTick() < r.Duration() {
-		c.tick.Store(int64(r.CurrentTick()))
+		c.l.tick.Store(int64(r.CurrentTick()))
 		c.drainInbox()
 		if err := c.fireEvents(); err != nil {
 			return nil, err
@@ -354,6 +352,14 @@ func (c *coordinator) run() (*sim.Result, error) {
 	parts, err := c.collectReports()
 	if err != nil {
 		return nil, err
+	}
+	// A worker that was not failed over yet never delivered a status ran
+	// no period the coordinator saw; merging its report would pass the
+	// run off as complete.
+	for _, w := range c.workers {
+		if c.lastStatus[w] == nil {
+			return nil, fmt.Errorf("cluster: shard %d never delivered a status", w)
+		}
 	}
 	return sim.MergeWindows(append([]*sim.Result{local}, parts...)), nil
 }

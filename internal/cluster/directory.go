@@ -24,7 +24,7 @@ import (
 	"gossipstream/internal/runtime"
 )
 
-// CtrlIDBase offsets agent control sockets in the shared address
+// CtrlIDBase offsets agent control endpoints in the shared address
 // directory: the control endpoint of shard k is directory entry
 // CtrlIDBase+k. Far outside any scenario's node id range, so peer and
 // agent addresses gossip through one epidemic.

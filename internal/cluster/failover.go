@@ -118,7 +118,7 @@ func (d *Detector) Observe(shard int) *Transition {
 }
 
 // Pong records a keepalive answer. A pong is weaker than a status — the
-// link's reader goroutine answers pings even while the shard's run loop
+// transport's reader goroutine answers pings even while the shard's run loop
 // hangs — so it does not clear suspicion, but it caps the miss counter
 // just below the death threshold: a hung-but-alive worker stays
 // suspected indefinitely instead of being declared dead.
@@ -189,7 +189,7 @@ func (d *Detector) Suspected() []int {
 
 // ---- coordinator side ----
 
-// notePong collects a keepalive answer; called from the link's reader
+// notePong collects a keepalive answer; called from the transport's reader
 // goroutine, drained into the detector by detectTick.
 func (c *coordinator) notePong(from int) {
 	c.pongMu.Lock()
@@ -204,15 +204,7 @@ func (c *coordinator) notePong(from int) {
 // resolved by this coordinator, so freezing the detector on them is
 // deterministic — a scripted fault can never trigger a false failover.
 func (c *coordinator) excused(shard int) bool {
-	p := c.r.Policy()
-	if p == nil {
-		return false
-	}
-	tick := c.r.CurrentTick()
-	if p.LossProb(tick) > 0 {
-		return true
-	}
-	return p.Blocked(0, overlay.NodeID(shard))
+	return c.r.PathImpaired(0, overlay.NodeID(shard))
 }
 
 // detectTick runs one failure-detector step: drain the pongs collected

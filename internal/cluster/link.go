@@ -2,10 +2,9 @@ package cluster
 
 import (
 	"fmt"
-	"math/rand"
-	"net"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gossipstream/internal/netmodel"
@@ -37,43 +36,44 @@ type inMsg struct {
 	Ack  func(reply *Payload)
 }
 
-// link is one process's control endpoint: a UDP socket speaking sealed
-// runtime frames, with a reliable sequenced channel per peer shard on
-// top (retry until acked, in-order delivery, duplicate suppression)
-// and unsequenced fire-and-forget for per-tick status.
+// link is one process's control endpoint: sealed runtime frames over the
+// process's one UDPTransport socket, with a reliable sequenced channel
+// per peer shard on top (retry until acked, in-order delivery, duplicate
+// suppression) and unsequenced fire-and-forget for per-tick status. The
+// transport's reader hands the link every control frame; the link sends
+// through the transport's shaper.
 //
 // Frames carry From/To as shard anchor node ids (shard k ↔ node id k,
 // which shard k owns by the id-mod-shards split), so the run's shared
-// LinkPolicy can judge control traffic exactly as it judges peer
-// traffic: a partition that separates the anchor nodes severs the
-// control plane. The policy applies on the way OUT only — each process
-// polices its own sends — so a coordinator that heals its own policy
-// first can always re-reach workers whose policies still carry the
-// partition; their acks start flowing once the heal directive lands.
+// LinkPolicy judges control traffic exactly as it judges peer traffic:
+// a partition that separates the anchor nodes severs the control plane.
+// The shaper polices a process's sends only, so a coordinator that heals
+// its own policy first can always re-reach workers whose policies still
+// carry the partition; their acks start flowing once the heal directive
+// lands.
 type link struct {
 	shard int
 	token []byte
 	book  *Directory
-	conn  *net.UDPConn
+	tr    *runtime.UDPTransport
+	addr  string // the transport's socket: this process's control address
+
+	// tick is the driving loop's current period, for the retry trace.
+	tick atomic.Int64
 
 	mu      sync.Mutex
-	rng     *rand.Rand
-	policy  func() netmodel.LinkPolicy // nil or returning nil: unshaped
-	tickFn  func() int
-	wallPer float64 // wall ms per scenario ms, for shaped control delay
 	nextSeq map[int]uint64
-	pending map[pendKey]*pendFrame
+	pending map[pendKey]runtime.Frame
 	waiters map[pendKey]chan []byte
 	inNext  map[int]uint64
 	held    map[int]map[uint64]runtime.Frame
-	replies map[pendKey][]byte // sealed ack datagrams, for dup re-ack
-	remote  map[string]*net.UDPAddr
+	replies map[pendKey]runtime.Frame // sealed acks, for dup re-ack
 	closed  bool
 
 	// Keepalive: the coordinator probes suspected shards with FramePing;
-	// any link answers from its reader goroutine (proving the process
-	// alive even when its run loop is wedged), and onPong feeds answers
-	// back to the failure detector.
+	// any link answers from the transport's reader goroutine (proving the
+	// process alive even when its run loop is wedged), and onPong feeds
+	// answers back to the failure detector.
 	onPong    func(from int)
 	pingNonce int64
 
@@ -98,79 +98,50 @@ type pendKey struct {
 	seq   uint64
 }
 
-type pendFrame struct {
-	data []byte
-	to   int
-}
-
-// newLink binds a control socket on listen ("" for an ephemeral
-// loopback port) and, when the shard is already known (the
-// coordinator), publishes it in the directory under CtrlIDBase+shard
-// so gossip spreads it. A joiner binds with shard -1 and calls
-// setShard once the welcome assigns one.
-func newLink(listen string, shard int, token string, book *Directory, seed int64) (*link, error) {
-	laddr := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 0}
-	if listen != "" {
-		var err error
-		if laddr, err = net.ResolveUDPAddr("udp", listen); err != nil {
-			return nil, fmt.Errorf("cluster: bad listen address %q: %w", listen, err)
-		}
-	}
-	conn, err := net.ListenUDP("udp", laddr)
+// newLink binds the process's transport on listen ("" for an ephemeral
+// loopback port) — installing book as its address book first — and
+// attaches the link as the transport's control handler. When the shard
+// is already known (the coordinator), it publishes the socket in the
+// directory under CtrlIDBase+shard so gossip spreads it. A joiner binds
+// with shard -1 and calls setShard once the welcome assigns one.
+func newLink(tr *runtime.UDPTransport, listen string, shard int, token string, book *Directory) (*link, error) {
+	tr.SetAddrBook(book)
+	addr, err := tr.Bind(listen)
 	if err != nil {
-		return nil, fmt.Errorf("cluster: control bind: %w", err)
+		return nil, fmt.Errorf("cluster: control bind on %q: %w", listen, err)
 	}
-	conn.SetReadBuffer(udpCtrlBuf)
-	conn.SetWriteBuffer(udpCtrlBuf)
 	l := &link{
 		shard:   shard,
 		token:   []byte(token),
 		book:    book,
-		conn:    conn,
-		rng:     rand.New(rand.NewSource(seed)),
-		wallPer: 1,
+		tr:      tr,
+		addr:    addr,
 		nextSeq: make(map[int]uint64),
-		pending: make(map[pendKey]*pendFrame),
+		pending: make(map[pendKey]runtime.Frame),
 		waiters: make(map[pendKey]chan []byte),
 		inNext:  make(map[int]uint64),
 		held:    make(map[int]map[uint64]runtime.Frame),
-		replies: make(map[pendKey][]byte),
-		remote:  make(map[string]*net.UDPAddr),
+		replies: make(map[pendKey]runtime.Frame),
 		inbox:   make(chan inMsg, 256),
 		done:    make(chan struct{}),
 	}
 	if shard >= 0 {
-		book.Publish(CtrlIDBase+overlay.NodeID(shard), conn.LocalAddr().String())
+		book.Publish(CtrlIDBase+overlay.NodeID(shard), addr)
 	}
-	l.wg.Add(2)
-	go l.read()
+	tr.SetControl(l.receive)
+	l.wg.Add(1)
 	go l.retryLoop()
 	return l, nil
 }
 
 // setShard records a joiner's welcome-assigned shard and publishes its
-// control socket under the corresponding directory id. Must run before
+// control address under the corresponding directory id. Must run before
 // the welcome is acked (the ack carries the shard's anchor id).
 func (l *link) setShard(shard int) {
 	l.mu.Lock()
 	l.shard = shard
 	l.mu.Unlock()
-	l.book.Publish(CtrlIDBase+overlay.NodeID(shard), l.conn.LocalAddr().String())
-}
-
-// udpCtrlBuf sizes the control socket; modest next to the data plane's
-// buffers, but explicit for the same reason.
-const udpCtrlBuf = 1 << 20
-
-// setPolicy installs the run's policy seam: the accessor is consulted
-// per send, so mid-run mutations (partitions, loss bursts) apply
-// immediately.
-func (l *link) setPolicy(p func() netmodel.LinkPolicy, tick func() int, wallPerScenarioMS float64) {
-	l.mu.Lock()
-	l.policy = p
-	l.tickFn = tick
-	l.wallPer = wallPerScenarioMS
-	l.mu.Unlock()
+	l.book.Publish(CtrlIDBase+overlay.NodeID(shard), l.addr)
 }
 
 // setObs attaches the control plane's telemetry sinks.
@@ -206,10 +177,8 @@ func (l *link) dropFrame(kind runtime.FrameKind) bool {
 	return fn != nil && fn(kind)
 }
 
-// addr is the bound control address.
-func (l *link) addr() string { return l.conn.LocalAddr().String() }
-
-// close shuts the socket and reaps the goroutines.
+// close detaches the link from the transport and stops the retry loop;
+// the transport (and its socket) stays with its owner.
 func (l *link) close() {
 	l.mu.Lock()
 	if l.closed {
@@ -218,8 +187,8 @@ func (l *link) close() {
 	}
 	l.closed = true
 	l.mu.Unlock()
+	l.tr.SetControl(nil)
 	close(l.done)
-	l.conn.Close()
 	l.wg.Wait()
 }
 
@@ -275,7 +244,7 @@ func (l *link) probe(dest int) {
 		},
 	}
 	seal(&f, l.token)
-	l.transmit(dest, runtime.EncodeFrame(f))
+	l.transmit(dest, f)
 }
 
 // lastSeq is the highest sequence number handed to the peer shard —
@@ -291,8 +260,8 @@ func (l *link) lastSeq(dest int) uint64 {
 // retried until acknowledged and delivered in sequence order. Returns
 // the assigned sequence number.
 func (l *link) send(dest int, p *Payload) uint64 {
-	data, seq := l.sealSequenced(dest, p)
-	l.transmit(dest, data)
+	f, seq := l.sealSequenced(dest, p)
+	l.transmit(dest, f)
 	return seq
 }
 
@@ -302,13 +271,13 @@ func (l *link) send(dest int, p *Payload) uint64 {
 // timeout — a severed control plane that outlasts the caller's
 // patience.
 func (l *link) call(dest int, p *Payload, timeout time.Duration) (*Payload, error) {
-	data, seq := l.sealSequenced(dest, p)
+	f, seq := l.sealSequenced(dest, p)
 	ch := make(chan []byte, 1)
 	key := pendKey{dest, seq}
 	l.mu.Lock()
 	l.waiters[key] = ch
 	l.mu.Unlock()
-	l.transmit(dest, data)
+	l.transmit(dest, f)
 	select {
 	case reply := <-ch:
 		if len(reply) == 0 {
@@ -334,11 +303,11 @@ func (l *link) cast(dest int, p *Payload) {
 		Ctrl: encodePayload(p),
 	}
 	seal(&f, l.token)
-	l.transmit(dest, runtime.EncodeFrame(f))
+	l.transmit(dest, f)
 }
 
 // gossip pushes a directory delta batch to a peer shard's control
-// socket — the agent-to-agent anti-entropy round.
+// endpoint — the agent-to-agent anti-entropy round.
 func (l *link) gossip(dest int, entries []runtime.DirEntry) {
 	if len(entries) == 0 {
 		return
@@ -349,27 +318,23 @@ func (l *link) gossip(dest int, entries []runtime.DirEntry) {
 		Dir:  entries,
 	}
 	seal(&f, l.token)
-	l.transmit(dest, runtime.EncodeFrame(f))
+	l.transmit(dest, f)
 }
 
 // sendHello knocks on an explicit address (the starter, known from the
 // command line — the only address that is ever configured rather than
 // gossiped).
 func (l *link) sendHello(to string, h *Hello) error {
-	addr, err := l.resolve(to)
-	if err != nil {
-		return err
-	}
 	f := runtime.Frame{
 		Kind: runtime.FrameHello,
 		// The joiner has no shard yet; the anchor is out of the policy's
-		// id range and hellos skip shaping (pure pre-run bootstrap).
+		// id range, and no policy is installed before the welcome (pure
+		// pre-run bootstrap).
 		Msg:  netmodel.Message{From: CtrlIDBase, To: CtrlIDBase},
 		Ctrl: encodePayload(&Payload{Kind: "hello", Hello: h}),
 	}
 	seal(&f, l.token)
-	_, err = l.conn.WriteToUDP(runtime.EncodeFrame(f), addr)
-	return err
+	return l.tr.SendControl(f, to)
 }
 
 // anchor is this shard's policy-visible node id (the joiner's shard is
@@ -382,7 +347,7 @@ func (l *link) anchor() overlay.NodeID {
 
 // sealSequenced assigns the next sequence number toward dest, seals the
 // frame and registers it for retry.
-func (l *link) sealSequenced(dest int, p *Payload) ([]byte, uint64) {
+func (l *link) sealSequenced(dest int, p *Payload) (runtime.Frame, uint64) {
 	l.mu.Lock()
 	l.nextSeq[dest]++
 	seq := l.nextSeq[dest]
@@ -396,84 +361,23 @@ func (l *link) sealSequenced(dest int, p *Payload) ([]byte, uint64) {
 		Ctrl: encodePayload(p),
 	}
 	seal(&f, l.token)
-	data := runtime.EncodeFrame(f)
 	l.mu.Lock()
-	l.pending[pendKey{dest, seq}] = &pendFrame{data: data, to: dest}
+	l.pending[pendKey{dest, seq}] = f
 	l.mu.Unlock()
-	return data, seq
+	return f, seq
 }
 
-// transmit puts one sealed datagram toward a shard through the policy
-// gate: blocked links drop it, shaped links may lose or delay it. The
-// reliable layer's retries (not the wire) provide delivery.
-func (l *link) transmit(dest int, data []byte) {
-	addrStr, ok := l.book.Resolve(CtrlIDBase + overlay.NodeID(dest))
+// transmit hands one sealed control frame to the transport toward a
+// shard's control endpoint. The transport's shaper applies the run's
+// policy; the reliable layer's retries (not the wire) provide delivery.
+func (l *link) transmit(dest int, f runtime.Frame) {
+	addr, ok := l.book.Resolve(CtrlIDBase + overlay.NodeID(dest))
 	if !ok {
 		return // address not yet gossiped: a later retry will find it
 	}
-	addr, err := l.resolve(addrStr)
-	if err != nil {
-		return
-	}
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return
-	}
-	var delay time.Duration
-	if l.policy != nil {
-		if p := l.policy(); p != nil {
-			from, to := overlay.NodeID(l.shard), overlay.NodeID(dest)
-			if p.Blocked(from, to) {
-				l.mu.Unlock()
-				return
-			}
-			tick := 0
-			if l.tickFn != nil {
-				tick = l.tickFn()
-			}
-			if loss := p.LossProb(tick); loss > 0 && l.rng.Float64() < loss {
-				l.mu.Unlock()
-				return
-			}
-			jitter := 0.0
-			if j := p.JitterMS(); j > 0 {
-				jitter = l.rng.Float64() * j
-			}
-			delay = time.Duration(p.DelayMS(from, to, jitter) * l.wallPer * float64(time.Millisecond))
-		}
-	}
-	l.mu.Unlock()
-	if delay <= 0 {
-		l.conn.WriteToUDP(data, addr)
-		return
-	}
-	time.AfterFunc(delay, func() {
-		l.mu.Lock()
-		closed := l.closed
-		l.mu.Unlock()
-		if !closed {
-			l.conn.WriteToUDP(data, addr)
-		}
-	})
-}
-
-// resolve parses and caches a socket address.
-func (l *link) resolve(s string) (*net.UDPAddr, error) {
-	l.mu.Lock()
-	addr, hit := l.remote[s]
-	l.mu.Unlock()
-	if hit {
-		return addr, nil
-	}
-	addr, err := net.ResolveUDPAddr("udp", s)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: bad control address %q: %w", s, err)
-	}
-	l.mu.Lock()
-	l.remote[s] = addr
-	l.mu.Unlock()
-	return addr, nil
+	// A gossiped address that does not parse loses the frame like the
+	// network would; a sequenced frame's retry asks the directory again.
+	_ = l.tr.SendControl(f, addr)
 }
 
 // retryLoop retransmits every unacknowledged sequenced frame, oldest
@@ -493,7 +397,7 @@ func (l *link) retryLoop() {
 		for k := range l.pending {
 			keys = append(keys, k)
 		}
-		frames := make([]*pendFrame, len(keys))
+		frames := make([]runtime.Frame, len(keys))
 		sort.Slice(keys, func(i, j int) bool {
 			if keys[i].shard != keys[j].shard {
 				return keys[i].shard < keys[j].shard
@@ -505,66 +409,47 @@ func (l *link) retryLoop() {
 		}
 		l.mu.Unlock()
 		for i, k := range keys {
-			l.transmit(k.shard, frames[i].data)
+			l.transmit(k.shard, frames[i])
 			l.obsRetries.Inc()
-			if l.trace != nil {
-				tick := 0
-				l.mu.Lock()
-				if l.tickFn != nil {
-					tick = l.tickFn()
-				}
-				l.mu.Unlock()
-				l.trace.Emit(obs.TraceEvent{T: obs.EvRetry, Tick: tick,
-					Dest: k.shard, Seq: k.seq})
-			}
+			l.trace.Emit(obs.TraceEvent{T: obs.EvRetry, Tick: int(l.tick.Load()),
+				Dest: k.shard, Seq: k.seq})
 		}
 	}
 }
 
-// read decodes, authenticates and dispatches inbound control datagrams
-// until the socket closes. Inbound frames are never policy-checked —
-// the sender's gate already ruled — which is what lets a healed
-// coordinator re-reach still-partitioned workers.
-func (l *link) read() {
-	defer l.wg.Done()
-	buf := make([]byte, 64*1024)
-	for {
-		sz, _, err := l.conn.ReadFromUDP(buf)
-		if err != nil {
-			return
+// receive authenticates and dispatches one inbound control frame; the
+// transport's reader calls it, outside the transport's lock. Inbound
+// frames are never policy-checked — the sender's shaper already ruled —
+// which is what lets a healed coordinator re-reach still-partitioned
+// workers.
+func (l *link) receive(f runtime.Frame) {
+	if !open(&f, l.token) {
+		return // forged or corrupted: drop silently
+	}
+	switch f.Kind {
+	case runtime.FrameDirDelta:
+		l.book.MergeWire(f.Dir)
+	case runtime.FrameAck:
+		l.handleAck(f)
+	case runtime.FrameHello, runtime.FrameEvent:
+		l.handleMsg(f)
+	case runtime.FramePing:
+		// Answer from the reader itself: liveness of the process, not of
+		// its run loop, is what the pong attests.
+		pong := runtime.Frame{
+			Kind: runtime.FramePong,
+			Msg: netmodel.Message{
+				From: l.anchor(), To: f.Msg.From, Seg: f.Msg.Seg,
+			},
 		}
-		f, err := runtime.DecodeFrame(buf[:sz])
-		if err != nil || !f.Kind.Control() {
-			continue
-		}
-		if !open(&f, l.token) {
-			continue // forged or corrupted: drop silently
-		}
-		switch f.Kind {
-		case runtime.FrameDirDelta:
-			l.book.MergeWire(f.Dir)
-		case runtime.FrameAck:
-			l.handleAck(f)
-		case runtime.FrameHello, runtime.FrameEvent:
-			l.handleMsg(f)
-		case runtime.FramePing:
-			// Answer from the reader itself: liveness of the process,
-			// not of its run loop, is what the pong attests.
-			pong := runtime.Frame{
-				Kind: runtime.FramePong,
-				Msg: netmodel.Message{
-					From: l.anchor(), To: f.Msg.From, Seg: f.Msg.Seg,
-				},
-			}
-			seal(&pong, l.token)
-			l.transmit(int(f.Msg.From), runtime.EncodeFrame(pong))
-		case runtime.FramePong:
-			l.mu.Lock()
-			fn := l.onPong
-			l.mu.Unlock()
-			if fn != nil {
-				fn(int(f.Msg.From))
-			}
+		seal(&pong, l.token)
+		l.transmit(int(f.Msg.From), pong)
+	case runtime.FramePong:
+		l.mu.Lock()
+		fn := l.onPong
+		l.mu.Unlock()
+		if fn != nil {
+			fn(int(f.Msg.From))
 		}
 	}
 }
@@ -608,9 +493,9 @@ func (l *link) handleMsg(f runtime.Frame) {
 		// Duplicate of an applied message: re-send the retained ack so
 		// the sender stops retrying (the original ack may have been
 		// severed on its way out).
-		reply := l.replies[pendKey{from, seq}]
+		reply, ok := l.replies[pendKey{from, seq}]
 		l.mu.Unlock()
-		if reply != nil && !l.dropFrame(runtime.FrameAck) {
+		if ok && !l.dropFrame(runtime.FrameAck) {
 			l.transmit(from, reply)
 		}
 		return
@@ -678,15 +563,14 @@ func (l *link) sequencedMsg(from int, seq uint64, p *Payload) inMsg {
 				af.Ctrl = encodePayload(reply)
 			}
 			seal(&af, l.token)
-			data := runtime.EncodeFrame(af)
 			l.mu.Lock()
-			l.replies[pendKey{from, seq}] = data
+			l.replies[pendKey{from, seq}] = af
 			l.mu.Unlock()
 			// The retained reply survives a chaos ack-drop window: once
 			// the fault lifts, the sender's retry triggers the dup
 			// re-ack path above.
 			if !l.dropFrame(runtime.FrameAck) {
-				l.transmit(from, data)
+				l.transmit(from, af)
 			}
 		},
 	}

@@ -9,6 +9,7 @@ import (
 	"gossipstream/internal/netmodel"
 	"gossipstream/internal/overlay"
 	"gossipstream/internal/runtime"
+	"gossipstream/internal/scenario"
 	"gossipstream/internal/sim"
 )
 
@@ -44,26 +45,33 @@ func (p *testPolicy) set(blocked bool, loss float64) {
 
 var _ netmodel.LinkPolicy = (*testPolicy)(nil)
 
+// testLink builds a link over a UDP transport of its own — one process's
+// socket on an ephemeral loopback port — closed with the test.
+func testLink(t *testing.T, shard int, token string, book *Directory, seed int64) *link {
+	t.Helper()
+	tr := runtime.NewUDPTransport(seed)
+	l, err := newLink(tr, "", shard, token, book)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.close(); tr.Close() })
+	return l
+}
+
 // linkPair wires two links (shards 0 and 1) with each other's control
-// addresses, each behind its own policy object — like two processes
-// that each applied the same scenario directives to their own model.
+// addresses, each over its own transport behind its own policy object —
+// like two processes that each applied the same scenario directives to
+// their own model.
 func linkPair(t *testing.T, token string) (*link, *link, *testPolicy, *testPolicy) {
 	t.Helper()
 	bookA, bookB := NewDirectory(1), NewDirectory(2)
-	a, err := newLink("", 0, token, bookA, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := newLink("", 1, token, bookB, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { a.close(); b.close() })
-	bookA.Publish(CtrlIDBase+1, b.addr())
-	bookB.Publish(CtrlIDBase+0, a.addr())
+	a := testLink(t, 0, token, bookA, 11)
+	b := testLink(t, 1, token, bookB, 12)
+	bookA.Publish(CtrlIDBase+1, b.addr)
+	bookB.Publish(CtrlIDBase+0, a.addr)
 	pa, pb := &testPolicy{}, &testPolicy{}
-	a.setPolicy(func() netmodel.LinkPolicy { return pa }, func() int { return 0 }, 1)
-	b.setPolicy(func() netmodel.LinkPolicy { return pb }, func() int { return 0 }, 1)
+	a.tr.SetPolicy(pa)
+	b.tr.SetPolicy(pb)
 	return a, b, pa, pb
 }
 
@@ -111,6 +119,33 @@ func TestLinkLossyDeliveryInOrder(t *testing.T) {
 	for !a.pendingEmpty(1) {
 		if time.Now().After(deadline) {
 			t.Fatal("sender still holds unacked frames after full delivery")
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestLinkShapedDelayKeepsTheSeal: control frames the shaper delays —
+// both ways, the directive and its ack — still authenticate. The shaped
+// delay must not be written into a sealed frame.
+func TestLinkShapedDelayKeepsTheSeal(t *testing.T) {
+	a, b, _, _ := linkPair(t, "secret")
+	a.tr.SetPolicy(netmodel.Flat{Delay: 30})
+	b.tr.SetPolicy(netmodel.Flat{Delay: 30})
+	got := make(chan int, 1)
+	ackAll(b, got)
+	a.send(1, &Payload{Kind: "directive", Dir: &runtime.Directive{Directive: sim.Directive{Kind: sim.DirMeasure, Tick: 9}}})
+	select {
+	case tick := <-got:
+		if tick != 9 {
+			t.Fatalf("delivered tick %d, want 9", tick)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("delayed directive never authenticated")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for !a.pendingEmpty(1) {
+		if time.Now().After(deadline) {
+			t.Fatal("delayed ack never authenticated")
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -170,11 +205,7 @@ func TestPartitionSeversControlPlane(t *testing.T) {
 func TestLinkRejectsForgedFrames(t *testing.T) {
 	a, b, _, _ := linkPair(t, "right")
 	// Rebuild a with a different token but the same directory wiring.
-	forged, err := newLink("", 0, "wrong", a.book, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer forged.close()
+	forged := testLink(t, 0, "wrong", a.book, 13)
 	got := make(chan int, 8)
 	ackAll(b, got)
 
@@ -193,6 +224,59 @@ func TestLinkRejectsForgedFrames(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("authentic frame not delivered")
+	}
+
+	// A forged directory delta must leave b's directory unchanged. b's
+	// socket reader merges the unauthenticated piggybacks of peer map
+	// frames; control frames must bypass that merge and meet the seal
+	// check. The authentic delta sent after it marks when the forged one
+	// has been read.
+	forged.gossip(1, []runtime.DirEntry{{ID: 4242, Ver: 1, Addr: "127.0.0.1:1"}})
+	a.gossip(1, []runtime.DirEntry{{ID: 4243, Ver: 1, Addr: "127.0.0.1:2"}})
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if _, ok := b.book.Resolve(4243); ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("authentic directory delta not merged")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if addr, ok := b.book.Resolve(4242); ok {
+		t.Fatalf("forged directory delta merged: node 4242 at %s", addr)
+	}
+}
+
+// TestOneSocketPerProcess: the starter's control endpoint and its shard's
+// peers share one socket — the control address the coordinator publishes
+// is the address every one of its peers publishes.
+func TestOneSocketPerProcess(t *testing.T) {
+	sc := scenario.PaperSingleSwitch().Scaled(20)
+	book := NewDirectory(1)
+	tr := runtime.NewUDPTransport(1)
+	defer tr.Close()
+	l, err := newLink(tr, "127.0.0.1:0", 0, "k", book)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.close()
+	r, err := runtime.FromScenario(sc, sim.Fast, runtime.Options{Transport: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.StartShard(0, 2); err != nil {
+		t.Fatal(err)
+	}
+	defer r.Abort()
+	ctrl, ok := book.Resolve(CtrlIDBase)
+	if !ok || ctrl != l.addr {
+		t.Fatalf("control endpoint published at %q, link bound at %q", ctrl, l.addr)
+	}
+	for id := 0; id < sc.Nodes; id += 2 { // shard 0 of 2 owns the even ids
+		if addr, _ := book.Resolve(overlay.NodeID(id)); addr != ctrl {
+			t.Fatalf("node %d published %q, the control endpoint %q", id, addr, ctrl)
+		}
 	}
 }
 

@@ -51,7 +51,8 @@ func open(f *runtime.Frame, token []byte) bool {
 // payload of FrameHello, FrameEvent and FrameAck.
 
 // Hello is a joining process knocking on the starter node: its control
-// socket address, so the coordinator can answer (and gossip it on).
+// address (the process's one socket), so the coordinator can answer (and
+// gossip it on).
 type Hello struct {
 	Addr string
 }

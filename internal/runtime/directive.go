@@ -500,8 +500,8 @@ func (r *Runner) PopEvent() { r.nextEvent++ }
 // EventsDone reports whether the whole timeline has been consumed.
 func (r *Runner) EventsDone() bool { return r.nextEvent >= len(r.events) }
 
-// FinishShard closes any open window and shuts the peers and transport
-// down. The per-shard Result holds this shard's windows (cohorts are
+// FinishShard closes any open window and shuts the peers down (and the
+// transport, when the runner created it). The per-shard Result holds this shard's windows (cohorts are
 // owned peers only); the coordinator merges them by window index.
 func (r *Runner) FinishShard() *sim.Result {
 	r.endWindow(true)

@@ -14,10 +14,9 @@ import (
 func shardRunner(t *testing.T, shard int) *Runner {
 	t.Helper()
 	sc := scenario.PaperSingleSwitch().Scaled(30)
-	r, err := FromScenario(sc, sim.Fast, Options{
-		Transport: NewChanTransport(sc.Seed ^ int64(shard)),
-		TimeScale: 500,
-	})
+	tr := NewChanTransport(sc.Seed ^ int64(shard))
+	t.Cleanup(tr.Close)
+	r, err := FromScenario(sc, sim.Fast, Options{Transport: tr, TimeScale: 500})
 	if err != nil {
 		t.Fatal(err)
 	}

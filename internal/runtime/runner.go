@@ -19,7 +19,9 @@ import (
 // Options tune a live run.
 type Options struct {
 	// Transport carries the frames; nil selects the in-process channel
-	// transport. The runner owns the transport and closes it.
+	// transport. A runner closes only the transport it created: a caller
+	// that passes one closes it itself (the cluster keeps its transport
+	// open past FinishShard, for the report exchange).
 	Transport Transport
 	// TimeScale compresses scenario time onto the wall clock: a run at
 	// TimeScale 50 executes one τ=1s scheduling period every 20ms of
@@ -87,6 +89,7 @@ type Runner struct {
 	factory sim.AlgorithmFactory
 
 	tr     Transport
+	ownTr  bool          // tr was created here (Options.Transport nil): shutdown closes it
 	policy *lockedPolicy // nil without the network model
 
 	// g is the local overlay. resolver makes every resolution decision
@@ -176,7 +179,8 @@ func FromScenario(sc *scenario.Scenario, factory sim.AlgorithmFactory, opt Optio
 	}
 
 	transport := opt.Transport
-	if transport == nil {
+	ownTr := transport == nil
+	if ownTr {
 		transport = NewChanTransport(sc.Seed ^ 0x11fe)
 	}
 	r := &Runner{
@@ -186,6 +190,7 @@ func FromScenario(sc *scenario.Scenario, factory sim.AlgorithmFactory, opt Optio
 		opt:      opt,
 		factory:  factory,
 		tr:       transport,
+		ownTr:    ownTr,
 		g:        cfg.Graph,
 		peers:    make(map[overlay.NodeID]*peerHandle),
 		lastRep:  make(map[overlay.NodeID]report),
@@ -212,6 +217,9 @@ func FromScenario(sc *scenario.Scenario, factory sim.AlgorithmFactory, opt Optio
 		// transit phase would drain, shared with the shaped transports.
 		r.policy = &lockedPolicy{m: netmodel.New(*cfg.Net, sim.Tau)}
 		transport.SetPolicy(r.policy)
+		// The time compression applies from now on, not from the first
+		// period: a cluster's control frames cross the transport before it.
+		transport.SetTick(0, 1/opt.TimeScale)
 	}
 
 	r.events = cfg.Script.Sorted()
@@ -226,15 +234,17 @@ func FromScenario(sc *scenario.Scenario, factory sim.AlgorithmFactory, opt Optio
 // Stats returns the wall-clock execution account (valid after Run).
 func (r *Runner) Stats() LiveStats { return r.stats }
 
-// Policy exposes the run's shared LinkPolicy (nil without a network
-// model) — the cluster control plane shapes its own frames against the
-// same policy object scenario events mutate, so a partition severs the
-// control plane exactly when it severs the data plane.
-func (r *Runner) Policy() netmodel.LinkPolicy {
+// PathImpaired reports whether the run's own network model explains
+// silence between nodes a and b right now: the policy is lossy at the
+// current period (a baseline-loss scenario or an active loss burst) or
+// severs the pair (an unhealed partition). Every such fault was scripted,
+// so the cluster's failure detector excuses the silence it causes. False
+// without a network model.
+func (r *Runner) PathImpaired(a, b overlay.NodeID) bool {
 	if r.policy == nil {
-		return nil
+		return false
 	}
-	return r.policy
+	return r.policy.LossProb(r.tick) > 0 || r.policy.Blocked(a, b)
 }
 
 // Run executes the scenario in this process — the one-shard case of the
@@ -378,7 +388,8 @@ func (r *Runner) refreshNeighbors() {
 	}
 }
 
-// shutdown stops every peer and the transport.
+// shutdown stops every peer, and the transport when the runner created
+// it.
 func (r *Runner) shutdown() {
 	for _, h := range r.peers {
 		if h.running {
@@ -386,7 +397,9 @@ func (r *Runner) shutdown() {
 			h.p.ctrlCh <- ctrlMsg{kind: ctrlQuit}
 		}
 	}
-	r.tr.Close()
+	if r.ownTr {
+		r.tr.Close()
+	}
 }
 
 // observe folds one per-period report into the runner's state and the

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"gossipstream/internal/netmodel"
 	"gossipstream/internal/scenario"
 	"gossipstream/internal/sim"
 )
@@ -106,6 +107,7 @@ func TestLiveUDPScenario(t *testing.T) {
 	}
 	sc := scenario.PaperSingleSwitch().Scaled(40)
 	tr := NewUDPTransport(9)
+	defer tr.Close()
 	r, err := FromScenario(sc, sim.Fast, Options{Transport: tr, TimeScale: 100})
 	if err != nil {
 		t.Skipf("udp transport unavailable: %v", err)
@@ -123,6 +125,50 @@ func TestLiveUDPScenario(t *testing.T) {
 	}
 	if st := r.Stats().Transport; st.DataDelivered == 0 {
 		t.Fatal("no datagrams delivered")
+	}
+}
+
+// TestRunnerLeavesCallerTransportOpen pins transport ownership: a runner
+// closes only the transport it created. A caller-supplied UDP transport
+// still carries frames after Run (the cluster's report exchange rides it
+// past FinishShard); the channel transport a runner made for itself is
+// closed.
+func TestRunnerLeavesCallerTransportOpen(t *testing.T) {
+	sc := scenario.PaperSingleSwitch().Scaled(20)
+	sc.Events = []sim.Event{sim.SwitchAt(3, -1)}
+	sc.Spread = 0
+	sc.Horizon = 5
+	tr := NewUDPTransport(13)
+	defer tr.Close()
+	r, err := FromScenario(sc, sim.Fast, Options{Transport: tr, TimeScale: 500})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Run(); err != nil {
+		t.Fatal(err)
+	}
+	ep, err := tr.Open(1000)
+	if err != nil {
+		t.Fatalf("caller's transport closed by the runner: %v", err)
+	}
+	ep.Send(Frame{Kind: FrameRequest, Msg: netmodel.Message{To: 1000, Seg: 7}})
+	if f := recvOne(t, ep, "request after Run"); f.Kind != FrameRequest || f.Msg.Seg != 7 {
+		t.Fatalf("got %+v", f)
+	}
+
+	own, err := FromScenario(sc, sim.Fast, Options{TimeScale: 500})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := own.Run(); err != nil {
+		t.Fatal(err)
+	}
+	ch := own.tr.(*ChanTransport)
+	ch.mu.RLock()
+	closed := ch.closed
+	ch.mu.RUnlock()
+	if !closed {
+		t.Fatal("the runner left its own channel transport open")
 	}
 }
 

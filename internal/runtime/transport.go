@@ -228,13 +228,16 @@ type TransportStats struct {
 }
 
 // shaper applies a netmodel.LinkPolicy to frames on the wall clock: the
-// transit seam's second consumer. Data frames and control-plane frames
-// are delayed by DelayMS (compressed into wall time) and subjected to
-// the loss draw; every frame kind respects partitions, mirroring the
-// simulator (buffer maps and requests stop crossing a severed link, but
-// only data messages are lossy — and the control plane, whose
-// reliability comes from the cluster layer's retries, not the wire).
-// The zero shaper (nil policy) delivers everything immediately.
+// transit seam's second consumer, and the one gate the cluster control
+// plane's frames pass too (UDPTransport.SendControl). Data frames and
+// control-plane frames are delayed by DelayMS (compressed into wall
+// time) and subjected to the loss draw at landing; every frame kind
+// respects partitions, mirroring the simulator (buffer maps and requests
+// stop crossing a severed link, but only data messages are lossy — and
+// the control plane, whose reliability comes from the cluster layer's
+// retries, not the wire). The policy is the sender's: a process polices
+// what it sends, never what it receives. The zero shaper (nil policy)
+// delivers everything immediately.
 type shaper struct {
 	mu      sync.Mutex
 	policy  netmodel.LinkPolicy
@@ -268,7 +271,8 @@ func (s *shaper) stop() {
 }
 
 // route decides one frame's fate: blocked (drop now), or deliver after
-// a wall-clock delay (0 for control frames and unshaped transports).
+// a wall-clock delay (0 for map, request and deny frames and on unshaped
+// transports).
 // The loss draw happens at delivery time — like the transit phase's
 // pop — so a partition or loss burst that begins mid-flight still
 // catches the frame. An immediate frame is handed to now on the caller's
@@ -289,7 +293,12 @@ func (s *shaper) route(f Frame, now, later func(Frame)) (sent bool) {
 			jitter = s.rng.Float64() * j
 		}
 		scenarioMS := p.DelayMS(f.Msg.From, f.Msg.To, jitter)
-		f.Msg.ArrivalMS = scenarioMS // record the shaped delay on the message
+		if f.Kind == FrameData {
+			// Record the shaped delay on the message. A control frame is
+			// sealed over its encoding, ArrivalMS included: it must cross
+			// unchanged.
+			f.Msg.ArrivalMS = scenarioMS
+		}
 		wallDelay = time.Duration(scenarioMS * s.wallPer * float64(time.Millisecond))
 	}
 	s.mu.Unlock()

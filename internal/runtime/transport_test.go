@@ -389,6 +389,67 @@ func TestUDPOneSocketDemux(t *testing.T) {
 	}
 }
 
+// TestUDPControlDemux: control frames share the socket with peer frames
+// but never an inbox. A control frame addressed to an attached node's id
+// (a cluster shard anchor collides with node ids by design) reaches only
+// the control handler; a peer frame to that node reaches only its inbox.
+func TestUDPControlDemux(t *testing.T) {
+	tr := NewUDPTransport(12)
+	defer tr.Close()
+	node0, err := tr.Open(0)
+	if err != nil {
+		t.Skipf("udp bind unavailable: %v", err)
+	}
+	ctrl := make(chan Frame, 4)
+	tr.SetControl(func(f Frame) { ctrl <- f })
+	addr, err := tr.Bind("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	quiet := func() {
+		t.Helper()
+		select {
+		case f := <-ctrl:
+			t.Fatalf("control handler got %+v", f)
+		case f := <-node0.Recv():
+			t.Fatalf("node 0 got %+v", f)
+		case <-time.After(100 * time.Millisecond):
+		}
+	}
+
+	ev := Frame{Kind: FrameEvent, Msg: netmodel.Message{From: 1, To: 0, Sent: 3}, Ctrl: []byte("directive")}
+	if err := tr.SendControl(ev, addr); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case f := <-ctrl:
+		if f.Kind != FrameEvent || f.Msg.To != 0 || f.Msg.Sent != 3 || string(f.Ctrl) != "directive" {
+			t.Fatalf("control handler got %+v", f)
+		}
+	case f := <-node0.Recv():
+		t.Fatalf("control frame reached node 0's inbox: %+v", f)
+	case <-time.After(5 * time.Second):
+		t.Fatal("control frame never reached the handler")
+	}
+	quiet()
+
+	node0.Send(Frame{Kind: FrameMap, Msg: netmodel.Message{To: 0}, MapImg: make([]byte, 80)})
+	select {
+	case f := <-node0.Recv():
+		if f.Kind != FrameMap || f.Msg.To != 0 {
+			t.Fatalf("node 0 got %+v", f)
+		}
+	case f := <-ctrl:
+		t.Fatalf("map frame reached the control handler: %+v", f)
+	case <-time.After(5 * time.Second):
+		t.Fatal("map frame never reached node 0")
+	}
+	quiet()
+	if st := tr.Stats(); st.Datagrams != 2 || st.Frames != 2 || st.Malformed != 0 {
+		t.Fatalf("stats %+v, want the control and the map datagram counted alike", st)
+	}
+}
+
 // TestUDPShapedFramesTravelAlone: under a delay+loss policy queued data
 // frames bypass the outbox — each lands from its own timer with its own
 // loss draw, as its own datagram — and the data ledger balances.

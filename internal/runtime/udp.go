@@ -32,18 +32,20 @@ type AddrBook interface {
 }
 
 // UDPTransport carries frames as binary datagrams over a real UDP
-// socket: one loopback socket per transport (so per process), bound at
+// socket: one socket per transport (so per process), bound by Bind or at
 // the first Open, and one reader goroutine that decodes each datagram
-// and hands every frame to the inbox of the local node its Msg.To names.
-// A frame for a node not attached here evaporates, as it would at a
-// closed port. Each endpoint's outbox packs the frames queued for one
-// destination address into one datagram, so frames for several nodes
-// behind one socket share it. Every frame crosses the kernel, even
-// between nodes of one process. With an AddrBook installed the transport
-// spans processes: destinations not attached here resolve through the
-// gossiped directory, every Open publishes the shared socket's address
-// under the node's id, and map frames carry directory piggybacks both
-// ways.
+// and hands every peer frame to the inbox of the local node its Msg.To
+// names. A frame for a node not attached here evaporates, as it would at
+// a closed port. Control-plane frames (Kind.Control) never reach an
+// inbox: the reader hands them to the handler SetControl installed — the
+// cluster's control link, which rides the same socket. Each endpoint's
+// outbox packs the frames queued for one destination address into one
+// datagram, so frames for several nodes behind one socket share it.
+// Every frame crosses the kernel, even between nodes of one process.
+// With an AddrBook installed the transport spans processes: destinations
+// not attached here resolve through the gossiped directory, every Open
+// publishes the shared socket's address under the node's id, and map
+// frames carry directory piggybacks both ways.
 //
 // Shaping composes: with a LinkPolicy installed, data frames are
 // delayed before the socket write and the loss/partition draws apply on
@@ -59,6 +61,7 @@ type UDPTransport struct {
 	inboxes map[overlay.NodeID]chan Frame
 	remote  map[string]*net.UDPAddr // resolved AddrBook endpoints, by string form
 	book    AddrBook
+	ctrl    func(Frame) // control-frame handler (SetControl); nil drops them
 	shape   *shaper
 	closed  bool
 
@@ -86,7 +89,8 @@ func NewUDPTransport(seed int64) *UDPTransport {
 }
 
 // SetAddrBook installs the gossiped address directory (nil: purely
-// local, the single-process configuration). Must be set before Open.
+// local, the single-process configuration). Must be set before Bind or
+// Open.
 func (t *UDPTransport) SetAddrBook(b AddrBook) {
 	t.mu.Lock()
 	t.book = b
@@ -104,7 +108,7 @@ func (t *UDPTransport) Open(id overlay.NodeID) (Endpoint, error) {
 		return nil, fmt.Errorf("runtime: udp transport closed")
 	}
 	if t.conn == nil {
-		if err := t.bind(); err != nil {
+		if err := t.bind(""); err != nil {
 			t.mu.Unlock()
 			return nil, fmt.Errorf("runtime: udp bind for node %d: %w", id, err)
 		}
@@ -121,10 +125,47 @@ func (t *UDPTransport) Open(id overlay.NodeID) (Endpoint, error) {
 	return e, nil
 }
 
+// Bind binds the transport's socket at listen ("" for an ephemeral
+// loopback port) and starts its reader, returning the bound address — for
+// a caller that needs the address before any node attaches (the cluster
+// control link). A bound transport keeps its socket. Must follow
+// SetAddrBook: the reader captures the book.
+func (t *UDPTransport) Bind(listen string) (string, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.closed {
+		return "", fmt.Errorf("runtime: udp transport closed")
+	}
+	if t.conn == nil {
+		if err := t.bind(listen); err != nil {
+			return "", fmt.Errorf("runtime: udp bind: %w", err)
+		}
+	}
+	return t.addr.String(), nil
+}
+
+// SetControl installs the control-plane handler. The reader hands it
+// every control frame, one at a time and outside the transport's lock
+// (the handler may answer through this transport), and never merges a
+// control frame's directory batch itself: authenticating FrameDirDelta
+// is the handler's business. nil drops control frames.
+func (t *UDPTransport) SetControl(fn func(Frame)) {
+	t.mu.Lock()
+	t.ctrl = fn
+	t.mu.Unlock()
+}
+
 // bind opens the transport's socket and starts its reader. Caller holds
 // the lock.
-func (t *UDPTransport) bind() error {
-	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 0})
+func (t *UDPTransport) bind(listen string) error {
+	laddr := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)}
+	if listen != "" {
+		var err error
+		if laddr, err = net.ResolveUDPAddr("udp", listen); err != nil {
+			return err
+		}
+	}
+	conn, err := net.ListenUDP("udp", laddr)
 	if err != nil {
 		return err
 	}
@@ -139,10 +180,11 @@ func (t *UDPTransport) bind() error {
 	return nil
 }
 
-// read decodes datagrams and demultiplexes their frames into the
-// addressed nodes' inboxes until the socket closes. A datagram is
-// decoded whole before any of its frames is delivered: one malformed
-// frame drops them all, counted once.
+// read decodes datagrams and demultiplexes their frames — peer frames
+// into the addressed nodes' inboxes, control frames to the control
+// handler — until the socket closes. A datagram is decoded whole before
+// any of its frames is delivered: one malformed frame drops them all,
+// counted once.
 func (t *UDPTransport) read(conn *net.UDPConn, book AddrBook) {
 	defer t.wg.Done()
 	// Sized for the largest legal frame: a map datagram at the
@@ -161,7 +203,7 @@ func (t *UDPTransport) read(conn *net.UDPConn, book AddrBook) {
 			continue // malformed datagram: drop
 		}
 		for i := range frames {
-			if f := &frames[i]; len(f.Dir) > 0 {
+			if f := &frames[i]; len(f.Dir) > 0 && !f.Kind.Control() {
 				// Absorb the directory piggyback; peers never see it.
 				if book != nil {
 					book.MergeWire(f.Dir)
@@ -170,12 +212,18 @@ func (t *UDPTransport) read(conn *net.UDPConn, book AddrBook) {
 			}
 		}
 		t.mu.RLock()
+		handle := t.ctrl
 		for _, f := range frames {
-			if inbox, ok := t.inboxes[f.Msg.To]; ok {
+			if inbox, ok := t.inboxes[f.Msg.To]; ok && !f.Kind.Control() {
 				t.deliver(inbox, f)
 			}
 		}
 		t.mu.RUnlock()
+		for _, f := range frames {
+			if f.Kind.Control() && handle != nil {
+				handle(f)
+			}
+		}
 	}
 }
 
@@ -274,25 +322,53 @@ func (t *UDPTransport) emit(conn *net.UDPConn, addr *net.UDPAddr, b []byte, n in
 	t.frames.Add(int64(n))
 }
 
+// SendControl routes one control frame through the shaper to the socket
+// at addr, as a datagram of its own: the policy judges f.Msg.From and
+// f.Msg.To (the cluster's shard anchors) exactly as it judges peer
+// frames, delaying it and drawing its loss at landing. Only an address
+// that does not parse is an error; a shaped drop is silent, like a
+// datagram's.
+func (t *UDPTransport) SendControl(f Frame, addr string) error {
+	to, err := t.udpAddr(addr)
+	if err != nil {
+		return err
+	}
+	t.mu.RLock()
+	conn := t.conn
+	t.mu.RUnlock()
+	if conn == nil {
+		return fmt.Errorf("runtime: udp transport not bound")
+	}
+	write := func(f Frame) { t.emit(conn, to, EncodeFrame(f), 1) }
+	t.shape.route(f, write, write)
+	return nil
+}
+
 // resolveRemote answers a cross-process destination from the address
-// book, caching the parsed socket address by its string form (a node
-// that rebinds publishes a new string, so the cache never serves a
-// stale binding). One string maps to one *net.UDPAddr for the life of
-// the transport, so the outbox can compare addresses by pointer.
+// book.
 func (t *UDPTransport) resolveRemote(book AddrBook, id overlay.NodeID) (*net.UDPAddr, bool) {
 	s, ok := book.Resolve(id)
 	if !ok || s == "" {
 		return nil, false
 	}
+	addr, err := t.udpAddr(s)
+	return addr, err == nil
+}
+
+// udpAddr parses a socket address, caching it by its string form (a node
+// that rebinds publishes a new string, so the cache never serves a stale
+// binding). One string maps to one *net.UDPAddr for the life of the
+// transport, so the outbox can compare addresses by pointer.
+func (t *UDPTransport) udpAddr(s string) (*net.UDPAddr, error) {
 	t.mu.RLock()
 	addr, hit := t.remote[s]
 	t.mu.RUnlock()
 	if hit {
-		return addr, true
+		return addr, nil
 	}
 	addr, err := net.ResolveUDPAddr("udp", s)
 	if err != nil {
-		return nil, false
+		return nil, fmt.Errorf("runtime: bad udp address %q: %w", s, err)
 	}
 	t.mu.Lock()
 	if first, raced := t.remote[s]; raced {
@@ -301,7 +377,7 @@ func (t *UDPTransport) resolveRemote(book AddrBook, id overlay.NodeID) (*net.UDP
 		t.remote[s] = addr
 	}
 	t.mu.Unlock()
-	return addr, true
+	return addr, nil
 }
 
 type udpEndpoint struct {
