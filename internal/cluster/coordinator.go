@@ -172,9 +172,9 @@ func Serve(cfg Config) (*sim.Result, runtime.LiveStats, error) {
 	}
 
 	// Shard 0 spawns before the workers are released: its nodes are
-	// published before any worker's first
-	// advertisement looks them up, and its set-up does not compete for
-	// the CPUs with peers already ticking.
+	// published before any worker's first advertisement looks them up,
+	// and its set-up does not compete for the CPUs with peers already
+	// ticking.
 	if err := r.StartShard(0, shards); err != nil {
 		return nil, stats, err
 	}
