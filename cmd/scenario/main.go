@@ -80,6 +80,10 @@ func main() {
 		// byte-identical text on every run, so a seed is a shareable,
 		// reproducible scenario reference.
 		sc := scenario.Generate(scenario.GenOptions{Seed: *seed, Nodes: *n})
+		if err := sc.Validate(); err != nil {
+			fmt.Fprintf(os.Stderr, "scenario: %v\n", err)
+			os.Exit(2)
+		}
 		if err := sc.Write(os.Stdout); err != nil {
 			fatal(err)
 		}

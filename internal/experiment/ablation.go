@@ -42,6 +42,9 @@ func (a Ablation) Run() ([]AblationRow, error) {
 		return nil, fmt.Errorf("experiment: ablation baseline %q names no variant", a.Baseline)
 	}
 	w := a.Workload
+	if err := w.checkReplicas(); err != nil {
+		return nil, err
+	}
 	reps := w.SeedsPerSize
 	trials := make([]trial, 0, len(a.Variants)*reps)
 	for _, v := range a.Variants {

@@ -135,6 +135,14 @@ func (w Workload) simConfig(g *overlay.Graph, runSeed int64, algo sim.AlgorithmF
 	return cfg
 }
 
+// checkReplicas rejects a replica count that would run nothing.
+func (w Workload) checkReplicas() error {
+	if w.SeedsPerSize < 1 {
+		return fmt.Errorf("experiment: need at least one replica per size, have %d", w.SeedsPerSize)
+	}
+	return nil
+}
+
 // trial is one simulation of a sweep.
 type trial struct {
 	label  string // names the trial in an error
@@ -187,6 +195,12 @@ func (w Workload) trial(n, replica int, algo sim.AlgorithmFactory) trial {
 // Sweep runs both algorithms over every (size, replica) cell and returns
 // the paired samples, ordered by size then replica.
 func (w Workload) Sweep() ([]PairSample, error) {
+	if len(w.Sizes) == 0 {
+		return nil, fmt.Errorf("experiment: a sweep needs at least one size")
+	}
+	if err := w.checkReplicas(); err != nil {
+		return nil, err
+	}
 	if w.FastFactory == nil {
 		w.FastFactory = sim.Fast
 	}

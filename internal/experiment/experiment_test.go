@@ -96,6 +96,28 @@ func TestSweepDeterminism(t *testing.T) {
 	}
 }
 
+// TestSweepRejectsEmptyGrid: a sweep with no sizes or no replicas is an
+// error, not a slice panic, and so is an ablation with no replicas.
+func TestSweepRejectsEmptyGrid(t *testing.T) {
+	for _, edit := range []func(*Workload){
+		func(w *Workload) { w.SeedsPerSize = 0 },
+		func(w *Workload) { w.SeedsPerSize = -1 },
+		func(w *Workload) { w.Sizes = nil },
+	} {
+		w := tiny()
+		edit(&w)
+		if _, err := w.Sweep(); err == nil {
+			t.Errorf("sizes %v, seeds %d: no error", w.Sizes, w.SeedsPerSize)
+		}
+	}
+	w := tiny()
+	w.SeedsPerSize = -1
+	ab := Ablation{Workload: w, N: 80, Baseline: "normal", Variants: SplitVariants()}
+	if _, err := ab.Run(); err == nil {
+		t.Error("ablation with -1 replicas: no error")
+	}
+}
+
 func TestRunSizeSweepAndFormatting(t *testing.T) {
 	w := tiny()
 	rows, err := w.RunSizeSweep()

@@ -13,8 +13,8 @@ import (
 // planned and failure switches, demotions, churn bursts, flash crowds,
 // bandwidth and latency shifts, loss bursts, partitions (uniform and
 // latency-clustered), heals, and overlapping measurement windows, with
-// and without the netmodel transport. Every output satisfies Validate,
-// round-trips through Write/Parse, and — the property the fuzz driver
+// and without the netmodel transport. Every output at the default size
+// satisfies Validate, round-trips through Write/Parse, and — the property the fuzz driver
 // leans on — runs without a run error at any worker count, so the
 // determinism contract and the run invariants can be checked on an
 // unbounded family of timelines instead of the hand-written library.
@@ -48,9 +48,10 @@ type GenOptions struct {
 	Events int
 }
 
-// Generate synthesizes a valid scenario from the options. The result
-// always passes Validate; the generator panics otherwise (that is a bug
-// in the generator, not a user error).
+// Generate synthesizes a scenario from the options. At the default size
+// every seed's result passes Validate (the family tests compile each
+// one); an explicit Nodes can be too small for the drawn timeline or
+// neighbor target, so a caller passing one checks Validate.
 func Generate(opt GenOptions) *Scenario {
 	rng := rand.New(rand.NewSource(opt.Seed))
 	name := fmt.Sprintf("gen-%d", opt.Seed)
@@ -208,9 +209,6 @@ func Generate(opt GenOptions) *Scenario {
 	}
 	if rng.Intn(4) == 0 {
 		sc.Duration = sc.Events[len(sc.Events)-1].Tick + 40 + rng.Intn(61)
-	}
-	if err := sc.Validate(); err != nil {
-		panic(fmt.Sprintf("scenario: generator emitted an invalid scenario (seed %d): %v", opt.Seed, err))
 	}
 	return sc
 }

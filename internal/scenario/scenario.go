@@ -86,6 +86,9 @@ func (sc *Scenario) Validate() error {
 	if sc.M < 0 || sc.Spread < 0 || sc.Horizon < 0 || sc.Duration < 0 || sc.Qs < 0 {
 		return fmt.Errorf("scenario %s: negative parameter", sc.Name)
 	}
+	if m := sc.minDegree(); m >= sc.Nodes {
+		return fmt.Errorf("scenario %s: %d nodes cannot each hold M=%d neighbors", sc.Name, sc.Nodes, m)
+	}
 	// Non-finite floats would sail through the range checks below (NaN
 	// fails both sides of every comparison) and then poison the run and
 	// break round-trip equality, so reject them outright.
@@ -139,6 +142,14 @@ func (sc *Scenario) Validate() error {
 	return nil
 }
 
+// minDegree is the effective neighbor target: M, or the paper's 5.
+func (sc *Scenario) minDegree() int {
+	if sc.M <= 0 {
+		return 5
+	}
+	return sc.M
+}
+
 // Scaled returns a copy sized to n nodes, with flash-crowd batch sizes
 // rescaled proportionally and pinned switch targets clamped into range
 // (dropped to the random pick when out of range). Used by tests, the CI
@@ -181,16 +192,12 @@ func (sc *Scenario) Config(factory sim.AlgorithmFactory) (sim.Config, error) {
 	if err := sc.Validate(); err != nil {
 		return sim.Config{}, err
 	}
-	m := sc.M
-	if m <= 0 {
-		m = 5
-	}
 	tr := trace.Synthesize(sc.Name, sc.Nodes, 1, sc.Seed)
 	g, err := tr.Graph()
 	if err != nil {
 		return sim.Config{}, fmt.Errorf("scenario %s: %w", sc.Name, err)
 	}
-	overlay.AugmentMinDegree(g, m, rand.New(rand.NewSource(sc.Seed^0xa06)))
+	overlay.AugmentMinDegree(g, sc.minDegree(), rand.New(rand.NewSource(sc.Seed^0xa06)))
 
 	first := overlay.NodeID(-1)
 	if sc.First > 0 {

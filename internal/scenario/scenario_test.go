@@ -123,6 +123,8 @@ func TestParseErrors(t *testing.T) {
 		"scenario ok\nnodes 100\nseed 1\nat 10 switch speed=9",
 		"scenario Bad_Name\nnodes 100\nseed 1\nat 10 switch",
 		"scenario ok\nnodes 1\nseed 1\nat 10 switch",
+		"scenario ok\nnodes 5\nseed 1\nat 10 switch", // default M=5 needs 6 nodes
+		"scenario ok\nnodes 8\nm 8\nseed 1\nat 10 switch",
 		"scenario ok\nnodes 100\nseed 1\nat 10 churnburst for=10 leave=1.5",
 		"scenario ok\nnodes 100\nseed 1", // no events, no duration
 		// Netmodel clauses: malformed options.
@@ -153,6 +155,11 @@ func TestParseErrors(t *testing.T) {
 		if _, err := Parse(strings.NewReader(text)); err == nil {
 			t.Errorf("accepted malformed scenario:\n%s", text)
 		}
+	}
+	// Scaling below the neighbor target is the same error at compile
+	// time, not an overlay panic.
+	if _, err := PaperSingleSwitch().Scaled(4).Config(sim.Fast); err == nil {
+		t.Error("4-node paper scenario compiled")
 	}
 }
 
