@@ -1,7 +1,8 @@
 // Package gossipstream's root benchmark harness: one testing.B entry per
-// figure of the paper's evaluation (Section 5) and one per ablation from
-// DESIGN.md. Each benchmark runs the corresponding experiment at a bench-
-// friendly scale and reports the paper's metrics as custom units, so
+// figure of the paper's evaluation (Section 5) and one per ablation of
+// cmd/sweep -ablations. Each benchmark runs the corresponding experiment
+// at a bench-friendly scale and reports the paper's metrics as custom
+// units, so
 //
 //	go test -bench=Fig -benchmem
 //
@@ -9,8 +10,7 @@
 //
 //	go test -bench=Ablation -benchmem
 //
-// the design-choice studies. EXPERIMENTS.md records the full-scale runs
-// produced by cmd/sweep.
+// the design-choice studies. cmd/sweep produces the full-scale runs.
 package gossipstream_test
 
 import (
@@ -107,8 +107,7 @@ func BenchmarkFig08OverheadStatic(b *testing.B) {
 // BenchmarkFig09RatioTrackDynamic regenerates Figure 9 (ratio tracks under
 // 5% churn per period).
 func BenchmarkFig09RatioTrackDynamic(b *testing.B) {
-	w := benchWorkload()
-	w.Churn = true
+	w := benchWorkload().Dynamic()
 	for i := 0; i < b.N; i++ {
 		rt, err := w.RunRatioTrack(300)
 		if err != nil {
@@ -121,8 +120,7 @@ func BenchmarkFig09RatioTrackDynamic(b *testing.B) {
 
 // BenchmarkFig10FinishPrepareDynamic regenerates Figure 10.
 func BenchmarkFig10FinishPrepareDynamic(b *testing.B) {
-	w := benchWorkload()
-	w.Churn = true
+	w := benchWorkload().Dynamic()
 	for i := 0; i < b.N; i++ {
 		rows, err := w.RunSizeSweep()
 		if err != nil {
@@ -136,8 +134,7 @@ func BenchmarkFig10FinishPrepareDynamic(b *testing.B) {
 
 // BenchmarkFig11SwitchTimeDynamic regenerates Figure 11.
 func BenchmarkFig11SwitchTimeDynamic(b *testing.B) {
-	w := benchWorkload()
-	w.Churn = true
+	w := benchWorkload().Dynamic()
 	for i := 0; i < b.N; i++ {
 		rows, err := w.RunSizeSweep()
 		if err != nil {
@@ -149,8 +146,7 @@ func BenchmarkFig11SwitchTimeDynamic(b *testing.B) {
 
 // BenchmarkFig12OverheadDynamic regenerates Figure 12.
 func BenchmarkFig12OverheadDynamic(b *testing.B) {
-	w := benchWorkload()
-	w.Churn = true
+	w := benchWorkload().Dynamic()
 	for i := 0; i < b.N; i++ {
 		rows, err := w.RunSizeSweep()
 		if err != nil {
@@ -262,7 +258,7 @@ func BenchmarkAblationSubstrate(b *testing.B) {
 			apply func(*experiment.Workload)
 		}{
 			{"shared", func(*experiment.Workload) {}},
-			{"perlink", func(w *experiment.Workload) { w.PerLinkOutbound = true }},
+			{"perlink", func(w *experiment.Workload) { w.Base.PerLink = true }},
 			{"noprefetch", func(w *experiment.Workload) { w.DisablePrefetch = true }},
 		} {
 			w := benchWorkload()

@@ -1,7 +1,9 @@
 // Command sweep regenerates the paper's figures: the ratio tracks
 // (Figures 5/9), the finishing/preparing bars (Figures 6/10), the switch
 // time and reduction ratio (Figures 7/11), and the communication overhead
-// (Figures 8/12) — plus the ablation tables DESIGN.md defines.
+// (Figures 8/12) — plus the ablation tables: priority-scoring and
+// rate-split variants, the neighbor count M, the startup threshold Qs,
+// the per-link capacity model and the prefetch-free mesh.
 //
 // Examples:
 //
@@ -20,6 +22,7 @@ import (
 	"strings"
 
 	"gossipstream/internal/experiment"
+	"gossipstream/internal/scenario"
 )
 
 func main() {
@@ -60,7 +63,9 @@ func main() {
 
 	for _, dynamic := range []bool{false, true} {
 		wd := w
-		wd.Churn = dynamic
+		if dynamic {
+			wd = w.Dynamic()
+		}
 		ratioFig, firstFig := 5, 6
 		if dynamic {
 			ratioFig, firstFig = 9, 10
@@ -131,15 +136,17 @@ func runAblations(w experiment.Workload, n int) {
 	}
 
 	// Substrate ablations: per-link capacity model and no-prefetch mesh.
+	perLink := w.With(func(sc *scenario.Scenario) { sc.PerLink = true })
+	noPrefetch := w
+	noPrefetch.DisablePrefetch = true
 	for _, sub := range []struct {
-		name  string
-		apply func(*experiment.Workload)
+		name string
+		ws   experiment.Workload
 	}{
-		{"per-link outbound", func(w *experiment.Workload) { w.PerLinkOutbound = true }},
-		{"prefetch disabled", func(w *experiment.Workload) { w.DisablePrefetch = true }},
+		{"per-link outbound", perLink},
+		{"prefetch disabled", noPrefetch},
 	} {
-		ws := w
-		sub.apply(&ws)
+		ws := sub.ws
 		ws.Sizes = []int{n}
 		rows, err := ws.RunSizeSweep()
 		if err != nil {

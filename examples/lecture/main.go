@@ -13,12 +13,10 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 
-	"gossipstream/internal/overlay"
+	"gossipstream/internal/scenario"
 	"gossipstream/internal/sim"
 	"gossipstream/internal/stats"
-	"gossipstream/internal/trace"
 )
 
 func main() {
@@ -44,28 +42,19 @@ func main() {
 
 // classRun simulates one lecture and returns the hand-off's metrics.
 func classRun(n int, factory sim.AlgorithmFactory) *sim.SwitchMetrics {
-	tr := trace.Synthesize("lecture", n, 1, int64(n))
-	g, err := tr.Graph()
-	if err != nil {
-		log.Fatal(err)
-	}
-	overlay.AugmentMinDegree(g, 5, rand.New(rand.NewSource(int64(n))))
-	s, err := sim.New(sim.Config{
-		Graph:        g,
-		Seed:         int64(n) * 3,
-		NewAlgorithm: factory,
-		FirstSource:  -1,
+	sc := &scenario.Scenario{
+		Name:  "lecture",
+		Desc:  "a lecture hands off to the Q&A",
+		Nodes: n,
+		M:     5,
+		Seed:  int64(n),
 		// Students arrive over the first 30 periods and play the lecture
 		// from its beginning — the catch-up backlog that makes the
 		// hand-off, 45 periods in, hard.
-		JoinSpreadTicks: 30,
-		Script:          &sim.Script{Events: []sim.Event{sim.SwitchAt(45, -1)}},
-		SharedOutbound:  true,
-	})
-	if err != nil {
-		log.Fatal(err)
+		Spread: 30,
+		Events: []sim.Event{sim.SwitchAt(45, -1)},
 	}
-	res, err := s.Run()
+	res, err := sc.Run(factory)
 	if err != nil {
 		log.Fatal(err)
 	}

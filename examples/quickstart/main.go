@@ -11,45 +11,36 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 
-	"gossipstream/internal/overlay"
+	"gossipstream/internal/scenario"
 	"gossipstream/internal/sim"
-	"gossipstream/internal/trace"
 )
 
 func main() {
-	// 1. A Gnutella-like overlay trace, augmented so every node holds
-	//    M=5 neighbors (the paper's Section 5.1 preparation).
-	tr := trace.Synthesize("quickstart", 300, 1, 42)
-	g, err := tr.Graph()
-	if err != nil {
-		log.Fatal(err)
+	// 1. The paper's evaluation shape as a scenario: a Gnutella-like
+	//    overlay trace augmented so every node holds M=5 neighbors (the
+	//    Section 5.1 preparation), members assembling over the first 25
+	//    periods, and one planned switch at period 40, measured in its
+	//    own window. Everything else defaults to the paper's setup: τ=1 s,
+	//    p=10, Q=10, Qs=50, B=600, heterogeneous inbound with mean 15,
+	//    shared outbound capacity.
+	sc := &scenario.Scenario{
+		Name:   "quickstart",
+		Desc:   "one planned source switch on a 300-node overlay",
+		Nodes:  300,
+		M:      5,
+		Spread: 25,
+		Events: []sim.Event{sim.SwitchAt(40, -1)},
 	}
-	overlay.AugmentMinDegree(g, 5, rand.New(rand.NewSource(42)))
-	fmt.Printf("overlay: %d nodes, %d edges, min degree %d\n\n", g.N(), g.M(), g.MinDegree())
+	fmt.Printf("scenario %s: %d nodes, M=%d, switch at period 40\n\n", sc.Name, sc.Nodes, sc.M)
 
-	// 2. Simulated source switches per algorithm, averaged over a few run
+	// 2. Simulated source switches per algorithm, averaged over a few
 	//    seeds (a single switch is noisy: the randomly chosen new source's
-	//    position in the overlay matters).
+	//    position in the overlay matters). The seed drives the topology
+	//    and the run, so both algorithms see the same overlay per seed.
 	run := func(factory sim.AlgorithmFactory, seed int64) *sim.SwitchMetrics {
-		s, err := sim.New(sim.Config{
-			Graph:        g.Clone(), // churnless here, but Clone keeps runs independent
-			Seed:         seed,
-			NewAlgorithm: factory,
-			FirstSource:  -1,
-			// Members assemble over the first 25 periods; the one planned
-			// switch fires at period 40 and is measured in its own window.
-			JoinSpreadTicks: 25,
-			Script:          &sim.Script{Events: []sim.Event{sim.SwitchAt(40, -1)}},
-			// Everything else defaults to the paper's setup: τ=1 s, p=10,
-			// Q=10, Qs=50, B=600, heterogeneous inbound with mean 15.
-			SharedOutbound: true,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		res, err := s.Run()
+		sc.Seed = seed
+		res, err := sc.Run(factory)
 		if err != nil {
 			log.Fatal(err)
 		}

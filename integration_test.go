@@ -83,8 +83,8 @@ func TestPipelineWorkloadSweepShapes(t *testing.T) {
 	w := experiment.Paper()
 	w.Sizes = []int{200}
 	w.SeedsPerSize = 3
-	w.SwitchTick = 35
-	w.JoinSpreadTicks = 20
+	w.Base.Events = []sim.Event{sim.SwitchAt(35, -1)}
+	w.Base.Spread = 20
 	samples, err := w.Sweep()
 	if err != nil {
 		t.Fatal(err)
@@ -123,9 +123,9 @@ func TestPipelineDynamicMatchesStaticDirection(t *testing.T) {
 	w := experiment.Paper()
 	w.Sizes = []int{200}
 	w.SeedsPerSize = 3
-	w.Churn = true
-	w.SwitchTick = 35
-	w.JoinSpreadTicks = 20
+	w = w.Dynamic()
+	w.Base.Events = []sim.Event{sim.SwitchAt(35, -1)}
+	w.Base.Spread = 20
 	samples, err := w.Sweep()
 	if err != nil {
 		t.Fatal(err)

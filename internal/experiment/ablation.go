@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"gossipstream/internal/core"
+	"gossipstream/internal/scenario"
 	"gossipstream/internal/sim"
 	"gossipstream/internal/stats"
 )
@@ -42,19 +43,18 @@ func (a Ablation) Run() ([]AblationRow, error) {
 		return nil, fmt.Errorf("experiment: ablation baseline %q names no variant", a.Baseline)
 	}
 	w := a.Workload
-	if err := w.checkReplicas(); err != nil {
+	if err := w.check(); err != nil {
 		return nil, err
 	}
 	reps := w.SeedsPerSize
 	trials := make([]trial, 0, len(a.Variants)*reps)
 	for _, v := range a.Variants {
 		for r := 0; r < reps; r++ {
-			t := w.trial(a.N, r, v.Factory)
-			t.label = "variant " + v.Name + ": " + t.label
-			trials = append(trials, t)
+			label := fmt.Sprintf("variant %s: size %d replica %d", v.Name, a.N, r)
+			trials = append(trials, trial{label, w.cell(a.N, r), v.Factory})
 		}
 	}
-	results, err := runTrials(w.Workers, trials)
+	results, err := runTrials(w.settings(), trials)
 	if err != nil {
 		return nil, err
 	}
@@ -124,14 +124,12 @@ func SplitVariants() []NamedFactory {
 }
 
 // sweepParam reruns the paired comparison at size n once per value, set
-// applying the value to a copy of the workload; one row per value.
-func sweepParam(w Workload, n int, values []int, set func(*Workload, int)) ([]SizeRow, error) {
+// applying the value to a copy of the base scenario; one row per value.
+func sweepParam(w Workload, n int, values []int, set func(*scenario.Scenario, int)) ([]SizeRow, error) {
 	w.Sizes = []int{n}
 	rows := make([]SizeRow, 0, len(values))
 	for _, v := range values {
-		wv := w
-		set(&wv, v)
-		agg, err := wv.RunSizeSweep()
+		agg, err := w.With(func(sc *scenario.Scenario) { set(sc, v) }).RunSizeSweep()
 		if err != nil {
 			return nil, err
 		}
@@ -143,10 +141,10 @@ func sweepParam(w Workload, n int, values []int, set func(*Workload, int)) ([]Si
 // NeighborCountSweep reruns the paired comparison at several M values —
 // the paper's claim that "M=5 is usually a good practical choice".
 func NeighborCountSweep(w Workload, n int, ms []int) ([]SizeRow, error) {
-	return sweepParam(w, n, ms, func(w *Workload, m int) { w.M = m })
+	return sweepParam(w, n, ms, func(sc *scenario.Scenario, m int) { sc.M = m })
 }
 
 // StartupThresholdSweep reruns the paired comparison at several Qs values.
 func StartupThresholdSweep(w Workload, n int, qss []int) ([]SizeRow, error) {
-	return sweepParam(w, n, qss, func(w *Workload, qs int) { w.qsOverride = qs })
+	return sweepParam(w, n, qss, func(sc *scenario.Scenario, qs int) { sc.Qs = qs })
 }

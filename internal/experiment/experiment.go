@@ -2,30 +2,41 @@
 // (Section 5): the ratio tracks of Figures 5/9, the finishing/preparing
 // bar charts of Figures 6/10, the switch-time and reduction-ratio curves
 // of Figures 7/11, and the communication-overhead curves of Figures 8/12 —
-// plus the ablation sweeps DESIGN.md calls out.
+// plus ablation sweeps over the scheduler's design choices (priority
+// scoring, the rate split) and the substrate (neighbor count, startup
+// threshold, capacity model, prefetch).
 //
-// A sweep is an embarrassingly parallel bag of simulation runs; the runner
-// fans them out over the same engine worker pool the simulator's phases
-// run on (internal/sim/engine), one trial per shard, while keeping every
-// run individually deterministic (topology seed + run seed). Nested
-// parallelism is available too: SimWorkers > 1 additionally parallelizes
-// the phases inside each trial — useful when a few huge trials cannot
-// saturate the machine by trial fan-out alone.
+// Every run is a scenario.Scenario compiled by its Config: a figure
+// sweep scales one base scenario over sizes and replicas, an ablation
+// runs one size's cells under each variant, and a scenario sweep runs
+// whole scenarios. A sweep is an embarrassingly parallel bag of such
+// runs; the runner fans them out over the same engine worker pool the
+// simulator's phases run on (internal/sim/engine), one trial per shard,
+// while keeping every run individually deterministic (its scenario's
+// seed drives topology and run alike). Nested parallelism is available
+// too: SimWorkers > 1 additionally parallelizes the phases inside each
+// trial — useful when a few huge trials cannot saturate the machine by
+// trial fan-out alone.
 package experiment
 
 import (
 	"fmt"
-	"math/rand"
 
-	"gossipstream/internal/overlay"
+	"gossipstream/internal/scenario"
 	"gossipstream/internal/sim"
 	"gossipstream/internal/sim/engine"
-	"gossipstream/internal/trace"
 )
 
-// Workload is the common configuration of a figure regeneration. The zero
-// value is not useful; start from Paper().
+// Workload is the common configuration of a figure regeneration: one
+// base scenario, run at every size for several replicas. The zero value
+// is not useful; start from Paper().
 type Workload struct {
+	// Base is the run every (size, replica) cell scales: its topology
+	// parameters, environment and timeline. Its Seed derives every
+	// cell's seed. Edit a copy (With), not the pointee: workloads copied
+	// from one another share it.
+	Base *scenario.Scenario
+
 	// Sizes are the overlay scales to sweep (the paper evaluates 100, 500,
 	// 1000, 2000, 4000, 8000).
 	Sizes []int
@@ -33,25 +44,6 @@ type Workload struct {
 	// topologies with distinct run seeds and averages the results (the
 	// paper averages over its 30 crawl traces).
 	SeedsPerSize int
-	// BaseSeed derives every topology and run seed.
-	BaseSeed int64
-
-	// M is the per-node neighbor target after random-edge augmentation
-	// (Section 5.1 uses M=5).
-	M int
-
-	// SwitchTick is the period at which each run's one planned switch
-	// fires (the warm-up before it lets the system reach its stable
-	// phase); JoinSpreadTicks and HorizonTicks are sim.Config's. Paper()
-	// sets the calibrated shape: members assemble over ~25 s, the switch
-	// fires at 40 s.
-	SwitchTick      int
-	JoinSpreadTicks int
-	HorizonTicks    int
-
-	// Churn enables the dynamic environment of Section 5.4 (5 % leave and
-	// join per period).
-	Churn bool
 
 	// TrackRatios records the Figures 5/9 time series (costs CPU; only the
 	// ratio-track experiments need it).
@@ -71,97 +63,99 @@ type Workload struct {
 	FastFactory   sim.AlgorithmFactory
 	NormalFactory sim.AlgorithmFactory
 
-	// Substrate ablation switches (see sim.Config).
-	PerLinkOutbound bool // use the per-link capacity model instead of shared
-	DisablePrefetch bool // no leftover-budget random prefetch
-
-	// qsOverride, when positive, replaces the paper's Qs=50 (used by the
-	// startup-threshold ablation).
-	qsOverride int
+	// DisablePrefetch turns off the leftover-budget random prefetch (the
+	// substrate ablation; see sim.Config).
+	DisablePrefetch bool
 }
 
-// Paper returns the calibrated workload reproducing Section 5.1: τ=1 s,
-// p=10 segments/s, Q=10, Qs=50, B=600, M=5, I∈[10,33] with mean 15,
-// shared outbound capacity, 40 warm-up periods with arrivals spread over
-// the first 25.
+// Paper returns the calibrated workload reproducing Section 5.1: the
+// paper's single-switch scenario (τ=1 s, p=10 segments/s, Q=10, Qs=50,
+// B=600, M=5, I∈[10,33] with mean 15, shared outbound capacity, 40
+// warm-up periods with arrivals spread over the first 25) at every size
+// of the paper's sweep.
 func Paper() Workload {
+	base := scenario.PaperSingleSwitch()
+	base.Seed = 20080917 // ICPP 2008 proceedings date
 	return Workload{
-		Sizes:           []int{100, 500, 1000, 2000, 4000, 8000},
-		SeedsPerSize:    5,
-		BaseSeed:        20080917, // ICPP 2008 proceedings date
-		M:               5,
-		SwitchTick:      40,
-		JoinSpreadTicks: 25,
-		HorizonTicks:    300,
-		FastFactory:     sim.Fast,
-		NormalFactory:   sim.Normal,
+		Base:          base,
+		Sizes:         []int{100, 500, 1000, 2000, 4000, 8000},
+		SeedsPerSize:  5,
+		FastFactory:   sim.Fast,
+		NormalFactory: sim.Normal,
 	}
 }
 
-// Topology synthesizes the overlay for one (size, replica) cell: a
-// Gnutella-like crawl trace augmented with random edges until every node
-// holds at least M neighbors (Section 5.1's preparation).
-func (w Workload) Topology(n int, replica int) (*overlay.Graph, error) {
-	seed := w.BaseSeed + int64(n)*1_000_003 + int64(replica)*7919
-	tr := trace.Synthesize(fmt.Sprintf("synth-%d-%d", n, replica), n, 1+replica%2, seed)
-	g, err := tr.Graph()
-	if err != nil {
-		return nil, err
-	}
-	overlay.AugmentMinDegree(g, w.M, rand.New(rand.NewSource(seed^0xa06)))
-	return g, nil
+// With returns a copy of the workload whose base scenario is a copy
+// edited by edit; w itself is left unchanged.
+func (w Workload) With(edit func(*scenario.Scenario)) Workload {
+	base := *w.Base
+	edit(&base)
+	w.Base = &base
+	return w
 }
 
-// simConfig assembles the sim.Config for one run on a fresh topology:
-// the paper's evaluation shape as a one-event script.
-func (w Workload) simConfig(g *overlay.Graph, runSeed int64, algo sim.AlgorithmFactory) sim.Config {
-	cfg := sim.Config{
-		Graph:           g,
-		Seed:            runSeed,
-		NewAlgorithm:    algo,
-		JoinSpreadTicks: w.JoinSpreadTicks,
-		HorizonTicks:    w.HorizonTicks,
-		FirstSource:     -1,
-		Script:          &sim.Script{Events: []sim.Event{sim.SwitchAt(w.SwitchTick, -1)}},
-		SharedOutbound:  !w.PerLinkOutbound,
-		DisablePrefetch: w.DisablePrefetch,
-		Qs:              w.qsOverride,
-		TrackRatios:     w.TrackRatios,
-		Workers:         w.SimWorkers,
-	}
-	if w.Churn {
-		cfg.Churn = &sim.ChurnConfig{LeaveFraction: 0.05, JoinFraction: 0.05}
-	}
-	return cfg
+// Dynamic returns the workload in Section 5.4's dynamic environment: 5 %
+// of the nodes leave and 5 % join per period.
+func (w Workload) Dynamic() Workload {
+	return w.With(func(sc *scenario.Scenario) { sc.ChurnLeave, sc.ChurnJoin = 0.05, 0.05 })
 }
 
-// checkReplicas rejects a replica count that would run nothing.
-func (w Workload) checkReplicas() error {
+// cell is the scenario of one (size, replica) cell: the base scaled to n
+// nodes with its own seed, so each replica runs on its own synthesized
+// topology.
+func (w Workload) cell(n, replica int) *scenario.Scenario {
+	sc := w.Base.Scaled(n)
+	sc.Seed = w.Base.Seed + int64(n)*1_000_003 + int64(replica)*7919
+	return sc
+}
+
+// check rejects a workload that has nothing to run.
+func (w Workload) check() error {
+	if w.Base == nil {
+		return fmt.Errorf("experiment: workload has no base scenario")
+	}
 	if w.SeedsPerSize < 1 {
 		return fmt.Errorf("experiment: need at least one replica per size, have %d", w.SeedsPerSize)
 	}
 	return nil
 }
 
-// trial is one simulation of a sweep.
-type trial struct {
-	label  string // names the trial in an error
-	config func() (sim.Config, error)
+// runSettings are the run-side knobs a scenario does not carry.
+type runSettings struct {
+	workers         int // trial fan-out pool (0 = GOMAXPROCS)
+	simWorkers      int // sim.Config.Workers of every trial
+	trackRatios     bool
+	disablePrefetch bool
 }
 
-// runTrials executes independent trials on the engine pool — one trial
-// per shard, each writing its own result slot, so no lock guards the
-// fan-out — and returns their results in trial order, or the first
-// failed trial's error.
-func runTrials(workers int, trials []trial) ([]*sim.Result, error) {
+// settings are the workload's run-side knobs.
+func (w Workload) settings() runSettings {
+	return runSettings{w.Workers, w.SimWorkers, w.TrackRatios, w.DisablePrefetch}
+}
+
+// trial is one simulation of a sweep: a scenario under one scheduler.
+type trial struct {
+	label string // names the trial in an error
+	sc    *scenario.Scenario
+	algo  sim.AlgorithmFactory
+}
+
+// runTrials compiles and executes independent trials on the engine pool
+// — one trial per shard, each writing its own result slot, so no lock
+// guards the fan-out — and returns their results in trial order, or the
+// first failed trial's error.
+func runTrials(rs runSettings, trials []trial) ([]*sim.Result, error) {
 	results := make([]*sim.Result, len(trials))
 	errs := make([]error, len(trials))
-	engine.NewPool(workers).Run(len(trials), func(_, i int) {
-		cfg, err := trials[i].config()
+	engine.NewPool(rs.workers).Run(len(trials), func(_, i int) {
+		cfg, err := trials[i].sc.Config(trials[i].algo)
 		if err != nil {
 			errs[i] = err
 			return
 		}
+		cfg.Workers = rs.simWorkers
+		cfg.TrackRatios = rs.trackRatios
+		cfg.DisablePrefetch = rs.disablePrefetch
 		s, err := sim.New(cfg)
 		if err != nil {
 			errs[i] = err
@@ -177,19 +171,15 @@ func runTrials(workers int, trials []trial) ([]*sim.Result, error) {
 	return results, nil
 }
 
-// trial builds one (size, replica) cell's run under the given scheduler.
-func (w Workload) trial(n, replica int, algo sim.AlgorithmFactory) trial {
-	return trial{
-		label: fmt.Sprintf("size %d replica %d", n, replica),
-		config: func() (sim.Config, error) {
-			g, err := w.Topology(n, replica)
-			if err != nil {
-				return sim.Config{}, err
-			}
-			runSeed := w.BaseSeed ^ int64(n)<<20 ^ int64(replica)<<8
-			return w.simConfig(g, runSeed, algo), nil
-		},
+// paperPair fills in the paper's schedulers for nil factories.
+func paperPair(fast, normal sim.AlgorithmFactory) (sim.AlgorithmFactory, sim.AlgorithmFactory) {
+	if fast == nil {
+		fast = sim.Fast
 	}
+	if normal == nil {
+		normal = sim.Normal
+	}
+	return fast, normal
 }
 
 // Sweep runs both algorithms over every (size, replica) cell and returns
@@ -198,22 +188,18 @@ func (w Workload) Sweep() ([]PairSample, error) {
 	if len(w.Sizes) == 0 {
 		return nil, fmt.Errorf("experiment: a sweep needs at least one size")
 	}
-	if err := w.checkReplicas(); err != nil {
+	if err := w.check(); err != nil {
 		return nil, err
 	}
-	if w.FastFactory == nil {
-		w.FastFactory = sim.Fast
-	}
-	if w.NormalFactory == nil {
-		w.NormalFactory = sim.Normal
-	}
+	fast, normal := paperPair(w.FastFactory, w.NormalFactory)
 	trials := make([]trial, 0, len(w.Sizes)*w.SeedsPerSize*2)
 	for _, n := range w.Sizes {
 		for r := 0; r < w.SeedsPerSize; r++ {
-			trials = append(trials, w.trial(n, r, w.FastFactory), w.trial(n, r, w.NormalFactory))
+			sc, label := w.cell(n, r), fmt.Sprintf("size %d replica %d", n, r)
+			trials = append(trials, trial{label, sc, fast}, trial{label, sc, normal})
 		}
 	}
-	results, err := runTrials(w.Workers, trials)
+	results, err := runTrials(w.settings(), trials)
 	if err != nil {
 		return nil, err
 	}

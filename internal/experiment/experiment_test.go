@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -14,34 +15,41 @@ func tiny() Workload {
 	w := Paper()
 	w.Sizes = []int{80}
 	w.SeedsPerSize = 2
-	w.SwitchTick = 25
-	w.JoinSpreadTicks = 12
-	w.HorizonTicks = 150
+	w.Base.Events = []sim.Event{sim.SwitchAt(25, -1)}
+	w.Base.Spread = 12
+	w.Base.Horizon = 150
 	w.Workers = 2
 	return w
 }
 
+// TestTopologyProperties checks a cell's overlay, the Section 5.1
+// preparation its scenario compiles: min degree ≥ M, connected, the same
+// cell reproducible, different replicas different.
 func TestTopologyProperties(t *testing.T) {
 	w := Paper()
-	g, err := w.Topology(200, 0)
-	if err != nil {
-		t.Fatal(err)
+	graph := func(replica int) *overlay.Graph {
+		cfg, err := w.cell(200, replica).Config(sim.Fast)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cfg.Graph
 	}
+	g := graph(0)
 	if g.N() != 200 {
 		t.Fatalf("N = %d", g.N())
 	}
-	if g.MinDegree() < w.M {
-		t.Errorf("min degree %d < M=%d after augmentation", g.MinDegree(), w.M)
+	if g.MinDegree() < w.Base.M {
+		t.Errorf("min degree %d < M=%d after augmentation", g.MinDegree(), w.Base.M)
 	}
 	if !g.Connected() {
 		t.Error("topology disconnected")
 	}
 	// Same cell → identical topology; different replica → different.
-	g2, _ := w.Topology(200, 0)
+	g2 := graph(0)
 	if g.M() != g2.M() {
 		t.Error("same cell produced different topologies")
 	}
-	g3, _ := w.Topology(200, 1)
+	g3 := graph(1)
 	if g3.M() == g.M() && g3.N() == g.N() {
 		// Equal edge count alone is possible; degree sequence equality is
 		// overwhelmingly unlikely across replicas.
@@ -55,6 +63,24 @@ func TestTopologyProperties(t *testing.T) {
 		if same {
 			t.Error("different replicas produced identical topologies")
 		}
+	}
+}
+
+// TestWorkloadCellIsScenario pins the one way to build a run: a cell's
+// result inside a sweep is exactly its scenario run on its own.
+func TestWorkloadCellIsScenario(t *testing.T) {
+	w := tiny()
+	samples, err := w.Sweep()
+	if err != nil {
+		t.Fatal(err)
+	}
+	alone, err := w.cell(80, 1).Run(sim.Fast)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(samples[1].Fast, alone) {
+		t.Errorf("sweep cell differs from its scenario's run:\n%+v\nvs\n%+v",
+			samples[1].Fast.FirstSwitch(), alone.FirstSwitch())
 	}
 }
 
@@ -96,13 +122,15 @@ func TestSweepDeterminism(t *testing.T) {
 	}
 }
 
-// TestSweepRejectsEmptyGrid: a sweep with no sizes or no replicas is an
-// error, not a slice panic, and so is an ablation with no replicas.
+// TestSweepRejectsEmptyGrid: a sweep with no sizes, no replicas or a size
+// its scenario rejects is an error, not a panic, and so is an ablation
+// with no replicas.
 func TestSweepRejectsEmptyGrid(t *testing.T) {
 	for _, edit := range []func(*Workload){
 		func(w *Workload) { w.SeedsPerSize = 0 },
 		func(w *Workload) { w.SeedsPerSize = -1 },
 		func(w *Workload) { w.Sizes = nil },
+		func(w *Workload) { w.Sizes = []int{1} },
 	} {
 		w := tiny()
 		edit(&w)

@@ -32,7 +32,7 @@ func (w Workload) RunRatioTrack(n int) (*RatioTrack, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt := &RatioTrack{N: n, Dynamic: w.Churn}
+	rt := &RatioTrack{N: n, Dynamic: w.Base.ChurnLeave > 0 || w.Base.ChurnJoin > 0}
 	var fu, fd, nu, nd []*stats.Series
 	var flf, flp, nlf, nlp []float64
 	for _, s := range samples {

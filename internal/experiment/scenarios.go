@@ -39,30 +39,12 @@ type ScenarioOutcome struct {
 
 // Run executes every (scenario, algorithm) trial on the engine pool.
 func (sw ScenarioSweep) Run() ([]ScenarioOutcome, error) {
-	fast, normal := sw.Fast, sw.Normal
-	if fast == nil {
-		fast = sim.Fast
-	}
-	if normal == nil {
-		normal = sim.Normal
-	}
+	fast, normal := paperPair(sw.Fast, sw.Normal)
 	trials := make([]trial, 0, len(sw.Scenarios)*2)
 	for _, sc := range sw.Scenarios {
-		for _, algo := range [2]sim.AlgorithmFactory{fast, normal} {
-			trials = append(trials, trial{
-				label: "scenario " + sc.Name,
-				config: func() (sim.Config, error) {
-					cfg, err := sc.Config(algo)
-					if err != nil {
-						return sim.Config{}, err
-					}
-					cfg.Workers = sw.SimWorkers
-					return cfg, nil
-				},
-			})
-		}
+		trials = append(trials, trial{"scenario " + sc.Name, sc, fast}, trial{"scenario " + sc.Name, sc, normal})
 	}
-	results, err := runTrials(sw.Workers, trials)
+	results, err := runTrials(runSettings{workers: sw.Workers, simWorkers: sw.SimWorkers}, trials)
 	if err != nil {
 		return nil, err
 	}
