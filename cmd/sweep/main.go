@@ -62,13 +62,9 @@ func main() {
 	wants := func(f int) bool { return *fig == 0 || *fig == f }
 
 	for _, dynamic := range []bool{false, true} {
-		wd := w
+		wd, ratioFig, firstFig := w, 5, 6
 		if dynamic {
-			wd = w.Dynamic()
-		}
-		ratioFig, firstFig := 5, 6
-		if dynamic {
-			ratioFig, firstFig = 9, 10
+			wd, ratioFig, firstFig = w.Dynamic(), 9, 10
 		}
 		if wants(ratioFig) {
 			rt, err := wd.RunRatioTrack(*ratioN)
@@ -136,14 +132,13 @@ func runAblations(w experiment.Workload, n int) {
 	}
 
 	// Substrate ablations: per-link capacity model and no-prefetch mesh.
-	perLink := w.With(func(sc *scenario.Scenario) { sc.PerLink = true })
 	noPrefetch := w
 	noPrefetch.DisablePrefetch = true
 	for _, sub := range []struct {
 		name string
 		ws   experiment.Workload
 	}{
-		{"per-link outbound", perLink},
+		{"per-link outbound", w.With(func(sc *scenario.Scenario) { sc.PerLink = true })},
 		{"prefetch disabled", noPrefetch},
 	} {
 		ws := sub.ws

@@ -2,7 +2,7 @@
 // run on: construction, the paper's random-edge augmentation to M
 // connected neighbors per node, connectivity checks, and generators for
 // Gnutella-like topologies standing in for the dead dss.clip2.com traces
-// (see DESIGN.md, substitution table).
+// (package trace explains the substitution).
 package overlay
 
 import (

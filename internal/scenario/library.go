@@ -16,9 +16,9 @@ import (
 // PaperSingleSwitch is the paper's evaluation shape as a scenario: the
 // session assembles over 25 ticks, warms up to 40, then one planned
 // switch to a random successor, measured to the horizon — the run behind
-// every figure of Section 5 (experiment.Workload emits the same one-event
-// script on its own topologies). TestNetNilMatchesPreNetmodelGolden pins
-// its values.
+// every figure of Section 5 (experiment.Paper() is this scenario scaled
+// over sizes and replicas). TestNetNilMatchesPreNetmodelGolden pins its
+// values.
 func PaperSingleSwitch() *Scenario {
 	return &Scenario{
 		Name:    "paper-single-switch",

@@ -15,8 +15,8 @@ import (
 // allocSim builds the engine's reference workload (paper topology,
 // Fast algorithm, shared outbound) sized so the switch event stays far
 // beyond the ticks a test drives by hand. The topology mirrors
-// experiment.Workload.Topology (which this package cannot import —
-// cycle): a synthesized crawl trace augmented to min degree M=5.
+// scenario.Scenario.Config (which this package cannot import — cycle):
+// a synthesized crawl trace augmented to min degree M=5.
 func allocSim(t testing.TB, n int) *Sim { return allocSimObs(t, n, nil) }
 
 // allocSimObs is allocSim with an observability bundle attached — the

@@ -6,10 +6,11 @@
 // name, port, ping time and speed, of which only ID, IP and ping are used
 // (Section 5.1). The crawls are unrecoverable, so this package holds a
 // deterministic synthesizer that emits crawl-like traces at the paper's
-// scales (100–10000 nodes) with Gnutella-like connectivity. After the
-// paper's mandatory random-edge augmentation to M=5 neighbors (package
-// overlay), the workload is statistically indistinguishable from what the
-// authors ran — see DESIGN.md's substitution table.
+// scales (100–10000 nodes) with Gnutella-like connectivity, the repo's
+// stand-in for the lost crawls. The paper's mandatory random-edge
+// augmentation to M=5 neighbors (package overlay) then gives every node
+// the neighbor floor the authors' runs had; scenario.Scenario.Config is
+// where the two meet.
 package trace
 
 import (
