@@ -86,7 +86,7 @@ func Paper() Workload {
 }
 
 // With returns a copy of the workload whose base scenario is a copy
-// edited by edit; w itself is left unchanged.
+// edited by edit; w (which must have a Base) is left unchanged.
 func (w Workload) With(edit func(*scenario.Scenario)) Workload {
 	base := *w.Base
 	edit(&base)
@@ -102,9 +102,11 @@ func (w Workload) Dynamic() Workload {
 
 // cell is the scenario of one (size, replica) cell: the base scaled to n
 // nodes with its own seed, so each replica runs on its own synthesized
-// topology.
+// topology. Scaled leaves a non-positive n unscaled; setting Nodes anyway
+// lets Config reject it.
 func (w Workload) cell(n, replica int) *scenario.Scenario {
 	sc := w.Base.Scaled(n)
+	sc.Nodes = n
 	sc.Seed = w.Base.Seed + int64(n)*1_000_003 + int64(replica)*7919
 	return sc
 }

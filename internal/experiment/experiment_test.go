@@ -131,6 +131,7 @@ func TestSweepRejectsEmptyGrid(t *testing.T) {
 		func(w *Workload) { w.SeedsPerSize = -1 },
 		func(w *Workload) { w.Sizes = nil },
 		func(w *Workload) { w.Sizes = []int{1} },
+		func(w *Workload) { w.Sizes = []int{0} },
 	} {
 		w := tiny()
 		edit(&w)

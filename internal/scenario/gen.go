@@ -14,10 +14,11 @@ import (
 // bandwidth and latency shifts, loss bursts, partitions (uniform and
 // latency-clustered), heals, and overlapping measurement windows, with
 // and without the netmodel transport. Every output at the default size
-// satisfies Validate, round-trips through Write/Parse, and — the property the fuzz driver
-// leans on — runs without a run error at any worker count, so the
-// determinism contract and the run invariants can be checked on an
-// unbounded family of timelines instead of the hand-written library.
+// satisfies Validate, round-trips through Write/Parse, and — the
+// property the fuzz driver leans on — runs without a run error at any
+// worker count, so the determinism contract and the run invariants can
+// be checked on an unbounded family of timelines instead of the
+// hand-written library.
 //
 // The generation is biased where uniform sampling would produce
 // scenarios that cannot run or measure anything:
