@@ -141,17 +141,15 @@ type peer struct {
 	neighbors []overlay.NodeID
 	views     map[overlay.NodeID]*neighborView
 
-	// Per-period request state: segments in flight (requested this or
-	// the previous period), the suppliers that denied each of them, and
-	// the per-supplier request counts of the per-link capacity estimate.
-	requested map[segment.ID]int
-	deniedBy  map[segment.ID][]overlay.NodeID
-	reqPer    map[overlay.NodeID]int
-	// Segments whose request timed out without data or deny — on a lossy
-	// link, the request or its answer was lost. The next request for one
-	// of these carries the wire-level re-request bit, the live
-	// counterpart of the simulator's NetReRequests accounting.
-	timedOut map[segment.ID]int
+	// ledger records this peer's requests (sim.Ledger): in flight since
+	// this or the previous period, denied this period, or timed out
+	// without data or deny — on a lossy link, the request or its answer
+	// was lost, and the next request of the segment carries the
+	// wire-level re-request bit, the live counterpart of the simulator's
+	// NetReRequests accounting. reqPer is this period's requests per
+	// supplier, the per-link capacity estimate.
+	ledger sim.Ledger
+	reqPer map[overlay.NodeID]int
 	// Per-period grant counts per requester (the per-link serve cap),
 	// zeroed at refill; the counters outlive the period so the server can
 	// hold them by pointer.
@@ -173,10 +171,9 @@ type peer struct {
 	reReqs            int
 
 	// The planning step and its scratch, reused across periods: rows are
-	// the neighbors with a fresh view, inflight the keys of requested.
-	planner  sim.Planner
-	rows     []sim.Row
-	inflight []segment.ID
+	// the neighbors with a fresh view.
+	planner sim.Planner
+	rows    []sim.Row
 	// mapSnap is the reusable advertisement snapshot (SnapshotInto
 	// refills it each period; the encoded image, not the map, crosses
 	// the transport).
@@ -227,9 +224,6 @@ func newPeer(spec spawnSpec, par peerParams, algo core.Algorithm, ep Endpoint, r
 		sessions:     append([]segment.Session(nil), spec.sessions...),
 		neighbors:    append([]overlay.NodeID(nil), spec.neighbors...),
 		views:        make(map[overlay.NodeID]*neighborView),
-		requested:    make(map[segment.ID]int),
-		deniedBy:     make(map[segment.ID][]overlay.NodeID),
-		timedOut:     make(map[segment.ID]int),
 		reqPer:       make(map[overlay.NodeID]int),
 		grantsOut:    make(map[overlay.NodeID]*int32),
 		preparedDone: make(map[int]bool),
@@ -337,26 +331,10 @@ func (p *peer) refill() {
 	for k := range p.reqPer {
 		delete(p.reqPer, k)
 	}
-	for k := range p.deniedBy {
-		delete(p.deniedBy, k)
-	}
-	// A request stays "in flight" for the period it was issued plus one
-	// (the response may be crossing the wire); older ones are forgotten
-	// and the segment becomes requestable again — the live counterpart
-	// of the simulator clearing grants at delivery. A forgotten request
-	// got neither data nor a deny: remember the segment so its next
-	// request is tagged as a loss-induced re-request.
-	for seg, at := range p.requested {
-		if at < p.tick-1 {
-			delete(p.requested, seg)
-			p.timedOut[seg] = p.tick
-		}
-	}
-	for seg, at := range p.timedOut {
-		if at < p.tick-8 {
-			delete(p.timedOut, seg) // long-gone: playback moved past it
-		}
-	}
+	// A request unanswered since before the previous period is lost and
+	// its segment requestable again: the live counterpart of the
+	// simulator's landing at delivery.
+	p.ledger.Expire(p.tick)
 }
 
 // generate emits this period's fresh segments when this peer is the
@@ -472,11 +450,7 @@ func (p *peer) schedule() {
 		return
 	}
 	rows := p.viewRows(nil)
-	p.inflight = p.inflight[:0]
-	for seg := range p.requested {
-		p.inflight = append(p.inflight, seg)
-	}
-	if !p.planner.Plan(&p.pb, p.buf, p.sessions, p.inflight, p.profile.In, rows) {
+	if !p.planner.Plan(&p.pb, p.buf, p.sessions, p.ledger.InFlight(), p.profile.In, rows) {
 		return
 	}
 	for _, pu := range p.planner.Pulls {
@@ -528,12 +502,8 @@ func (p *peer) viewRows(skip []overlay.NodeID) []sim.Row {
 // retry of a timed-out (lost) exchange with the wire re-request bit.
 func (p *peer) request(seg segment.ID, sup overlay.NodeID) {
 	p.in.Take(1)
-	p.requested[seg] = p.tick
 	p.reqPer[sup]++
-	_, re := p.timedOut[seg]
-	if re {
-		delete(p.timedOut, seg)
-	}
+	re := p.ledger.Issue(seg, p.tick)
 	p.ep.Queue(Frame{Kind: FrameRequest, ReReq: re, Msg: netmodel.Message{To: sup, Seg: seg, Sent: p.tick}})
 }
 
@@ -634,29 +604,27 @@ func (p *peer) LinkGrants(r sim.Request) *int32 {
 // has not denied it and has request headroom — at most denyRetryCap
 // suppliers per period — and otherwise refunds the inbound token.
 func (p *peer) handleDeny(from overlay.NodeID, seg segment.ID) {
-	if _, ok := p.requested[seg]; !ok {
+	if !p.ledger.Has(seg) {
 		return // stale deny from a previous period
 	}
 	p.denies++
-	denied := append(p.deniedBy[seg], from)
-	p.deniedBy[seg] = denied
-	if len(denied) < denyRetryCap {
+	if denied := p.ledger.Deny(seg, from); len(denied) < denyRetryCap {
 		rows := p.viewRows(denied)
 		if r := p.planner.Pick(rows, seg, p.rng); r >= 0 {
 			alt := overlay.NodeID(rows[r].ID)
-			p.requested[seg] = p.tick
+			p.ledger.Issue(seg, p.tick)
 			p.reqPer[alt]++
 			p.ep.Queue(Frame{Kind: FrameRequest, Msg: netmodel.Message{To: alt, Seg: seg, Sent: p.tick}})
 			return
 		}
 	}
-	delete(p.requested, seg)
+	p.ledger.Land(seg)
 	p.in.Refund(1)
 }
 
 // handleData lands one granted segment.
 func (p *peer) handleData(seg segment.ID) {
-	delete(p.requested, seg)
+	p.ledger.Land(seg)
 	if p.buf.Has(seg) {
 		p.dupes++ // over-subscription resolved here, not at the supplier
 		return

@@ -93,9 +93,7 @@ func (p *refPeer) plan_() {
 	// undelivered request windows, with in-flight requests excluded.
 	p.pb.Discover(p.sessions, maxAdvert)
 	p.granted = p.granted[:0]
-	for seg := range p.requested {
-		p.granted = append(p.granted, seg)
-	}
+	p.granted = append(p.granted, p.ledger.InFlight()...)
 	p.needOld, p.needNew = p.pb.NeedWindows(p.buf, p.sessions, maxAdvert,
 		sim.BufferCap, p.par.Qs, p.granted, p.needOld, p.needNew)
 	if len(p.needOld) == 0 && len(p.needNew) == 0 {
@@ -108,7 +106,7 @@ func (p *refPeer) plan_() {
 		if p.in.Available() < 1 {
 			break
 		}
-		if _, dup := p.requested[req.Segment]; dup {
+		if p.ledger.Has(req.Segment) {
 			continue
 		}
 		p.request(req.Segment, overlay.NodeID(req.Supplier))
@@ -133,7 +131,7 @@ func (p *refPeer) prefetch(sups []overlay.NodeID) {
 		j := k + p.rng.Intn(len(pool)-k)
 		pool[k], pool[j] = pool[j], pool[k]
 		id := pool[k]
-		if _, dup := p.requested[id]; dup {
+		if p.ledger.Has(id) {
 			continue
 		}
 		sup := p.pickSupplier(sups, id)
@@ -225,9 +223,9 @@ func syntheticPeer(seed int64, par peerParams, algo core.Algorithm, ep Endpoint)
 	for id := playhead; id <= live; id++ {
 		switch rng.Intn(20) {
 		case 0:
-			p.requested[id] = tick - rng.Intn(2)
+			p.ledger.Issue(id, tick-rng.Intn(2))
 		case 1:
-			p.timedOut[id] = tick - 1
+			p.ledger.Lose(id, tick-1)
 		}
 	}
 	p.in.Refill(sim.Tau)
@@ -392,9 +390,9 @@ func TestDenyRetryRespectsLinkCap(t *testing.T) {
 		switch {
 		case altAtCap && len(ep.frames) != 0:
 			t.Fatalf("alternate at its link cap: queued %v", ep.frames)
-		case altAtCap && (p.in.Available() != before+1 || p.requested[seg] == p.tick):
+		case altAtCap && (p.in.Available() != before+1 || p.ledger.Has(seg)):
 			t.Fatalf("alternate at its link cap: inbound %d (was %d), still requested: %v",
-				p.in.Available(), before, p.requested)
+				p.in.Available(), before, p.ledger.InFlight())
 		case !altAtCap && (len(ep.frames) != 1 || ep.frames[0].To != alt || ep.frames[0].Kind != FrameRequest):
 			t.Fatalf("alternate below its link cap: queued %v, want one request to %d", ep.frames, alt)
 		}

@@ -42,22 +42,16 @@ type nodeState struct {
 	// window's own stamps live in Sim.win).
 	q0 int
 
-	// granted holds the segments already won in an earlier serve round of
-	// the current period: they are in flight (arriving at period end) and
-	// must not be re-requested in retry rounds. At most Inbound·τ entries,
-	// so a flat slice with linear membership beats a map; it is appended
-	// only by the commit worker owning the node's shard and cleared at
-	// delivery. Under the
-	// netmodel transport a segment stays granted for its whole flight
-	// time (possibly several ticks) and is removed individually at
-	// delivery or loss, so the round-0 isGranted scans become
-	// load-bearing there.
-	granted []segment.ID
-
-	// lostSegs holds segments whose in-flight message the transport
-	// lost: the node may request them again, and a later grant of one is
-	// counted as a loss-induced re-request. Netmodel runs only.
-	lostSegs []segment.ID
+	// ledger records the node's requests (ledger.go). Its in-flight set
+	// holds the segments won in an earlier serve round of the period,
+	// which must not be requested again: the commit issues each grant,
+	// and delivery lands them all at period end — or, under the netmodel
+	// transport, transit lands or loses each one when its message is
+	// due, possibly ticks later. A lost segment's next grant counts as a
+	// loss-induced re-request. Only the worker owning the node's shard
+	// writes it (commit, deliver, transit); the plan phase and suppliers'
+	// Takes read it while it is frozen.
+	ledger Ledger
 
 	// linkGrants[i] counts this period's grants over the link from the
 	// node's i-th neighbor (the per-pair cap of the per-link substrate —
@@ -80,63 +74,6 @@ type nodeState struct {
 	viewAdj []int32
 }
 
-// markGranted notes an in-flight segment for the rest of the period.
-func (n *nodeState) markGranted(id segment.ID) {
-	n.granted = append(n.granted, id)
-}
-
-// isGranted reports whether the segment is already in flight this period.
-func (n *nodeState) isGranted(id segment.ID) bool {
-	for _, g := range n.granted {
-		if g == id {
-			return true
-		}
-	}
-	return false
-}
-
-// clearGranted resets the in-flight set at period end.
-func (n *nodeState) clearGranted() {
-	n.granted = n.granted[:0]
-}
-
-// removeGranted drops one segment from the in-flight set (netmodel
-// delivery or loss; membership is set-like, so swap-delete is fine).
-func (n *nodeState) removeGranted(id segment.ID) {
-	for i, g := range n.granted {
-		if g == id {
-			n.granted[i] = n.granted[len(n.granted)-1]
-			n.granted = n.granted[:len(n.granted)-1]
-			return
-		}
-	}
-}
-
-// noteLost records a lost in-flight segment so a later re-grant counts
-// as a loss-induced re-request.
-func (n *nodeState) noteLost(id segment.ID) {
-	for _, l := range n.lostSegs {
-		if l == id {
-			return
-		}
-	}
-	n.lostSegs = append(n.lostSegs, id)
-}
-
-// consumeLost reports whether the segment was previously lost for this
-// node, removing the record (each loss is counted as at most one
-// re-request).
-func (n *nodeState) consumeLost(id segment.ID) bool {
-	for i, l := range n.lostSegs {
-		if l == id {
-			n.lostSegs[i] = n.lostSegs[len(n.lostSegs)-1]
-			n.lostSegs = n.lostSegs[:len(n.lostSegs)-1]
-			return true
-		}
-	}
-	return false
-}
-
 func newNodeState(id overlay.NodeID, prof bandwidth.Profile, joinTick int) *nodeState {
 	return &nodeState{
 		id:      id,
@@ -147,9 +84,9 @@ func newNodeState(id overlay.NodeID, prof bandwidth.Profile, joinTick int) *node
 		out:     bandwidth.NewBudget(prof.Out),
 		alive:   true,
 		// Pre-size the in-flight set to a period's worth of grants: the
-		// slice converges there anyway, and paying it at construction
+		// slices converge there anyway, and paying it at construction
 		// keeps the first scheduling periods growth-free.
-		granted:  make([]segment.ID, 0, 16),
+		ledger:   Ledger{inflight: make([]segment.ID, 0, 16), issued: make([]int, 0, 16)},
 		joinTick: joinTick,
 		maxSeen:  segment.None,
 		Playback: NewPlayback(0, 0, 1),

@@ -51,7 +51,7 @@ func (s *Sim) phaseTransit() {
 			if !to.alive {
 				// The destination left the overlay mid-flight: the message
 				// evaporates without loss accounting (nobody re-requests).
-				to.removeGranted(msg.Seg)
+				to.ledger.Land(msg.Seg)
 				sh.netEvap++
 				return
 			}
@@ -60,19 +60,17 @@ func (s *Sim) phaseTransit() {
 			// branches drop the message the same way, they only differ in
 			// which conservation bucket counts it.
 			if s.blocked(msg.From, msg.To) {
-				to.removeGranted(msg.Seg)
-				to.noteLost(msg.Seg)
+				to.ledger.Lose(msg.Seg, s.tick)
 				sh.netSevered++
 				return
 			}
 			if loss > 0 && rng.Float64() < loss {
-				to.removeGranted(msg.Seg)
-				to.noteLost(msg.Seg)
+				to.ledger.Lose(msg.Seg, s.tick)
 				sh.netLost++
 				return
 			}
 			to.receive(msg.Seg)
-			to.removeGranted(msg.Seg)
+			to.ledger.Land(msg.Seg)
 			sh.netDelivered++
 			// The true link delay, sub-period resolution.
 			sh.netDelayMS += msg.DelayMS(Tau)

@@ -178,7 +178,7 @@ func (s *Sim) planNode(ws *workerScratch, sh *shardScratch, n *nodeState, round 
 	}
 	// In flight: segments granted in an earlier round of this period, or
 	// still travelling under the netmodel.
-	if !ws.Plan(&n.Playback, n.buf, s.sessions, n.granted, n.profile.In, n.view) {
+	if !ws.Plan(&n.Playback, n.buf, s.sessions, n.ledger.InFlight(), n.profile.In, n.view) {
 		return
 	}
 	sh.diagRequests += len(ws.plan.Requests)

@@ -81,9 +81,9 @@ func (s *Sim) serveJitterRNG(round int) *rand.Rand {
 // proposal order within each — the per-source commit index is a *stable*
 // sort by requester shard, so intra-shard order survives the bucketing).
 // Identical per-requester order plus untouched cross-requester state
-// means bit-identical Take/markGranted decisions at any worker count.
+// means bit-identical Take/Issue decisions at any worker count.
 //
-// Writes stay disjoint: requester state (inbound budget, granted set,
+// Writes stay disjoint: requester state (inbound budget, ledger,
 // linkGrants refunds) belongs to the worker owning the requester's shard;
 // accept flags land at distinct indexes of the source shards' flag
 // arrays; deliveries and counters buffer in the requester shard's
@@ -117,11 +117,11 @@ func (s *Sim) commit(shards, round int) {
 					}
 					continue
 				}
-				req.markGranted(p.Seg)
+				reReq := req.ledger.Issue(p.Seg, s.tick)
 				src.accept[idx] = true
 				dsh.committed++
 				if s.net != nil {
-					if req.consumeLost(p.Seg) {
+					if reReq {
 						s.obsReReq.Inc() // atomic; observational only
 						if s.win.Active() {
 							dsh.reRequests++

@@ -85,7 +85,7 @@ func (s *Sim) phaseDeliver() {
 		for _, d := range s.shards[shard].landed {
 			n := s.nodes[d.to]
 			n.receive(d.seg)
-			n.clearGranted()
+			n.ledger.LandAll()
 		}
 	})
 }

@@ -50,7 +50,7 @@ func (s *Sim) proposePerLink(ws *serveScratch, sh *proposalOutbox, sid overlay.N
 	for _, r := range reqs {
 		req := s.nodes[r.from]
 		if !req.alive || req.in.Available() < int(ws.reqCount.get(r.from))+1 ||
-			!sup.buf.Has(r.seg) || req.buf.Has(r.seg) || req.isGranted(r.seg) {
+			!sup.buf.Has(r.seg) || req.buf.Has(r.seg) || req.ledger.Has(r.seg) {
 			continue
 		}
 		if req.linkGrants[r.nbIdx] >= perLink {
@@ -76,7 +76,7 @@ func (s *Sim) proposeShared(ws *serveScratch, sh *proposalOutbox, sid overlay.No
 	propose := func(r pullRequest) bool {
 		req := s.nodes[r.from]
 		if !req.alive || req.in.Available() < int(ws.reqCount.get(r.from))+1 ||
-			!sup.buf.Has(r.seg) || req.buf.Has(r.seg) || req.isGranted(r.seg) {
+			!sup.buf.Has(r.seg) || req.buf.Has(r.seg) || req.ledger.Has(r.seg) {
 			return false
 		}
 		sup.out.Take(1)
@@ -128,7 +128,7 @@ func serveWorld(seed int64, shared bool) (*Sim, []Request) {
 			case rng.Float64() < density:
 				n.buf.Insert(seg)
 			case rng.Intn(8) == 0:
-				n.markGranted(seg)
+				n.ledger.Issue(seg, 0)
 			}
 		}
 		for range deg {

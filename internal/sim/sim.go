@@ -501,7 +501,7 @@ func (f *simFacts) WindowLo(id overlay.NodeID) segment.ID { return f.nodes[id].W
 // grants, lacks the segment and has no grant of it pending.
 func (f *simFacts) Takes(r Request, granted int32) bool {
 	req := f.nodes[r.From]
-	return req.alive && req.in.Available() >= int(granted)+1 && !req.buf.Has(r.Seg) && !req.isGranted(r.Seg)
+	return req.alive && req.in.Available() >= int(granted)+1 && !req.buf.Has(r.Seg) && !req.ledger.Has(r.Seg)
 }
 
 // LinkGrants is the requester-side counter of the link; commit refunds it
