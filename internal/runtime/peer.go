@@ -602,15 +602,21 @@ func (p *peer) LinkGrants(r sim.Request) *int32 {
 
 // handleDeny retries the segment at another supplier that advertises it,
 // has not denied it and has request headroom — at most denyRetryCap
-// suppliers per period — and otherwise refunds the inbound token.
+// suppliers per period — and otherwise drops the request. A request
+// issued this period paid a token of this period's inbound budget: its
+// retry reuses the token and its drop refunds it. A late deny, of a
+// request issued the period before, meets a budget that never paid for
+// it: its retry spends a token of its own, and its drop refunds nothing.
 func (p *peer) handleDeny(from overlay.NodeID, seg segment.ID) {
-	if !p.ledger.Has(seg) {
+	at, ok := p.ledger.IssuedAt(seg)
+	if !ok {
 		return // stale deny from a previous period
 	}
 	p.denies++
+	late := at < p.tick
 	if denied := p.ledger.Deny(seg, from); len(denied) < denyRetryCap {
 		rows := p.viewRows(denied)
-		if r := p.planner.Pick(rows, seg, p.rng); r >= 0 {
+		if r := p.planner.Pick(rows, seg, p.rng); r >= 0 && (!late || p.in.Take(1)) {
 			alt := overlay.NodeID(rows[r].ID)
 			p.ledger.Issue(seg, p.tick)
 			p.reqPer[alt]++
@@ -619,7 +625,9 @@ func (p *peer) handleDeny(from overlay.NodeID, seg segment.ID) {
 		}
 	}
 	p.ledger.Land(seg)
-	p.in.Refund(1)
+	if !late {
+		p.in.Refund(1)
+	}
 }
 
 // handleData lands one granted segment.

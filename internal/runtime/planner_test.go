@@ -399,6 +399,57 @@ func TestDenyRetryRespectsLinkCap(t *testing.T) {
 	}
 }
 
+// TestLateDenyPaysFromItsOwnPeriod pins a deny that arrives the period
+// after its request was issued: the request paid a token of the previous
+// period's budget, so a drop refunds nothing into the refilled one, and
+// a retry spends a token of the current budget or is not sent.
+func TestLateDenyPaysFromItsOwnPeriod(t *testing.T) {
+	for _, tc := range []struct {
+		alt, budget bool
+		wantFrames  int
+		wantSpent   int // tokens of the refilled budget the deny spends
+	}{
+		{alt: false, budget: true, wantFrames: 0, wantSpent: 0},
+		{alt: true, budget: false, wantFrames: 0, wantSpent: 0},
+		{alt: true, budget: true, wantFrames: 1, wantSpent: 1},
+	} {
+		var ep recEndpoint
+		p := newPeer(spawnSpec{
+			id: 0, profile: bandwidth.Profile{In: 10, Out: 10}, bwFactor: 1,
+			sessions: []segment.Session{{Begin: 0, End: segment.None}}, known: 1, mySession: -1, seed: 3,
+		}, testPeerParams(false, false), sim.Fast(), &ep, nil)
+		const seg = segment.ID(7)
+		nb := buffer.New(600)
+		nb.Insert(seg)
+		const denier, alt = overlay.NodeID(1), overlay.NodeID(2)
+		p.neighbors = []overlay.NodeID{denier}
+		if tc.alt {
+			p.neighbors = append(p.neighbors, alt)
+		}
+		for _, v := range p.neighbors {
+			p.views[v] = &neighborView{m: nb.SnapshotFrom(0), maxSeen: seg, rate: 2, period: 5}
+		}
+		p.tick = 5
+		p.refill()
+		p.request(seg, denier)
+		p.tick = 6
+		p.refill()
+		if !tc.budget {
+			p.in.Take(p.in.Available())
+		}
+		refilled := p.in.Available()
+		ep.frames = nil
+		p.handleDeny(denier, seg)
+		if len(ep.frames) != tc.wantFrames || p.in.Available() != refilled-tc.wantSpent {
+			t.Errorf("alternate %v, budget %v: queued %v, inbound %d after refill to %d; want %d frames and %d spent",
+				tc.alt, tc.budget, ep.frames, p.in.Available(), refilled, tc.wantFrames, tc.wantSpent)
+		}
+		if at, ok := p.ledger.IssuedAt(seg); ok != (tc.wantFrames == 1) || ok && at != 6 {
+			t.Errorf("alternate %v, budget %v: in flight %v since %d", tc.alt, tc.budget, ok, at)
+		}
+	}
+}
+
 // TestHandleMapDecodesInPlace: a neighbour's advertisement lands in the
 // map its view already holds, allocating nothing, and an image of the
 // wrong length leaves the view as it was.
