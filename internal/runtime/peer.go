@@ -100,8 +100,10 @@ type report struct {
 	maxSeen           segment.ID
 	windowLo          segment.ID
 
-	started, finished int   // session indices, -1 when nothing happened
-	prepared          []int // session indices newly prepared this period
+	// Session indices, -1 when nothing happened: the session started and
+	// the one finished this period, and the one whose startup window the
+	// peer holds (sim.Playback.PreparedSession).
+	started, finished, prepared int
 
 	dupes, denies int // LiveStats.Dupes and Denies
 	reReqs        int // granted loss-induced re-requests (supplier side)
@@ -162,13 +164,11 @@ type peer struct {
 	server  sim.Server
 
 	// Period accumulators, flushed into the report.
-	mapBits, dataBits int64
-	played, stalled   int
-	started, finished int
-	preparedDone      map[int]bool
-	newlyPrepared     []int
-	dupes, denies     int
-	reReqs            int
+	mapBits, dataBits           int64
+	played, stalled             int
+	started, finished, prepared int
+	dupes, denies               int
+	reReqs                      int
 
 	// The planning step and its scratch, reused across periods: rows are
 	// the neighbors with a fresh view.
@@ -204,34 +204,34 @@ type spawnSpec struct {
 
 func newPeer(spec spawnSpec, par peerParams, algo core.Algorithm, ep Endpoint, reports chan<- report) *peer {
 	p := &peer{
-		id:           spec.id,
-		par:          par,
-		ep:           ep,
-		rng:          rand.New(rand.NewSource(spec.seed)),
-		planner:      sim.NewPlanner(algo, par.PeerParams),
-		server:       sim.NewServer(par.PeerParams),
-		buf:          buffer.New(sim.BufferCap),
-		pb:           sim.NewPlayback(spec.anchor, spec.sessionIdx, spec.known),
-		base:         spec.profile,
-		profile:      spec.profile,
-		bwFactor:     spec.bwFactor,
-		alive:        spec.startTick == 0,
-		startTick:    spec.startTick,
-		isSource:     spec.isSource,
-		mySession:    spec.mySession,
-		nextGen:      spec.nextGen,
-		maxSeen:      segment.None,
-		sessions:     append([]segment.Session(nil), spec.sessions...),
-		neighbors:    append([]overlay.NodeID(nil), spec.neighbors...),
-		views:        make(map[overlay.NodeID]*neighborView),
-		reqPer:       make(map[overlay.NodeID]int),
-		grantsOut:    make(map[overlay.NodeID]*int32),
-		preparedDone: make(map[int]bool),
-		started:      -1,
-		finished:     -1,
-		tickCh:       make(chan tickCmd, 1),
-		ctrlCh:       make(chan ctrlMsg, 8),
-		reports:      reports,
+		id:        spec.id,
+		par:       par,
+		ep:        ep,
+		rng:       rand.New(rand.NewSource(spec.seed)),
+		planner:   sim.NewPlanner(algo, par.PeerParams),
+		server:    sim.NewServer(par.PeerParams),
+		buf:       buffer.New(sim.BufferCap),
+		pb:        sim.NewPlayback(spec.anchor, spec.sessionIdx, spec.known),
+		base:      spec.profile,
+		profile:   spec.profile,
+		bwFactor:  spec.bwFactor,
+		alive:     spec.startTick == 0,
+		startTick: spec.startTick,
+		isSource:  spec.isSource,
+		mySession: spec.mySession,
+		nextGen:   spec.nextGen,
+		maxSeen:   segment.None,
+		sessions:  append([]segment.Session(nil), spec.sessions...),
+		neighbors: append([]overlay.NodeID(nil), spec.neighbors...),
+		views:     make(map[overlay.NodeID]*neighborView),
+		reqPer:    make(map[overlay.NodeID]int),
+		grantsOut: make(map[overlay.NodeID]*int32),
+		started:   -1,
+		finished:  -1,
+		prepared:  -1,
+		tickCh:    make(chan tickCmd, 1),
+		ctrlCh:    make(chan ctrlMsg, 8),
+		reports:   reports,
 	}
 	if !spec.isSource {
 		p.profile = bandwidth.Profile{In: spec.profile.In * spec.bwFactor, Out: spec.profile.Out * spec.bwFactor}
@@ -313,7 +313,6 @@ func (p *peer) period(tick int) {
 		p.refill()
 		p.generate()
 		p.playback()
-		p.checkPrepared()
 		p.advertise()
 		p.schedule()
 	}
@@ -352,7 +351,9 @@ func (p *peer) generate() {
 	}
 }
 
-// playback advances the shared playback state machine by one period.
+// playback advances the shared playback state machine by one period and
+// tests the prepare-S2 condition, at period boundaries exactly like the
+// simulator's playback phase.
 func (p *peer) playback() {
 	if p.isSource {
 		return
@@ -366,24 +367,7 @@ func (p *peer) playback() {
 	if st.Finished >= 0 {
 		p.finished = st.Finished
 	}
-}
-
-// checkPrepared reports sessions whose startup window just completed
-// (the paper's prepare-S2 condition, evaluated at period boundaries
-// exactly like the simulator's playback phase).
-func (p *peer) checkPrepared() {
-	if p.isSource {
-		return
-	}
-	for k := 1; k < p.pb.Known && k < len(p.sessions); k++ {
-		if p.preparedDone[k] {
-			continue
-		}
-		if sim.Prepared(p.buf, p.sessions[k].Begin, p.par.Qs) {
-			p.preparedDone[k] = true
-			p.newlyPrepared = append(p.newlyPrepared, k)
-		}
-	}
+	p.prepared = p.pb.PreparedSession(p.buf, p.sessions, p.par.Qs)
 }
 
 // advertise sends this period's buffer map to every neighbor.
@@ -718,17 +702,14 @@ func (p *peer) makeReport(tick int) report {
 		windowLo: p.pb.WindowLo(),
 		started:  p.started,
 		finished: p.finished,
+		prepared: p.prepared,
 		dupes:    p.dupes,
 		denies:   p.denies,
 		reReqs:   p.reReqs,
 	}
-	if len(p.newlyPrepared) > 0 {
-		r.prepared = append([]int(nil), p.newlyPrepared...)
-	}
 	p.played, p.stalled = 0, 0
 	p.mapBits, p.dataBits = 0, 0
-	p.started, p.finished = -1, -1
-	p.newlyPrepared = p.newlyPrepared[:0]
+	p.started, p.finished, p.prepared = -1, -1, -1
 	p.dupes, p.denies = 0, 0
 	p.reReqs = 0
 	return r

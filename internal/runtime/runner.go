@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -427,7 +426,7 @@ func (r *Runner) observe(rep report) {
 			r.win.Gone(k)
 		}
 		st := sim.PlaybackStep{Played: rep.played, Stalled: rep.stalled, Started: rep.started, Finished: rep.finished}
-		r.win.Step(k, rep.period, st, slices.Contains(rep.prepared, len(r.timeline)-1))
+		r.win.Step(k, rep.period, st, rep.prepared == len(r.timeline)-1)
 	}
 }
 

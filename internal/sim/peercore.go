@@ -270,12 +270,18 @@ func (pb *Playback) tryStart(buf *buffer.Buffer, cur segment.Session, qs int) bo
 	return true
 }
 
-// Prepared reports whether the peer holds the entire startup window of a
-// session beginning at begin — the paper's prepare-S2 condition (all of
-// the first qs segments delivered). Undelivered-count zero over the
-// window is equivalent to qs consecutive from its begin.
-func Prepared(buf *buffer.Buffer, begin segment.ID, qs int) bool {
-	return buf.ConsecutiveFrom(begin) >= qs
+// PreparedSession is the index of the newest session the peer knows
+// when it holds that session's entire startup window — the paper's
+// prepare-S2 condition (all of the first qs segments delivered) — and -1
+// otherwise, or while it knows only the first session, which no switch
+// precedes. Undelivered-count zero over the window is equivalent to qs
+// consecutive from its begin.
+func (pb *Playback) PreparedSession(buf *buffer.Buffer, sessions []segment.Session, qs int) int {
+	k := pb.Known - 1
+	if k < 1 || k >= len(sessions) || buf.ConsecutiveFrom(sessions[k].Begin) < qs {
+		return -1
+	}
+	return k
 }
 
 // LinkRate is R(j), the sending rate a supplier with outbound rate out

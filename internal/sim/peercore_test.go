@@ -140,15 +140,21 @@ func TestPlaybackDiscoverAndNeedWindows(t *testing.T) {
 }
 
 func TestPreparedMatchesUndeliveredWindow(t *testing.T) {
+	sessions := []segment.Session{{Begin: 0, End: 19}, {Source: 1, Begin: 20, End: segment.None}}
 	buf := buffer.New(50)
 	for id := segment.ID(20); id < 24; id++ {
 		buf.Insert(id)
 	}
-	if Prepared(buf, 20, 5) {
-		t.Fatal("prepared with one segment missing")
+	pb := NewPlayback(0, 0, 2)
+	if k := pb.PreparedSession(buf, sessions, 5); k != -1 {
+		t.Fatalf("prepared session %d with one segment missing", k)
 	}
 	buf.Insert(24)
-	if !Prepared(buf, 20, 5) {
-		t.Fatal("not prepared with the full startup window held")
+	if k := pb.PreparedSession(buf, sessions, 5); k != 1 {
+		t.Fatalf("prepared session %d with the full startup window held, want 1", k)
+	}
+	pb.Known = 1
+	if k := pb.PreparedSession(buf, sessions, 5); k != -1 {
+		t.Fatalf("prepared session %d before discovering the second session", k)
 	}
 }

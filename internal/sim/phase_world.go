@@ -108,7 +108,7 @@ func (s *Sim) phasePlayback() {
 			}
 			st := nd.Advance(nd.buf, sessions, s.cfg.Qs)
 			if k := s.win.Slot(nd.id); k >= 0 {
-				prepared := nd.Known > s.newSessionIdx && s.win.Preparing(k) && Prepared(nd.buf, s.s2Begin, s.cfg.Qs)
+				prepared := s.win.Preparing(k) && nd.PreparedSession(nd.buf, sessions, s.cfg.Qs) == s.newSessionIdx
 				s.win.Step(k, s.tick, st, prepared)
 			}
 		}
