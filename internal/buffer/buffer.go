@@ -104,12 +104,17 @@ func (b *Buffer) setSlot(id segment.ID, v int32) {
 		b.base = id
 	}
 	off := int(id - b.base)
-	for off >= len(b.slots) {
-		if cap(b.slots) > off {
-			b.slots = b.slots[:off+1]
-		} else {
-			b.slots = append(b.slots, make([]int32, off+1-len(b.slots))...)
+	if off >= len(b.slots) {
+		if off >= cap(b.slots) {
+			// One make and a copy, not append of a make: the compiler fuses
+			// the latter into one allocation only when it is not
+			// instrumenting, so a race build would pay two per growth.
+			grown := make([]int32, len(b.slots), max(2*cap(b.slots), off+1))
+			copy(grown, b.slots)
+			b.slots = grown
 		}
+		// Slots past len were never written (or were allocated zeroed).
+		b.slots = b.slots[:off+1]
 	}
 	b.slots[off] = v
 
