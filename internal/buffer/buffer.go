@@ -106,14 +106,12 @@ func (b *Buffer) setSlot(id segment.ID, v int32) {
 	off := int(id - b.base)
 	if off >= len(b.slots) {
 		if off >= cap(b.slots) {
-			// One make and a copy, not append of a make: the compiler fuses
-			// the latter into one allocation only when it is not
-			// instrumenting, so a race build would pay two per growth.
+			// Not append of a make: a race build does not fuse that into
+			// one allocation.
 			grown := make([]int32, len(b.slots), max(2*cap(b.slots), off+1))
 			copy(grown, b.slots)
 			b.slots = grown
 		}
-		// Slots past len were never written (or were allocated zeroed).
 		b.slots = b.slots[:off+1]
 	}
 	b.slots[off] = v

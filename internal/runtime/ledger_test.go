@@ -19,7 +19,7 @@ import (
 // the peer kept it in a sim.Ledger: the requested, deniedBy and timedOut
 // maps, refill's expiry loops and the map edits of request, handleDeny
 // and handleData, kept verbatim as the reference on a wrapper around a
-// peer. The ledger-driven peer must queue the same frames, refund the
+// peer (handleData without its copy of the buffer's high-water mark). The ledger-driven peer must queue the same frames, refund the
 // same tokens and leave its generator at the same position.
 type refBook struct {
 	*peer
@@ -92,9 +92,6 @@ func (p *refBook) handleData(seg segment.ID) {
 		return
 	}
 	p.buf.Insert(seg)
-	if seg > p.maxSeen {
-		p.maxSeen = seg
-	}
 	p.dataBits += bandwidth.BitsForSegments(1)
 }
 

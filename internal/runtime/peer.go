@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"math/rand"
+	"slices"
 
 	"gossipstream/internal/bandwidth"
 	"gossipstream/internal/bitfield"
@@ -100,9 +101,8 @@ type report struct {
 	maxSeen           segment.ID
 	windowLo          segment.ID
 
-	// Session indices, -1 when nothing happened: the session started and
-	// the one finished this period, and the one whose startup window the
-	// peer holds (sim.Playback.PreparedSession).
+	// Session indices, -1 for none: started and finished this period, and
+	// prepared (sim.Playback.PreparedSession).
 	started, finished, prepared int
 
 	dupes, denies int // LiveStats.Dupes and Denies
@@ -137,19 +137,16 @@ type peer struct {
 	isSource  bool // holds (or held) the source role
 	mySession int  // timeline index of the session this peer sources, -1
 	nextGen   segment.ID
-	maxSeen   segment.ID
 
 	sessions  []segment.Session
 	neighbors []overlay.NodeID
 	views     map[overlay.NodeID]*neighborView
 
-	// ledger records this peer's requests (sim.Ledger): in flight since
-	// this or the previous period, denied this period, or timed out
-	// without data or deny — on a lossy link, the request or its answer
-	// was lost, and the next request of the segment carries the
-	// wire-level re-request bit, the live counterpart of the simulator's
-	// NetReRequests accounting. reqPer is this period's requests per
-	// supplier, the per-link capacity estimate.
+	// ledger records this peer's requests. One that times out is lost,
+	// and the next request of its segment carries the wire-level
+	// re-request bit, the live counterpart of the simulator's
+	// NetReRequests. reqPer counts this period's requests per supplier,
+	// the per-link capacity estimate.
 	ledger sim.Ledger
 	reqPer map[overlay.NodeID]int
 	// Per-period grant counts per requester (the per-link serve cap),
@@ -220,7 +217,6 @@ func newPeer(spec spawnSpec, par peerParams, algo core.Algorithm, ep Endpoint, r
 		isSource:  spec.isSource,
 		mySession: spec.mySession,
 		nextGen:   spec.nextGen,
-		maxSeen:   segment.None,
 		sessions:  append([]segment.Session(nil), spec.sessions...),
 		neighbors: append([]overlay.NodeID(nil), spec.neighbors...),
 		views:     make(map[overlay.NodeID]*neighborView),
@@ -327,9 +323,7 @@ func (p *peer) refill() {
 	for _, n := range p.grantsOut {
 		*n = 0
 	}
-	for k := range p.reqPer {
-		delete(p.reqPer, k)
-	}
+	clear(p.reqPer)
 	// A request unanswered since before the previous period is lost and
 	// its segment requestable again: the live counterpart of the
 	// simulator's landing at delivery.
@@ -344,9 +338,6 @@ func (p *peer) generate() {
 	}
 	for range sim.PerTick {
 		p.buf.Insert(p.nextGen)
-		if p.nextGen > p.maxSeen {
-			p.maxSeen = p.nextGen
-		}
 		p.nextGen++
 	}
 }
@@ -382,7 +373,8 @@ func (p *peer) advertise() {
 	if anchor < 0 {
 		anchor = 0
 	}
-	if lo := p.maxSeen - segment.ID(sim.BufferCap) + 1; lo > anchor {
+	maxSeen := p.buf.MaxSeen()
+	if lo := maxSeen - segment.ID(sim.BufferCap) + 1; lo > anchor {
 		anchor = lo
 	}
 	p.mapSnap = p.buf.SnapshotInto(p.mapSnap, anchor)
@@ -399,7 +391,7 @@ func (p *peer) advertise() {
 			Kind:     FrameMap,
 			Msg:      netmodel.Message{To: v, Sent: p.tick},
 			MapImg:   img,
-			MaxSeen:  p.maxSeen,
+			MaxSeen:  maxSeen,
 			Rate:     rate,
 			Sessions: sessions,
 		})
@@ -465,7 +457,7 @@ func (p *peer) viewRows(skip []overlay.NodeID) []sim.Row {
 	rows := p.rows[:0]
 	for _, v := range p.neighbors {
 		view := p.views[v]
-		if view == nil || view.period < p.tick-viewTTLPeriods || view.m == nil || containsNode(skip, v) {
+		if view == nil || view.period < p.tick-viewTTLPeriods || view.m == nil || slices.Contains(skip, v) {
 			continue // never heard from it, the link has gone silent, or it denied
 		}
 		headroom := sim.Unbounded
@@ -622,9 +614,6 @@ func (p *peer) handleData(seg segment.ID) {
 		return
 	}
 	p.buf.Insert(seg)
-	if seg > p.maxSeen {
-		p.maxSeen = seg
-	}
 	p.dataBits += bandwidth.BitsForSegments(1)
 }
 
@@ -660,7 +649,7 @@ func (p *peer) handleCtrl(c ctrlMsg) bool {
 	case ctrlNeighbors:
 		p.neighbors = append(p.neighbors[:0], c.neighbors...)
 		for v := range p.views {
-			if !containsNode(p.neighbors, v) {
+			if !slices.Contains(p.neighbors, v) {
 				delete(p.views, v)
 			}
 		}
@@ -678,15 +667,6 @@ func (p *peer) handleCtrl(c ctrlMsg) bool {
 	return true
 }
 
-func containsNode(list []overlay.NodeID, v overlay.NodeID) bool {
-	for _, x := range list {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
 // makeReport flushes the period accumulators.
 func (p *peer) makeReport(tick int) report {
 	r := report{
@@ -698,7 +678,7 @@ func (p *peer) makeReport(tick int) report {
 		stalled:  p.stalled,
 		mapBits:  p.mapBits,
 		dataBits: p.dataBits,
-		maxSeen:  p.maxSeen,
+		maxSeen:  p.buf.MaxSeen(),
 		windowLo: p.pb.WindowLo(),
 		started:  p.started,
 		finished: p.finished,

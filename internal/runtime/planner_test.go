@@ -219,7 +219,6 @@ func syntheticPeer(seed int64, par peerParams, algo core.Algorithm, ep Endpoint)
 		}
 	}
 	hold(p.buf, rng.Float64()*0.8)
-	p.maxSeen = live
 	for id := playhead; id <= live; id++ {
 		switch rng.Intn(20) {
 		case 0:

@@ -21,10 +21,11 @@
 // what a scenario varies: topology, seeds, Qs, the capacity substrate,
 // the script, churn and the network model.
 //
-// The live runtime (internal/runtime) drives four pieces of this
+// The live runtime (internal/runtime) drives five pieces of this
 // package instead of keeping its own: Planner and Server (peercore.go,
-// the per-node planning and serving steps), Window (window.go, the
+// the per-node planning and serving steps), Ledger (ledger.go, a
+// requester's record of what it asked for), Window (window.go, the
 // measurement window) and Resolver (resolve.go, which resolves scenario
-// events and churn into directives). So one scenario runs one protocol, is measured one
-// way and resolves to one experiment on both backends.
+// events and churn into directives). So one scenario runs one protocol,
+// is measured one way and resolves to one experiment on both backends.
 package sim

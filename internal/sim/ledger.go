@@ -8,41 +8,32 @@ import (
 )
 
 // Ledger is one requester's record of what it asked for in the pull step
-// of Section 4: the segments in flight, each with the tick it was
-// issued at; the segments whose request was lost, so that the next
-// request of one counts as a re-request; and this period's denials by
-// supplier. Both drivers keep one per node. The simulator issues at the
-// serve commit and lands or loses at delivery. The live peer issues when
-// it sends a request, lands on data or a final deny, and expires its
-// requests at refill (Expire), because a lost live request shows only by
-// its silence.
-//
-// Each set is a flat slice with linear membership: a node has at most a
-// period or two of its inbound in flight, so a scan beats a map. The
-// zero value is an empty ledger.
+// of Section 4: the segments in flight, each with the tick it was issued
+// at; the segments whose request was lost, whose next request counts as
+// a re-request; and this period's denials by supplier. The simulator
+// issues at the serve commit and lands or loses at delivery. The live
+// peer issues when it sends a request, lands on data or a final deny,
+// and expires its requests at refill, because a lost live request shows
+// only by its silence. Each set is a flat slice scanned linearly (a node
+// has at most a period or two of inbound in flight); the zero value is
+// an empty ledger.
 type Ledger struct {
-	// inflight lists the segments in flight; issued[i] is the tick
-	// inflight[i] was last issued at.
-	inflight []segment.ID
-	issued   []int
-	// lost lists the segments whose request was lost; lostAt[i] is the
-	// tick lost[i] was lost at. No segment is in flight and lost at once.
-	lost   []segment.ID
-	lostAt []int
+	// inflight and lost list the segments in flight and lost (never
+	// both); issued and lostAt hold the tick each was issued or lost at.
+	inflight, lost []segment.ID
+	issued, lostAt []int
 	// denials are this period's denials; denied backs Denied's result.
 	denials []denial
 	denied  []overlay.NodeID
 }
 
-// denial is one supplier's refusal of one segment.
 type denial struct {
 	seg segment.ID
 	by  overlay.NodeID
 }
 
-// InFlight is the set of segments in flight, in no particular order: the
-// inflight set Planner.Plan takes. The slice is the ledger's own and
-// valid until its next transition.
+// InFlight is the set of segments in flight, in no particular order, as
+// Planner.Plan takes it. The slice is valid until the next transition.
 func (l *Ledger) InFlight() []segment.ID { return l.inflight }
 
 // Has reports whether seg is in flight.
@@ -64,41 +55,35 @@ func (l *Ledger) Issue(seg segment.ID, tick int) bool {
 	if i := slices.Index(l.inflight, seg); i >= 0 {
 		l.issued[i] = tick
 	} else {
-		l.inflight = append(l.inflight, seg)
-		l.issued = append(l.issued, tick)
+		l.inflight, l.issued = append(l.inflight, seg), append(l.issued, tick)
 	}
 	i := slices.Index(l.lost, seg)
-	if i < 0 {
-		return false
+	if i >= 0 {
+		l.lost, l.lostAt = slices.Delete(l.lost, i, i+1), slices.Delete(l.lostAt, i, i+1)
 	}
-	l.lost, l.lostAt = swapDelete(l.lost, i), swapDelete(l.lostAt, i)
-	return true
+	return i >= 0
 }
 
 // Land takes seg out of flight with no loss on record: its data arrived,
 // it was denied for good, or its receiver left the overlay.
 func (l *Ledger) Land(seg segment.ID) {
 	if i := slices.Index(l.inflight, seg); i >= 0 {
-		l.inflight, l.issued = swapDelete(l.inflight, i), swapDelete(l.issued, i)
+		l.inflight, l.issued = slices.Delete(l.inflight, i, i+1), slices.Delete(l.issued, i, i+1)
 	}
 }
 
 // LandAll lands every segment in flight: the simulator's end-of-period
 // delivery without the netmodel transport.
-func (l *Ledger) LandAll() {
-	l.inflight, l.issued = l.inflight[:0], l.issued[:0]
-}
+func (l *Ledger) LandAll() { l.inflight, l.issued = l.inflight[:0], l.issued[:0] }
 
-// Lose takes seg out of flight and records it lost at tick, so its next
-// request is a re-request.
+// Lose takes seg out of flight and records it lost at tick.
 func (l *Ledger) Lose(seg segment.ID, tick int) {
 	l.Land(seg)
 	if i := slices.Index(l.lost, seg); i >= 0 {
 		l.lostAt[i] = tick
-		return
+	} else {
+		l.lost, l.lostAt = append(l.lost, seg), append(l.lostAt, tick)
 	}
-	l.lost = append(l.lost, seg)
-	l.lostAt = append(l.lostAt, tick)
 }
 
 // Expire starts the live peer's period tick. A request stays in flight
@@ -114,7 +99,7 @@ func (l *Ledger) Expire(tick int) {
 	}
 	for i := len(l.lost) - 1; i >= 0; i-- {
 		if l.lostAt[i] < tick-8 {
-			l.lost, l.lostAt = swapDelete(l.lost, i), swapDelete(l.lostAt, i)
+			l.lost, l.lostAt = slices.Delete(l.lost, i, i+1), slices.Delete(l.lostAt, i, i+1)
 		}
 	}
 	l.denials = l.denials[:0]
@@ -137,10 +122,4 @@ func (l *Ledger) Denied(seg segment.ID) []overlay.NodeID {
 		}
 	}
 	return l.denied
-}
-
-// swapDelete removes s[i] by moving the last element into its place.
-func swapDelete[T any](s []T, i int) []T {
-	s[i] = s[len(s)-1]
-	return s[:len(s)-1]
 }

@@ -28,11 +28,6 @@ type nodeState struct {
 	// the session); inactive nodes neither request nor supply.
 	startTick int
 
-	// maxSeen is the largest segment id the node has received — its local
-	// notion of how far the stream extends (neighbors read it as the
-	// advertised high-water mark of the last exchanged buffer map).
-	maxSeen segment.ID
-
 	// Playback is the embedded per-node protocol core (peercore.go): the
 	// playback/session state machine shared with the live runtime.
 	Playback
@@ -42,15 +37,10 @@ type nodeState struct {
 	// window's own stamps live in Sim.win).
 	q0 int
 
-	// ledger records the node's requests (ledger.go). Its in-flight set
-	// holds the segments won in an earlier serve round of the period,
-	// which must not be requested again: the commit issues each grant,
-	// and delivery lands them all at period end — or, under the netmodel
-	// transport, transit lands or loses each one when its message is
-	// due, possibly ticks later. A lost segment's next grant counts as a
-	// loss-induced re-request. Only the worker owning the node's shard
-	// writes it (commit, deliver, transit); the plan phase and suppliers'
-	// Takes read it while it is frozen.
+	// ledger records the node's requests: the commit issues each grant,
+	// delivery lands them all at period end, and the netmodel transit
+	// lands or loses each when its message is due. Only the worker owning
+	// the node's shard writes it; planning and Takes read it frozen.
 	ledger Ledger
 
 	// linkGrants[i] counts this period's grants over the link from the
@@ -88,17 +78,8 @@ func newNodeState(id overlay.NodeID, prof bandwidth.Profile, joinTick int) *node
 		// keeps the first scheduling periods growth-free.
 		ledger:   Ledger{inflight: make([]segment.ID, 0, 16), issued: make([]int, 0, 16)},
 		joinTick: joinTick,
-		maxSeen:  segment.None,
 		Playback: NewPlayback(0, 0, 1),
 		q0:       unset,
-	}
-}
-
-// receive lands one segment in the node's buffer (end-of-tick delivery).
-func (n *nodeState) receive(id segment.ID) {
-	n.buf.Insert(id)
-	if id > n.maxSeen {
-		n.maxSeen = id
 	}
 }
 

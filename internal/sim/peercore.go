@@ -30,24 +30,24 @@ import (
 //   - JoinPlayback, the one anchor → session lookup of every (re)joining
 //     peer.
 //
-// Planner and Server are two of the four pieces both backends share,
-// beside Window (window.go, the measurement window) and Resolver
-// (resolve.go, the resolution of scenario events and churn into
-// directives).
+// Planner and Server are two of the five pieces both backends share,
+// beside Ledger (ledger.go, a requester's record of its requests),
+// Window (window.go, the measurement window) and Resolver (resolve.go,
+// the resolution of scenario events and churn into directives).
 //
 // Two drivers call it. The simulator's playback, plan and serve phases
 // (phase_world.go, phase_plan.go, phase_serve.go) drive it against
 // same-tick buffers, and own row filtering (alive, partitions, busy
 // suppliers), the shard arenas, request routing and the commit. The live
 // runtime (internal/runtime) drives it per peer goroutine against buffer
-// maps decoded from real frames, and owns view expiry, the in-flight and
-// timeout maps, deny retries and frame queueing.
+// maps decoded from real frames, and owns view expiry, deny retries and
+// frame queueing. Both record their requests in a Ledger.
 //
 // Everything here is node-local: no Sim, no engine. The only randomness
 // is the generator the driver passes in, drawn in a fixed order (the
 // simulator's determinism contract). Measurement is not in here: Advance
-// reports which sessions started and finished, Prepared tests the
-// prepare-S2 condition, and each driver hands both to the one
+// reports which sessions started and finished, PreparedSession tests
+// the prepare-S2 condition, and each driver hands both to the one
 // measurement window (window.go), which stamps and counts them.
 
 // Playback is one peer's playback and session-discovery state machine
@@ -270,12 +270,10 @@ func (pb *Playback) tryStart(buf *buffer.Buffer, cur segment.Session, qs int) bo
 	return true
 }
 
-// PreparedSession is the index of the newest session the peer knows
-// when it holds that session's entire startup window — the paper's
-// prepare-S2 condition (all of the first qs segments delivered) — and -1
-// otherwise, or while it knows only the first session, which no switch
-// precedes. Undelivered-count zero over the window is equivalent to qs
-// consecutive from its begin.
+// PreparedSession is the index of the newest session the peer knows if
+// it holds that session's entire startup window, qs consecutive
+// segments from its begin — the paper's prepare-S2 condition — and -1
+// otherwise or while it knows only the first session.
 func (pb *Playback) PreparedSession(buf *buffer.Buffer, sessions []segment.Session, qs int) int {
 	k := pb.Known - 1
 	if k < 1 || k >= len(sessions) || buf.ConsecutiveFrom(sessions[k].Begin) < qs {
