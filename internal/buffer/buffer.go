@@ -104,15 +104,10 @@ func (b *Buffer) setSlot(id segment.ID, v int32) {
 		b.base = id
 	}
 	off := int(id - b.base)
-	if off >= len(b.slots) {
-		if off >= cap(b.slots) {
-			// Not append of a make: a race build does not fuse that into
-			// one allocation.
-			grown := make([]int32, len(b.slots), max(2*cap(b.slots), off+1))
-			copy(grown, b.slots)
-			b.slots = grown
-		}
-		b.slots = b.slots[:off+1]
+	for off >= len(b.slots) {
+		// One slot at a time, not append of a make: a race build does not
+		// fuse that into one allocation.
+		b.slots = append(b.slots, 0)
 	}
 	b.slots[off] = v
 

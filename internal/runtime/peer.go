@@ -589,6 +589,7 @@ func (p *peer) handleDeny(from overlay.NodeID, seg segment.ID) {
 		return // stale deny from a previous period
 	}
 	p.denies++
+	p.ledger.Land(seg)
 	late := at < p.tick
 	if denied := p.ledger.Deny(seg, from); len(denied) < denyRetryCap {
 		rows := p.viewRows(denied)
@@ -600,7 +601,6 @@ func (p *peer) handleDeny(from overlay.NodeID, seg segment.ID) {
 			return
 		}
 	}
-	p.ledger.Land(seg)
 	if !late {
 		p.in.Refund(1)
 	}

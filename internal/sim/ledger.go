@@ -48,15 +48,11 @@ func (l *Ledger) IssuedAt(seg segment.ID) (int, bool) {
 	return 0, false
 }
 
-// Issue puts seg in flight from tick, re-stamping it if it already is,
-// and reports whether it is a re-request: whether its last request was
-// lost. The loss record is consumed, so each loss counts at most once.
+// Issue puts seg, which is not in flight, in flight from tick and
+// reports whether it is a re-request: whether its last request was lost.
+// The loss record is consumed, so each loss counts at most once.
 func (l *Ledger) Issue(seg segment.ID, tick int) bool {
-	if i := slices.Index(l.inflight, seg); i >= 0 {
-		l.issued[i] = tick
-	} else {
-		l.inflight, l.issued = append(l.inflight, seg), append(l.issued, tick)
-	}
+	l.inflight, l.issued = append(l.inflight, seg), append(l.issued, tick)
 	i := slices.Index(l.lost, seg)
 	if i >= 0 {
 		l.lost, l.lostAt = slices.Delete(l.lost, i, i+1), slices.Delete(l.lostAt, i, i+1)

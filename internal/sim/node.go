@@ -28,6 +28,11 @@ type nodeState struct {
 	// the session); inactive nodes neither request nor supply.
 	startTick int
 
+	// maxSeen is the largest segment id the node has received — its local
+	// notion of how far the stream extends (neighbors read it as the
+	// advertised high-water mark of the last exchanged buffer map).
+	maxSeen segment.ID
+
 	// Playback is the embedded per-node protocol core (peercore.go): the
 	// playback/session state machine shared with the live runtime.
 	Playback
@@ -38,9 +43,10 @@ type nodeState struct {
 	q0 int
 
 	// ledger records the node's requests: the commit issues each grant,
-	// delivery lands them all at period end, and the netmodel transit
-	// lands or loses each when its message is due. Only the worker owning
-	// the node's shard writes it; planning and Takes read it frozen.
+	// which stays in flight, not to be requested again, until delivery
+	// lands all grants at period end, or the netmodel transit lands or
+	// loses it when its message is due. Only the worker owning the node's
+	// shard writes it; planning and Takes read it frozen.
 	ledger Ledger
 
 	// linkGrants[i] counts this period's grants over the link from the
@@ -78,8 +84,17 @@ func newNodeState(id overlay.NodeID, prof bandwidth.Profile, joinTick int) *node
 		// keeps the first scheduling periods growth-free.
 		ledger:   Ledger{inflight: make([]segment.ID, 0, 16), issued: make([]int, 0, 16)},
 		joinTick: joinTick,
+		maxSeen:  segment.None,
 		Playback: NewPlayback(0, 0, 1),
 		q0:       unset,
+	}
+}
+
+// receive lands one segment in the node's buffer (end-of-tick delivery).
+func (n *nodeState) receive(id segment.ID) {
+	n.buf.Insert(id)
+	if id > n.maxSeen {
+		n.maxSeen = id
 	}
 }
 

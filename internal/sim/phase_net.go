@@ -69,7 +69,7 @@ func (s *Sim) phaseTransit() {
 				sh.netLost++
 				return
 			}
-			to.buf.Insert(msg.Seg)
+			to.receive(msg.Seg)
 			to.ledger.Land(msg.Seg)
 			sh.netDelivered++
 			// The true link delay, sub-period resolution.

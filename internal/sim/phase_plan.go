@@ -227,7 +227,7 @@ func (s *Sim) buildView(sh *shardScratch, n *nodeState) {
 				Rate: LinkRate(nb.out.Rate(), s.cfg.SharedOutbound),
 				View: nb.buf,
 			},
-			MaxSeen: nb.buf.MaxSeen(),
+			MaxSeen: nb.maxSeen,
 		})
 		sh.adjArena = append(sh.adjArena, int32(ni))
 	}

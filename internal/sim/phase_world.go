@@ -37,7 +37,7 @@ func (s *Sim) phaseGenerate() {
 		return
 	}
 	for range PerTick {
-		src.buf.Insert(s.nextGen)
+		src.receive(s.nextGen)
 		s.nextGen++
 	}
 }
@@ -84,7 +84,7 @@ func (s *Sim) phaseDeliver() {
 	s.pool.Run(shards, func(_, shard int) {
 		for _, d := range s.shards[shard].landed {
 			n := s.nodes[d.to]
-			n.buf.Insert(d.seg)
+			n.receive(d.seg)
 			n.ledger.LandAll()
 		}
 	})

@@ -96,8 +96,8 @@ func TestScriptSourceCrash(t *testing.T) {
 		if n.id == w.OldSource || n.isSource {
 			continue
 		}
-		if hi := n.buf.MaxSeen(); hi > s1.End && hi < sessions[1].Begin {
-			t.Fatalf("node %d holds segment %d beyond truncated end %d", n.id, hi, s1.End)
+		if n.maxSeen > s1.End && n.maxSeen < sessions[1].Begin {
+			t.Fatalf("node %d holds segment %d beyond truncated end %d", n.id, n.maxSeen, s1.End)
 		}
 	}
 	// The mesh recovers: the new session is prepared by (nearly) everyone.

@@ -494,7 +494,7 @@ type simFacts Sim
 
 func (f *simFacts) Alive(id overlay.NodeID) bool          { return f.nodes[id].alive }
 func (f *simFacts) Sourced(id overlay.NodeID) bool        { return f.nodes[id].isSource }
-func (f *simFacts) MaxSeen(id overlay.NodeID) segment.ID  { return f.nodes[id].buf.MaxSeen() }
+func (f *simFacts) MaxSeen(id overlay.NodeID) segment.ID  { return f.nodes[id].maxSeen }
 func (f *simFacts) WindowLo(id overlay.NodeID) segment.ID { return f.nodes[id].WindowLo() }
 
 // Takes: the requester is alive, has inbound left after this queue's
