@@ -72,14 +72,11 @@ func (l *Ledger) Land(seg segment.ID) {
 // delivery without the netmodel transport.
 func (l *Ledger) LandAll() { l.inflight, l.issued = l.inflight[:0], l.issued[:0] }
 
-// Lose takes seg out of flight and records it lost at tick.
+// Lose takes seg out of flight and records it lost at tick; seg is not
+// on record as lost already.
 func (l *Ledger) Lose(seg segment.ID, tick int) {
 	l.Land(seg)
-	if i := slices.Index(l.lost, seg); i >= 0 {
-		l.lostAt[i] = tick
-	} else {
-		l.lost, l.lostAt = append(l.lost, seg), append(l.lostAt, tick)
-	}
+	l.lost, l.lostAt = append(l.lost, seg), append(l.lostAt, tick)
 }
 
 // Expire starts the live peer's period tick. A request stays in flight
