@@ -28,8 +28,9 @@ import (
 // same-tick shared memory. Requests are served (or denied) one inbox
 // burst at a time, by the simulator's own serving step (sim.Server,
 // answerBurst); a denial is retried at another supplier through the
-// planner's supplier pick, or refunds the requester's inbound token —
-// the live counterpart of the simulator's retry rounds.
+// planner's supplier pick, or drops the request and refunds its inbound
+// token to the period that paid it — the live counterpart of the
+// simulator's retry rounds.
 //
 // Outbound frames are queued on the endpoint and flushed at two points:
 // the end of a period (a neighbour's map and this period's requests to
