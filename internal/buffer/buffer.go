@@ -165,10 +165,10 @@ func (b *Buffer) Insert(id segment.ID) (evicted segment.ID, ok bool) {
 	if b.size == b.capacity {
 		evicted = b.ring[b.head]
 		b.setSlot(evicted, 0)
-		b.head = (b.head + 1) % b.capacity
+		b.head = b.wrap(b.head + 1)
 		b.size--
 	}
-	slot := (b.head + b.size) % b.capacity
+	slot := b.wrap(b.head + b.size)
 	b.ring[slot] = id
 	b.setSlot(id, int32(slot)+1)
 	b.size++
@@ -186,8 +186,18 @@ func (b *Buffer) PositionFromTail(id segment.ID) int {
 	if s == 0 {
 		return 0
 	}
-	logical := (s - 1 - b.head + b.capacity) % b.capacity // 0 = oldest
+	logical := b.wrap(s - 1 - b.head + b.capacity) // 0 = oldest
 	return b.size - logical
+}
+
+// wrap maps a ring index in [0, 2·capacity) into the ring. Every index
+// the buffer computes is a sum of head and an offset below capacity, so
+// one conditional subtraction replaces the integer division of a %.
+func (b *Buffer) wrap(i int) int {
+	if i >= b.capacity {
+		i -= b.capacity
+	}
+	return i
 }
 
 // Oldest returns the segment at the FIFO head (next eviction victim), or
@@ -204,7 +214,7 @@ func (b *Buffer) Newest() segment.ID {
 	if b.size == 0 {
 		return segment.None
 	}
-	return b.ring[(b.head+b.size-1)%b.capacity]
+	return b.ring[b.wrap(b.head+b.size-1)]
 }
 
 // MinID returns the smallest segment id held, or segment.None when empty.
@@ -213,7 +223,7 @@ func (b *Buffer) Newest() segment.ID {
 func (b *Buffer) MinID() segment.ID {
 	lowest := segment.None
 	for i := 0; i < b.size; i++ {
-		id := b.ring[(b.head+i)%b.capacity]
+		id := b.ring[b.wrap(b.head+i)]
 		if lowest == segment.None || id < lowest {
 			lowest = id
 		}
@@ -225,7 +235,7 @@ func (b *Buffer) MinID() segment.ID {
 func (b *Buffer) MaxID() segment.ID {
 	highest := segment.None
 	for i := 0; i < b.size; i++ {
-		id := b.ring[(b.head+i)%b.capacity]
+		id := b.ring[b.wrap(b.head+i)]
 		if id > highest {
 			highest = id
 		}
@@ -238,7 +248,7 @@ func (b *Buffer) MaxID() segment.ID {
 func (b *Buffer) Contents() []segment.ID {
 	out := make([]segment.ID, 0, b.size)
 	for i := 0; i < b.size; i++ {
-		out = append(out, b.ring[(b.head+i)%b.capacity])
+		out = append(out, b.ring[b.wrap(b.head+i)])
 	}
 	return out
 }
@@ -314,7 +324,7 @@ func (b *Buffer) SnapshotInto(dst *Map, anchor segment.ID) *Map {
 	dst.Capacity = b.capacity
 	dst.Bits.Reset()
 	for i := 0; i < b.size; i++ {
-		id := b.ring[(b.head+i)%b.capacity]
+		id := b.ring[b.wrap(b.head+i)]
 		off := int(id - anchor)
 		if off >= 0 && off < b.capacity {
 			dst.Bits.Set(off)

@@ -2,6 +2,7 @@ package buffer
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -247,6 +248,58 @@ func TestQuickFIFOInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRingMatchesReferenceFIFO drives buffers of several capacities
+// through many wrap-arounds of their ring, with duplicates and
+// out-of-order ids, against a plain slice kept oldest first. After every
+// insert the evicted id, Oldest, Newest, Contents and every held id's
+// PositionFromTail must be what the slice says.
+func TestRingMatchesReferenceFIFO(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, capacity := range []int{1, 2, 3, 7, 64, 600} {
+		b := New(capacity)
+		var fifo []segment.ID // oldest first
+		next := segment.ID(0)
+		for step := 0; step < 12*capacity+50; step++ {
+			id := next
+			switch rng.Intn(4) {
+			case 0: // a hole filled late, or a duplicate
+				id = next - segment.ID(rng.Intn(2*capacity+2))
+				if id < 0 {
+					id = 0
+				}
+			default:
+				next++
+			}
+			held := slices.Contains(fifo, id)
+			wantEvicted := segment.None
+			if !held {
+				if len(fifo) == capacity {
+					wantEvicted, fifo = fifo[0], fifo[1:]
+				}
+				fifo = append(fifo, id)
+			}
+			evicted, ok := b.Insert(id)
+			if ok == held || evicted != wantEvicted {
+				t.Fatalf("cap %d step %d: Insert(%d) = (%d, %v), want (%d, %v)", capacity, step, id, evicted, ok, wantEvicted, !held)
+			}
+			if got := b.Contents(); !slices.Equal(got, fifo) {
+				t.Fatalf("cap %d step %d: Contents = %v, want %v", capacity, step, got, fifo)
+			}
+			if b.Oldest() != fifo[0] || b.Newest() != fifo[len(fifo)-1] {
+				t.Fatalf("cap %d step %d: Oldest/Newest = %d/%d, want %d/%d", capacity, step, b.Oldest(), b.Newest(), fifo[0], fifo[len(fifo)-1])
+			}
+			for i, h := range fifo {
+				if got, want := b.PositionFromTail(h), len(fifo)-i; got != want {
+					t.Fatalf("cap %d step %d: PositionFromTail(%d) = %d, want %d", capacity, step, h, got, want)
+				}
+			}
+			if wantEvicted != segment.None && b.PositionFromTail(wantEvicted) != 0 {
+				t.Fatalf("cap %d step %d: evicted %d still has a position", capacity, step, wantEvicted)
+			}
+		}
 	}
 }
 

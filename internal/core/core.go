@@ -314,6 +314,14 @@ func (p *Plan) reset() {
 }
 
 // Algorithm is a pluggable per-node scheduler.
+//
+// Removing suppliers from an Env whose plan is empty, the rest unchanged,
+// must leave the plan empty. FastSwitch (every option and ablation mode)
+// and NormalSwitch request nothing exactly when the budget I·τ is below
+// one or no candidate has a supplier that delivers within the period
+// (1/R(j) ≤ τ), and fewer suppliers cannot change either. A driver may
+// therefore skip re-planning a node whose suppliers only dropped out
+// since an empty plan (the simulator's retry rounds do).
 type Algorithm interface {
 	// Name identifies the algorithm in metrics and tables.
 	Name() string

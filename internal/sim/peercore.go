@@ -421,17 +421,19 @@ func (pl *Planner) Plan(pb *Playback, buf *buffer.Buffer, sessions []segment.Ses
 // The draw order is part of the simulator's determinism contract (the
 // generator is shared by every node of a shard): one shuffle draw per
 // candidate taken from the pool, whether or not anyone holds it, and one
-// reservoir draw per eligible row in row order (see pick).
+// reservoir draw per eligible row in row order (see pick). When no
+// usable row holds any pool id, the shuffle is skipped and the generator
+// advanced past its draws by discardIntn — the same contract, without
+// the divisions and swaps.
 func (pl *Planner) Prefetch(rows []Row, budget int, rng *rand.Rand) {
 	pl.Pulls = pl.Pulls[:0]
 	if budget <= 0 || len(pl.env.NeedOld) == 0 {
 		return
 	}
-	pool := append(pl.pool[:0], pl.env.NeedOld...)
-	pl.pool = pool
+	need := pl.env.NeedOld
 	// NeedOld is ascending, so its ends bound the span the rows must cover.
-	w0 := int(pool[0] >> 6)
-	nw := int(pool[len(pool)-1]>>6) - w0 + 1
+	w0 := int(need[0] >> 6)
+	nw := int(need[len(need)-1]>>6) - w0 + 1
 	pl.readRows(rows, w0, nw)
 	union := pl.words[:nw]
 	for _, r := range pl.plan.Requests {
@@ -439,6 +441,16 @@ func (pl *Planner) Prefetch(rows []Row, budget int, rng *rand.Rand) {
 			union[off>>6] &^= 1 << uint(off&63) // already asked for
 		}
 	}
+	if !anyHeld(union, need, w0) {
+		// Nothing to take: the loop below would draw Intn(len(pool)-k)
+		// for every k and pull nothing.
+		for m := len(need); m > 0; m-- {
+			discardIntn(rng, m)
+		}
+		return
+	}
+	pool := append(pl.pool[:0], need...)
+	pl.pool = pool
 	// Partial Fisher-Yates: draw random candidates until the budget or
 	// the pool is exhausted.
 	for k := 0; k < len(pool) && budget > 0; k++ {
@@ -456,6 +468,38 @@ func (pl *Planner) Prefetch(rows []Row, budget int, rng *rand.Rand) {
 		rows[r].Headroom--
 		pl.Pulls = append(pl.Pulls, Pull{Seg: pool[k], Row: r})
 		budget--
+	}
+}
+
+// anyHeld reports whether the word row, aligned at word w0, has the bit
+// of any id of pool set.
+func anyHeld(words []uint64, pool []segment.ID, w0 int) bool {
+	for _, id := range pool {
+		off := int(id) - w0<<6
+		if words[off>>6]&(1<<uint(off&63)) != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// discardIntn advances rng exactly as rng.Intn(n) does, for 0 < n < 2^31,
+// without computing the value. math/rand's Int31n draws one Int31 and
+// redraws while it exceeds 2^31-1 - 2^31 mod n; that bound is above
+// 2^31-1-n, so the modulus is computed only for a draw past 2^31-1-n,
+// which for the pool sizes of a plan almost never happens, and the final
+// v % n not at all. A non-positive n draws nothing.
+func discardIntn(rng *rand.Rand, n int) {
+	if n <= 0 {
+		return
+	}
+	m := int32(n)
+	v := rng.Int31()
+	if v <= math.MaxInt32-m {
+		return
+	}
+	for limit := int32(math.MaxInt32 - (1<<31)%uint32(m)); v > limit; {
+		v = rng.Int31()
 	}
 }
 

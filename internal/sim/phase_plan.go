@@ -33,7 +33,6 @@ func (s *Sim) phaseSchedule() {
 	for i := range s.shards {
 		s.shards[i].landed = s.shards[i].landed[:0]
 	}
-	s.diagRequests, s.diagCandidates, s.diagPlanned = 0, 0, 0
 	for s.round = 0; s.round < ServeRounds; s.round++ {
 		s.granted = false
 		s.sched.Run() // plan, then serve
@@ -48,6 +47,17 @@ func (s *Sim) phaseSchedule() {
 // period and accounts the buffer-map exchange: each
 // alive node receives one 620-bit map per alive neighbor per period
 // (retry rounds reuse the same maps).
+//
+// A retry round does not re-plan a node whose last plan this period
+// routed nothing (nodeState.idle): it would route nothing again. Such a
+// node got no grant, so its buffer, marks, need windows and inbound
+// budget are as they were, and its rows' headroom can only have shrunk —
+// supplier budgets are refunded at most what the round spent, and its
+// links' grant counts move only with its own grants. Fewer suppliers
+// keep an empty plan empty (core.Algorithm), and a prefetch that found
+// no held pool id finds none among fewer rows. The skip still advances
+// the shard generator by the draws that prefetch makes, one Intn(m) for
+// m = len(NeedOld) down to 1, so every later draw stays where it was.
 func (s *Sim) planRound() {
 	n := len(s.nodes)
 	shards := s.ensureShards(n)
@@ -57,7 +67,6 @@ func (s *Sim) planRound() {
 		sh := &s.shards[shard]
 		sh.requests = sh.requests[:0]
 		sh.controlBits = 0
-		sh.diagRequests, sh.diagCandidates, sh.diagPlanned = 0, 0, 0
 		if round == 0 {
 			// New period: the plan-view arenas are rebuilt from scratch
 			// (buildView repopulates them for every planning node below).
@@ -84,7 +93,19 @@ func (s *Sim) planRound() {
 			if nd.isSource || nd.profile.In <= 0 || nd.in.Available() < 1 {
 				continue
 			}
-			s.planNode(ws, sh, nd, round, rng)
+			if round > 0 && nd.idle {
+				for m := nd.idleDraws; m > 0; m-- {
+					discardIntn(rng, int(m))
+				}
+				continue
+			}
+			routed := len(sh.requests)
+			planned := s.planNode(ws, sh, nd, round, rng)
+			nd.idle = len(sh.requests) == routed
+			nd.idleDraws = 0
+			if nd.idle && planned && !s.cfg.DisablePrefetch {
+				nd.idleDraws = int32(len(ws.env.NeedOld))
+			}
 		}
 		// Stable bucketing by destination shard: a supplier's requests
 		// keep their planning order through the gather below.
@@ -94,9 +115,6 @@ func (s *Sim) planRound() {
 	for si := 0; si < shards; si++ {
 		sh := &s.shards[si]
 		s.win.AddBits(sh.controlBits, 0)
-		s.diagRequests += sh.diagRequests
-		s.diagCandidates += sh.diagCandidates
-		s.diagPlanned += sh.diagPlanned
 	}
 	// Gather, sharded over *suppliers*: each worker fills its own shard's
 	// queues by visiting every outbox's slice for that shard in
@@ -155,8 +173,10 @@ func bucketByShard(off []int32, shards, n int, shardOf func(i int) int, place fu
 }
 
 // planNode runs one node's planning step (peercore.go) for the round and
-// queues its requests in the shard outbox.
-func (s *Sim) planNode(ws *workerScratch, sh *shardScratch, n *nodeState, round int, rng *rand.Rand) {
+// queues its requests in the shard outbox. It reports whether the
+// scheduler ran (Planner.Plan reported true), which is when prefetch
+// runs too unless it is disabled.
+func (s *Sim) planNode(ws *workerScratch, sh *shardScratch, n *nodeState, round int, rng *rand.Rand) bool {
 	if round == 0 {
 		s.buildView(sh, n)
 	}
@@ -179,17 +199,15 @@ func (s *Sim) planNode(ws *workerScratch, sh *shardScratch, n *nodeState, round 
 	// In flight: segments granted in an earlier round of this period, or
 	// still travelling under the netmodel.
 	if !ws.Plan(&n.Playback, n.buf, s.sessions, n.ledger.InFlight(), n.profile.In, n.view) {
-		return
+		return false
 	}
-	sh.diagRequests += len(ws.plan.Requests)
-	sh.diagCandidates += len(ws.env.NeedOld) + len(ws.env.NeedNew)
-	sh.diagPlanned++
 	s.route(sh, n, ws.Pulls)
 	if !s.cfg.DisablePrefetch {
 		// The serve phase, not the plan, spends the inbound budget.
 		ws.Prefetch(n.view, n.in.Available()-len(ws.plan.Requests), rng)
 		s.route(sh, n, ws.Pulls)
 	}
+	return true
 }
 
 // route queues pulls in the shard outbox, addressed to their rows' nodes.

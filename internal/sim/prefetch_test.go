@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"gossipstream/internal/netmodel"
 	"gossipstream/internal/overlay"
 	"gossipstream/internal/segment"
 	"gossipstream/internal/sim/engine"
@@ -145,11 +146,10 @@ func TestPrefetchMatchesProbeLoop(t *testing.T) {
 					// reference prefetch on the state planNode leaves behind,
 					// with its in-flight set and per-link counters fresh.
 					// (planNode returns before prefetch when nothing is needed.)
-					ran := probed.diagPlanned
 					s.cfg.DisablePrefetch = true
-					s.planNode(ws, &probed, nd, s.round, nil)
+					ran := s.planNode(ws, &probed, nd, s.round, nil)
 					s.cfg.DisablePrefetch = false
-					if probed.diagPlanned > ran {
+					if ran {
 						planned := len(probed.requests)
 						ws.seen.begin()
 						probePrefetch(s, ws, &probed, nd, rngProbed)
@@ -183,6 +183,149 @@ func TestPrefetchMatchesProbeLoop(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRetrySkipMatchesReplan pins the retry rounds' skip of idle nodes
+// (planRound). Before every retry round it re-plans each node the memo
+// would skip, on a scratch outbox with a generator of its own, while a
+// clone of that generator takes the memo's discards instead. The re-plan
+// must route nothing and leave its generator where the discards leave
+// the clone. The runs cover both capacity substrates, the normal
+// algorithm, disabled prefetch and a lossy transport.
+func TestRetrySkipMatchesReplan(t *testing.T) {
+	// draws says whether the run must skip nodes whose prefetch draws.
+	// Under per-link capacity a link is rarely spent, so there an idle
+	// node is one that needs nothing, and it draws nothing.
+	cases := []struct {
+		name  string
+		edit  func(*Config)
+		draws bool
+	}{
+		{"shared", func(*Config) {}, true},
+		{"perlink", func(c *Config) { c.SharedOutbound = false }, false},
+		{"normal", func(c *Config) { c.NewAlgorithm = Normal }, true},
+		{"noprefetch", func(c *Config) { c.DisablePrefetch = true }, false},
+		{"lossy", func(c *Config) {
+			c.Seed = 19
+			c.Net = &netmodel.Config{DefaultPingMS: 80, JitterMS: 150, Loss: 0.05}
+			c.Script = &Script{Events: []Event{LossBurstAt(45, 40, 0.25), SwitchAt(55, -1)}}
+		}, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := singleSwitch(Config{
+				Graph: testTopology(t, 300, 7), Seed: 7, NewAlgorithm: Fast,
+				FirstSource: -1, SharedOutbound: true,
+				HorizonTicks: 90, JoinSpreadTicks: 25,
+			}, 40, -1)
+			tc.edit(&cfg)
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var skipped, withDraws, retryRounds int
+			compare := func() {
+				if s.round == 0 {
+					return
+				}
+				retryRounds++
+				ws := s.workers[0]
+				for _, nd := range s.nodes {
+					if !nd.alive || nd.isSource || nd.profile.In <= 0 || nd.in.Available() < 1 || !nd.idle {
+						continue
+					}
+					var scratch shardScratch
+					seed := engine.SeedFor(cfg.Seed, rngPlan, s.tick, s.round, int(nd.id))
+					replanned, discarded := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+					s.planNode(ws, &scratch, nd, s.round, replanned)
+					for m := nd.idleDraws; m > 0; m-- {
+						discardIntn(discarded, int(m))
+					}
+					if len(scratch.requests) != 0 {
+						t.Fatalf("tick %d round %d: idle node %d routes %d requests when re-planned",
+							s.tick, s.round, nd.id, len(scratch.requests))
+					}
+					if replanned.Int63() != discarded.Int63() {
+						t.Fatalf("tick %d round %d: idle node %d: %d discards leave the generator out of step with its re-plan",
+							s.tick, s.round, nd.id, nd.idleDraws)
+					}
+					skipped++
+					if nd.idleDraws > 0 {
+						withDraws++
+					}
+				}
+			}
+			s.sched = engine.NewPipeline(
+				engine.Phase{Name: "plan", Run: func() { compare(); s.planRound() }},
+				engine.Phase{Name: "serve", Run: s.serveRound},
+			)
+			if _, err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%d skipped plans compared over %d retry rounds, %d of them with prefetch draws", skipped, retryRounds, withDraws)
+			if skipped == 0 || (tc.draws && withDraws == 0) {
+				t.Fatal("the run never skipped a node, or never one whose prefetch draws")
+			}
+		})
+	}
+}
+
+// countingSource counts the values drawn from the source it wraps.
+type countingSource struct {
+	rand.Source
+	draws int
+}
+
+func (c *countingSource) Int63() int64 {
+	c.draws++
+	return c.Source.Int63()
+}
+
+// TestDiscardIntnMatchesIntn pins the generator position discardIntn
+// leaves to rng.Intn's: over many seeds and bounds — 0, small ones,
+// powers of two (one masked draw), 613 (a plan-sized pool) and 2^30+12345
+// (where about half the draws are rejected and redrawn) — the next Int63
+// after a run of discards equals the one after the same run of Intn
+// calls. A countdown from 613 to 1, the draws of one prefetch shuffle,
+// is compared the same way.
+func TestDiscardIntnMatchesIntn(t *testing.T) {
+	bounds := []int{0, 1, 2, 3, 613, 1<<30 + 12345}
+	for k := 2; k <= 30; k++ {
+		bounds = append(bounds, 1<<k)
+	}
+	rejections := 0
+	for seed := int64(1); seed <= 300; seed++ {
+		for _, n := range bounds {
+			ref := rand.New(rand.NewSource(seed))
+			src := &countingSource{Source: rand.NewSource(seed)}
+			got := rand.New(src)
+			const calls = 8
+			for i := 0; i < calls; i++ {
+				if n > 0 {
+					ref.Intn(n)
+				}
+				discardIntn(got, n)
+			}
+			if a, b := ref.Int63(), got.Int63(); a != b {
+				t.Fatalf("seed %d n %d: the generator after %d discards is not where %d Intn calls leave it", seed, n, calls, calls)
+			}
+			if n > 0 {
+				rejections += src.draws - 1 - calls
+			}
+		}
+		ref, got := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		for m := 613; m > 0; m-- {
+			ref.Intn(m)
+			discardIntn(got, m)
+		}
+		if a, b := ref.Int63(), got.Int63(); a != b {
+			t.Fatalf("seed %d: the generator after a 613-draw countdown of discards is out of step", seed)
+		}
+	}
+	if rejections == 0 {
+		t.Fatal("no draw was rejected: the redraw branch went untested")
+	}
+	t.Logf("%d rejected draws redrawn", rejections)
 }
 
 // TestShardBucketsMatchStableSort pins the two counting sorts of the

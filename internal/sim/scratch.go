@@ -174,8 +174,6 @@ type shardScratch struct {
 	adjArena []int32
 	// controlBits accumulates the round-0 buffer-map exchange cost.
 	controlBits int64
-	// Per-tick diagnostics, merged into the Sim's counters.
-	diagRequests, diagCandidates, diagPlanned int
 	// Transit phase output (netmodel runs): messages popped, delivered
 	// and lost this tick, and the delivered messages' summed delay in
 	// milliseconds. Severed (partition-crossing drops) and evaporated (dead

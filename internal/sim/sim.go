@@ -100,11 +100,6 @@ type Sim struct {
 	shards   []shardScratch
 	incoming [][]Request
 
-	// per-tick diagnostics (tests and the debug CLI read these)
-	diagRequests   int
-	diagCandidates int
-	diagPlanned    int
-
 	// Observability (all nil when Config.Obs is unset): counters are
 	// registered once in New and updated at the serial merge points and
 	// phase boundaries with plain atomics; trace emission happens only at
