@@ -18,6 +18,7 @@ package cluster
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 
 	"gossipstream/internal/overlay"
@@ -102,13 +103,13 @@ func (d *Directory) MergeWire(entries []runtime.DirEntry) {
 	}
 }
 
-// Piggyback returns up to max entries for a map-frame piggyback,
+// Piggyback appends up to max entries to dst for a map-frame piggyback,
 // advancing a rotation cursor so successive advertisements spread
 // different slices of the directory.
-func (d *Directory) Piggyback(max int) []runtime.DirEntry {
+func (d *Directory) Piggyback(dst []runtime.DirEntry, max int) []runtime.DirEntry {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.rotate(&d.piggyPos, max)
+	return d.rotate(dst, &d.piggyPos, max)
 }
 
 // DeltaBatch returns up to max entries for an anti-entropy push round,
@@ -116,29 +117,29 @@ func (d *Directory) Piggyback(max int) []runtime.DirEntry {
 func (d *Directory) DeltaBatch(max int) []runtime.DirEntry {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.rotate(&d.deltaPos, max)
+	return d.rotate(nil, &d.deltaPos, max)
 }
 
-// rotate collects max live entries starting at *pos on the ring.
+// rotate appends max live entries starting at *pos on the ring to dst.
 // Caller holds the lock.
-func (d *Directory) rotate(pos *int, max int) []runtime.DirEntry {
+func (d *Directory) rotate(dst []runtime.DirEntry, pos *int, max int) []runtime.DirEntry {
 	if len(d.order) == 0 || max <= 0 {
-		return nil
+		return dst
 	}
 	if max > len(d.order) {
 		max = len(d.order)
 	}
-	out := make([]runtime.DirEntry, 0, max)
-	for len(out) < max {
+	dst = slices.Grow(dst, max)
+	for want := len(dst) + max; len(dst) < want; {
 		if *pos >= len(d.order) {
 			*pos = 0
 		}
 		if e, ok := d.entries[d.order[*pos]]; ok {
-			out = append(out, e)
+			dst = append(dst, e)
 		}
 		*pos++
 	}
-	return out
+	return dst
 }
 
 // Snapshot copies up to max entries (the welcome's directory seed).

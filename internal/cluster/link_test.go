@@ -312,9 +312,14 @@ func TestDirectoryMergeAndRotation(t *testing.T) {
 	if len(seen) != 10 {
 		t.Fatalf("rotation covered %d of 10 entries", len(seen))
 	}
-	// Piggyback rotates independently and respects its bound.
-	if got := len(d.Piggyback(4)); got != 4 {
+	// Piggyback rotates independently, respects its bound, and appends
+	// to the caller's slice.
+	if got := len(d.Piggyback(nil, 4)); got != 4 {
 		t.Fatalf("piggyback returned %d entries, want 4", got)
+	}
+	held := []runtime.DirEntry{{ID: 99}}
+	if got := d.Piggyback(held, 4); len(got) != 5 || got[0].ID != 99 {
+		t.Fatalf("piggyback onto one held entry returned %+v, want it followed by 4", got)
 	}
 }
 

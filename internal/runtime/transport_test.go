@@ -172,10 +172,12 @@ func TestUDPSendWithoutFlushDelivers(t *testing.T) {
 
 // rawBook resolves node ids to raw sockets, so a test can read the
 // datagrams a transport writes: an id it does not list resolves to the
-// socket listed under 0. Publish records what the transport announced.
+// socket listed under 0. Publish records what the transport announced;
+// piggy is what every map frame piggybacks (up to the bound).
 type rawBook struct {
 	addrs     map[overlay.NodeID]string
 	published map[overlay.NodeID]string
+	piggy     []DirEntry
 }
 
 func (b rawBook) Resolve(id overlay.NodeID) (string, bool) {
@@ -186,8 +188,10 @@ func (b rawBook) Resolve(id overlay.NodeID) (string, bool) {
 	return a, ok
 }
 func (b rawBook) Publish(id overlay.NodeID, addr string) { b.published[id] = addr }
-func (rawBook) Piggyback(int) []DirEntry                 { return nil }
-func (rawBook) MergeWire([]DirEntry)                     {}
+func (b rawBook) Piggyback(dst []DirEntry, max int) []DirEntry {
+	return append(dst, b.piggy[:min(max, len(b.piggy))]...)
+}
+func (rawBook) MergeWire([]DirEntry) {}
 
 // listenRaw binds a raw loopback socket the test reads datagrams from.
 func listenRaw(t *testing.T) *net.UDPConn {
@@ -278,7 +282,7 @@ func TestUDPDatagramBudget(t *testing.T) {
 		if n > datagramBudget {
 			t.Errorf("%s is %d bytes, budget %d", what, n, datagramBudget)
 		}
-		frames, err := decodeDatagram(buf[:n], nil)
+		frames, err := decodeDatagram(buf[:n], nil, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}

@@ -23,11 +23,15 @@ const udpSocketBuf = 4 << 20
 // to this process's socket; Resolve answers where a remote node's socket
 // lives; Piggyback and MergeWire attach and absorb the small directory
 // batches that ride every map advertisement, spreading the directory
-// epidemic along the same links the data plane uses.
+// epidemic along the same links the data plane uses. Both run once per
+// map frame, so neither owns the slice it is handed: Piggyback appends
+// up to max entries to dst (the sender's scratch, encoded at once), and
+// MergeWire must copy what it keeps, because the reader reuses the slice
+// for the next datagram.
 type AddrBook interface {
 	Resolve(id overlay.NodeID) (string, bool)
 	Publish(id overlay.NodeID, addr string)
-	Piggyback(max int) []DirEntry
+	Piggyback(dst []DirEntry, max int) []DirEntry
 	MergeWire(entries []DirEntry)
 }
 
@@ -192,19 +196,21 @@ func (t *UDPTransport) read(conn *net.UDPConn, book AddrBook) {
 	// beyond one physical MTU).
 	buf := make([]byte, 64*1024)
 	var frames []Frame
+	var pig pigScratch
 	for {
 		sz, _, err := conn.ReadFromUDP(buf)
 		if err != nil {
 			return // socket closed (transport Close)
 		}
-		frames, err = decodeDatagram(buf[:sz], frames)
+		frames, err = decodeDatagram(buf[:sz], frames, &pig)
 		if err != nil {
 			t.malformed.Add(1)
 			continue // malformed datagram: drop
 		}
 		for i := range frames {
 			if f := &frames[i]; len(f.Dir) > 0 && !f.Kind.Control() {
-				// Absorb the directory piggyback; peers never see it.
+				// Absorb the directory piggyback; peers never see it, and
+				// pig's store is reused for the next datagram.
 				if book != nil {
 					book.MergeWire(f.Dir)
 				}
@@ -395,6 +401,9 @@ type udpEndpoint struct {
 	// keeps every element's buffer for the next burst.
 	out   []pendingDatagram
 	dests []resolvedDest
+	// dir is the directory piggyback scratch: hold fills it for one map
+	// frame and encodes it at once.
+	dir []DirEntry
 	// The shaper's two landing hooks, bound once (Queue runs per frame).
 	landNow, landLater func(Frame)
 }
@@ -455,7 +464,8 @@ func (e *udpEndpoint) hold(f Frame) {
 		return
 	}
 	if f.Kind == FrameMap && e.book != nil {
-		f.Dir = e.book.Piggyback(maxMapDirEntries)
+		e.dir = e.book.Piggyback(e.dir[:0], maxMapDirEntries)
+		f.Dir = e.dir
 	}
 	mark := len(d.buf)
 	d.buf = AppendFrame(d.buf, f)

@@ -198,7 +198,7 @@ func appendCtrl(b, ctrl []byte) []byte {
 // after the frame are an error. The returned frame owns its slices
 // (nothing aliases the input).
 func DecodeFrame(b []byte) (Frame, error) {
-	f, rest, err := decodeOne(b)
+	f, rest, err := decodeOne(b, nil)
 	if err != nil {
 		return f, err
 	}
@@ -212,11 +212,16 @@ func DecodeFrame(b []byte) (Frame, error) {
 // (reused from its start), in wire order. It is all-or-nothing: one
 // malformed frame (or an empty datagram) rejects the whole datagram,
 // because past a bad frame the boundaries of its successors cannot be
-// trusted.
-func decodeDatagram(b []byte, dst []Frame) ([]Frame, error) {
+// trusted. With a non-nil pig, map frames' directory piggybacks are
+// decoded into it (reused from its start) rather than into slices of
+// their own: they stay valid until the next call with the same pig.
+func decodeDatagram(b []byte, dst []Frame, pig *pigScratch) ([]Frame, error) {
 	dst = dst[:0]
+	if pig != nil {
+		pig.entries = pig.entries[:0]
+	}
 	for {
-		f, rest, err := decodeOne(b)
+		f, rest, err := decodeOne(b, pig)
 		if err != nil {
 			return dst[:0], err
 		}
@@ -229,8 +234,9 @@ func decodeDatagram(b []byte, dst []Frame) ([]Frame, error) {
 }
 
 // decodeOne parses the frame at the head of b and returns the bytes that
-// follow it.
-func decodeOne(b []byte) (Frame, []byte, error) {
+// follow it. A map frame's directory piggyback goes into pig when it is
+// not nil; every other slice is the frame's own.
+func decodeOne(b []byte, pig *pigScratch) (Frame, []byte, error) {
 	var f Frame
 	if len(b) < wireHeaderLen {
 		return f, nil, fmt.Errorf("runtime: frame of %d bytes, want >= %d", len(b), wireHeaderLen)
@@ -252,7 +258,7 @@ func decodeOne(b []byte) (Frame, []byte, error) {
 	var err error
 	switch f.Kind {
 	case FrameMap:
-		return decodeMapPayload(f, rest)
+		return decodeMapPayload(f, rest, pig)
 	case FrameDirDelta:
 		if len(rest) < 2 {
 			return f, nil, fmt.Errorf("runtime: truncated dir-delta frame")
@@ -261,7 +267,7 @@ func decodeOne(b []byte) (Frame, []byte, error) {
 		if ndir > maxWireDirEntries {
 			return f, nil, fmt.Errorf("runtime: dir-delta advertises %d entries (max %d)", ndir, maxWireDirEntries)
 		}
-		f.Dir, rest, err = decodeDirEntries(rest[2:], ndir)
+		f.Dir, rest, err = decodeDirEntries(rest[2:], ndir, nil)
 		if err != nil {
 			return f, nil, err
 		}
@@ -275,7 +281,7 @@ func decodeOne(b []byte) (Frame, []byte, error) {
 	return f, rest, nil
 }
 
-func decodeMapPayload(f Frame, rest []byte) (Frame, []byte, error) {
+func decodeMapPayload(f Frame, rest []byte, pig *pigScratch) (Frame, []byte, error) {
 	if len(rest) < 8+8+2 {
 		return f, nil, fmt.Errorf("runtime: truncated map frame (%d payload bytes)", len(rest))
 	}
@@ -314,18 +320,51 @@ func decodeMapPayload(f Frame, rest []byte) (Frame, []byte, error) {
 		return f, nil, fmt.Errorf("runtime: map frame piggybacks %d dir entries (max %d)", ndir, maxMapDirEntries)
 	}
 	var err error
-	f.Dir, rest, err = decodeDirEntries(rest[1:], ndir)
+	f.Dir, rest, err = decodeDirEntries(rest[1:], ndir, pig)
 	if err != nil {
 		return f, nil, err
 	}
 	return f, rest, nil
 }
 
-func decodeDirEntries(b []byte, n int) ([]DirEntry, []byte, error) {
+// pigScratch is a datagram reader's reusable store for map-frame
+// directory piggybacks. The reader merges them into its AddrBook and
+// strips them before any peer sees the frame, so one backing array
+// serves every datagram. A piggyback names process addresses, of which
+// a cluster has few: addrs keeps the last few decoded, and an address
+// whose bytes equal one of them reuses that string.
+type pigScratch struct {
+	entries []DirEntry
+	addrs   [16]string
+	next    int // the addrs slot the next new address replaces
+}
+
+// addr returns b as a string, reusing a held one with the same bytes.
+func (p *pigScratch) addr(b []byte) string {
+	for _, s := range p.addrs {
+		if s == string(b) {
+			return s
+		}
+	}
+	s := string(b)
+	p.addrs[p.next] = s
+	p.next = (p.next + 1) % len(p.addrs)
+	return s
+}
+
+// decodeDirEntries decodes n dir entries: appended to pig's store when
+// pig is not nil, else into a slice (and address strings) of their own.
+func decodeDirEntries(b []byte, n int, pig *pigScratch) ([]DirEntry, []byte, error) {
 	if n == 0 {
 		return nil, b, nil
 	}
-	entries := make([]DirEntry, 0, n)
+	var entries []DirEntry
+	if pig != nil {
+		entries = pig.entries
+	} else {
+		entries = make([]DirEntry, 0, n)
+	}
+	start := len(entries)
 	for i := 0; i < n; i++ {
 		if len(b) < 9 {
 			return nil, b, fmt.Errorf("runtime: truncated dir entry %d of %d", i, n)
@@ -339,11 +378,18 @@ func decodeDirEntries(b []byte, n int) ([]DirEntry, []byte, error) {
 		if len(b) < alen {
 			return nil, b, fmt.Errorf("runtime: truncated dir entry address (%d of %d bytes)", len(b), alen)
 		}
-		e.Addr = string(b[:alen])
+		if pig != nil {
+			e.Addr = pig.addr(b[:alen])
+		} else {
+			e.Addr = string(b[:alen])
+		}
 		b = b[alen:]
 		entries = append(entries, e)
 	}
-	return entries, b, nil
+	if pig != nil {
+		pig.entries = entries
+	}
+	return entries[start:len(entries):len(entries)], b, nil
 }
 
 func decodeCtrl(b []byte) ([]byte, []byte, error) {

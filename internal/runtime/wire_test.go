@@ -252,8 +252,11 @@ func randomFrame(rng *rand.Rand) Frame {
 // TestDatagramRoundTrip: k random frames of mixed kinds appended with
 // AppendFrame decode back to the same k frames in order, and a datagram
 // with any one frame cut short or given an unknown kind is rejected whole.
+// One piggyback scratch serves every round, as it serves a reader: it
+// holds the map frames' directory entries and nothing else.
 func TestDatagramRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xda7a))
+	var pig pigScratch
 	for round := 0; round < 300; round++ {
 		k := 1 + rng.Intn(12)
 		frames := make([]Frame, k)
@@ -264,12 +267,21 @@ func TestDatagramRoundTrip(t *testing.T) {
 			dg = AppendFrame(dg, frames[i])
 			ends[i] = len(dg)
 		}
-		got, err := decodeDatagram(dg, nil)
+		got, err := decodeDatagram(dg, nil, &pig)
 		if err != nil {
 			t.Fatalf("round %d: %d frames: %v", round, k, err)
 		}
 		if !reflect.DeepEqual(got, frames) {
 			t.Fatalf("round %d: round trip\n got %+v\nwant %+v", round, got, frames)
+		}
+		piggybacked := 0
+		for _, f := range frames {
+			if f.Kind == FrameMap {
+				piggybacked += len(f.Dir)
+			}
+		}
+		if len(pig.entries) != piggybacked {
+			t.Fatalf("round %d: scratch holds %d entries, the map frames piggyback %d", round, len(pig.entries), piggybacked)
 		}
 		if _, err := DecodeFrame(dg); (err == nil) != (k == 1) {
 			t.Fatalf("round %d: strict DecodeFrame on %d frames: err=%v", round, k, err)
@@ -281,17 +293,45 @@ func TestDatagramRoundTrip(t *testing.T) {
 			start = ends[i-1]
 		}
 		cut := start + 1 + rng.Intn(ends[i]-start-1) // strictly inside frame i
-		if out, err := decodeDatagram(dg[:cut], got); err == nil || len(out) != 0 {
+		if out, err := decodeDatagram(dg[:cut], got, &pig); err == nil || len(out) != 0 {
 			t.Fatalf("round %d: frame %d of %d cut at byte %d: err=%v, %d frames kept", round, i, k, cut-start, err, len(out))
 		}
 		bad := append([]byte(nil), dg...)
 		bad[start] = 0x7f
-		if out, err := decodeDatagram(bad, got); err == nil || len(out) != 0 {
+		if out, err := decodeDatagram(bad, got, &pig); err == nil || len(out) != 0 {
 			t.Fatalf("round %d: frame %d of %d with an unknown kind: err=%v, %d frames kept", round, i, k, err, len(out))
 		}
 	}
-	if _, err := decodeDatagram(nil, nil); err == nil {
+	if _, err := decodeDatagram(nil, nil, nil); err == nil {
 		t.Fatal("empty datagram decoded without error")
+	}
+}
+
+// TestPiggybackDecodeAllocatesNothing: a reader that decodes map frames'
+// directory piggybacks into its scratch allocates nothing once the
+// scratch has grown and has seen the addresses — the entries share one
+// store and every address is a string it already holds. The frames carry
+// no image and no timeline, the two slices a peer keeps.
+func TestPiggybackDecodeAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates for its own bookkeeping")
+	}
+	var want []Frame
+	var dg []byte
+	for i := 0; i < 3; i++ {
+		f := Frame{Kind: FrameMap, Msg: netmodel.Message{From: 1, To: overlay.NodeID(2 + i)}, MaxSeen: 600,
+			Dir: []DirEntry{{ID: 1, Ver: 4, Addr: "127.0.0.1:4000"}, {ID: overlay.NodeID(10 + i), Ver: 1, Addr: "127.0.0.1:4001"}}}
+		want = append(want, f)
+		dg = AppendFrame(dg, f)
+	}
+	var pig pigScratch
+	var got []Frame
+	var err error
+	if n := testing.AllocsPerRun(100, func() { got, err = decodeDatagram(dg, got, &pig) }); n != 0 {
+		t.Errorf("decoding %d piggybacking map frames costs %.1f allocations", len(want), n)
+	}
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded %+v (%v), want %+v", got, err, want)
 	}
 }
 
@@ -309,7 +349,8 @@ func FuzzDecodeDatagram(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		frames, err := decodeDatagram(b, nil)
+		var pig pigScratch
+		frames, err := decodeDatagram(b, nil, &pig)
 		if err != nil {
 			if len(frames) != 0 {
 				t.Fatalf("rejected datagram kept %d frames", len(frames))
