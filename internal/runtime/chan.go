@@ -101,9 +101,11 @@ func (t *ChanTransport) deliver(f Frame) {
 		t.dataLost.Add(1)
 		return
 	}
+	// The send happens under the read lock, so once Close (or an
+	// endpoint's Close) returns, no frame reaches the detached inbox.
 	t.mu.RLock()
+	defer t.mu.RUnlock()
 	ch, ok := t.inboxes[f.Msg.To]
-	t.mu.RUnlock()
 	if !ok {
 		return // destination detached (churn): the datagram evaporates
 	}

@@ -3,6 +3,7 @@ package runtime
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gossipstream/internal/netmodel"
@@ -238,23 +239,34 @@ type TransportStats struct {
 // retries, not the wire). The policy is the sender's: a process polices
 // what it sends, never what it receives. The zero shaper (nil policy)
 // delivers everything immediately.
+//
+// Every peer goroutine routes through one shaper, so the policy and the
+// stopped flag are atomics: an unshaped frame reads both and lands
+// without taking a lock. mu guards only what a shaped frame draws from
+// — the generator, the tick and the time compression.
 type shaper struct {
+	policy  atomic.Pointer[installedPolicy] // nil: no policy
+	stopped atomic.Bool
+
 	mu      sync.Mutex
-	policy  netmodel.LinkPolicy
 	rng     *rand.Rand
 	tick    int
 	wallPer float64 // wall ms per scenario ms (1/TimeScale scaling folded in)
-	stopped bool
 }
+
+// installedPolicy boxes a LinkPolicy for the shaper's atomic pointer.
+type installedPolicy struct{ netmodel.LinkPolicy }
 
 func newShaper(seed int64) *shaper {
 	return &shaper{rng: rand.New(rand.NewSource(seed)), wallPer: 1}
 }
 
 func (s *shaper) setPolicy(p netmodel.LinkPolicy) {
-	s.mu.Lock()
-	s.policy = p
-	s.mu.Unlock()
+	if p == nil {
+		s.policy.Store(nil)
+		return
+	}
+	s.policy.Store(&installedPolicy{p})
 }
 
 func (s *shaper) setTick(tick int, wallPerScenarioMS float64) {
@@ -264,11 +276,7 @@ func (s *shaper) setTick(tick int, wallPerScenarioMS float64) {
 	s.mu.Unlock()
 }
 
-func (s *shaper) stop() {
-	s.mu.Lock()
-	s.stopped = true
-	s.mu.Unlock()
-}
+func (s *shaper) stop() { s.stopped.Store(true) }
 
 // route decides one frame's fate: blocked (drop now), or deliver after
 // a wall-clock delay (0 for map, request and deny frames and on unshaped
@@ -278,30 +286,35 @@ func (s *shaper) stop() {
 // catches the frame. An immediate frame is handed to now on the caller's
 // goroutine, a delayed one to later on a timer goroutine — the split
 // that lets a transport keep an unsynchronized per-sender outbox behind
-// now.
+// now. Only the delayed branch copies the frame to the heap, for its
+// timer.
 func (s *shaper) route(f Frame, now, later func(Frame)) (sent bool) {
-	s.mu.Lock()
-	p := s.policy
-	if s.stopped || (p != nil && p.Blocked(f.Msg.From, f.Msg.To)) {
-		s.mu.Unlock()
+	if s.stopped.Load() {
 		return false
 	}
 	var wallDelay time.Duration
-	if p != nil && (f.Kind == FrameData || f.Kind.Control()) {
-		jitter := 0.0
-		if j := p.JitterMS(); j > 0 {
-			jitter = s.rng.Float64() * j
+	if p := s.policy.Load(); p != nil {
+		s.mu.Lock()
+		if p.Blocked(f.Msg.From, f.Msg.To) {
+			s.mu.Unlock()
+			return false
 		}
-		scenarioMS := p.DelayMS(f.Msg.From, f.Msg.To, jitter)
-		if f.Kind == FrameData {
-			// Record the shaped delay on the message. A control frame is
-			// sealed over its encoding, ArrivalMS included: it must cross
-			// unchanged.
-			f.Msg.ArrivalMS = scenarioMS
+		if f.Kind == FrameData || f.Kind.Control() {
+			jitter := 0.0
+			if j := p.JitterMS(); j > 0 {
+				jitter = s.rng.Float64() * j
+			}
+			scenarioMS := p.DelayMS(f.Msg.From, f.Msg.To, jitter)
+			if f.Kind == FrameData {
+				// Record the shaped delay on the message. A control frame is
+				// sealed over its encoding, ArrivalMS included: it must cross
+				// unchanged.
+				f.Msg.ArrivalMS = scenarioMS
+			}
+			wallDelay = time.Duration(scenarioMS * s.wallPer * float64(time.Millisecond))
 		}
-		wallDelay = time.Duration(scenarioMS * s.wallPer * float64(time.Millisecond))
+		s.mu.Unlock()
 	}
-	s.mu.Unlock()
 	if wallDelay <= 0 {
 		s.land(f, now)
 		return true
@@ -309,34 +322,39 @@ func (s *shaper) route(f Frame, now, later func(Frame)) (sent bool) {
 	// In-flight timers are not drained on shutdown: land re-checks the
 	// stopped flag, so frames delayed past Close simply evaporate (the
 	// documented drop-on-close semantics).
-	time.AfterFunc(wallDelay, func() { s.land(f, later) })
+	delayed := f
+	time.AfterFunc(wallDelay, func() { s.land(delayed, later) })
 	return true
 }
 
 // land applies the delivery-time policy checks (partition, loss) and
 // hands surviving frames to deliver.
 func (s *shaper) land(f Frame, deliver func(Frame)) {
-	s.mu.Lock()
-	p := s.policy
-	stopped := s.stopped
-	dropped := false
-	if !stopped && p != nil {
-		if p.Blocked(f.Msg.From, f.Msg.To) {
-			dropped = true
-		} else if f.Kind == FrameData || f.Kind.Control() {
-			if loss := p.LossProb(s.tick); loss > 0 && s.rng.Float64() < loss {
-				dropped = true
-			}
-		}
+	if s.stopped.Load() {
+		return
 	}
-	s.mu.Unlock()
-	if stopped || dropped {
-		if f.Kind == FrameData && !stopped {
+	if p := s.policy.Load(); p != nil && s.dropsAtLanding(p, &f) {
+		if f.Kind == FrameData {
 			deliver(Frame{Kind: frameDropped, Msg: f.Msg})
 		}
 		return
 	}
 	deliver(f)
+}
+
+// dropsAtLanding reports whether the policy severs f's link or loses
+// f as it lands.
+func (s *shaper) dropsAtLanding(p netmodel.LinkPolicy, f *Frame) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if p.Blocked(f.Msg.From, f.Msg.To) {
+		return true
+	}
+	if f.Kind != FrameData && !f.Kind.Control() {
+		return false
+	}
+	loss := p.LossProb(s.tick)
+	return loss > 0 && s.rng.Float64() < loss
 }
 
 // frameDropped is the internal sentinel land hands to the transport's
