@@ -44,7 +44,7 @@ func (s *Sim) phaseTransit() {
 		sh := &s.shards[shard]
 		sh.netDelivered, sh.netLost, sh.netDelayMS, sh.netPopped = 0, 0, 0, 0
 		sh.netSevered, sh.netEvap = 0, 0
-		rng := s.workers[worker].seedRNG(engine.SeedFor(s.cfg.Seed, rngNet, s.tick, 0, shard))
+		rng := s.workers[worker].stream(engine.SeedFor(s.cfg.Seed, rngNet, s.tick, 0, shard))
 		loss := s.net.LossProb(s.tick)
 		sh.netPopped = s.net.PopDue(shard, s.tick, func(msg netmodel.Message) {
 			to := s.nodes[msg.To]
@@ -64,7 +64,7 @@ func (s *Sim) phaseTransit() {
 				sh.netSevered++
 				return
 			}
-			if loss > 0 && rng.Float64() < loss {
+			if loss > 0 && rng.get().Float64() < loss {
 				to.ledger.Lose(msg.Seg, s.tick)
 				sh.netLost++
 				return

@@ -73,7 +73,7 @@ func (s *Sim) planRound() {
 			sh.rowArena = sh.rowArena[:0]
 			sh.adjArena = sh.adjArena[:0]
 		}
-		rng := ws.seedRNG(engine.SeedFor(s.cfg.Seed, rngPlan, s.tick, round, shard))
+		rng := ws.stream(engine.SeedFor(s.cfg.Seed, rngPlan, s.tick, round, shard))
 		wire := int64(bitfield.WireBits(BufferCap))
 		lo, hi := engine.ShardSpan(n, shard)
 		for i := lo; i < hi; i++ {
@@ -95,12 +95,12 @@ func (s *Sim) planRound() {
 			}
 			if round > 0 && nd.idle {
 				for m := nd.idleDraws; m > 0; m-- {
-					discardIntn(rng, int(m))
+					discardIntn(rng.get(), int(m))
 				}
 				continue
 			}
 			routed := len(sh.requests)
-			planned := s.planNode(ws, sh, nd, round, rng)
+			planned := s.planNode(ws, sh, nd, round, rng.get())
 			nd.idle = len(sh.requests) == routed
 			nd.idleDraws = 0
 			if nd.idle && planned && !s.cfg.DisablePrefetch {

@@ -40,29 +40,29 @@ func (s *Sim) serveRound() {
 		ws := s.workers[worker]
 		sh := &s.shards[shard]
 		sh.proposals = sh.proposals[:0]
-		var rng *rand.Rand
-		if s.cfg.SharedOutbound {
-			rng = ws.seedRNG(engine.SeedFor(s.cfg.Seed, rngServe, s.tick, round, shard))
-		}
+		// Only the shared-outbound server draws, and its stream is seeded
+		// for the shard's first supplier with a queue.
+		rng := ws.stream(engine.SeedFor(s.cfg.Seed, rngServe, s.tick, round, shard))
 		lo, hi := engine.ShardSpan(n, shard)
 		for sid := lo; sid < hi; sid++ {
 			reqs := s.incoming[sid]
 			if len(reqs) == 0 {
 				continue
 			}
-			s.propose(ws, sh, overlay.NodeID(sid), reqs, rng)
+			var supRNG *rand.Rand
+			if s.cfg.SharedOutbound {
+				supRNG = rng.get()
+			}
+			s.propose(ws, sh, overlay.NodeID(sid), reqs, supRNG)
 		}
 		sh.buildCommitIndex(shards)
 	})
 	s.commit(shards, round)
 }
 
-// serveJitterRNG returns the round's jitter stream (nil when the transport
-// draws no jitter), reseeding the Sim's reusable generator.
+// serveJitterRNG returns the round's jitter stream, reseeding the Sim's
+// reusable generator. The commit asks for it at its first jitter draw.
 func (s *Sim) serveJitterRNG(round int) *rand.Rand {
-	if s.net == nil || s.net.JitterMS() <= 0 {
-		return nil
-	}
 	seed := engine.SeedFor(s.cfg.Seed, rngNetJit, s.tick, round, 0)
 	if s.jitterRNG == nil {
 		s.jitterRNG = rand.New(rand.NewSource(seed))
@@ -154,7 +154,8 @@ func (s *Sim) commit(shards, round int) {
 
 	// Netmodel landing: serial sends in the original commit order.
 	if s.net != nil {
-		jitterRNG := s.serveJitterRNG(round)
+		jitterMS := s.net.JitterMS()
+		var jitterRNG *rand.Rand
 		for si := 0; si < shards; si++ {
 			src := &s.shards[si]
 			for idx, p := range src.proposals {
@@ -162,8 +163,11 @@ func (s *Sim) commit(shards, round int) {
 					continue
 				}
 				var jitter float64
-				if jitterRNG != nil {
-					jitter = jitterRNG.Float64() * s.net.JitterMS()
+				if jitterMS > 0 {
+					if jitterRNG == nil {
+						jitterRNG = s.serveJitterRNG(round)
+					}
+					jitter = jitterRNG.Float64() * jitterMS
 				}
 				s.net.Send(s.tick, p.sup, p.From, p.Seg, jitter)
 				s.audInjected++

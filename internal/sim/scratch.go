@@ -131,6 +131,29 @@ func (ws *workerScratch) seedRNG(seed int64) *rand.Rand {
 	return ws.rng
 }
 
+// lazyStream is one (phase, tick, round, shard) stream on a worker's
+// generator, seeded at its first draw: a reseed refills the source's
+// 607 words, and a shard-round that draws nothing skips it. The draws
+// are those of a stream seeded up front.
+type lazyStream struct {
+	ws   *workerScratch
+	seed int64
+	rng  *rand.Rand
+}
+
+// stream returns the worker's stream for seed, not yet seeded.
+func (ws *workerScratch) stream(seed int64) lazyStream {
+	return lazyStream{ws: ws, seed: seed}
+}
+
+// get returns the stream's generator, seeding it on the first call.
+func (st *lazyStream) get() *rand.Rand {
+	if st.rng == nil {
+		st.rng = st.ws.seedRNG(st.seed)
+	}
+	return st.rng
+}
+
 // shardScratch buffers one shard's phase output until the shard-ordered
 // reduce. Indexed by shard on the fixed grid; contents are valid only
 // within the producing round.
