@@ -60,7 +60,7 @@ func Join(cfg JoinConfig) (*sim.Result, error) {
 	}
 	// The one socket binds before the hello: the welcome, the shard's
 	// peers and its control traffic all arrive on it.
-	book := NewDirectory(cfg.Seed ^ 0x0d1c7)
+	book := NewDirectory()
 	tr := runtime.NewUDPTransport(cfg.Seed ^ 0x11fe)
 	defer tr.Close()
 	l, err := newLink(tr, "", -1, cfg.Token, book)

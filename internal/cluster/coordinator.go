@@ -144,7 +144,7 @@ func Serve(cfg Config) (*sim.Result, runtime.LiveStats, error) {
 	// peers share the transport bound at cfg.Listen. The runner does not
 	// close a transport it was handed, so the report exchange after
 	// FinishShard still has it.
-	book := NewDirectory(sc.Seed ^ 0xd1c7)
+	book := NewDirectory()
 	tr := runtime.NewUDPTransport(sc.Seed ^ 0x11fe)
 	defer tr.Close()
 	l, err := newLink(tr, cfg.Listen, 0, cfg.Token, book)

@@ -17,7 +17,6 @@
 package cluster
 
 import (
-	"math/rand"
 	"slices"
 	"sync"
 
@@ -42,15 +41,11 @@ type Directory struct {
 	order    []overlay.NodeID // insertion order, the rotation ring
 	piggyPos int
 	deltaPos int
-	rng      *rand.Rand
 }
 
 // NewDirectory returns an empty directory.
-func NewDirectory(seed int64) *Directory {
-	return &Directory{
-		entries: make(map[overlay.NodeID]runtime.DirEntry),
-		rng:     rand.New(rand.NewSource(seed)),
-	}
+func NewDirectory() *Directory {
+	return &Directory{entries: make(map[overlay.NodeID]runtime.DirEntry)}
 }
 
 // Publish announces a locally bound socket: the entry's version bumps

@@ -64,7 +64,7 @@ func testLink(t *testing.T, shard int, token string, book *Directory, seed int64
 // their own model.
 func linkPair(t *testing.T, token string) (*link, *link, *testPolicy, *testPolicy) {
 	t.Helper()
-	bookA, bookB := NewDirectory(1), NewDirectory(2)
+	bookA, bookB := NewDirectory(), NewDirectory()
 	a := testLink(t, 0, token, bookA, 11)
 	b := testLink(t, 1, token, bookB, 12)
 	bookA.Publish(CtrlIDBase+1, b.addr)
@@ -253,7 +253,7 @@ func TestLinkRejectsForgedFrames(t *testing.T) {
 // is the address every one of its peers publishes.
 func TestOneSocketPerProcess(t *testing.T) {
 	sc := scenario.PaperSingleSwitch().Scaled(20)
-	book := NewDirectory(1)
+	book := NewDirectory()
 	tr := runtime.NewUDPTransport(1)
 	defer tr.Close()
 	l, err := newLink(tr, "127.0.0.1:0", 0, "k", book)
@@ -284,7 +284,7 @@ func TestOneSocketPerProcess(t *testing.T) {
 // mechanics: newest version wins, rotation cursors cover the whole
 // directory, and published rebinds outrun stale entries.
 func TestDirectoryMergeAndRotation(t *testing.T) {
-	d := NewDirectory(1)
+	d := NewDirectory()
 	for i := 0; i < 10; i++ {
 		d.Publish(overlay.NodeID(i), "127.0.0.1:1000")
 	}
