@@ -114,21 +114,11 @@ type workerScratch struct {
 	Server
 	// rng is the worker's reusable generator. Every sharded phase that
 	// draws randomness reseeds it with its (phase, tick, round, shard)
-	// stream before use — Rand.Seed resets the source to exactly the
-	// state rand.New(rand.NewSource(seed)) would build, so reuse is
-	// stream-identical to a fresh generator while skipping the ~5 KB
-	// rngSource allocation per shard per round.
+	// stream at the stream's first draw (lazyStream) — Rand.Seed resets
+	// the source to exactly the state rand.New(rand.NewSource(seed))
+	// would build, so reuse is stream-identical to a fresh generator
+	// while skipping the ~5 KB rngSource allocation per shard per round.
 	rng *rand.Rand
-}
-
-// seedRNG returns the worker's generator reseeded to the given stream.
-func (ws *workerScratch) seedRNG(seed int64) *rand.Rand {
-	if ws.rng == nil {
-		ws.rng = rand.New(rand.NewSource(seed))
-		return ws.rng
-	}
-	ws.rng.Seed(seed)
-	return ws.rng
 }
 
 // lazyStream is one (phase, tick, round, shard) stream on a worker's
@@ -146,10 +136,16 @@ func (ws *workerScratch) stream(seed int64) lazyStream {
 	return lazyStream{ws: ws, seed: seed}
 }
 
-// get returns the stream's generator, seeding it on the first call.
+// get returns the stream's generator, reseeding the worker's on the
+// first call.
 func (st *lazyStream) get() *rand.Rand {
 	if st.rng == nil {
-		st.rng = st.ws.seedRNG(st.seed)
+		if st.ws.rng == nil {
+			st.ws.rng = rand.New(rand.NewSource(st.seed))
+		} else {
+			st.ws.rng.Seed(st.seed)
+		}
+		st.rng = st.ws.rng
 	}
 	return st.rng
 }
