@@ -18,9 +18,9 @@
 // A scenario can also span several OS processes: one starter runs the
 // coordinator plus shard 0, and each -join process takes another shard
 // of the peer population. Joiners bootstrap entirely from the starter —
-// the scenario text, the shard assignment and the address directory all
-// arrive over the authenticated control plane, and peer socket
-// addresses spread by gossip:
+// the scenario text, the shard assignment and every shard's socket
+// address all arrive over the authenticated control plane, and a peer
+// is reached at the socket of the shard that owns it:
 //
 //	live -name paper-single-switch -serve 127.0.0.1:9310 -workers 2
 //	live -join 127.0.0.1:9310   # run twice, in two other terminals

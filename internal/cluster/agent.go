@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"strings"
 	"time"
 
@@ -18,7 +17,7 @@ import (
 type JoinConfig struct {
 	Starter string // the starter node's control address (host:port)
 	Token   string // shared HMAC secret
-	Seed    int64  // seeds the process's shaping and gossip draws (any value; 0 is fine)
+	Seed    int64  // seeds the process's shaping draws (any value; 0 is fine)
 	Logf    func(format string, args ...any)
 
 	// Obs, Debug and StatsEvery mirror Config: instrument the shard's
@@ -51,19 +50,18 @@ func (c *JoinConfig) logf(format string, args ...any) {
 
 // Join runs one joining process end to end: knock on the starter until
 // welcomed, compile the scenario the welcome carries, drive the
-// assigned shard tick by tick applying broadcast directives, gossip
-// the address directory, and ship the shard's windows back. Returns
-// the shard-local result (the merged run lives at the starter).
+// assigned shard tick by tick applying broadcast directives, and ship
+// the shard's windows back. Returns the shard-local result (the merged
+// run lives at the starter).
 func Join(cfg JoinConfig) (*sim.Result, error) {
 	if cfg.Debug != "" && cfg.Obs == nil {
 		cfg.Obs = &obs.Obs{Reg: obs.NewRegistry()}
 	}
 	// The one socket binds before the hello: the welcome, the shard's
 	// peers and its control traffic all arrive on it.
-	book := NewDirectory()
 	tr := runtime.NewUDPTransport(cfg.Seed ^ 0x11fe)
 	defer tr.Close()
-	l, err := newLink(tr, "", -1, cfg.Token, book)
+	l, err := newLink(tr, "", -1, cfg.Token)
 	if err != nil {
 		return nil, err
 	}
@@ -81,7 +79,7 @@ func Join(cfg JoinConfig) (*sim.Result, error) {
 		return nil, fmt.Errorf("cluster: welcome scenario: %w", err)
 	}
 	l.setShard(w.Shard)
-	book.MergeWire(w.Dir)
+	l.table.store(w.Addrs)
 
 	r, err := runtime.FromScenario(sc, algoFactory(w.Algo), runtime.Options{
 		Transport: tr, TimeScale: w.TimeScale,
@@ -90,6 +88,7 @@ func Join(cfg JoinConfig) (*sim.Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	l.routePeers(r)
 	if cfg.Debug != "" {
 		dbg, err := startClusterDebug(cfg.Debug, cfg.Obs, r, nil)
 		if err != nil {
@@ -100,9 +99,11 @@ func Join(cfg JoinConfig) (*sim.Result, error) {
 	}
 	ackWelcome()
 
-	if err := awaitStart(l); err != nil {
+	start, err := awaitStart(l)
+	if err != nil {
 		return nil, err
 	}
+	l.table.store(start.Addrs)
 	if err := r.StartShard(w.Shard, w.Shards); err != nil {
 		return nil, err
 	}
@@ -113,10 +114,7 @@ func Join(cfg JoinConfig) (*sim.Result, error) {
 			return kind == runtime.FrameAck && inj.DropAcksActive()
 		})
 	}
-	a := &agent{cfg: cfg, l: l, book: book, r: r, shard: w.Shard,
-		shards: w.Shards, inj: inj,
-		rng: rand.New(rand.NewSource(cfg.Seed ^ 0x905517)),
-	}
+	a := &agent{cfg: cfg, l: l, r: r, shard: w.Shard, inj: inj}
 	return a.run()
 }
 
@@ -152,8 +150,8 @@ func awaitWelcome(cfg JoinConfig, l *link) (*Welcome, func(), error) {
 }
 
 // awaitStart waits for the coordinator's opening gun (sent once every
-// worker joined).
-func awaitStart(l *link) error {
+// worker joined), which carries the complete shard table.
+func awaitStart(l *link) (*Start, error) {
 	deadline := time.After(5 * time.Minute)
 	for {
 		select {
@@ -161,25 +159,22 @@ func awaitStart(l *link) error {
 			if m.Ack != nil {
 				m.Ack(nil)
 			}
-			if m.P.Kind == "start" {
-				return nil
+			if m.P.Kind == "start" && m.P.Start != nil {
+				return m.P.Start, nil
 			}
 		case <-deadline:
-			return fmt.Errorf("cluster: run never started")
+			return nil, fmt.Errorf("cluster: run never started")
 		}
 	}
 }
 
 // agent is a joined worker's run loop state.
 type agent struct {
-	cfg    JoinConfig
-	l      *link
-	book   *Directory
-	r      *runtime.Runner
-	shard  int
-	shards int
-	rng    *rand.Rand
-	inj    *chaos.Injector
+	cfg   JoinConfig
+	l     *link
+	r     *runtime.Runner
+	shard int
+	inj   *chaos.Injector
 
 	appliedSeq uint64
 	finishing  bool
@@ -187,9 +182,8 @@ type agent struct {
 }
 
 // run drives the shard: apply queued directives in sequence, tick the
-// owned peers, report status, gossip the directory — until the finish
-// directive (or the scripted duration as the severed-control-plane
-// fallback).
+// owned peers, report status — until the finish directive (or the
+// scripted duration as the severed-control-plane fallback).
 func (a *agent) run() (*sim.Result, error) {
 	r := a.r
 	periodWall := r.PeriodWall()
@@ -234,7 +228,6 @@ func (a *agent) run() (*sim.Result, error) {
 		} else {
 			a.l.cast(0, status)
 		}
-		a.gossipRound()
 		if time.Now().After(fallback) {
 			a.cfg.logf("cluster: shard %d hit its fallback deadline", a.shard)
 			break
@@ -323,20 +316,6 @@ func (a *agent) statusDelay() int {
 		return 0
 	}
 	return a.inj.StatusDelay(a.r.CurrentTick())
-}
-
-// gossipRound pushes a directory batch to the coordinator and to one
-// random sibling — the spoke half of the anti-entropy epidemic that
-// spreads peer socket addresses without any static list.
-func (a *agent) gossipRound() {
-	a.l.gossip(0, a.book.DeltaBatch(gossipBatch))
-	if a.shards > 2 {
-		sib := a.rng.Intn(a.shards-2) + 1
-		if sib >= a.shard {
-			sib++
-		}
-		a.l.gossip(sib, a.book.DeltaBatch(gossipBatch))
-	}
 }
 
 // awaitFinish blocks on the inbox for a finish directive for at most

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"gossipstream/internal/obs"
-	"gossipstream/internal/overlay"
 	"gossipstream/internal/runtime"
 	"gossipstream/internal/scenario"
 	"gossipstream/internal/sim"
@@ -118,10 +117,11 @@ const (
 )
 
 // Serve runs the starter node: listen for Workers joining processes,
-// welcome each with the scenario and a directory seed, release the
-// shards, drive shard 0 locally while resolving every scenario event
-// and broadcasting the resolved directives, and finally merge the
-// workers' windows with the local ones. Blocks for the whole run.
+// welcome each with the scenario and the shard table so far, release
+// the shards with the complete table, drive shard 0 locally while
+// resolving every scenario event and broadcasting the resolved
+// directives, and finally merge the workers' windows with the local
+// ones. Blocks for the whole run.
 func Serve(cfg Config) (*sim.Result, runtime.LiveStats, error) {
 	var stats runtime.LiveStats
 	if cfg.Scenario == nil {
@@ -144,10 +144,9 @@ func Serve(cfg Config) (*sim.Result, runtime.LiveStats, error) {
 	// peers share the transport bound at cfg.Listen. The runner does not
 	// close a transport it was handed, so the report exchange after
 	// FinishShard still has it.
-	book := NewDirectory()
 	tr := runtime.NewUDPTransport(sc.Seed ^ 0x11fe)
 	defer tr.Close()
-	l, err := newLink(tr, cfg.Listen, 0, cfg.Token, book)
+	l, err := newLink(tr, cfg.Listen, 0, cfg.Token)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -158,7 +157,7 @@ func Serve(cfg Config) (*sim.Result, runtime.LiveStats, error) {
 		cfg.Ready(l.addr)
 	}
 
-	workerShards, err := awaitWorkers(cfg, sc, l, book, shards)
+	workerShards, err := awaitWorkers(cfg, sc, l, shards)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -170,21 +169,23 @@ func Serve(cfg Config) (*sim.Result, runtime.LiveStats, error) {
 	if err != nil {
 		return nil, stats, err
 	}
+	l.routePeers(r)
 
-	// Shard 0 spawns before the workers are released: its nodes are
-	// published before any worker's first advertisement looks them up,
-	// and its set-up does not compete for the CPUs with peers already
+	// Shard 0 spawns before the workers are released: its peers are
+	// attached before any worker's first advertisement reaches them, and
+	// its set-up does not compete for the CPUs with peers already
 	// ticking.
 	if err := r.StartShard(0, shards); err != nil {
 		return nil, stats, err
 	}
-	// Release the shards: every worker acked its welcome, so the start
-	// broadcast is the run's opening gun.
+	// Release the shards with the complete table: the start broadcast is
+	// the run's opening gun.
+	release := &Start{Workers: cfg.Workers, Addrs: l.table.snapshot()}
 	for _, w := range workerShards {
-		l.send(w, &Payload{Kind: "start", Start: &Start{Workers: cfg.Workers}})
+		l.send(w, &Payload{Kind: "start", Start: release})
 	}
 
-	co := &coordinator{cfg: cfg, l: l, book: book, r: r, shards: shards, workers: workerShards,
+	co := &coordinator{cfg: cfg, l: l, r: r, shards: shards, workers: workerShards,
 		lastStatus: make(map[int]*Status),
 		health:     make(map[int]*shardHealth),
 		det: NewDetector(DetectorConfig{
@@ -220,8 +221,9 @@ func Serve(cfg Config) (*sim.Result, runtime.LiveStats, error) {
 
 // awaitWorkers accepts hellos until every expected worker is welcomed,
 // assigning shards in join order (stably per address, so a retried
-// hello keeps its slot).
-func awaitWorkers(cfg Config, sc *scenario.Scenario, l *link, book *Directory, shards int) ([]int, error) {
+// hello keeps its slot) and recording each hello's address as its
+// shard's.
+func awaitWorkers(cfg Config, sc *scenario.Scenario, l *link, shards int) ([]int, error) {
 	var text bytes.Buffer
 	if err := sc.Write(&text); err != nil {
 		return nil, err
@@ -242,14 +244,14 @@ func awaitWorkers(cfg Config, sc *scenario.Scenario, l *link, book *Directory, s
 			shard := len(workers) + 1
 			assigned[addr] = shard
 			workers = append(workers, shard)
-			book.Publish(CtrlIDBase+overlay.NodeID(shard), addr)
+			l.table.set(shard, addr)
 			l.send(shard, &Payload{Kind: "welcome", Welcome: &Welcome{
 				Shard:     shard,
 				Shards:    shards,
 				Scenario:  text.String(),
 				TimeScale: cfg.TimeScale,
 				Algo:      cfg.Algo,
-				Dir:       book.Snapshot(maxDirSnapshot),
+				Addrs:     l.table.snapshot(),
 			}})
 			cfg.logf("cluster: worker %s joined as shard %d/%d", addr, shard, shards)
 		case <-deadline:
@@ -259,15 +261,10 @@ func awaitWorkers(cfg Config, sc *scenario.Scenario, l *link, book *Directory, s
 	return workers, nil
 }
 
-// maxDirSnapshot bounds the welcome's directory seed; the rest of the
-// directory arrives by gossip like everything else.
-const maxDirSnapshot = 128
-
 // coordinator is the starter's run loop state.
 type coordinator struct {
 	cfg     Config
 	l       *link
-	book    *Directory
 	r       *runtime.Runner
 	shards  int
 	workers []int
@@ -322,7 +319,6 @@ func (c *coordinator) run() (*sim.Result, error) {
 		if d := r.ResolveChurnStep(); d != nil {
 			c.broadcastApply(d)
 		}
-		c.gossipRound()
 		c.healthTick(false)
 		if err := c.detectTick(); err != nil {
 			return nil, err
@@ -497,15 +493,6 @@ func (c *coordinator) broadcastApply(d *runtime.Directive) {
 		c.l.send(w, &Payload{Kind: "directive", Dir: &wire})
 	}
 	c.r.Apply(d)
-}
-
-// gossipRound pushes one directory delta batch to every worker — the
-// hub half of the anti-entropy epidemic (workers push back to the
-// coordinator and to one random sibling each tick).
-func (c *coordinator) gossipRound() {
-	for _, w := range c.workers {
-		c.l.gossip(w, c.book.DeltaBatch(gossipBatch))
-	}
 }
 
 // drained reports whether the whole run is idle: local events and

@@ -38,13 +38,8 @@ func FuzzWireDecode(f *testing.F) {
 	rereq := runtime.Frame{Kind: runtime.FrameRequest, ReReq: true}
 	rereq.Msg.Seg = 55
 	f.Add(runtime.EncodeFrame(rereq))
-	mapFrame := runtime.Frame{Kind: runtime.FrameMap, MapImg: bytes.Repeat([]byte{0xa5}, 78), MaxSeen: 600, Rate: 10.5,
-		Dir: []runtime.DirEntry{{ID: 4, Ver: 2, Addr: "127.0.0.1:1234"}}}
+	mapFrame := runtime.Frame{Kind: runtime.FrameMap, MapImg: bytes.Repeat([]byte{0xa5}, 78), MaxSeen: 600, Rate: 10.5}
 	f.Add(runtime.EncodeFrame(mapFrame))
-	delta := runtime.Frame{Kind: runtime.FrameDirDelta,
-		Dir: []runtime.DirEntry{{ID: 1, Ver: 9, Addr: "[::1]:80"}, {ID: 2, Ver: 1, Addr: ""}}}
-	seal(&delta, token)
-	f.Add(runtime.EncodeFrame(delta))
 	// The failover alphabet: a reassignment directive with respawn specs,
 	// a fence, and the keepalive ping/pong pair.
 	f.Add(sealed(runtime.FrameEvent, 9, &Payload{Kind: "directive", Dir: &runtime.Directive{

@@ -18,11 +18,14 @@ import (
 // with TimeScale — retransmission pace is an implementation property,
 // not a scenario property).
 const (
-	retryEvery  = 50 * time.Millisecond
-	helloEvery  = 200 * time.Millisecond
-	reorderMax  = 64 // held out-of-order frames per source before dropping
-	gossipBatch = 64 // directory entries per anti-entropy push
+	retryEvery = 50 * time.Millisecond
+	helloEvery = 200 * time.Millisecond
+	reorderMax = 64 // held out-of-order frames per source before dropping
 )
+
+// helloAnchor is the policy-visible node id of a hello: the joiner has
+// no shard yet, so its anchor lies far outside any scenario's id range.
+const helloAnchor overlay.NodeID = 1 << 20
 
 // inMsg is one authenticated control message as the link delivers it:
 // decoded, deduplicated and — for sequenced messages — in order per
@@ -43,6 +46,7 @@ type inMsg struct {
 // transport's reader hands the link every control frame; the link sends
 // through the transport's shaper.
 //
+// A control frame to shard k goes to the shard table's address for k.
 // Frames carry From/To as shard anchor node ids (shard k ↔ node id k,
 // which shard k owns by the id-mod-shards split), so the run's shared
 // LinkPolicy judges control traffic exactly as it judges peer traffic:
@@ -54,9 +58,9 @@ type inMsg struct {
 type link struct {
 	shard int
 	token []byte
-	book  *Directory
+	table shardTable
 	tr    *runtime.UDPTransport
-	addr  string // the transport's socket: this process's control address
+	addr  string // the transport's socket: this process's address
 
 	// tick is the driving loop's current period, for the retry trace.
 	tick atomic.Int64
@@ -99,13 +103,12 @@ type pendKey struct {
 }
 
 // newLink binds the process's transport on listen ("" for an ephemeral
-// loopback port) — installing book as its address book first — and
-// attaches the link as the transport's control handler. When the shard
-// is already known (the coordinator), it publishes the socket in the
-// directory under CtrlIDBase+shard so gossip spreads it. A joiner binds
-// with shard -1 and calls setShard once the welcome assigns one.
-func newLink(tr *runtime.UDPTransport, listen string, shard int, token string, book *Directory) (*link, error) {
-	tr.SetAddrBook(book)
+// loopback port) and attaches the link as the transport's control
+// handler. When the shard is already known (the coordinator), its own
+// address opens the shard table. A joiner binds with shard -1, calls
+// setShard once the welcome assigns one and installs the tables the
+// welcome and the start carry.
+func newLink(tr *runtime.UDPTransport, listen string, shard int, token string) (*link, error) {
 	addr, err := tr.Bind(listen)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: control bind on %q: %w", listen, err)
@@ -113,7 +116,6 @@ func newLink(tr *runtime.UDPTransport, listen string, shard int, token string, b
 	l := &link{
 		shard:   shard,
 		token:   []byte(token),
-		book:    book,
 		tr:      tr,
 		addr:    addr,
 		nextSeq: make(map[int]uint64),
@@ -126,7 +128,7 @@ func newLink(tr *runtime.UDPTransport, listen string, shard int, token string, b
 		done:    make(chan struct{}),
 	}
 	if shard >= 0 {
-		book.Publish(CtrlIDBase+overlay.NodeID(shard), addr)
+		l.table.set(shard, addr)
 	}
 	tr.SetControl(l.receive)
 	l.wg.Add(1)
@@ -134,14 +136,19 @@ func newLink(tr *runtime.UDPTransport, listen string, shard int, token string, b
 	return l, nil
 }
 
-// setShard records a joiner's welcome-assigned shard and publishes its
-// control address under the corresponding directory id. Must run before
+// setShard records a joiner's welcome-assigned shard. Must run before
 // the welcome is acked (the ack carries the shard's anchor id).
 func (l *link) setShard(shard int) {
 	l.mu.Lock()
 	l.shard = shard
 	l.mu.Unlock()
-	l.book.Publish(CtrlIDBase+overlay.NodeID(shard), l.addr)
+}
+
+// routePeers makes the transport route peer frames by ownership: a node
+// not attached here goes to its owner shard's address. Must run before
+// the runner opens its first peer.
+func (l *link) routePeers(r *runtime.Runner) {
+	l.tr.SetAddrBook(peerRoutes{table: &l.table, r: r})
 }
 
 // setObs attaches the control plane's telemetry sinks.
@@ -306,31 +313,15 @@ func (l *link) cast(dest int, p *Payload) {
 	l.transmit(dest, f)
 }
 
-// gossip pushes a directory delta batch to a peer shard's control
-// endpoint — the agent-to-agent anti-entropy round.
-func (l *link) gossip(dest int, entries []runtime.DirEntry) {
-	if len(entries) == 0 {
-		return
-	}
-	f := runtime.Frame{
-		Kind: runtime.FrameDirDelta,
-		Msg:  netmodel.Message{From: l.anchor(), To: overlay.NodeID(dest)},
-		Dir:  entries,
-	}
-	seal(&f, l.token)
-	l.transmit(dest, f)
-}
-
 // sendHello knocks on an explicit address (the starter, known from the
 // command line — the only address that is ever configured rather than
-// gossiped).
+// learned from the coordinator).
 func (l *link) sendHello(to string, h *Hello) error {
 	f := runtime.Frame{
 		Kind: runtime.FrameHello,
-		// The joiner has no shard yet; the anchor is out of the policy's
-		// id range, and no policy is installed before the welcome (pure
-		// pre-run bootstrap).
-		Msg:  netmodel.Message{From: CtrlIDBase, To: CtrlIDBase},
+		// No policy is installed before the welcome (pure pre-run
+		// bootstrap).
+		Msg:  netmodel.Message{From: helloAnchor, To: helloAnchor},
 		Ctrl: encodePayload(&Payload{Kind: "hello", Hello: h}),
 	}
 	seal(&f, l.token)
@@ -368,15 +359,15 @@ func (l *link) sealSequenced(dest int, p *Payload) (runtime.Frame, uint64) {
 }
 
 // transmit hands one sealed control frame to the transport toward a
-// shard's control endpoint. The transport's shaper applies the run's
-// policy; the reliable layer's retries (not the wire) provide delivery.
+// shard's socket. The transport's shaper applies the run's policy; the
+// reliable layer's retries (not the wire) provide delivery.
 func (l *link) transmit(dest int, f runtime.Frame) {
-	addr, ok := l.book.Resolve(CtrlIDBase + overlay.NodeID(dest))
+	addr, ok := l.table.addr(dest)
 	if !ok {
-		return // address not yet gossiped: a later retry will find it
+		return // shard not in the table yet: a later retry will find it
 	}
-	// A gossiped address that does not parse loses the frame like the
-	// network would; a sequenced frame's retry asks the directory again.
+	// An address that does not parse loses the frame like the network
+	// would.
 	_ = l.tr.SendControl(f, addr)
 }
 
@@ -427,8 +418,6 @@ func (l *link) receive(f runtime.Frame) {
 		return // forged or corrupted: drop silently
 	}
 	switch f.Kind {
-	case runtime.FrameDirDelta:
-		l.book.MergeWire(f.Dir)
 	case runtime.FrameAck:
 		l.handleAck(f)
 	case runtime.FrameHello, runtime.FrameEvent:

@@ -47,10 +47,10 @@ var _ netmodel.LinkPolicy = (*testPolicy)(nil)
 
 // testLink builds a link over a UDP transport of its own — one process's
 // socket on an ephemeral loopback port — closed with the test.
-func testLink(t *testing.T, shard int, token string, book *Directory, seed int64) *link {
+func testLink(t *testing.T, shard int, token string, seed int64) *link {
 	t.Helper()
 	tr := runtime.NewUDPTransport(seed)
-	l, err := newLink(tr, "", shard, token, book)
+	l, err := newLink(tr, "", shard, token)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,17 +58,16 @@ func testLink(t *testing.T, shard int, token string, book *Directory, seed int64
 	return l
 }
 
-// linkPair wires two links (shards 0 and 1) with each other's control
-// addresses, each over its own transport behind its own policy object —
-// like two processes that each applied the same scenario directives to
-// their own model.
+// linkPair wires two links (shards 0 and 1) with one shard table, each
+// over its own transport behind its own policy object — like two
+// processes that each applied the same scenario directives to their own
+// model.
 func linkPair(t *testing.T, token string) (*link, *link, *testPolicy, *testPolicy) {
 	t.Helper()
-	bookA, bookB := NewDirectory(), NewDirectory()
-	a := testLink(t, 0, token, bookA, 11)
-	b := testLink(t, 1, token, bookB, 12)
-	bookA.Publish(CtrlIDBase+1, b.addr)
-	bookB.Publish(CtrlIDBase+0, a.addr)
+	a := testLink(t, 0, token, 11)
+	b := testLink(t, 1, token, 12)
+	a.table.store([]string{a.addr, b.addr})
+	b.table.store(a.table.snapshot())
 	pa, pb := &testPolicy{}, &testPolicy{}
 	a.tr.SetPolicy(pa)
 	b.tr.SetPolicy(pb)
@@ -204,8 +203,9 @@ func TestPartitionSeversControlPlane(t *testing.T) {
 // message delivered (or acked) — the authentication boundary.
 func TestLinkRejectsForgedFrames(t *testing.T) {
 	a, b, _, _ := linkPair(t, "right")
-	// Rebuild a with a different token but the same directory wiring.
-	forged := testLink(t, 0, "wrong", a.book, 13)
+	// Rebuild a with a different token but the same shard table.
+	forged := testLink(t, 0, "wrong", 13)
+	forged.table.store(a.table.snapshot())
 	got := make(chan int, 8)
 	ackAll(b, got)
 
@@ -225,101 +225,65 @@ func TestLinkRejectsForgedFrames(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("authentic frame not delivered")
 	}
-
-	// A forged directory delta must leave b's directory unchanged. b's
-	// socket reader merges the unauthenticated piggybacks of peer map
-	// frames; control frames must bypass that merge and meet the seal
-	// check. The authentic delta sent after it marks when the forged one
-	// has been read.
-	forged.gossip(1, []runtime.DirEntry{{ID: 4242, Ver: 1, Addr: "127.0.0.1:1"}})
-	a.gossip(1, []runtime.DirEntry{{ID: 4243, Ver: 1, Addr: "127.0.0.1:2"}})
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, ok := b.book.Resolve(4243); ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("authentic directory delta not merged")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if addr, ok := b.book.Resolve(4242); ok {
-		t.Fatalf("forged directory delta merged: node 4242 at %s", addr)
-	}
 }
 
-// TestOneSocketPerProcess: the starter's control endpoint and its shard's
-// peers share one socket — the control address the coordinator publishes
-// is the address every one of its peers publishes.
+// TestOneSocketPerProcess: a node's address is the one socket of the
+// process whose shard owns it. A coordinator link welcomes two joiner
+// links; then every shard-0 node resolves to the coordinator link's
+// address and each worker's nodes to that worker's hello address, and
+// each welcome's table lists the coordinator and the joiner itself.
 func TestOneSocketPerProcess(t *testing.T) {
-	sc := scenario.PaperSingleSwitch().Scaled(20)
-	book := NewDirectory()
-	tr := runtime.NewUDPTransport(1)
-	defer tr.Close()
-	l, err := newLink(tr, "127.0.0.1:0", 0, "k", book)
+	sc := scenario.PaperSingleSwitch().Scaled(30)
+	const shards = 3
+	coord := testLink(t, 0, "k", 1)
+	type joined struct {
+		w    *Welcome
+		addr string
+		err  error
+	}
+	joins := make(chan joined, shards-1)
+	for i := 1; i < shards; i++ {
+		j := testLink(t, -1, "k", int64(1+i))
+		go func() {
+			w, ack, err := awaitWelcome(JoinConfig{Starter: coord.addr, Token: "k"}, j)
+			if err == nil {
+				j.setShard(w.Shard)
+				j.table.store(w.Addrs)
+				ack()
+			}
+			joins <- joined{w, j.addr, err}
+		}()
+	}
+	cfg := Config{Workers: shards - 1, Tuning: Tuning{JoinDeadline: 10 * time.Second}.withDefaults()}
+	if _, err := awaitWorkers(cfg, sc, coord, shards); err != nil {
+		t.Fatal(err)
+	}
+	want := map[int]string{0: coord.addr}
+	for i := 1; i < shards; i++ {
+		j := <-joins
+		if j.err != nil {
+			t.Fatal(j.err)
+		}
+		if len(j.w.Addrs) <= j.w.Shard || j.w.Addrs[0] != coord.addr || j.w.Addrs[j.w.Shard] != j.addr {
+			t.Fatalf("shard %d welcomed with table %q, want the coordinator %q and itself %q", j.w.Shard, j.w.Addrs, coord.addr, j.addr)
+		}
+		want[j.w.Shard] = j.addr
+	}
+
+	r, err := runtime.FromScenario(sc, sim.Fast, runtime.Options{Transport: coord.tr})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.close()
-	r, err := runtime.FromScenario(sc, sim.Fast, runtime.Options{Transport: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.StartShard(0, 2); err != nil {
+	coord.routePeers(r)
+	if err := r.StartShard(0, shards); err != nil {
 		t.Fatal(err)
 	}
 	defer r.Abort()
-	ctrl, ok := book.Resolve(CtrlIDBase)
-	if !ok || ctrl != l.addr {
-		t.Fatalf("control endpoint published at %q, link bound at %q", ctrl, l.addr)
-	}
-	for id := 0; id < sc.Nodes; id += 2 { // shard 0 of 2 owns the even ids
-		if addr, _ := book.Resolve(overlay.NodeID(id)); addr != ctrl {
-			t.Fatalf("node %d published %q, the control endpoint %q", id, addr, ctrl)
+	routes := peerRoutes{table: &coord.table, r: r}
+	for id := 0; id < sc.Nodes; id++ {
+		if got, ok := routes.Resolve(overlay.NodeID(id)); !ok || got != want[id%shards] {
+			t.Fatalf("node %d resolves to %q (%v), want shard %d's %q", id, got, ok, id%shards, want[id%shards])
 		}
-	}
-}
-
-// TestDirectoryMergeAndRotation covers the address book's gossip
-// mechanics: newest version wins, rotation cursors cover the whole
-// directory, and published rebinds outrun stale entries.
-func TestDirectoryMergeAndRotation(t *testing.T) {
-	d := NewDirectory()
-	for i := 0; i < 10; i++ {
-		d.Publish(overlay.NodeID(i), "127.0.0.1:1000")
-	}
-	if d.Len() != 10 {
-		t.Fatalf("Len = %d, want 10", d.Len())
-	}
-	// Stale gossip must not overwrite a newer local rebind.
-	d.Publish(3, "127.0.0.1:2000") // ver 2
-	d.MergeWire([]runtime.DirEntry{{ID: 3, Ver: 1, Addr: "127.0.0.1:9999"}})
-	if addr, _ := d.Resolve(3); addr != "127.0.0.1:2000" {
-		t.Fatalf("stale merge won: %s", addr)
-	}
-	// Newer gossip wins.
-	d.MergeWire([]runtime.DirEntry{{ID: 3, Ver: 9, Addr: "127.0.0.1:3000"}})
-	if addr, _ := d.Resolve(3); addr != "127.0.0.1:3000" {
-		t.Fatalf("newer merge lost: %s", addr)
-	}
-	// Rotation covers every entry across consecutive batches.
-	seen := map[overlay.NodeID]bool{}
-	for i := 0; i < 4; i++ {
-		for _, e := range d.DeltaBatch(3) {
-			seen[e.ID] = true
-		}
-	}
-	if len(seen) != 10 {
-		t.Fatalf("rotation covered %d of 10 entries", len(seen))
-	}
-	// Piggyback rotates independently, respects its bound, and appends
-	// to the caller's slice.
-	if got := len(d.Piggyback(nil, 4)); got != 4 {
-		t.Fatalf("piggyback returned %d entries, want 4", got)
-	}
-	held := []runtime.DirEntry{{ID: 99}}
-	if got := d.Piggyback(held, 4); len(got) != 5 || got[0].ID != 99 {
-		t.Fatalf("piggyback onto one held entry returned %+v, want it followed by 4", got)
 	}
 }
 

@@ -18,10 +18,9 @@ import (
 const macLen = 16
 
 // seal authenticates a control frame in place: the tag is computed
-// over the frame's full wire encoding (header, directory entries and
-// payload — so sequence numbers, addressing and directory contents are
-// all covered) and appended to Ctrl. A FrameDirDelta seals with an
-// empty payload, leaving Ctrl = tag alone.
+// over the frame's full wire encoding (header and payload — so sequence
+// numbers, addressing and the shard address table a welcome or start
+// carries are all covered) and appended to Ctrl.
 func seal(f *runtime.Frame, token []byte) {
 	mac := hmac.New(sha256.New, token)
 	mac.Write(runtime.EncodeFrame(*f))
@@ -50,9 +49,9 @@ func open(f *runtime.Frame, token []byte) bool {
 // The control-plane message alphabet, carried gob-encoded in the Ctrl
 // payload of FrameHello, FrameEvent and FrameAck.
 
-// Hello is a joining process knocking on the starter node: its control
-// address (the process's one socket), so the coordinator can answer (and
-// gossip it on).
+// Hello is a joining process knocking on the starter node: the address
+// of the process's one socket, so the coordinator can answer it and list
+// it in the shard table.
 type Hello struct {
 	Addr string
 }
@@ -60,20 +59,23 @@ type Hello struct {
 // Welcome is the coordinator's answer — everything a joiner needs to
 // reconstruct the run: its shard assignment, the full scenario text
 // (compiled locally, so graph and profiles agree by construction), the
-// pacing and algorithm, and a seed of the address directory. The rest
-// of the directory arrives by gossip.
+// pacing and algorithm, and the shard address table so far (by shard,
+// "" for a worker not yet joined; the coordinator's and the joiner's own
+// are always there).
 type Welcome struct {
 	Shard     int
 	Shards    int
 	Scenario  string
 	TimeScale float64
 	Algo      string
-	Dir       []runtime.DirEntry
+	Addrs     []string
 }
 
-// Start releases the shards once every expected worker has joined.
+// Start releases the shards once every expected worker has joined. It
+// carries the complete shard address table.
 type Start struct {
 	Workers int
+	Addrs   []string
 }
 
 // Status is one shard's per-tick heartbeat: where its clock is, whether

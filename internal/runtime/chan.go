@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"gossipstream/internal/netmodel"
 	"gossipstream/internal/overlay"
@@ -26,13 +25,9 @@ type ChanTransport struct {
 	inboxes map[overlay.NodeID]chan Frame
 	shape   *shaper
 	closed  bool
-	land    func(Frame) // t.deliver, bound once (send runs per frame)
+	land    func(Frame) // t.arrive, bound once (send runs per frame)
 
-	dataSent      atomic.Int64
-	dataDelivered atomic.Int64
-	dataLost      atomic.Int64
-	delayMu       sync.Mutex
-	delaySum      float64 // scenario ms
+	inboxCounters
 }
 
 // NewChanTransport returns an empty in-process transport; seed drives
@@ -42,7 +37,7 @@ func NewChanTransport(seed int64) *ChanTransport {
 		inboxes: make(map[overlay.NodeID]chan Frame),
 		shape:   newShaper(seed),
 	}
-	t.land = t.deliver
+	t.land = t.arrive
 	return t
 }
 
@@ -64,17 +59,7 @@ func (t *ChanTransport) SetTick(tick int, wallPerScenarioMS float64) {
 }
 
 // Stats returns cumulative data-plane counters.
-func (t *ChanTransport) Stats() TransportStats {
-	t.delayMu.Lock()
-	delay := t.delaySum
-	t.delayMu.Unlock()
-	return TransportStats{
-		DataSent:        t.dataSent.Load(),
-		DataDelivered:   t.dataDelivered.Load(),
-		DataLost:        t.dataLost.Load(),
-		DelayScenarioMS: delay,
-	}
-}
+func (t *ChanTransport) Stats() TransportStats { return t.stats() }
 
 // Close shuts the transport down.
 func (t *ChanTransport) Close() {
@@ -96,7 +81,9 @@ func (t *ChanTransport) send(f Frame) {
 	}
 }
 
-func (t *ChanTransport) deliver(f Frame) {
+// arrive is the shaper's landing hook: the frame goes into the
+// destination's inbox.
+func (t *ChanTransport) arrive(f Frame) {
 	if f.Kind == frameDropped {
 		t.dataLost.Add(1)
 		return
@@ -105,26 +92,10 @@ func (t *ChanTransport) deliver(f Frame) {
 	// endpoint's Close) returns, no frame reaches the detached inbox.
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	ch, ok := t.inboxes[f.Msg.To]
-	if !ok {
-		return // destination detached (churn): the datagram evaporates
+	if ch, ok := t.inboxes[f.Msg.To]; ok {
+		t.deliver(ch, f)
 	}
-	select {
-	case ch <- f:
-		if f.Kind == FrameData {
-			t.dataDelivered.Add(1)
-			if f.Msg.ArrivalMS > 0 {
-				t.delayMu.Lock()
-				t.delaySum += f.Msg.ArrivalMS
-				t.delayMu.Unlock()
-			}
-		}
-	default:
-		// Inbox overflow: drop like a datagram.
-		if f.Kind == FrameData {
-			t.dataLost.Add(1)
-		}
-	}
+	// Otherwise the destination detached (churn): the datagram evaporates.
 }
 
 type chanEndpoint struct {

@@ -83,14 +83,18 @@ func (r *Runner) owns(id overlay.NodeID) bool {
 // ownerOf names the shard hosting a node: a failover reassignment
 // override when one exists, the id-mod-shards rule otherwise.
 func (r *Runner) ownerOf(id overlay.NodeID) int {
-	if s, ok := r.owner[id]; ok {
-		return s
+	if m := r.owner.Load(); m != nil {
+		if s, ok := (*m)[id]; ok {
+			return s
+		}
 	}
 	return int(id) % r.shards
 }
 
-// OwnerOf exposes the ownership rule to the cluster coordinator (the
-// stop-source call and the failover machinery route by it).
+// OwnerOf exposes the ownership rule to the cluster: the coordinator's
+// stop-source call and failover machinery, and every process's peer
+// routing, which calls it from the peers' goroutines (safe once
+// StartShard has returned).
 func (r *Runner) OwnerOf(id overlay.NodeID) int { return r.ownerOf(id) }
 
 // Shard and Shards expose the runner's slice of the population.

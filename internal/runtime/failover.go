@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"maps"
 	"sort"
 
 	"gossipstream/internal/overlay"
@@ -116,10 +117,17 @@ func (r *Runner) respawnSpec(id overlay.NodeID) sim.JoinSpec {
 // the graph, so unlike a join there is no structural replay and the
 // Resolved flag plays no role.
 func (r *Runner) applyReassign(d *Directive) {
+	owner := make(map[overlay.NodeID]int)
+	if m := r.owner.Load(); m != nil {
+		owner = maps.Clone(*m)
+	}
+	for _, rs := range d.Respawns {
+		owner[rs.Join.ID] = rs.Owner
+	}
+	r.owner.Store(&owner)
 	changed := false
 	for _, rs := range d.Respawns {
 		js := rs.Join
-		r.owner[js.ID] = rs.Owner
 		if rs.Owner != r.shard {
 			continue
 		}

@@ -3,6 +3,7 @@ package runtime
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gossipstream/internal/bandwidth"
@@ -121,8 +122,10 @@ type Runner struct {
 	// reassigned off a dead shard (consulted before the id-mod-shards
 	// rule), and the bandwidth-profile ledger every process keeps for
 	// every node so a respawn directive can restate a peer's profile
-	// without an RNG draw.
-	owner   map[overlay.NodeID]int
+	// without an RNG draw. The overrides are copied on write: a cluster
+	// routes every peer frame by OwnerOf, from the peers' goroutines,
+	// while the run loop applies reassignments.
+	owner   atomic.Pointer[map[overlay.NodeID]int]
 	profile map[overlay.NodeID]bandwidth.Profile
 
 	bwFactor float64
@@ -196,7 +199,6 @@ func FromScenario(sc *scenario.Scenario, factory sim.AlgorithmFactory, opt Optio
 		reports:  make(chan report, 4096),
 		shards:   1,
 		roles:    make(map[overlay.NodeID]bool),
-		owner:    make(map[overlay.NodeID]int),
 		profile:  make(map[overlay.NodeID]bandwidth.Profile),
 		bwFactor: 1,
 		res:      &sim.Result{Algorithm: factory().Name()},

@@ -15,8 +15,7 @@ import (
 // frame the policy does not delay is queued without a heap allocation —
 // on the channel transport with no policy and with a zero netmodel.Flat
 // (the shaped branch, nothing delayed), and into the UDP transport's
-// outbox, with and without an AddrBook piggyback on map frames. Only a
-// delayed frame is copied to the heap, for its timer.
+// outbox. Only a delayed frame is copied to the heap, for its timer.
 func TestQueueAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates for its own bookkeeping")
@@ -44,26 +43,20 @@ func TestQueueAllocatesNothing(t *testing.T) {
 		}
 		tr.Close()
 	}
-	piggy := []DirEntry{{ID: 3, Ver: 1, Addr: "127.0.0.1:4000"}, {ID: 4, Ver: 2, Addr: "127.0.0.1:4001"}}
-	for _, book := range []rawBook{{}, {piggy: piggy}} {
-		tr := NewUDPTransport(1)
-		raw := listenRaw(t)
-		book.addrs = map[overlay.NodeID]string{0: raw.LocalAddr().String()}
-		book.published = map[overlay.NodeID]string{}
-		tr.SetAddrBook(book)
-		a, err := tr.Open(1)
-		if err != nil {
-			t.Skipf("udp bind unavailable: %v", err)
-		}
-		for _, f := range frames {
-			f.Msg.To = 2
-			if n := testing.AllocsPerRun(200, func() { a.Queue(f) }); n != 0 {
-				t.Errorf("udp outbox, %d piggybacked entries: a %s frame costs %.1f allocations", len(book.piggy), f.Kind, n)
-			}
-		}
-		a.Flush()
-		tr.Close()
+	tr := NewUDPTransport(1)
+	defer tr.Close()
+	tr.SetAddrBook(rawBook{0: listenRaw(t).LocalAddr().String()})
+	a, err := tr.Open(1)
+	if err != nil {
+		t.Skipf("udp bind unavailable: %v", err)
 	}
+	for _, f := range frames {
+		f.Msg.To = 2
+		if n := testing.AllocsPerRun(200, func() { a.Queue(f) }); n != 0 {
+			t.Errorf("udp outbox: a %s frame costs %.1f allocations", f.Kind, n)
+		}
+	}
+	a.Flush()
 }
 
 // blockOdd severs every link out of an odd-numbered node and delays the

@@ -43,12 +43,12 @@ const (
 	// FrameHello bootstraps a joining process against the starter node:
 	// an authenticated Ctrl payload carrying the joiner's control
 	// address. The starter answers with a FrameAck whose payload is the
-	// welcome (shard assignment, scenario, directory seed).
+	// welcome (shard assignment, scenario, the shard address table so
+	// far).
 	FrameHello
-	// FrameDirDelta is directory anti-entropy: a batch of address
-	// directory entries (Dir), pushed between agents and piggybacked in
-	// small batches on FrameMap advertisements.
-	FrameDirDelta
+	// Kind 6 is retired (it carried gossiped address batches); the
+	// decoder rejects it.
+	_
 	// FrameEvent carries one control-plane message (a resolved scenario
 	// directive, a status report, a metrics report chunk) as an
 	// authenticated Ctrl payload, sequenced by Msg.Sent.
@@ -79,8 +79,6 @@ func (k FrameKind) String() string {
 		return "data"
 	case FrameHello:
 		return "hello"
-	case FrameDirDelta:
-		return "dir-delta"
 	case FrameEvent:
 		return "event"
 	case FrameAck:
@@ -104,18 +102,6 @@ type SessionInfo struct {
 	End    segment.ID // segment.None while the session is open
 }
 
-// DirEntry is one address-directory record as it travels on the wire:
-// a node (or agent) id bound to a transport address, versioned so
-// receivers keep the newest binding. Entries ride FrameDirDelta batches
-// between cluster agents and piggyback in small batches on FrameMap
-// advertisements — the anti-entropy path that spreads the directory
-// without any static address list.
-type DirEntry struct {
-	ID   overlay.NodeID
-	Ver  uint32
-	Addr string
-}
-
 // Frame is one unit on a live transport. Msg carries the shared
 // netmodel.Message shape on every frame (From and To always; Seg for
 // request/deny/data; Sent is the sender's scheduling period); the
@@ -137,12 +123,6 @@ type Frame struct {
 	MaxSeen  segment.ID
 	Rate     float64 // advertised supplier rate R(j), segments/second
 	Sessions []SessionInfo
-
-	// Dir is the address-directory payload: the batch of a
-	// FrameDirDelta, or the piggybacked entries of a FrameMap (the
-	// transport attaches them on send and merges+strips them on
-	// receive; peers never see them).
-	Dir []DirEntry
 
 	// Ctrl is the opaque control payload of FrameHello, FrameEvent and
 	// FrameAck — sealed (HMAC-authenticated) by internal/cluster; the
@@ -226,6 +206,52 @@ type TransportStats struct {
 	// channel transport, which moves frames by value.
 	Datagrams int64
 	Frames    int64
+}
+
+// inboxCounters is the delivery account both transports keep, and
+// deliver is their one way into a node's inbox.
+type inboxCounters struct {
+	dataSent      atomic.Int64
+	dataDelivered atomic.Int64
+	dataLost      atomic.Int64
+	inboxDropped  atomic.Int64
+	delayMu       sync.Mutex
+	delaySum      float64 // scenario ms
+}
+
+// deliver hands one frame to an inbox without blocking: a full inbox
+// drops it, like a datagram.
+func (c *inboxCounters) deliver(inbox chan Frame, f Frame) {
+	select {
+	case inbox <- f:
+		if f.Kind == FrameData {
+			c.dataDelivered.Add(1)
+			if f.Msg.ArrivalMS > 0 {
+				c.delayMu.Lock()
+				c.delaySum += f.Msg.ArrivalMS
+				c.delayMu.Unlock()
+			}
+		}
+	default:
+		c.inboxDropped.Add(1)
+		if f.Kind == FrameData {
+			c.dataLost.Add(1)
+		}
+	}
+}
+
+// stats reads the counters into the TransportStats fields they own.
+func (c *inboxCounters) stats() TransportStats {
+	c.delayMu.Lock()
+	delay := c.delaySum
+	c.delayMu.Unlock()
+	return TransportStats{
+		DataSent:        c.dataSent.Load(),
+		DataDelivered:   c.dataDelivered.Load(),
+		DataLost:        c.dataLost.Load(),
+		DelayScenarioMS: delay,
+		InboxDropped:    c.inboxDropped.Load(),
+	}
 }
 
 // shaper applies a netmodel.LinkPolicy to frames on the wall clock: the

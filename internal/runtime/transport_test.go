@@ -172,26 +172,16 @@ func TestUDPSendWithoutFlushDelivers(t *testing.T) {
 
 // rawBook resolves node ids to raw sockets, so a test can read the
 // datagrams a transport writes: an id it does not list resolves to the
-// socket listed under 0. Publish records what the transport announced;
-// piggy is what every map frame piggybacks (up to the bound).
-type rawBook struct {
-	addrs     map[overlay.NodeID]string
-	published map[overlay.NodeID]string
-	piggy     []DirEntry
-}
+// socket listed under 0.
+type rawBook map[overlay.NodeID]string
 
 func (b rawBook) Resolve(id overlay.NodeID) (string, bool) {
-	if a, ok := b.addrs[id]; ok {
+	if a, ok := b[id]; ok {
 		return a, true
 	}
-	a, ok := b.addrs[0]
+	a, ok := b[0]
 	return a, ok
 }
-func (b rawBook) Publish(id overlay.NodeID, addr string) { b.published[id] = addr }
-func (b rawBook) Piggyback(dst []DirEntry, max int) []DirEntry {
-	return append(dst, b.piggy[:min(max, len(b.piggy))]...)
-}
-func (rawBook) MergeWire([]DirEntry) {}
 
 // listenRaw binds a raw loopback socket the test reads datagrams from.
 func listenRaw(t *testing.T) *net.UDPConn {
@@ -210,7 +200,7 @@ func listenRaw(t *testing.T) *net.UDPConn {
 func openRaw(t *testing.T, tr *UDPTransport) (Endpoint, *net.UDPConn) {
 	t.Helper()
 	raw := listenRaw(t)
-	tr.SetAddrBook(rawBook{addrs: map[overlay.NodeID]string{0: raw.LocalAddr().String()}, published: map[overlay.NodeID]string{}})
+	tr.SetAddrBook(rawBook{0: raw.LocalAddr().String()})
 	a, err := tr.Open(1)
 	if err != nil {
 		t.Fatal(err)
@@ -248,10 +238,7 @@ func TestUDPDatagramBudget(t *testing.T) {
 	tr := NewUDPTransport(7)
 	defer tr.Close()
 	rawA, rawB := listenRaw(t), listenRaw(t)
-	tr.SetAddrBook(rawBook{
-		addrs:     map[overlay.NodeID]string{2: rawA.LocalAddr().String(), 3: rawA.LocalAddr().String(), 4: rawB.LocalAddr().String()},
-		published: map[overlay.NodeID]string{},
-	})
+	tr.SetAddrBook(rawBook{2: rawA.LocalAddr().String(), 3: rawA.LocalAddr().String(), 4: rawB.LocalAddr().String()})
 	a, err := tr.Open(1)
 	if err != nil {
 		t.Fatal(err)
@@ -282,7 +269,7 @@ func TestUDPDatagramBudget(t *testing.T) {
 		if n > datagramBudget {
 			t.Errorf("%s is %d bytes, budget %d", what, n, datagramBudget)
 		}
-		frames, err := decodeDatagram(buf[:n], nil, nil)
+		frames, err := decodeDatagram(buf[:n], nil)
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
@@ -319,26 +306,24 @@ func TestUDPDatagramBudget(t *testing.T) {
 // every inbox in order; a closed node's frames evaporate while its
 // siblings still receive, uncounted; opening the id again rebinds a
 // fresh inbox.
-// Every Open publishes the shared address under its node's id.
 func TestUDPOneSocketDemux(t *testing.T) {
 	tr := NewUDPTransport(10)
 	defer tr.Close()
-	// The book resolves what was published, as a cluster's directory
-	// does: frames for a closed node still reach the socket.
-	pub := map[overlay.NodeID]string{}
-	book := rawBook{addrs: pub, published: pub}
-	tr.SetAddrBook(book)
+	addr, err := tr.Bind("")
+	if err != nil {
+		t.Skipf("udp bind unavailable: %v", err)
+	}
+	// The book resolves every node to this socket, as a cluster's shard
+	// table resolves the nodes a process owns: frames for a closed node
+	// still reach the socket.
+	tr.SetAddrBook(rawBook{0: addr})
 	eps := make(map[overlay.NodeID]Endpoint)
 	for _, id := range []overlay.NodeID{1, 2, 3, 4} {
 		ep, err := tr.Open(id)
 		if err != nil {
-			t.Skipf("udp bind unavailable: %v", err)
+			t.Fatal(err)
 		}
 		eps[id] = ep
-	}
-	if len(book.published) != 4 || book.published[1] != book.published[2] ||
-		book.published[1] != book.published[3] || book.published[1] != book.published[4] {
-		t.Fatalf("published %v, want one shared address under each of the four ids", book.published)
 	}
 	const k = 10
 	burst := func(round int) {
@@ -523,4 +508,37 @@ func TestChanQueueDeliversAtOnce(t *testing.T) {
 		t.Fatal("queued frame not in the inbox before Flush")
 	}
 	a.Flush()
+}
+
+// TestInboxOverflowCounts: frames that reach a full inbox are dropped,
+// like datagrams, and both transports count them in InboxDropped.
+// Node 2 never reads; node 1 sends it twice its inbox capacity.
+func TestInboxOverflowCounts(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		tr   Transport
+	}{{"chan", NewChanTransport(4)}, {"udp", NewUDPTransport(4)}} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := tc.tr
+			defer tr.Close()
+			a, err := tr.Open(1)
+			if err != nil {
+				t.Skipf("open: %v", err)
+			}
+			if _, err := tr.Open(2); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2*inboxCap; i++ {
+				a.Queue(Frame{Kind: FrameRequest, Msg: netmodel.Message{To: 2, Seg: segment.ID(i)}})
+			}
+			a.Flush()
+			deadline := time.Now().Add(5 * time.Second)
+			for tr.Stats().InboxDropped == 0 {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d frames into a %d-frame inbox: stats %+v, want InboxDropped > 0", 2*inboxCap, inboxCap, tr.Stats())
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		})
+	}
 }

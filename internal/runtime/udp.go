@@ -17,22 +17,12 @@ import (
 // so this asks for plenty and takes what it gets.
 const udpSocketBuf = 4 << 20
 
-// AddrBook resolves node ids to socket addresses beyond the locally
-// attached nodes — the seam through which a cluster's gossiped address
-// directory plugs into the transport. Publish announces a node attached
-// to this process's socket; Resolve answers where a remote node's socket
-// lives; Piggyback and MergeWire attach and absorb the small directory
-// batches that ride every map advertisement, spreading the directory
-// epidemic along the same links the data plane uses. Both run once per
-// map frame, so neither owns the slice it is handed: Piggyback appends
-// up to max entries to dst (the sender's scratch, encoded at once), and
-// MergeWire must copy what it keeps, because the reader reuses the slice
-// for the next datagram.
+// AddrBook answers where a node not attached to this transport lives:
+// the socket address of the process that hosts it. A cluster resolves a
+// node to its owner shard's address; a single process needs no book.
+// Resolve runs on peer goroutines, concurrently.
 type AddrBook interface {
 	Resolve(id overlay.NodeID) (string, bool)
-	Publish(id overlay.NodeID, addr string)
-	Piggyback(dst []DirEntry, max int) []DirEntry
-	MergeWire(entries []DirEntry)
 }
 
 // UDPTransport carries frames as binary datagrams over a real UDP
@@ -47,9 +37,7 @@ type AddrBook interface {
 // datagram, so frames for several nodes behind one socket share it.
 // Every frame crosses the kernel, even between nodes of one process.
 // With an AddrBook installed the transport spans processes: destinations
-// not attached here resolve through the gossiped directory, every Open
-// publishes the shared socket's address under the node's id, and map
-// frames carry directory piggybacks both ways.
+// not attached here resolve through the book.
 //
 // Shaping composes: with a LinkPolicy installed, data frames are
 // delayed before the socket write and the loss/partition draws apply on
@@ -69,15 +57,10 @@ type UDPTransport struct {
 	shape   *shaper
 	closed  bool
 
-	dataSent      atomic.Int64
-	dataDelivered atomic.Int64
-	dataLost      atomic.Int64
-	inboxDropped  atomic.Int64
-	malformed     atomic.Int64
-	datagrams     atomic.Int64
-	frames        atomic.Int64
-	delayMu       sync.Mutex
-	delaySum      float64 // scenario ms
+	inboxCounters
+	malformed atomic.Int64
+	datagrams atomic.Int64
+	frames    atomic.Int64
 
 	wg sync.WaitGroup
 }
@@ -92,9 +75,9 @@ func NewUDPTransport(seed int64) *UDPTransport {
 	}
 }
 
-// SetAddrBook installs the gossiped address directory (nil: purely
-// local, the single-process configuration). Must be set before Bind or
-// Open.
+// SetAddrBook installs the address book (nil: purely local, the
+// single-process configuration). Must be set before the first Open:
+// each endpoint keeps the book it was opened with.
 func (t *UDPTransport) SetAddrBook(b AddrBook) {
 	t.mu.Lock()
 	t.book = b
@@ -118,12 +101,9 @@ func (t *UDPTransport) Open(id overlay.NodeID) (Endpoint, error) {
 		}
 	}
 	t.inboxes[id] = inbox
-	conn, addr, book := t.conn, t.addr, t.book
+	conn, book := t.conn, t.book
 	t.mu.Unlock()
 
-	if book != nil {
-		book.Publish(id, addr.String())
-	}
 	e := &udpEndpoint{t: t, id: id, conn: conn, inbox: inbox, book: book}
 	e.landNow, e.landLater = e.hold, e.writeAlone
 	return e, nil
@@ -132,8 +112,7 @@ func (t *UDPTransport) Open(id overlay.NodeID) (Endpoint, error) {
 // Bind binds the transport's socket at listen ("" for an ephemeral
 // loopback port) and starts its reader, returning the bound address — for
 // a caller that needs the address before any node attaches (the cluster
-// control link). A bound transport keeps its socket. Must follow
-// SetAddrBook: the reader captures the book.
+// control link). A bound transport keeps its socket.
 func (t *UDPTransport) Bind(listen string) (string, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -150,8 +129,7 @@ func (t *UDPTransport) Bind(listen string) (string, error) {
 
 // SetControl installs the control-plane handler. The reader hands it
 // every control frame, one at a time and outside the transport's lock
-// (the handler may answer through this transport), and never merges a
-// control frame's directory batch itself: authenticating FrameDirDelta
+// (the handler may answer through this transport); authenticating them
 // is the handler's business. nil drops control frames.
 func (t *UDPTransport) SetControl(fn func(Frame)) {
 	t.mu.Lock()
@@ -176,11 +154,11 @@ func (t *UDPTransport) bind(listen string) error {
 	conn.SetReadBuffer(udpSocketBuf)
 	conn.SetWriteBuffer(udpSocketBuf)
 	t.conn, t.addr = conn, conn.LocalAddr().(*net.UDPAddr)
-	// The book answers a detached local node with the published string:
-	// it must resolve to the very address local nodes do.
+	// A book answers a detached local node with this socket's string: it
+	// must resolve to the very address local nodes do.
 	t.remote[t.addr.String()] = t.addr
 	t.wg.Add(1)
-	go t.read(conn, t.book)
+	go t.read(conn)
 	return nil
 }
 
@@ -189,33 +167,22 @@ func (t *UDPTransport) bind(listen string) error {
 // handler — until the socket closes. A datagram is decoded whole before
 // any of its frames is delivered: one malformed frame drops them all,
 // counted once.
-func (t *UDPTransport) read(conn *net.UDPConn, book AddrBook) {
+func (t *UDPTransport) read(conn *net.UDPConn) {
 	defer t.wg.Done()
 	// Sized for the largest legal frame: a map datagram at the
 	// maxWireSessions bound plus image (loopback carries datagrams far
 	// beyond one physical MTU).
 	buf := make([]byte, 64*1024)
 	var frames []Frame
-	var pig pigScratch
 	for {
 		sz, _, err := conn.ReadFromUDP(buf)
 		if err != nil {
 			return // socket closed (transport Close)
 		}
-		frames, err = decodeDatagram(buf[:sz], frames, &pig)
+		frames, err = decodeDatagram(buf[:sz], frames)
 		if err != nil {
 			t.malformed.Add(1)
 			continue // malformed datagram: drop
-		}
-		for i := range frames {
-			if f := &frames[i]; len(f.Dir) > 0 && !f.Kind.Control() {
-				// Absorb the directory piggyback; peers never see it, and
-				// pig's store is reused for the next datagram.
-				if book != nil {
-					book.MergeWire(f.Dir)
-				}
-				f.Dir = nil
-			}
 		}
 		t.mu.RLock()
 		handle := t.ctrl
@@ -233,27 +200,6 @@ func (t *UDPTransport) read(conn *net.UDPConn, book AddrBook) {
 	}
 }
 
-// deliver hands one frame to an inbox without blocking: a full inbox
-// drops it, like a datagram.
-func (t *UDPTransport) deliver(inbox chan Frame, f Frame) {
-	select {
-	case inbox <- f:
-		if f.Kind == FrameData {
-			t.dataDelivered.Add(1)
-			if f.Msg.ArrivalMS > 0 {
-				t.delayMu.Lock()
-				t.delaySum += f.Msg.ArrivalMS
-				t.delayMu.Unlock()
-			}
-		}
-	default:
-		t.inboxDropped.Add(1)
-		if f.Kind == FrameData {
-			t.dataLost.Add(1) // inbox overflow: datagram semantics
-		}
-	}
-}
-
 // SetPolicy installs the delay/loss/partition policy.
 func (t *UDPTransport) SetPolicy(p netmodel.LinkPolicy) { t.shape.setPolicy(p) }
 
@@ -265,26 +211,18 @@ func (t *UDPTransport) SetTick(tick int, wallPerScenarioMS float64) {
 // Stats returns cumulative data-plane counters plus the kernel's own
 // receive-drop account for the transport's socket.
 func (t *UDPTransport) Stats() TransportStats {
-	t.delayMu.Lock()
-	delay := t.delaySum
-	t.delayMu.Unlock()
 	port := 0 // unbound: no socket, no drops
 	t.mu.RLock()
 	if t.addr != nil {
 		port = t.addr.Port
 	}
 	t.mu.RUnlock()
-	return TransportStats{
-		DataSent:        t.dataSent.Load(),
-		DataDelivered:   t.dataDelivered.Load(),
-		DataLost:        t.dataLost.Load(),
-		DelayScenarioMS: delay,
-		InboxDropped:    t.inboxDropped.Load(),
-		Malformed:       t.malformed.Load(),
-		KernelDrops:     kernelUDPDrops(port),
-		Datagrams:       t.datagrams.Load(),
-		Frames:          t.frames.Load(),
-	}
+	st := t.stats()
+	st.Malformed = t.malformed.Load()
+	st.KernelDrops = kernelUDPDrops(port)
+	st.Datagrams = t.datagrams.Load()
+	st.Frames = t.frames.Load()
+	return st
 }
 
 // Close shuts the socket down and reaps the reader.
@@ -361,9 +299,8 @@ func (t *UDPTransport) resolveRemote(book AddrBook, id overlay.NodeID) (*net.UDP
 	return addr, err == nil
 }
 
-// udpAddr parses a socket address, caching it by its string form (a node
-// that rebinds publishes a new string, so the cache never serves a stale
-// binding). One string maps to one *net.UDPAddr for the life of the
+// udpAddr parses a socket address, caching it by its string form. One
+// string maps to one *net.UDPAddr for the life of the
 // transport, so the outbox can compare addresses by pointer.
 func (t *UDPTransport) udpAddr(s string) (*net.UDPAddr, error) {
 	t.mu.RLock()
@@ -401,9 +338,6 @@ type udpEndpoint struct {
 	// keeps every element's buffer for the next burst.
 	out   []pendingDatagram
 	dests []resolvedDest
-	// dir is the directory piggyback scratch: hold fills it for one map
-	// frame and encodes it at once.
-	dir []DirEntry
 	// The shaper's two landing hooks, bound once (Queue runs per frame).
 	landNow, landLater func(Frame)
 }
@@ -452,8 +386,8 @@ func (e *udpEndpoint) Send(f Frame) {
 }
 
 // hold appends a landed frame to its destination address's pending
-// datagram, attaching the directory piggyback to map frames. A datagram
-// the frame would push past datagramBudget is written first.
+// datagram. A datagram the frame would push past datagramBudget is
+// written first.
 func (e *udpEndpoint) hold(f Frame) {
 	if f.Kind == frameDropped {
 		e.t.dataLost.Add(1)
@@ -462,10 +396,6 @@ func (e *udpEndpoint) hold(f Frame) {
 	d := e.pending(f.Msg.To)
 	if d == nil {
 		return
-	}
-	if f.Kind == FrameMap && e.book != nil {
-		e.dir = e.book.Piggyback(e.dir[:0], maxMapDirEntries)
-		f.Dir = e.dir
 	}
 	mark := len(d.buf)
 	d.buf = AppendFrame(d.buf, f)
@@ -520,7 +450,6 @@ func (e *udpEndpoint) datagramFor(addr *net.UDPAddr) int {
 
 // writeAlone is the timer-side landing of a delayed frame: a datagram of
 // its own, never the outbox, which only the owning goroutine may touch.
-// (No directory piggyback here: the shaper never delays a map frame.)
 func (e *udpEndpoint) writeAlone(f Frame) {
 	if f.Kind == frameDropped {
 		e.t.dataLost.Add(1)

@@ -27,9 +27,9 @@ import (
 // timer. The receiver decodes a datagram all-or-nothing.
 //
 // Request, deny and data frames are a fixed 29-byte header; a map frame
-// adds the availability image (80 bytes for B=600), the gossiped session
-// timeline at 20 bytes per session, and a small piggybacked directory
-// batch, so it fits a 1500-byte MTU up to ~60 sessions and a loopback
+// adds the availability image (78 bytes for B=600) and the gossiped
+// session timeline at 20 bytes per session — 147 bytes with one session
+// — so it fits a 1500-byte MTU up to ~65 sessions and a loopback
 // datagram up to the maxWireSessions bound, which the encoder enforces
 // by truncating the newest sessions (the prefix must survive —
 // receivers merge timelines by index):
@@ -49,19 +49,13 @@ import (
 //	nsess ×  { source int32, begin int64, end int64 }
 //	maplen   uint16
 //	maplen × bytes   (buffer.Map wire image)
-//	ndir     uint8   (piggybacked directory entries)
-//	ndir  ×  dir entry
-//	--- FrameDirDelta only ---
-//	ndir     uint16
-//	ndir  ×  dir entry
-//	ctrllen  uint16  (authentication tag)
-//	ctrllen × bytes
-//	--- FrameHello / FrameEvent / FrameAck only ---
+//	--- FrameHello / FrameEvent / FrameAck / FramePing / FramePong ---
 //	ctrllen  uint16
 //	ctrllen × bytes  (sealed control payload, internal/cluster)
 //
-// A dir entry is { id uint32, ver uint32, addrlen uint8, addrlen ×
-// bytes }.
+// Kind 6 is retired and rejected. Addresses never travel in a frame: a
+// cluster routes a node to its owner shard's socket, and only the sealed
+// welcome and start payloads carry the shard address table.
 
 const wireHeaderLen = 1 + 4 + 4 + 8 + 4 + 8
 
@@ -78,15 +72,6 @@ const wireReReqBit = 0x80
 // loopback datagram.
 const maxWireSessions = 1024
 
-// maxWireDirEntries bounds a directory batch on the wire (FrameDirDelta
-// anti-entropy rounds rotate through larger directories across rounds);
-// maxMapDirEntries bounds the FrameMap piggyback so advertisements stay
-// near one MTU.
-const (
-	maxWireDirEntries = 256
-	maxMapDirEntries  = 8
-)
-
 // maxWireCtrl bounds a sealed control payload (a resolved directive, a
 // status batch or a report chunk plus its authentication tag) to one
 // comfortable loopback datagram.
@@ -99,11 +84,14 @@ const maxWireCtrl = 60000
 const datagramBudget = 1400
 
 // EncodeFrame serializes a frame into the binary wire format: a
-// single-frame datagram.
+// single-frame datagram, in a buffer sized to it.
 func EncodeFrame(f Frame) []byte {
 	n := wireHeaderLen
-	if f.Kind == FrameMap {
-		n += 8 + 8 + 2 + len(f.Sessions)*20 + 2 + len(f.MapImg) + 1 + dirWireLen(f.Dir)
+	switch {
+	case f.Kind == FrameMap:
+		n += 8 + 8 + 2 + min(len(f.Sessions), maxWireSessions)*20 + 2 + len(f.MapImg)
+	case f.Kind.Control():
+		n += 2 + min(len(f.Ctrl), maxWireCtrl)
 	}
 	return appendFrame(make([]byte, 0, n), &f)
 }
@@ -119,16 +107,6 @@ func AppendFrame(b []byte, f Frame) []byte { return appendFrame(b, &f) }
 func appendFrame(b []byte, f *Frame) []byte {
 	if len(f.Sessions) > maxWireSessions {
 		f.Sessions = f.Sessions[:maxWireSessions]
-	}
-	switch f.Kind {
-	case FrameMap:
-		if len(f.Dir) > maxMapDirEntries {
-			f.Dir = f.Dir[:maxMapDirEntries]
-		}
-	case FrameDirDelta:
-		if len(f.Dir) > maxWireDirEntries {
-			f.Dir = f.Dir[:maxWireDirEntries]
-		}
 	}
 	kind := byte(f.Kind)
 	if f.ReReq && f.Kind == FrameRequest {
@@ -152,36 +130,8 @@ func appendFrame(b []byte, f *Frame) []byte {
 		}
 		b = binary.LittleEndian.AppendUint16(b, uint16(len(f.MapImg)))
 		b = append(b, f.MapImg...)
-		b = append(b, byte(len(f.Dir)))
-		b = appendDirEntries(b, f.Dir)
-	case FrameDirDelta:
-		b = binary.LittleEndian.AppendUint16(b, uint16(len(f.Dir)))
-		b = appendDirEntries(b, f.Dir)
-		b = appendCtrl(b, f.Ctrl)
 	case FrameHello, FrameEvent, FrameAck, FramePing, FramePong:
 		b = appendCtrl(b, f.Ctrl)
-	}
-	return b
-}
-
-func dirWireLen(entries []DirEntry) int {
-	n := 0
-	for _, e := range entries {
-		n += 4 + 4 + 1 + len(e.Addr)
-	}
-	return n
-}
-
-func appendDirEntries(b []byte, entries []DirEntry) []byte {
-	for _, e := range entries {
-		b = binary.LittleEndian.AppendUint32(b, uint32(e.ID))
-		b = binary.LittleEndian.AppendUint32(b, e.Ver)
-		addr := e.Addr
-		if len(addr) > 255 {
-			addr = addr[:255]
-		}
-		b = append(b, byte(len(addr)))
-		b = append(b, addr...)
 	}
 	return b
 }
@@ -198,7 +148,7 @@ func appendCtrl(b, ctrl []byte) []byte {
 // after the frame are an error. The returned frame owns its slices
 // (nothing aliases the input).
 func DecodeFrame(b []byte) (Frame, error) {
-	f, rest, err := decodeOne(b, nil)
+	f, rest, err := decodeOne(b)
 	if err != nil {
 		return f, err
 	}
@@ -212,16 +162,11 @@ func DecodeFrame(b []byte) (Frame, error) {
 // (reused from its start), in wire order. It is all-or-nothing: one
 // malformed frame (or an empty datagram) rejects the whole datagram,
 // because past a bad frame the boundaries of its successors cannot be
-// trusted. With a non-nil pig, map frames' directory piggybacks are
-// decoded into it (reused from its start) rather than into slices of
-// their own: they stay valid until the next call with the same pig.
-func decodeDatagram(b []byte, dst []Frame, pig *pigScratch) ([]Frame, error) {
+// trusted.
+func decodeDatagram(b []byte, dst []Frame) ([]Frame, error) {
 	dst = dst[:0]
-	if pig != nil {
-		pig.entries = pig.entries[:0]
-	}
 	for {
-		f, rest, err := decodeOne(b, pig)
+		f, rest, err := decodeOne(b)
 		if err != nil {
 			return dst[:0], err
 		}
@@ -234,18 +179,14 @@ func decodeDatagram(b []byte, dst []Frame, pig *pigScratch) ([]Frame, error) {
 }
 
 // decodeOne parses the frame at the head of b and returns the bytes that
-// follow it. A map frame's directory piggyback goes into pig when it is
-// not nil; every other slice is the frame's own.
-func decodeOne(b []byte, pig *pigScratch) (Frame, []byte, error) {
+// follow it.
+func decodeOne(b []byte) (Frame, []byte, error) {
 	var f Frame
 	if len(b) < wireHeaderLen {
 		return f, nil, fmt.Errorf("runtime: frame of %d bytes, want >= %d", len(b), wireHeaderLen)
 	}
 	f.Kind = FrameKind(b[0] &^ wireReReqBit)
 	f.ReReq = b[0]&wireReReqBit != 0
-	if f.Kind < FrameMap || f.Kind > FramePong {
-		return f, nil, fmt.Errorf("runtime: unknown frame kind %d", b[0])
-	}
 	if f.ReReq && f.Kind != FrameRequest {
 		return f, nil, fmt.Errorf("runtime: re-request flag on a %s frame", f.Kind)
 	}
@@ -258,22 +199,12 @@ func decodeOne(b []byte, pig *pigScratch) (Frame, []byte, error) {
 	var err error
 	switch f.Kind {
 	case FrameMap:
-		return decodeMapPayload(f, rest, pig)
-	case FrameDirDelta:
-		if len(rest) < 2 {
-			return f, nil, fmt.Errorf("runtime: truncated dir-delta frame")
-		}
-		ndir := int(binary.LittleEndian.Uint16(rest[0:]))
-		if ndir > maxWireDirEntries {
-			return f, nil, fmt.Errorf("runtime: dir-delta advertises %d entries (max %d)", ndir, maxWireDirEntries)
-		}
-		f.Dir, rest, err = decodeDirEntries(rest[2:], ndir, nil)
-		if err != nil {
-			return f, nil, err
-		}
-		f.Ctrl, rest, err = decodeCtrl(rest)
+		return decodeMapPayload(f, rest)
+	case FrameRequest, FrameDeny, FrameData:
 	case FrameHello, FrameEvent, FrameAck, FramePing, FramePong:
 		f.Ctrl, rest, err = decodeCtrl(rest)
+	default:
+		return f, nil, fmt.Errorf("runtime: unknown frame kind %d", b[0])
 	}
 	if err != nil {
 		return f, nil, err
@@ -281,7 +212,7 @@ func decodeOne(b []byte, pig *pigScratch) (Frame, []byte, error) {
 	return f, rest, nil
 }
 
-func decodeMapPayload(f Frame, rest []byte, pig *pigScratch) (Frame, []byte, error) {
+func decodeMapPayload(f Frame, rest []byte) (Frame, []byte, error) {
 	if len(rest) < 8+8+2 {
 		return f, nil, fmt.Errorf("runtime: truncated map frame (%d payload bytes)", len(rest))
 	}
@@ -308,88 +239,13 @@ func decodeMapPayload(f Frame, rest []byte, pig *pigScratch) (Frame, []byte, err
 	rest = rest[nsess*20:]
 	maplen := int(binary.LittleEndian.Uint16(rest[0:]))
 	rest = rest[2:]
-	if len(rest) < maplen+1 {
+	if len(rest) < maplen {
 		return f, nil, fmt.Errorf("runtime: map image length %d, frame carries %d bytes", maplen, len(rest))
 	}
 	if maplen > 0 {
 		f.MapImg = append([]byte(nil), rest[:maplen]...)
 	}
-	rest = rest[maplen:]
-	ndir := int(rest[0])
-	if ndir > maxMapDirEntries {
-		return f, nil, fmt.Errorf("runtime: map frame piggybacks %d dir entries (max %d)", ndir, maxMapDirEntries)
-	}
-	var err error
-	f.Dir, rest, err = decodeDirEntries(rest[1:], ndir, pig)
-	if err != nil {
-		return f, nil, err
-	}
-	return f, rest, nil
-}
-
-// pigScratch is a datagram reader's reusable store for map-frame
-// directory piggybacks. The reader merges them into its AddrBook and
-// strips them before any peer sees the frame, so one backing array
-// serves every datagram. A piggyback names process addresses, of which
-// a cluster has few: addrs keeps the last few decoded, and an address
-// whose bytes equal one of them reuses that string.
-type pigScratch struct {
-	entries []DirEntry
-	addrs   [16]string
-	next    int // the addrs slot the next new address replaces
-}
-
-// addr returns b as a string, reusing a held one with the same bytes.
-func (p *pigScratch) addr(b []byte) string {
-	for _, s := range p.addrs {
-		if s == string(b) {
-			return s
-		}
-	}
-	s := string(b)
-	p.addrs[p.next] = s
-	p.next = (p.next + 1) % len(p.addrs)
-	return s
-}
-
-// decodeDirEntries decodes n dir entries: appended to pig's store when
-// pig is not nil, else into a slice (and address strings) of their own.
-func decodeDirEntries(b []byte, n int, pig *pigScratch) ([]DirEntry, []byte, error) {
-	if n == 0 {
-		return nil, b, nil
-	}
-	var entries []DirEntry
-	if pig != nil {
-		entries = pig.entries
-	} else {
-		entries = make([]DirEntry, 0, n)
-	}
-	start := len(entries)
-	for i := 0; i < n; i++ {
-		if len(b) < 9 {
-			return nil, b, fmt.Errorf("runtime: truncated dir entry %d of %d", i, n)
-		}
-		e := DirEntry{
-			ID:  overlay.NodeID(binary.LittleEndian.Uint32(b[0:])),
-			Ver: binary.LittleEndian.Uint32(b[4:]),
-		}
-		alen := int(b[8])
-		b = b[9:]
-		if len(b) < alen {
-			return nil, b, fmt.Errorf("runtime: truncated dir entry address (%d of %d bytes)", len(b), alen)
-		}
-		if pig != nil {
-			e.Addr = pig.addr(b[:alen])
-		} else {
-			e.Addr = string(b[:alen])
-		}
-		b = b[alen:]
-		entries = append(entries, e)
-	}
-	if pig != nil {
-		pig.entries = entries
-	}
-	return entries[start:len(entries):len(entries)], b, nil
+	return f, rest[maplen:], nil
 }
 
 func decodeCtrl(b []byte) ([]byte, []byte, error) {

@@ -45,19 +45,10 @@ func TestWireRoundTrip(t *testing.T) {
 			Msg:     netmodel.Message{From: 7, To: 8, Seg: segment.None, Sent: 99},
 			MapImg:  img,
 			MaxSeen: 179,
-			Dir: []DirEntry{
-				{ID: 7, Ver: 3, Addr: "127.0.0.1:40107"},
-				{ID: 12, Ver: 1, Addr: "127.0.0.1:40112"},
-			},
 		},
 		{Kind: FrameHello, Msg: netmodel.Message{From: 1001, To: 1000, Seg: segment.None, Sent: 1},
 			Ctrl: []byte("sealed-hello-payload")},
-		{Kind: FrameDirDelta, Msg: netmodel.Message{From: 1000, To: 1001, Seg: segment.None, Sent: 4},
-			Dir: []DirEntry{
-				{ID: 0, Ver: 9, Addr: "127.0.0.1:40100"},
-				{ID: 1, Ver: 2, Addr: "[::1]:40101"},
-				{ID: 250, Ver: 1, Addr: ""},
-			},
+		{Kind: FramePing, Msg: netmodel.Message{From: 0, To: 2, Seg: 4},
 			Ctrl: []byte{0xde, 0xad, 0xbe, 0xef}},
 		{Kind: FrameEvent, Msg: netmodel.Message{From: 1000, To: 1002, Seg: segment.None, Sent: 17},
 			Ctrl: make([]byte, 2000)},
@@ -91,37 +82,23 @@ func TestWireRoundTrip(t *testing.T) {
 func TestWireDecodeErrors(t *testing.T) {
 	good := EncodeFrame(Frame{Kind: FrameMap, Msg: netmodel.Message{From: 1, To: 2},
 		Sessions: []SessionInfo{{Source: 1, Begin: 0, End: segment.None}}})
-	delta := EncodeFrame(Frame{Kind: FrameDirDelta, Msg: netmodel.Message{From: 1, To: 2, Seg: segment.None},
-		Dir:  []DirEntry{{ID: 3, Ver: 1, Addr: "127.0.0.1:40103"}},
-		Ctrl: []byte("mac-bytes-here")})
 	event := EncodeFrame(Frame{Kind: FrameEvent, Msg: netmodel.Message{From: 1, To: 2, Seg: segment.None, Sent: 5},
 		Ctrl: []byte("sealed")})
 	deny := EncodeFrame(Frame{Kind: FrameDeny, Msg: netmodel.Message{From: 9, To: 3, Seg: 12}})
 
-	// A dir-delta claiming more entries than it carries.
-	shortDelta := append([]byte(nil), delta...)
-	shortDelta[wireHeaderLen] = 200
-
-	// A map frame whose piggyback count exceeds the wire bound.
-	fatMap := append([]byte(nil), good...)
-	fatMap[len(fatMap)-1] = maxMapDirEntries + 1
-
 	cases := map[string][]byte{
-		"empty":                nil,
-		"short header":         good[:10],
-		"bad kind":             append([]byte{0x7f}, good[1:]...),
-		"truncated payload":    good[:len(good)-3],
-		"trailing junk":        append(append([]byte(nil), good...), 1, 2, 3),
-		"re-req on deny":       append([]byte{byte(FrameDeny) | wireReReqBit}, deny[1:]...),
-		"re-req on event":      append([]byte{byte(FrameEvent) | wireReReqBit}, event[1:]...),
-		"truncated dir entry":  shortDelta,
-		"truncated dir addr":   delta[:wireHeaderLen+2+5],
-		"oversized piggyback":  fatMap,
-		"truncated ctrl":       event[:len(event)-2],
-		"short ctrl length":    event[:wireHeaderLen+1],
-		"delta trailing junk":  append(append([]byte(nil), delta...), 9),
-		"event trailing junk":  append(append([]byte(nil), event...), 9),
-		"headerless dir-delta": EncodeFrame(Frame{Kind: FrameHello, Msg: netmodel.Message{From: 1, To: 2}})[:wireHeaderLen],
+		"empty":               nil,
+		"short header":        good[:10],
+		"bad kind":            append([]byte{0x7f}, good[1:]...),
+		"truncated payload":   good[:len(good)-3],
+		"trailing junk":       append(append([]byte(nil), good...), 1, 2, 3),
+		"re-req on deny":      append([]byte{byte(FrameDeny) | wireReReqBit}, deny[1:]...),
+		"re-req on event":     append([]byte{byte(FrameEvent) | wireReReqBit}, event[1:]...),
+		"retired kind 6":      append([]byte{6}, event[1:]...),
+		"truncated ctrl":      event[:len(event)-2],
+		"short ctrl length":   event[:wireHeaderLen+1],
+		"event trailing junk": append(append([]byte(nil), event...), 9),
+		"headerless hello":    EncodeFrame(Frame{Kind: FrameHello, Msg: netmodel.Message{From: 1, To: 2}})[:wireHeaderLen],
 	}
 	for name, b := range cases {
 		if _, err := DecodeFrame(b); err == nil {
@@ -140,10 +117,8 @@ func TestWireGarbageFuzz(t *testing.T) {
 		EncodeFrame(Frame{Kind: FrameMap, Msg: netmodel.Message{From: 1, To: 2, Seg: segment.None},
 			MaxSeen: 50, Rate: 5,
 			Sessions: []SessionInfo{{Source: 1, Begin: 0, End: segment.None}},
-			MapImg:   make([]byte, 80),
-			Dir:      []DirEntry{{ID: 1, Ver: 1, Addr: "127.0.0.1:1"}}}),
-		EncodeFrame(Frame{Kind: FrameDirDelta, Msg: netmodel.Message{From: 1, To: 2, Seg: segment.None},
-			Dir:  []DirEntry{{ID: 3, Ver: 1, Addr: "addr"}, {ID: 4, Ver: 2, Addr: "other"}},
+			MapImg:   make([]byte, 80)}),
+		EncodeFrame(Frame{Kind: FramePong, Msg: netmodel.Message{From: 1, To: 2, Seg: 3},
 			Ctrl: []byte("tag")}),
 		EncodeFrame(Frame{Kind: FrameEvent, Msg: netmodel.Message{From: 1, To: 2, Seg: segment.None, Sent: 9},
 			Ctrl: []byte("payload-bytes")}),
@@ -188,9 +163,8 @@ func TestWireSingleFrameGolden(t *testing.T) {
 			"820300000009000000d204000000000000290000000000000000000000"},
 		{Frame{Kind: FrameMap, Msg: netmodel.Message{From: 7, To: 8, Seg: segment.None, Sent: 99},
 			MapImg: []byte{0xa5, 0x5a, 0x01}, MaxSeen: 179, Rate: 12.5,
-			Sessions: []SessionInfo{{Source: 4, Begin: 0, End: 399}, {Source: 27, Begin: 400, End: segment.None}},
-			Dir:      []DirEntry{{ID: 7, Ver: 3, Addr: "127.0.0.1:40107"}}},
-			"010700000008000000ffffffffffffffff630000000000000000000000b300000000000000000000000000294002000400000000000000000000008f010000000000001b0000009001000000000000ffffffffffffffff0300a55a010107000000030000000f3132372e302e302e313a3430313037"},
+			Sessions: []SessionInfo{{Source: 4, Begin: 0, End: 399}, {Source: 27, Begin: 400, End: segment.None}}},
+			"010700000008000000ffffffffffffffff630000000000000000000000b300000000000000000000000000294002000400000000000000000000008f010000000000001b0000009001000000000000ffffffffffffffff0300a55a01"},
 	}
 	for _, c := range cases {
 		want, err := hex.DecodeString(c.want)
@@ -220,13 +194,6 @@ func randomFrame(rng *rand.Rand) Frame {
 		rng.Read(b)
 		return b
 	}
-	dir := func(n int) []DirEntry {
-		var d []DirEntry
-		for i := 0; i < n; i++ {
-			d = append(d, DirEntry{ID: overlay.NodeID(rng.Intn(500)), Ver: rng.Uint32(), Addr: string(noise(rng.Intn(22)))})
-		}
-		return d
-	}
 	switch rng.Intn(7) {
 	case 0:
 		f.Kind = FrameMap
@@ -234,7 +201,6 @@ func randomFrame(rng *rand.Rand) Frame {
 		for i := rng.Intn(4); i > 0; i-- {
 			f.Sessions = append(f.Sessions, SessionInfo{Source: overlay.NodeID(rng.Intn(100)), Begin: segment.ID(rng.Int63n(5000)), End: segment.None})
 		}
-		f.Dir = dir(rng.Intn(maxMapDirEntries + 1))
 	case 1:
 		f.Kind, f.ReReq = FrameRequest, rng.Intn(2) == 0
 	case 2:
@@ -242,7 +208,7 @@ func randomFrame(rng *rand.Rand) Frame {
 	case 3, 4:
 		f.Kind, f.Msg.ArrivalMS = FrameData, rng.Float64()*300
 	case 5:
-		f.Kind, f.Dir, f.Ctrl = FrameDirDelta, dir(rng.Intn(6)), noise(rng.Intn(33))
+		f.Kind, f.Ctrl = FrameAck, noise(rng.Intn(33))
 	case 6:
 		f.Kind, f.Ctrl = FrameEvent, noise(rng.Intn(200))
 	}
@@ -252,11 +218,8 @@ func randomFrame(rng *rand.Rand) Frame {
 // TestDatagramRoundTrip: k random frames of mixed kinds appended with
 // AppendFrame decode back to the same k frames in order, and a datagram
 // with any one frame cut short or given an unknown kind is rejected whole.
-// One piggyback scratch serves every round, as it serves a reader: it
-// holds the map frames' directory entries and nothing else.
 func TestDatagramRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xda7a))
-	var pig pigScratch
 	for round := 0; round < 300; round++ {
 		k := 1 + rng.Intn(12)
 		frames := make([]Frame, k)
@@ -267,21 +230,12 @@ func TestDatagramRoundTrip(t *testing.T) {
 			dg = AppendFrame(dg, frames[i])
 			ends[i] = len(dg)
 		}
-		got, err := decodeDatagram(dg, nil, &pig)
+		got, err := decodeDatagram(dg, nil)
 		if err != nil {
 			t.Fatalf("round %d: %d frames: %v", round, k, err)
 		}
 		if !reflect.DeepEqual(got, frames) {
 			t.Fatalf("round %d: round trip\n got %+v\nwant %+v", round, got, frames)
-		}
-		piggybacked := 0
-		for _, f := range frames {
-			if f.Kind == FrameMap {
-				piggybacked += len(f.Dir)
-			}
-		}
-		if len(pig.entries) != piggybacked {
-			t.Fatalf("round %d: scratch holds %d entries, the map frames piggyback %d", round, len(pig.entries), piggybacked)
 		}
 		if _, err := DecodeFrame(dg); (err == nil) != (k == 1) {
 			t.Fatalf("round %d: strict DecodeFrame on %d frames: err=%v", round, k, err)
@@ -293,45 +247,46 @@ func TestDatagramRoundTrip(t *testing.T) {
 			start = ends[i-1]
 		}
 		cut := start + 1 + rng.Intn(ends[i]-start-1) // strictly inside frame i
-		if out, err := decodeDatagram(dg[:cut], got, &pig); err == nil || len(out) != 0 {
+		if out, err := decodeDatagram(dg[:cut], got); err == nil || len(out) != 0 {
 			t.Fatalf("round %d: frame %d of %d cut at byte %d: err=%v, %d frames kept", round, i, k, cut-start, err, len(out))
 		}
 		bad := append([]byte(nil), dg...)
 		bad[start] = 0x7f
-		if out, err := decodeDatagram(bad, got, &pig); err == nil || len(out) != 0 {
+		if out, err := decodeDatagram(bad, got); err == nil || len(out) != 0 {
 			t.Fatalf("round %d: frame %d of %d with an unknown kind: err=%v, %d frames kept", round, i, k, err, len(out))
 		}
 	}
-	if _, err := decodeDatagram(nil, nil, nil); err == nil {
+	if _, err := decodeDatagram(nil, nil); err == nil {
 		t.Fatal("empty datagram decoded without error")
 	}
 }
 
-// TestPiggybackDecodeAllocatesNothing: a reader that decodes map frames'
-// directory piggybacks into its scratch allocates nothing once the
-// scratch has grown and has seen the addresses — the entries share one
-// store and every address is a string it already holds. The frames carry
-// no image and no timeline, the two slices a peer keeps.
-func TestPiggybackDecodeAllocatesNothing(t *testing.T) {
+// TestWireMapFrameBytes pins the size of the advertisement every peer
+// sends each neighbor every period: a one-session map frame of a B=600
+// buffer is 147 bytes — the 29-byte header, high-water mark, rate,
+// one 20-byte session and the 78-byte image. No address rides it.
+func TestWireMapFrameBytes(t *testing.T) {
+	img, err := buffer.New(600).Snapshot().Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := Frame{Kind: FrameMap, MapImg: img, MaxSeen: 599, Rate: 10,
+		Sessions: []SessionInfo{{Source: 0, Begin: 0, End: segment.None}}}
+	if n := len(EncodeFrame(f)); n != 147 {
+		t.Fatalf("one-session map frame is %d bytes, want 147", n)
+	}
+}
+
+// TestEncodeFrameAllocatesOnce: EncodeFrame sizes its buffer for every
+// frame kind, so a sealed control frame with a large payload costs one
+// allocation, not a chain of appends.
+func TestEncodeFrameAllocatesOnce(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates for its own bookkeeping")
 	}
-	var want []Frame
-	var dg []byte
-	for i := 0; i < 3; i++ {
-		f := Frame{Kind: FrameMap, Msg: netmodel.Message{From: 1, To: overlay.NodeID(2 + i)}, MaxSeen: 600,
-			Dir: []DirEntry{{ID: 1, Ver: 4, Addr: "127.0.0.1:4000"}, {ID: overlay.NodeID(10 + i), Ver: 1, Addr: "127.0.0.1:4001"}}}
-		want = append(want, f)
-		dg = AppendFrame(dg, f)
-	}
-	var pig pigScratch
-	var got []Frame
-	var err error
-	if n := testing.AllocsPerRun(100, func() { got, err = decodeDatagram(dg, got, &pig) }); n != 0 {
-		t.Errorf("decoding %d piggybacking map frames costs %.1f allocations", len(want), n)
-	}
-	if err != nil || !reflect.DeepEqual(got, want) {
-		t.Fatalf("decoded %+v (%v), want %+v", got, err, want)
+	f := Frame{Kind: FrameEvent, Msg: netmodel.Message{From: 0, To: 1, Sent: 3}, Ctrl: make([]byte, 4096)}
+	if n := testing.AllocsPerRun(100, func() { _ = EncodeFrame(f) }); n != 1 {
+		t.Fatalf("encoding a %d-byte control frame costs %.1f allocations, want 1", len(f.Ctrl), n)
 	}
 }
 
@@ -349,8 +304,7 @@ func FuzzDecodeDatagram(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		var pig pigScratch
-		frames, err := decodeDatagram(b, nil, &pig)
+		frames, err := decodeDatagram(b, nil)
 		if err != nil {
 			if len(frames) != 0 {
 				t.Fatalf("rejected datagram kept %d frames", len(frames))
