@@ -178,12 +178,22 @@ func Serve(cfg Config) (*sim.Result, runtime.LiveStats, error) {
 	if err := r.StartShard(0, shards); err != nil {
 		return nil, stats, err
 	}
-	// Release the shards with the complete table: the start broadcast is
-	// the run's opening gun.
-	release := &Start{Workers: cfg.Workers, Addrs: l.table.snapshot()}
+	// Release the shards with the complete table. A worker acks the
+	// start once its peers run, and shard 0's first period waits for
+	// every ack: an unpaced coordinator would otherwise run the whole
+	// script before a worker's first period.
+	release := &Payload{Kind: "start", Start: &Start{Workers: cfg.Workers, Addrs: l.table.snapshot()}}
+	var started sync.WaitGroup
 	for _, w := range workerShards {
-		l.send(w, &Payload{Kind: "start", Start: release})
+		started.Add(1)
+		go func() {
+			defer started.Done()
+			// A worker that never acks is the failure detector's to
+			// declare once the run is under way.
+			_, _ = l.call(w, release, cfg.Tuning.CallTimeout)
+		}()
 	}
+	started.Wait()
 
 	co := &coordinator{cfg: cfg, l: l, r: r, shards: shards, workers: workerShards,
 		lastStatus: make(map[int]*Status),

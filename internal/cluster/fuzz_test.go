@@ -40,6 +40,11 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(runtime.EncodeFrame(rereq))
 	mapFrame := runtime.Frame{Kind: runtime.FrameMap, MapImg: bytes.Repeat([]byte{0xa5}, 78), MaxSeen: 600, Rate: 10.5}
 	f.Add(runtime.EncodeFrame(mapFrame))
+	// The retired kind 6 on an otherwise well-formed sealed frame, which
+	// the decoder rejects (TestWireDecodeErrors pins that).
+	retired := sealed(runtime.FrameEvent, 3, &Payload{Kind: "fence"})
+	retired[0] = 6
+	f.Add(retired)
 	// The failover alphabet: a reassignment directive with respawn specs,
 	// a fence, and the keepalive ping/pong pair.
 	f.Add(sealed(runtime.FrameEvent, 9, &Payload{Kind: "directive", Dir: &runtime.Directive{
