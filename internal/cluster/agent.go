@@ -99,7 +99,7 @@ func Join(cfg JoinConfig) (*sim.Result, error) {
 	}
 	ackWelcome()
 
-	start, ackStart, err := awaitStart(l)
+	start, err := awaitStart(l)
 	if err != nil {
 		return nil, err
 	}
@@ -115,7 +115,6 @@ func Join(cfg JoinConfig) (*sim.Result, error) {
 		})
 	}
 	a := &agent{cfg: cfg, l: l, r: r, shard: w.Shard, inj: inj}
-	ackStart()
 	return a.run()
 }
 
@@ -151,26 +150,22 @@ func awaitWelcome(cfg JoinConfig, l *link) (*Welcome, func(), error) {
 }
 
 // awaitStart waits for the coordinator's opening gun (sent once every
-// worker joined), which carries the complete shard table. The returned
-// ack closure must be called once the shard's peers run: the
-// coordinator holds its first period until every worker has acked.
-func awaitStart(l *link) (*Start, func(), error) {
+// worker joined), which carries the complete shard table. The ack goes
+// out at once: the coordinator holds its first period for it, and the
+// shard's spawn overlaps the coordinator's first periods.
+func awaitStart(l *link) (*Start, error) {
 	deadline := time.After(5 * time.Minute)
 	for {
 		select {
 		case m := <-l.inbox:
-			if m.P.Kind == "start" && m.P.Start != nil {
-				ack := func() {}
-				if m.Ack != nil {
-					ack = func() { m.Ack(nil) }
-				}
-				return m.P.Start, ack, nil
-			}
 			if m.Ack != nil {
 				m.Ack(nil)
 			}
+			if m.P.Kind == "start" && m.P.Start != nil {
+				return m.P.Start, nil
+			}
 		case <-deadline:
-			return nil, nil, fmt.Errorf("cluster: run never started")
+			return nil, fmt.Errorf("cluster: run never started")
 		}
 	}
 }

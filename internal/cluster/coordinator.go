@@ -178,10 +178,10 @@ func Serve(cfg Config) (*sim.Result, runtime.LiveStats, error) {
 	if err := r.StartShard(0, shards); err != nil {
 		return nil, stats, err
 	}
-	// Release the shards with the complete table. A worker acks the
-	// start once its peers run, and shard 0's first period waits for
-	// every ack: an unpaced coordinator would otherwise run the whole
-	// script before a worker's first period.
+	// Release the shards with the complete table. Shard 0's first period
+	// waits until every worker has acked its start: an unpaced
+	// coordinator would otherwise run the whole script before a worker
+	// has even heard it began.
 	release := &Payload{Kind: "start", Start: &Start{Workers: cfg.Workers, Addrs: l.table.snapshot()}}
 	var started sync.WaitGroup
 	for _, w := range workerShards {
