@@ -150,9 +150,7 @@ func awaitWelcome(cfg JoinConfig, l *link) (*Welcome, func(), error) {
 }
 
 // awaitStart waits for the coordinator's opening gun (sent once every
-// worker joined), which carries the complete shard table. The ack goes
-// out at once: the coordinator holds its first period for it, and the
-// shard's spawn overlaps the coordinator's first periods.
+// worker acked its welcome), which carries the complete shard table.
 func awaitStart(l *link) (*Start, error) {
 	deadline := time.After(5 * time.Minute)
 	for {

@@ -255,9 +255,11 @@ func TestOneSocketPerProcess(t *testing.T) {
 		}()
 	}
 	cfg := Config{Workers: shards - 1, Tuning: Tuning{JoinDeadline: 10 * time.Second}.withDefaults()}
-	if _, err := awaitWorkers(cfg, sc, coord, shards); err != nil {
+	var welcomed sync.WaitGroup
+	if _, err := awaitWorkers(cfg, sc, coord, shards, &welcomed); err != nil {
 		t.Fatal(err)
 	}
+	welcomed.Wait()
 	want := map[int]string{0: coord.addr}
 	for i := 1; i < shards; i++ {
 		j := <-joins
