@@ -150,7 +150,7 @@ func awaitWelcome(cfg JoinConfig, l *link) (*Welcome, func(), error) {
 }
 
 // awaitStart waits for the coordinator's opening gun (sent once every
-// worker acked its welcome), which carries the complete shard table.
+// worker joined), which carries the complete shard table.
 func awaitStart(l *link) (*Start, error) {
 	deadline := time.After(5 * time.Minute)
 	for {

@@ -157,8 +157,7 @@ func Serve(cfg Config) (*sim.Result, runtime.LiveStats, error) {
 		cfg.Ready(l.addr)
 	}
 
-	var welcomed sync.WaitGroup
-	workerShards, err := awaitWorkers(cfg, sc, l, shards, &welcomed)
+	workerShards, err := awaitWorkers(cfg, sc, l, shards)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -179,12 +178,8 @@ func Serve(cfg Config) (*sim.Result, runtime.LiveStats, error) {
 	if err := r.StartShard(0, shards); err != nil {
 		return nil, stats, err
 	}
-	// Release the shards with the complete table once every worker has
-	// acked its welcome, which it does after compiling the scenario, so
-	// its own spawn is all that stands between the start and its first
-	// period. Released earlier, an unpaced coordinator could run the
-	// whole script before a worker's first period.
-	welcomed.Wait()
+	// Release the shards with the complete table: the start broadcast is
+	// the run's opening gun.
 	release := &Start{Workers: cfg.Workers, Addrs: l.table.snapshot()}
 	for _, w := range workerShards {
 		l.send(w, &Payload{Kind: "start", Start: release})
@@ -227,8 +222,8 @@ func Serve(cfg Config) (*sim.Result, runtime.LiveStats, error) {
 // awaitWorkers accepts hellos until every expected worker is welcomed,
 // assigning shards in join order (stably per address, so a retried
 // hello keeps its slot) and recording each hello's address as its
-// shard's. welcomed is done once every welcome is acked.
-func awaitWorkers(cfg Config, sc *scenario.Scenario, l *link, shards int, welcomed *sync.WaitGroup) ([]int, error) {
+// shard's.
+func awaitWorkers(cfg Config, sc *scenario.Scenario, l *link, shards int) ([]int, error) {
 	var text bytes.Buffer
 	if err := sc.Write(&text); err != nil {
 		return nil, err
@@ -250,21 +245,14 @@ func awaitWorkers(cfg Config, sc *scenario.Scenario, l *link, shards int, welcom
 			assigned[addr] = shard
 			workers = append(workers, shard)
 			l.table.set(shard, addr)
-			welcome := &Payload{Kind: "welcome", Welcome: &Welcome{
+			l.send(shard, &Payload{Kind: "welcome", Welcome: &Welcome{
 				Shard:     shard,
 				Shards:    shards,
 				Scenario:  text.String(),
 				TimeScale: cfg.TimeScale,
 				Algo:      cfg.Algo,
 				Addrs:     l.table.snapshot(),
-			}}
-			welcomed.Add(1)
-			go func() {
-				defer welcomed.Done()
-				// A worker that never acks is the failure detector's to
-				// declare once the run is under way.
-				_, _ = l.call(shard, welcome, cfg.Tuning.CallTimeout)
-			}()
+			}})
 			cfg.logf("cluster: worker %s joined as shard %d/%d", addr, shard, shards)
 		case <-deadline:
 			return nil, fmt.Errorf("cluster: only %d of %d workers joined", len(workers), shards-1)

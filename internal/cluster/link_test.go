@@ -255,11 +255,9 @@ func TestOneSocketPerProcess(t *testing.T) {
 		}()
 	}
 	cfg := Config{Workers: shards - 1, Tuning: Tuning{JoinDeadline: 10 * time.Second}.withDefaults()}
-	var welcomed sync.WaitGroup
-	if _, err := awaitWorkers(cfg, sc, coord, shards, &welcomed); err != nil {
+	if _, err := awaitWorkers(cfg, sc, coord, shards); err != nil {
 		t.Fatal(err)
 	}
-	welcomed.Wait()
 	want := map[int]string{0: coord.addr}
 	for i := 1; i < shards; i++ {
 		j := <-joins
