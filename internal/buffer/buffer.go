@@ -32,7 +32,7 @@ type Buffer struct {
 	size     int
 
 	// Dense index over the id space: slot[id-base] = ring position + 1,
-	// zero meaning absent. base only moves down (rare rebase on
+	// zero meaning absent. base only moves down (a geometric rebase on
 	// out-of-range-low inserts); the slice grows upward as ids rise.
 	base  segment.ID
 	slots []int32
@@ -91,17 +91,22 @@ func (b *Buffer) setSlot(id segment.ID, v int32) {
 		b.base = id
 	}
 	if id < b.base {
-		// Rebase downward: prepend space. Rare — ids almost always grow.
-		shift := int(b.base - id)
-		grown := make([]int32, shift+len(b.slots))
+		// Rebase downward: prepend space. A joiner fills its window from
+		// the live edge down, so the new base goes len(slots) ids below
+		// id (at least doubling the index, O(log n) rebases for a run of
+		// ever-lower ids), and the upward headroom is kept, so the next
+		// rising id does not reallocate either.
+		base := max(0, id-segment.ID(len(b.slots)))
+		shift := int(b.base - base)
+		grown := make([]int32, shift+len(b.slots), shift+cap(b.slots))
 		copy(grown[shift:], b.slots)
 		b.slots = grown
-		if wshift := int(b.base>>6 - id>>6); wshift > 0 {
-			words := make([]uint64, wshift+len(b.avail))
+		if wshift := int(b.base>>6 - base>>6); wshift > 0 {
+			words := make([]uint64, wshift+len(b.avail), wshift+cap(b.avail))
 			copy(words[wshift:], b.avail)
 			b.avail = words
 		}
-		b.base = id
+		b.base = base
 	}
 	off := int(id - b.base)
 	for off >= len(b.slots) {

@@ -1,6 +1,7 @@
 package buffer
 
 import (
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -161,6 +162,39 @@ func TestRebaseOnLowInsert(t *testing.T) {
 	}
 	if b.Has(996) || b.Has(999) {
 		t.Error("phantom segments after rebase")
+	}
+}
+
+// TestDescendingInsertsRebaseLogarithmically pins the dense index's
+// downward growth: a fresh buffer that receives ever-lower ids (a joiner
+// filling its window from the live edge down) allocates O(log n) times,
+// not once per insert, and the rising id that follows allocates nothing.
+func TestDescendingInsertsRebaseLogarithmically(t *testing.T) {
+	for _, n := range []int{1 << 10, 1 << 14} {
+		const top = 1<<20 - 1 // top+1 opens a new availability word
+		allocs := testing.AllocsPerRun(5, func() {
+			b := New(n)
+			for id := segment.ID(top); id > top-segment.ID(n); id-- {
+				b.Insert(id)
+			}
+		})
+		// New's four allocations, then at most one slots and one avail
+		// reallocation per doubling.
+		if limit := float64(4 + 2*bits.Len(uint(n))); allocs > limit {
+			t.Errorf("n=%d: %.0f allocations for descending inserts, want at most %.0f", n, allocs, limit)
+		}
+		b := New(n)
+		for id := segment.ID(top); id > top-segment.ID(n); id-- {
+			b.Insert(id)
+		}
+		if rising := testing.AllocsPerRun(1, func() { b.Insert(top + 1) }); rising != 0 {
+			t.Errorf("n=%d: the next rising id after a rebase allocates %.0f times", n, rising)
+		}
+		for id := segment.ID(top - 1); id > top-segment.ID(n); id -= 97 { // top+1 evicted top
+			if !b.Has(id) {
+				t.Fatalf("n=%d: segment %d lost across the rebases", n, id)
+			}
+		}
 	}
 }
 
