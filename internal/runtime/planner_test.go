@@ -119,10 +119,16 @@ func (p *refPeer) plan_() {
 // prefetch spends leftover inbound budget on uniformly random missing
 // segments of the current stream — the data-driven-mesh substrate
 // behavior, identical in role to the simulator's prefetch (random
-// useful-piece selection keeps neighborhood holdings diverse).
+// useful-piece selection keeps neighborhood holdings diverse). A pool
+// no supplier can serve is not shuffled: the shared planner draws
+// nothing then, because each simulated node prefetches on a stream of
+// its own and a no-hit shuffle's draws feed nothing.
 func (p *refPeer) prefetch(sups []overlay.NodeID) {
 	budget := p.in.Available()
 	if budget <= 0 {
+		return
+	}
+	if !slices.ContainsFunc(p.needOld, func(id segment.ID) bool { return !p.ledger.Has(id) && p.canServe(sups, id) }) {
 		return
 	}
 	pool := append(p.pool[:0], p.needOld...)
@@ -162,6 +168,16 @@ func (p *refPeer) pickSupplier(sups []overlay.NodeID, id segment.ID) overlay.Nod
 		}
 	}
 	return best
+}
+
+// canServe reports whether pickSupplier would find a supplier for the
+// segment, without drawing.
+func (p *refPeer) canServe(sups []overlay.NodeID, id segment.ID) bool {
+	return slices.ContainsFunc(sups, func(v overlay.NodeID) bool {
+		view := p.views[v]
+		return view != nil && view.m != nil && view.m.Has(id) &&
+			(p.par.Shared || p.reqPer[v] < p.linkCapFor(view.rate))
+	})
 }
 
 // recEndpoint records the frames a peer queues: kind, destination,

@@ -17,8 +17,7 @@ import (
 // session assembles over 25 ticks, warms up to 40, then one planned
 // switch to a random successor, measured to the horizon — the run behind
 // every figure of Section 5 (experiment.Paper() is this scenario scaled
-// over sizes and replicas). TestNetNilMatchesPreNetmodelGolden pins its
-// values.
+// over sizes and replicas). TestNetNilMatchesGolden pins its values.
 func PaperSingleSwitch() *Scenario {
 	return &Scenario{
 		Name:    "paper-single-switch",

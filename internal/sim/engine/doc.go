@@ -8,9 +8,11 @@
 //     per shard) that depends only on the population size — never on
 //     the worker count. Node i always lands in shard i/ShardSize.
 //  2. Any randomness inside a shard comes from a dedicated RNG stream
-//     derived from (seed, phase, tick, round, shard) via SeedFor, so a
-//     shard draws the same values no matter which worker executes it or
-//     in which order shards complete.
+//     derived from (seed, phase, tick, round, cell) via SeedFor, where
+//     the cell is the shard or a node of it, and drawn from a Source
+//     restarted on that seed. So a shard draws the same values no
+//     matter which worker executes it or in which order shards
+//     complete.
 //  3. Shard outputs are buffered per shard and reduced in ascending
 //     shard order. The reduce may itself run sharded — each destination
 //     shard gathering from every source shard's buffer, walking source

@@ -107,19 +107,39 @@ func (p *Pool) Run(shards int, fn func(worker, shard int)) {
 	}
 }
 
-// SeedFor derives the RNG seed of one (phase, tick, round, shard) cell
-// from the run seed. Streams for distinct cells are independent for all
-// practical purposes (splitmix64 finalization between injections), and
-// the derivation never involves the worker count, upholding the
-// determinism contract.
-func SeedFor(seed int64, phase, tick, round, shard int) int64 {
+// SeedFor derives the RNG seed of one (phase, tick, round, cell) stream
+// from the run seed. A cell is whatever one stream serves: a shard, or a
+// node id for the plan phase's per-node streams. Streams for distinct
+// cells are independent for all practical purposes (splitmix64
+// finalization between injections), and the derivation never involves
+// the worker count, upholding the determinism contract.
+func SeedFor(seed int64, phase, tick, round, cell int) int64 {
 	h := splitmix64(uint64(seed) ^ 0x9e3779b97f4a7c15)
 	h = splitmix64(h ^ uint64(phase))
 	h = splitmix64(h ^ uint64(tick))
 	h = splitmix64(h ^ uint64(round))
-	h = splitmix64(h ^ uint64(shard))
+	h = splitmix64(h ^ uint64(cell))
 	return int64(h)
 }
+
+// Source is the SplitMix64 generator as a rand.Source64: one word of
+// state, so Seed is a single store and a phase can reseed its worker's
+// generator for every stream it opens, down to one per node, for free.
+// The zero value is a valid source seeded with 0.
+type Source struct{ state uint64 }
+
+// Seed restarts the stream at seed.
+func (s *Source) Seed(seed int64) { s.state = uint64(seed) }
+
+// Uint64 returns the next value of the stream.
+func (s *Source) Uint64() uint64 {
+	v := splitmix64(s.state)
+	s.state += 0x9e3779b97f4a7c15
+	return v
+}
+
+// Int63 returns the next value of the stream with the top bit cleared.
+func (s *Source) Int63() int64 { return int64(s.Uint64() >> 1) }
 
 // splitmix64 is the finalizer of the SplitMix64 generator — a cheap,
 // well-mixed 64-bit permutation.

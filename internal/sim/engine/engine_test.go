@@ -93,15 +93,47 @@ func TestSeedForIndependence(t *testing.T) {
 	}
 }
 
+// TestSourceIsSplitMix64 pins Source to the reference SplitMix64 outputs
+// for seed 0, and pins a reseed of a used generator to restart its
+// stream: the phases reuse one generator per worker and reseed it per
+// stream.
+func TestSourceIsSplitMix64(t *testing.T) {
+	want := []uint64{0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f}
+	var src Source
+	for i, w := range want {
+		if got := src.Uint64(); got != w {
+			t.Fatalf("output %d = %#x, want %#x", i, got, w)
+		}
+	}
+	fresh := rand.New(&Source{})
+	fresh.Seed(99)
+	reused := rand.New(&Source{})
+	for i := 0; i < 10; i++ {
+		reused.Intn(1000)
+	}
+	reused.Seed(99)
+	for i := 0; i < 100; i++ {
+		if a, b := fresh.Intn(613), reused.Intn(613); a != b {
+			t.Fatalf("draw %d: a reseeded generator reads %d, a fresh one %d", i, b, a)
+		}
+	}
+}
+
 // TestShardedDrawsWorkerInvariant simulates the usage pattern: every shard
-// draws from its own derived stream, results merge in shard order, and the
-// merged sequence must not depend on the worker count.
+// draws from its own derived stream on its worker's reseeded generator,
+// results merge in shard order, and the merged sequence must not depend
+// on the worker count.
 func TestShardedDrawsWorkerInvariant(t *testing.T) {
 	const shards = 37
 	draw := func(workers int) []int64 {
 		out := make([][]int64, shards)
-		NewPool(workers).Run(shards, func(_, shard int) {
-			rng := rand.New(rand.NewSource(SeedFor(7, 1, 0, 0, shard)))
+		rngs := make([]*rand.Rand, workers)
+		for w := range rngs {
+			rngs[w] = rand.New(&Source{})
+		}
+		NewPool(workers).Run(shards, func(worker, shard int) {
+			rng := rngs[worker]
+			rng.Seed(SeedFor(7, 1, 0, 0, shard))
 			vals := make([]int64, 16)
 			for i := range vals {
 				vals[i] = rng.Int63()

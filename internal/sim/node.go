@@ -69,13 +69,10 @@ type nodeState struct {
 	view    []Row
 	viewAdj []int32
 
-	// idle and idleDraws are the planRound memo of the node's last plan
-	// this period: idle when it routed no request, and then the number of
-	// shuffle draws its prefetch made (0 when the scheduler did not run or
-	// prefetch is disabled). Written at every plan, read by the retry
-	// rounds, which skip an idle node (phase_plan.go).
-	idle      bool
-	idleDraws int32
+	// idle is the planRound memo of the node's last plan this period:
+	// set when it routed no request. Written at every plan, read by the
+	// retry rounds, which skip an idle node (phase_plan.go).
+	idle bool
 }
 
 func newNodeState(id overlay.NodeID, prof bandwidth.Profile, joinTick int) *nodeState {

@@ -418,13 +418,13 @@ func (pl *Planner) Plan(pb *Playback, buf *buffer.Buffer, sessions []segment.Ses
 // scheduler's first core.MaxSuppliers, so a hub prefetches from all its
 // neighbours. Each pull spends one headroom of its row; Pulls holds them.
 //
-// The draw order is part of the simulator's determinism contract (the
-// generator is shared by every node of a shard): one shuffle draw per
-// candidate taken from the pool, whether or not anyone holds it, and one
-// reservoir draw per eligible row in row order (see pick). When no
-// usable row holds any pool id, the shuffle is skipped and the generator
-// advanced past its draws by discardIntn — the same contract, without
-// the divisions and swaps.
+// The draws come from rng, which the simulator restarts on the node's
+// own stream before each plan: one shuffle draw per candidate taken from
+// the pool, whether or not anyone holds it, and one reservoir draw per
+// eligible row in row order (see pick). When no usable row holds any
+// pool id, Prefetch returns at once and draws nothing. It must be called
+// after every Plan that reported true, whatever the budget: it is what
+// clears Pulls of the plan's requests.
 func (pl *Planner) Prefetch(rows []Row, budget int, rng *rand.Rand) {
 	pl.Pulls = pl.Pulls[:0]
 	if budget <= 0 || len(pl.env.NeedOld) == 0 {
@@ -442,12 +442,7 @@ func (pl *Planner) Prefetch(rows []Row, budget int, rng *rand.Rand) {
 		}
 	}
 	if !anyHeld(union, need, w0) {
-		// Nothing to take: the loop below would draw Intn(len(pool)-k)
-		// for every k and pull nothing.
-		for m := len(need); m > 0; m-- {
-			discardIntn(rng, m)
-		}
-		return
+		return // nothing to take: the shuffle below would pull nothing
 	}
 	pool := append(pl.pool[:0], need...)
 	pl.pool = pool
@@ -481,26 +476,6 @@ func anyHeld(words []uint64, pool []segment.ID, w0 int) bool {
 		}
 	}
 	return false
-}
-
-// discardIntn advances rng exactly as rng.Intn(n) does, for 0 < n < 2^31,
-// without computing the value. math/rand's Int31n draws one Int31 and
-// redraws while it exceeds 2^31-1 - 2^31 mod n; that bound is above
-// 2^31-1-n, so the modulus is computed only for a draw past 2^31-1-n,
-// which for the pool sizes of a plan almost never happens, and the final
-// v % n not at all. A non-positive n draws nothing.
-func discardIntn(rng *rand.Rand, n int) {
-	if n <= 0 {
-		return
-	}
-	m := int32(n)
-	v := rng.Int31()
-	if v <= math.MaxInt32-m {
-		return
-	}
-	for limit := int32(math.MaxInt32 - (1<<31)%uint32(m)); v > limit; {
-		v = rng.Int31()
-	}
 }
 
 // Pick chooses a supplier for one segment the way prefetch does: a

@@ -64,7 +64,7 @@ func (s *Sim) phaseTransit() {
 				sh.netSevered++
 				return
 			}
-			if loss > 0 && rng.get().Float64() < loss {
+			if loss > 0 && rng.Float64() < loss {
 				to.ledger.Lose(msg.Seg, s.tick)
 				sh.netLost++
 				return

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math/rand"
 	"slices"
 
 	"gossipstream/internal/bitfield"
@@ -12,14 +11,15 @@ import (
 
 // The plan phase runs every alive non-source node's scheduler and routes
 // the resulting pull requests to their suppliers. Nodes are sharded on
-// the engine grid; each shard plans its nodes with a dedicated RNG stream
-// and buffers its requests in a per-shard outbox, stably bucketed by
-// destination shard; a second pass, sharded over suppliers, gathers each
-// supplier shard's slice of every outbox in source-shard order. A
-// supplier's queue is therefore its requests in (source shard, planning
-// order) — a supplier's requests within one outbox keep their planning
-// order (stable bucketing) and outboxes are visited in shard order — so
-// the queue contents are identical at any worker count.
+// the engine grid; each node plans with a dedicated RNG stream keyed by
+// its id, and each shard buffers its requests in a per-shard outbox,
+// stably bucketed by destination shard; a second pass, sharded over
+// suppliers, gathers each supplier shard's slice of every outbox in
+// source-shard order. A supplier's queue is therefore its requests in
+// (source shard, planning order) — a supplier's requests within one
+// outbox keep their planning order (stable bucketing) and outboxes are
+// visited in shard order — so the queue contents are identical at any
+// worker count.
 
 // phaseSchedule drives the per-period plan/serve rounds: planning and
 // serving repeat up to ServeRounds times, because the period is one
@@ -55,9 +55,9 @@ func (s *Sim) phaseSchedule() {
 // supplier budgets are refunded at most what the round spent, and its
 // links' grant counts move only with its own grants. Fewer suppliers
 // keep an empty plan empty (core.Algorithm), and a prefetch that found
-// no held pool id finds none among fewer rows. The skip still advances
-// the shard generator by the draws that prefetch makes, one Intn(m) for
-// m = len(NeedOld) down to 1, so every later draw stays where it was.
+// no held pool id finds none among fewer rows. The skipped plan would
+// have drawn only from its own stream (planNode), so skipping it draws
+// nothing.
 func (s *Sim) planRound() {
 	n := len(s.nodes)
 	shards := s.ensureShards(n)
@@ -73,7 +73,6 @@ func (s *Sim) planRound() {
 			sh.rowArena = sh.rowArena[:0]
 			sh.adjArena = sh.adjArena[:0]
 		}
-		rng := ws.stream(engine.SeedFor(s.cfg.Seed, rngPlan, s.tick, round, shard))
 		wire := int64(bitfield.WireBits(BufferCap))
 		lo, hi := engine.ShardSpan(n, shard)
 		for i := lo; i < hi; i++ {
@@ -94,18 +93,11 @@ func (s *Sim) planRound() {
 				continue
 			}
 			if round > 0 && nd.idle {
-				for m := nd.idleDraws; m > 0; m-- {
-					discardIntn(rng.get(), int(m))
-				}
 				continue
 			}
 			routed := len(sh.requests)
-			planned := s.planNode(ws, sh, nd, round, rng.get())
+			s.planNode(ws, sh, nd, round)
 			nd.idle = len(sh.requests) == routed
-			nd.idleDraws = 0
-			if nd.idle && planned && !s.cfg.DisablePrefetch {
-				nd.idleDraws = int32(len(ws.env.NeedOld))
-			}
 		}
 		// Stable bucketing by destination shard: a supplier's requests
 		// keep their planning order through the gather below.
@@ -176,7 +168,12 @@ func bucketByShard(off []int32, shards, n int, shardOf func(i int) int, place fu
 // queues its requests in the shard outbox. It reports whether the
 // scheduler ran (Planner.Plan reported true), which is when prefetch
 // runs too unless it is disabled.
-func (s *Sim) planNode(ws *workerScratch, sh *shardScratch, n *nodeState, round int, rng *rand.Rand) bool {
+//
+// Prefetch draws from the node's own (tick, round, node id) stream: the
+// worker's generator restarts on it here, so a node's requests depend on
+// nothing else in its shard — not on which nodes the worker planned
+// before it, nor on how many draws they made.
+func (s *Sim) planNode(ws *workerScratch, sh *shardScratch, n *nodeState, round int) bool {
 	if round == 0 {
 		s.buildView(sh, n)
 	}
@@ -204,6 +201,7 @@ func (s *Sim) planNode(ws *workerScratch, sh *shardScratch, n *nodeState, round 
 	s.route(sh, n, ws.Pulls)
 	if !s.cfg.DisablePrefetch {
 		// The serve phase, not the plan, spends the inbound budget.
+		rng := ws.stream(engine.SeedFor(s.cfg.Seed, rngPlan, s.tick, round, int(n.id)))
 		ws.Prefetch(n.view, n.in.Available()-len(ws.plan.Requests), rng)
 		s.route(sh, n, ws.Pulls)
 	}

@@ -40,36 +40,21 @@ func (s *Sim) serveRound() {
 		ws := s.workers[worker]
 		sh := &s.shards[shard]
 		sh.proposals = sh.proposals[:0]
-		// Only the shared-outbound server draws, and its stream is seeded
-		// for the shard's first supplier with a queue.
-		rng := ws.stream(engine.SeedFor(s.cfg.Seed, rngServe, s.tick, round, shard))
+		// Only the shared-outbound server draws: one stream per shard,
+		// walked by its suppliers in id order.
+		var rng *rand.Rand
+		if s.cfg.SharedOutbound {
+			rng = ws.stream(engine.SeedFor(s.cfg.Seed, rngServe, s.tick, round, shard))
+		}
 		lo, hi := engine.ShardSpan(n, shard)
 		for sid := lo; sid < hi; sid++ {
-			reqs := s.incoming[sid]
-			if len(reqs) == 0 {
-				continue
+			if reqs := s.incoming[sid]; len(reqs) > 0 {
+				s.propose(ws, sh, overlay.NodeID(sid), reqs, rng)
 			}
-			var supRNG *rand.Rand
-			if s.cfg.SharedOutbound {
-				supRNG = rng.get()
-			}
-			s.propose(ws, sh, overlay.NodeID(sid), reqs, supRNG)
 		}
 		sh.buildCommitIndex(shards)
 	})
 	s.commit(shards, round)
-}
-
-// serveJitterRNG returns the round's jitter stream, reseeding the Sim's
-// reusable generator. The commit asks for it at its first jitter draw.
-func (s *Sim) serveJitterRNG(round int) *rand.Rand {
-	seed := engine.SeedFor(s.cfg.Seed, rngNetJit, s.tick, round, 0)
-	if s.jitterRNG == nil {
-		s.jitterRNG = rand.New(rand.NewSource(seed))
-	} else {
-		s.jitterRNG.Seed(seed)
-	}
-	return s.jitterRNG
 }
 
 // commit resolves the round's proposals. A proposal's fate depends on
@@ -155,7 +140,7 @@ func (s *Sim) commit(shards, round int) {
 	// Netmodel landing: serial sends in the original commit order.
 	if s.net != nil {
 		jitterMS := s.net.JitterMS()
-		var jitterRNG *rand.Rand
+		s.jitterRNG.Seed(engine.SeedFor(s.cfg.Seed, rngNetJit, s.tick, round, 0))
 		for si := 0; si < shards; si++ {
 			src := &s.shards[si]
 			for idx, p := range src.proposals {
@@ -164,10 +149,7 @@ func (s *Sim) commit(shards, round int) {
 				}
 				var jitter float64
 				if jitterMS > 0 {
-					if jitterRNG == nil {
-						jitterRNG = s.serveJitterRNG(round)
-					}
-					jitter = jitterRNG.Float64() * jitterMS
+					jitter = s.jitterRNG.Float64() * jitterMS
 				}
 				s.net.Send(s.tick, p.sup, p.From, p.Seg, jitter)
 				s.audInjected++

@@ -15,8 +15,8 @@ import (
 // before availability was read in bulk, kept verbatim as the reference
 // except that the per-link request counts live in the probe, not on the
 // node: every drawn id is chased through each neighbor's buffer with
-// nb.buf.Has(id). The word-parallel prefetch must route the same requests
-// and leave the shared RNG stream at the same position.
+// nb.buf.Has(id). From the same stream, the word-parallel prefetch must
+// route the same requests.
 func probePrefetch(s *Sim, ws *workerScratch, sh *shardScratch, n *nodeState, rng *rand.Rand) {
 	budget := n.in.Available() - len(ws.plan.Requests)
 	if budget <= 0 {
@@ -104,9 +104,11 @@ func hubGraph(n int) *overlay.Graph {
 // TestPrefetchMatchesProbeLoop replays, before every plan round of a run
 // with a >64-neighbor hub and several serve rounds per period, the round's
 // planning of all nodes twice on scratch outboxes — once as shipped and
-// once with prefetch swapped for the probing reference — from identically
-// seeded generators shared by all nodes, as in the engine. The two routed
-// request sequences must be equal and the generators must end in step.
+// once with prefetch swapped for the probing reference, which draws from
+// the node's own plan stream as the engine's prefetch does. The two
+// routed request sequences must be equal. (When no row holds a pool id
+// the reference still shuffles and the shipped prefetch draws nothing:
+// each node's stream is its own, so no later draw depends on it.)
 func TestPrefetchMatchesProbeLoop(t *testing.T) {
 	const hub = overlay.NodeID(0)
 	for _, shared := range []bool{true, false} {
@@ -133,26 +135,26 @@ func TestPrefetchMatchesProbeLoop(t *testing.T) {
 					retryRounds++
 				}
 				var shipped, probed shardScratch
-				seed := engine.SeedFor(5, rngPlan, s.tick, s.round, 0)
-				rngShipped, rngProbed := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
 				ws := s.workers[0]
 				for _, nd := range s.nodes {
 					if !nd.alive || nd.isSource || nd.profile.In <= 0 || nd.in.Available() < 1 {
 						continue
 					}
-					s.planNode(ws, &shipped, nd, s.round, rngShipped)
+					s.planNode(ws, &shipped, nd, s.round)
 
 					// The scheduler alone (it draws nothing), then the
 					// reference prefetch on the state planNode leaves behind,
 					// with its in-flight set and per-link counters fresh.
 					// (planNode returns before prefetch when nothing is needed.)
 					s.cfg.DisablePrefetch = true
-					ran := s.planNode(ws, &probed, nd, s.round, nil)
+					ran := s.planNode(ws, &probed, nd, s.round)
 					s.cfg.DisablePrefetch = false
 					if ran {
 						planned := len(probed.requests)
 						ws.seen.begin()
-						probePrefetch(s, ws, &probed, nd, rngProbed)
+						rng := rand.New(&engine.Source{})
+						rng.Seed(engine.SeedFor(5, rngPlan, s.tick, s.round, int(nd.id)))
+						probePrefetch(s, ws, &probed, nd, rng)
 						for _, rr := range probed.requests[planned:] {
 							prefetched++
 							if rr.From == hub && rr.Link >= 64 {
@@ -164,9 +166,6 @@ func TestPrefetchMatchesProbeLoop(t *testing.T) {
 				if !slices.Equal(shipped.requests, probed.requests) {
 					t.Fatalf("tick %d round %d: routed requests differ: %d shipped, %d from the probe loop",
 						s.tick, s.round, len(shipped.requests), len(probed.requests))
-				}
-				if a, b := rngShipped.Int63(), rngProbed.Int63(); a != b {
-					t.Fatalf("tick %d round %d: the RNG streams left prefetch out of step", s.tick, s.round)
 				}
 			}
 			s.sched = engine.NewPipeline(
@@ -186,20 +185,18 @@ func TestPrefetchMatchesProbeLoop(t *testing.T) {
 }
 
 // TestRetrySkipMatchesReplan pins the retry rounds' skip of idle nodes
-// (planRound). Before every retry round it re-plans each node the memo
-// would skip, on a scratch outbox with a generator of its own, while a
-// clone of that generator takes the memo's discards instead. The re-plan
-// must route nothing and leave its generator where the discards leave
-// the clone. The runs cover both capacity substrates, the normal
+// (planRound). Before every retry round it re-plans, on a scratch outbox
+// and the node's own stream, each node the memo would skip. The re-plan
+// must route nothing. The runs cover both capacity substrates, the normal
 // algorithm, disabled prefetch and a lossy transport.
 func TestRetrySkipMatchesReplan(t *testing.T) {
-	// draws says whether the run must skip nodes whose prefetch draws.
-	// Under per-link capacity a link is rarely spent, so there an idle
-	// node is one that needs nothing, and it draws nothing.
+	// pooled says whether the run must skip nodes whose re-plan runs a
+	// prefetch over a non-empty pool. Under per-link capacity a link is
+	// rarely spent, so there an idle node is one that needs nothing.
 	cases := []struct {
-		name  string
-		edit  func(*Config)
-		draws bool
+		name   string
+		edit   func(*Config)
+		pooled bool
 	}{
 		{"shared", func(*Config) {}, true},
 		{"perlink", func(c *Config) { c.SharedOutbound = false }, false},
@@ -223,7 +220,7 @@ func TestRetrySkipMatchesReplan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var skipped, withDraws, retryRounds int
+			var skipped, withPool, retryRounds int
 			compare := func() {
 				if s.round == 0 {
 					return
@@ -235,23 +232,14 @@ func TestRetrySkipMatchesReplan(t *testing.T) {
 						continue
 					}
 					var scratch shardScratch
-					seed := engine.SeedFor(cfg.Seed, rngPlan, s.tick, s.round, int(nd.id))
-					replanned, discarded := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
-					s.planNode(ws, &scratch, nd, s.round, replanned)
-					for m := nd.idleDraws; m > 0; m-- {
-						discardIntn(discarded, int(m))
-					}
+					planned := s.planNode(ws, &scratch, nd, s.round)
 					if len(scratch.requests) != 0 {
 						t.Fatalf("tick %d round %d: idle node %d routes %d requests when re-planned",
 							s.tick, s.round, nd.id, len(scratch.requests))
 					}
-					if replanned.Int63() != discarded.Int63() {
-						t.Fatalf("tick %d round %d: idle node %d: %d discards leave the generator out of step with its re-plan",
-							s.tick, s.round, nd.id, nd.idleDraws)
-					}
 					skipped++
-					if nd.idleDraws > 0 {
-						withDraws++
+					if planned && !cfg.DisablePrefetch && len(ws.env.NeedOld) > 0 {
+						withPool++
 					}
 				}
 			}
@@ -262,70 +250,76 @@ func TestRetrySkipMatchesReplan(t *testing.T) {
 			if _, err := s.Run(); err != nil {
 				t.Fatal(err)
 			}
-			t.Logf("%d skipped plans compared over %d retry rounds, %d of them with prefetch draws", skipped, retryRounds, withDraws)
-			if skipped == 0 || (tc.draws && withDraws == 0) {
-				t.Fatal("the run never skipped a node, or never one whose prefetch draws")
+			t.Logf("%d skipped plans compared over %d retry rounds, %d of them with a prefetch pool", skipped, retryRounds, withPool)
+			if skipped == 0 || (tc.pooled && withPool == 0) {
+				t.Fatal("the run never skipped a node, or never one whose prefetch has a pool")
 			}
 		})
 	}
 }
 
-// countingSource counts the values drawn from the source it wraps.
-type countingSource struct {
-	rand.Source
-	draws int
-}
-
-func (c *countingSource) Int63() int64 {
-	c.draws++
-	return c.Source.Int63()
-}
-
-// TestDiscardIntnMatchesIntn pins the generator position discardIntn
-// leaves to rng.Intn's: over many seeds and bounds — 0, small ones,
-// powers of two (one masked draw), 613 (a plan-sized pool) and 2^30+12345
-// (where about half the draws are rejected and redrawn) — the next Int63
-// after a run of discards equals the one after the same run of Intn
-// calls. A countdown from 613 to 1, the draws of one prefetch shuffle,
-// is compared the same way.
-func TestDiscardIntnMatchesIntn(t *testing.T) {
-	bounds := []int{0, 1, 2, 3, 613, 1<<30 + 12345}
-	for k := 2; k <= 30; k++ {
-		bounds = append(bounds, 1<<k)
+// TestPlanStreamIsPerNode pins the plan phase's per-node streams: before
+// every plan round of a run, one worker plans every eligible node on a
+// scratch outbox in id order, then again on another in reverse order. A
+// node must route the same requests both times, whichever nodes the
+// worker planned before it and however many draws they made.
+func TestPlanStreamIsPerNode(t *testing.T) {
+	s, err := New(singleSwitch(Config{
+		Graph: testTopology(t, 300, 7), Seed: 11, NewAlgorithm: Fast,
+		FirstSource: -1, SharedOutbound: true,
+		HorizonTicks: 70, JoinSpreadTicks: 25, Workers: 1,
+	}, 40, -1))
+	if err != nil {
+		t.Fatal(err)
 	}
-	rejections := 0
-	for seed := int64(1); seed <= 300; seed++ {
-		for _, n := range bounds {
-			ref := rand.New(rand.NewSource(seed))
-			src := &countingSource{Source: rand.NewSource(seed)}
-			got := rand.New(src)
-			const calls = 8
-			for i := 0; i < calls; i++ {
-				if n > 0 {
-					ref.Intn(n)
-				}
-				discardIntn(got, n)
+	var compared, prefetched int
+	// plan plans the nodes in the given order and returns each one's
+	// requests, indexed by node id.
+	plan := func(order []*nodeState) [][]routedRequest {
+		var sh shardScratch
+		spans := make([][2]int, len(s.nodes))
+		for _, nd := range order {
+			from := len(sh.requests)
+			if s.planNode(s.workers[0], &sh, nd, s.round) {
+				prefetched += len(sh.requests) - from - len(s.workers[0].plan.Requests)
 			}
-			if a, b := ref.Int63(), got.Int63(); a != b {
-				t.Fatalf("seed %d n %d: the generator after %d discards is not where %d Intn calls leave it", seed, n, calls, calls)
-			}
-			if n > 0 {
-				rejections += src.draws - 1 - calls
+			spans[nd.id] = [2]int{from, len(sh.requests)}
+		}
+		reqs := make([][]routedRequest, len(s.nodes))
+		for id, sp := range spans {
+			reqs[id] = sh.requests[sp[0]:sp[1]]
+		}
+		return reqs
+	}
+	compare := func() {
+		var order []*nodeState
+		for _, nd := range s.nodes {
+			if nd.alive && !nd.isSource && nd.profile.In > 0 && nd.in.Available() >= 1 {
+				order = append(order, nd)
 			}
 		}
-		ref, got := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
-		for m := 613; m > 0; m-- {
-			ref.Intn(m)
-			discardIntn(got, m)
-		}
-		if a, b := ref.Int63(), got.Int63(); a != b {
-			t.Fatalf("seed %d: the generator after a 613-draw countdown of discards is out of step", seed)
+		forward := plan(order)
+		slices.Reverse(order)
+		backward := plan(order)
+		for _, nd := range order {
+			if !slices.Equal(forward[nd.id], backward[nd.id]) {
+				t.Fatalf("tick %d round %d: node %d routes %d requests planned in id order, %d in reverse",
+					s.tick, s.round, nd.id, len(forward[nd.id]), len(backward[nd.id]))
+			}
+			compared++
 		}
 	}
-	if rejections == 0 {
-		t.Fatal("no draw was rejected: the redraw branch went untested")
+	s.sched = engine.NewPipeline(
+		engine.Phase{Name: "plan", Run: func() { compare(); s.planRound() }},
+		engine.Phase{Name: "serve", Run: s.serveRound},
+	)
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
 	}
-	t.Logf("%d rejected draws redrawn", rejections)
+	t.Logf("%d node plans compared, %d prefetched requests among them", compared, prefetched)
+	if prefetched == 0 {
+		t.Fatal("no compared plan prefetched: the streams were never drawn from")
+	}
 }
 
 // TestShardBucketsMatchStableSort pins the two counting sorts of the

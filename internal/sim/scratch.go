@@ -112,42 +112,20 @@ type workerScratch struct {
 	// Server is the worker's serving step (peercore.go), run for every
 	// supplier queue the worker answers.
 	Server
-	// rng is the worker's reusable generator. Every sharded phase that
-	// draws randomness reseeds it with its (phase, tick, round, shard)
-	// stream at the stream's first draw (lazyStream) — Rand.Seed resets
-	// the source to exactly the state rand.New(rand.NewSource(seed))
-	// would build, so reuse is stream-identical to a fresh generator
-	// while skipping the ~5 KB rngSource allocation per shard per round.
+	// rng is the worker's generator, on a one-word engine.Source: every
+	// sharded phase that draws randomness restarts it on its stream
+	// (stream) — the plan phase once per planned node, the serve and
+	// transit phases once per shard — so a stream's draws depend only on
+	// its (phase, tick, round, cell) key, never on what the worker drew
+	// before.
 	rng *rand.Rand
 }
 
-// lazyStream is one (phase, tick, round, shard) stream on a worker's
-// generator, seeded at its first draw: a reseed refills the source's
-// 607 words, and a shard-round that draws nothing skips it. The draws
-// are those of a stream seeded up front.
-type lazyStream struct {
-	ws   *workerScratch
-	seed int64
-	rng  *rand.Rand
-}
-
-// stream returns the worker's stream for seed, not yet seeded.
-func (ws *workerScratch) stream(seed int64) lazyStream {
-	return lazyStream{ws: ws, seed: seed}
-}
-
-// get returns the stream's generator, reseeding the worker's on the
-// first call.
-func (st *lazyStream) get() *rand.Rand {
-	if st.rng == nil {
-		if st.ws.rng == nil {
-			st.ws.rng = rand.New(rand.NewSource(st.seed))
-		} else {
-			st.ws.rng.Seed(st.seed)
-		}
-		st.rng = st.ws.rng
-	}
-	return st.rng
+// stream restarts the worker's generator on the stream seed and returns
+// it.
+func (ws *workerScratch) stream(seed int64) *rand.Rand {
+	ws.rng.Seed(seed)
+	return ws.rng
 }
 
 // shardScratch buffers one shard's phase output until the shard-ordered

@@ -31,8 +31,8 @@ type Sim struct {
 	pipeline *engine.Pipeline
 	sched    *engine.Pipeline // the per-round plan → serve sub-pipeline
 
-	// jitterRNG is the serve commit's reusable jitter generator, reseeded
-	// to its per-(tick, round) stream before each commit's send pass.
+	// jitterRNG is the serve commit's jitter generator, reseeded to its
+	// per-(tick, round) stream before each commit's send pass.
 	jitterRNG *rand.Rand
 
 	// resolver turns script events and churn into directives (resolve.go);
@@ -131,10 +131,11 @@ func New(cfg Config) (*Sim, error) {
 		return nil, err
 	}
 	s := &Sim{
-		cfg:      cfg,
-		g:        cfg.Graph,
-		algo:     cfg.NewAlgorithm(),
-		bwFactor: 1,
+		cfg:       cfg,
+		g:         cfg.Graph,
+		algo:      cfg.NewAlgorithm(),
+		bwFactor:  1,
+		jitterRNG: rand.New(&engine.Source{}),
 	}
 	s.resolver = NewResolver(cfg, (*simFacts)(s))
 	s.dir = s.resolver.Directory()
@@ -178,7 +179,11 @@ func New(cfg Config) (*Sim, error) {
 	s.workers = make([]*workerScratch, s.pool.Workers())
 	par := PeerParams{Qs: cfg.Qs, Shared: cfg.SharedOutbound}
 	for i := range s.workers {
-		s.workers[i] = &workerScratch{Planner: NewPlanner(cfg.NewAlgorithm(), par), Server: NewServer(par)}
+		s.workers[i] = &workerScratch{
+			Planner: NewPlanner(cfg.NewAlgorithm(), par),
+			Server:  NewServer(par),
+			rng:     rand.New(&engine.Source{}),
+		}
 	}
 	s.sched = engine.NewPipeline(
 		engine.Phase{Name: "plan", Run: s.planRound},
