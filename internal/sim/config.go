@@ -124,8 +124,7 @@ type Config struct {
 	// per-message loss probability, and partition semantics, drained in
 	// timestamp order by the pipeline's transit phase. nil keeps the
 	// classic substrate — every grant delivered instantly and losslessly
-	// at the end of its tick, bit-identical to the pre-netmodel engine.
-	// See internal/netmodel.
+	// at the end of its tick. See internal/netmodel.
 	Net *netmodel.Config
 
 	// TrackRatios records the per-tick undelivered/delivered ratio series

@@ -55,10 +55,9 @@ func (s *Sim) phaseTransit() {
 				sh.netEvap++
 				return
 			}
-			// Severed messages skip the loss draw (the short-circuit keeps
-			// the rngNet stream identical to the pre-ledger engine); both
-			// branches drop the message the same way, they only differ in
-			// which conservation bucket counts it.
+			// Severed messages skip the loss draw; both branches drop the
+			// message the same way, they only differ in which
+			// conservation bucket counts it.
 			if s.blocked(msg.From, msg.To) {
 				to.ledger.Lose(msg.Seg, s.tick)
 				sh.netSevered++

@@ -116,8 +116,8 @@ type Sim struct {
 // RNG stream tags of the phases that draw randomness (the `phase` input
 // of engine.SeedFor). New parallel phases must claim fresh tags.
 const (
-	rngPlan = iota + 1
-	rngServe
+	rngPlan  = iota + 1 // prefetch draws, one stream per (tick, round, node)
+	rngServe            // shared-outbound service order, one per (tick, round, shard)
 	rngEvents
 	rngNet    // transit-phase loss draws, one stream per (tick, shard)
 	rngNetJit // serve-commit jitter draws, one stream per (tick, round)
