@@ -68,7 +68,7 @@ func Join(cfg JoinConfig) (*sim.Result, error) {
 	defer l.close()
 	l.setObs(cfg.Obs)
 
-	w, ackWelcome, err := awaitWelcome(cfg, l)
+	w, ackWelcome, err := awaitWelcome(cfg, l, codecVersion)
 	if err != nil {
 		return nil, err
 	}
@@ -118,11 +118,13 @@ func Join(cfg JoinConfig) (*sim.Result, error) {
 	return a.run()
 }
 
-// awaitWelcome retries the hello until the coordinator's welcome
-// arrives; the returned ack closure must be called once the agent is
-// ready to receive sequenced traffic under its assigned shard.
-func awaitWelcome(cfg JoinConfig, l *link) (*Welcome, func(), error) {
-	hello := &Hello{Addr: l.addr}
+// awaitWelcome retries the hello, at the given codec version, until the
+// coordinator's welcome arrives; the returned ack closure must be called
+// once the agent is ready to receive sequenced traffic under its
+// assigned shard. A coordinator of another version answers with its own
+// hello instead, and the join fails naming both versions.
+func awaitWelcome(cfg JoinConfig, l *link, version uint8) (*Welcome, func(), error) {
+	hello := &Hello{Version: version, Addr: l.addr}
 	deadline := time.After(5 * time.Minute)
 	t := time.NewTicker(helloEvery)
 	defer t.Stop()
@@ -132,12 +134,18 @@ func awaitWelcome(cfg JoinConfig, l *link) (*Welcome, func(), error) {
 	for {
 		select {
 		case m := <-l.inbox:
-			if m.P.Kind == "welcome" && m.P.Welcome != nil {
+			switch p := m.P.(type) {
+			case *Welcome:
 				ack := func() {}
 				if m.Ack != nil {
 					ack = func() { m.Ack(nil) }
 				}
-				return m.P.Welcome, ack, nil
+				return p, ack, nil
+			case *Hello:
+				if p.Version != version {
+					return nil, nil, fmt.Errorf("cluster: %s refused the join: it speaks control codec version %d, this process version %d",
+						cfg.Starter, p.Version, version)
+				}
 			}
 		case <-t.C:
 			if err := l.sendHello(cfg.Starter, hello); err != nil {
@@ -159,8 +167,8 @@ func awaitStart(l *link) (*Start, error) {
 			if m.Ack != nil {
 				m.Ack(nil)
 			}
-			if m.P.Kind == "start" && m.P.Start != nil {
-				return m.P.Start, nil
+			if s, ok := m.P.(*Start); ok {
+				return s, nil
 			}
 		case <-deadline:
 			return nil, fmt.Errorf("cluster: run never started")
@@ -215,14 +223,14 @@ func (a *agent) run() (*sim.Result, error) {
 			return nil, err
 		}
 		hs := r.HealthSample()
-		status := &Payload{Kind: "status", Status: &Status{
+		status := &Status{
 			Shard:      a.shard,
 			Tick:       r.CurrentTick(),
 			Idle:       r.Idle(),
 			AppliedSeq: a.appliedSeq,
 			Nodes:      r.ShardStatus(),
 			Health:     &hs,
-		}}
+		}
 		if del := a.statusDelay(); del > 0 {
 			time.AfterFunc(time.Duration(del)*periodWall, func() { a.l.cast(0, status) })
 		} else {
@@ -267,7 +275,7 @@ func (a *agent) drainDirectives() error {
 
 // handle applies one control message.
 func (a *agent) handle(m inMsg) error {
-	if m.P.Kind == "fence" {
+	if _, ok := m.P.(fence); ok {
 		// The coordinator declared this shard dead and reassigned its
 		// peers; stop immediately rather than fight the survivors.
 		a.fenced = true
@@ -276,8 +284,8 @@ func (a *agent) handle(m inMsg) error {
 		}
 		return ErrFenced
 	}
-	d := m.P.Dir
-	if m.P.Kind != "directive" || d == nil {
+	d, ok := m.P.(*runtime.Directive)
+	if !ok {
 		if m.Ack != nil {
 			m.Ack(nil)
 		}
@@ -290,7 +298,7 @@ func (a *agent) handle(m inMsg) error {
 		seg, ok := a.r.StopSource(d.Old)
 		a.appliedSeq = m.Seq
 		if m.Ack != nil {
-			m.Ack(&Payload{Kind: "s1end", S1End: &S1End{Seg: seg, OK: ok}})
+			m.Ack(&S1End{Seg: seg, OK: ok})
 		}
 		return nil
 	case runtime.DirFinish:
@@ -345,14 +353,10 @@ func (a *agent) awaitFinish(grace time.Duration) error {
 func (a *agent) sendReport(res *sim.Result) {
 	count := len(res.Windows)
 	if count == 0 {
-		a.l.send(0, &Payload{Kind: "report", Report: &Report{
-			Shard: a.shard, Algo: res.Algorithm, Count: 0,
-		}})
+		a.l.send(0, &Report{Shard: a.shard, Algo: res.Algorithm, Count: 0})
 	}
 	for i, w := range res.Windows {
-		a.l.send(0, &Payload{Kind: "report", Report: &Report{
-			Shard: a.shard, Algo: res.Algorithm, WindowIdx: i, Count: count, Window: w,
-		}})
+		a.l.send(0, &Report{Shard: a.shard, Algo: res.Algorithm, WindowIdx: i, Count: count, Window: w})
 	}
 	a.awaitAcks(defaultReportTimeout)
 }

@@ -182,7 +182,7 @@ func Serve(cfg Config) (*sim.Result, runtime.LiveStats, error) {
 	// the run's opening gun.
 	release := &Start{Workers: cfg.Workers, Addrs: l.table.snapshot()}
 	for _, w := range workerShards {
-		l.send(w, &Payload{Kind: "start", Start: release})
+		l.send(w, release)
 	}
 
 	co := &coordinator{cfg: cfg, l: l, r: r, shards: shards, workers: workerShards,
@@ -234,10 +234,19 @@ func awaitWorkers(cfg Config, sc *scenario.Scenario, l *link, shards int) ([]int
 	for len(workers) < shards-1 {
 		select {
 		case m := <-l.inbox:
-			if m.P.Kind != "hello" || m.P.Hello == nil {
+			h, ok := m.P.(*Hello)
+			if !ok {
 				continue
 			}
-			addr := m.P.Hello.Addr
+			addr := h.Addr
+			if h.Version != codecVersion {
+				// Refuse: a hello of our own version tells the joiner
+				// which version this run speaks. (Its error is an
+				// address that does not parse: nobody to tell.)
+				cfg.logf("cluster: refused joiner %s: control codec version %d, this run speaks %d", addr, h.Version, codecVersion)
+				_ = l.sendHello(addr, &Hello{Version: codecVersion, Addr: l.addr})
+				continue
+			}
 			if _, ok := assigned[addr]; ok {
 				continue // duplicate hello: the pending welcome retry covers it
 			}
@@ -245,14 +254,14 @@ func awaitWorkers(cfg Config, sc *scenario.Scenario, l *link, shards int) ([]int
 			assigned[addr] = shard
 			workers = append(workers, shard)
 			l.table.set(shard, addr)
-			l.send(shard, &Payload{Kind: "welcome", Welcome: &Welcome{
+			l.send(shard, &Welcome{
 				Shard:     shard,
 				Shards:    shards,
 				Scenario:  text.String(),
 				TimeScale: cfg.TimeScale,
 				Algo:      cfg.Algo,
 				Addrs:     l.table.snapshot(),
-			}})
+			})
 			cfg.logf("cluster: worker %s joined as shard %d/%d", addr, shard, shards)
 		case <-deadline:
 			return nil, fmt.Errorf("cluster: only %d of %d workers joined", len(workers), shards-1)
@@ -297,7 +306,7 @@ type coordinator struct {
 	// pendingStop holds the event queue while a remote stop-source round
 	// trip is in flight (its ack carries the closing segment id of
 	// stopSwitch, the resolved planned switch it completes).
-	pendingStop chan *Payload
+	pendingStop chan *S1End
 	stopSwitch  *runtime.Directive
 	stopDest    int
 }
@@ -341,7 +350,7 @@ func (c *coordinator) run() (*sim.Result, error) {
 	// receives it from the retry loop once its heal directive (queued
 	// ahead in sequence) lands.
 	for _, w := range c.workers {
-		c.l.send(w, &Payload{Kind: "directive", Dir: &runtime.Directive{Directive: sim.Directive{Kind: runtime.DirFinish}}})
+		c.l.send(w, &runtime.Directive{Directive: sim.Directive{Kind: runtime.DirFinish}})
 	}
 	local := r.FinishShard()
 	c.cfg.logf("cluster: shard 0 finished at tick %d, collecting reports", r.CurrentTick())
@@ -379,30 +388,26 @@ func (c *coordinator) handle(m inMsg) {
 	// (the cast tells a falsely-declared process to stop) and drop the
 	// message on the floor — but still ack, to quiet its retry loop.
 	if c.dead[m.From] {
-		c.l.cast(m.From, &Payload{Kind: "fence"})
+		c.l.cast(m.From, fence{})
 		if m.Ack != nil {
 			m.Ack(nil)
 		}
 		return
 	}
-	switch m.P.Kind {
-	case "status":
-		if st := m.P.Status; st != nil {
-			c.lastStatus[st.Shard] = st
-			c.r.MergeStatus(st.Nodes)
-			c.noteHealth(st.Shard, st.Health)
-			if tr := c.det.Observe(st.Shard); tr != nil {
-				c.cfg.logf("cluster: tick %d: shard %d recovered (suspicion cancelled)",
-					c.r.CurrentTick(), st.Shard)
-				c.traceFD("recovered", st.Shard)
-			}
+	switch p := m.P.(type) {
+	case *Status:
+		c.lastStatus[p.Shard] = p
+		c.r.MergeStatus(p.Nodes)
+		c.noteHealth(p.Shard, p.Health)
+		if tr := c.det.Observe(p.Shard); tr != nil {
+			c.cfg.logf("cluster: tick %d: shard %d recovered (suspicion cancelled)",
+				c.r.CurrentTick(), p.Shard)
+			c.traceFD("recovered", p.Shard)
 		}
-	case "report":
+	case *Report:
 		// A report can race the finish when a worker hits its fallback
 		// deadline; buffer it so collectReports still sees it.
-		if m.P.Report != nil {
-			c.earlyReports = append(c.earlyReports, m.P.Report)
-		}
+		c.earlyReports = append(c.earlyReports, p)
 	}
 	if m.Ack != nil {
 		m.Ack(nil)
@@ -420,10 +425,10 @@ func (c *coordinator) fireEvents() error {
 		case reply := <-c.pendingStop:
 			c.pendingStop = nil
 			d := c.stopSwitch
-			if reply == nil || reply.S1End == nil || !reply.S1End.OK {
+			if reply == nil || !reply.OK {
 				return fmt.Errorf("cluster: stop-source round trip for node %d failed", d.Old)
 			}
-			d.S1End = reply.S1End.Seg
+			d.S1End = reply.Seg
 			r.PopEvent()
 			c.broadcastApply(d)
 		default:
@@ -451,15 +456,13 @@ func (c *coordinator) fireEvents() error {
 			}
 			c.stopSwitch = d
 			c.stopDest = owner
-			ch := make(chan *Payload, 1)
+			ch := make(chan *S1End, 1)
 			c.pendingStop = ch
 			req := runtime.Directive{Directive: sim.Directive{Kind: runtime.DirStopSource, Tick: d.Tick, Old: d.Old, New: d.New}}
 			go func() {
-				reply, err := c.l.call(owner, &Payload{Kind: "directive", Dir: &req}, c.cfg.Tuning.CallTimeout)
-				if err != nil {
-					reply = nil
-				}
-				ch <- reply
+				reply, _ := c.l.call(owner, &req, c.cfg.Tuning.CallTimeout)
+				s1, _ := reply.(*S1End) // nil on a timeout or a bare ack
+				ch <- s1
 			}()
 			c.cfg.logf("cluster: tick %d: stop-source call to shard %d (node %d)", r.CurrentTick(), owner, d.Old)
 			return nil // hold until the reply
@@ -485,12 +488,12 @@ func (c *coordinator) broadcastApply(d *runtime.Directive) {
 	if d.Kind == sim.DirHeal {
 		c.r.Apply(d)
 		for _, w := range c.workers {
-			c.l.send(w, &Payload{Kind: "directive", Dir: &wire})
+			c.l.send(w, &wire)
 		}
 		return
 	}
 	for _, w := range c.workers {
-		c.l.send(w, &Payload{Kind: "directive", Dir: &wire})
+		c.l.send(w, &wire)
 	}
 	c.r.Apply(d)
 }
@@ -549,11 +552,12 @@ func (c *coordinator) collectReports() ([]*sim.Result, error) {
 	for !complete() {
 		select {
 		case m := <-c.l.inbox:
-			if m.P.Kind != "report" || m.P.Report == nil || c.dead[m.From] {
+			rep, ok := m.P.(*Report)
+			if !ok || c.dead[m.From] {
 				c.handle(m)
 				continue
 			}
-			absorb(m.P.Report)
+			absorb(rep)
 			if m.Ack != nil {
 				m.Ack(nil)
 			}

@@ -277,7 +277,7 @@ func (c *coordinator) failover(w int) error {
 	c.workers = live
 	delete(c.lastStatus, w)
 	c.l.forget(w)
-	c.l.cast(w, &Payload{Kind: "fence"})
+	c.l.cast(w, fence{})
 
 	survivors := append([]int{0}, c.workers...)
 	dirs, srcDied := r.ResolveFailover(w, survivors)

@@ -1,8 +1,9 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,14 +30,15 @@ const helloAnchor overlay.NodeID = 1 << 20
 
 // inMsg is one authenticated control message as the link delivers it:
 // decoded, deduplicated and — for sequenced messages — in order per
-// source. Ack must be called after the message is applied (nil for
-// unsequenced messages); its reply travels in the ack frame back to a
+// source. P is one message of the alphabet (wire.go). Ack must be
+// called after the message is applied (nil for unsequenced messages);
+// its reply (nil for a bare ack) travels in the ack frame back to a
 // waiting call.
 type inMsg struct {
 	From int // source shard
 	Seq  uint64
-	P    *Payload
-	Ack  func(reply *Payload)
+	P    any
+	Ack  func(reply any)
 }
 
 // link is one process's control endpoint: sealed runtime frames over the
@@ -56,22 +58,24 @@ type inMsg struct {
 // carry the partition; their acks start flowing once the heal directive
 // lands.
 type link struct {
-	shard int
-	token []byte
-	table shardTable
-	tr    *runtime.UDPTransport
-	addr  string // the transport's socket: this process's address
+	shard  int
+	sealer *sealer
+	table  shardTable
+	tr     *runtime.UDPTransport
+	addr   string // the transport's socket: this process's address
 
 	// tick is the driving loop's current period, for the retry trace.
 	tick atomic.Int64
 
+	// pending and replies keep sealed frames as the bytes sent, so a
+	// retry or a duplicate's re-ack sends them again without encoding.
 	mu      sync.Mutex
 	nextSeq map[int]uint64
-	pending map[pendKey]runtime.Frame
+	pending map[pendKey][]byte
 	waiters map[pendKey]chan []byte
 	inNext  map[int]uint64
 	held    map[int]map[uint64]runtime.Frame
-	replies map[pendKey]runtime.Frame // sealed acks, for dup re-ack
+	replies map[pendKey][]byte // sealed acks, for dup re-ack
 	closed  bool
 
 	// Keepalive: the coordinator probes suspected shards with FramePing;
@@ -115,15 +119,15 @@ func newLink(tr *runtime.UDPTransport, listen string, shard int, token string) (
 	}
 	l := &link{
 		shard:   shard,
-		token:   []byte(token),
+		sealer:  newSealer([]byte(token)),
 		tr:      tr,
 		addr:    addr,
 		nextSeq: make(map[int]uint64),
-		pending: make(map[pendKey]runtime.Frame),
+		pending: make(map[pendKey][]byte),
 		waiters: make(map[pendKey]chan []byte),
 		inNext:  make(map[int]uint64),
 		held:    make(map[int]map[uint64]runtime.Frame),
-		replies: make(map[pendKey]runtime.Frame),
+		replies: make(map[pendKey][]byte),
 		inbox:   make(chan inMsg, 256),
 		done:    make(chan struct{}),
 	}
@@ -250,8 +254,7 @@ func (l *link) probe(dest int) {
 			Seg: segment.ID(nonce),
 		},
 	}
-	seal(&f, l.token)
-	l.transmit(dest, f)
+	l.transmit(dest, l.sealer.seal(f, nil))
 }
 
 // lastSeq is the highest sequence number handed to the peer shard —
@@ -263,34 +266,34 @@ func (l *link) lastSeq(dest int) uint64 {
 	return l.nextSeq[dest]
 }
 
-// send ships a payload on the reliable channel to a peer shard: it is
+// send ships a message on the reliable channel to a peer shard: it is
 // retried until acknowledged and delivered in sequence order. Returns
 // the assigned sequence number.
-func (l *link) send(dest int, p *Payload) uint64 {
-	f, seq := l.sealSequenced(dest, p)
-	l.transmit(dest, f)
+func (l *link) send(dest int, m any) uint64 {
+	wire, seq := l.sealSequenced(dest, m)
+	l.transmit(dest, wire)
 	return seq
 }
 
 // call ships reliably and blocks until the acknowledgement arrives (the
 // retry loop keeps transmitting meanwhile), returning the ack's reply
-// payload (nil when the ack was bare). The error is only ever the
-// timeout — a severed control plane that outlasts the caller's
-// patience.
-func (l *link) call(dest int, p *Payload, timeout time.Duration) (*Payload, error) {
-	f, seq := l.sealSequenced(dest, p)
+// message (nil when the ack was bare). The error is the timeout — a
+// severed control plane that outlasts the caller's patience — or a
+// reply that does not decode.
+func (l *link) call(dest int, m any, timeout time.Duration) (any, error) {
+	wire, seq := l.sealSequenced(dest, m)
 	ch := make(chan []byte, 1)
 	key := pendKey{dest, seq}
 	l.mu.Lock()
 	l.waiters[key] = ch
 	l.mu.Unlock()
-	l.transmit(dest, f)
+	l.transmit(dest, wire)
 	select {
 	case reply := <-ch:
 		if len(reply) == 0 {
 			return nil, nil
 		}
-		return decodePayload(reply)
+		return decodeMsg(reply)
 	case <-time.After(timeout):
 		l.mu.Lock()
 		delete(l.waiters, key)
@@ -301,31 +304,28 @@ func (l *link) call(dest int, p *Payload, timeout time.Duration) (*Payload, erro
 	}
 }
 
-// cast ships an unsequenced fire-and-forget payload (per-tick status):
+// cast ships an unsequenced fire-and-forget message (per-tick status):
 // no retry, no ack, losable by design.
-func (l *link) cast(dest int, p *Payload) {
+func (l *link) cast(dest int, m any) {
 	f := runtime.Frame{
 		Kind: runtime.FrameEvent,
 		Msg:  netmodel.Message{From: l.anchor(), To: overlay.NodeID(dest)},
-		Ctrl: encodePayload(p),
 	}
-	seal(&f, l.token)
-	l.transmit(dest, f)
+	l.transmit(dest, l.sealer.seal(f, m))
 }
 
-// sendHello knocks on an explicit address (the starter, known from the
+// sendHello knocks on an explicit address: the starter, known from the
 // command line — the only address that is ever configured rather than
-// learned from the coordinator).
+// learned from the coordinator — or, answering a joiner of another codec
+// version, the joiner's hello address.
 func (l *link) sendHello(to string, h *Hello) error {
 	f := runtime.Frame{
 		Kind: runtime.FrameHello,
 		// No policy is installed before the welcome (pure pre-run
 		// bootstrap).
-		Msg:  netmodel.Message{From: helloAnchor, To: helloAnchor},
-		Ctrl: encodePayload(&Payload{Kind: "hello", Hello: h}),
+		Msg: netmodel.Message{From: helloAnchor, To: helloAnchor},
 	}
-	seal(&f, l.token)
-	return l.tr.SendControl(f, to)
+	return l.tr.SendControl(l.sealer.seal(f, h), to)
 }
 
 // anchor is this shard's policy-visible node id (the joiner's shard is
@@ -337,8 +337,8 @@ func (l *link) anchor() overlay.NodeID {
 }
 
 // sealSequenced assigns the next sequence number toward dest, seals the
-// frame and registers it for retry.
-func (l *link) sealSequenced(dest int, p *Payload) (runtime.Frame, uint64) {
+// frame and registers its bytes for retry.
+func (l *link) sealSequenced(dest int, m any) ([]byte, uint64) {
 	l.mu.Lock()
 	l.nextSeq[dest]++
 	seq := l.nextSeq[dest]
@@ -349,63 +349,76 @@ func (l *link) sealSequenced(dest int, p *Payload) (runtime.Frame, uint64) {
 			From: l.anchor(), To: overlay.NodeID(dest),
 			Sent: int(seq),
 		},
-		Ctrl: encodePayload(p),
 	}
-	seal(&f, l.token)
+	wire := l.sealer.seal(f, m)
 	l.mu.Lock()
-	l.pending[pendKey{dest, seq}] = f
+	l.pending[pendKey{dest, seq}] = wire
 	l.mu.Unlock()
-	return f, seq
+	return wire, seq
 }
 
-// transmit hands one sealed control frame to the transport toward a
-// shard's socket. The transport's shaper applies the run's policy; the
-// reliable layer's retries (not the wire) provide delivery.
-func (l *link) transmit(dest int, f runtime.Frame) {
+// transmit hands one sealed control frame's bytes to the transport
+// toward a shard's socket. The transport's shaper applies the run's
+// policy; the reliable layer's retries (not the wire) provide delivery.
+func (l *link) transmit(dest int, wire []byte) {
 	addr, ok := l.table.addr(dest)
 	if !ok {
 		return // shard not in the table yet: a later retry will find it
 	}
 	// An address that does not parse loses the frame like the network
 	// would.
-	_ = l.tr.SendControl(f, addr)
+	_ = l.tr.SendControl(wire, addr)
 }
 
-// retryLoop retransmits every unacknowledged sequenced frame, oldest
-// sequence first per destination, until acked or closed.
+// retryLoop retransmits every unacknowledged sequenced frame until
+// acked or closed.
 func (l *link) retryLoop() {
 	defer l.wg.Done()
 	t := time.NewTicker(retryEvery)
 	defer t.Stop()
+	var due []retry
 	for {
 		select {
 		case <-l.done:
 			return
 		case <-t.C:
 		}
-		l.mu.Lock()
-		keys := make([]pendKey, 0, len(l.pending))
-		for k := range l.pending {
-			keys = append(keys, k)
-		}
-		frames := make([]runtime.Frame, len(keys))
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].shard != keys[j].shard {
-				return keys[i].shard < keys[j].shard
-			}
-			return keys[i].seq < keys[j].seq
-		})
-		for i, k := range keys {
-			frames[i] = l.pending[k]
-		}
-		l.mu.Unlock()
-		for i, k := range keys {
-			l.transmit(k.shard, frames[i])
-			l.obsRetries.Inc()
-			l.trace.Emit(obs.TraceEvent{T: obs.EvRetry, Tick: int(l.tick.Load()),
-				Dest: k.shard, Seq: k.seq})
-		}
+		due = l.retryOnce(due[:0])
 	}
+}
+
+// retry is one unacknowledged frame: its key and the bytes first sent.
+type retry struct {
+	key  pendKey
+	wire []byte
+}
+
+// retryOnce re-sends every pending frame's stored bytes, oldest
+// sequence first per destination, collecting them in due (the caller's
+// scratch, returned for reuse). Nothing pending costs nothing.
+func (l *link) retryOnce(due []retry) []retry {
+	l.mu.Lock()
+	for k, wire := range l.pending {
+		due = append(due, retry{k, wire})
+	}
+	l.mu.Unlock()
+	if len(due) == 0 {
+		return due
+	}
+	slices.SortFunc(due, func(a, b retry) int {
+		if c := cmp.Compare(a.key.shard, b.key.shard); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.key.seq, b.key.seq)
+	})
+	for i, r := range due {
+		l.transmit(r.key.shard, r.wire)
+		l.obsRetries.Inc()
+		l.trace.Emit(obs.TraceEvent{T: obs.EvRetry, Tick: int(l.tick.Load()),
+			Dest: r.key.shard, Seq: r.key.seq})
+		due[i].wire = nil // the scratch must not pin acked frames
+	}
+	return due
 }
 
 // receive authenticates and dispatches one inbound control frame; the
@@ -413,8 +426,8 @@ func (l *link) retryLoop() {
 // frames are never policy-checked — the sender's shaper already ruled —
 // which is what lets a healed coordinator re-reach still-partitioned
 // workers.
-func (l *link) receive(f runtime.Frame) {
-	if !open(&f, l.token) {
+func (l *link) receive(f runtime.Frame, wire []byte) {
+	if !l.sealer.open(&f, wire) {
 		return // forged or corrupted: drop silently
 	}
 	switch f.Kind {
@@ -431,8 +444,7 @@ func (l *link) receive(f runtime.Frame) {
 				From: l.anchor(), To: f.Msg.From, Seg: f.Msg.Seg,
 			},
 		}
-		seal(&pong, l.token)
-		l.transmit(int(f.Msg.From), pong)
+		l.transmit(int(f.Msg.From), l.sealer.seal(pong, nil))
 	case runtime.FramePong:
 		l.mu.Lock()
 		fn := l.onPong
@@ -455,20 +467,20 @@ func (l *link) handleAck(f runtime.Frame) {
 	if !had || ch == nil {
 		return
 	}
-	ch <- append([]byte(nil), f.Ctrl...)
+	ch <- f.Ctrl // the transport's decode owns it
 }
 
 // handleMsg runs the sequenced-delivery state machine (and passes
 // hellos and unsequenced events straight through).
 func (l *link) handleMsg(f runtime.Frame) {
-	p, err := decodePayload(f.Ctrl)
+	m, err := decodeMsg(f.Ctrl)
 	if err != nil {
 		return
 	}
 	from := int(f.Msg.From)
 	seq := uint64(f.Msg.Sent)
 	if f.Kind == runtime.FrameHello || seq == 0 {
-		l.deliver(inMsg{From: from, P: p})
+		l.deliver(inMsg{From: from, P: m})
 		return
 	}
 	l.mu.Lock()
@@ -514,15 +526,15 @@ func (l *link) handleMsg(f runtime.Frame) {
 	}
 	l.mu.Unlock()
 	for i, rf := range ready {
-		rp := p
+		rm := m
 		if i > 0 {
 			var err error
-			if rp, err = decodePayload(rf.Ctrl); err != nil {
+			if rm, err = decodeMsg(rf.Ctrl); err != nil {
 				continue
 			}
 		}
 		seq := uint64(rf.Msg.Sent)
-		if !l.deliver(l.sequencedMsg(from, seq, rp)) {
+		if !l.deliver(l.sequencedMsg(from, seq, rm)) {
 			// Inbox full: rewind so the sender's retry re-enters the
 			// sequence window here, and discard the rest of the batch
 			// (unacked, so it is retried too).
@@ -535,12 +547,12 @@ func (l *link) handleMsg(f runtime.Frame) {
 }
 
 // sequencedMsg builds the delivery with its apply-then-ack closure.
-func (l *link) sequencedMsg(from int, seq uint64, p *Payload) inMsg {
+func (l *link) sequencedMsg(from int, seq uint64, m any) inMsg {
 	return inMsg{
 		From: from,
 		Seq:  seq,
-		P:    p,
-		Ack: func(reply *Payload) {
+		P:    m,
+		Ack: func(reply any) {
 			af := runtime.Frame{
 				Kind: runtime.FrameAck,
 				Msg: netmodel.Message{
@@ -548,18 +560,15 @@ func (l *link) sequencedMsg(from int, seq uint64, p *Payload) inMsg {
 					Seg: segment.ID(seq),
 				},
 			}
-			if reply != nil {
-				af.Ctrl = encodePayload(reply)
-			}
-			seal(&af, l.token)
+			wire := l.sealer.seal(af, reply)
 			l.mu.Lock()
-			l.replies[pendKey{from, seq}] = af
+			l.replies[pendKey{from, seq}] = wire
 			l.mu.Unlock()
 			// The retained reply survives a chaos ack-drop window: once
 			// the fault lifts, the sender's retry triggers the dup
 			// re-ack path above.
 			if !l.dropFrame(runtime.FrameAck) {
-				l.transmit(from, af)
+				l.transmit(from, wire)
 			}
 		},
 	}

@@ -79,8 +79,8 @@ func linkPair(t *testing.T, token string) (*link, *link, *testPolicy, *testPolic
 func ackAll(l *link, into chan<- int) {
 	go func() {
 		for m := range l.inbox {
-			if m.P.Kind == "directive" && m.P.Dir != nil {
-				into <- m.P.Dir.Tick
+			if d, ok := m.P.(*runtime.Directive); ok {
+				into <- d.Tick
 			}
 			if m.Ack != nil {
 				m.Ack(nil)
@@ -102,7 +102,7 @@ func TestLinkLossyDeliveryInOrder(t *testing.T) {
 
 	const n = 20
 	for i := 1; i <= n; i++ {
-		a.send(1, &Payload{Kind: "directive", Dir: &runtime.Directive{Directive: sim.Directive{Kind: sim.DirMeasure, Tick: i}}})
+		a.send(1, &runtime.Directive{Directive: sim.Directive{Kind: sim.DirMeasure, Tick: i}})
 	}
 	for want := 1; want <= n; want++ {
 		select {
@@ -132,7 +132,7 @@ func TestLinkShapedDelayKeepsTheSeal(t *testing.T) {
 	b.tr.SetPolicy(netmodel.Flat{Delay: 30})
 	got := make(chan int, 1)
 	ackAll(b, got)
-	a.send(1, &Payload{Kind: "directive", Dir: &runtime.Directive{Directive: sim.Directive{Kind: sim.DirMeasure, Tick: 9}}})
+	a.send(1, &runtime.Directive{Directive: sim.Directive{Kind: sim.DirMeasure, Tick: 9}})
 	select {
 	case tick := <-got:
 		if tick != 9 {
@@ -163,7 +163,7 @@ func TestPartitionSeversControlPlane(t *testing.T) {
 
 	pa.set(true, 0)
 	pb.set(true, 0)
-	a.send(1, &Payload{Kind: "directive", Dir: &runtime.Directive{Directive: sim.Directive{Kind: sim.DirHeal, Tick: 7}}})
+	a.send(1, &runtime.Directive{Directive: sim.Directive{Kind: sim.DirHeal, Tick: 7}})
 
 	select {
 	case <-got:
@@ -209,14 +209,14 @@ func TestLinkRejectsForgedFrames(t *testing.T) {
 	got := make(chan int, 8)
 	ackAll(b, got)
 
-	forged.send(1, &Payload{Kind: "directive", Dir: &runtime.Directive{Directive: sim.Directive{Kind: sim.DirMeasure, Tick: 1}}})
+	forged.send(1, &runtime.Directive{Directive: sim.Directive{Kind: sim.DirMeasure, Tick: 1}})
 	select {
 	case <-got:
 		t.Fatal("forged frame delivered")
 	case <-time.After(300 * time.Millisecond):
 	}
 
-	a.send(1, &Payload{Kind: "directive", Dir: &runtime.Directive{Directive: sim.Directive{Kind: sim.DirMeasure, Tick: 2}}})
+	a.send(1, &runtime.Directive{Directive: sim.Directive{Kind: sim.DirMeasure, Tick: 2}})
 	select {
 	case tick := <-got:
 		if tick != 2 {
@@ -245,7 +245,7 @@ func TestOneSocketPerProcess(t *testing.T) {
 	for i := 1; i < shards; i++ {
 		j := testLink(t, -1, "k", int64(1+i))
 		go func() {
-			w, ack, err := awaitWelcome(JoinConfig{Starter: coord.addr, Token: "k"}, j)
+			w, ack, err := awaitWelcome(JoinConfig{Starter: coord.addr, Token: "k"}, j, codecVersion)
 			if err == nil {
 				j.setShard(w.Shard)
 				j.table.store(w.Addrs)
@@ -290,24 +290,26 @@ func TestOneSocketPerProcess(t *testing.T) {
 // TestSealOpenRoundTrip fuzzes the sealed-frame boundary: any single
 // byte flip in a sealed control frame must fail authentication.
 func TestSealOpenRoundTrip(t *testing.T) {
-	token := []byte("k")
-	f := runtime.Frame{
+	s := newSealer([]byte("k"))
+	data := s.seal(runtime.Frame{
 		Kind: runtime.FrameEvent,
 		Msg:  netmodel.Message{From: 0, To: 1, Sent: 5},
-		Ctrl: encodePayload(&Payload{Kind: "start", Start: &Start{Workers: 2}}),
-	}
-	seal(&f, token)
-	data := runtime.EncodeFrame(f)
+	}, &Start{Workers: 2})
 
 	ok, err := runtime.DecodeFrame(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !open(&ok, token) {
+	if !s.open(&ok, data) {
 		t.Fatal("authentic frame rejected")
 	}
-	if _, err := decodePayload(ok.Ctrl); err != nil {
+	if m, err := decodeMsg(ok.Ctrl); err != nil {
 		t.Fatal(err)
+	} else if st, _ := m.(*Start); st == nil || st.Workers != 2 {
+		t.Fatalf("opened %#v, want the start message", m)
+	}
+	if other, _ := runtime.DecodeFrame(data); newSealer([]byte("j")).open(&other, data) {
+		t.Fatal("frame opened under another token")
 	}
 
 	// The codec is strict (decode(x) re-encodes to x), so a frame that
@@ -321,7 +323,7 @@ func TestSealOpenRoundTrip(t *testing.T) {
 		if err != nil {
 			continue // the codec already rejected it
 		}
-		if g.Kind.Control() && open(&g, token) {
+		if g.Kind.Control() && s.open(&g, mut) {
 			t.Fatalf("flip %d survived authentication", i)
 		}
 	}

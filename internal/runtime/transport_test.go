@@ -390,7 +390,11 @@ func TestUDPControlDemux(t *testing.T) {
 		t.Skipf("udp bind unavailable: %v", err)
 	}
 	ctrl := make(chan Frame, 4)
-	tr.SetControl(func(f Frame) { ctrl <- f })
+	wires := make(chan []byte, 4)
+	tr.SetControl(func(f Frame, wire []byte) {
+		ctrl <- f
+		wires <- append([]byte(nil), wire...)
+	})
 	addr, err := tr.Bind("")
 	if err != nil {
 		t.Fatal(err)
@@ -407,13 +411,19 @@ func TestUDPControlDemux(t *testing.T) {
 	}
 
 	ev := Frame{Kind: FrameEvent, Msg: netmodel.Message{From: 1, To: 0, Sent: 3}, Ctrl: []byte("directive")}
-	if err := tr.SendControl(ev, addr); err != nil {
+	if err := tr.SendControl(EncodeFrame(ev), addr); err != nil {
 		t.Fatal(err)
+	}
+	if err := tr.SendControl(EncodeFrame(Frame{Kind: FrameMap}), addr); err == nil {
+		t.Fatal("SendControl accepted a map frame")
 	}
 	select {
 	case f := <-ctrl:
 		if f.Kind != FrameEvent || f.Msg.To != 0 || f.Msg.Sent != 3 || string(f.Ctrl) != "directive" {
 			t.Fatalf("control handler got %+v", f)
+		}
+		if w := <-wires; !bytes.Equal(w, EncodeFrame(ev)) {
+			t.Fatalf("control handler got wire bytes %x, want the frame's encoding", w)
 		}
 	case f := <-node0.Recv():
 		t.Fatalf("control frame reached node 0's inbox: %+v", f)

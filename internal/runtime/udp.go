@@ -53,7 +53,7 @@ type UDPTransport struct {
 	inboxes map[overlay.NodeID]chan Frame
 	remote  map[string]*net.UDPAddr // resolved AddrBook endpoints, by string form
 	book    AddrBook
-	ctrl    func(Frame) // control-frame handler (SetControl); nil drops them
+	ctrl    func(Frame, []byte) // control-frame handler (SetControl); nil drops them
 	shape   *shaper
 	closed  bool
 
@@ -129,9 +129,11 @@ func (t *UDPTransport) Bind(listen string) (string, error) {
 
 // SetControl installs the control-plane handler. The reader hands it
 // every control frame, one at a time and outside the transport's lock
-// (the handler may answer through this transport); authenticating them
-// is the handler's business. nil drops control frames.
-func (t *UDPTransport) SetControl(fn func(Frame)) {
+// (the handler may answer through this transport), with the frame's
+// bytes as they arrived — valid only during the call, since the reader
+// reuses its buffer; authenticating them is the handler's business. nil
+// drops control frames.
+func (t *UDPTransport) SetControl(fn func(f Frame, wire []byte)) {
 	t.mu.Lock()
 	t.ctrl = fn
 	t.mu.Unlock()
@@ -192,10 +194,16 @@ func (t *UDPTransport) read(conn *net.UDPConn) {
 			}
 		}
 		t.mu.RUnlock()
+		if handle == nil {
+			continue
+		}
+		off := 0
 		for _, f := range frames {
-			if f.Kind.Control() && handle != nil {
-				handle(f)
+			n := wireLen(&f)
+			if f.Kind.Control() {
+				handle(f, buf[off:off+n])
 			}
+			off += n
 		}
 	}
 }
@@ -266,13 +274,23 @@ func (t *UDPTransport) emit(conn *net.UDPConn, addr *net.UDPAddr, b []byte, n in
 	t.frames.Add(int64(n))
 }
 
-// SendControl routes one control frame through the shaper to the socket
-// at addr, as a datagram of its own: the policy judges f.Msg.From and
-// f.Msg.To (the cluster's shard anchors) exactly as it judges peer
-// frames, delaying it and drawing its loss at landing. Only an address
-// that does not parse is an error; a shaped drop is silent, like a
-// datagram's.
-func (t *UDPTransport) SendControl(f Frame, addr string) error {
+// SendControl routes one encoded control frame — a single-frame
+// datagram, as the cluster's seal produced it — through the shaper to
+// the socket at addr and writes exactly those bytes, as a datagram of
+// their own: the policy judges the header's From and To (the cluster's
+// shard anchors) exactly as it judges peer frames, delaying the frame
+// and drawing its loss at landing. b must not change afterwards (a
+// delayed frame is written from its timer). An address that does not
+// parse, or bytes that do not start with a control frame's header, are
+// an error; a shaped drop is silent, like a datagram's.
+func (t *UDPTransport) SendControl(b []byte, addr string) error {
+	var hdr Frame
+	if err := decodeHeader(b, &hdr); err != nil {
+		return err
+	}
+	if !hdr.Kind.Control() {
+		return fmt.Errorf("runtime: SendControl given a %s frame", hdr.Kind)
+	}
 	to, err := t.udpAddr(addr)
 	if err != nil {
 		return err
@@ -283,8 +301,8 @@ func (t *UDPTransport) SendControl(f Frame, addr string) error {
 	if conn == nil {
 		return fmt.Errorf("runtime: udp transport not bound")
 	}
-	write := func(f Frame) { t.emit(conn, to, EncodeFrame(f), 1) }
-	t.shape.route(f, write, write)
+	write := func(Frame) { t.emit(conn, to, b, 1) }
+	t.shape.route(hdr, write, write)
 	return nil
 }
 

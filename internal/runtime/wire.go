@@ -72,10 +72,15 @@ const wireReReqBit = 0x80
 // loopback datagram.
 const maxWireSessions = 1024
 
-// maxWireCtrl bounds a sealed control payload (a resolved directive, a
+// MaxWireCtrl bounds a sealed control payload (a resolved directive, a
 // status batch or a report chunk plus its authentication tag) to one
 // comfortable loopback datagram.
-const maxWireCtrl = 60000
+const MaxWireCtrl = 60000
+
+// CtrlOffset is where a control frame's payload starts in its encoding:
+// after the fixed header and the uint16 payload length (the cluster's
+// seal writes and authenticates the frame's bytes in place).
+const CtrlOffset = wireHeaderLen + 2
 
 // datagramBudget is the size past which a pending datagram stops taking
 // frames: under one Ethernet MTU's UDP payload, so a coalesced datagram
@@ -86,14 +91,20 @@ const datagramBudget = 1400
 // EncodeFrame serializes a frame into the binary wire format: a
 // single-frame datagram, in a buffer sized to it.
 func EncodeFrame(f Frame) []byte {
+	return appendFrame(make([]byte, 0, wireLen(&f)), &f)
+}
+
+// wireLen is the length of f's wire encoding (its slices clamped to the
+// wire bounds, as the encoder clamps them).
+func wireLen(f *Frame) int {
 	n := wireHeaderLen
 	switch {
 	case f.Kind == FrameMap:
 		n += 8 + 8 + 2 + min(len(f.Sessions), maxWireSessions)*20 + 2 + len(f.MapImg)
 	case f.Kind.Control():
-		n += 2 + min(len(f.Ctrl), maxWireCtrl)
+		n += 2 + min(len(f.Ctrl), MaxWireCtrl)
 	}
-	return appendFrame(make([]byte, 0, n), &f)
+	return n
 }
 
 // AppendFrame appends the frame's wire encoding to b and returns the
@@ -137,8 +148,8 @@ func appendFrame(b []byte, f *Frame) []byte {
 }
 
 func appendCtrl(b, ctrl []byte) []byte {
-	if len(ctrl) > maxWireCtrl {
-		ctrl = ctrl[:maxWireCtrl]
+	if len(ctrl) > MaxWireCtrl {
+		ctrl = ctrl[:MaxWireCtrl]
 	}
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(ctrl)))
 	return append(b, ctrl...)
@@ -182,19 +193,9 @@ func decodeDatagram(b []byte, dst []Frame) ([]Frame, error) {
 // follow it.
 func decodeOne(b []byte) (Frame, []byte, error) {
 	var f Frame
-	if len(b) < wireHeaderLen {
-		return f, nil, fmt.Errorf("runtime: frame of %d bytes, want >= %d", len(b), wireHeaderLen)
+	if err := decodeHeader(b, &f); err != nil {
+		return f, nil, err
 	}
-	f.Kind = FrameKind(b[0] &^ wireReReqBit)
-	f.ReReq = b[0]&wireReReqBit != 0
-	if f.ReReq && f.Kind != FrameRequest {
-		return f, nil, fmt.Errorf("runtime: re-request flag on a %s frame", f.Kind)
-	}
-	f.Msg.From = overlay.NodeID(binary.LittleEndian.Uint32(b[1:]))
-	f.Msg.To = overlay.NodeID(binary.LittleEndian.Uint32(b[5:]))
-	f.Msg.Seg = segment.ID(int64(binary.LittleEndian.Uint64(b[9:])))
-	f.Msg.Sent = int(int32(binary.LittleEndian.Uint32(b[17:])))
-	f.Msg.ArrivalMS = math.Float64frombits(binary.LittleEndian.Uint64(b[21:]))
 	rest := b[wireHeaderLen:]
 	var err error
 	switch f.Kind {
@@ -210,6 +211,24 @@ func decodeOne(b []byte) (Frame, []byte, error) {
 		return f, nil, err
 	}
 	return f, rest, nil
+}
+
+// decodeHeader parses the fixed header at the head of b into f.
+func decodeHeader(b []byte, f *Frame) error {
+	if len(b) < wireHeaderLen {
+		return fmt.Errorf("runtime: frame of %d bytes, want >= %d", len(b), wireHeaderLen)
+	}
+	f.Kind = FrameKind(b[0] &^ wireReReqBit)
+	f.ReReq = b[0]&wireReReqBit != 0
+	if f.ReReq && f.Kind != FrameRequest {
+		return fmt.Errorf("runtime: re-request flag on a %s frame", f.Kind)
+	}
+	f.Msg.From = overlay.NodeID(binary.LittleEndian.Uint32(b[1:]))
+	f.Msg.To = overlay.NodeID(binary.LittleEndian.Uint32(b[5:]))
+	f.Msg.Seg = segment.ID(int64(binary.LittleEndian.Uint64(b[9:])))
+	f.Msg.Sent = int(int32(binary.LittleEndian.Uint32(b[17:])))
+	f.Msg.ArrivalMS = math.Float64frombits(binary.LittleEndian.Uint64(b[21:]))
+	return nil
 }
 
 func decodeMapPayload(f Frame, rest []byte) (Frame, []byte, error) {
