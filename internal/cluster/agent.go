@@ -61,7 +61,7 @@ func Join(cfg JoinConfig) (*sim.Result, error) {
 	// peers and its control traffic all arrive on it.
 	tr := runtime.NewUDPTransport(cfg.Seed ^ 0x11fe)
 	defer tr.Close()
-	l, err := newLink(tr, "", -1, cfg.Token)
+	l, err := newLink(tr, "", -1, cfg.Token, cfg.logf)
 	if err != nil {
 		return nil, err
 	}

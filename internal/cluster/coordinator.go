@@ -139,6 +139,9 @@ func Serve(cfg Config) (*sim.Result, runtime.LiveStats, error) {
 	cfg.Tuning = cfg.Tuning.withDefaults()
 	sc := cfg.Scenario
 	shards := cfg.Workers + 1
+	if err := checkShardSize(sc.Nodes, shards); err != nil {
+		return nil, stats, err
+	}
 
 	// One socket for the whole process: the control link and shard 0's
 	// peers share the transport bound at cfg.Listen. The runner does not
@@ -146,7 +149,7 @@ func Serve(cfg Config) (*sim.Result, runtime.LiveStats, error) {
 	// FinishShard still has it.
 	tr := runtime.NewUDPTransport(sc.Seed ^ 0x11fe)
 	defer tr.Close()
-	l, err := newLink(tr, cfg.Listen, 0, cfg.Token)
+	l, err := newLink(tr, cfg.Listen, 0, cfg.Token, cfg.logf)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -182,7 +185,9 @@ func Serve(cfg Config) (*sim.Result, runtime.LiveStats, error) {
 	// the run's opening gun.
 	release := &Start{Workers: cfg.Workers, Addrs: l.table.snapshot()}
 	for _, w := range workerShards {
-		l.send(w, release)
+		if err := l.send(w, release); err != nil {
+			return nil, stats, err
+		}
 	}
 
 	co := &coordinator{cfg: cfg, l: l, r: r, shards: shards, workers: workerShards,
@@ -217,6 +222,26 @@ func Serve(cfg Config) (*sim.Result, runtime.LiveStats, error) {
 	stats = r.Stats()
 	stats.WallDuration = time.Since(start)
 	return res, stats, err
+}
+
+// checkShardSize refuses a run whose shards start too large for one
+// control frame to carry a shard's per-tick status or a window report
+// in which every node of the shard completed: such messages could not
+// travel, and the run would stall or lose windows.
+func checkShardSize(nodes, shards int) error {
+	n := (nodes + shards - 1) / shards
+	times := make([]float64, n)
+	s := newSealer(nil)
+	for _, m := range []any{
+		&Status{Nodes: make([]runtime.NodeStatus, n), Health: &runtime.HealthSample{}},
+		&Report{Algo: "normal", Window: &sim.SwitchMetrics{Kind: "measure",
+			FinishS1Times: times, PrepareS2Times: times, StartS2Times: times}},
+	} {
+		if _, err := s.seal(runtime.Frame{Kind: runtime.FrameEvent}, m); err != nil {
+			return fmt.Errorf("cluster: %d shards of up to %d nodes: a shard's control messages do not fit one frame (%w); run more workers", shards, n, err)
+		}
+	}
+	return nil
 }
 
 // awaitWorkers accepts hellos until every expected worker is welcomed,
@@ -254,14 +279,16 @@ func awaitWorkers(cfg Config, sc *scenario.Scenario, l *link, shards int) ([]int
 			assigned[addr] = shard
 			workers = append(workers, shard)
 			l.table.set(shard, addr)
-			l.send(shard, &Welcome{
+			if err := l.send(shard, &Welcome{
 				Shard:     shard,
 				Shards:    shards,
 				Scenario:  text.String(),
 				TimeScale: cfg.TimeScale,
 				Algo:      cfg.Algo,
 				Addrs:     l.table.snapshot(),
-			})
+			}); err != nil {
+				return nil, fmt.Errorf("cluster: welcoming %s: %w", addr, err)
+			}
 			cfg.logf("cluster: worker %s joined as shard %d/%d", addr, shard, shards)
 		case <-deadline:
 			return nil, fmt.Errorf("cluster: only %d of %d workers joined", len(workers), shards-1)

@@ -18,7 +18,16 @@ var fuzzToken = []byte("fuzz-wire-token")
 func sealedSeed(kind runtime.FrameKind, seq int, m any) []byte {
 	fr := runtime.Frame{Kind: kind}
 	fr.Msg.Sent = seq
-	return newSealer(fuzzToken).seal(fr, m)
+	return mustSeal(newSealer(fuzzToken), fr, m)
+}
+
+// mustSeal seals a message that fits one control frame.
+func mustSeal(s *sealer, f runtime.Frame, m any) []byte {
+	wire, err := s.seal(f, m)
+	if err != nil {
+		panic(err)
+	}
+	return wire
 }
 
 // reassignSeed is a reassignment directive with two respawn specs: the
@@ -67,10 +76,10 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(sealedSeed(runtime.FrameEvent, 11, fence{}))
 	ping := runtime.Frame{Kind: runtime.FramePing}
 	ping.Msg.To, ping.Msg.Seg = 2, 7
-	f.Add(newSealer(fuzzToken).seal(ping, nil))
+	f.Add(mustSeal(newSealer(fuzzToken), ping, nil))
 	pong := runtime.Frame{Kind: runtime.FramePong}
 	pong.Msg.From, pong.Msg.Seg = 2, 7
-	f.Add(newSealer(fuzzToken).seal(pong, nil))
+	f.Add(mustSeal(newSealer(fuzzToken), pong, nil))
 
 	s := newSealer(fuzzToken)
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -85,10 +94,13 @@ func FuzzWireDecode(f *testing.F) {
 		if _, err := runtime.DecodeFrame(enc); err != nil {
 			t.Fatalf("re-encoded frame rejected: %v\n%x", err, enc)
 		}
-		if fr.Kind.Control() && s.open(&fr, b) {
+		if opened, ok := runtime.OpenControl(b, s); ok {
 			// Authenticated control payloads reach the payload decoder;
 			// a malformed one (version skew) must error, never panic.
-			_, _ = decodeMsg(fr.Ctrl)
+			if opened.Msg != fr.Msg || opened.Kind != fr.Kind {
+				t.Fatalf("opened header %+v, decoded %+v", opened.Msg, fr.Msg)
+			}
+			_, _ = decodeMsg(opened.Ctrl)
 		}
 	})
 }

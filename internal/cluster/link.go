@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"slices"
@@ -69,12 +70,16 @@ type link struct {
 
 	// pending and replies keep sealed frames as the bytes sent, so a
 	// retry or a duplicate's re-ack sends them again without encoding.
+	// held keeps out-of-order messages decoded. sendMu serializes
+	// sequenced sends, so a sequence number is taken only by a message
+	// that sealed.
+	sendMu  sync.Mutex
 	mu      sync.Mutex
 	nextSeq map[int]uint64
 	pending map[pendKey][]byte
 	waiters map[pendKey]chan []byte
 	inNext  map[int]uint64
-	held    map[int]map[uint64]runtime.Frame
+	held    map[int]map[uint64]any
 	replies map[pendKey][]byte // sealed acks, for dup re-ack
 	closed  bool
 
@@ -94,6 +99,12 @@ type link struct {
 	done  chan struct{}
 	wg    sync.WaitGroup
 
+	// logf reports a message dropped because it cannot be sealed (its
+	// payload is past the control frame's bound) — the first of them;
+	// sealDrops counts them all.
+	logf      func(format string, args ...any)
+	sealDrops atomic.Int64
+
 	// Control-plane telemetry (nil when observability is disabled; both
 	// sinks are nil-safe). Retransmissions are the control plane's
 	// leading distress signal, so they get a counter and a trace line.
@@ -111,8 +122,9 @@ type pendKey struct {
 // handler. When the shard is already known (the coordinator), its own
 // address opens the shard table. A joiner binds with shard -1, calls
 // setShard once the welcome assigns one and installs the tables the
-// welcome and the start carry.
-func newLink(tr *runtime.UDPTransport, listen string, shard int, token string) (*link, error) {
+// welcome and the start carry. logf (nil: silent) reports the first
+// message that cannot be sealed.
+func newLink(tr *runtime.UDPTransport, listen string, shard int, token string, logf func(string, ...any)) (*link, error) {
 	addr, err := tr.Bind(listen)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: control bind on %q: %w", listen, err)
@@ -126,10 +138,11 @@ func newLink(tr *runtime.UDPTransport, listen string, shard int, token string) (
 		pending: make(map[pendKey][]byte),
 		waiters: make(map[pendKey]chan []byte),
 		inNext:  make(map[int]uint64),
-		held:    make(map[int]map[uint64]runtime.Frame),
+		held:    make(map[int]map[uint64]any),
 		replies: make(map[pendKey][]byte),
 		inbox:   make(chan inMsg, 256),
 		done:    make(chan struct{}),
+		logf:    logf,
 	}
 	if shard >= 0 {
 		l.table.set(shard, addr)
@@ -254,7 +267,7 @@ func (l *link) probe(dest int) {
 			Seg: segment.ID(nonce),
 		},
 	}
-	l.transmit(dest, l.sealer.seal(f, nil))
+	l.castFrame(dest, f, nil)
 }
 
 // lastSeq is the highest sequence number handed to the peer shard —
@@ -267,21 +280,28 @@ func (l *link) lastSeq(dest int) uint64 {
 }
 
 // send ships a message on the reliable channel to a peer shard: it is
-// retried until acknowledged and delivered in sequence order. Returns
-// the assigned sequence number.
-func (l *link) send(dest int, m any) uint64 {
-	wire, seq := l.sealSequenced(dest, m)
+// retried until acknowledged and delivered in sequence order. The error
+// is a message that cannot be sealed: it is reported and dropped without
+// taking a sequence number.
+func (l *link) send(dest int, m any) error {
+	wire, _, err := l.sealSequenced(dest, m)
+	if err != nil {
+		return err
+	}
 	l.transmit(dest, wire)
-	return seq
+	return nil
 }
 
 // call ships reliably and blocks until the acknowledgement arrives (the
 // retry loop keeps transmitting meanwhile), returning the ack's reply
-// message (nil when the ack was bare). The error is the timeout — a
-// severed control plane that outlasts the caller's patience — or a
-// reply that does not decode.
+// message (nil when the ack was bare). The error is a message that
+// cannot be sealed, the timeout — a severed control plane that outlasts
+// the caller's patience — or a reply that does not decode.
 func (l *link) call(dest int, m any, timeout time.Duration) (any, error) {
-	wire, seq := l.sealSequenced(dest, m)
+	wire, seq, err := l.sealSequenced(dest, m)
+	if err != nil {
+		return nil, err
+	}
 	ch := make(chan []byte, 1)
 	key := pendKey{dest, seq}
 	l.mu.Lock()
@@ -311,7 +331,28 @@ func (l *link) cast(dest int, m any) {
 		Kind: runtime.FrameEvent,
 		Msg:  netmodel.Message{From: l.anchor(), To: overlay.NodeID(dest)},
 	}
-	l.transmit(dest, l.sealer.seal(f, m))
+	l.castFrame(dest, f, m)
+}
+
+// castFrame seals and transmits one unsequenced frame. A message that
+// cannot be sealed is dropped, as the network would drop it, and
+// reported.
+func (l *link) castFrame(dest int, f runtime.Frame, m any) {
+	wire, err := l.sealer.seal(f, m)
+	if err != nil {
+		l.dropped(dest, err)
+		return
+	}
+	l.transmit(dest, wire)
+}
+
+// dropped accounts one message that could not be sealed, logging the
+// first: a shard too large for its status frame would repeat it every
+// tick.
+func (l *link) dropped(dest int, err error) {
+	if l.sealDrops.Add(1) == 1 && l.logf != nil {
+		l.logf("cluster: dropped a control message to shard %d (further drops not logged): %v", dest, err)
+	}
 }
 
 // sendHello knocks on an explicit address: the starter, known from the
@@ -325,7 +366,11 @@ func (l *link) sendHello(to string, h *Hello) error {
 		// bootstrap).
 		Msg: netmodel.Message{From: helloAnchor, To: helloAnchor},
 	}
-	return l.tr.SendControl(l.sealer.seal(f, h), to)
+	wire, err := l.sealer.seal(f, h)
+	if err != nil {
+		return err
+	}
+	return l.tr.SendControl(wire, to)
 }
 
 // anchor is this shard's policy-visible node id (the joiner's shard is
@@ -336,12 +381,14 @@ func (l *link) anchor() overlay.NodeID {
 	return overlay.NodeID(l.shard)
 }
 
-// sealSequenced assigns the next sequence number toward dest, seals the
-// frame and registers its bytes for retry.
-func (l *link) sealSequenced(dest int, m any) ([]byte, uint64) {
+// sealSequenced seals the frame under the next sequence number toward
+// dest and, once it sealed, takes that number and registers the bytes
+// for retry.
+func (l *link) sealSequenced(dest int, m any) ([]byte, uint64, error) {
+	l.sendMu.Lock()
+	defer l.sendMu.Unlock()
 	l.mu.Lock()
-	l.nextSeq[dest]++
-	seq := l.nextSeq[dest]
+	seq := l.nextSeq[dest] + 1
 	l.mu.Unlock()
 	f := runtime.Frame{
 		Kind: runtime.FrameEvent,
@@ -350,11 +397,16 @@ func (l *link) sealSequenced(dest int, m any) ([]byte, uint64) {
 			Sent: int(seq),
 		},
 	}
-	wire := l.sealer.seal(f, m)
+	wire, err := l.sealer.seal(f, m)
+	if err != nil {
+		l.dropped(dest, err)
+		return nil, 0, err
+	}
 	l.mu.Lock()
+	l.nextSeq[dest] = seq
 	l.pending[pendKey{dest, seq}] = wire
 	l.mu.Unlock()
-	return wire, seq
+	return wire, seq, nil
 }
 
 // transmit hands one sealed control frame's bytes to the transport
@@ -421,13 +473,14 @@ func (l *link) retryOnce(due []retry) []retry {
 	return due
 }
 
-// receive authenticates and dispatches one inbound control frame; the
-// transport's reader calls it, outside the transport's lock. Inbound
-// frames are never policy-checked — the sender's shaper already ruled —
-// which is what lets a healed coordinator re-reach still-partitioned
-// workers.
-func (l *link) receive(f runtime.Frame, wire []byte) {
-	if !l.sealer.open(&f, wire) {
+// receive authenticates and dispatches one inbound control frame, its
+// bytes as they arrived; the transport's reader calls it, outside the
+// transport's lock, and reuses the bytes afterwards. Inbound frames are
+// never policy-checked — the sender's shaper already ruled — which is
+// what lets a healed coordinator re-reach still-partitioned workers.
+func (l *link) receive(wire []byte) {
+	f, ok := runtime.OpenControl(wire, l.sealer)
+	if !ok {
 		return // forged or corrupted: drop silently
 	}
 	switch f.Kind {
@@ -444,7 +497,7 @@ func (l *link) receive(f runtime.Frame, wire []byte) {
 				From: l.anchor(), To: f.Msg.From, Seg: f.Msg.Seg,
 			},
 		}
-		l.transmit(int(f.Msg.From), l.sealer.seal(pong, nil))
+		l.castFrame(int(f.Msg.From), pong, nil)
 	case runtime.FramePong:
 		l.mu.Lock()
 		fn := l.onPong
@@ -467,7 +520,7 @@ func (l *link) handleAck(f runtime.Frame) {
 	if !had || ch == nil {
 		return
 	}
-	ch <- f.Ctrl // the transport's decode owns it
+	ch <- bytes.Clone(f.Ctrl) // f.Ctrl is the reader's buffer
 }
 
 // handleMsg runs the sequenced-delivery state machine (and passes
@@ -503,37 +556,30 @@ func (l *link) handleMsg(f runtime.Frame) {
 	case seq > next:
 		h := l.held[from]
 		if h == nil {
-			h = make(map[uint64]runtime.Frame)
+			h = make(map[uint64]any)
 			l.held[from] = h
 		}
 		if len(h) < reorderMax {
-			h[seq] = f
+			h[seq] = m
 		}
 		l.mu.Unlock()
 		return
 	}
 	// In sequence: deliver, then drain any held successors.
 	l.inNext[from] = next + 1
-	ready := []runtime.Frame{f}
+	ready := []any{m}
 	for {
-		nf, ok := l.held[from][l.inNext[from]]
+		hm, ok := l.held[from][l.inNext[from]]
 		if !ok {
 			break
 		}
 		delete(l.held[from], l.inNext[from])
 		l.inNext[from]++
-		ready = append(ready, nf)
+		ready = append(ready, hm)
 	}
 	l.mu.Unlock()
-	for i, rf := range ready {
-		rm := m
-		if i > 0 {
-			var err error
-			if rm, err = decodeMsg(rf.Ctrl); err != nil {
-				continue
-			}
-		}
-		seq := uint64(rf.Msg.Sent)
+	for i, rm := range ready {
+		seq := next + uint64(i)
 		if !l.deliver(l.sequencedMsg(from, seq, rm)) {
 			// Inbox full: rewind so the sender's retry re-enters the
 			// sequence window here, and discard the rest of the batch
@@ -560,7 +606,11 @@ func (l *link) sequencedMsg(from int, seq uint64, m any) inMsg {
 					Seg: segment.ID(seq),
 				},
 			}
-			wire := l.sealer.seal(af, reply)
+			wire, err := l.sealer.seal(af, reply)
+			if err != nil {
+				l.dropped(from, err)
+				return
+			}
 			l.mu.Lock()
 			l.replies[pendKey{from, seq}] = wire
 			l.mu.Unlock()

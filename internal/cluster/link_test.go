@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"math/rand"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -50,7 +52,7 @@ var _ netmodel.LinkPolicy = (*testPolicy)(nil)
 func testLink(t *testing.T, shard int, token string, seed int64) *link {
 	t.Helper()
 	tr := runtime.NewUDPTransport(seed)
-	l, err := newLink(tr, "", shard, token)
+	l, err := newLink(tr, "", shard, token, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,6 +229,63 @@ func TestLinkRejectsForgedFrames(t *testing.T) {
 	}
 }
 
+// TestLinkRejectsSplicedDatagram: a captured authentic frame cannot
+// vouch for a forged one. The attack datagram hides a captured status
+// cast inside an oversized first frame, where a reader that delimits
+// frames by their clamped re-encoded length would find it, followed by
+// a forged frame of the same length. Nothing of it may be delivered;
+// the captured frame alone still is.
+func TestLinkRejectsSplicedDatagram(t *testing.T) {
+	l := testLink(t, 1, "k", 21)
+	raw, err := net.Dial("udp", l.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	hdr := runtime.Frame{Kind: runtime.FrameEvent, Msg: netmodel.Message{From: 0, To: 1}}
+	captured := mustSeal(newSealer([]byte("k")), hdr, &Status{Shard: 0, Tick: 1})
+	c, err := runtime.DecodeFrame(captured)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const clamp = 60000 // the frame codec's control payload bound
+	first := runtime.EncodeFrame(hdr)
+	binary.LittleEndian.PutUint16(first[len(first)-2:], uint16(clamp+len(captured)))
+	first = append(first, make([]byte, clamp)...)
+	first = append(first, captured...)
+	forged := hdr
+	forged.Ctrl = append(appendMsg(nil, &Status{Shard: 0, Tick: 999}), make([]byte, macLen)...)
+	if len(forged.Ctrl) != len(c.Ctrl) {
+		t.Fatalf("forged payload is %d bytes, captured %d", len(forged.Ctrl), len(c.Ctrl))
+	}
+	if dg := append(first, runtime.EncodeFrame(forged)...); len(dg) > 0 {
+		if _, err := raw.Write(dg); err != nil {
+			t.Skipf("a %d-byte datagram: %v", len(dg), err)
+		}
+	}
+	select {
+	case m := <-l.inbox:
+		t.Fatalf("spliced datagram delivered %#v", m.P)
+	case <-time.After(300 * time.Millisecond):
+	}
+	if st := l.tr.Stats(); st.Malformed != 1 {
+		t.Fatalf("%d malformed datagrams counted, want the spliced one", st.Malformed)
+	}
+
+	if _, err := raw.Write(captured); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case m := <-l.inbox:
+		if st, _ := m.P.(*Status); st == nil || st.Tick != 1 {
+			t.Fatalf("delivered %#v, want the captured status", m.P)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the captured frame alone was not delivered")
+	}
+}
+
 // TestOneSocketPerProcess: a node's address is the one socket of the
 // process whose shard owns it. A coordinator link welcomes two joiner
 // links; then every shard-0 node resolves to the coordinator link's
@@ -291,39 +350,34 @@ func TestOneSocketPerProcess(t *testing.T) {
 // byte flip in a sealed control frame must fail authentication.
 func TestSealOpenRoundTrip(t *testing.T) {
 	s := newSealer([]byte("k"))
-	data := s.seal(runtime.Frame{
+	data := mustSeal(s, runtime.Frame{
 		Kind: runtime.FrameEvent,
 		Msg:  netmodel.Message{From: 0, To: 1, Sent: 5},
 	}, &Start{Workers: 2})
 
-	ok, err := runtime.DecodeFrame(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s.open(&ok, data) {
+	f, opened := runtime.OpenControl(data, s)
+	if !opened {
 		t.Fatal("authentic frame rejected")
 	}
-	if m, err := decodeMsg(ok.Ctrl); err != nil {
+	if f.Msg.To != 1 || f.Msg.Sent != 5 {
+		t.Fatalf("opened header %+v, want the sealed one", f.Msg)
+	}
+	if m, err := decodeMsg(f.Ctrl); err != nil {
 		t.Fatal(err)
 	} else if st, _ := m.(*Start); st == nil || st.Workers != 2 {
 		t.Fatalf("opened %#v, want the start message", m)
 	}
-	if other, _ := runtime.DecodeFrame(data); newSealer([]byte("j")).open(&other, data) {
+	if _, opened := runtime.OpenControl(data, newSealer([]byte("j"))); opened {
 		t.Fatal("frame opened under another token")
 	}
 
-	// The codec is strict (decode(x) re-encodes to x), so a frame that
-	// decodes after any byte flip carries a different encoding than the
-	// tag was computed over — authentication must fail every time.
+	// The tag covers every byte before it and open parses nothing but
+	// the authenticated bytes, so any byte flip must fail.
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 200; i++ {
 		mut := append([]byte(nil), data...)
 		mut[rng.Intn(len(mut))] ^= byte(1 + rng.Intn(255))
-		g, err := runtime.DecodeFrame(mut)
-		if err != nil {
-			continue // the codec already rejected it
-		}
-		if g.Kind.Control() && s.open(&g, mut) {
+		if _, opened := runtime.OpenControl(mut, s); opened {
 			t.Fatalf("flip %d survived authentication", i)
 		}
 	}

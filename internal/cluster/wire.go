@@ -18,81 +18,71 @@ import (
 	"gossipstream/internal/stats"
 )
 
-// macLen is the truncated HMAC-SHA256 tag appended to every control
+// macLen is the truncated HMAC-SHA256 tag that ends every control
 // frame's Ctrl field. 128 bits: comfortably beyond forgery on a
 // control plane that moves a few hundred frames per run.
 const macLen = 16
 
-// sealer authenticates control frames under one shared token. Its
-// scratch (the HMAC state and a staging buffer) is pooled, so sealing
-// costs one allocation — the frame's bytes — and opening none; seal
-// and open run concurrently on the run loop, the reader and timers.
+// sealer authenticates control frames under one shared token — the
+// runtime.ControlAuth the frame layout (runtime.SealControl,
+// runtime.OpenControl) calls. Its scratch (HMAC states and payload
+// buffers) is pooled, so sealing costs one allocation — the frame's
+// bytes — and opening none; seal and open run concurrently on the run
+// loop, the reader and timers.
 type sealer struct {
-	scratch sync.Pool // *sealScratch
+	macs sync.Pool // *macScratch
+	bufs sync.Pool // *[]byte, a payload staging buffer
 }
 
-type sealScratch struct {
+type macScratch struct {
 	mac hash.Hash
-	buf []byte
 	sum [sha256.Size]byte
-	n   [2]byte // a payload length, little-endian, for the tag's input
 }
 
 func newSealer(token []byte) *sealer {
 	s := &sealer{}
-	s.scratch.New = func() any { return &sealScratch{mac: hmac.New(sha256.New, token)} }
+	s.macs.New = func() any { return &macScratch{mac: hmac.New(sha256.New, token)} }
+	s.bufs.New = func() any { return new([]byte) }
 	return s
 }
 
 // seal encodes a control frame once — f's header, the message m (nil
 // for a bare ack, ping or pong) and the tag — and returns the bytes to
-// send; f.Ctrl is ignored. The tag is computed over the frame's
-// encoding with the bare payload (header, payload length, payload), so
-// sequence numbers, addressing and the shard address table a welcome or
-// start carries are all covered; the sent frame's Ctrl is payload‖tag.
-// A payload beyond the wire bound is a programming error, not an input
-// condition, and panics rather than travel truncated.
-func (s *sealer) seal(f runtime.Frame, m any) []byte {
-	sc := s.scratch.Get().(*sealScratch)
-	f.Ctrl = nil
-	sc.buf = appendMsg(runtime.AppendFrame(sc.buf[:0], f), m)
-	n := len(sc.buf) - runtime.CtrlOffset
-	if n+macLen > runtime.MaxWireCtrl {
-		panic(fmt.Sprintf("cluster: %T payload of %d bytes exceeds the control frame bound %d", m, n, runtime.MaxWireCtrl-macLen))
+// send; f.Ctrl is ignored. A message whose payload does not fit one
+// control frame is an error: it cannot travel.
+func (s *sealer) seal(f runtime.Frame, m any) ([]byte, error) {
+	buf := s.bufs.Get().(*[]byte)
+	*buf = appendMsg((*buf)[:0], m)
+	wire, err := runtime.SealControl(f, *buf, s)
+	s.bufs.Put(buf)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: sealing %T: %w", m, err)
 	}
-	binary.LittleEndian.PutUint16(sc.buf[runtime.CtrlOffset-2:], uint16(n))
-	sc.mac.Reset()
-	sc.mac.Write(sc.buf)
-	tag := sc.mac.Sum(sc.sum[:0])[:macLen]
-	out := append(make([]byte, 0, len(sc.buf)+macLen), sc.buf...)
-	out = append(out, tag...)
-	binary.LittleEndian.PutUint16(out[runtime.CtrlOffset-2:], uint16(n+macLen))
-	s.scratch.Put(sc)
-	return out
+	return wire, nil
 }
 
-// open verifies a received control frame's tag over wire, the bytes it
-// arrived as (f is their decoding), and strips the tag, restoring
-// f.Ctrl to the bare payload. It reports false for short, forged or
-// corrupted frames — the caller drops them like any malformed datagram.
-func (s *sealer) open(f *runtime.Frame, wire []byte) bool {
-	n := len(wire) - runtime.CtrlOffset - macLen // the bare payload's length
-	if n < 0 || len(f.Ctrl) != n+macLen ||
-		int(binary.LittleEndian.Uint16(wire[runtime.CtrlOffset-2:])) != n+macLen {
-		return false
-	}
-	sc := s.scratch.Get().(*sealScratch)
-	binary.LittleEndian.PutUint16(sc.n[:], uint16(n))
-	sc.mac.Reset()
-	sc.mac.Write(wire[:runtime.CtrlOffset-2])
-	sc.mac.Write(sc.n[:])
-	sc.mac.Write(wire[runtime.CtrlOffset : runtime.CtrlOffset+n])
-	ok := hmac.Equal(wire[runtime.CtrlOffset+n:], sc.mac.Sum(sc.sum[:0])[:macLen])
-	s.scratch.Put(sc)
-	if ok {
-		f.Ctrl = f.Ctrl[:n]
-	}
+// TagLen, Tag and Verify make the sealer a runtime.ControlAuth.
+func (s *sealer) TagLen() int { return macLen }
+
+func (s *sealer) Tag(dst, msg []byte) []byte {
+	sc := s.macs.Get().(*macScratch)
+	dst = append(dst, sc.tag(msg)...)
+	s.macs.Put(sc)
+	return dst
+}
+
+func (s *sealer) Verify(msg, tag []byte) bool {
+	sc := s.macs.Get().(*macScratch)
+	ok := hmac.Equal(tag, sc.tag(msg))
+	s.macs.Put(sc)
 	return ok
+}
+
+// tag is msg's truncated HMAC, in the scratch's own buffer.
+func (sc *macScratch) tag(msg []byte) []byte {
+	sc.mac.Reset()
+	sc.mac.Write(msg)
+	return sc.mac.Sum(sc.sum[:0])[:macLen]
 }
 
 // The control-plane message alphabet, carried in the Ctrl payload of
@@ -360,12 +350,10 @@ func appendBool(b []byte, v bool) []byte {
 	return append(b, 0)
 }
 
-// appendCount writes a slice or string length. No count reaches the
-// bound on a frame that fits the wire (seal enforces the byte bound).
+// appendCount writes a slice or string length. A count past the uint16
+// range wraps, but every element takes at least a byte, so such a
+// payload is past the control frame's bound too and seal refuses it.
 func appendCount(b []byte, n int) []byte {
-	if n > math.MaxUint16 {
-		panic(fmt.Sprintf("cluster: control field of %d elements exceeds the wire bound", n))
-	}
 	return binary.LittleEndian.AppendUint16(b, uint16(n))
 }
 

@@ -201,6 +201,40 @@ func TestControlDecodeRejects(t *testing.T) {
 	}
 }
 
+// TestOversizedMessagesAreRefused: a message past the control frame's
+// bound is an error, never a panic. cast drops it, send refuses it
+// without taking a sequence number, and Serve refuses a run whose
+// shards' statuses could not travel.
+func TestOversizedMessagesAreRefused(t *testing.T) {
+	s := newSealer([]byte("k"))
+	for _, n := range []int{2800, 70000} { // past the byte bound; past the uint16 count
+		if _, err := s.seal(runtime.Frame{Kind: runtime.FrameEvent}, &Status{Nodes: make([]runtime.NodeStatus, n)}); err == nil {
+			t.Fatalf("a %d-node status sealed", n)
+		}
+	}
+	if _, err := s.seal(runtime.Frame{Kind: runtime.FrameEvent}, &Status{Nodes: make([]runtime.NodeStatus, 2700)}); err != nil {
+		t.Fatalf("a 2700-node status: %v", err)
+	}
+
+	l := testLink(t, 0, "k", 1)
+	big := &Status{Nodes: make([]runtime.NodeStatus, 2800)}
+	l.cast(5, big)
+	if err := l.send(5, big); err == nil {
+		t.Fatal("send accepted an oversized message")
+	}
+	if seq := l.lastSeq(5); seq != 0 || l.sealDrops.Load() != 2 {
+		t.Fatalf("after two oversized messages: last seq %d, %d drops; want 0 and 2", seq, l.sealDrops.Load())
+	}
+	if err := l.send(5, &S1End{}); err != nil || l.lastSeq(5) != 1 {
+		t.Fatalf("the next message: %v, seq %d; want sequence number 1", err, l.lastSeq(5))
+	}
+
+	_, _, err := Serve(Config{Scenario: scenario.PaperSingleSwitch().Scaled(5600), Workers: 1, Token: "k"})
+	if err == nil || !strings.Contains(err.Error(), "run more workers") {
+		t.Fatalf("two shards of 2800 nodes: %v, want a refusal", err)
+	}
+}
+
 // TestCodecVersionMismatchRefused: a hello one codec version ahead gets
 // no welcome — the coordinator answers with a hello of its own version
 // — and the joiner fails with an error naming both versions.
@@ -263,14 +297,9 @@ func TestOpenAllocatesNothing(t *testing.T) {
 		t.Skip("the race detector allocates for its own bookkeeping")
 	}
 	s := newSealer([]byte("k"))
-	wire := s.seal(runtime.Frame{Kind: runtime.FrameEvent, Msg: netmodel.Message{From: 1}}, status27())
-	f0, err := runtime.DecodeFrame(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wire := mustSeal(s, runtime.Frame{Kind: runtime.FrameEvent, Msg: netmodel.Message{From: 1}}, status27())
 	n := testing.AllocsPerRun(100, func() {
-		f := f0
-		if !s.open(&f, wire) {
+		if _, ok := runtime.OpenControl(wire, s); !ok {
 			t.Fatal("authentic frame rejected")
 		}
 	})

@@ -30,7 +30,7 @@ type RespawnSpec struct {
 
 // maxRespawnsPerDirective chunks a large reassignment across several
 // directives so each stays well under the control frame's payload
-// bound (MaxWireCtrl).
+// bound (maxWireCtrl).
 const maxRespawnsPerDirective = 64
 
 // respawnSeedSalt separates a respawned peer's RNG stream from its

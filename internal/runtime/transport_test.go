@@ -269,7 +269,7 @@ func TestUDPDatagramBudget(t *testing.T) {
 		if n > datagramBudget {
 			t.Errorf("%s is %d bytes, budget %d", what, n, datagramBudget)
 		}
-		frames, err := decodeDatagram(buf[:n], nil)
+		frames, _, err := decodeDatagram(buf[:n], nil, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
@@ -389,12 +389,8 @@ func TestUDPControlDemux(t *testing.T) {
 	if err != nil {
 		t.Skipf("udp bind unavailable: %v", err)
 	}
-	ctrl := make(chan Frame, 4)
-	wires := make(chan []byte, 4)
-	tr.SetControl(func(f Frame, wire []byte) {
-		ctrl <- f
-		wires <- append([]byte(nil), wire...)
-	})
+	ctrl := make(chan []byte, 4)
+	tr.SetControl(func(wire []byte) { ctrl <- append([]byte(nil), wire...) })
 	addr, err := tr.Bind("")
 	if err != nil {
 		t.Fatal(err)
@@ -402,34 +398,60 @@ func TestUDPControlDemux(t *testing.T) {
 	quiet := func() {
 		t.Helper()
 		select {
-		case f := <-ctrl:
-			t.Fatalf("control handler got %+v", f)
+		case w := <-ctrl:
+			t.Fatalf("control handler got %x", w)
 		case f := <-node0.Recv():
 			t.Fatalf("node 0 got %+v", f)
 		case <-time.After(100 * time.Millisecond):
 		}
 	}
+	// wantCtrl waits for the handler's next frame: exactly want's bytes
+	// (quiet, afterwards, shows no control frame reached an inbox).
+	wantCtrl := func(want []byte) {
+		t.Helper()
+		select {
+		case w := <-ctrl:
+			if !bytes.Equal(w, want) {
+				t.Fatalf("control handler got wire bytes %x, want %x", w, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("control frame never reached the handler")
+		}
+	}
 
-	ev := Frame{Kind: FrameEvent, Msg: netmodel.Message{From: 1, To: 0, Sent: 3}, Ctrl: []byte("directive")}
-	if err := tr.SendControl(EncodeFrame(ev), addr); err != nil {
+	ev := EncodeFrame(Frame{Kind: FrameEvent, Msg: netmodel.Message{From: 1, To: 0, Sent: 3}, Ctrl: []byte("directive")})
+	if err := tr.SendControl(ev, addr); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.SendControl(EncodeFrame(Frame{Kind: FrameMap}), addr); err == nil {
 		t.Fatal("SendControl accepted a map frame")
 	}
-	select {
-	case f := <-ctrl:
-		if f.Kind != FrameEvent || f.Msg.To != 0 || f.Msg.Sent != 3 || string(f.Ctrl) != "directive" {
-			t.Fatalf("control handler got %+v", f)
-		}
-		if w := <-wires; !bytes.Equal(w, EncodeFrame(ev)) {
-			t.Fatalf("control handler got wire bytes %x, want the frame's encoding", w)
-		}
-	case f := <-node0.Recv():
-		t.Fatalf("control frame reached node 0's inbox: %+v", f)
-	case <-time.After(5 * time.Second):
-		t.Fatal("control frame never reached the handler")
+	wantCtrl(ev)
+	quiet()
+
+	// One datagram of control, peer and control frames: the handler gets
+	// each control frame's own bytes, as the decoder delimited them.
+	raw, err := net.Dial("udp", addr)
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer raw.Close()
+	ack := EncodeFrame(Frame{Kind: FrameAck, Msg: netmodel.Message{From: 2, Seg: 7}, Ctrl: []byte("tag")})
+	dg := AppendFrame(append([]byte(nil), ev...), Frame{Kind: FrameMap, Msg: netmodel.Message{To: 0}, MapImg: make([]byte, 8)})
+	if _, err := raw.Write(append(dg, ack...)); err != nil {
+		t.Fatal(err)
+	}
+	wantCtrl(ev)
+	wantCtrl(ack)
+	select {
+	case f := <-node0.Recv():
+		if f.Kind != FrameMap {
+			t.Fatalf("node 0 got %+v", f)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the datagram's map frame never reached node 0")
+	}
+	quiet()
 	quiet()
 
 	node0.Send(Frame{Kind: FrameMap, Msg: netmodel.Message{To: 0}, MapImg: make([]byte, 80)})

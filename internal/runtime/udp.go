@@ -53,7 +53,7 @@ type UDPTransport struct {
 	inboxes map[overlay.NodeID]chan Frame
 	remote  map[string]*net.UDPAddr // resolved AddrBook endpoints, by string form
 	book    AddrBook
-	ctrl    func(Frame, []byte) // control-frame handler (SetControl); nil drops them
+	ctrl    func([]byte) // control-frame handler (SetControl); nil drops them
 	shape   *shaper
 	closed  bool
 
@@ -129,11 +129,12 @@ func (t *UDPTransport) Bind(listen string) (string, error) {
 
 // SetControl installs the control-plane handler. The reader hands it
 // every control frame, one at a time and outside the transport's lock
-// (the handler may answer through this transport), with the frame's
-// bytes as they arrived — valid only during the call, since the reader
-// reuses its buffer; authenticating them is the handler's business. nil
-// drops control frames.
-func (t *UDPTransport) SetControl(fn func(f Frame, wire []byte)) {
+// (the handler may answer through this transport), as the frame's bytes
+// exactly as the decoder delimited them in the datagram — valid only
+// during the call, since the reader reuses its buffer. Authenticating
+// and parsing them (OpenControl) is the handler's business. nil drops
+// control frames.
+func (t *UDPTransport) SetControl(fn func(wire []byte)) {
 	t.mu.Lock()
 	t.ctrl = fn
 	t.mu.Unlock()
@@ -176,12 +177,13 @@ func (t *UDPTransport) read(conn *net.UDPConn) {
 	// beyond one physical MTU).
 	buf := make([]byte, 64*1024)
 	var frames []Frame
+	var ends []int
 	for {
 		sz, _, err := conn.ReadFromUDP(buf)
 		if err != nil {
 			return // socket closed (transport Close)
 		}
-		frames, err = decodeDatagram(buf[:sz], frames)
+		frames, ends, err = decodeDatagram(buf[:sz], frames, ends)
 		if err != nil {
 			t.malformed.Add(1)
 			continue // malformed datagram: drop
@@ -197,13 +199,14 @@ func (t *UDPTransport) read(conn *net.UDPConn) {
 		if handle == nil {
 			continue
 		}
-		off := 0
-		for _, f := range frames {
-			n := wireLen(&f)
+		for i, f := range frames {
 			if f.Kind.Control() {
-				handle(f, buf[off:off+n])
+				start := 0
+				if i > 0 {
+					start = ends[i-1]
+				}
+				handle(buf[start:ends[i]])
 			}
-			off += n
 		}
 	}
 }

@@ -72,15 +72,14 @@ const wireReReqBit = 0x80
 // loopback datagram.
 const maxWireSessions = 1024
 
-// MaxWireCtrl bounds a sealed control payload (a resolved directive, a
-// status batch or a report chunk plus its authentication tag) to one
-// comfortable loopback datagram.
-const MaxWireCtrl = 60000
+// maxWireCtrl bounds a control frame's payload (a sealed directive,
+// status batch or report chunk with its authentication tag) to one
+// comfortable loopback datagram — on encode and on decode.
+const maxWireCtrl = 60000
 
-// CtrlOffset is where a control frame's payload starts in its encoding:
-// after the fixed header and the uint16 payload length (the cluster's
-// seal writes and authenticates the frame's bytes in place).
-const CtrlOffset = wireHeaderLen + 2
+// ctrlOffset is where a control frame's payload starts in its encoding:
+// after the fixed header and the uint16 payload length.
+const ctrlOffset = wireHeaderLen + 2
 
 // datagramBudget is the size past which a pending datagram stops taking
 // frames: under one Ethernet MTU's UDP payload, so a coalesced datagram
@@ -91,20 +90,14 @@ const datagramBudget = 1400
 // EncodeFrame serializes a frame into the binary wire format: a
 // single-frame datagram, in a buffer sized to it.
 func EncodeFrame(f Frame) []byte {
-	return appendFrame(make([]byte, 0, wireLen(&f)), &f)
-}
-
-// wireLen is the length of f's wire encoding (its slices clamped to the
-// wire bounds, as the encoder clamps them).
-func wireLen(f *Frame) int {
 	n := wireHeaderLen
 	switch {
 	case f.Kind == FrameMap:
 		n += 8 + 8 + 2 + min(len(f.Sessions), maxWireSessions)*20 + 2 + len(f.MapImg)
 	case f.Kind.Control():
-		n += 2 + min(len(f.Ctrl), MaxWireCtrl)
+		n += 2 + min(len(f.Ctrl), maxWireCtrl)
 	}
-	return n
+	return appendFrame(make([]byte, 0, n), &f)
 }
 
 // AppendFrame appends the frame's wire encoding to b and returns the
@@ -148,8 +141,8 @@ func appendFrame(b []byte, f *Frame) []byte {
 }
 
 func appendCtrl(b, ctrl []byte) []byte {
-	if len(ctrl) > MaxWireCtrl {
-		ctrl = ctrl[:MaxWireCtrl]
+	if len(ctrl) > maxWireCtrl {
+		ctrl = ctrl[:maxWireCtrl]
 	}
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(ctrl)))
 	return append(b, ctrl...)
@@ -170,22 +163,25 @@ func DecodeFrame(b []byte) (Frame, error) {
 }
 
 // decodeDatagram parses a datagram of 1..n back-to-back frames into dst
-// (reused from its start), in wire order. It is all-or-nothing: one
-// malformed frame (or an empty datagram) rejects the whole datagram,
-// because past a bad frame the boundaries of its successors cannot be
-// trusted.
-func decodeDatagram(b []byte, dst []Frame) ([]Frame, error) {
-	dst = dst[:0]
-	for {
-		f, rest, err := decodeOne(b)
+// (reused from its start), in wire order, and records in ends (reused
+// likewise) where each frame's bytes stop: frame i is
+// b[ends[i-1]:ends[i]], as the decoder delimited it. It is
+// all-or-nothing: one malformed frame (or an empty datagram) rejects the
+// whole datagram, because past a bad frame the boundaries of its
+// successors cannot be trusted.
+func decodeDatagram(b []byte, dst []Frame, ends []int) ([]Frame, []int, error) {
+	dst, ends = dst[:0], ends[:0]
+	for rest := b; ; {
+		f, next, err := decodeOne(rest)
 		if err != nil {
-			return dst[:0], err
+			return dst[:0], ends[:0], err
 		}
 		dst = append(dst, f)
-		if len(rest) == 0 {
-			return dst, nil
+		ends = append(ends, len(b)-len(next))
+		if len(next) == 0 {
+			return dst, ends, nil
 		}
-		b = rest
+		rest = next
 	}
 }
 
@@ -273,6 +269,9 @@ func decodeCtrl(b []byte) ([]byte, []byte, error) {
 	}
 	clen := int(binary.LittleEndian.Uint16(b[0:]))
 	b = b[2:]
+	if clen > maxWireCtrl {
+		return nil, b, fmt.Errorf("runtime: control payload of %d bytes (max %d)", clen, maxWireCtrl)
+	}
 	if len(b) < clen {
 		return nil, b, fmt.Errorf("runtime: control payload %d bytes, frame carries %d", clen, len(b))
 	}
@@ -281,4 +280,57 @@ func decodeCtrl(b []byte) ([]byte, []byte, error) {
 		ctrl = append([]byte(nil), b[:clen]...)
 	}
 	return ctrl, b[clen:], nil
+}
+
+// ControlAuth authenticates sealed control frames (SealControl,
+// OpenControl): Tag appends to dst the TagLen-byte tag of msg, and
+// Verify reports whether tag is msg's tag. Both may run concurrently.
+type ControlAuth interface {
+	TagLen() int
+	Tag(dst, msg []byte) []byte
+	Verify(msg, tag []byte) bool
+}
+
+// SealControl encodes a sealed control frame: f's header (f.Ctrl is
+// ignored), then a control payload of the given payload and auth's tag.
+// The tag covers every byte before it — header, payload length and
+// payload — so addressing and sequence numbers are as authentic as the
+// payload. The frame costs one allocation, sized to it. A payload that
+// would push the frame's payload past its bound (maxWireCtrl with the
+// tag) is an error.
+func SealControl(f Frame, payload []byte, auth ControlAuth) ([]byte, error) {
+	if !f.Kind.Control() {
+		return nil, fmt.Errorf("runtime: cannot seal a %s frame", f.Kind)
+	}
+	n := len(payload) + auth.TagLen()
+	if n > maxWireCtrl {
+		return nil, fmt.Errorf("runtime: control payload of %d bytes exceeds the bound of %d",
+			len(payload), maxWireCtrl-auth.TagLen())
+	}
+	f.Ctrl = nil
+	b := appendFrame(make([]byte, 0, ctrlOffset+n), &f)
+	binary.LittleEndian.PutUint16(b[ctrlOffset-2:], uint16(n))
+	b = append(b, payload...)
+	return auth.Tag(b, b), nil
+}
+
+// OpenControl authenticates one received control frame — exactly one
+// frame's bytes, as the transport's reader delimited them (SetControl).
+// Header and payload are parsed from those bytes alone, and the tag is
+// checked over everything before it, so what OpenControl returns is
+// what was authenticated: the frame, with Ctrl the bare payload
+// (aliasing wire). False means malformed, forged or corrupted.
+func OpenControl(wire []byte, auth ControlAuth) (Frame, bool) {
+	var f Frame
+	if decodeHeader(wire, &f) != nil || !f.Kind.Control() || len(wire) < ctrlOffset {
+		return Frame{}, false
+	}
+	n := int(binary.LittleEndian.Uint16(wire[ctrlOffset-2:]))
+	tagAt := len(wire) - auth.TagLen()
+	if n > maxWireCtrl || len(wire) != ctrlOffset+n || tagAt < ctrlOffset ||
+		!auth.Verify(wire[:tagAt], wire[tagAt:]) {
+		return Frame{}, false
+	}
+	f.Ctrl = wire[ctrlOffset:tagAt:tagAt]
+	return f, true
 }

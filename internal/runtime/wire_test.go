@@ -2,6 +2,9 @@ package runtime
 
 import (
 	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"math/rand"
 	"reflect"
@@ -86,6 +89,9 @@ func TestWireDecodeErrors(t *testing.T) {
 		Ctrl: []byte("sealed")})
 	deny := EncodeFrame(Frame{Kind: FrameDeny, Msg: netmodel.Message{From: 9, To: 3, Seg: 12}})
 
+	oversized := append(event[:ctrlOffset:ctrlOffset], make([]byte, maxWireCtrl+1)...)
+	binary.LittleEndian.PutUint16(oversized[ctrlOffset-2:], maxWireCtrl+1)
+
 	cases := map[string][]byte{
 		"empty":               nil,
 		"short header":        good[:10],
@@ -98,6 +104,7 @@ func TestWireDecodeErrors(t *testing.T) {
 		"truncated ctrl":      event[:len(event)-2],
 		"short ctrl length":   event[:wireHeaderLen+1],
 		"event trailing junk": append(append([]byte(nil), event...), 9),
+		"oversized ctrl":      oversized,
 		"headerless hello":    EncodeFrame(Frame{Kind: FrameHello, Msg: netmodel.Message{From: 1, To: 2}})[:wireHeaderLen],
 	}
 	for name, b := range cases {
@@ -230,12 +237,15 @@ func TestDatagramRoundTrip(t *testing.T) {
 			dg = AppendFrame(dg, frames[i])
 			ends[i] = len(dg)
 		}
-		got, err := decodeDatagram(dg, nil)
+		got, gotEnds, err := decodeDatagram(dg, nil, nil)
 		if err != nil {
 			t.Fatalf("round %d: %d frames: %v", round, k, err)
 		}
 		if !reflect.DeepEqual(got, frames) {
 			t.Fatalf("round %d: round trip\n got %+v\nwant %+v", round, got, frames)
+		}
+		if !reflect.DeepEqual(gotEnds, ends) {
+			t.Fatalf("round %d: frame ends %v, want %v", round, gotEnds, ends)
 		}
 		if _, err := DecodeFrame(dg); (err == nil) != (k == 1) {
 			t.Fatalf("round %d: strict DecodeFrame on %d frames: err=%v", round, k, err)
@@ -247,16 +257,16 @@ func TestDatagramRoundTrip(t *testing.T) {
 			start = ends[i-1]
 		}
 		cut := start + 1 + rng.Intn(ends[i]-start-1) // strictly inside frame i
-		if out, err := decodeDatagram(dg[:cut], got); err == nil || len(out) != 0 {
+		if out, _, err := decodeDatagram(dg[:cut], got, gotEnds); err == nil || len(out) != 0 {
 			t.Fatalf("round %d: frame %d of %d cut at byte %d: err=%v, %d frames kept", round, i, k, cut-start, err, len(out))
 		}
 		bad := append([]byte(nil), dg...)
 		bad[start] = 0x7f
-		if out, err := decodeDatagram(bad, got); err == nil || len(out) != 0 {
+		if out, _, err := decodeDatagram(bad, got, gotEnds); err == nil || len(out) != 0 {
 			t.Fatalf("round %d: frame %d of %d with an unknown kind: err=%v, %d frames kept", round, i, k, err, len(out))
 		}
 	}
-	if _, err := decodeDatagram(nil, nil); err == nil {
+	if _, _, err := decodeDatagram(nil, nil, nil); err == nil {
 		t.Fatal("empty datagram decoded without error")
 	}
 }
@@ -304,7 +314,7 @@ func FuzzDecodeDatagram(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		frames, err := decodeDatagram(b, nil)
+		frames, _, err := decodeDatagram(b, nil, nil)
 		if err != nil {
 			if len(frames) != 0 {
 				t.Fatalf("rejected datagram kept %d frames", len(frames))
@@ -325,4 +335,62 @@ func FuzzDecodeDatagram(f *testing.F) {
 			t.Fatalf("strict DecodeFrame decoded %+v, datagram decoder %+v", one, frames[0])
 		}
 	})
+}
+
+// testAuth is a ControlAuth over HMAC-SHA256, truncated to 16 bytes.
+type testAuth []byte
+
+func (a testAuth) TagLen() int { return 16 }
+
+func (a testAuth) Tag(dst, msg []byte) []byte {
+	m := hmac.New(sha256.New, a)
+	m.Write(msg)
+	return append(dst, m.Sum(nil)[:16]...)
+}
+
+func (a testAuth) Verify(msg, tag []byte) bool { return hmac.Equal(tag, a.Tag(nil, msg)) }
+
+// TestSealOpenControl: a sealed control frame is a well-formed frame
+// whose opened header and payload are the ones sealed; a tag under
+// another key, trailing or missing bytes, a non-control frame and a
+// payload past the bound are all refused.
+func TestSealOpenControl(t *testing.T) {
+	auth := testAuth("k")
+	hdr := Frame{Kind: FrameEvent, Msg: netmodel.Message{From: 1, To: 2, Seg: 3, Sent: 4}}
+	wire, err := SealControl(hdr, []byte("payload"), auth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f, err := DecodeFrame(wire); err != nil || !bytes.Equal(EncodeFrame(f), wire) {
+		t.Fatalf("sealed frame is not a canonical frame: %v", err)
+	}
+	f, ok := OpenControl(wire, auth)
+	if !ok || f.Kind != FrameEvent || f.Msg != hdr.Msg || string(f.Ctrl) != "payload" {
+		t.Fatalf("opened %+v (%v), want the sealed header and payload", f, ok)
+	}
+	for name, b := range map[string][]byte{
+		"other key":      nil,
+		"trailing byte":  append(append([]byte(nil), wire...), 0),
+		"missing byte":   wire[:len(wire)-1],
+		"header only":    wire[:wireHeaderLen],
+		"map frame kind": append([]byte{byte(FrameMap)}, wire[1:]...),
+	} {
+		a := ControlAuth(auth)
+		if b == nil {
+			b, a = wire, testAuth("j")
+		}
+		if _, ok := OpenControl(b, a); ok {
+			t.Errorf("%s: opened", name)
+		}
+	}
+
+	if _, err := SealControl(hdr, make([]byte, maxWireCtrl-auth.TagLen()), auth); err != nil {
+		t.Fatalf("payload at the bound: %v", err)
+	}
+	if _, err := SealControl(hdr, make([]byte, maxWireCtrl-auth.TagLen()+1), auth); err == nil {
+		t.Fatal("payload past the bound sealed")
+	}
+	if _, err := SealControl(Frame{Kind: FrameMap}, nil, auth); err == nil {
+		t.Fatal("a map frame sealed")
+	}
 }
