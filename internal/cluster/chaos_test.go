@@ -22,12 +22,15 @@ var chaosTuning = Tuning{
 	ReportTimeout: 15 * time.Second,
 }
 
-// TestClusterSurvivesWorkerKill is the in-process half of the tentpole:
-// three shards over UDP loopback, a scripted fail-stop kills one worker
-// mid-run, and the merged run must still complete — the dead shard's
-// peers reassigned to the survivors, exactly one failover counted, and
-// the merged result passing the live invariant audit.
-func TestClusterSurvivesWorkerKill(t *testing.T) {
+// runKilled runs PaperSingleSwitch at 60 nodes as a starter and two
+// joiners under chaosTuning, with a scripted fail-stop of one worker at
+// a worker tick. It requires that exactly that joiner died, that the
+// detector failed exactly one shard over, and that the merged result
+// passes the live invariant audit, given the crash switches the
+// failover resolved beyond the script (crashed(res) lists them); it
+// returns the result and the starter's registry.
+func runKilled(t *testing.T, shard, tick int, crashed func(*sim.Result) []sim.Event) (*sim.Result, *obs.Registry) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("multi-shard chaos run takes several seconds")
 	}
@@ -35,11 +38,7 @@ func TestClusterSurvivesWorkerKill(t *testing.T) {
 		t.Skip("race build on a single CPU saturates the pacer (see race_on_test.go)")
 	}
 	sc := scenario.PaperSingleSwitch().Scaled(60)
-	// Shard 1 owns the scripted switch's old source (see the parity
-	// test), so killing shard 2 exercises the pure reassignment path.
-	plan := &chaos.Plan{Faults: []chaos.Fault{
-		{Shard: 2, Tick: 12, Kind: chaos.Kill},
-	}}
+	plan := &chaos.Plan{Faults: []chaos.Fault{{Shard: shard, Tick: tick, Kind: chaos.Kill}}}
 	if err := plan.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -64,10 +63,33 @@ func TestClusterSurvivesWorkerKill(t *testing.T) {
 	if killed != 1 {
 		t.Fatalf("%d joiners died, the plan kills exactly one", killed)
 	}
-
 	if got := reg.Counter("gossip_worker_failovers_total", "").Value(); got != 1 {
 		t.Errorf("gossip_worker_failovers_total = %d, want 1", got)
 	}
+	scfg, err := sc.Config(sim.Fast)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var unscripted []sim.Event
+	if crashed != nil {
+		unscripted = crashed(res)
+	}
+	if err := sim.CheckLiveInvariants(scfg, res, unscripted...); err != nil {
+		t.Errorf("live invariants: %v", err)
+	}
+	return res, reg
+}
+
+// TestClusterSurvivesWorkerKill is the in-process half of the tentpole:
+// three shards over UDP loopback, a scripted fail-stop kills one worker
+// mid-run, and the merged run must still complete — the dead shard's
+// peers reassigned to the survivors, exactly one failover counted, and
+// the merged result passing the live invariant audit.
+func TestClusterSurvivesWorkerKill(t *testing.T) {
+	// Shard 1 owns the scripted switch's old source (see the parity
+	// test), so killing shard 2 exercises the pure reassignment path.
+	res, reg := runKilled(t, 2, 12, nil)
+
 	if got := reg.Counter("gossip_shards_reassigned_total", "").Value(); got != 1 {
 		t.Errorf("gossip_shards_reassigned_total = %d, want 1", got)
 	}
@@ -95,13 +117,48 @@ func TestClusterSurvivesWorkerKill(t *testing.T) {
 	if sw.UnfinishedS1 != 0 || sw.UnpreparedS2 != 0 {
 		t.Errorf("incomplete window after failover: unfinished=%d unprepared=%d", sw.UnfinishedS1, sw.UnpreparedS2)
 	}
+}
 
-	scfg, err := sc.Config(sim.Fast)
-	if err != nil {
-		t.Fatal(err)
+// TestClusterSourceOwnerKilled kills the shard that owns the live
+// source (shard 1) long before the scripted switch: the failover finds
+// the source among the dead shard's peers and resolves an unscripted
+// crash switch onto a survivor, whose window is a failure window and
+// the one window no scripted event opens.
+func TestClusterSourceOwnerKilled(t *testing.T) {
+	res, _ := runKilled(t, 1, 12, func(res *sim.Result) []sim.Event {
+		w := res.Windows[0]
+		return []sim.Event{sim.SwitchAt(w.Tick, w.NewSource)}
+	})
+	if len(res.Windows) == 0 {
+		t.Fatal("no merged windows")
 	}
-	if err := sim.CheckLiveInvariants(scfg, res); err != nil {
-		t.Errorf("live invariants: %v", err)
+	first := res.Windows[0]
+	t.Logf("first window: %s", first)
+	if first.Kind != "switch" || !first.Failure {
+		t.Errorf("first window kind %q failure %v, want the failover's crash switch", first.Kind, first.Failure)
+	}
+	if first.Tick >= 40 {
+		t.Errorf("first window opens at tick %d, want the failover's tick, before the scripted switch at 40", first.Tick)
+	}
+}
+
+// TestClusterStopSourceOwnerKilled kills the old source's shard a few
+// ticks before the scripted switch at tick 40, so the coordinator's
+// stop-source request is still unanswered when the detector declares
+// the shard dead: the failover turns the held switch into a crash
+// handoff, and the switch window is a failure window.
+func TestClusterStopSourceOwnerKilled(t *testing.T) {
+	res, _ := runKilled(t, 1, 38, nil)
+	if len(res.Windows) == 0 {
+		t.Fatal("no merged windows")
+	}
+	first := res.Windows[0]
+	t.Logf("first window: %s", first)
+	if first.Kind != "switch" || !first.Failure {
+		t.Errorf("first window kind %q failure %v, want the held switch resolved as a crash", first.Kind, first.Failure)
+	}
+	if first.Tick < 40 {
+		t.Errorf("first window opens at tick %d, before the scripted switch at 40", first.Tick)
 	}
 }
 

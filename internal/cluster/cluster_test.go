@@ -236,3 +236,45 @@ func TestClusterCountsOverruns(t *testing.T) {
 		}
 	}
 }
+
+// TestClusterReplaysJoins runs a flash crowd sharded: the coordinator
+// resolves the crowd into join specs and every worker replays them into
+// its own copy of the overlay (Runner.applyJoin), which fails the
+// worker's run if its graph assigns a joiner another id than the
+// resolver did. Every process must agree, every joiner must be spawned
+// by exactly one owner — the merged switch window counts the initial
+// population plus the crowd — and the merged windows must pass the live
+// invariants.
+func TestClusterReplaysJoins(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-shard flash-crowd run takes several seconds")
+	}
+	if raceEnabled && stdruntime.NumCPU() < 2 {
+		t.Skip("race build on a single CPU saturates the pacer (see race_on_test.go)")
+	}
+	const initial, crowd = 45, 15
+	sc := &scenario.Scenario{
+		Name: "sharded-crowd", Nodes: initial, M: 5, Seed: 11, Spread: 10, Horizon: 80,
+		Events: []sim.Event{
+			sim.FlashCrowdAt(15, crowd, 100),
+			sim.MeasureAt(16, 10),
+			sim.SwitchAt(35, -1),
+		},
+	}
+	res := runCluster(t, sc, 2, 50)
+	if len(res.Windows) != 2 {
+		t.Fatalf("%d merged windows, want the measure and the switch window", len(res.Windows))
+	}
+	sw := res.Windows[1]
+	t.Logf("merged: %s", sw)
+	if sw.Kind != "switch" || sw.Nodes != initial+crowd {
+		t.Errorf("switch window %q over %d nodes, want %d: the crowd was not spawned once per joiner", sw.Kind, sw.Nodes, initial+crowd)
+	}
+	scfg, err := sc.Config(sim.Fast)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.CheckLiveInvariants(scfg, res); err != nil {
+		t.Errorf("live invariants: %v", err)
+	}
+}
