@@ -136,11 +136,7 @@ func awaitWelcome(cfg JoinConfig, l *link, version uint8) (*Welcome, func(), err
 		case m := <-l.inbox:
 			switch p := m.P.(type) {
 			case *Welcome:
-				ack := func() {}
-				if m.Ack != nil {
-					ack = func() { m.Ack(nil) }
-				}
-				return p, ack, nil
+				return p, m.Ack, nil
 			case *Hello:
 				if p.Version != version {
 					return nil, nil, fmt.Errorf("cluster: %s refused the join: it speaks control codec version %d, this process version %d",
@@ -164,9 +160,7 @@ func awaitStart(l *link) (*Start, error) {
 	for {
 		select {
 		case m := <-l.inbox:
-			if m.Ack != nil {
-				m.Ack(nil)
-			}
+			m.Ack()
 			if s, ok := m.P.(*Start); ok {
 				return s, nil
 			}
@@ -186,7 +180,6 @@ type agent struct {
 
 	appliedSeq uint64
 	finishing  bool
-	fenced     bool
 }
 
 // run drives the shard: apply queued directives in sequence, tick the
@@ -273,48 +266,31 @@ func (a *agent) drainDirectives() error {
 	}
 }
 
-// handle applies one control message.
+// handle applies one control message, then acks it.
 func (a *agent) handle(m inMsg) error {
+	defer m.Ack()
 	if _, ok := m.P.(fence); ok {
 		// The coordinator declared this shard dead and reassigned its
 		// peers; stop immediately rather than fight the survivors.
-		a.fenced = true
-		if m.Ack != nil {
-			m.Ack(nil)
-		}
 		return ErrFenced
 	}
 	d, ok := m.P.(*runtime.Directive)
 	if !ok {
-		if m.Ack != nil {
-			m.Ack(nil)
-		}
 		return nil
 	}
+	a.appliedSeq = m.Seq
 	switch d.Kind {
 	case runtime.DirStopSource:
-		// The targeted stop round trip: close the owned source's session
-		// and return the closing segment id in the ack.
+		// Close the owned source's session and answer with its closing
+		// segment id — an ordinary sequenced message to the coordinator.
 		seg, ok := a.r.StopSource(d.Old)
-		a.appliedSeq = m.Seq
-		if m.Ack != nil {
-			m.Ack(&S1End{Seg: seg, OK: ok})
-		}
+		a.l.send(0, &S1End{Seg: seg, OK: ok})
 		return nil
 	case runtime.DirFinish:
 		a.finishing = true
-		a.appliedSeq = m.Seq
-		if m.Ack != nil {
-			m.Ack(nil)
-		}
 		return nil
 	}
-	err := a.r.Apply(d)
-	a.appliedSeq = m.Seq
-	if m.Ack != nil {
-		m.Ack(nil)
-	}
-	return err
+	return a.r.Apply(d)
 }
 
 // statusDelay asks the chaos injector how long to hold this tick's

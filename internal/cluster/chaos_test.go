@@ -13,12 +13,11 @@ import (
 	"gossipstream/internal/sim"
 )
 
-// chaosTuning shrinks the failure detector and the blocking timeouts so
-// a failover resolves inside a test run.
+// chaosTuning shrinks the failure detector and the report timeout so a
+// failover resolves inside a test run.
 var chaosTuning = Tuning{
 	SuspectAfter:  3,
 	DeadAfter:     6,
-	CallTimeout:   10 * time.Second,
 	ReportTimeout: 15 * time.Second,
 }
 
@@ -189,8 +188,7 @@ func TestClusterHangOnlySuspects(t *testing.T) {
 			cfg.Obs = &obs.Obs{Reg: reg}
 			// A hung worker must survive: suspicion comes fast, death
 			// far beyond the scripted hang.
-			cfg.Tuning = Tuning{SuspectAfter: 2, DeadAfter: 40,
-				CallTimeout: 10 * time.Second, ReportTimeout: 15 * time.Second}
+			cfg.Tuning = Tuning{SuspectAfter: 2, DeadAfter: 40, ReportTimeout: 15 * time.Second}
 		},
 		func(_ int, jc *JoinConfig) { jc.Chaos = plan })
 	for i, err := range errs {
@@ -240,8 +238,7 @@ func TestClusterRejectsFalseFailover(t *testing.T) {
 	res, errs := runClusterOpts(t, sc, 2, 50,
 		func(cfg *Config) {
 			cfg.Obs = &obs.Obs{Reg: reg}
-			cfg.Tuning = Tuning{SuspectAfter: 2, DeadAfter: 4,
-				CallTimeout: 10 * time.Second, ReportTimeout: 15 * time.Second}
+			cfg.Tuning = Tuning{SuspectAfter: 2, DeadAfter: 4, ReportTimeout: 15 * time.Second}
 		}, nil)
 	for i, err := range errs {
 		if err != nil {

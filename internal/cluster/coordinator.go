@@ -53,11 +53,6 @@ type Config struct {
 // Tuning bundles the coordinator's time and failure-detection knobs.
 // The zero value means "use the defaults" for every field.
 type Tuning struct {
-	// CallTimeout bounds the coordinator's blocking round trips (the
-	// remote stop-source call). The default is generous: a partitioned
-	// control plane must be able to out-wait the scripted heal.
-	CallTimeout time.Duration // default 2m
-
 	// ReportTimeout bounds the wait for worker reports after the finish
 	// directive.
 	ReportTimeout time.Duration // default 30s
@@ -76,9 +71,6 @@ type Tuning struct {
 
 // withDefaults fills every zero field with its production default.
 func (t Tuning) withDefaults() Tuning {
-	if t.CallTimeout <= 0 {
-		t.CallTimeout = defaultCallTimeout
-	}
 	if t.ReportTimeout <= 0 {
 		t.ReportTimeout = defaultReportTimeout
 	}
@@ -111,7 +103,6 @@ func algoFactory(name string) sim.AlgorithmFactory {
 
 // The production defaults behind Tuning's zero value.
 const (
-	defaultCallTimeout   = 2 * time.Minute
 	defaultReportTimeout = 30 * time.Second
 	defaultJoinDeadline  = 5 * time.Minute
 )
@@ -330,12 +321,12 @@ type coordinator struct {
 	// them after their ack.
 	earlyReports []*Report
 
-	// pendingStop holds the event queue while a remote stop-source round
-	// trip is in flight (its ack carries the closing segment id of
-	// stopSwitch, the resolved planned switch it completes).
-	pendingStop chan *S1End
-	stopSwitch  *runtime.Directive
-	stopDest    int
+	// stopSwitch, a resolved planned switch whose old source lives on
+	// shard stopDest, holds the event queue until that shard answers the
+	// stop-source directive with stopEnd, the closing segment id.
+	stopSwitch *runtime.Directive
+	stopDest   int
+	stopEnd    *S1End
 }
 
 // run drives shard 0 tick by tick, resolving events and broadcasting
@@ -410,15 +401,13 @@ func (c *coordinator) drainInbox() {
 }
 
 func (c *coordinator) handle(m inMsg) {
+	defer m.Ack()
 	// A shard already declared dead gets no say: its state was handed to
 	// the survivors, so a late revival would split the brain. Fence it
 	// (the cast tells a falsely-declared process to stop) and drop the
 	// message on the floor — but still ack, to quiet its retry loop.
 	if c.dead[m.From] {
 		c.l.cast(m.From, fence{})
-		if m.Ack != nil {
-			m.Ack(nil)
-		}
 		return
 	}
 	switch p := m.P.(type) {
@@ -435,32 +424,31 @@ func (c *coordinator) handle(m inMsg) {
 		// A report can race the finish when a worker hits its fallback
 		// deadline; buffer it so collectReports still sees it.
 		c.earlyReports = append(c.earlyReports, p)
-	}
-	if m.Ack != nil {
-		m.Ack(nil)
+	case *S1End:
+		if c.stopSwitch != nil && m.From == c.stopDest {
+			c.stopEnd = p
+		}
 	}
 }
 
 // fireEvents resolves due events into directives and broadcasts them.
-// A planned switch whose old source lives on another shard turns into
-// an asynchronous stop-source call; the queue holds until the closing
-// segment id comes back.
+// A planned switch whose old source lives on another shard sends that
+// shard a stop-source directive; the queue holds until its S1End answer
+// arrives (or the failover turns the switch into a crash).
 func (c *coordinator) fireEvents() error {
 	r := c.r
-	if c.pendingStop != nil {
-		select {
-		case reply := <-c.pendingStop:
-			c.pendingStop = nil
-			d := c.stopSwitch
-			if reply == nil || !reply.OK {
-				return fmt.Errorf("cluster: stop-source round trip for node %d failed", d.Old)
-			}
-			d.S1End = reply.Seg
-			r.PopEvent()
-			c.broadcastApply(d)
-		default:
+	if d := c.stopSwitch; d != nil {
+		end := c.stopEnd
+		if end == nil {
 			return nil // still waiting: hold the queue
 		}
+		c.stopSwitch, c.stopEnd = nil, nil
+		if !end.OK {
+			return fmt.Errorf("cluster: shard %d could not stop source node %d", c.stopDest, d.Old)
+		}
+		d.S1End = end.Seg
+		r.PopEvent()
+		c.broadcastApply(d)
 	}
 	for {
 		ev, due := r.DueEvent()
@@ -481,18 +469,13 @@ func (c *coordinator) fireEvents() error {
 				c.broadcastApply(d)
 				continue
 			}
-			c.stopSwitch = d
-			c.stopDest = owner
-			ch := make(chan *S1End, 1)
-			c.pendingStop = ch
-			req := runtime.Directive{Directive: sim.Directive{Kind: runtime.DirStopSource, Tick: d.Tick, Old: d.Old, New: d.New}}
-			go func() {
-				reply, _ := c.l.call(owner, &req, c.cfg.Tuning.CallTimeout)
-				s1, _ := reply.(*S1End) // nil on a timeout or a bare ack
-				ch <- s1
-			}()
-			c.cfg.logf("cluster: tick %d: stop-source call to shard %d (node %d)", r.CurrentTick(), owner, d.Old)
-			return nil // hold until the reply
+			c.stopSwitch, c.stopDest = d, owner
+			if err := c.l.send(owner, &runtime.Directive{Directive: sim.Directive{
+				Kind: runtime.DirStopSource, Tick: d.Tick, Old: d.Old, New: d.New}}); err != nil {
+				return err
+			}
+			c.cfg.logf("cluster: tick %d: stop-source to shard %d (node %d)", r.CurrentTick(), owner, d.Old)
+			return nil // hold until the answer
 		}
 		r.PopEvent()
 		if d == nil {
@@ -531,7 +514,7 @@ func (c *coordinator) broadcastApply(d *runtime.Directive) {
 // stale-idle race where a worker reports idle just before a directive
 // lands).
 func (c *coordinator) drained() bool {
-	if !c.r.Idle() || !c.r.EventsDone() || c.pendingStop != nil {
+	if !c.r.Idle() || !c.r.EventsDone() || c.stopSwitch != nil {
 		return false
 	}
 	for _, w := range c.workers {
@@ -585,9 +568,7 @@ func (c *coordinator) collectReports() ([]*sim.Result, error) {
 				continue
 			}
 			absorb(rep)
-			if m.Ack != nil {
-				m.Ack(nil)
-			}
+			m.Ack()
 		case <-deadline:
 			return nil, fmt.Errorf("cluster: worker reports incomplete after %v", c.cfg.Tuning.ReportTimeout)
 		}

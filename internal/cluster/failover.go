@@ -257,8 +257,8 @@ func (c *coordinator) traceFD(kind string, shard int) {
 //     leave the overlay with their edges repaired;
 //  3. the directives broadcast on the same sequenced channel as every
 //     other directive, so workers replay them in order;
-//  4. if the dead shard owned the live source (or an in-flight
-//     stop-source call targeted it), the switch resolves as a crash
+//  4. if the dead shard owned the live source (or still owes the answer
+//     to a stop-source directive), the switch resolves as a crash
 //     handoff through the ordinary failure-switch machinery.
 func (c *coordinator) failover(w int) error {
 	r := c.r
@@ -291,16 +291,16 @@ func (c *coordinator) failover(w int) error {
 	c.cfg.logf("cluster: tick %d: shard %d reassigned: %d peers respawned across %d survivors",
 		r.CurrentTick(), w, respawned, len(survivors))
 
-	if c.pendingStop != nil && c.stopDest == w {
-		// The in-flight stop-source call died with its worker: the old
-		// source's closing segment is unknowable, so resolve the held
-		// switch as a crash handoff (the resolver estimates S1's end
-		// from the cohort's high-water mark, exactly as a scripted
-		// failure switch does).
-		c.pendingStop = nil
-		r.CrashSwitch(c.stopSwitch)
+	if d := c.stopSwitch; d != nil && c.stopDest == w {
+		// The stop-source answer died with its worker: the old source's
+		// closing segment is unknowable, so resolve the held switch as a
+		// crash handoff (the resolver estimates S1's end from the
+		// cohort's high-water mark, exactly as a scripted failure switch
+		// does).
+		c.stopSwitch = nil
+		r.CrashSwitch(d)
 		r.PopEvent()
-		c.broadcastApply(c.stopSwitch)
+		c.broadcastApply(d)
 	} else if srcDied {
 		// The live source was owned by the dead shard: synthesize an
 		// unscripted crash switch so the stream continues on a survivor.

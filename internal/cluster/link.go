@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"cmp"
 	"fmt"
 	"slices"
@@ -32,14 +31,14 @@ const helloAnchor overlay.NodeID = 1 << 20
 // inMsg is one authenticated control message as the link delivers it:
 // decoded, deduplicated and — for sequenced messages — in order per
 // source. P is one message of the alphabet (wire.go). Ack must be
-// called after the message is applied (nil for unsequenced messages);
-// its reply (nil for a bare ack) travels in the ack frame back to a
-// waiting call.
+// called after the message is applied (a no-op for unsequenced
+// messages); an ack carries no payload — an answer travels as a message
+// of its own.
 type inMsg struct {
 	From int // source shard
 	Seq  uint64
 	P    any
-	Ack  func(reply any)
+	Ack  func()
 }
 
 // link is one process's control endpoint: sealed runtime frames over the
@@ -68,19 +67,16 @@ type link struct {
 	// tick is the driving loop's current period, for the retry trace.
 	tick atomic.Int64
 
-	// pending and replies keep sealed frames as the bytes sent, so a
-	// retry or a duplicate's re-ack sends them again without encoding.
-	// held keeps out-of-order messages decoded. sendMu serializes
-	// sequenced sends, so a sequence number is taken only by a message
-	// that sealed.
+	// pending keeps sealed frames as the bytes sent, so a retry sends
+	// them again without encoding. held keeps out-of-order messages
+	// decoded. sendMu serializes sequenced sends, so a sequence number
+	// is taken only by a message that sealed.
 	sendMu  sync.Mutex
 	mu      sync.Mutex
 	nextSeq map[int]uint64
 	pending map[pendKey][]byte
-	waiters map[pendKey]chan []byte
 	inNext  map[int]uint64
 	held    map[int]map[uint64]any
-	replies map[pendKey][]byte // sealed acks, for dup re-ack
 	closed  bool
 
 	// Keepalive: the coordinator probes suspected shards with FramePing;
@@ -136,10 +132,8 @@ func newLink(tr *runtime.UDPTransport, listen string, shard int, token string, l
 		addr:    addr,
 		nextSeq: make(map[int]uint64),
 		pending: make(map[pendKey][]byte),
-		waiters: make(map[pendKey]chan []byte),
 		inNext:  make(map[int]uint64),
 		held:    make(map[int]map[uint64]any),
-		replies: make(map[pendKey][]byte),
 		inbox:   make(chan inMsg, 256),
 		done:    make(chan struct{}),
 		logf:    logf,
@@ -229,28 +223,17 @@ func (l *link) pendingEmpty(dest int) bool {
 	return true
 }
 
-// forget abandons every reliable send toward a dead shard: pending
-// retries stop, and blocked callers are released with a nil reply. The
-// coordinator calls it at failover so a corpse cannot pin the retry
-// loop or the drain check.
+// forget abandons every reliable send toward a dead shard, so its
+// retries stop. The coordinator calls it at failover so a corpse cannot
+// pin the retry loop or the drain check.
 func (l *link) forget(dest int) {
 	l.mu.Lock()
-	var woken []chan []byte
 	for k := range l.pending {
 		if k.shard == dest {
 			delete(l.pending, k)
 		}
 	}
-	for k, ch := range l.waiters {
-		if k.shard == dest {
-			delete(l.waiters, k)
-			woken = append(woken, ch)
-		}
-	}
 	l.mu.Unlock()
-	for _, ch := range woken {
-		ch <- nil
-	}
 }
 
 // probe sends one keepalive ping (unsequenced, losable; the detector
@@ -284,44 +267,12 @@ func (l *link) lastSeq(dest int) uint64 {
 // is a message that cannot be sealed: it is reported and dropped without
 // taking a sequence number.
 func (l *link) send(dest int, m any) error {
-	wire, _, err := l.sealSequenced(dest, m)
+	wire, err := l.sealSequenced(dest, m)
 	if err != nil {
 		return err
 	}
 	l.transmit(dest, wire)
 	return nil
-}
-
-// call ships reliably and blocks until the acknowledgement arrives (the
-// retry loop keeps transmitting meanwhile), returning the ack's reply
-// message (nil when the ack was bare). The error is a message that
-// cannot be sealed, the timeout — a severed control plane that outlasts
-// the caller's patience — or a reply that does not decode.
-func (l *link) call(dest int, m any, timeout time.Duration) (any, error) {
-	wire, seq, err := l.sealSequenced(dest, m)
-	if err != nil {
-		return nil, err
-	}
-	ch := make(chan []byte, 1)
-	key := pendKey{dest, seq}
-	l.mu.Lock()
-	l.waiters[key] = ch
-	l.mu.Unlock()
-	l.transmit(dest, wire)
-	select {
-	case reply := <-ch:
-		if len(reply) == 0 {
-			return nil, nil
-		}
-		return decodeMsg(reply)
-	case <-time.After(timeout):
-		l.mu.Lock()
-		delete(l.waiters, key)
-		l.mu.Unlock()
-		return nil, fmt.Errorf("cluster: no ack from shard %d for seq %d within %v", dest, seq, timeout)
-	case <-l.done:
-		return nil, fmt.Errorf("cluster: link closed")
-	}
 }
 
 // cast ships an unsequenced fire-and-forget message (per-tick status):
@@ -384,7 +335,7 @@ func (l *link) anchor() overlay.NodeID {
 // sealSequenced seals the frame under the next sequence number toward
 // dest and, once it sealed, takes that number and registers the bytes
 // for retry.
-func (l *link) sealSequenced(dest int, m any) ([]byte, uint64, error) {
+func (l *link) sealSequenced(dest int, m any) ([]byte, error) {
 	l.sendMu.Lock()
 	defer l.sendMu.Unlock()
 	l.mu.Lock()
@@ -400,13 +351,13 @@ func (l *link) sealSequenced(dest int, m any) ([]byte, uint64, error) {
 	wire, err := l.sealer.seal(f, m)
 	if err != nil {
 		l.dropped(dest, err)
-		return nil, 0, err
+		return nil, err
 	}
 	l.mu.Lock()
 	l.nextSeq[dest] = seq
 	l.pending[pendKey{dest, seq}] = wire
 	l.mu.Unlock()
-	return wire, seq, nil
+	return wire, nil
 }
 
 // transmit hands one sealed control frame's bytes to the transport
@@ -485,7 +436,9 @@ func (l *link) receive(wire []byte) {
 	}
 	switch f.Kind {
 	case runtime.FrameAck:
-		l.handleAck(f)
+		l.mu.Lock()
+		delete(l.pending, pendKey{int(f.Msg.From), uint64(f.Msg.Seg)})
+		l.mu.Unlock()
 	case runtime.FrameHello, runtime.FrameEvent:
 		l.handleMsg(f)
 	case runtime.FramePing:
@@ -508,21 +461,6 @@ func (l *link) receive(wire []byte) {
 	}
 }
 
-// handleAck completes the pending entry and wakes any caller.
-func (l *link) handleAck(f runtime.Frame) {
-	key := pendKey{int(f.Msg.From), uint64(f.Msg.Seg)}
-	l.mu.Lock()
-	_, had := l.pending[key]
-	delete(l.pending, key)
-	ch := l.waiters[key]
-	delete(l.waiters, key)
-	l.mu.Unlock()
-	if !had || ch == nil {
-		return
-	}
-	ch <- bytes.Clone(f.Ctrl) // f.Ctrl is the reader's buffer
-}
-
 // handleMsg runs the sequenced-delivery state machine (and passes
 // hellos and unsequenced events straight through).
 func (l *link) handleMsg(f runtime.Frame) {
@@ -533,7 +471,7 @@ func (l *link) handleMsg(f runtime.Frame) {
 	from := int(f.Msg.From)
 	seq := uint64(f.Msg.Sent)
 	if f.Kind == runtime.FrameHello || seq == 0 {
-		l.deliver(inMsg{From: from, P: m})
+		l.deliver(inMsg{From: from, P: m, Ack: func() {}})
 		return
 	}
 	l.mu.Lock()
@@ -544,14 +482,11 @@ func (l *link) handleMsg(f runtime.Frame) {
 	}
 	switch {
 	case seq < next:
-		// Duplicate of an applied message: re-send the retained ack so
-		// the sender stops retrying (the original ack may have been
-		// severed on its way out).
-		reply, ok := l.replies[pendKey{from, seq}]
+		// Duplicate of an applied message: ack it again so the sender
+		// stops retrying (the original ack may have been severed on its
+		// way out).
 		l.mu.Unlock()
-		if ok && !l.dropFrame(runtime.FrameAck) {
-			l.transmit(from, reply)
-		}
+		l.ack(from, seq)
 		return
 	case seq > next:
 		h := l.held[from]
@@ -594,39 +529,30 @@ func (l *link) handleMsg(f runtime.Frame) {
 
 // sequencedMsg builds the delivery with its apply-then-ack closure.
 func (l *link) sequencedMsg(from int, seq uint64, m any) inMsg {
-	return inMsg{
-		From: from,
-		Seq:  seq,
-		P:    m,
-		Ack: func(reply any) {
-			af := runtime.Frame{
-				Kind: runtime.FrameAck,
-				Msg: netmodel.Message{
-					From: l.anchor(), To: overlay.NodeID(from),
-					Seg: segment.ID(seq),
-				},
-			}
-			wire, err := l.sealer.seal(af, reply)
-			if err != nil {
-				l.dropped(from, err)
-				return
-			}
-			l.mu.Lock()
-			l.replies[pendKey{from, seq}] = wire
-			l.mu.Unlock()
-			// The retained reply survives a chaos ack-drop window: once
-			// the fault lifts, the sender's retry triggers the dup
-			// re-ack path above.
-			if !l.dropFrame(runtime.FrameAck) {
-				l.transmit(from, wire)
-			}
+	return inMsg{From: from, Seq: seq, P: m, Ack: func() { l.ack(from, seq) }}
+}
+
+// ack seals and sends the bare acknowledgement of one applied message.
+// Nothing is kept: a duplicate of the message is acked afresh, which is
+// also how an ack lost to a chaos ack-drop window is made good once the
+// fault lifts and the sender retries.
+func (l *link) ack(from int, seq uint64) {
+	if l.dropFrame(runtime.FrameAck) {
+		return
+	}
+	f := runtime.Frame{
+		Kind: runtime.FrameAck,
+		Msg: netmodel.Message{
+			From: l.anchor(), To: overlay.NodeID(from),
+			Seg: segment.ID(seq),
 		},
 	}
+	l.castFrame(from, f, nil)
 }
 
 // deliver hands one message to the application without ever blocking
-// the reader (a blocked reader would stall ack processing and deadlock
-// a waiting call). A full inbox drops the message: the caller rewinds
+// the reader (a blocked reader would stall ack processing). A full
+// inbox drops the message: the caller rewinds
 // sequenced ones for redelivery; unsequenced ones are losable by
 // contract.
 func (l *link) deliver(m inMsg) bool {

@@ -84,9 +84,7 @@ func ackAll(l *link, into chan<- int) {
 			if d, ok := m.P.(*runtime.Directive); ok {
 				into <- d.Tick
 			}
-			if m.Ack != nil {
-				m.Ack(nil)
-			}
+			m.Ack()
 		}
 	}()
 }
@@ -380,5 +378,57 @@ func TestSealOpenRoundTrip(t *testing.T) {
 		if _, opened := runtime.OpenControl(mut, s); opened {
 			t.Fatalf("flip %d survived authentication", i)
 		}
+	}
+}
+
+// TestDuplicateReackedBare: a sequenced message is acked once it is
+// applied, and its duplicate — the sender's retry after a lost ack — is
+// acked afresh without being delivered again. Both acks are bare: the
+// answer to a message travels as a message of its own, and the link
+// keeps no sealed ack. A raw socket stands in for the sending shard.
+func TestDuplicateReackedBare(t *testing.T) {
+	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Skipf("udp bind unavailable: %v", err)
+	}
+	defer conn.Close()
+	l := testLink(t, 0, "k", 1)
+	l.table.store([]string{l.addr, conn.LocalAddr().String()})
+	to, err := net.ResolveUDPAddr("udp", l.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := mustSeal(l.sealer, runtime.Frame{Kind: runtime.FrameEvent,
+		Msg: netmodel.Message{From: 1, Sent: 1}}, &S1End{Seg: 42, OK: true})
+	buf := make([]byte, 64<<10)
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for i := 0; i < 2; i++ {
+		if _, err := conn.WriteToUDP(msg, to); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			select {
+			case m := <-l.inbox:
+				if e, ok := m.P.(*S1End); !ok || e.Seg != 42 || m.From != 1 || m.Seq != 1 {
+					t.Fatalf("delivered %+v, want the S1End of shard 1, seq 1", m)
+				}
+				m.Ack()
+			case <-time.After(5 * time.Second):
+				t.Fatal("message never delivered")
+			}
+		}
+		n, err := conn.Read(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, ok := runtime.OpenControl(buf[:n], l.sealer)
+		if !ok || f.Kind != runtime.FrameAck || f.Msg.Seg != 1 || len(f.Ctrl) != 0 {
+			t.Fatalf("datagram %d: %+v (authentic %v), want a bare ack of seq 1", i, f, ok)
+		}
+	}
+	select {
+	case m := <-l.inbox:
+		t.Fatalf("duplicate delivered again: %+v", m)
+	case <-time.After(100 * time.Millisecond):
 	}
 }

@@ -86,17 +86,19 @@ func (sc *macScratch) tag(msg []byte) []byte {
 }
 
 // The control-plane message alphabet, carried in the Ctrl payload of
-// FrameHello, FrameEvent and FrameAck as one kind byte and the kind's
+// FrameHello and FrameEvent as one kind byte and the kind's
 // fixed little-endian layout (appendMsg, decodeMsg; docs/RUNTIME.md,
 // "Control payload format"). A message is one of *Hello, *Welcome,
 // *Start, *runtime.Directive, *Status, *Report, *S1End or fence.
 
 // codecVersion numbers the control payload format. A hello carries it
 // and the coordinator welcomes only its own version: any change to a
-// layout below bumps it, so two builds never misread each other. The
-// hello's own layout (kind, version, address) is the one that never
-// changes — it is how a mismatch is told.
-const codecVersion uint8 = 1
+// layout below, or to what a message means, bumps it, so two builds
+// never misread each other. The hello's own layout (kind, version,
+// address) is the one that never changes — it is how a mismatch is
+// told. Version 2: an ack carries no payload, and the stop-source
+// answer is an S1End message of its own.
+const codecVersion uint8 = 2
 
 // Message kinds, the payload's first byte.
 const (
@@ -172,8 +174,10 @@ type Report struct {
 	Window    *sim.SwitchMetrics
 }
 
-// S1End is the reply payload of a DirStopSource ack: the closing
-// segment id of the stopped source's session.
+// S1End answers a DirStopSource: the owning shard sends the closing
+// segment id of the stopped source's session (OK false: it owned no
+// such running source) back to the coordinator as an ordinary
+// sequenced message.
 type S1End struct {
 	Seg segment.ID
 	OK  bool

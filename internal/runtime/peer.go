@@ -434,9 +434,6 @@ func (p *peer) schedule() {
 		if budget == 0 {
 			return
 		}
-		// The per-link estimate counts every request sent on the link,
-		// planned ones included.
-		rows[pu.Row].Headroom--
 		p.request(pu.Seg, overlay.NodeID(rows[pu.Row].ID))
 		budget--
 	}

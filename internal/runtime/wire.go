@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -159,6 +160,7 @@ func DecodeFrame(b []byte) (Frame, error) {
 	if len(rest) != 0 {
 		return f, fmt.Errorf("runtime: %d trailing bytes on a %s frame", len(rest), f.Kind)
 	}
+	f.Ctrl = bytes.Clone(f.Ctrl)
 	return f, nil
 }
 
@@ -168,7 +170,9 @@ func DecodeFrame(b []byte) (Frame, error) {
 // b[ends[i-1]:ends[i]], as the decoder delimited it. It is
 // all-or-nothing: one malformed frame (or an empty datagram) rejects the
 // whole datagram, because past a bad frame the boundaries of its
-// successors cannot be trusted.
+// successors cannot be trusted. A control frame's Ctrl aliases b (the
+// reader hands the control handler the frame's bytes, never the frame);
+// every other slice is the frame's own.
 func decodeDatagram(b []byte, dst []Frame, ends []int) ([]Frame, []int, error) {
 	dst, ends = dst[:0], ends[:0]
 	for rest := b; ; {
@@ -277,7 +281,7 @@ func decodeCtrl(b []byte) ([]byte, []byte, error) {
 	}
 	var ctrl []byte
 	if clen > 0 {
-		ctrl = append([]byte(nil), b[:clen]...)
+		ctrl = b[:clen:clen]
 	}
 	return ctrl, b[clen:], nil
 }

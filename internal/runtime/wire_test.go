@@ -300,6 +300,36 @@ func TestEncodeFrameAllocatesOnce(t *testing.T) {
 	}
 }
 
+// TestControlDatagramDecodesInPlace: the datagram decoder reads control
+// payloads in place — the reader hands the control handler each frame's
+// bytes, never the decoded frame — so a datagram of two control frames
+// decodes without an allocation once dst and ends are warm. DecodeFrame
+// still returns a frame that owns its payload.
+func TestControlDatagramDecodesInPlace(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates for its own bookkeeping")
+	}
+	ev := Frame{Kind: FrameEvent, Msg: netmodel.Message{From: 1, Sent: 3}, Ctrl: []byte("status")}
+	ack := Frame{Kind: FrameAck, Msg: netmodel.Message{From: 1, Seg: 3}, Ctrl: []byte("tag")}
+	dg := append(EncodeFrame(ev), EncodeFrame(ack)...)
+	frames, ends, err := decodeDatagram(dg, nil, nil)
+	if err != nil || len(frames) != 2 {
+		t.Fatalf("decoded %d frames, err %v", len(frames), err)
+	}
+	if n := testing.AllocsPerRun(100, func() { frames, ends, _ = decodeDatagram(dg, frames, ends) }); n != 0 {
+		t.Fatalf("decoding a datagram of two control frames costs %.1f allocations, want 0", n)
+	}
+	single := EncodeFrame(ev)
+	f, err := DecodeFrame(single)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single[len(single)-1] ^= 0xff
+	if string(f.Ctrl) != "status" {
+		t.Fatalf("DecodeFrame's payload %q aliases its input", f.Ctrl)
+	}
+}
+
 // FuzzDecodeDatagram: the datagram decoder must never panic, and the
 // codec is strict — whatever decodes re-encodes to the very bytes that
 // were read, so frame boundaries are never ambiguous.

@@ -86,6 +86,10 @@ func (sc *Scenario) Validate() error {
 	if sc.M < 0 || sc.Spread < 0 || sc.Horizon < 0 || sc.Duration < 0 || sc.Qs < 0 {
 		return fmt.Errorf("scenario %s: negative parameter", sc.Name)
 	}
+	if sc.Qs > sim.BufferCap {
+		return fmt.Errorf("scenario %s: qs %d exceeds the buffer capacity B = %d: no node could ever gather the new stream's first qs segments",
+			sc.Name, sc.Qs, sim.BufferCap)
+	}
 	if m := sc.minDegree(); m >= sc.Nodes {
 		return fmt.Errorf("scenario %s: %d nodes cannot each hold M=%d neighbors", sc.Name, sc.Nodes, m)
 	}

@@ -150,11 +150,16 @@ func TestParseErrors(t *testing.T) {
 		"scenario ok\nnodes 100\nseed 1\nat 10 heal",
 		"scenario ok\nnodes 100\nseed 1\nat 10 lossburst for=10 p=0.2",
 		"scenario ok\nnodes 100\nseed 1\nat 10 latency factor=5",
+		// Qs above the buffer capacity B = 600: no node could ever prepare.
+		"scenario ok\nnodes 100\nseed 1\nqs 601\nat 10 switch",
 	}
 	for _, text := range bad {
 		if _, err := Parse(strings.NewReader(text)); err == nil {
 			t.Errorf("accepted malformed scenario:\n%s", text)
 		}
+	}
+	if _, err := Parse(strings.NewReader("scenario ok\nnodes 100\nseed 1\nqs 600\nat 10 switch")); err != nil {
+		t.Errorf("rejected qs 600 (= B): %v", err)
 	}
 	// Scaling below the neighbor target is the same error at compile
 	// time, not an overlay panic.

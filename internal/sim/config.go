@@ -211,6 +211,10 @@ func (c Config) Validate() error {
 	if int(c.FirstSource) >= c.Graph.N() {
 		return fmt.Errorf("sim: FirstSource %d out of range", c.FirstSource)
 	}
+	if c.Qs > BufferCap {
+		// No node could ever hold the new stream's first Qs segments.
+		return fmt.Errorf("sim: Qs %d exceeds the buffer capacity B = %d", c.Qs, BufferCap)
+	}
 	if c.Churn != nil {
 		if c.Churn.LeaveFraction < 0 || c.Churn.LeaveFraction >= 1 {
 			return fmt.Errorf("sim: LeaveFraction %v out of [0,1)", c.Churn.LeaveFraction)

@@ -369,7 +369,9 @@ func NewPlanner(algo core.Algorithm, par PeerParams) Planner {
 // the highest mark the first core.MaxSuppliers rows advertise, builds
 // both need windows without the held and inflight segments, hands the
 // scheduler those rows that have headroom as suppliers, and runs it;
-// Pulls holds its requests in precedence order. It reports false, with
+// Pulls holds its requests in precedence order, and each spends one
+// headroom of its row, so Prefetch sees only the room the plan left. It
+// reports false, with
 // no pulls, when nothing is advertised or nothing is needed — then the
 // scheduler did not run and Prefetch must not be called.
 func (pl *Planner) Plan(pb *Playback, buf *buffer.Buffer, sessions []segment.Session, inflight []segment.ID, inbound float64, rows []Row) bool {
@@ -401,7 +403,9 @@ func (pl *Planner) Plan(pb *Playback, buf *buffer.Buffer, sessions []segment.Ses
 	pl.env.NeedOld, pl.env.NeedNew = needs[:split:split], needs[split:]
 	pl.algo.Plan(&pl.env, &pl.plan)
 	for _, req := range pl.plan.Requests {
-		pl.Pulls = append(pl.Pulls, Pull{Seg: req.Segment, Row: pl.sup[req.SupplierIndex]})
+		row := pl.sup[req.SupplierIndex]
+		rows[row].Headroom--
+		pl.Pulls = append(pl.Pulls, Pull{Seg: req.Segment, Row: row})
 	}
 	return true
 }

@@ -14,9 +14,10 @@ import (
 // probePrefetch and probePickSupplier are the prefetch loop as it was
 // before availability was read in bulk, kept verbatim as the reference
 // except that the per-link request counts live in the probe, not on the
-// node: every drawn id is chased through each neighbor's buffer with
-// nb.buf.Has(id). From the same stream, the word-parallel prefetch must
-// route the same requests.
+// node, and start from the plan's own requests (the plan charges each
+// to its row): every drawn id is chased through each neighbor's buffer
+// with nb.buf.Has(id). From the same stream, the word-parallel prefetch
+// must route the same requests.
 func probePrefetch(s *Sim, ws *workerScratch, sh *shardScratch, n *nodeState, rng *rand.Rand) {
 	budget := n.in.Available() - len(ws.plan.Requests)
 	if budget <= 0 {
@@ -27,7 +28,12 @@ func probePrefetch(s *Sim, ws *workerScratch, sh *shardScratch, n *nodeState, rn
 	}
 	pool := append(ws.pool[:0], ws.env.NeedOld...)
 	ws.pool = pool
+	// The plan's requests, the last ones routed, spent their links'
+	// room first.
 	linkReqs := make([]int32, len(s.g.Neighbors(n.id)))
+	for _, rr := range sh.requests[len(sh.requests)-len(ws.plan.Requests):] {
+		linkReqs[rr.Link]++
+	}
 	for k := 0; k < len(pool) && budget > 0; k++ {
 		j := k + rng.Intn(len(pool)-k)
 		pool[k], pool[j] = pool[j], pool[k]
@@ -365,4 +371,55 @@ func TestShardBucketsMatchStableSort(t *testing.T) {
 			t.Fatalf("trial %d: offsets end at %d/%d, accept holds %d, want %d", trial, got, sh.propOff[shards], len(sh.accept), n)
 		}
 	}
+}
+
+// TestPerLinkPullsFitTheLink pins the plan's charge of its own requests
+// (Planner.Plan): under per-link capacity the requests a node routes
+// over one link in a round — planned and prefetched — never exceed the
+// room the link has left, so the serve phase refuses none of them for
+// link capacity. Before every plan round it re-plans each node on a
+// scratch outbox, prefetch included, and counts its requests per link.
+func TestPerLinkPullsFitTheLink(t *testing.T) {
+	cfg := quickConfig(testTopology(t, 200, 7), Fast)
+	cfg.SharedOutbound = false
+	cfg.Workers = 1
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var routed int
+	check := func() {
+		ws := s.workers[0]
+		for _, nd := range s.nodes {
+			if !nd.alive || nd.isSource || nd.profile.In <= 0 || nd.in.Available() < 1 {
+				continue
+			}
+			var out shardScratch
+			s.planNode(ws, &out, nd, s.round)
+			perLink := make(map[int32]int)
+			for _, rr := range out.requests {
+				perLink[rr.Link]++
+			}
+			routed += len(out.requests)
+			for link, n := range perLink {
+				nb := s.nodes[s.g.Neighbors(nd.id)[link]]
+				room := s.linkCap(nb) - int(nd.linkGrants[link])
+				if n > room {
+					t.Fatalf("tick %d round %d: node %d routes %d requests over link %d with room for %d",
+						s.tick, s.round, nd.id, n, link, room)
+				}
+			}
+		}
+	}
+	s.sched = engine.NewPipeline(
+		engine.Phase{Name: "plan", Run: func() { check(); s.planRound() }},
+		engine.Phase{Name: "serve", Run: s.serveRound},
+	)
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if routed == 0 {
+		t.Fatal("the run routed no requests")
+	}
+	t.Logf("%d requests checked against their links' room", routed)
 }

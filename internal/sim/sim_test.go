@@ -47,6 +47,15 @@ func TestConfigValidation(t *testing.T) {
 	if err := bad.Defaulted().Validate(); err == nil {
 		t.Error("bad churn fraction accepted")
 	}
+	bad = quickConfig(g, Fast)
+	bad.Qs = BufferCap + 1
+	if err := bad.Defaulted().Validate(); err == nil {
+		t.Error("Qs above the buffer capacity accepted")
+	}
+	bad.Qs = BufferCap
+	if err := bad.Defaulted().Validate(); err != nil {
+		t.Errorf("Qs = B rejected: %v", err)
+	}
 	tiny := Config{Graph: overlay.New(1)}
 	if err := tiny.Defaulted().Validate(); err == nil {
 		t.Error("single-node graph accepted")
