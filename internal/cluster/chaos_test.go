@@ -25,10 +25,10 @@ var chaosTuning = Tuning{
 // joiners under chaosTuning, with a scripted fail-stop of one worker at
 // a worker tick. It requires that exactly that joiner died, that the
 // detector failed exactly one shard over, and that the merged result
-// passes the live invariant audit, given the crash switches the
-// failover resolved beyond the script (crashed(res) lists them); it
+// passes the live invariant audit, told that its first crashes windows
+// are crash switches the failover resolved beyond the script. It
 // returns the result and the starter's registry.
-func runKilled(t *testing.T, shard, tick int, crashed func(*sim.Result) []sim.Event) (*sim.Result, *obs.Registry) {
+func runKilled(t *testing.T, shard, tick, crashes int) (*sim.Result, *obs.Registry) {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("multi-shard chaos run takes several seconds")
@@ -70,8 +70,8 @@ func runKilled(t *testing.T, shard, tick int, crashed func(*sim.Result) []sim.Ev
 		t.Fatal(err)
 	}
 	var unscripted []sim.Event
-	if crashed != nil {
-		unscripted = crashed(res)
+	for _, w := range res.Windows[:min(crashes, len(res.Windows))] {
+		unscripted = append(unscripted, sim.CrashAt(w.Tick, w.NewSource))
 	}
 	if err := sim.CheckLiveInvariants(scfg, res, unscripted...); err != nil {
 		t.Errorf("live invariants: %v", err)
@@ -87,7 +87,7 @@ func runKilled(t *testing.T, shard, tick int, crashed func(*sim.Result) []sim.Ev
 func TestClusterSurvivesWorkerKill(t *testing.T) {
 	// Shard 1 owns the scripted switch's old source (see the parity
 	// test), so killing shard 2 exercises the pure reassignment path.
-	res, reg := runKilled(t, 2, 12, nil)
+	res, reg := runKilled(t, 2, 12, 0)
 
 	if got := reg.Counter("gossip_shards_reassigned_total", "").Value(); got != 1 {
 		t.Errorf("gossip_shards_reassigned_total = %d, want 1", got)
@@ -124,10 +124,7 @@ func TestClusterSurvivesWorkerKill(t *testing.T) {
 // crash switch onto a survivor, whose window is a failure window and
 // the one window no scripted event opens.
 func TestClusterSourceOwnerKilled(t *testing.T) {
-	res, _ := runKilled(t, 1, 12, func(res *sim.Result) []sim.Event {
-		w := res.Windows[0]
-		return []sim.Event{sim.SwitchAt(w.Tick, w.NewSource)}
-	})
+	res, _ := runKilled(t, 1, 12, 1)
 	if len(res.Windows) == 0 {
 		t.Fatal("no merged windows")
 	}
@@ -147,7 +144,7 @@ func TestClusterSourceOwnerKilled(t *testing.T) {
 // the shard dead: the failover turns the held switch into a crash
 // handoff, and the switch window is a failure window.
 func TestClusterStopSourceOwnerKilled(t *testing.T) {
-	res, _ := runKilled(t, 1, 38, nil)
+	res, _ := runKilled(t, 1, 38, 0)
 	if len(res.Windows) == 0 {
 		t.Fatal("no merged windows")
 	}
