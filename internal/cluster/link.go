@@ -69,14 +69,17 @@ type link struct {
 
 	// pending keeps sealed frames as the bytes sent, so a retry sends
 	// them again without encoding. held keeps out-of-order messages
-	// decoded. sendMu serializes sequenced sends, so a sequence number
-	// is taken only by a message that sealed.
+	// decoded, and acked the highest sequence number per source the
+	// application has applied and acked. sendMu serializes sequenced
+	// sends, so a sequence number is taken only by a message that
+	// sealed.
 	sendMu  sync.Mutex
 	mu      sync.Mutex
 	nextSeq map[int]uint64
 	pending map[pendKey][]byte
 	inNext  map[int]uint64
 	held    map[int]map[uint64]any
+	acked   map[int]uint64
 	closed  bool
 
 	// Keepalive: the coordinator probes suspected shards with FramePing;
@@ -134,6 +137,7 @@ func newLink(tr *runtime.UDPTransport, listen string, shard int, token string, l
 		pending: make(map[pendKey][]byte),
 		inNext:  make(map[int]uint64),
 		held:    make(map[int]map[uint64]any),
+		acked:   make(map[int]uint64),
 		inbox:   make(chan inMsg, 256),
 		done:    make(chan struct{}),
 		logf:    logf,
@@ -482,11 +486,14 @@ func (l *link) handleMsg(f runtime.Frame) {
 	}
 	switch {
 	case seq < next:
-		// Duplicate of an applied message: ack it again so the sender
-		// stops retrying (the original ack may have been severed on its
-		// way out).
+		// Duplicate of a delivered message: once it is applied, ack it
+		// again so the sender stops retrying (the original ack may have
+		// been severed on its way out).
+		applied := seq <= l.acked[from]
 		l.mu.Unlock()
-		l.ack(from, seq)
+		if applied {
+			l.ack(from, seq)
+		}
 		return
 	case seq > next:
 		h := l.held[from]
@@ -529,7 +536,12 @@ func (l *link) handleMsg(f runtime.Frame) {
 
 // sequencedMsg builds the delivery with its apply-then-ack closure.
 func (l *link) sequencedMsg(from int, seq uint64, m any) inMsg {
-	return inMsg{From: from, Seq: seq, P: m, Ack: func() { l.ack(from, seq) }}
+	return inMsg{From: from, Seq: seq, P: m, Ack: func() {
+		l.mu.Lock()
+		l.acked[from] = max(l.acked[from], seq)
+		l.mu.Unlock()
+		l.ack(from, seq)
+	}}
 }
 
 // ack seals and sends the bare acknowledgement of one applied message.

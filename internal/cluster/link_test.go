@@ -382,10 +382,11 @@ func TestSealOpenRoundTrip(t *testing.T) {
 }
 
 // TestDuplicateReackedBare: a sequenced message is acked once it is
-// applied, and its duplicate — the sender's retry after a lost ack — is
-// acked afresh without being delivered again. Both acks are bare: the
-// answer to a message travels as a message of its own, and the link
-// keeps no sealed ack. A raw socket stands in for the sending shard.
+// applied, and a duplicate of it — the sender's retry after a lost ack —
+// is acked afresh once the original is applied (never before), without
+// being delivered again. Every ack is bare: the answer to a message
+// travels as a message of its own, and the link keeps no sealed ack. A
+// raw socket stands in for the sending shard.
 func TestDuplicateReackedBare(t *testing.T) {
 	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
@@ -400,32 +401,43 @@ func TestDuplicateReackedBare(t *testing.T) {
 	}
 	msg := mustSeal(l.sealer, runtime.Frame{Kind: runtime.FrameEvent,
 		Msg: netmodel.Message{From: 1, Sent: 1}}, &S1End{Seg: 42, OK: true})
-	buf := make([]byte, 64<<10)
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	for i := 0; i < 2; i++ {
+	send := func() {
 		if _, err := conn.WriteToUDP(msg, to); err != nil {
 			t.Fatal(err)
 		}
-		if i == 0 {
-			select {
-			case m := <-l.inbox:
-				if e, ok := m.P.(*S1End); !ok || e.Seg != 42 || m.From != 1 || m.Seq != 1 {
-					t.Fatalf("delivered %+v, want the S1End of shard 1, seq 1", m)
-				}
-				m.Ack()
-			case <-time.After(5 * time.Second):
-				t.Fatal("message never delivered")
-			}
-		}
+	}
+	buf := make([]byte, 64<<10)
+	readAck := func(what string) {
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 		n, err := conn.Read(buf)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", what, err)
 		}
 		f, ok := runtime.OpenControl(buf[:n], l.sealer)
 		if !ok || f.Kind != runtime.FrameAck || f.Msg.Seg != 1 || len(f.Ctrl) != 0 {
-			t.Fatalf("datagram %d: %+v (authentic %v), want a bare ack of seq 1", i, f, ok)
+			t.Fatalf("%s: %+v (authentic %v), want a bare ack of seq 1", what, f, ok)
 		}
 	}
+
+	send()
+	var m inMsg
+	select {
+	case m = <-l.inbox:
+	case <-time.After(5 * time.Second):
+		t.Fatal("message never delivered")
+	}
+	if e, ok := m.P.(*S1End); !ok || e.Seg != 42 || m.From != 1 || m.Seq != 1 {
+		t.Fatalf("delivered %+v, want the S1End of shard 1, seq 1", m)
+	}
+	send() // a duplicate before the original is applied: no ack yet
+	conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
+	if n, err := conn.Read(buf); err == nil {
+		t.Fatalf("a duplicate of an unapplied message was answered (%d bytes)", n)
+	}
+	m.Ack()
+	readAck("the ack")
+	send()
+	readAck("the duplicate's ack")
 	select {
 	case m := <-l.inbox:
 		t.Fatalf("duplicate delivered again: %+v", m)

@@ -371,9 +371,9 @@ func NewPlanner(algo core.Algorithm, par PeerParams) Planner {
 // scheduler those rows that have headroom as suppliers, and runs it;
 // Pulls holds its requests in precedence order, and each spends one
 // headroom of its row, so Prefetch sees only the room the plan left. It
-// reports false, with
-// no pulls, when nothing is advertised or nothing is needed — then the
-// scheduler did not run and Prefetch must not be called.
+// reports false, with no pulls, when nothing is advertised or nothing is
+// needed — then the scheduler did not run and Prefetch must not be
+// called.
 func (pl *Planner) Plan(pb *Playback, buf *buffer.Buffer, sessions []segment.Session, inflight []segment.ID, inbound float64, rows []Row) bool {
 	pl.Pulls = pl.Pulls[:0]
 	pl.env.Suppliers, pl.sup = pl.env.Suppliers[:0], pl.sup[:0]
