@@ -37,9 +37,10 @@ func TestPipelineTraceToFigures(t *testing.T) {
 			Graph:           g.Clone(),
 			Seed:            314,
 			NewAlgorithm:    factory,
+			Qs:              50,
 			JoinSpreadTicks: 15,
 			HorizonTicks:    150,
-			FirstSource:     -1,
+			FirstSource:     g.MinDegreeNode(),
 			Script:          &sim.Script{Events: []sim.Event{sim.SwitchAt(30, -1)}},
 			SharedOutbound:  true,
 		})

@@ -124,10 +124,10 @@ func (w Workload) check() error {
 
 // runSettings are the run-side knobs a scenario does not carry.
 type runSettings struct {
-	workers         int // trial fan-out pool (0 = GOMAXPROCS)
-	simWorkers      int // sim.Config.Workers of every trial
-	trackRatios     bool
-	disablePrefetch bool
+	workers     int // trial fan-out pool (0 = GOMAXPROCS)
+	simWorkers  int // sim.Config.Workers of every trial
+	trackRatios bool
+	noPrefetch  bool
 }
 
 // settings are the workload's run-side knobs.
@@ -157,7 +157,7 @@ func runTrials(rs runSettings, trials []trial) ([]*sim.Result, error) {
 		}
 		cfg.Workers = rs.simWorkers
 		cfg.TrackRatios = rs.trackRatios
-		cfg.DisablePrefetch = rs.disablePrefetch
+		cfg.DisablePrefetch = rs.noPrefetch
 		s, err := sim.New(cfg)
 		if err != nil {
 			errs[i] = err

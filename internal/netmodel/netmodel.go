@@ -1,7 +1,6 @@
 package netmodel
 
 import (
-	"fmt"
 	"sort"
 
 	"gossipstream/internal/overlay"
@@ -41,25 +40,6 @@ func (c Config) Defaulted() Config {
 		c.DefaultPingMS = DefaultPingMS
 	}
 	return c
-}
-
-// Validate reports configuration errors.
-func (c Config) Validate() error {
-	if c.Loss < 0 || c.Loss >= 1 {
-		return fmt.Errorf("netmodel: loss probability %v out of [0,1)", c.Loss)
-	}
-	if c.JitterMS < 0 {
-		return fmt.Errorf("netmodel: negative jitter %v", c.JitterMS)
-	}
-	if c.DefaultPingMS < 0 {
-		return fmt.Errorf("netmodel: negative default ping %d", c.DefaultPingMS)
-	}
-	for i, p := range c.PingMS {
-		if p < 0 {
-			return fmt.Errorf("netmodel: node %d has negative ping %d", i, p)
-		}
-	}
-	return nil
 }
 
 // Message is one granted segment in flight from a supplier to a
@@ -123,7 +103,8 @@ type Model struct {
 }
 
 // New builds the model for one run. cfg is defaulted, not validated —
-// sim.Config.Validate runs Validate before any Model exists.
+// scenario.Scenario.Validate checks a run's net parameters before any
+// Model exists.
 func New(cfg Config, tau float64) *Model {
 	return &Model{cfg: cfg.Defaulted(), tau: tau, tauMS: tau * 1000, latFactor: 1}
 }

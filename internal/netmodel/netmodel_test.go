@@ -7,24 +7,17 @@ import (
 	"gossipstream/internal/sim/engine"
 )
 
-func TestConfigValidate(t *testing.T) {
-	bad := []Config{
-		{Loss: 1.0},
-		{Loss: -0.1},
-		{JitterMS: -1},
-		{DefaultPingMS: -5},
-		{PingMS: []int{10, -3}},
-	}
-	for _, c := range bad {
-		if err := c.Validate(); err == nil {
-			t.Errorf("accepted invalid config %+v", c)
-		}
-	}
-	if err := (Config{Loss: 0.3, JitterMS: 50, PingMS: []int{10, 20}}).Validate(); err != nil {
-		t.Errorf("rejected valid config: %v", err)
-	}
+// TestConfigDefaulted pins netmodel's one default: a node without a
+// ping of its own falls back to DefaultPingMS. Which parameters are legal
+// is scenario.Validate's question (internal/scenario's TestParseErrors
+// rejects a negative net loss, jitter or ping); per-node pings come from
+// the synthesized trace, whose range trace's TestSynthesizeShape pins.
+func TestConfigDefaulted(t *testing.T) {
 	if d := (Config{}).Defaulted().DefaultPingMS; d != DefaultPingMS {
 		t.Errorf("DefaultPingMS = %d, want %d", d, DefaultPingMS)
+	}
+	if d := (Config{DefaultPingMS: 90}).Defaulted().DefaultPingMS; d != 90 {
+		t.Errorf("DefaultPingMS = %d, want the configured 90", d)
 	}
 }
 

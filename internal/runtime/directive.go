@@ -24,7 +24,8 @@ import (
 // sim.Resolver emits.
 const (
 	// DirStopSource closes the current source's open session (targeted
-	// at the shard owning it; the ack carries the closing segment id).
+	// at the shard owning it, which answers with the closing segment id
+	// as an S1End message).
 	DirStopSource sim.DirKind = iota + 32
 	// DirFinish ends the run (coordinator-initiated early exit).
 	DirFinish

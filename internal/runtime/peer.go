@@ -37,14 +37,6 @@ import (
 // it share a datagram) and the end of a drained inbox burst (all answers
 // to one requester share a datagram).
 
-// peerParams is what a peer takes from the run's sim.Config, fixed for
-// a run: the planning and serving steps' parameters, and whether the
-// leftover inbound goes to prefetch. The protocol constants are sim's.
-type peerParams struct {
-	sim.PeerParams
-	disablePrefetch bool
-}
-
 // wireBits is the control cost of one buffer map.
 var wireBits = int64(bitfield.WireBits(sim.BufferCap))
 
@@ -120,7 +112,7 @@ type neighborView struct {
 
 type peer struct {
 	id  overlay.NodeID
-	par peerParams
+	par sim.PeerParams
 	ep  Endpoint
 	rng *rand.Rand
 
@@ -200,14 +192,14 @@ type spawnSpec struct {
 	seed       int64
 }
 
-func newPeer(spec spawnSpec, par peerParams, algo core.Algorithm, ep Endpoint, reports chan<- report) *peer {
+func newPeer(spec spawnSpec, par sim.PeerParams, algo core.Algorithm, ep Endpoint, reports chan<- report) *peer {
 	p := &peer{
 		id:        spec.id,
 		par:       par,
 		ep:        ep,
 		rng:       rand.New(rand.NewSource(spec.seed)),
-		planner:   sim.NewPlanner(algo, par.PeerParams),
-		server:    sim.NewServer(par.PeerParams),
+		planner:   sim.NewPlanner(algo, par),
+		server:    sim.NewServer(par),
 		buf:       buffer.New(sim.BufferCap),
 		pb:        sim.NewPlayback(spec.anchor, spec.sessionIdx, spec.known),
 		base:      spec.profile,
@@ -436,9 +428,6 @@ func (p *peer) schedule() {
 		}
 		p.request(pu.Seg, overlay.NodeID(rows[pu.Row].ID))
 		budget--
-	}
-	if p.par.disablePrefetch {
-		return
 	}
 	p.planner.Prefetch(rows, budget, p.rng)
 	for _, pu := range p.planner.Pulls {

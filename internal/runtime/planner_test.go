@@ -111,7 +111,7 @@ func (p *refPeer) plan_() {
 		}
 		p.request(req.Segment, overlay.NodeID(req.Supplier))
 	}
-	if !p.par.disablePrefetch {
+	if !p.par.DisablePrefetch {
 		p.prefetch(supOf)
 	}
 }
@@ -199,8 +199,8 @@ func (e *recEndpoint) Send(f Frame)       { e.Queue(f) }
 func (e *recEndpoint) Recv() <-chan Frame { return nil }
 func (e *recEndpoint) Close()             {}
 
-func testPeerParams(shared, noPrefetch bool) peerParams {
-	return peerParams{PeerParams: sim.PeerParams{Qs: 50, Shared: shared}, disablePrefetch: noPrefetch}
+func testPeerParams(shared, noPrefetch bool) sim.PeerParams {
+	return sim.PeerParams{Qs: 50, Shared: shared, DisablePrefetch: noPrefetch}
 }
 
 // syntheticPeer builds a listener mid-stream from a seed alone, so two
@@ -208,7 +208,7 @@ func testPeerParams(shared, noPrefetch bool) peerParams {
 // in-flight and timed-out sets, and up to 40 neighbors whose views are
 // fresh, stale or missing, each advertising a random buffer. Half the
 // seeds place a switch in sight (S1 closed, S2 begun).
-func syntheticPeer(seed int64, par peerParams, algo core.Algorithm, ep Endpoint) *peer {
+func syntheticPeer(seed int64, par sim.PeerParams, algo core.Algorithm, ep Endpoint) *peer {
 	rng := rand.New(rand.NewSource(seed))
 	const tick = 50
 	s1End := segment.None

@@ -82,11 +82,8 @@ type peerHandle struct {
 // identically.
 type Runner struct {
 	sc  *scenario.Scenario
-	cfg sim.Config // the defaulted simulator compilation of sc
-	par peerParams
+	cfg sim.Config // the simulator compilation of sc
 	opt Options
-
-	factory sim.AlgorithmFactory
 
 	tr     Transport
 	ownTr  bool          // tr was created here (Options.Transport nil): shutdown closes it
@@ -159,11 +156,9 @@ type Runner struct {
 // the event timeline cannot drift between the two backends — and
 // binding it to a transport instead of the phase pipeline. The
 // scenario's tick schedule becomes a wall-clock schedule at
-// Options.TimeScale.
+// Options.TimeScale. A nil factory runs the fast switch, as
+// scenario.Scenario.Config compiles it.
 func FromScenario(sc *scenario.Scenario, factory sim.AlgorithmFactory, opt Options) (*Runner, error) {
-	if factory == nil {
-		factory = sim.Fast
-	}
 	if opt.TimeScale == 0 {
 		opt.TimeScale = DefaultTimeScale
 	}
@@ -174,11 +169,6 @@ func FromScenario(sc *scenario.Scenario, factory sim.AlgorithmFactory, opt Optio
 	if err != nil {
 		return nil, err
 	}
-	cfg = cfg.Defaulted()
-	par := peerParams{
-		PeerParams:      sim.PeerParams{Qs: cfg.Qs, Shared: cfg.SharedOutbound},
-		disablePrefetch: cfg.DisablePrefetch,
-	}
 
 	transport := opt.Transport
 	ownTr := transport == nil
@@ -188,9 +178,7 @@ func FromScenario(sc *scenario.Scenario, factory sim.AlgorithmFactory, opt Optio
 	r := &Runner{
 		sc:       sc,
 		cfg:      cfg,
-		par:      par,
 		opt:      opt,
-		factory:  factory,
 		tr:       transport,
 		ownTr:    ownTr,
 		g:        cfg.Graph,
@@ -201,7 +189,7 @@ func FromScenario(sc *scenario.Scenario, factory sim.AlgorithmFactory, opt Optio
 		roles:    make(map[overlay.NodeID]bool),
 		profile:  make(map[overlay.NodeID]bandwidth.Profile),
 		bwFactor: 1,
-		res:      &sim.Result{Algorithm: factory().Name()},
+		res:      &sim.Result{Algorithm: cfg.NewAlgorithm().Name()},
 
 		statsCacheTick: -1,
 	}
@@ -223,12 +211,7 @@ func FromScenario(sc *scenario.Scenario, factory sim.AlgorithmFactory, opt Optio
 		transport.SetTick(0, 1/opt.TimeScale)
 	}
 
-	r.events = cfg.Script.Sorted()
-	r.earlyExit = cfg.Script.Duration == 0
-	r.duration = cfg.Script.Duration
-	if r.duration <= 0 {
-		r.duration = cfg.Script.AutoDuration(cfg.HorizonTicks)
-	}
+	r.events, r.duration, r.earlyExit = cfg.Script.Schedule(cfg.HorizonTicks)
 	return r, nil
 }
 
@@ -306,7 +289,7 @@ func (r *Runner) spawnInitial() error {
 	n := r.g.N()
 	profiles, startTicks := r.cfg.Arrivals()
 
-	first := r.cfg.InitialSource()
+	first := r.cfg.FirstSource
 	r.timeline = []segment.Session{{Source: segment.SourceID(first), Begin: 0, End: segment.None}}
 	r.roles[first] = true
 
@@ -347,7 +330,7 @@ func (r *Runner) spawn(spec spawnSpec) error {
 	if err != nil {
 		return err
 	}
-	p := newPeer(spec, r.par, r.factory(), ep, r.reports)
+	p := newPeer(spec, r.cfg.PeerParams(), r.cfg.NewAlgorithm(), ep, r.reports)
 	h := &peerHandle{
 		p:        p,
 		running:  true,

@@ -42,9 +42,9 @@ const (
 
 	// FrameHello bootstraps a joining process against the starter node:
 	// an authenticated Ctrl payload carrying the joiner's control
-	// address. The starter answers with a FrameAck whose payload is the
-	// welcome (shard assignment, scenario, the shard address table so
-	// far).
+	// address. The starter answers with the welcome (shard assignment,
+	// scenario, the shard address table so far), a sequenced FrameEvent
+	// like any other message.
 	FrameHello
 	// Kind 6 is retired (it carried gossiped address batches); the
 	// decoder rejects it.
@@ -53,9 +53,9 @@ const (
 	// directive, a status report, a metrics report chunk) as an
 	// authenticated Ctrl payload, sequenced by Msg.Sent.
 	FrameEvent
-	// FrameAck acknowledges a FrameHello or FrameEvent by sequence
-	// number (Msg.Seg carries the acked sequence) and may carry a reply
-	// payload (the welcome, a stop-source's closing segment id).
+	// FrameAck acknowledges a sequenced FrameEvent by sequence number
+	// (Msg.Seg carries the acked sequence). An ack carries no payload:
+	// an answer travels as a message of its own.
 	FrameAck
 	// FramePing is the coordinator's keepalive probe to a suspected
 	// worker (Msg.Seg carries a nonce). The worker's link answers from

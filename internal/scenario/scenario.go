@@ -31,7 +31,7 @@ type Scenario struct {
 
 	// First pins the initial streaming source when positive; 0 (the
 	// default) auto-picks the lowest-id minimum-degree node, the paper's
-	// "source holding M connected neighbors".
+	// "source holding M connected neighbors". Negative is an error.
 	First overlay.NodeID
 
 	// Spread staggers initial arrivals over the first Spread ticks
@@ -39,7 +39,7 @@ type Scenario struct {
 	// everyone at once.
 	Spread int
 	// Horizon is the default measurement horizon of each switch window,
-	// in ticks (0 → the simulator's default, 150).
+	// in ticks (0 → 150).
 	Horizon int
 	// Duration caps the run length in ticks; 0 derives it from the
 	// timeline (every window gets room to reach its horizon).
@@ -114,8 +114,8 @@ func (sc *Scenario) Validate() error {
 	if err := script.Validate(); err != nil {
 		return fmt.Errorf("scenario %s: %w", sc.Name, err)
 	}
-	if int(sc.First) >= sc.Nodes {
-		return fmt.Errorf("scenario %s: first source %d out of %d nodes", sc.Name, sc.First, sc.Nodes)
+	if sc.First < 0 || int(sc.First) >= sc.Nodes {
+		return fmt.Errorf("scenario %s: first %d out of [0, %d)", sc.Name, sc.First, sc.Nodes)
 	}
 	switches, demotes := 0, 0
 	for i, ev := range sc.Events {
@@ -147,11 +147,14 @@ func (sc *Scenario) Validate() error {
 }
 
 // minDegree is the effective neighbor target: M, or the paper's 5.
-func (sc *Scenario) minDegree() int {
-	if sc.M <= 0 {
-		return 5
+func (sc *Scenario) minDegree() int { return orDefault(sc.M, 5) }
+
+// orDefault is v, or def when v is unset (0).
+func orDefault(v, def int) int {
+	if v == 0 {
+		return def
 	}
-	return sc.M
+	return v
 }
 
 // Scaled returns a copy sized to n nodes, with flash-crowd batch sizes
@@ -190,8 +193,11 @@ func (sc *Scenario) Scaled(n int) *Scenario {
 
 // Config validates the scenario, synthesizes its overlay (a Gnutella-like
 // crawl trace augmented to min-degree M, the Section 5.1 preparation) and
-// assembles the sim.Config. Callers typically set Workers or TrackRatios
-// on the returned config before sim.New.
+// assembles the sim.Config, resolving every unset parameter to the
+// paper's Section 5.1 value: qs 50, horizon 150, the auto-picked first
+// source, and the fast switch when factory is nil. The result is
+// complete; callers typically set Workers or TrackRatios on it before
+// sim.New.
 func (sc *Scenario) Config(factory sim.AlgorithmFactory) (sim.Config, error) {
 	if err := sc.Validate(); err != nil {
 		return sim.Config{}, err
@@ -203,9 +209,12 @@ func (sc *Scenario) Config(factory sim.AlgorithmFactory) (sim.Config, error) {
 	}
 	overlay.AugmentMinDegree(g, sc.minDegree(), rand.New(rand.NewSource(sc.Seed^0xa06)))
 
-	first := overlay.NodeID(-1)
-	if sc.First > 0 {
-		first = sc.First
+	first := sc.First
+	if first == 0 {
+		first = g.MinDegreeNode()
+	}
+	if factory == nil {
+		factory = sim.Fast
 	}
 	cfg := sim.Config{
 		Graph:           g,
@@ -213,16 +222,13 @@ func (sc *Scenario) Config(factory sim.AlgorithmFactory) (sim.Config, error) {
 		NewAlgorithm:    factory,
 		FirstSource:     first,
 		SharedOutbound:  !sc.PerLink,
-		Qs:              sc.Qs,
-		HorizonTicks:    sc.Horizon,
+		Qs:              orDefault(sc.Qs, 50),
+		HorizonTicks:    orDefault(sc.Horizon, 150),
 		JoinSpreadTicks: sc.Spread,
 		Script: &sim.Script{
 			Events:   append([]sim.Event(nil), sc.Events...),
 			Duration: sc.Duration,
 		},
-	}
-	if sc.Spread <= 0 {
-		cfg.JoinSpreadTicks = -1 // simultaneous start (0 would mean "default")
 	}
 	if sc.ChurnLeave > 0 || sc.ChurnJoin > 0 {
 		cfg.Churn = &sim.ChurnConfig{LeaveFraction: sc.ChurnLeave, JoinFraction: sc.ChurnJoin}

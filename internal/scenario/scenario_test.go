@@ -152,6 +152,13 @@ func TestParseErrors(t *testing.T) {
 		"scenario ok\nnodes 100\nseed 1\nat 10 latency factor=5",
 		// Qs above the buffer capacity B = 600: no node could ever prepare.
 		"scenario ok\nnodes 100\nseed 1\nqs 601\nat 10 switch",
+		// The first source out of range, baseline churn out of [0,1), and
+		// net parameters out of range.
+		"scenario ok\nnodes 100\nseed 1\nfirst 100\nat 10 switch",
+		"scenario ok\nnodes 100\nseed 1\nchurn 1.5\nat 10 switch",
+		"scenario ok\nnodes 100\nseed 1\nnet loss=1\nat 10 switch",
+		"scenario ok\nnodes 100\nseed 1\nnet loss=-0.1\nat 10 switch",
+		"scenario ok\nnodes 100\nseed 1\nnet ping=-5\nat 10 switch",
 	}
 	for _, text := range bad {
 		if _, err := Parse(strings.NewReader(text)); err == nil {
@@ -160,6 +167,13 @@ func TestParseErrors(t *testing.T) {
 	}
 	if _, err := Parse(strings.NewReader("scenario ok\nnodes 100\nseed 1\nqs 600\nat 10 switch")); err != nil {
 		t.Errorf("rejected qs 600 (= B): %v", err)
+	}
+	// A negative first source is an error naming first, not an auto-pick.
+	if _, err := Parse(strings.NewReader("scenario ok\nnodes 100\nseed 1\nfirst -3\nat 10 switch")); err == nil || !strings.Contains(err.Error(), "first") {
+		t.Errorf("first -3: err = %v, want one naming first", err)
+	}
+	if _, err := Parse(strings.NewReader("scenario ok\nnodes 100\nseed 1\nfirst 99\nat 10 switch")); err != nil {
+		t.Errorf("rejected first 99 of 100 nodes: %v", err)
 	}
 	// Scaling below the neighbor target is the same error at compile
 	// time, not an overlay panic.
@@ -306,6 +320,61 @@ func TestScaled(t *testing.T) {
 	// The original is untouched.
 	if sc.Events[0].Count != 150 {
 		t.Error("Scaled mutated its receiver")
+	}
+}
+
+// TestNetEventsRequireNet pins the validation: latency/loss/partition
+// events without the net directive are a scenario error, and a demote
+// needs no transport.
+func TestNetEventsRequireNet(t *testing.T) {
+	for _, ev := range []sim.Event{
+		sim.LatencyShiftAt(10, 5),
+		sim.LossBurstAt(10, 5, 0.3),
+		sim.PartitionAt(10, 0.5),
+		sim.HealAt(10),
+	} {
+		sc := &Scenario{Name: "no-net", Nodes: 50, Seed: 1, Duration: 20, Events: []sim.Event{ev}}
+		if err := sc.Validate(); err == nil || !strings.Contains(err.Error(), "net directive") {
+			t.Errorf("%s event without net: err = %v, want one naming the net directive", ev.Kind, err)
+		}
+	}
+	sc := &Scenario{Name: "no-net", Nodes: 50, Seed: 1, Duration: 40,
+		Events: []sim.Event{sim.SwitchAt(10, -1), sim.DemoteAt(20, -1)}}
+	if err := sc.Validate(); err != nil {
+		t.Errorf("demote without net rejected: %v", err)
+	}
+}
+
+// TestConfigResolvesDefaults pins the one place a run's defaults live:
+// a scenario that leaves qs, horizon, first, spread and the scheduler
+// unset compiles to the paper's 50, 150, the graph's minimum-degree node,
+// a simultaneous start and the fast switch, and explicit values pass
+// through unchanged.
+func TestConfigResolvesDefaults(t *testing.T) {
+	sc := &Scenario{Name: "defaults", Nodes: 60, Seed: 3, Events: []sim.Event{sim.SwitchAt(20, -1)}}
+	cfg, err := sc.Config(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Qs != 50 || cfg.HorizonTicks != 150 || cfg.FirstSource != cfg.Graph.MinDegreeNode() || cfg.JoinSpreadTicks != 0 {
+		t.Errorf("unset parameters compiled to qs %d horizon %d first %d spread %d, want 50 150 %d 0",
+			cfg.Qs, cfg.HorizonTicks, cfg.FirstSource, cfg.JoinSpreadTicks, cfg.Graph.MinDegreeNode())
+	}
+	if name := cfg.NewAlgorithm().Name(); name != sim.Fast().Name() {
+		t.Errorf("nil factory compiled to %q, want %q", name, sim.Fast().Name())
+	}
+	set := *sc
+	set.Qs, set.Horizon, set.First, set.Spread = 30, 90, 7, 12
+	cfg, err = set.Config(sim.Normal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Qs != 30 || cfg.HorizonTicks != 90 || cfg.FirstSource != 7 || cfg.JoinSpreadTicks != 12 {
+		t.Errorf("explicit parameters compiled to qs %d horizon %d first %d spread %d, want 30 90 7 12",
+			cfg.Qs, cfg.HorizonTicks, cfg.FirstSource, cfg.JoinSpreadTicks)
+	}
+	if name := cfg.NewAlgorithm().Name(); name != sim.Normal().Name() {
+		t.Errorf("factory compiled to %q, want %q", name, sim.Normal().Name())
 	}
 }
 

@@ -32,8 +32,8 @@ func allocSimObs(t testing.TB, n int, o *obs.Obs) *Sim {
 	}
 	overlay.AugmentMinDegree(g, 5, rand.New(rand.NewSource(seed^0xa06)))
 	s, err := New(singleSwitch(Config{
-		Graph: g, Seed: 1, NewAlgorithm: Fast,
-		FirstSource: -1, SharedOutbound: true,
+		Graph: g, Seed: 1, NewAlgorithm: Fast, Qs: 50,
+		FirstSource: g.MinDegreeNode(), SharedOutbound: true,
 		HorizonTicks: 1, JoinSpreadTicks: 10,
 		Workers: 1, Obs: o,
 	}, 10_000, -1))

@@ -22,8 +22,8 @@ func TestCalibration(t *testing.T) {
 		run := func(factory AlgorithmFactory) *SwitchMetrics {
 			g := testTopology(t, tc.n, 42)
 			s, err := New(singleSwitch(Config{
-				Graph: g, Seed: 7, NewAlgorithm: factory,
-				HorizonTicks: 250, FirstSource: -1,
+				Graph: g, Seed: 7, NewAlgorithm: factory, Qs: 50,
+				HorizonTicks: 250, FirstSource: g.MinDegreeNode(),
 				SharedOutbound: tc.shared, JoinSpreadTicks: tc.spread,
 			}, tc.warm, -1))
 			if err != nil {

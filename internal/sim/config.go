@@ -44,9 +44,11 @@ const (
 	ServeRounds = 3                             // plan/serve rounds per period (see phaseSchedule)
 )
 
-// Config fully describes one simulation run. Zero fields default to the
-// paper's Section 5.1 settings via Defaulted; the protocol constants
-// above are not configurable.
+// Config fully describes one simulation run. Every field means its
+// value: scenario.Scenario.Config resolves a scenario's defaults to the
+// paper's Section 5.1 settings and checks them, so a Config carries no
+// unset field and no sentinel. The protocol constants above are not
+// configurable.
 type Config struct {
 	// Graph is the overlay topology; it is mutated by churn, so callers
 	// that reuse topologies should pass a Clone. Required.
@@ -55,7 +57,7 @@ type Config struct {
 	Seed int64
 
 	// Qs is the number of segments of the new source needed to start
-	// (default 50).
+	// (the paper's 50).
 	Qs int
 
 	// DisablePrefetch turns off the substrate's leftover-budget random
@@ -83,27 +85,25 @@ type Config struct {
 	// every CLI set it, and per-link is their opt-in substrate ablation.
 	SharedOutbound bool
 
-	// NewAlgorithm builds the per-run scheduler (default: the fast switch
-	// algorithm).
+	// NewAlgorithm builds the per-run scheduler. Required.
 	NewAlgorithm AlgorithmFactory
 
 	// JoinSpreadTicks staggers node arrivals uniformly over the first
-	// ticks of the run (default 20; set negative for simultaneous
-	// start). Members of a conference or lecture session assemble over
-	// time but play the stream from its beginning, so a node arriving at
-	// time t carries a catch-up backlog of p·t segments — the undelivered
-	// backlog Q1 that the source switch problem is about. Nodes with
-	// little inbound headroom (I close to p) still carry part of it when
-	// the switch happens.
+	// ticks of the run (0: everyone starts at once). Members of a
+	// conference or lecture session assemble over time but play the
+	// stream from its beginning, so a node arriving at time t carries a
+	// catch-up backlog of p·t segments — the undelivered backlog Q1 that
+	// the source switch problem is about. Nodes with little inbound
+	// headroom (I close to p) still carry part of it when the switch
+	// happens.
 	JoinSpreadTicks int
 	// HorizonTicks bound the measurement window of a switch event that
-	// sets no Horizon of its own (default 150).
+	// sets no Horizon of its own (the paper's 150).
 	HorizonTicks int
 
-	// FirstSource is the initial streaming source S1. A negative value
-	// auto-picks the lowest-id node whose degree equals the topology's
-	// minimum (a source "holding M connected neighbors", like every other
-	// node). Default: node 0.
+	// FirstSource is the initial streaming source S1. A scenario that
+	// pins none gets the graph's MinDegreeNode (a source "holding M
+	// connected neighbors", like every other node).
 	FirstSource overlay.NodeID
 
 	// Script is the event timeline the run executes: tick-scheduled
@@ -149,43 +149,12 @@ type Config struct {
 	Workers int
 }
 
-// Defaulted returns a copy with unset fields replaced by the paper's
-// defaults.
-func (c Config) Defaulted() Config {
-	if c.Qs <= 0 {
-		c.Qs = 50
-	}
-	if c.NewAlgorithm == nil {
-		c.NewAlgorithm = Fast
-	}
-	if c.JoinSpreadTicks == 0 {
-		c.JoinSpreadTicks = 20
-	}
-	if c.JoinSpreadTicks < 0 {
-		c.JoinSpreadTicks = 0
-	}
-	if c.HorizonTicks <= 0 {
-		c.HorizonTicks = 150
-	}
-	return c
-}
-
-// InitialSource is the node streaming S1: FirstSource, or the lowest-id
-// minimum-degree node when FirstSource is negative.
-func (c Config) InitialSource() overlay.NodeID {
-	if c.FirstSource < 0 {
-		return c.Graph.MinDegreeNode()
-	}
-	return c.FirstSource
-}
-
 // Arrivals draws the run's initial population, one entry per node of
 // Graph: the bandwidth profiles from the paper's distribution, and the
 // start ticks, uniform over [0, JoinSpreadTicks] (every node at 0 without
 // a spread; the initial source at 0 always, since the session exists from
 // the moment its source speaks). Both drivers assemble their population
-// from it, so the simulator and the live runtime see one draw. c must be
-// Defaulted.
+// from it, so the simulator and the live runtime see one draw.
 func (c Config) Arrivals() (profiles []bandwidth.Profile, startTicks []int) {
 	n := c.Graph.N()
 	profiles = bandwidth.Assign(n, rand.New(rand.NewSource(c.Seed^0x0ba5_e5)))
@@ -196,11 +165,19 @@ func (c Config) Arrivals() (profiles []bandwidth.Profile, startTicks []int) {
 			startTicks[i] = stagger.Intn(c.JoinSpreadTicks + 1)
 		}
 	}
-	startTicks[c.InitialSource()] = 0
+	startTicks[c.FirstSource] = 0
 	return profiles, startTicks
 }
 
-// Validate reports configuration errors that Defaulted cannot repair.
+// PeerParams are the planning and serving steps' parameters of the run,
+// the same for every peer of either driver.
+func (c Config) PeerParams() PeerParams {
+	return PeerParams{Qs: c.Qs, Shared: c.SharedOutbound, DisablePrefetch: c.DisablePrefetch}
+}
+
+// Validate reports the preconditions New cannot run without. Whether the
+// parameters are legal is scenario.Scenario.Validate's question, asked
+// once where files, flags and the cluster welcome enter.
 func (c Config) Validate() error {
 	if c.Graph == nil {
 		return fmt.Errorf("sim: Config.Graph is required")
@@ -208,38 +185,11 @@ func (c Config) Validate() error {
 	if c.Graph.N() < 2 {
 		return fmt.Errorf("sim: need at least 2 nodes, have %d", c.Graph.N())
 	}
-	if int(c.FirstSource) >= c.Graph.N() {
-		return fmt.Errorf("sim: FirstSource %d out of range", c.FirstSource)
-	}
-	if c.Qs > BufferCap {
-		// No node could ever hold the new stream's first Qs segments.
-		return fmt.Errorf("sim: Qs %d exceeds the buffer capacity B = %d", c.Qs, BufferCap)
-	}
-	if c.Churn != nil {
-		if c.Churn.LeaveFraction < 0 || c.Churn.LeaveFraction >= 1 {
-			return fmt.Errorf("sim: LeaveFraction %v out of [0,1)", c.Churn.LeaveFraction)
-		}
-		if c.Churn.JoinFraction < 0 || c.Churn.JoinFraction >= 1 {
-			return fmt.Errorf("sim: JoinFraction %v out of [0,1)", c.Churn.JoinFraction)
-		}
-	}
-	if c.Net != nil {
-		if err := c.Net.Validate(); err != nil {
-			return err
-		}
+	if c.NewAlgorithm == nil {
+		return fmt.Errorf("sim: Config.NewAlgorithm is required")
 	}
 	if c.Script == nil {
 		return fmt.Errorf("sim: Config.Script is required")
-	}
-	if err := c.Script.Validate(); err != nil {
-		return err
-	}
-	if c.Net == nil {
-		for i, ev := range c.Script.Events {
-			if ev.Kind.NeedsNet() {
-				return fmt.Errorf("sim: event %d (%s) requires Config.Net", i, ev.Kind)
-			}
-		}
 	}
 	return nil
 }

@@ -38,10 +38,8 @@ const invariantEps = 1e-9
 //     above the model's delay floor — the minimum scaled ping (the
 //     near-optimal floor a lossless run cannot beat)
 //
-// cfg must be the Config the run was built with (it is re-defaulted
-// internally, so passing the pre-Defaulted form is fine).
+// cfg must be the Config the run was built with.
 func CheckInvariants(cfg Config, res *Result) error {
-	cfg = cfg.Defaulted()
 	var errs []error
 	fail := func(format string, args ...any) {
 		errs = append(errs, fmt.Errorf(format, args...))
@@ -61,7 +59,6 @@ func CheckInvariants(cfg Config, res *Result) error {
 // lists events the run resolved beyond the script — a failover-induced
 // crash switch opens a window no scripted event accounts for.
 func CheckLiveInvariants(cfg Config, res *Result, unscripted ...Event) error {
-	cfg = cfg.Defaulted()
 	var errs []error
 	fail := func(format string, args ...any) {
 		errs = append(errs, fmt.Errorf(format, args...))
@@ -94,7 +91,7 @@ func CheckLiveInvariants(cfg Config, res *Result, unscripted ...Event) error {
 // baseline loss, a loss burst, or a partition. It returns which of the
 // two drop causes the run allows.
 func checkLossRule(cfg Config, res *Result, events []Event, fail func(string, ...any)) (lossPossible, partitionPossible bool) {
-	lossPossible = cfg.Net.Defaulted().Loss > 0
+	lossPossible = cfg.Net.Loss > 0
 	for _, ev := range events {
 		switch ev.Kind {
 		case EvLossBurst:

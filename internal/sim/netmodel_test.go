@@ -152,30 +152,6 @@ func TestNetPartitionBlocksAndHeals(t *testing.T) {
 	}
 }
 
-// TestNetEventsRequireNet pins the validation: latency/loss/partition
-// events without Config.Net are a configuration error.
-func TestNetEventsRequireNet(t *testing.T) {
-	g := testTopology(t, 50, 1)
-	for _, ev := range []Event{
-		LatencyShiftAt(10, 5),
-		LossBurstAt(10, 5, 0.3),
-		PartitionAt(10, 0.5),
-		HealAt(10),
-	} {
-		cfg := quickConfig(g, Fast)
-		cfg.Script = &Script{Events: []Event{ev}, Duration: 20}
-		if _, err := New(cfg); err == nil {
-			t.Errorf("%s event without Config.Net accepted", ev.Kind)
-		}
-	}
-	// Demote needs no transport.
-	cfg := quickConfig(g, Fast)
-	cfg.Script = &Script{Events: []Event{SwitchAt(10, -1), DemoteAt(20, -1)}, Duration: 40}
-	if _, err := New(cfg); err != nil {
-		t.Errorf("demote without Config.Net rejected: %v", err)
-	}
-}
-
 // TestDemoteRoundTripHandoff is the speaker-demotion acceptance test:
 // the floor passes 3 → 7 → back to 3, which is only possible because the
 // demote at tick 70 returned node 3 to the listener pool with nonzero

@@ -28,11 +28,6 @@ type nodeState struct {
 	// the session); inactive nodes neither request nor supply.
 	startTick int
 
-	// maxSeen is the largest segment id the node has received — its local
-	// notion of how far the stream extends (neighbors read it as the
-	// advertised high-water mark of the last exchanged buffer map).
-	maxSeen segment.ID
-
 	// Playback is the embedded per-node protocol core (peercore.go): the
 	// playback/session state machine shared with the live runtime.
 	Playback
@@ -89,7 +84,6 @@ func newNodeState(id overlay.NodeID, prof bandwidth.Profile, joinTick int) *node
 		// keeps the first scheduling periods growth-free.
 		ledger:   Ledger{inflight: make([]segment.ID, 0, 16), issued: make([]int, 0, 16)},
 		joinTick: joinTick,
-		maxSeen:  segment.None,
 		Playback: NewPlayback(0, 0, 1),
 		q0:       unset,
 	}
@@ -98,9 +92,6 @@ func newNodeState(id overlay.NodeID, prof bandwidth.Profile, joinTick int) *node
 // receive lands one segment in the node's buffer (end-of-tick delivery).
 func (n *nodeState) receive(id segment.ID) {
 	n.buf.Insert(id)
-	if id > n.maxSeen {
-		n.maxSeen = id
-	}
 }
 
 // becomeSource promotes the node to streaming source: inbound drops to

@@ -325,11 +325,14 @@ type Pull struct {
 
 // PeerParams are what the planning and serving steps take from a run's
 // Config, beside the protocol constants: the new stream's startup
-// threshold Qs, and Shared, which selects the shared-outbound substrate
-// (one budget across every link instead of the per-link rate R(j)).
+// threshold Qs; Shared, which selects the shared-outbound substrate (one
+// budget across every link instead of the per-link rate R(j)); and
+// DisablePrefetch, which leaves the inbound the plan did not spend
+// unused (Config.DisablePrefetch).
 type PeerParams struct {
-	Qs     int
-	Shared bool
+	Qs              int
+	Shared          bool
+	DisablePrefetch bool
 }
 
 // Planner is one peer's planning step and its reusable scratch (one per
@@ -425,13 +428,13 @@ func (pl *Planner) Plan(pb *Playback, buf *buffer.Buffer, sessions []segment.Ses
 // The draws come from rng, which the simulator restarts on the node's
 // own stream before each plan: one shuffle draw per candidate taken from
 // the pool, whether or not anyone holds it, and one reservoir draw per
-// eligible row in row order (see pick). When no usable row holds any
-// pool id, Prefetch returns at once and draws nothing. It must be called
-// after every Plan that reported true, whatever the budget: it is what
-// clears Pulls of the plan's requests.
+// eligible row in row order (see pick). When prefetch is disabled, or no
+// usable row holds any pool id, Prefetch returns at once and draws
+// nothing. It must be called after every Plan that reported true,
+// whatever the budget: it is what clears Pulls of the plan's requests.
 func (pl *Planner) Prefetch(rows []Row, budget int, rng *rand.Rand) {
 	pl.Pulls = pl.Pulls[:0]
-	if budget <= 0 || len(pl.env.NeedOld) == 0 {
+	if pl.par.DisablePrefetch || budget <= 0 || len(pl.env.NeedOld) == 0 {
 		return
 	}
 	need := pl.env.NeedOld

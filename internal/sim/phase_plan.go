@@ -199,12 +199,10 @@ func (s *Sim) planNode(ws *workerScratch, sh *shardScratch, n *nodeState, round 
 		return false
 	}
 	s.route(sh, n, ws.Pulls)
-	if !s.cfg.DisablePrefetch {
-		// The serve phase, not the plan, spends the inbound budget.
-		rng := ws.stream(engine.SeedFor(s.cfg.Seed, rngPlan, s.tick, round, int(n.id)))
-		ws.Prefetch(n.view, n.in.Available()-len(ws.plan.Requests), rng)
-		s.route(sh, n, ws.Pulls)
-	}
+	// The serve phase, not the plan, spends the inbound budget.
+	rng := ws.stream(engine.SeedFor(s.cfg.Seed, rngPlan, s.tick, round, int(n.id)))
+	ws.Prefetch(n.view, n.in.Available()-len(ws.plan.Requests), rng)
+	s.route(sh, n, ws.Pulls)
 	return true
 }
 
@@ -243,7 +241,7 @@ func (s *Sim) buildView(sh *shardScratch, n *nodeState) {
 				Rate: LinkRate(nb.out.Rate(), s.cfg.SharedOutbound),
 				View: nb.buf,
 			},
-			MaxSeen: nb.maxSeen,
+			MaxSeen: nb.buf.MaxSeen(),
 		})
 		sh.adjArena = append(sh.adjArena, int32(ni))
 	}

@@ -128,7 +128,7 @@ func TestPrefetchMatchesProbeLoop(t *testing.T) {
 			// of its planner's sight.
 			source := g.Neighbors(hub)[150]
 			s, err := New(singleSwitch(Config{
-				Graph: g, Seed: 5, NewAlgorithm: Fast,
+				Graph: g, Seed: 5, NewAlgorithm: Fast, Qs: 50,
 				FirstSource: source, SharedOutbound: shared,
 				HorizonTicks: 60, JoinSpreadTicks: 4, Workers: 1,
 			}, 45, -1))
@@ -152,9 +152,9 @@ func TestPrefetchMatchesProbeLoop(t *testing.T) {
 					// reference prefetch on the state planNode leaves behind,
 					// with its in-flight set and per-link counters fresh.
 					// (planNode returns before prefetch when nothing is needed.)
-					s.cfg.DisablePrefetch = true
+					ws.Planner.par.DisablePrefetch = true
 					ran := s.planNode(ws, &probed, nd, s.round)
-					s.cfg.DisablePrefetch = false
+					ws.Planner.par.DisablePrefetch = false
 					if ran {
 						planned := len(probed.requests)
 						ws.seen.begin()
@@ -216,9 +216,10 @@ func TestRetrySkipMatchesReplan(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			g := testTopology(t, 300, 7)
 			cfg := singleSwitch(Config{
-				Graph: testTopology(t, 300, 7), Seed: 7, NewAlgorithm: Fast,
-				FirstSource: -1, SharedOutbound: true,
+				Graph: g, Seed: 7, NewAlgorithm: Fast, Qs: 50,
+				FirstSource: g.MinDegreeNode(), SharedOutbound: true,
 				HorizonTicks: 90, JoinSpreadTicks: 25,
 			}, 40, -1)
 			tc.edit(&cfg)
@@ -270,9 +271,10 @@ func TestRetrySkipMatchesReplan(t *testing.T) {
 // node must route the same requests both times, whichever nodes the
 // worker planned before it and however many draws they made.
 func TestPlanStreamIsPerNode(t *testing.T) {
+	g := testTopology(t, 300, 7)
 	s, err := New(singleSwitch(Config{
-		Graph: testTopology(t, 300, 7), Seed: 11, NewAlgorithm: Fast,
-		FirstSource: -1, SharedOutbound: true,
+		Graph: g, Seed: 11, NewAlgorithm: Fast, Qs: 50,
+		FirstSource: g.MinDegreeNode(), SharedOutbound: true,
 		HorizonTicks: 70, JoinSpreadTicks: 25, Workers: 1,
 	}, 40, -1))
 	if err != nil {

@@ -166,7 +166,7 @@ type Resolver struct {
 	retired overlay.NodeID
 }
 
-// NewResolver returns the resolver of a run compiled to cfg (defaulted),
+// NewResolver returns the resolver of a run compiled to cfg,
 // asking f for per-node facts.
 func NewResolver(cfg Config, f Facts) *Resolver {
 	return &Resolver{
@@ -176,7 +176,7 @@ func NewResolver(cfg Config, f Facts) *Resolver {
 		horizon:  cfg.HorizonTicks,
 		churn:    cfg.Churn,
 		churnRNG: rand.New(rand.NewSource(cfg.Seed ^ 0x5eed_c0de)),
-		old:      cfg.InitialSource(),
+		old:      cfg.FirstSource,
 		cur:      -1,
 		retired:  -1,
 	}

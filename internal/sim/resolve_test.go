@@ -38,8 +38,8 @@ func fakeResolver(n int, churn *ChurnConfig) (*Resolver, *fakeFacts) {
 	}
 	cfg := Config{
 		Graph: overlay.Generate(overlay.KindRing, n, 1, rand.New(rand.NewSource(1))),
-		Seed:  5, Churn: churn,
-	}.Defaulted()
+		Seed:  5, Churn: churn, HorizonTicks: 150,
+	}
 	return NewResolver(cfg, f), f
 }
 

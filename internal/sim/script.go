@@ -315,22 +315,22 @@ func (sc *Script) Validate() error {
 	return nil
 }
 
-// Sorted returns a copy of the events ordered by tick (stable, so
-// same-tick events keep their authored order) — the firing order of
-// every backend.
-func (sc *Script) Sorted() []Event {
-	out := make([]Event, len(sc.Events))
-	copy(out, sc.Events)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Tick < out[j].Tick })
-	return out
-}
-
-// AutoDuration derives the run length of a script without a Duration
-// from its timeline: every measurement window gets room to reach its
-// horizon (defaultHorizon for a switch that sets none) and every burst
-// room to run out.
-func (sc *Script) AutoDuration(defaultHorizon int) int {
-	end := 1
+// Schedule is how every backend runs the script: the events in firing
+// order (a copy sorted by tick, stable, so same-tick events keep their
+// authored order), the run length in ticks, and whether the run may end
+// before it. A positive Duration is that length, honored exactly.
+// Without one, every measurement window gets room to reach its horizon
+// (defaultHorizon for a switch that sets none) and every burst room to
+// run out, and the run ends early once every event has fired and every
+// window has closed.
+func (sc *Script) Schedule(defaultHorizon int) (events []Event, ticks int, earlyExit bool) {
+	events = make([]Event, len(sc.Events))
+	copy(events, sc.Events)
+	sort.SliceStable(events, func(i, j int) bool { return events[i].Tick < events[j].Tick })
+	if sc.Duration > 0 {
+		return events, sc.Duration, false
+	}
+	ticks = 1
 	for _, ev := range sc.Events {
 		after := 1
 		switch ev.Kind {
@@ -342,9 +342,7 @@ func (sc *Script) AutoDuration(defaultHorizon int) int {
 		case EvMeasureWindow, EvChurnBurst, EvLossBurst:
 			after = ev.Ticks
 		}
-		if t := ev.Tick + after; t > end {
-			end = t
-		}
+		ticks = max(ticks, ev.Tick+after)
 	}
-	return end
+	return events, ticks, true
 }

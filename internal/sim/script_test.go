@@ -96,8 +96,8 @@ func TestScriptSourceCrash(t *testing.T) {
 		if n.id == w.OldSource || n.isSource {
 			continue
 		}
-		if n.maxSeen > s1.End && n.maxSeen < sessions[1].Begin {
-			t.Fatalf("node %d holds segment %d beyond truncated end %d", n.id, n.maxSeen, s1.End)
+		if n.buf.MaxSeen() > s1.End && n.buf.MaxSeen() < sessions[1].Begin {
+			t.Fatalf("node %d holds segment %d beyond truncated end %d", n.id, n.buf.MaxSeen(), s1.End)
 		}
 	}
 	// The mesh recovers: the new session is prepared by (nearly) everyone.
@@ -127,7 +127,7 @@ func TestScriptSourceCrash(t *testing.T) {
 func TestScriptFlashCrowd(t *testing.T) {
 	g := testTopology(t, 120, 24)
 	cfg := quickConfig(g, Fast)
-	cfg.JoinSpreadTicks = -1 // simultaneous start: population is exactly N
+	cfg.JoinSpreadTicks = 0 // simultaneous start: population is exactly N
 	cfg.Script = &Script{Events: []Event{
 		FlashCrowdAt(20, 30, 0),
 		FlashCrowdAt(25, 10, 50),
@@ -218,7 +218,7 @@ func TestScriptBandwidthShift(t *testing.T) {
 func TestScriptChurnBurstAndMeasure(t *testing.T) {
 	g := testTopology(t, 150, 26)
 	cfg := quickConfig(g, Fast)
-	cfg.JoinSpreadTicks = -1
+	cfg.JoinSpreadTicks = 0
 	cfg.Script = &Script{
 		Events: []Event{
 			MeasureAt(15, 30),
@@ -296,7 +296,7 @@ func TestScriptInterruptedWindow(t *testing.T) {
 func TestScriptSourceExhaustion(t *testing.T) {
 	g := testTopology(t, 6, 29)
 	cfg := quickConfig(g, Fast)
-	cfg.JoinSpreadTicks = -1
+	cfg.JoinSpreadTicks = 0
 	events := make([]Event, 8) // 8 switches on a 6-node mesh
 	for i := range events {
 		events[i] = SwitchAt(5+2*i, -1)

@@ -126,7 +126,6 @@ const (
 // New validates the configuration and builds the initial system: all
 // nodes alive, S1 streaming from segment 0, buffers empty.
 func New(cfg Config) (*Sim, error) {
-	cfg = cfg.Defaulted()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -148,7 +147,7 @@ func New(cfg Config) (*Sim, error) {
 		n.alive = n.startTick == 0
 		s.nodes[i] = n
 	}
-	s.oldSource = cfg.InitialSource()
+	s.oldSource = cfg.FirstSource
 	s.tl = segment.NewTimeline(segment.SourceID(s.oldSource))
 	s.nodes[s.oldSource].becomeSource()
 
@@ -163,12 +162,7 @@ func New(cfg Config) (*Sim, error) {
 		s.net.Reserve(len(s.nodes), 4)
 	}
 
-	s.events = cfg.Script.Sorted()
-	s.earlyExit = cfg.Script.Duration == 0
-	s.duration = cfg.Script.Duration
-	if s.earlyExit {
-		s.duration = cfg.Script.AutoDuration(cfg.HorizonTicks)
-	}
+	s.events, s.duration, s.earlyExit = cfg.Script.Schedule(cfg.HorizonTicks)
 	s.res = &Result{Algorithm: s.algo.Name()}
 
 	workers := cfg.Workers
@@ -177,7 +171,7 @@ func New(cfg Config) (*Sim, error) {
 	}
 	s.pool = engine.NewPool(workers)
 	s.workers = make([]*workerScratch, s.pool.Workers())
-	par := PeerParams{Qs: cfg.Qs, Shared: cfg.SharedOutbound}
+	par := cfg.PeerParams()
 	for i := range s.workers {
 		s.workers[i] = &workerScratch{
 			Planner: NewPlanner(cfg.NewAlgorithm(), par),
@@ -494,7 +488,7 @@ type simFacts Sim
 
 func (f *simFacts) Alive(id overlay.NodeID) bool          { return f.nodes[id].alive }
 func (f *simFacts) Sourced(id overlay.NodeID) bool        { return f.nodes[id].isSource }
-func (f *simFacts) MaxSeen(id overlay.NodeID) segment.ID  { return f.nodes[id].maxSeen }
+func (f *simFacts) MaxSeen(id overlay.NodeID) segment.ID  { return f.nodes[id].buf.MaxSeen() }
 func (f *simFacts) WindowLo(id overlay.NodeID) segment.ID { return f.nodes[id].WindowLo() }
 
 // Takes: the requester is alive, has inbound left after this queue's

@@ -25,40 +25,34 @@ func quickConfig(g *overlay.Graph, factory AlgorithmFactory) Config {
 		Graph:           g,
 		Seed:            11,
 		NewAlgorithm:    factory,
+		Qs:              50,
 		JoinSpreadTicks: 15,
 		HorizonTicks:    200,
-		FirstSource:     -1,
+		FirstSource:     g.MinDegreeNode(),
 		SharedOutbound:  true,
 	}, quickSwitchTick, -1)
 }
 
+// TestConfigValidation pins the preconditions New checks itself: a Config
+// without them cannot run at all. Whether the parameters are legal
+// (first-source range, Qs ≤ B, churn fractions, net parameters, events
+// that need the net directive) is scenario.Validate's question, pinned
+// by internal/scenario's TestParseErrors.
 func TestConfigValidation(t *testing.T) {
-	if err := (Config{}).Defaulted().Validate(); err == nil {
+	if err := (Config{}).Validate(); err == nil {
 		t.Error("nil graph accepted")
 	}
 	g := testTopology(t, 50, 1)
-	bad := quickConfig(g, Fast)
-	bad.FirstSource = 1000
-	if err := bad.Defaulted().Validate(); err == nil {
-		t.Error("out-of-range FirstSource accepted")
+	if err := quickConfig(g, Fast).Validate(); err != nil {
+		t.Errorf("complete config rejected: %v", err)
 	}
-	bad = quickConfig(g, Fast)
-	bad.Churn = &ChurnConfig{LeaveFraction: 1.5}
-	if err := bad.Defaulted().Validate(); err == nil {
-		t.Error("bad churn fraction accepted")
-	}
-	bad = quickConfig(g, Fast)
-	bad.Qs = BufferCap + 1
-	if err := bad.Defaulted().Validate(); err == nil {
-		t.Error("Qs above the buffer capacity accepted")
-	}
-	bad.Qs = BufferCap
-	if err := bad.Defaulted().Validate(); err != nil {
-		t.Errorf("Qs = B rejected: %v", err)
-	}
-	tiny := Config{Graph: overlay.New(1)}
-	if err := tiny.Defaulted().Validate(); err == nil {
+	tiny := quickConfig(overlay.New(1), Fast)
+	if err := tiny.Validate(); err == nil {
 		t.Error("single-node graph accepted")
+	}
+	bad := quickConfig(g, nil)
+	if _, err := New(bad); err == nil || !strings.Contains(err.Error(), "NewAlgorithm") {
+		t.Errorf("New without a scheduler: err = %v, want one naming NewAlgorithm", err)
 	}
 	// Every run is scripted: there is no implicit timeline to fall back on.
 	bad = quickConfig(g, Fast)
@@ -75,9 +69,6 @@ func TestDefaultsMatchPaper(t *testing.T) {
 	}
 	if src := bandwidth.SourceProfile(); src != (bandwidth.Profile{In: 0, Out: 6 * bandwidth.PlayRate}) {
 		t.Errorf("source profile %+v, want zero inbound and 6p outbound", src)
-	}
-	if c := (Config{}).Defaulted(); c.Qs != 50 {
-		t.Errorf("default Qs %d, want 50", c.Qs)
 	}
 }
 

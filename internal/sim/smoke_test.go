@@ -21,7 +21,10 @@ func TestSmokeFastVsNormal(t *testing.T) {
 	}
 	run := func(factory AlgorithmFactory) *SwitchMetrics {
 		g := testTopology(t, 300, 42)
-		s, err := New(singleSwitch(Config{Graph: g, Seed: 7, NewAlgorithm: factory, TrackRatios: true}, 40, 17))
+		s, err := New(singleSwitch(Config{
+			Graph: g, Seed: 7, NewAlgorithm: factory, Qs: 50,
+			HorizonTicks: 150, JoinSpreadTicks: 20, TrackRatios: true,
+		}, 40, 17))
 		if err != nil {
 			t.Fatal(err)
 		}
