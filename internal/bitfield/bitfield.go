@@ -106,6 +106,19 @@ func (s *Set) Word64(i int) uint64 {
 	return v
 }
 
+// SetWord64 overwrites bits [64w, 64w+64) with v, bit k of v becoming
+// bit 64w+k; bits of v at or past Len are dropped. It is the word-at-a-time
+// writer a map is filled with from aligned availability words.
+func (s *Set) SetWord64(w int, v uint64) {
+	if w < 0 || w >= len(s.words) {
+		panic(fmt.Sprintf("bitfield: word %d out of range [0,%d)", w, len(s.words)))
+	}
+	if tail := s.n & 63; tail != 0 && w == len(s.words)-1 {
+		v &= 1<<uint(tail) - 1
+	}
+	s.words[w] = v
+}
+
 // Reset clears every bit.
 func (s *Set) Reset() {
 	for i := range s.words {

@@ -240,3 +240,33 @@ func TestWord64MatchesGet(t *testing.T) {
 		}
 	}
 }
+
+// TestSetWord64 overwrites every word of sets whose length is and is not
+// a multiple of 64: each bit of the word lands at 64w+k, earlier words
+// keep theirs, and bits past Len are dropped, so Count sees none of them.
+func TestSetWord64(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{1, 63, 64, 65, 600, 640} {
+		s := randomSet(rng, n, 0.5)
+		want := make([]bool, n)
+		for w := 0; w < (n+63)/64; w++ {
+			v := rng.Uint64()
+			s.SetWord64(w, v)
+			for k := 0; k < 64 && w*64+k < n; k++ {
+				want[w*64+k] = v&(1<<uint(k)) != 0
+			}
+		}
+		count := 0
+		for i, b := range want {
+			if s.Get(i) != b {
+				t.Fatalf("n=%d: bit %d = %v after SetWord64, want %v", n, i, !b, b)
+			}
+			if b {
+				count++
+			}
+		}
+		if s.Count() != count {
+			t.Fatalf("n=%d: Count = %d, want %d (bits past Len kept)", n, s.Count(), count)
+		}
+	}
+}

@@ -18,6 +18,7 @@ package buffer
 
 import (
 	"fmt"
+	"math/bits"
 
 	"gossipstream/internal/bitfield"
 	"gossipstream/internal/segment"
@@ -223,17 +224,16 @@ func (b *Buffer) Newest() segment.ID {
 }
 
 // MinID returns the smallest segment id held, or segment.None when empty.
-// Insertion order usually tracks id order, but pull scheduling fills holes
-// out of order, so this is a scan over the FIFO contents.
+// Pull scheduling fills holes out of order, so the FIFO head need not be
+// the minimum; the availability words are in id order, and the minimum is
+// their first set bit.
 func (b *Buffer) MinID() segment.ID {
-	lowest := segment.None
-	for i := 0; i < b.size; i++ {
-		id := b.ring[b.wrap(b.head+i)]
-		if lowest == segment.None || id < lowest {
-			lowest = id
+	for w, word := range b.avail {
+		if word != 0 {
+			return segment.ID((int(b.base>>6)+w)<<6 + bits.TrailingZeros64(word))
 		}
 	}
-	return lowest
+	return segment.None
 }
 
 // MaxID returns the largest segment id held, or segment.None when empty.
@@ -327,15 +327,34 @@ func (b *Buffer) SnapshotInto(dst *Map, anchor segment.ID) *Map {
 	}
 	dst.Anchor = anchor
 	dst.Capacity = b.capacity
-	dst.Bits.Reset()
-	for i := 0; i < b.size; i++ {
-		id := b.ring[b.wrap(b.head+i)]
-		off := int(id - anchor)
-		if off >= 0 && off < b.capacity {
-			dst.Bits.Set(off)
-		}
+	// The map's bit k is Has(anchor+k): each map word is the availability
+	// words shifted to the anchor.
+	for w := range (b.capacity + 63) / 64 {
+		dst.Bits.SetWord64(w, b.availFrom(anchor+segment.ID(w<<6)))
 	}
 	return dst
+}
+
+// availFrom returns the Has bits of ids [id, id+64) as one word, bit k of
+// the result being Has(id+k). id need not be word-aligned; ids outside
+// the indexed range read as absent.
+func (b *Buffer) availFrom(id segment.ID) uint64 {
+	if len(b.avail) == 0 {
+		return 0
+	}
+	i := int(id) - int(b.base>>6)<<6 // bit offset into avail
+	if i <= -64 || i >= len(b.avail)<<6 {
+		return 0
+	}
+	if i < 0 {
+		return b.avail[0] << uint(-i)
+	}
+	w, sh := i>>6, uint(i&63)
+	v := b.avail[w] >> sh
+	if sh != 0 && w+1 < len(b.avail) {
+		v |= b.avail[w+1] << (64 - sh)
+	}
+	return v
 }
 
 // Has reports whether the map advertises the segment.

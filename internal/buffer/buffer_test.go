@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"gossipstream/internal/bitfield"
 	"gossipstream/internal/segment"
 )
 
@@ -333,6 +334,70 @@ func TestRingMatchesReferenceFIFO(t *testing.T) {
 			if wantEvicted != segment.None && b.PositionFromTail(wantEvicted) != 0 {
 				t.Fatalf("cap %d step %d: evicted %d still has a position", capacity, step, wantEvicted)
 			}
+		}
+	}
+}
+
+// TestAvailQueriesMatchRingScan pins MinID and SnapshotInto, which read
+// the availability words, against scans of the FIFO ring (Contents): over
+// random inserts that run ahead, fill holes late, evict, and reach below
+// the index's base (downward rebases), for anchors at, below and above the
+// held range, word-aligned or not.
+func TestAvailQueriesMatchRingScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, capacity := range []int{1, 7, 64, 65, 600} {
+		b := New(capacity)
+		snap := b.Snapshot()
+		next := segment.ID(5000 + rng.Intn(64))
+		rebases := 0
+		for step := 0; step < 20*capacity+200; step++ {
+			id := next
+			switch r := rng.Intn(10); {
+			case r < 2: // a hole filled late, or a duplicate
+				id = max(0, next-segment.ID(rng.Intn(2*capacity+2)))
+			case r == 2: // far below everything held: a downward rebase
+				id = max(0, next-segment.ID(capacity+rng.Intn(4*capacity+130)))
+			default:
+				next += segment.ID(1 + rng.Intn(3))
+			}
+			if b.base >= 0 && id < b.base {
+				rebases++
+			}
+			b.Insert(id)
+			held := b.Contents()
+			wantMin := segment.None
+			if len(held) > 0 {
+				wantMin = slices.Min(held)
+			}
+			if got := b.MinID(); got != wantMin {
+				t.Fatalf("cap %d step %d: MinID = %d, ring scan says %d", capacity, step, got, wantMin)
+			}
+			anchors := []segment.ID{0, wantMin, b.MaxSeen() - segment.ID(capacity) + 1,
+				wantMin - segment.ID(rng.Intn(200)), wantMin + segment.ID(rng.Intn(2*capacity+1)), b.MaxSeen() + 1}
+			for _, anchor := range anchors {
+				snap = b.SnapshotInto(snap, anchor)
+				if anchor < 0 {
+					anchor = 0
+				}
+				want := bitfield.New(capacity)
+				for _, h := range held {
+					if off := int(h - anchor); off >= 0 && off < capacity {
+						want.Set(off)
+					}
+				}
+				if snap.Anchor != anchor {
+					t.Fatalf("cap %d step %d: SnapshotInto anchor %d, want %d", capacity, step, snap.Anchor, anchor)
+				}
+				for k := 0; k < capacity; k++ {
+					if snap.Bits.Get(k) != want.Get(k) {
+						t.Fatalf("cap %d step %d anchor %d: map bit %d = %v, ring scan says %v",
+							capacity, step, anchor, k, snap.Bits.Get(k), want.Get(k))
+					}
+				}
+			}
+		}
+		if rebases == 0 {
+			t.Fatalf("cap %d: no downward rebase happened", capacity)
 		}
 	}
 }

@@ -171,7 +171,8 @@ type ScoreOptions struct {
 // BuildCandidates scores every needed segment that at least one supplier
 // advertises, appending to dst (which may be nil) and returning it.
 // Candidates no supplier holds are dropped — they cannot be scheduled this
-// period.
+// period. They come out in Env order: NeedOld's ascending ids, then
+// NeedNew's.
 func BuildCandidates(env *Env, opt ScoreOptions, dst []Candidate) []Candidate {
 	if len(env.Suppliers) > MaxSuppliers {
 		panic(fmt.Sprintf("core: %d suppliers exceeds MaxSuppliers=%d", len(env.Suppliers), MaxSuppliers))
@@ -476,27 +477,12 @@ func (n *NormalSwitch) Name() string { return "normal" }
 func (n *NormalSwitch) Plan(env *Env, out *Plan) {
 	out.reset()
 	out.Q1, out.Q2 = len(env.NeedOld), len(env.NeedNew)
-	// Scoring is irrelevant to the normal ordering, but urgency still
-	// breaks ties inside S1 (deadline order == ascending id) and the
-	// priorities are reported in the plan for observability.
+	// Scoring is irrelevant to the normal ordering: all of S1 by deadline
+	// (ascending id), then S2 by id. BuildCandidates already emits exactly
+	// that order, the old stream's ascending need before the new one's;
+	// the priorities are reported in the plan for observability.
 	n.scratch = BuildCandidates(env, ScoreOptions{}, n.scratch[:0])
-	cands := n.scratch
-	slices.SortStableFunc(cands, func(a, b Candidate) int {
-		if a.Stream != b.Stream {
-			if a.Stream == StreamOld {
-				return -1
-			}
-			return 1
-		}
-		switch {
-		case a.ID < b.ID:
-			return -1
-		case a.ID > b.ID:
-			return 1
-		}
-		return 0
-	})
-	n.assign.run(env, cands)
+	n.assign.run(env, n.scratch)
 	o1, o2 := n.assign.old, n.assign.fresh
 	out.O1, out.O2 = len(o1), len(o2)
 

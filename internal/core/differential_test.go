@@ -177,3 +177,44 @@ func TestBuildCandidatesMatchesPerIDReference(t *testing.T) {
 	}
 	t.Logf("compared %d candidates, %d of them held by several suppliers", total, shared)
 }
+
+// TestBuildCandidatesEmitNormalOrder pins the order NormalSwitch plans
+// in without sorting: every old-stream candidate before every new-stream
+// one, ids strictly ascending within each stream. It holds over the
+// differential environments and over the property test's variant, whose
+// slowed suppliers drop some candidates, in every scoring mode.
+func TestBuildCandidatesEmitNormalOrder(t *testing.T) {
+	opts := []ScoreOptions{{}, {Rarity: RarityTraditional}, {Priority: PriorityUrgencyOnly}}
+	rng := rand.New(rand.NewSource(20080915))
+	var cands []Candidate
+	streams := map[Stream]int{}
+	for trial := 0; trial < 400; trial++ {
+		env := randomEnv(t, rng)
+		if trial%2 == 1 {
+			for i := range env.Suppliers {
+				if rng.Intn(2) == 0 {
+					env.Suppliers[i].Rate *= 0.05
+				}
+			}
+		}
+		for _, opt := range opts {
+			cands = BuildCandidates(env, opt, cands[:0])
+			for i, c := range cands {
+				streams[c.Stream]++
+				if i == 0 {
+					continue
+				}
+				prev := cands[i-1]
+				if prev.Stream == StreamNew && c.Stream == StreamOld {
+					t.Fatalf("trial %d opt %+v: old-stream candidate %d follows new-stream %d", trial, opt, c.ID, prev.ID)
+				}
+				if prev.Stream == c.Stream && prev.ID >= c.ID {
+					t.Fatalf("trial %d opt %+v: %s candidate %d follows %d", trial, opt, c.Stream, c.ID, prev.ID)
+				}
+			}
+		}
+	}
+	if streams[StreamOld] == 0 || streams[StreamNew] == 0 {
+		t.Fatalf("candidates per stream %v: an order across streams went untested", streams)
+	}
+}

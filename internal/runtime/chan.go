@@ -8,13 +8,16 @@ import (
 )
 
 // inboxCap bounds one node's inbox. A peer receives a few dozen frames
-// per period (M maps, its inbound budget in requests and data, denies);
-// the cap is generous headroom for bursty scheduling, and overflow
-// drops like a datagram rather than blocking the sender.
+// per period (M maps, its inbound budget in requests and data, denies),
+// but a hub at a period burst holds more than 256; the cap is headroom
+// for bursty scheduling, and a frame past it drops like a datagram
+// rather than blocking the sender. Only the first inboxChan frames sit
+// in the preallocated channel; the rest wait in the inbox's overflow
+// queue, which grows only in the inboxes that fill.
 const inboxCap = 512
 
-// ChanTransport is the in-process transport: per-node buffered channels
-// with LinkPolicy shaping. It is the tests/CI transport — no sockets,
+// ChanTransport is the in-process transport: per-node inboxes with
+// LinkPolicy shaping. It is the tests/CI transport — no sockets,
 // no serialization, frames move by value — and the reference
 // implementation of the Transport contract. With a nil (or zero-Flat)
 // policy, delivery is immediate and lossless; with a *netmodel.Model
@@ -22,7 +25,7 @@ const inboxCap = 512
 // simulator's transit phase applies are imposed on the wall clock.
 type ChanTransport struct {
 	mu      sync.RWMutex
-	inboxes map[overlay.NodeID]chan Frame
+	inboxes map[overlay.NodeID]*inbox
 	shape   *shaper
 	closed  bool
 	land    func(Frame) // t.arrive, bound once (send runs per frame)
@@ -34,7 +37,7 @@ type ChanTransport struct {
 // the shaping draws (loss, jitter).
 func NewChanTransport(seed int64) *ChanTransport {
 	t := &ChanTransport{
-		inboxes: make(map[overlay.NodeID]chan Frame),
+		inboxes: make(map[overlay.NodeID]*inbox),
 		shape:   newShaper(seed),
 	}
 	t.land = t.arrive
@@ -45,9 +48,9 @@ func NewChanTransport(seed int64) *ChanTransport {
 func (t *ChanTransport) Open(id overlay.NodeID) (Endpoint, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	ch := make(chan Frame, inboxCap)
-	t.inboxes[id] = ch
-	return &chanEndpoint{t: t, id: id, inbox: ch}, nil
+	q := newInbox()
+	t.inboxes[id] = q
+	return &chanEndpoint{t: t, id: id, inbox: q}, nil
 }
 
 // SetPolicy installs the delay/loss/partition policy.
@@ -66,7 +69,7 @@ func (t *ChanTransport) Close() {
 	t.shape.stop()
 	t.mu.Lock()
 	t.closed = true
-	t.inboxes = make(map[overlay.NodeID]chan Frame)
+	t.inboxes = make(map[overlay.NodeID]*inbox)
 	t.mu.Unlock()
 }
 
@@ -92,8 +95,8 @@ func (t *ChanTransport) arrive(f Frame) {
 	// endpoint's Close) returns, no frame reaches the detached inbox.
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if ch, ok := t.inboxes[f.Msg.To]; ok {
-		t.deliver(ch, f)
+	if q, ok := t.inboxes[f.Msg.To]; ok {
+		t.deliver(q, f)
 	}
 	// Otherwise the destination detached (churn): the datagram evaporates.
 }
@@ -101,7 +104,7 @@ func (t *ChanTransport) arrive(f Frame) {
 type chanEndpoint struct {
 	t     *ChanTransport
 	id    overlay.NodeID
-	inbox chan Frame
+	inbox *inbox
 }
 
 // Queue delivers at once: a channel send has no per-datagram cost to
@@ -118,7 +121,9 @@ func (e *chanEndpoint) Send(f Frame) {
 	e.Flush()
 }
 
-func (e *chanEndpoint) Recv() <-chan Frame { return e.inbox }
+func (e *chanEndpoint) Recv() <-chan Frame { return e.inbox.recv() }
+
+func (e *chanEndpoint) queued() int { return e.inbox.queued() }
 
 func (e *chanEndpoint) Close() {
 	e.t.mu.Lock()

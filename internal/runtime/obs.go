@@ -145,12 +145,13 @@ func (r *Runner) HealthSample() HealthSample {
 }
 
 // maxInboxDepth is the deepest owned-peer inbox right now — queued
-// frames a peer has not drained, the live runtime's backlog signal.
+// frames a peer has not drained, overflow included, the live runtime's
+// backlog signal.
 func (r *Runner) maxInboxDepth() int {
 	depth := 0
 	for _, h := range r.peers {
 		if h.running {
-			if n := len(h.p.ep.Recv()); n > depth {
+			if n := queuedFrames(h.p.ep); n > depth {
 				depth = n
 			}
 		}

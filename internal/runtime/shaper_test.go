@@ -76,7 +76,7 @@ func (blockOdd) Blocked(a, b overlay.NodeID) bool { return a%2 == 1 }
 // grows once Close has returned. The verdicts compare wall instants that
 // are lower bounds (a timer never fires early), so load cannot fail
 // them. Every sender stays under the inbox capacity, so an inbox's
-// length counts its landings.
+// queued frames (channel and overflow) count its landings.
 func TestShaperPolicyAndCloseRace(t *testing.T) {
 	const (
 		senders   = 8
@@ -129,7 +129,7 @@ func TestShaperPolicyAndCloseRace(t *testing.T) {
 			closed := time.Now()
 			lens := make([]int, senders)
 			for i := range dst {
-				lens[i] = len(dst[i].Recv())
+				lens[i] = queuedFrames(dst[i])
 			}
 			time.Sleep(3 * delay) // every delayed frame's timer has fired
 			stop.Store(true)
@@ -146,10 +146,10 @@ func TestShaperPolicyAndCloseRace(t *testing.T) {
 			}
 			evenAfterBlock := 0
 			for i := range dst {
-				if n := len(dst[i].Recv()); n != lens[i] {
+				if n := queuedFrames(dst[i]); n != lens[i] {
 					t.Errorf("node %d's inbox grew from %d to %d frames after Close returned", 101+i, lens[i], n)
 				}
-				for n := len(dst[i].Recv()); n > 0; n-- {
+				for n := queuedFrames(dst[i]); n > 0; n-- {
 					f := <-dst[i].Recv()
 					if f.Msg.From != overlay.NodeID(1+i) || int(f.Msg.Seg) >= len(queued[i]) {
 						t.Fatalf("node %d received a frame no one sent it: %+v", 101+i, f)

@@ -147,8 +147,10 @@ type Endpoint interface {
 	Flush()
 	// Send is Queue followed by Flush: the frame leaves at once.
 	Send(f Frame)
-	// Recv is the endpoint's inbox. It is never closed; peers exit via
-	// their control channel, not by observing transport shutdown.
+	// Recv is the endpoint's inbox, to be called afresh for every
+	// receive (a frame may wait behind the channel it returns until the
+	// next call). It is never closed; peers exit via their control
+	// channel, not by observing transport shutdown.
 	Recv() <-chan Frame
 	// Close detaches the endpoint: subsequent frames to this node are
 	// dropped.
@@ -221,23 +223,131 @@ type inboxCounters struct {
 
 // deliver hands one frame to an inbox without blocking: a full inbox
 // drops it, like a datagram.
-func (c *inboxCounters) deliver(inbox chan Frame, f Frame) {
-	select {
-	case inbox <- f:
-		if f.Kind == FrameData {
-			c.dataDelivered.Add(1)
-			if f.Msg.ArrivalMS > 0 {
-				c.delayMu.Lock()
-				c.delaySum += f.Msg.ArrivalMS
-				c.delayMu.Unlock()
-			}
-		}
-	default:
+func (c *inboxCounters) deliver(q *inbox, f Frame) {
+	if !q.put(f) {
 		c.inboxDropped.Add(1)
 		if f.Kind == FrameData {
 			c.dataLost.Add(1)
 		}
+		return
 	}
+	if f.Kind == FrameData {
+		c.dataDelivered.Add(1)
+		if f.Msg.ArrivalMS > 0 {
+			c.delayMu.Lock()
+			c.delaySum += f.Msg.ArrivalMS
+			c.delayMu.Unlock()
+		}
+	}
+}
+
+// inboxChan is the channel part of an inbox. 32 frames (5 KB) carry a
+// peer's ordinary traffic between two receives; a burst past that waits
+// in the overflow queue, so only the inboxes that do fill pay for the
+// room up to inboxCap.
+const inboxChan = 32
+
+// inbox is one node's queue of landed frames, inboxCap frames at most: a
+// small buffered channel the peer goroutine selects on, and a FIFO
+// overflow queue for frames that land while the channel is full. spilled
+// is set while the overflow holds frames. A sender takes mu only when
+// spilled is set or the channel is full, and then queues behind the
+// overflow, so frames from one sender keep their order. The receiver
+// refills the channel from the overflow (recv) once it has run dry,
+// before handing it out, so a receive never takes the lock while the
+// channel still holds frames.
+type inbox struct {
+	ch      chan Frame
+	spilled atomic.Bool
+
+	mu   sync.Mutex
+	over []Frame // over[head:] is the overflow, oldest first
+	head int
+}
+
+func newInbox() *inbox { return &inbox{ch: make(chan Frame, inboxChan)} }
+
+// put queues f without blocking; false means the inbox already holds
+// inboxCap frames and f is dropped.
+func (q *inbox) put(f Frame) bool {
+	if !q.spilled.Load() && q.offer(f) {
+		return true
+	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if len(q.ch)+len(q.over)-q.head >= inboxCap {
+		return false
+	}
+	if len(q.over) == cap(q.over) && q.head > 0 {
+		// Reuse the prefix the receiver consumed before growing.
+		n := copy(q.over, q.over[q.head:])
+		clear(q.over[n:])
+		q.over, q.head = q.over[:n], 0
+	}
+	q.over = append(q.over, f)
+	q.spilled.Store(true)
+	// The receiver may have emptied the channel since the offer above
+	// while spilled was still clear, and be waiting on it: move what fits
+	// now, so no frame sits in the overflow behind an empty channel.
+	q.refill()
+	return true
+}
+
+// offer sends f on the channel if it has room.
+func (q *inbox) offer(f Frame) bool {
+	select {
+	case q.ch <- f:
+		return true
+	default:
+		return false
+	}
+}
+
+// refill moves overflow frames, oldest first, into the channel while it
+// has room. Caller holds mu.
+func (q *inbox) refill() {
+	for q.head < len(q.over) && q.offer(q.over[q.head]) {
+		q.over[q.head] = Frame{} // drop the payload references
+		q.head++
+	}
+	if q.head == len(q.over) {
+		q.over, q.head = q.over[:0], 0
+		q.spilled.Store(false)
+	}
+}
+
+// recv is Endpoint.Recv: the channel, refilled from the overflow first
+// when it has run dry. Only the receiving goroutine calls it, once per
+// receive. After a refill the channel is either full or holds every
+// queued frame, so a receiver never waits on an empty channel while
+// frames sit in the overflow.
+func (q *inbox) recv() <-chan Frame {
+	if q.spilled.Load() && len(q.ch) == 0 {
+		q.mu.Lock()
+		q.refill()
+		q.mu.Unlock()
+	}
+	return q.ch
+}
+
+// queued counts the frames waiting, channel and overflow, without
+// refilling: the inbox depth.
+func (q *inbox) queued() int {
+	if !q.spilled.Load() {
+		return len(q.ch)
+	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return len(q.ch) + len(q.over) - q.head
+}
+
+// queuedFrames is the depth of an endpoint's inbox; an endpoint without
+// one of this package's inboxes reports its channel's length.
+func queuedFrames(ep Endpoint) int {
+	if q, ok := ep.(interface{ queued() int }); ok {
+		return q.queued()
+	}
+	return len(ep.Recv())
 }
 
 // stats reads the counters into the TransportStats fields they own.

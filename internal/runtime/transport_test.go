@@ -357,7 +357,7 @@ func TestUDPOneSocketDemux(t *testing.T) {
 	burst(1)
 	expect(1, 1)
 	expect(1, 3) // node 3's frames follow node 2's in the one datagram
-	if n := len(closed.Recv()); n != 0 {
+	if n := queuedFrames(closed); n != 0 {
 		t.Fatalf("closed node 2 still received %d frames", n)
 	}
 
@@ -370,7 +370,7 @@ func TestUDPOneSocketDemux(t *testing.T) {
 	for _, to := range []overlay.NodeID{1, 2, 3} {
 		expect(2, to)
 	}
-	if n := len(closed.Recv()); n != 0 {
+	if n := queuedFrames(closed); n != 0 {
 		t.Fatalf("the closed endpoint received %d frames after its id was reopened", n)
 	}
 	if st := tr.Stats(); st.Datagrams != 3 || st.Frames != 9*k || st.InboxDropped != 0 || st.Malformed != 0 {
@@ -544,7 +544,10 @@ func TestChanQueueDeliversAtOnce(t *testing.T) {
 
 // TestInboxOverflowCounts: frames that reach a full inbox are dropped,
 // like datagrams, and both transports count them in InboxDropped.
-// Node 2 never reads; node 1 sends it twice its inbox capacity.
+// Node 2 never reads; node 1 sends it twice its inbox capacity. On the
+// channel transport every frame lands synchronously, so the inbox holds
+// exactly inboxCap of them, channel and overflow, and the other inboxCap
+// are counted; over UDP the kernel may drop some first.
 func TestInboxOverflowCounts(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -557,19 +560,30 @@ func TestInboxOverflowCounts(t *testing.T) {
 			if err != nil {
 				t.Skipf("open: %v", err)
 			}
-			if _, err := tr.Open(2); err != nil {
+			b, err := tr.Open(2)
+			if err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < 2*inboxCap; i++ {
 				a.Queue(Frame{Kind: FrameRequest, Msg: netmodel.Message{To: 2, Seg: segment.ID(i)}})
 			}
 			a.Flush()
+			if tc.name == "chan" {
+				if n, st := queuedFrames(b), tr.Stats(); n != inboxCap || st.InboxDropped != inboxCap {
+					t.Fatalf("%d frames into a %d-frame inbox: %d queued, stats %+v, want %d queued and %d dropped",
+						2*inboxCap, inboxCap, n, st, inboxCap, inboxCap)
+				}
+				return
+			}
 			deadline := time.Now().Add(5 * time.Second)
 			for tr.Stats().InboxDropped == 0 {
 				if time.Now().After(deadline) {
 					t.Fatalf("%d frames into a %d-frame inbox: stats %+v, want InboxDropped > 0", 2*inboxCap, inboxCap, tr.Stats())
 				}
 				time.Sleep(10 * time.Millisecond)
+			}
+			if n := queuedFrames(b); n > inboxCap {
+				t.Fatalf("inbox holds %d frames, past its %d-frame bound", n, inboxCap)
 			}
 		})
 	}

@@ -50,7 +50,7 @@ type UDPTransport struct {
 	mu      sync.RWMutex
 	conn    *net.UDPConn // nil until the first Open
 	addr    *net.UDPAddr // conn's local address
-	inboxes map[overlay.NodeID]chan Frame
+	inboxes map[overlay.NodeID]*inbox
 	remote  map[string]*net.UDPAddr // resolved AddrBook endpoints, by string form
 	book    AddrBook
 	ctrl    func([]byte) // control-frame handler (SetControl); nil drops them
@@ -69,7 +69,7 @@ type UDPTransport struct {
 // shaping draws.
 func NewUDPTransport(seed int64) *UDPTransport {
 	return &UDPTransport{
-		inboxes: make(map[overlay.NodeID]chan Frame),
+		inboxes: make(map[overlay.NodeID]*inbox),
 		remote:  make(map[string]*net.UDPAddr),
 		shape:   newShaper(seed),
 	}
@@ -88,7 +88,7 @@ func (t *UDPTransport) SetAddrBook(b AddrBook) {
 // socket and starting its reader on the first call. Opening an attached
 // id again rebinds it to a fresh inbox.
 func (t *UDPTransport) Open(id overlay.NodeID) (Endpoint, error) {
-	inbox := make(chan Frame, inboxCap)
+	q := newInbox()
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
@@ -100,11 +100,11 @@ func (t *UDPTransport) Open(id overlay.NodeID) (Endpoint, error) {
 			return nil, fmt.Errorf("runtime: udp bind for node %d: %w", id, err)
 		}
 	}
-	t.inboxes[id] = inbox
+	t.inboxes[id] = q
 	conn, book := t.conn, t.book
 	t.mu.Unlock()
 
-	e := &udpEndpoint{t: t, id: id, conn: conn, inbox: inbox, book: book}
+	e := &udpEndpoint{t: t, id: id, conn: conn, inbox: q, book: book}
 	e.landNow, e.landLater = e.hold, e.writeAlone
 	return e, nil
 }
@@ -191,8 +191,8 @@ func (t *UDPTransport) read(conn *net.UDPConn) {
 		t.mu.RLock()
 		handle := t.ctrl
 		for _, f := range frames {
-			if inbox, ok := t.inboxes[f.Msg.To]; ok && !f.Kind.Control() {
-				t.deliver(inbox, f)
+			if q, ok := t.inboxes[f.Msg.To]; ok && !f.Kind.Control() {
+				t.deliver(q, f)
 			}
 		}
 		t.mu.RUnlock()
@@ -244,7 +244,7 @@ func (t *UDPTransport) Close() {
 	if t.conn != nil {
 		t.conn.Close()
 	}
-	t.inboxes = make(map[overlay.NodeID]chan Frame)
+	t.inboxes = make(map[overlay.NodeID]*inbox)
 	t.mu.Unlock()
 	t.wg.Wait()
 }
@@ -348,7 +348,7 @@ type udpEndpoint struct {
 	t     *UDPTransport
 	id    overlay.NodeID
 	conn  *net.UDPConn
-	inbox chan Frame
+	inbox *inbox
 	book  AddrBook
 
 	// out is the outbox: one pending datagram per destination address
@@ -481,7 +481,9 @@ func (e *udpEndpoint) writeAlone(f Frame) {
 	}
 }
 
-func (e *udpEndpoint) Recv() <-chan Frame { return e.inbox }
+func (e *udpEndpoint) Recv() <-chan Frame { return e.inbox.recv() }
+
+func (e *udpEndpoint) queued() int { return e.inbox.queued() }
 
 // Close detaches the node's inbox; the socket stays with the transport.
 // Frames still addressed to the node evaporate at the reader.

@@ -83,8 +83,13 @@ func (sc *Scenario) Validate() error {
 	if sc.Nodes < 2 {
 		return fmt.Errorf("scenario %s: need at least 2 nodes, have %d", sc.Name, sc.Nodes)
 	}
-	if sc.M < 0 || sc.Spread < 0 || sc.Horizon < 0 || sc.Duration < 0 || sc.Qs < 0 {
-		return fmt.Errorf("scenario %s: negative parameter", sc.Name)
+	for _, p := range [...]struct {
+		directive string
+		v         int
+	}{{"m", sc.M}, {"spread", sc.Spread}, {"horizon", sc.Horizon}, {"duration", sc.Duration}, {"qs", sc.Qs}} {
+		if p.v < 0 {
+			return fmt.Errorf("scenario %s: %s %d is negative", sc.Name, p.directive, p.v)
+		}
 	}
 	if sc.Qs > sim.BufferCap {
 		return fmt.Errorf("scenario %s: qs %d exceeds the buffer capacity B = %d: no node could ever gather the new stream's first qs segments",
@@ -107,8 +112,11 @@ func (sc *Scenario) Validate() error {
 	if sc.NetLoss < 0 || sc.NetLoss >= 1 {
 		return fmt.Errorf("scenario %s: net loss %v out of [0,1)", sc.Name, sc.NetLoss)
 	}
-	if sc.NetJitterMS < 0 || sc.NetPingMS < 0 {
-		return fmt.Errorf("scenario %s: negative net parameter", sc.Name)
+	if sc.NetJitterMS < 0 {
+		return fmt.Errorf("scenario %s: net jitter %v is negative", sc.Name, sc.NetJitterMS)
+	}
+	if sc.NetPingMS < 0 {
+		return fmt.Errorf("scenario %s: net ping %d is negative", sc.Name, sc.NetPingMS)
 	}
 	script := sim.Script{Events: sc.Events, Duration: sc.Duration}
 	if err := script.Validate(); err != nil {

@@ -175,6 +175,21 @@ func TestParseErrors(t *testing.T) {
 	if _, err := Parse(strings.NewReader("scenario ok\nnodes 100\nseed 1\nfirst 99\nat 10 switch")); err != nil {
 		t.Errorf("rejected first 99 of 100 nodes: %v", err)
 	}
+	// A negative parameter is an error naming its directive and value.
+	for _, tc := range []struct{ line, want string }{
+		{"m -1", "m -1"},
+		{"spread -2", "spread -2"},
+		{"horizon -3", "horizon -3"},
+		{"duration -4", "duration -4"},
+		{"qs -5", "qs -5"},
+		{"net jitter=-6", "jitter -6"},
+		{"net ping=-7", "ping -7"},
+	} {
+		text := "scenario ok\nnodes 100\nseed 1\n" + tc.line + "\nat 10 switch"
+		if _, err := Parse(strings.NewReader(text)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one naming %q", tc.line, err, tc.want)
+		}
+	}
 	// Scaling below the neighbor target is the same error at compile
 	// time, not an overlay panic.
 	if _, err := PaperSingleSwitch().Scaled(4).Config(sim.Fast); err == nil {
