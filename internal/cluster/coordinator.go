@@ -57,9 +57,6 @@ type Tuning struct {
 	// directive.
 	ReportTimeout time.Duration // default 30s
 
-	// JoinDeadline bounds the starter's wait for all Workers to join.
-	JoinDeadline time.Duration // default 5m
-
 	// SuspectAfter and DeadAfter are the failure detector's thresholds,
 	// in coordinator ticks without a status from a shard: after
 	// SuspectAfter missed ticks a shard is suspected (probed with
@@ -73,9 +70,6 @@ type Tuning struct {
 func (t Tuning) withDefaults() Tuning {
 	if t.ReportTimeout <= 0 {
 		t.ReportTimeout = defaultReportTimeout
-	}
-	if t.JoinDeadline <= 0 {
-		t.JoinDeadline = defaultJoinDeadline
 	}
 	if t.SuspectAfter <= 0 {
 		t.SuspectAfter = DefaultSuspectAfter
@@ -101,11 +95,12 @@ func algoFactory(name string) sim.AlgorithmFactory {
 	return sim.Fast
 }
 
-// The production defaults behind Tuning's zero value.
-const (
-	defaultReportTimeout = 30 * time.Second
-	defaultJoinDeadline  = 5 * time.Minute
-)
+// defaultReportTimeout is the production default behind a zero
+// Tuning.ReportTimeout.
+const defaultReportTimeout = 30 * time.Second
+
+// defaultJoinDeadline bounds the starter's wait for all Workers to join.
+const defaultJoinDeadline = 5 * time.Minute
 
 // Serve runs the starter node: listen for Workers joining processes,
 // welcome each with the scenario and the shard table so far, release
@@ -246,7 +241,7 @@ func awaitWorkers(cfg Config, sc *scenario.Scenario, l *link, shards int) ([]int
 	}
 	assigned := make(map[string]int)
 	var workers []int
-	deadline := time.After(cfg.Tuning.JoinDeadline)
+	deadline := time.After(defaultJoinDeadline)
 	for len(workers) < shards-1 {
 		select {
 		case m := <-l.inbox:

@@ -174,7 +174,7 @@ func TestDetectorClampsThresholds(t *testing.T) {
 		t.Fatalf("zero Tuning got %d/%d, want defaults %d/%d",
 			tn.SuspectAfter, tn.DeadAfter, DefaultSuspectAfter, DefaultDeadAfter)
 	}
-	if tn.ReportTimeout != defaultReportTimeout || tn.JoinDeadline != defaultJoinDeadline {
+	if tn.ReportTimeout != defaultReportTimeout {
 		t.Fatalf("zero Tuning timeouts got %+v", tn)
 	}
 }

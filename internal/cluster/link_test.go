@@ -311,20 +311,27 @@ func TestOneSocketPerProcess(t *testing.T) {
 			joins <- joined{w, j.addr, err}
 		}()
 	}
-	cfg := Config{Workers: shards - 1, Tuning: Tuning{JoinDeadline: 10 * time.Second}.withDefaults()}
-	if _, err := awaitWorkers(cfg, sc, coord, shards); err != nil {
-		t.Fatal(err)
-	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := awaitWorkers(Config{Workers: shards - 1}, sc, coord, shards)
+		done <- err
+	}()
 	want := map[int]string{0: coord.addr}
-	for i := 1; i < shards; i++ {
-		j := <-joins
-		if j.err != nil {
-			t.Fatal(j.err)
+	for pending := shards; pending > 0; pending-- {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case j := <-joins:
+			if j.err != nil {
+				t.Fatal(j.err)
+			}
+			if len(j.w.Addrs) <= j.w.Shard || j.w.Addrs[0] != coord.addr || j.w.Addrs[j.w.Shard] != j.addr {
+				t.Fatalf("shard %d welcomed with table %q, want the coordinator %q and itself %q", j.w.Shard, j.w.Addrs, coord.addr, j.addr)
+			}
+			want[j.w.Shard] = j.addr
 		}
-		if len(j.w.Addrs) <= j.w.Shard || j.w.Addrs[0] != coord.addr || j.w.Addrs[j.w.Shard] != j.addr {
-			t.Fatalf("shard %d welcomed with table %q, want the coordinator %q and itself %q", j.w.Shard, j.w.Addrs, coord.addr, j.addr)
-		}
-		want[j.w.Shard] = j.addr
 	}
 
 	r, err := runtime.FromScenario(sc, sim.Fast, runtime.Options{Transport: coord.tr})

@@ -237,13 +237,15 @@ func TestOversizedMessagesAreRefused(t *testing.T) {
 
 // TestCodecVersionMismatchRefused: a hello one codec version ahead gets
 // no welcome — the coordinator answers with a hello of its own version
-// — and the joiner fails with an error naming both versions.
+// — and the joiner fails with an error naming both versions. The
+// refused joiner takes no shard: the next joiner of the run's version
+// is welcomed as shard 1.
 func TestCodecVersionMismatchRefused(t *testing.T) {
 	coord := testLink(t, 0, "k", 1)
 	joiner := testLink(t, -1, "k", 2)
 	var mu sync.Mutex
 	var logs []string
-	cfg := Config{Workers: 1, Tuning: Tuning{JoinDeadline: time.Second}.withDefaults(),
+	cfg := Config{Workers: 1,
 		Logf: func(format string, args ...any) {
 			mu.Lock()
 			logs = append(logs, fmt.Sprintf(format, args...))
@@ -264,8 +266,29 @@ func TestCodecVersionMismatchRefused(t *testing.T) {
 			t.Fatalf("error %q does not name version %d", err, v)
 		}
 	}
-	if err := <-done; err == nil {
-		t.Fatal("the coordinator counted the refused joiner as joined")
+	good := testLink(t, -1, "k", 3)
+	joined := make(chan error, 1)
+	go func() {
+		_, ack, err := awaitWelcome(JoinConfig{Starter: coord.addr, Token: "k"}, good, codecVersion)
+		if err == nil {
+			ack()
+		}
+		joined <- err
+	}()
+	for pending := 2; pending > 0; pending-- {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case err := <-joined:
+			if err != nil {
+				t.Fatalf("the joiner of the run's version: %v", err)
+			}
+		}
+	}
+	if addrs := coord.table.snapshot(); len(addrs) != 2 || addrs[1] != good.addr {
+		t.Fatalf("shard table %q after the joins, want shard 1 at %s: the coordinator counted the refused joiner as joined", addrs, good.addr)
 	}
 	mu.Lock()
 	defer mu.Unlock()

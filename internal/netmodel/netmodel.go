@@ -215,9 +215,6 @@ func (m *Model) InFlight() int { return m.inFlight }
 // they were injected with.
 func (m *Model) SetLatencyFactor(f float64) { m.latFactor = f }
 
-// LatencyFactor returns the current propagation multiplier.
-func (m *Model) LatencyFactor() float64 { return m.latFactor }
-
 // SetLossBurst overrides the loss probability with p until (exclusive)
 // tick until.
 func (m *Model) SetLossBurst(p float64, until int) {
@@ -289,9 +286,6 @@ func (m *Model) PartitionByPing(frac float64, seed int64) {
 
 // Heal ends the partition: every link carries traffic again.
 func (m *Model) Heal() { m.partitioned = false }
-
-// Partitioned reports whether a partition is active.
-func (m *Model) Partitioned() bool { return m.partitioned }
 
 // Side returns the node's partition side (0 or 1); 0 for everyone when
 // no partition is active.

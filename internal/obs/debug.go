@@ -6,7 +6,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"time"
 )
 
 // The debug HTTP endpoint: Prometheus text-format /metrics from the
@@ -17,9 +16,8 @@ import (
 
 // DebugServer is one bound debug endpoint.
 type DebugServer struct {
-	ln    net.Listener
-	srv   *http.Server
-	start time.Time
+	ln  net.Listener
+	srv *http.Server
 }
 
 // NewMux assembles the debug handler set. healthz and runz supply the
@@ -67,9 +65,8 @@ func StartDebug(addr string, reg *Registry, healthz, runz func() any) (*DebugSer
 		return nil, fmt.Errorf("obs: debug listen %s: %w", addr, err)
 	}
 	s := &DebugServer{
-		ln:    ln,
-		srv:   &http.Server{Handler: NewMux(reg, healthz, runz)},
-		start: time.Now(),
+		ln:  ln,
+		srv: &http.Server{Handler: NewMux(reg, healthz, runz)},
 	}
 	go s.srv.Serve(ln)
 	return s, nil
@@ -81,14 +78,6 @@ func (s *DebugServer) Addr() string {
 		return ""
 	}
 	return s.ln.Addr().String()
-}
-
-// Uptime is the time since the server started.
-func (s *DebugServer) Uptime() time.Duration {
-	if s == nil {
-		return 0
-	}
-	return time.Since(s.start)
 }
 
 // Close shuts the server down.

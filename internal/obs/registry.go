@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -297,25 +296,5 @@ func (r *Registry) Snapshot() map[string]int64 {
 			out[name+"_count"] = m.h.Count()
 		}
 	}
-	return out
-}
-
-// Families lists the registered family names, sorted — test and
-// debugging convenience.
-func (r *Registry) Families() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	seen := make(map[string]bool)
-	var out []string
-	for _, m := range r.series {
-		if !seen[m.family] {
-			seen[m.family] = true
-			out = append(out, m.family)
-		}
-	}
-	sort.Strings(out)
 	return out
 }

@@ -21,7 +21,8 @@ import (
 // acknowledged.
 
 // The cluster-only directive kinds, numbered past the scenario kinds
-// sim.Resolver emits.
+// sim.Resolver emits. The cluster agent consumes DirStopSource and
+// DirFinish itself; only DirReassign reaches Apply.
 const (
 	// DirStopSource closes the current source's open session (targeted
 	// at the shard owning it, which answers with the closing segment id
@@ -169,9 +170,6 @@ func (r *Runner) ShardStatus() []NodeStatus {
 
 // ---- Resolution (coordinator side) ----
 
-// current is the timeline's last session.
-func (r *Runner) current() segment.Session { return r.timeline[len(r.timeline)-1] }
-
 // ResolveEvent resolves ev, the next due event (its timeline index keys
 // its draws), into a directive; nil for a churn burst, which only moves
 // the resolver's burst window. A planned switch also needs the old
@@ -180,7 +178,7 @@ func (r *Runner) current() segment.Session { return r.timeline[len(r.timeline)-1
 // switch with stop set, and the caller fills S1End from a DirStopSource
 // round trip to the owning shard (or makes it a crash with CrashSwitch).
 func (r *Runner) ResolveEvent(ev sim.Event) (d *Directive, stop bool, err error) {
-	cur := r.current()
+	cur := r.tl.Current()
 	// The stream head as the current source last reported it.
 	head := (*runnerFacts)(r).MaxSeen(overlay.NodeID(cur.Source)) + 1
 	sd, err := r.resolver.Event(ev, r.nextEvent, r.tick, cur, head)
@@ -201,7 +199,7 @@ func (r *Runner) ResolveEvent(ev sim.Event) (d *Directive, stop bool, err error)
 // id a crash handoff: the old source's shard died, so the id is
 // unknowable, and S1 truncates at the cohort's reported high-water mark
 // exactly like a scripted failure switch.
-func (r *Runner) CrashSwitch(d *Directive) { r.resolver.Crash(&d.Directive, r.current()) }
+func (r *Runner) CrashSwitch(d *Directive) { r.resolver.Crash(&d.Directive, r.tl.Current()) }
 
 // StopSource runs the local control round trip closing an owned
 // source's session; ok is false when the node is not an owned running
@@ -229,42 +227,28 @@ func (r *Runner) ResolveChurnStep() *Directive {
 
 // ---- Application (every shard) ----
 
-// Apply executes one resolved directive against this shard: structural
-// graph mutations are replayed when the directive came from another
-// process (Resolved false), peer-facing actions run for owned nodes
-// only, and window bookkeeping runs everywhere so each shard's windows
-// line up by index for the merge.
+// Apply executes one resolved directive against this shard.
+// sim.DirectiveStep counts and traces it and applies a transport
+// directive to the shaping policy's model, under the policy's write
+// lock. Structural graph mutations are replayed when the directive came
+// from another process (Resolved false), peer-facing actions run for
+// owned nodes only, and window bookkeeping runs everywhere so each
+// shard's windows line up by index for the merge.
 func (r *Runner) Apply(d *Directive) error {
+	var tr *obs.Trace
+	var events *obs.Counter
 	if ob := r.obs; ob != nil {
-		ob.events.Inc()
-		if ob.trace != nil {
-			te := obs.TraceEvent{T: obs.EvEvent, Tick: r.tick, Kind: d.KindName()}
-			if r.shards > 1 {
-				te.Shard = r.shard
-			}
-			switch d.Kind {
-			case sim.DirSwitch:
-				te.Node = obs.P(int64(d.Old))
-				te.To = obs.P(int64(d.New))
-			case sim.DirDemote:
-				te.Node = obs.P(int64(d.Node))
-			}
-			ob.trace.Emit(te)
-			switch d.Kind {
-			case sim.DirPartition:
-				ob.trace.Emit(obs.TraceEvent{T: obs.EvPartition, Tick: r.tick, Kind: "sever"})
-			case sim.DirHeal:
-				ob.trace.Emit(obs.TraceEvent{T: obs.EvPartition, Tick: r.tick, Kind: "heal"})
-			}
-		}
+		tr, events = ob.trace, ob.events
+	}
+	step := func(m *netmodel.Model) { sim.DirectiveStep(&d.Directive, d.KindName(), m, tr, events, r.shard) }
+	if r.policy != nil {
+		r.policy.mutate(step)
+	} else {
+		step(nil)
 	}
 	switch d.Kind {
 	case sim.DirSwitch:
 		r.applySwitchDirective(d)
-	case DirStopSource:
-		// Targeted resolution helper; the caller (cluster agent) uses
-		// StopSource directly for the reply. Applying it standalone is a
-		// no-op by design.
 	case sim.DirDemote:
 		r.applyDemoteDirective(d)
 	case sim.DirMeasure:
@@ -279,22 +263,8 @@ func (r *Runner) Apply(d *Directive) error {
 				h.p.ctrlCh <- ctrlMsg{kind: ctrlBandwidth, factor: d.Factor}
 			}
 		}
-	case sim.DirLatency:
-		r.policy.mutate(func(m *netmodel.Model) { m.SetLatencyFactor(d.Factor) })
-	case sim.DirLoss:
-		r.policy.mutate(func(m *netmodel.Model) { m.SetLossBurst(d.Prob, d.Until) })
-	case sim.DirPartition:
-		r.policy.mutate(func(m *netmodel.Model) {
-			if d.ByPing {
-				m.PartitionByPing(d.Frac, d.Seed)
-			} else {
-				m.Partition(d.Frac, d.Seed)
-			}
-		})
-	case sim.DirHeal:
-		r.policy.mutate(func(m *netmodel.Model) { m.Heal() })
-	case DirFinish:
-		// Handled by the driving loop (cluster agent); nothing to apply.
+	case sim.DirLatency, sim.DirLoss, sim.DirPartition, sim.DirHeal:
+		// Applied to the transport's model by DirectiveStep.
 	case DirReassign:
 		r.applyReassign(d)
 	default:
@@ -321,15 +291,15 @@ func (r *Runner) applySwitchDirective(d *Directive) {
 		r.stopPeer(d.Old)
 		r.refreshNeighbors()
 	}
-	r.timeline[len(r.timeline)-1].End = d.S1End
-	r.timeline = append(r.timeline, segment.Session{
-		Source: segment.SourceID(d.New), Begin: d.S1End + 1, End: segment.None,
-	})
+	r.tl.Close(d.S1End)
+	if _, err := r.tl.Append(segment.SourceID(d.New)); err != nil {
+		panic(fmt.Sprintf("runtime: timeline append: %v", err)) // unreachable: Close precedes
+	}
 	r.roles[d.New] = true
 	if newH, ok := r.peers[d.New]; ok {
 		newH.isSource = true
 		newH.active = true
-		newH.p.ctrlCh <- ctrlMsg{kind: ctrlBecomeSource, sessions: append([]segment.Session(nil), r.timeline...)}
+		newH.p.ctrlCh <- ctrlMsg{kind: ctrlBecomeSource, sessions: r.tl.Sessions()}
 	}
 	r.startWindow(true, d.Horizon, d.Failure)
 }
@@ -341,7 +311,7 @@ func (r *Runner) applyDemoteDirective(d *Directive) {
 		h.isSource = false
 		h.p.ctrlCh <- ctrlMsg{
 			kind:     ctrlDemote,
-			sessions: append([]segment.Session(nil), r.timeline...),
+			sessions: r.tl.Sessions(),
 			anchor:   d.Anchor,
 		}
 	}
@@ -406,13 +376,14 @@ func (r *Runner) applyJoin(js sim.JoinSpec, resolved bool) {
 // orphan, with its salt): wiring from the local graph, playback entering
 // the session that holds the resolved anchor.
 func (r *Runner) joinSpawn(js sim.JoinSpec, salt int64) spawnSpec {
-	pb := sim.JoinPlayback(r.timeline, js.Anchor)
+	sessions := r.tl.Sessions()
+	pb := sim.JoinPlayback(sessions, js.Anchor)
 	return spawnSpec{
 		id:         js.ID,
 		profile:    js.Profile,
 		bwFactor:   r.bwFactor,
 		neighbors:  r.g.Neighbors(js.ID),
-		sessions:   r.timeline,
+		sessions:   sessions,
 		anchor:     js.Anchor,
 		sessionIdx: pb.SessionIdx,
 		known:      pb.Known,

@@ -35,13 +35,3 @@ func (r *Runner) fireEvents() {
 		}
 	}
 }
-
-// churnStep resolves and applies the baseline (or burst-overridden)
-// churn at tick end, mirroring the simulator's churn phase: departures
-// repair the mesh through the directory, joiners adopt their neighbors'
-// current playback position.
-func (r *Runner) churnStep() {
-	if d := r.ResolveChurnStep(); d != nil {
-		r.applyMembership(d)
-	}
-}

@@ -48,7 +48,7 @@ const respawnSeedSalt = 0x0fa1_10ff
 func (r *Runner) ResolveFailover(deadShard int, survivors []int) (dirs []*Directive, srcDied bool) {
 	order := append([]int(nil), survivors...)
 	sort.Ints(order)
-	cur := overlay.NodeID(r.current().Source)
+	cur := overlay.NodeID(r.tl.Current().Source)
 
 	var lost, orphans []overlay.NodeID
 	for i := 0; i < r.g.N(); i++ {
@@ -106,7 +106,7 @@ func (r *Runner) respawnSpec(id overlay.NodeID) sim.JoinSpec {
 	if anchor == 0 {
 		// No live neighbor report (an isolated corner): start at the
 		// current session's first segment.
-		anchor = r.current().Begin
+		anchor = r.tl.Current().Begin
 	}
 	return sim.JoinSpec{ID: id, Neighbors: neighbors, Anchor: anchor, Profile: r.profile[id]}
 }

@@ -1,9 +1,13 @@
 package runtime
 
 import (
+	"bytes"
+	"encoding/json"
 	"runtime"
+	"slices"
 	"testing"
 
+	"gossipstream/internal/obs"
 	"gossipstream/internal/overlay"
 	"gossipstream/internal/scenario"
 	"gossipstream/internal/sim"
@@ -196,4 +200,107 @@ func TestLiveSimParityPaperSingleSwitch(t *testing.T) {
 	if st := r.Stats().Transport; st.DataLost*10000 > st.DataSent {
 		t.Errorf("lost %d of %d data frames on the lossless channel transport", st.DataLost, st.DataSent)
 	}
+}
+
+// directiveLine is the backend-independent part of one event, switch or
+// partition trace line.
+type directiveLine struct {
+	Tick int
+	T    string
+	Kind string
+}
+
+// directiveLines runs sc on the simulator or the single-process live
+// runner (channel transport) with a trace and a registry attached, and
+// returns its event, switch and partition lines in order. It fails the
+// test unless gossip_events_total equals the number of event lines.
+func directiveLines(t *testing.T, sc *scenario.Scenario, live bool) []directiveLine {
+	t.Helper()
+	var buf bytes.Buffer
+	o := &obs.Obs{Reg: obs.NewRegistry(), Trace: obs.NewTrace(&buf)}
+	if live {
+		r, err := FromScenario(sc, sim.Fast, Options{TimeScale: 500, Obs: o})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Run(); err != nil {
+			t.Fatal(err)
+		}
+	} else {
+		cfg, err := sc.Config(sim.Fast)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Obs = o
+		s, err := sim.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := o.Trace.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var lines []directiveLine
+	events := 0
+	dec := json.NewDecoder(&buf)
+	for dec.More() {
+		var te obs.TraceEvent
+		if err := dec.Decode(&te); err != nil {
+			t.Fatal(err)
+		}
+		switch te.T {
+		case obs.EvEvent:
+			events++
+			fallthrough
+		case obs.EvSwitch, obs.EvPartition:
+			lines = append(lines, directiveLine{te.Tick, te.T, te.Kind})
+		}
+	}
+	if got := o.Reg.Snapshot()["gossip_events_total"]; got != int64(events) {
+		t.Errorf("live=%v: gossip_events_total %d, %d event lines", live, got, events)
+	}
+	return lines
+}
+
+// TestOneVocabularyAcrossBackends pins that the simulator and the live
+// runtime record one scenario's directives in the same words: the same
+// event, switch and partition lines at the same ticks, one membership
+// line per churn step, and gossip_events_total counting the event
+// lines. Both backends count and trace through sim.DirectiveStep. The
+// first two scenarios have no baseline churn, so their resolution never
+// reads the live runner's one-period-stale facts.
+func TestOneVocabularyAcrossBackends(t *testing.T) {
+	for _, sc := range []*scenario.Scenario{scenario.FlashCrowdJoin().Scaled(60), scenario.TransatlanticSplit().Scaled(60)} {
+		t.Run(sc.Name, func(t *testing.T) {
+			simLines, liveLines := directiveLines(t, sc, false), directiveLines(t, sc, true)
+			if !slices.Equal(simLines, liveLines) {
+				t.Errorf("directive lines differ:\nsim:  %v\nlive: %v", simLines, liveLines)
+			}
+		})
+	}
+	t.Run("churn-storm", func(t *testing.T) {
+		sc := scenario.ChurnStorm().Scaled(100)
+		// An explicit duration runs both backends for the same periods;
+		// at 100 nodes every period's churn step joins at least one node.
+		sc.Duration = 70
+		for _, live := range []bool{false, true} {
+			var ticks []int
+			for _, l := range directiveLines(t, sc, live) {
+				if l.T == obs.EvEvent && l.Kind == "membership" {
+					ticks = append(ticks, l.Tick)
+				}
+			}
+			for k, tick := range ticks {
+				if tick != k {
+					t.Fatalf("live=%v: membership lines at ticks %v, want one per churn step at ticks 0..%d", live, ticks, sc.Duration-1)
+				}
+			}
+			if len(ticks) != sc.Duration {
+				t.Fatalf("live=%v: %d membership lines, want one per churn step (%d)", live, len(ticks), sc.Duration)
+			}
+		}
+	})
 }

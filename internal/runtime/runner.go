@@ -96,7 +96,8 @@ type Runner struct {
 	resolver *sim.Resolver
 	dir      *membership.Directory
 
-	timeline []segment.Session
+	// tl is the run's source sessions, as the simulator keeps them.
+	tl *segment.Timeline
 
 	events    []sim.Event
 	nextEvent int
@@ -246,7 +247,9 @@ func (r *Runner) Run() (*sim.Result, error) {
 	for r.tick < r.duration {
 		r.fireEvents()
 		if r.err == nil && r.TickShard() == nil {
-			r.churnStep()
+			if d := r.ResolveChurnStep(); d != nil {
+				r.err = r.Apply(d)
+			}
 		}
 		if r.err != nil {
 			r.shutdown()
@@ -290,7 +293,8 @@ func (r *Runner) spawnInitial() error {
 	profiles, startTicks := r.cfg.Arrivals()
 
 	first := r.cfg.FirstSource
-	r.timeline = []segment.Session{{Source: segment.SourceID(first), Begin: 0, End: segment.None}}
+	r.tl = segment.NewTimeline(segment.SourceID(first))
+	sessions := r.tl.Sessions()
 	r.roles[first] = true
 
 	for i := 0; i < n; i++ {
@@ -308,7 +312,7 @@ func (r *Runner) spawnInitial() error {
 			bwFactor:  1,
 			startTick: startTicks[i],
 			neighbors: r.g.Neighbors(id),
-			sessions:  r.timeline,
+			sessions:  sessions,
 			mySession: -1,
 			seed:      r.sc.Seed ^ (int64(id)+1)*0x9e37_79b9,
 			known:     1,
@@ -411,7 +415,7 @@ func (r *Runner) observe(rep report) {
 			r.win.Gone(k)
 		}
 		st := sim.PlaybackStep{Played: rep.played, Stalled: rep.stalled, Started: rep.started, Finished: rep.finished}
-		r.win.Step(k, rep.period, st, rep.prepared == len(r.timeline)-1)
+		r.win.Step(k, rep.period, st, rep.prepared == r.tl.Len()-1)
 	}
 }
 
@@ -433,10 +437,11 @@ func (r *Runner) startWindow(isSwitch bool, horizon int, failure bool) {
 	}
 	h := sim.WindowHeader{Index: len(r.res.Windows), Tick: r.tick, Nodes: r.activeCount(), Horizon: horizon}
 	if isSwitch {
-		last := len(r.timeline) - 1
+		sessions := r.tl.Sessions()
+		last := len(sessions) - 1
 		h.Switch, h.Session, h.Failure = true, last, failure
-		h.OldSource = overlay.NodeID(r.timeline[last-1].Source)
-		h.NewSource = overlay.NodeID(r.timeline[last].Source)
+		h.OldSource = overlay.NodeID(sessions[last-1].Source)
+		h.NewSource = overlay.NodeID(sessions[last].Source)
 	}
 	r.win.Open(h, cohort)
 	if r.policy != nil {

@@ -111,6 +111,9 @@ func (t *Timeline) SessionsInto(dst []Session) []Session {
 	return append(dst[:0], t.sessions...)
 }
 
+// Len is the number of sessions.
+func (t *Timeline) Len() int { return len(t.sessions) }
+
 // Current returns the most recent session.
 func (t *Timeline) Current() Session { return t.sessions[len(t.sessions)-1] }
 

@@ -55,9 +55,6 @@ func (p *Pipeline) CaptureMem(on bool) {
 	}
 }
 
-// MemCaptured reports whether allocation capture is (or was) enabled.
-func (p *Pipeline) MemCaptured() bool { return p.bytes != nil }
-
 // Observe attaches metric and span sinks. Each phase gets a
 // gossip_phase_ns_total{phase="..."} counter; with tickLevel set the
 // pipeline also maintains gossip_tick_ns / gossip_ticks_total (the

@@ -120,6 +120,7 @@ func (s *Sim) phasePlayback() {
 // joins take effect for the next period's refill and planning.
 func (s *Sim) phaseChurn() {
 	if d := s.resolver.Churn(s.tick); d != nil {
+		DirectiveStep(d, d.Kind.String(), s.net, s.trace, s.obsEvents, 0)
 		s.applyMembership(d)
 	}
 }

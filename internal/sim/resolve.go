@@ -6,6 +6,8 @@ import (
 
 	"gossipstream/internal/bandwidth"
 	"gossipstream/internal/membership"
+	"gossipstream/internal/netmodel"
+	"gossipstream/internal/obs"
 	"gossipstream/internal/overlay"
 	"gossipstream/internal/segment"
 	"gossipstream/internal/sim/engine"
@@ -144,6 +146,54 @@ type Directive struct {
 	Leaves []overlay.NodeID
 	Repair [][2]overlay.NodeID
 	Joins  []JoinSpec
+}
+
+// DirectiveStep does the half of applying a resolved directive that is
+// the same in every backend: it counts d in events (gossip_events_total),
+// writes d's trace lines to tr and applies a transport directive
+// (latency, loss, partition, heal) to net. The lines are one event line
+// of kind name (d.Kind's name; the cluster names its own kinds), a
+// partition's sever or heal line, and a switch's s1-end and
+// become-source milestones, all stamped with d's resolve tick and shard
+// (0 outside a multi-process run). The caller fills a planned switch's
+// S1End before the call and applies everything else itself. tr and
+// events may be nil, and net may be nil when d is not a transport
+// directive.
+func DirectiveStep(d *Directive, name string, net *netmodel.Model, tr *obs.Trace, events *obs.Counter, shard int) {
+	events.Inc()
+	if tr != nil {
+		te := obs.TraceEvent{T: obs.EvEvent, Tick: d.Tick, Kind: name, Shard: shard}
+		switch d.Kind {
+		case DirSwitch:
+			te.Node, te.To = obs.P(int64(d.Old)), obs.P(int64(d.New))
+		case DirDemote:
+			te.Node = obs.P(int64(d.Node))
+		}
+		tr.Emit(te)
+		switch d.Kind {
+		case DirSwitch:
+			tr.Emit(obs.TraceEvent{T: obs.EvSwitch, Tick: d.Tick, Kind: "s1-end", Seg: obs.P(int64(d.S1End)), Shard: shard})
+			tr.Emit(obs.TraceEvent{T: obs.EvSwitch, Tick: d.Tick, Kind: "become-source", Node: obs.P(int64(d.New)), Seg: obs.P(int64(d.S1End + 1)), Shard: shard})
+		case DirPartition:
+			tr.Emit(obs.TraceEvent{T: obs.EvPartition, Tick: d.Tick, Kind: "sever", Shard: shard})
+		case DirHeal:
+			tr.Emit(obs.TraceEvent{T: obs.EvPartition, Tick: d.Tick, Kind: "heal", Shard: shard})
+		}
+	}
+	switch d.Kind {
+	case DirLatency:
+		net.SetLatencyFactor(d.Factor)
+	case DirLoss:
+		net.SetLossBurst(d.Prob, d.Until)
+	case DirPartition:
+		if d.ByPing {
+			net.PartitionByPing(d.Frac, d.Seed)
+		} else {
+			net.Partition(d.Frac, d.Seed)
+		}
+	case DirHeal:
+		net.Heal()
+	}
 }
 
 // Resolver turns scenario events and churn into Directives. It is not

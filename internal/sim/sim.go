@@ -210,7 +210,7 @@ func New(cfg Config) (*Sim, error) {
 		s.obsDelivered = reg.Counter("gossip_frames_delivered_total", "data segments that reached their requester")
 		s.obsLost = reg.Counter("gossip_frames_lost_total", "data segments lost in transit")
 		s.obsReReq = reg.Counter("gossip_frames_rerequested_total", "grants re-requesting a previously lost segment")
-		s.obsEvents = reg.Counter("gossip_events_total", "scenario events fired")
+		s.obsEvents = reg.Counter("gossip_events_total", "scenario directives applied")
 		s.obsWindows = reg.Counter("gossip_windows_closed_total", "measurement windows closed")
 	}
 	s.win = NewWindow(Tau, s.trace, s.obsWindows)
@@ -323,15 +323,9 @@ func (s *Sim) phaseEvents() {
 // fire resolves one event (resolve.go) and applies the directive. An
 // event that cannot be resolved (a switch with no eligible successor, a
 // demote with no live ex-source) is a run error, with the world intact.
+// The closing id of a planned switch is the last segment the old source
+// generated.
 func (s *Sim) fire(ev Event, idx int) {
-	s.obsEvents.Inc()
-	if s.trace != nil {
-		te := obs.TraceEvent{T: obs.EvEvent, Tick: s.tick, Kind: ev.Kind.String()}
-		if ev.To >= 0 {
-			te.To = obs.P(int64(ev.To))
-		}
-		s.trace.Emit(te)
-	}
 	d, err := s.resolver.Event(ev, idx, s.tick, s.tl.Current(), s.nextGen)
 	if err != nil {
 		s.runErr = err
@@ -340,6 +334,10 @@ func (s *Sim) fire(ev Event, idx int) {
 	if d == nil {
 		return // a churn burst: only the resolver's burst window moved
 	}
+	if d.Kind == DirSwitch && !d.Failure {
+		d.S1End = s.nextGen - 1
+	}
+	DirectiveStep(d, d.Kind.String(), s.net, s.trace, s.obsEvents, 0)
 	switch d.Kind {
 	case DirSwitch:
 		s.applySwitch(d)
@@ -350,24 +348,6 @@ func (s *Sim) fire(ev Event, idx int) {
 		s.applyMembership(d)
 	case DirBandwidth:
 		s.shiftBandwidth(d.Factor)
-	case DirLatency:
-		s.net.SetLatencyFactor(d.Factor)
-	case DirLoss:
-		s.net.SetLossBurst(d.Prob, d.Until)
-	case DirPartition:
-		if d.ByPing {
-			s.net.PartitionByPing(d.Frac, d.Seed)
-		} else {
-			s.net.Partition(d.Frac, d.Seed)
-		}
-		if s.trace != nil {
-			s.trace.Emit(obs.TraceEvent{T: obs.EvPartition, Tick: s.tick, Kind: "sever"})
-		}
-	case DirHeal:
-		s.net.Heal()
-		if s.trace != nil {
-			s.trace.Emit(obs.TraceEvent{T: obs.EvPartition, Tick: s.tick, Kind: "heal"})
-		}
 	case DirDemote:
 		s.applyDemote(d)
 	}
@@ -410,9 +390,7 @@ func (s *Sim) applyMembership(d *Directive) {
 // applySwitch executes a resolved switch: the current source stops
 // streaming (or crashes), the successor is promoted and starts the next
 // session, and a fresh measurement window opens over the frozen cohort —
-// the paper's "simulation time 0", once per SwitchSource event. The
-// closing id of a planned switch is the last segment the old source
-// generated.
+// the paper's "simulation time 0", once per SwitchSource event.
 func (s *Sim) applySwitch(d *Directive) {
 	s.endWindow(true)
 	if d.Failure {
@@ -420,8 +398,6 @@ func (s *Sim) applySwitch(d *Directive) {
 		// supplier path checks alive), so the truncated ids are safely
 		// reused by the next session.
 		s.nodes[d.Old].alive = false
-	} else {
-		d.S1End = s.nextGen - 1
 	}
 	s.s1End = d.S1End
 	s.tl.Close(d.S1End)
@@ -432,7 +408,7 @@ func (s *Sim) applySwitch(d *Directive) {
 	}
 	s.s2Begin = ses.Begin
 	s.nextGen = ses.Begin
-	s.newSessionIdx = len(s.tl.Sessions()) - 1
+	s.newSessionIdx = s.tl.Len() - 1
 	s.oldSource, s.newSource = d.Old, d.New
 
 	ns := s.nodes[d.New]
@@ -441,10 +417,6 @@ func (s *Sim) applySwitch(d *Directive) {
 	// knows S1's ending segment id and embeds it in its first segments.
 	ns.Known = s.newSessionIdx + 1
 
-	if s.trace != nil {
-		s.trace.Emit(obs.TraceEvent{T: obs.EvSwitch, Tick: s.tick, Kind: "s1-end", Seg: obs.P(int64(s.s1End))})
-		s.trace.Emit(obs.TraceEvent{T: obs.EvSwitch, Tick: s.tick, Kind: "become-source", Node: obs.P(int64(d.New)), Seg: obs.P(int64(s.s2Begin))})
-	}
 	s.startWindow(true, d.Horizon, d.Failure)
 }
 
