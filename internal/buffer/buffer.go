@@ -10,14 +10,20 @@
 // replaced in that supplier's buffer.
 //
 // Segment ids in a streaming session are dense integers starting near 0,
-// so membership is indexed by a flat slice over the id space rather than a
+// so membership is indexed by a flat slice over the ids rather than a
 // hash map: simulations hold one buffer per node for up to 10^4 nodes, and
 // the flat index keeps Has/PositionFromTail at a few nanoseconds with no
-// GC pressure.
+// GC pressure. The index spans the held window plus O(B) headroom, not
+// the whole stream: it slides up behind the smallest held id as the
+// stream advances. Per node that is a 4-byte ring entry per slot and a
+// 2-byte index entry per id of the window, which bounds ids to below 2^32
+// (a day of the paper's 10 segments/s is 864 000) and the capacity to at
+// most 65 535 slots.
 package buffer
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"gossipstream/internal/bitfield"
@@ -28,37 +34,43 @@ import (
 // concurrent use; each simulated node owns exactly one.
 type Buffer struct {
 	capacity int
-	ring     []segment.ID // ring buffer, oldest at head
+	ring     []uint32 // ring buffer of ids, oldest at head
 	head     int
 	size     int
 
-	// Dense index over the id space: slot[id-base] = ring position + 1,
-	// zero meaning absent. base only moves down (a geometric rebase on
-	// out-of-range-low inserts); the slice grows upward as ids rise.
+	// Dense index over the held ids: slots[id-base] = ring position + 1,
+	// zero meaning absent. base moves down on an insert below it (a
+	// geometric rebase) and slides up behind MinID when a rising id would
+	// outgrow the slice's capacity (slideUp).
 	base  segment.ID
-	slots []int32
+	slots []uint16
 
 	// avail mirrors slots as one bit per id, aligned on absolute id words
 	// so that every holder's words line up: bit id&63 of avail[id>>6 -
 	// base>>6] is set exactly when slots holds the id. It follows base
-	// down on a rebase and grows upward by doubling.
+	// both ways and grows upward by doubling.
 	avail []uint64
 
 	maxSeen segment.ID // high-water mark of inserted ids (never decreases)
 }
 
+// maxCap is the largest capacity New accepts: an index entry is a
+// 16-bit ring position + 1.
+const maxCap = math.MaxUint16
+
 // New returns an empty buffer with the given capacity (the paper's B=600).
+// It panics unless 0 < capacity <= maxCap.
 func New(capacity int) *Buffer {
-	if capacity <= 0 {
-		panic(fmt.Sprintf("buffer: capacity %d must be positive", capacity))
+	if capacity <= 0 || capacity > maxCap {
+		panic(fmt.Sprintf("buffer: capacity %d must be in [1, %d]", capacity, maxCap))
 	}
 	return &Buffer{
 		capacity: capacity,
-		ring:     make([]segment.ID, capacity),
+		ring:     make([]uint32, capacity),
 		// Pre-size the dense index to one capacity's worth of ids: the
 		// warm-up stream fits without a single setSlot growth, and longer
-		// streams fall back to amortized doubling.
-		slots: make([]int32, 0, capacity),
+		// streams grow it once or twice before it starts to slide.
+		slots: make([]uint16, 0, capacity),
 		// One capacity's worth of ids straddles at most capacity/64+2 words.
 		avail:   make([]uint64, 0, capacity/64+2),
 		base:    -1,
@@ -72,11 +84,11 @@ func (b *Buffer) Cap() int { return b.capacity }
 // Len returns the number of segments currently held.
 func (b *Buffer) Len() int { return b.size }
 
-// MaxSeen returns the largest id ever inserted (segment.None when empty);
-// it is an upper bound for MaxID and O(1).
+// MaxSeen returns the largest id ever inserted (segment.None when
+// nothing was); it bounds every held id from above.
 func (b *Buffer) MaxSeen() segment.ID { return b.maxSeen }
 
-func (b *Buffer) slotOf(id segment.ID) int32 {
+func (b *Buffer) slotOf(id segment.ID) uint16 {
 	if b.base < 0 || id < b.base {
 		return 0
 	}
@@ -87,7 +99,7 @@ func (b *Buffer) slotOf(id segment.ID) int32 {
 	return b.slots[off]
 }
 
-func (b *Buffer) setSlot(id segment.ID, v int32) {
+func (b *Buffer) setSlot(id segment.ID, v uint16) {
 	if b.base < 0 {
 		b.base = id
 	}
@@ -99,7 +111,7 @@ func (b *Buffer) setSlot(id segment.ID, v int32) {
 		// rising id does not reallocate either.
 		base := max(0, id-segment.ID(len(b.slots)))
 		shift := int(b.base - base)
-		grown := make([]int32, shift+len(b.slots), shift+cap(b.slots))
+		grown := make([]uint16, shift+len(b.slots), shift+cap(b.slots))
 		copy(grown[shift:], b.slots)
 		b.slots = grown
 		if wshift := int(b.base>>6 - base>>6); wshift > 0 {
@@ -110,6 +122,10 @@ func (b *Buffer) setSlot(id segment.ID, v int32) {
 		b.base = base
 	}
 	off := int(id - b.base)
+	if off >= cap(b.slots) {
+		b.slideUp(id)
+		off = int(id - b.base)
+	}
 	for off >= len(b.slots) {
 		// One slot at a time, not append of a make: a race build does not
 		// fuse that into one allocation.
@@ -132,6 +148,33 @@ func (b *Buffer) setSlot(id segment.ID, v int32) {
 	} else {
 		b.avail[w] &^= 1 << uint(id&63)
 	}
+}
+
+// slideUp moves the index's base up to the word holding MinID (id's own
+// word when nothing is held), before a rising id would grow the index
+// past its capacity. It only slides when that frees a quarter of the
+// index: a held span near the index's length grows it instead, so the
+// copies stay amortized O(1) per insert and the index stays within a
+// small multiple of the held span. Evictions have already cleared the
+// ids below MinID, so the dropped prefix is all zero.
+func (b *Buffer) slideUp(id segment.ID) {
+	lo := b.MinID()
+	if lo == segment.None {
+		lo = id
+	}
+	base := lo &^ 63
+	shift := int(base - b.base)
+	if shift <= 0 || shift < len(b.slots)/4 {
+		return
+	}
+	// setSlot zeroes the slots it appends, but reslices avail over
+	// whatever lies past its length: the vacated words must read zero.
+	b.slots = b.slots[:copy(b.slots, b.slots[min(shift, len(b.slots)):])]
+	wshift := min(int(base>>6-b.base>>6), len(b.avail))
+	n := copy(b.avail, b.avail[wshift:])
+	clear(b.avail[n:])
+	b.avail = b.avail[:n]
+	b.base = base
 }
 
 // AvailWords fills dst with the Has bits of the absolute ids
@@ -162,21 +205,21 @@ func (b *Buffer) Has(id segment.ID) bool {
 // Inserting a segment that is already present is a no-op (ok=false).
 func (b *Buffer) Insert(id segment.ID) (evicted segment.ID, ok bool) {
 	evicted = segment.None
-	if !id.Valid() {
-		panic("buffer: Insert of invalid segment id")
+	if !id.Valid() || id > math.MaxUint32 {
+		panic(fmt.Sprintf("buffer: Insert of segment id %d outside [0, 2^32)", id))
 	}
 	if b.Has(id) {
 		return evicted, false
 	}
 	if b.size == b.capacity {
-		evicted = b.ring[b.head]
+		evicted = segment.ID(b.ring[b.head])
 		b.setSlot(evicted, 0)
 		b.head = b.wrap(b.head + 1)
 		b.size--
 	}
 	slot := b.wrap(b.head + b.size)
-	b.ring[slot] = id
-	b.setSlot(id, int32(slot)+1)
+	b.ring[slot] = uint32(id)
+	b.setSlot(id, uint16(slot)+1)
 	b.size++
 	if id > b.maxSeen {
 		b.maxSeen = id
@@ -212,7 +255,7 @@ func (b *Buffer) Oldest() segment.ID {
 	if b.size == 0 {
 		return segment.None
 	}
-	return b.ring[b.head]
+	return segment.ID(b.ring[b.head])
 }
 
 // Newest returns the most recently inserted segment, or segment.None.
@@ -220,7 +263,7 @@ func (b *Buffer) Newest() segment.ID {
 	if b.size == 0 {
 		return segment.None
 	}
-	return b.ring[b.wrap(b.head+b.size-1)]
+	return segment.ID(b.ring[b.wrap(b.head+b.size-1)])
 }
 
 // MinID returns the smallest segment id held, or segment.None when empty.
@@ -236,37 +279,14 @@ func (b *Buffer) MinID() segment.ID {
 	return segment.None
 }
 
-// MaxID returns the largest segment id held, or segment.None when empty.
-func (b *Buffer) MaxID() segment.ID {
-	highest := segment.None
-	for i := 0; i < b.size; i++ {
-		id := b.ring[b.wrap(b.head+i)]
-		if id > highest {
-			highest = id
-		}
-	}
-	return highest
-}
-
 // Contents returns the held ids in FIFO order (oldest first). The slice is
 // freshly allocated.
 func (b *Buffer) Contents() []segment.ID {
 	out := make([]segment.ID, 0, b.size)
 	for i := 0; i < b.size; i++ {
-		out = append(out, b.ring[b.wrap(b.head+i)])
+		out = append(out, segment.ID(b.ring[b.wrap(b.head+i)]))
 	}
 	return out
-}
-
-// CountInRange returns how many held ids fall in r.
-func (b *Buffer) CountInRange(r segment.Range) int {
-	n := 0
-	for id := r.Lo; id < r.Hi; id++ {
-		if b.Has(id) {
-			n++
-		}
-	}
-	return n
 }
 
 // ConsecutiveFrom returns the length of the run of consecutively held

@@ -87,8 +87,8 @@ func TestOldestNewestMinMax(t *testing.T) {
 	if b.Oldest() != segment.None || b.Newest() != segment.None {
 		t.Fatal("empty buffer Oldest/Newest must be None")
 	}
-	if b.MinID() != segment.None || b.MaxID() != segment.None {
-		t.Fatal("empty buffer MinID/MaxID must be None")
+	if b.MinID() != segment.None || b.MaxSeen() != segment.None {
+		t.Fatal("empty buffer MinID/MaxSeen must be None")
 	}
 	b.Insert(7)
 	b.Insert(3)
@@ -96,8 +96,8 @@ func TestOldestNewestMinMax(t *testing.T) {
 	if b.Oldest() != 7 || b.Newest() != 9 {
 		t.Fatalf("Oldest=%v Newest=%v", b.Oldest(), b.Newest())
 	}
-	if b.MinID() != 3 || b.MaxID() != 9 {
-		t.Fatalf("MinID=%v MaxID=%v", b.MinID(), b.MaxID())
+	if b.MinID() != 3 {
+		t.Fatalf("MinID=%v", b.MinID())
 	}
 	if b.MaxSeen() != 9 {
 		t.Fatalf("MaxSeen=%v", b.MaxSeen())
@@ -135,19 +135,6 @@ func TestConsecutiveFrom(t *testing.T) {
 	}
 	if got := b.ConsecutiveFrom(9); got != 1 {
 		t.Errorf("ConsecutiveFrom(9) = %d, want 1", got)
-	}
-}
-
-func TestCountInRange(t *testing.T) {
-	b := New(10)
-	for id := segment.ID(10); id < 20; id += 2 {
-		b.Insert(id)
-	}
-	if got := b.CountInRange(segment.Range{Lo: 10, Hi: 20}); got != 5 {
-		t.Errorf("CountInRange = %d, want 5", got)
-	}
-	if got := b.CountInRange(segment.Range{Lo: 11, Hi: 12}); got != 0 {
-		t.Errorf("CountInRange = %d, want 0", got)
 	}
 }
 

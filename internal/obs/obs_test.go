@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -216,6 +217,32 @@ func TestChromeTraceWellFormed(t *testing.T) {
 	}
 	if events[0].Ph != "X" || events[0].Dur != 2000 {
 		t.Fatalf("span shape wrong: %+v", events[0])
+	}
+}
+
+// failWriter fails every write, as a trace file on a full disk does.
+type failWriter struct{ err error }
+
+func (w failWriter) Write([]byte) (int, error) { return 0, w.err }
+
+// TestObsCloseReportsSinkErrors pins that Obs.Close returns its sinks'
+// failures: a trace whose writer fails at the final flush, and a Chrome
+// trace whose file can no longer be written, each surface as its error.
+func TestObsCloseReportsSinkErrors(t *testing.T) {
+	errFull := errors.New("disk full")
+	tr := NewTrace(failWriter{errFull})
+	tr.Emit(TraceEvent{T: EvTick, Tick: 1, NS: 5}) // buffered until Close flushes
+	if err := (&Obs{Trace: tr}).Close(); !errors.Is(err, errFull) {
+		t.Errorf("Close with a failing trace writer = %v, want %v", err, errFull)
+	}
+
+	c, err := OpenChrome(t.TempDir() + "/trace.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.f.Close() // the closing "]" can no longer be written
+	if err := (&Obs{Trace: NewTrace(io.Discard), Chrome: c}).Close(); err == nil {
+		t.Error("Close with an unwritable Chrome trace returned nil")
 	}
 }
 

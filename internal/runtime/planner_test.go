@@ -269,7 +269,7 @@ func syntheticPeer(seed int64, par sim.PeerParams, algo core.Algorithm, ep Endpo
 		anchor := max(0, nb.MinID())
 		p.views[id] = &neighborView{
 			m:       nb.SnapshotFrom(anchor),
-			maxSeen: nb.MaxID(),
+			maxSeen: nb.MaxSeen(),
 			rate:    rate,
 			period:  period,
 		}
